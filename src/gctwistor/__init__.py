@@ -58,6 +58,7 @@ from .courant import (
     integrability_scan,
     lie_bracket,
     nijenhuis,
+    nijenhuis_table,
     scan_report_to_json,
     section_from_coefficients,
     two_form_field,

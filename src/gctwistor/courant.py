@@ -227,26 +227,6 @@ def constant_field(j: Endo) -> GACField:
     return GACField(chart_dim, evaluate)
 
 
-def apply_field(f: GACField, a: JetSection) -> JetSection:
-    """The section p -> J(p) a(p), with the product-rule jet."""
-    if f.chart_dim != a.chart_dim:
-        raise ChartMismatchError("field and section live on different charts")
-
-    def evaluate(p: ChartPoint) -> Jet1:
-        fj = f.jet_at(p)
-        aj = a.at(p)
-        value = xm.mat_vec(fj.value, aj.value)
-        jac_cols = []
-        for k in range(f.chart_dim):
-            da = tuple(row[k] for row in aj.jacobian)
-            col = tuple(x + y for x, y in zip(xm.mat_vec(fj.partials[k], aj.value),
-                                              xm.mat_vec(fj.value, da)))
-            jac_cols.append(col)
-        return Jet1(value, xm.transpose(xm.mat(jac_cols)))
-
-    return JetSection(f.chart_dim, evaluate)
-
-
 # ---------------------------------------------------------------------------
 # brackets
 
@@ -266,18 +246,13 @@ def lie_bracket(xs: JetSection, ys: JetSection, p: ChartPoint) -> Vec:
     for j in (jx, jy):
         if any(v != 0 for v in j.value[m:]) or not xm.is_zero(j.jacobian[m:]):
             raise ChartMismatchError("lie_bracket expects purely vector sections")
-    x, _, dx, _ = _split_jet(jx, m)
-    y, _, dy, _ = _split_jet(jy, m)
-    return tuple(sum(x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(m)) for i in range(m))
+    return _bracket(jx, jy, m).vec
 
 
-def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
-    """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2."""
-    m = p.dim
-    if a.chart_dim != m or b.chart_dim != m:
-        raise ChartMismatchError("sections do not match the chart point")
-    x, xi, dx, dxi = _split_jet(a.at(p), m)
-    y, eta, dy, deta = _split_jet(b.at(p), m)
+def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
+    """The Courant bracket of two sections from their 1-jets at one point."""
+    x, xi, dx, dxi = _split_jet(ja, m)
+    y, eta, dy, deta = _split_jet(jb, m)
     vec = tuple(sum(x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(m)) for i in range(m))
     half = Fraction(1, 2)
     cov = []
@@ -291,17 +266,46 @@ def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
     return GElement(m, vec, tuple(cov))
 
 
-def nijenhuis(jf: GACField, a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
-    """N(A, B) = -[A, B] - J[A, JB] - J[JA, B] + [JA, JB] with Courant brackets."""
+def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
+    """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2."""
+    m = p.dim
+    if a.chart_dim != m or b.chart_dim != m:
+        raise ChartMismatchError("sections do not match the chart point")
+    return _bracket(a.at(p), b.at(p), m)
+
+
+def _field_image(fj: FieldJet, aj: Jet1, m: int) -> Jet1:
+    """The 1-jet of p -> J(p) a(p) at a point, by the product rule."""
+    cols = [tuple(x + y for x, y in zip(xm.mat_vec(fj.partials[k], aj.value),
+                                        xm.mat_vec(fj.value, tuple(row[k] for row in aj.jacobian))))
+            for k in range(m)]
+    return Jet1(xm.mat_vec(fj.value, aj.value), xm.transpose(xm.mat(cols)))
+
+
+def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
+                    p: ChartPoint) -> dict[tuple[int, int], GElement]:
+    """N(A_i, A_k) = -[A, B] - J[A, JB] - J[JA, B] + [JA, JB] (Courant brackets)
+    for every probe pair i < k at p, in (i, k) order.  The field is validated
+    at p once, and each probe's jet and its J-image jet are built once."""
     jf.validate_at(p)
     j_at_p = jf.endo_at(p)
-    ja = apply_field(jf, a)
-    jb = apply_field(jf, b)
-    t1 = courant_bracket(a, b, p)
-    t2 = courant_bracket(a, jb, p)
-    t3 = courant_bracket(ja, b, p)
-    t4 = courant_bracket(ja, jb, p)
-    return (-t1) - j_at_p.apply(t2) - j_at_p.apply(t3) + t4
+    fj = jf.jet_at(p)
+    m = p.dim
+    jets = [a.at(p) for a in probes]
+    images = [_field_image(fj, aj, m) for aj in jets]
+    table = {}
+    for i in range(len(probes)):
+        for k in range(i + 1, len(probes)):
+            t1 = _bracket(jets[i], jets[k], m)
+            t23 = _bracket(jets[i], images[k], m) + _bracket(images[i], jets[k], m)
+            t4 = _bracket(images[i], images[k], m)
+            table[(i, k)] = (-t1) - j_at_p.apply(t23) + t4
+    return table
+
+
+def nijenhuis(jf: GACField, a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
+    """N(A, B) at p: the two-probe case of `nijenhuis_table`."""
+    return nijenhuis_table(jf, (a, b), p)[(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +463,12 @@ def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
         zero = True
         biggest = 0.0
         witness = None
-        for i in range(len(probes)):
-            for k in range(i + 1, len(probes)):
-                value = nijenhuis(jf, probes[i], probes[k], p)
-                if not value.is_zero():
-                    zero = False
-                    if witness is None:
-                        witness = (i, k)
-                    if mode == "float":
-                        biggest = max(biggest, max(abs(float(c)) for c in value.coords))
+        for pair, value in nijenhuis_table(jf, probes, p).items():
+            if not value.is_zero():
+                zero = False
+                if witness is None:
+                    witness = pair
+                if mode == "float":
+                    biggest = max(biggest, max(abs(float(c)) for c in value.coords))
         results.append(PointScan(p, zero, biggest, witness))
     return ScanReport(mode, tuple(results))

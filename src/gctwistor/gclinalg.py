@@ -163,11 +163,6 @@ class Endo:
         return xm.is_zero(self.rows)
 
 
-def endo(rows: Iterable[Iterable]) -> Endo:
-    m = xm.mat(rows)
-    return Endo(len(m), m)
-
-
 def endo_to_json(e: Endo) -> list[str]:
     """Row-major list of canonical rational strings."""
     from .poly import scalar_to_str

@@ -434,8 +434,6 @@ def _probe_set(n: int, basis: Sequence[Endo], spec: str):
     if spec == "full":
         probes += [tangent_from_parts(n, vertical=u) for u in basis]
         probes += [tangent_from_parts(n, vertical_coform=u) for u in basis]
-    elif spec != "horizontal":
-        raise ScenarioError(f"unknown probe_spec {spec!r}")
     return probes
 
 
@@ -523,6 +521,8 @@ def _check_n2_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "integrability/curvature-form-kernel"
+    if scenario.n != 2:
+        return _fail(name, scenario, "curvature-form kernel needs n = 2", None)
     report = mu_forced_zero_check(2)
     if report.kernel_dim != 0:
         return _fail(name, scenario, report.kernel_dim, {"rank": report.rank})
@@ -713,6 +713,22 @@ PRESETS: dict[str, dict] = {
 }
 
 
+SAMPLE_COUNTS = ("base_points", "fibre_params", "adapted_points")
+
+
+def _validate_samples(samples: Mapping[str, object]) -> None:
+    """Every sample count must be an int >= 1 and probe_spec a known probe
+    set, so no check runs over zero samples or fails on a mistyped value."""
+    for key, value in samples.items():
+        if key == "probe_spec":
+            ok = value in ("full", "horizontal")
+        else:
+            ok = key in SAMPLE_COUNTS and type(value) is int and value >= 1
+        if not ok:
+            raise ScenarioError(f"bad sample {key}={value!r}: counts are integers >= 1 "
+                                "and probe_spec is 'full' or 'horizontal'")
+
+
 def load_scenario(source: str | Mapping, name: str | None = None,
                   mode: str | None = None, seed: int | None = None) -> Scenario:
     """Build a scenario from a preset name, a JSON file path, or a mapping."""
@@ -745,8 +761,7 @@ def load_scenario(source: str | Mapping, name: str | None = None,
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"unknown checks: {unknown}")
-    if not checks:
-        pass  # an empty suite is allowed and yields an empty report
+    _validate_samples(samples)
     return Scenario(name, n, conn, effective_mode, effective_seed, samples, checks)
 
 

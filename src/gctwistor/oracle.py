@@ -32,7 +32,7 @@ from .courant import (
     chart_point,
     coordinate_sections,
     lie_bracket,
-    nijenhuis,
+    nijenhuis_table,
 )
 from .gclinalg import (
     DegenerateInputError,
@@ -53,6 +53,7 @@ from .twistor import (
     connection_matrix,
     curvature,
     nijenhuis_closed_form,
+    validate_tangent,
 )
 
 
@@ -109,10 +110,6 @@ def jet_of_poly(p: Poly, point: Vec) -> JetScalar:
 
 
 JetMat = list[list[JetScalar]]
-
-
-def jmat_const(m: Mat, nvars: int) -> JetMat:
-    return [[jet_const(x, nvars) for x in row] for row in m]
 
 
 def jmat_mul(a: JetMat, b: JetMat) -> JetMat:
@@ -663,6 +660,7 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
     can confirm that a deliberately wrong term is detected.
     """
     charts: dict[int, TwistorChart] = {}
+    probes = coordinate_sections(4)
     results = []
     for sample in samples:
         chart = charts.get(sample.sheet)
@@ -670,32 +668,29 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
             chart = TwistorChart(conn, sample.sheet)
             charts[sample.sheet] = chart
         q = sample.chart_point()
-        probes = coordinate_sections(4)
         at = chart.twistor_point(q)
         vertical_basis = list(chart.vertical_chart_basis(q))
         decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
+        for tangent in decomposed:
+            validate_tangent(tangent, at)
         for alpha in alphas:
-            field = chart.field(alpha)
-            field.validate_at(q)
             pairs = 0
             direct_zero = True
             equal = True
             mismatch = None
-            for i in range(len(probes)):
-                for k in range(i + 1, len(probes)):
-                    pairs += 1
-                    direct = nijenhuis(field, probes[i], probes[k], q)
-                    closed = nijenhuis_closed_form(alpha, conn, at, decomposed[i],
-                                                   decomposed[k], vertical_basis)
-                    composed = chart.compose(closed, q)
-                    if perturb is not None:
-                        composed = perturb(composed)
-                    if not direct.is_zero():
-                        direct_zero = False
-                    if direct != composed:
-                        equal = False
-                        if mismatch is None:
-                            mismatch = (i, k)
+            for (i, k), direct in nijenhuis_table(chart.field(alpha), probes, q).items():
+                pairs += 1
+                closed = nijenhuis_closed_form(alpha, conn, at, decomposed[i], decomposed[k],
+                                               vertical_basis, validate=False)
+                composed = chart.compose(closed, q)
+                if perturb is not None:
+                    composed = perturb(composed)
+                if not direct.is_zero():
+                    direct_zero = False
+                if direct != composed:
+                    equal = False
+                    if mismatch is None:
+                        mismatch = (i, k)
             one = Poly.constant(2, 1)
             zero = Poly.constant(2, 0)
             x1p = Poly.variable(2, 0)

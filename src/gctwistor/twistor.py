@@ -372,18 +372,6 @@ def _gram_solve_representer(basis: Sequence[Endo], values: Sequence[Fraction]) -
     return out
 
 
-def coform_representer(at: TwistorPoint, functional, basis: Sequence[Endo] | None = None) -> Endo:
-    """The vertical endomorphism Phi with <Phi, W> = functional(W) on the fibre."""
-    if basis is None:
-        basis = vertical_space_basis(at.structure)
-    return _gram_solve_representer(basis, [functional(u) for u in basis])
-
-
-def pair_coform(phi: Endo, w: Endo) -> Fraction:
-    """Evaluate a vertical coform (by representer) on a vertical vector."""
-    return fib_pairing(phi, w)
-
-
 def curvature_action_on_structure(conn: Connection, at: TwistorPoint) -> dict:
     """For each coordinate pair a < b: the vertical endomorphisms
     [R^(d_a, d_b), j] and j o [R^(d_a, d_b), j], memoized.
@@ -639,9 +627,9 @@ def mu_forced_zero_check(n: int = 2, perms: Sequence[Sequence[int]] | None = Non
     """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 over the
     family of interchanging structures on permuted bases.
 
-    For n = 2 the family of the identity permutation together with the
-    middle swap forces mu = 0 (kernel dimension 0), while a single
-    structure leaves a nontrivial kernel.
+    For n = 2 the default family (the identity permutation and the middle
+    swap) forces mu = 0, kernel dimension 0.  The single-structure kernel
+    is that of the first permutation alone; at n = 2 it is 0 too.
     """
     if n != 2:
         raise DimensionMismatchError("the curvature-form system is implemented at desk scale n = 2")

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gctwistor import exactmat as xm
 from gctwistor.courant import (
     ChartMismatchError,
     FieldInvariantError,
+    GACField,
+    Jet1,
+    JetSection,
     ProbeSpanError,
     b_automorphism_defect,
     chart_point,
@@ -21,6 +25,7 @@ from gctwistor.courant import (
     integrability_scan,
     lie_bracket,
     nijenhuis,
+    nijenhuis_table,
     section_from_coefficients,
     section_scale,
     section_sum,
@@ -176,18 +181,21 @@ def test_field_invariant_violation_reported():
         nijenhuis(bad1, a, a, chart_point([F(0)]))
 
 
-def test_varying_field_from_coefficients():
+def varying_field():
     # the pointwise transform of the constant symplectic-type structure by
     # the closed two-form x1 dx1^dx2, written out: a genuinely varying field
     # that stays a valid structure and is integrable
     one_plus = ONE2 + X1 * X1
-    entries = [
+    return field_from_coefficients(2, [
         [-X1, ZERO2, ZERO2, ONE2],
         [ZERO2, -X1, -ONE2, ZERO2],
         [ZERO2, one_plus, X1, ZERO2],
         [-one_plus, ZERO2, ZERO2, X1],
-    ]
-    field = field_from_coefficients(2, entries)
+    ])
+
+
+def test_varying_field_from_coefficients():
+    field = varying_field()
     rng = random.Random(11)
     for _ in range(4):
         p = rand_point(rng)
@@ -325,3 +333,75 @@ def test_scan_report_json():
     assert json.dumps(data, sort_keys=True)  # JSON-serializable
     assert data["points"][0]["all_zero"] is True
     assert data["points"][0]["point"] == ["1/2", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the per-point Nijenhuis table
+
+
+def field_image_section(f: GACField, a: JetSection) -> JetSection:
+    """p -> J(p) a(p) as a section, with the product-rule jet: the reference
+    the table's pair brackets are compared against."""
+    def evaluate(p):
+        fj, aj = f.jet_at(p), a.at(p)
+        cols = []
+        for k in range(f.chart_dim):
+            da = tuple(row[k] for row in aj.jacobian)
+            cols.append(tuple(x + y for x, y in zip(xm.mat_vec(fj.partials[k], aj.value),
+                                                    xm.mat_vec(fj.value, da))))
+        return Jet1(xm.mat_vec(fj.value, aj.value), xm.transpose(xm.mat(cols)))
+
+    return JetSection(f.chart_dim, evaluate)
+
+
+def reference_nijenhuis(f: GACField, a: JetSection, b: JetSection, p):
+    j = f.endo_at(p)
+    ja, jb = field_image_section(f, a), field_image_section(f, b)
+    return (-courant_bracket(a, b, p) - j.apply(courant_bracket(a, jb, p))
+            - j.apply(courant_bracket(ja, b, p)) + courant_bracket(ja, jb, p))
+
+
+def test_table_matches_pairwise_nijenhuis_constant_field():
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    probes = default_probes(2, perturbed=True)
+    p = chart_point([F(1, 2), F(-2, 3)])
+    table = nijenhuis_table(field, probes, p)
+    pairs = [(i, k) for i in range(len(probes)) for k in range(i + 1, len(probes))]
+    assert list(table) == pairs
+    for i, k in pairs:
+        assert table[(i, k)] == nijenhuis(field, probes[i], probes[k], p)
+        assert table[(i, k)] == reference_nijenhuis(field, probes[i], probes[k], p)
+
+
+def test_table_matches_reference_on_varying_field():
+    # a varying field with non-constant probes: the table's J-image jets
+    # carry the product-rule term that a constant field never exercises
+    rng = random.Random(12)
+    field = varying_field()
+    probes = [rand_section(rng) for _ in range(4)]
+    p = rand_point(rng)
+    for (i, k), value in nijenhuis_table(field, probes, p).items():
+        assert value == reference_nijenhuis(field, probes[i], probes[k], p)
+
+
+def test_table_of_fewer_than_two_probes_is_empty():
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    assert nijenhuis_table(field, coordinate_sections(2)[:1], chart_point([F(0), F(0)])) == {}
+
+
+def test_table_rejects_section_on_other_chart():
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    with pytest.raises(ChartMismatchError):
+        nijenhuis_table(field, coordinate_sections(1), chart_point([F(0), F(0)]))
+
+
+def test_scan_validates_field_at_every_point():
+    # (1 + x1) J0 is pairing skew everywhere but squares to -Id only where
+    # x1 = 0: the scan must reject it at the second point, not only the first
+    j0 = from_complex(standard_complex_matrix(1)).j
+    field = field_from_coefficients(2, [[(ONE2 + X1).scale(c) for c in row] for row in j0.rows])
+    probes = default_probes(2)
+    origin, off = chart_point([F(0), F(0)]), chart_point([F(1), F(0)])
+    assert len(integrability_scan(field, [origin], probes).points) == 1
+    with pytest.raises(FieldInvariantError):
+        integrability_scan(field, [origin, off], probes)

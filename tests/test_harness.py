@@ -166,6 +166,73 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert "[FAIL]" in result.stdout
 
 
+def run_cli_on(tmp_path, data, *args):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return subprocess.run([sys.executable, "-m", "gctwistor", "verify", str(path), *args],
+                          capture_output=True, text=True)
+
+
+def with_samples(preset, **samples):
+    return {**PRESETS[preset], "samples": {**PRESETS[preset]["samples"], **samples}}
+
+
+def test_cli_rejects_zero_oracle_samples(tmp_path):
+    result = run_cli_on(tmp_path, with_samples("oracle-n1", fibre_params=0))
+    assert result.returncode == 2
+    assert "fibre_params" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_cli_rejects_negative_base_points(tmp_path):
+    result = run_cli_on(tmp_path, with_samples("thm1-n1", base_points=-5))
+    assert result.returncode == 2
+    assert "base_points" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_cli_rejects_non_integer_base_points(tmp_path):
+    result = run_cli_on(tmp_path, with_samples("thm1-n1", base_points="abc"))
+    assert result.returncode == 2
+    assert "base_points" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_cli_rejects_unknown_probe_spec(tmp_path):
+    result = run_cli_on(tmp_path, with_samples("thm1-n1", probe_spec="bogus"))
+    assert result.returncode == 2
+    assert "probe_spec" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("samples", [
+    {"base_points": True}, {"adapted_points": 2.0}, {"fibre_params": "3"},
+    {"base_point": 3}, {"probe_spec": None},
+])
+def test_bad_samples_rejected(samples):
+    with pytest.raises(ScenarioError):
+        load_scenario({"n": 1, "seed": 0, "samples": samples, "checks": []})
+
+
+def test_valid_samples_accepted():
+    scenario = load_scenario({"n": 1, "seed": 0, "checks": [], "samples": {
+        "base_points": 1, "fibre_params": 2, "adapted_points": 3, "probe_spec": "horizontal"}})
+    assert scenario.count("base_points", 50) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_curvature_form_kernel_needs_n2(n):
+    scenario = load_scenario({"n": n, "seed": 0,
+                              "checks": ["integrability/curvature-form-kernel"]})
+    report = run_scenario(scenario)
+    assert not report.ok
+    assert report.results[0].residual == "curvature-form kernel needs n = 2"
+
+
+def test_cli_curvature_form_kernel_n0_fails(tmp_path):
+    result = run_cli_on(tmp_path, {"n": 0, "seed": 0,
+                                   "checks": ["integrability/curvature-form-kernel"]},
+                        "--format", "text")
+    assert result.returncode == 1
+    assert "[FAIL]" in result.stdout
+
+
 def test_integrability_suite_wrapper():
     from gctwistor.harness import run_integrability_suite
     scenario = load_scenario({**PRESETS["thm1-n1"], "samples": {"base_points": 3}},

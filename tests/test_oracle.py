@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gctwistor.courant import chart_point, coordinate_sections, nijenhuis
+from gctwistor.courant import chart_point, coordinate_sections, nijenhuis, nijenhuis_table
 from gctwistor.gclinalg import (
     DegenerateInputError,
     GElement,
@@ -301,3 +301,19 @@ def test_oracle_with_generic_polynomial_connection():
     assert report.all_equal
     assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in report.results)
     assert all(r.direct_all_zero for r in report.results if r.alpha == 1)
+
+
+def test_table_matches_pairwise_nijenhuis_on_chart_fields():
+    # the twistor structure fields vary over the chart, so every J-image
+    # jet carries a nonzero product-rule term
+    sample = seeded_oracle_samples(1, 5)[0]
+    q = sample.chart_point()
+    chart = TwistorChart(CONN, sample.sheet)
+    probes = coordinate_sections(4)
+    for alpha in (1, 2):
+        field = chart.field(alpha)
+        assert any(not all(x == 0 for row in d for x in row) for d in field.jet_at(q).partials)
+        table = nijenhuis_table(field, probes, q)
+        assert len(table) == 28
+        for (i, k), value in table.items():
+            assert value == nijenhuis(field, probes[i], probes[k], q)
