@@ -78,6 +78,7 @@ from .twistor import (
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form,
+    nijenhuis_closed_form_table,
     nijenhuis_coform,
     nijenhuis_horizontal,
     nijenhuis_mixed,

@@ -3,7 +3,9 @@
 Matrices are immutable tuples of tuples of Fraction and every algorithm
 is exact: no pivoting heuristics, no tolerances.  Sizes in this package
 stay small (at most a few hundred rows), so plain Gaussian elimination
-over Fraction is both simple and fast enough.
+over Fraction is both simple and fast enough.  Products skip zero
+entries of both factors: the skew generators and many structures are
+sparse, and a skipped term is exactly zero, so the result is unchanged.
 """
 
 from __future__ import annotations
@@ -64,8 +66,18 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """a b, accumulated row by row over the nonzero entries of a and b."""
+    cols = len(b[0]) if b else 0
+    sparse_b = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [F0] * cols
+        for x, nonzero in zip(row, sparse_b):
+            if x:
+                for c, y in nonzero:
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:

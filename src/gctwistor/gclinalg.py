@@ -628,19 +628,25 @@ class SkewGenerators:
 
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
+    """S_ik = eps_i B[:, k] (x) B^-1[i, :] - eps_k B[:, i] (x) B^-1[k, :].
+
+    In the basis, S_ik sends Q_i to eps_i Q_k and Q_k to -eps_k Q_i, so
+    B S B^-1 is a difference of two rank-one outer products.  Built for
+    i < k; S_ki = -S_ik and S_ii = 0.
+    """
     n4 = len(basis.vectors)
     bmat = basis.matrix()
     binv = xm.inverse(bmat)
-    grid: list[list[Endo]] = [[None] * n4 for _ in range(n4)]  # type: ignore[list-item]
+    zero = zero_endo(n4)
+    grid = [[zero] * n4 for _ in range(n4)]
     for i in range(n4):
-        for k in range(n4):
-            cols = [[F0] * n4 for _ in range(n4)]
-            if i != k:
-                # column i carries eps_i Q_k, column k carries -eps_k Q_i
-                cols[i][k] = Fraction(basis.signs[i])
-                cols[k][i] = -Fraction(basis.signs[k])
-            m_in_basis = xm.transpose(xm.mat(cols))
-            grid[i][k] = Endo(n4, xm.mat_mul(xm.mat_mul(bmat, m_in_basis), binv))
+        for k in range(i + 1, n4):
+            col_k = [basis.signs[i] * bmat[r][k] for r in range(n4)]
+            col_i = [basis.signs[k] * bmat[r][i] for r in range(n4)]
+            s = Endo(n4, tuple(tuple(col_k[r] * binv[i][c] - col_i[r] * binv[k][c]
+                                     for c in range(n4)) for r in range(n4)))
+            grid[i][k] = s
+            grid[k][i] = -s
     return SkewGenerators(basis, tuple(tuple(row) for row in grid))
 
 

@@ -69,7 +69,7 @@ from .twistor import (
     flat_connection,
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
-    nijenhuis_closed_form,
+    nijenhuis_closed_form_table,
     nijenhuis_horizontal,
     nijenhuis_mixed,
     random_chart_point,
@@ -80,7 +80,6 @@ from .twistor import (
     standard_complex_matrix,
     standard_symplectic_matrix,
     tangent_from_parts,
-    validate_tangent,
 )
 
 
@@ -442,12 +441,7 @@ def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     """Yield (probe pair, value) over the probe set at one twistor point."""
     basis = vertical_space_basis(at.structure)
     probes = _probe_set(at.n, basis, spec)
-    for tangent in probes:
-        validate_tangent(tangent, at)
-    for i in range(len(probes)):
-        for k in range(i + 1, len(probes)):
-            yield (i, k), nijenhuis_closed_form(alpha, conn, at, probes[i], probes[k],
-                                                basis, validate=False)
+    yield from nijenhuis_closed_form_table(alpha, conn, at, probes, basis).items()
 
 
 def _n1_twistor_points(scenario: Scenario, rng: random.Random, count: int):
@@ -596,6 +590,8 @@ def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "oracle/structure1-direct-zero"
+    if scenario.n != 1:
+        return _fail(name, scenario, "oracle needs n = 1", None)
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if r.alpha == 1 and not r.direct_all_zero:
@@ -608,6 +604,8 @@ def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "oracle/lift-bracket-identity"
+    if scenario.n != 1:
+        return _fail(name, scenario, "oracle needs n = 1", None)
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.lift_bracket_ok:
@@ -628,6 +626,8 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "oracle/vertical-bracket-identity"
+    if scenario.n != 1:
+        return _fail(name, scenario, "oracle needs n = 1", None)
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.vertical_bracket_ok:
@@ -747,7 +747,9 @@ def load_scenario(source: str | Mapping, name: str | None = None,
         data = dict(source)
         name = name or data.get("name", "scenario")
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         gamma = data.get("connection", {}).get("gamma", {})
         conn = connection_from_json(n, gamma) if gamma else flat_connection(n)
         effective_mode = mode or data.get("mode", "exact")

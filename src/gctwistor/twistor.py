@@ -5,8 +5,8 @@ compatible complex structure on T_pM + T*_pM inducing the canonical
 orientation.  A linear connection splits the tangent space of the bundle
 into horizontal and vertical parts; this module implements that
 splitting, the two twistor structures (alpha = 1, 2), the closed-form
-Nijenhuis tensor case by case, and the curvature-form machinery used by
-the integrability verdicts.
+Nijenhuis tensor case by case and as a per-point table over probe pairs,
+and the curvature-form machinery used by the integrability verdicts.
 
 Convention notes, fixed here and relied on everywhere:
   * curvature sign: R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y], i.e.
@@ -518,32 +518,188 @@ def nijenhuis_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
                           e: TwistorTangent, f: TwistorTangent,
                           vertical_basis: Sequence[Endo] | None = None,
                           validate: bool = True) -> TwistorTangent:
-    """The full closed-form Nijenhuis value, assembled by bilinearity from the
-    horizontal-horizontal, mixed, coform and vertical-vertical cases.
+    """The full closed-form Nijenhuis value N_alpha(E, F): the two-probe
+    case of `nijenhuis_closed_form_table`.
 
-    Scans over many probe pairs can validate the probes once and pass
-    validate=False here.
+    Callers that validated their tangents already may pass validate=False.
     """
+    return _closed_form_table(alpha, conn, at, (e, f), vertical_basis, validate)[(0, 1)]
+
+
+def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
+                                probes: Sequence[TwistorTangent],
+                                vertical_basis: Sequence[Endo] | None = None,
+                                ) -> dict[tuple[int, int], TwistorTangent]:
+    """N_alpha(probes[i], probes[k]) for every pair i < k, in (i, k) order.
+
+    The value is assembled by bilinearity from the horizontal-horizontal,
+    mixed and coform cases (the vertical-vertical case is zero):
+    N(E, F) = H(e, f) + M(e, V_F) - M(f, V_E) + C(e, Phi_F) - C(f, Phi_E)
+    for horizontal parts e, f, vertical parts V and coform representers
+    Phi, with H, M and C the values of `nijenhuis_horizontal`,
+    `nijenhuis_mixed` and `nijenhuis_coform`.
+
+    Everything that depends on one probe is computed once per point: the
+    validation of each distinct vertical or coform endomorphism, j h for
+    each horizontal part, j o V for each vertical part, the pairings of
+    each coform representer with the curvature action, and (alpha = 2)
+    the inverse Gram matrix of the vertical basis.  A term is skipped only
+    where it is exactly zero: a zero part, an empty curvature action or a
+    zero alpha coefficient.  Pairs whose value is zero share one zero
+    tangent.
+    """
+    return _closed_form_table(alpha, conn, at, probes, vertical_basis, True)
+
+
+def _curvature_coeffs(a: GElement, ja: GElement, b: GElement, jb: GElement,
+                      ia: int, ib: int) -> tuple[Fraction, Fraction]:
+    """The coefficients of [R^(d_ia, d_ib), j] and of j o [R^(d_ia, d_ib), j]
+    in the curvature terms of a horizontal pair, the second without its
+    alpha sign."""
+    c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
+    c_twisted = _pair_coeff(a.vec, jb.vec, ia, ib) + _pair_coeff(ja.vec, b.vec, ia, ib)
+    return c_direct, c_twisted
+
+
+def _add_scaled(acc: list[list[Fraction]], c: Fraction, m: Mat) -> None:
+    """acc += c m, in place, over the nonzero entries of m."""
+    for acc_row, row in zip(acc, m):
+        for col, x in enumerate(row):
+            if x:
+                acc_row[col] += c * x
+
+
+def _closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
+                       probes: Sequence[TwistorTangent],
+                       vertical_basis: Sequence[Endo] | None,
+                       validate: bool) -> dict[tuple[int, int], TwistorTangent]:
+    if alpha not in (1, 2):
+        raise ValueError("alpha must be 1 or 2")
+    n = at.n
+    dim_v = 2 * n
+    j = at.structure.j
+    sign = Fraction((-1) ** alpha)
+    hs = [None if t.horizontal.is_zero() else t.horizontal for t in probes]
+    vs = [None if t.vertical.is_zero() else t.vertical for t in probes]
+    phis = [None if t.vertical_coform.is_zero() else t.vertical_coform for t in probes]
     if validate:
-        validate_tangent(e, at)
-        validate_tangent(f, at)
-    if vertical_basis is None:
-        vertical_basis = vertical_space_basis(at.structure)
-    terms = [
-        (nijenhuis_horizontal(alpha, conn, at, e.horizontal, f.horizontal, vertical_basis), 1),
-        (nijenhuis_mixed(alpha, at, e.horizontal, f.vertical, validate), 1),
-        (nijenhuis_mixed(alpha, at, f.horizontal, e.vertical, validate), -1),
-        (nijenhuis_coform(alpha, conn, at, e.horizontal, f.vertical_coform, validate), 1),
-        (nijenhuis_coform(alpha, conn, at, f.horizontal, e.vertical_coform, validate), -1),
-    ]
-    out = None
-    for term, sign in terms:
-        if term.is_zero():
-            continue
-        if sign < 0:
-            term = term.scale(-1)
-        out = term if out is None else out + term
-    return out if out is not None else zero_tangent(at.n)
+        checked: set[Endo] = set()
+        for parts, label in ((vs, "vertical part"), (phis, "vertical coform representer")):
+            for part in parts:
+                if part is not None and part not in checked:
+                    if not is_vertical(part, j):
+                        raise NotVerticalError(f"{label} does not anticommute with j")
+                    checked.add(part)
+    jhs = [None if h is None else j.apply(h) for h in hs]
+    action = curvature_action_on_structure(conn, at)
+
+    # mixed case, alpha = 2 only: M(h, V) = 2 (j o V) h
+    jvs = [None if v is None or alpha == 1 else j.compose(v) for v in vs]
+
+    # coform case: C(h, Phi) depends on Phi only through its pairings with
+    # the curvature action; it is zero where they all vanish
+    def coform_scalars(phi: Endo | None):
+        if phi is None:
+            return None
+        scalars = [(key, fib_pairing(phi, v), fib_pairing(phi, jv))
+                   for key, (v, jv) in action.items()]
+        if all(s_v == 0 and s_jv == 0 for _, s_v, s_jv in scalars):
+            return None
+        return scalars
+
+    phi_scalars = [coform_scalars(phi) for phi in phis]
+    # coordinates of C(h, Phi) are 2 rhs(b) over b = a_1..a_2n, e_1..e_2n
+    duals = [basis_covector(dim_v, k) for k in range(dim_v)]
+    duals += [basis_vector(dim_v, k) for k in range(dim_v)]
+    dual_images = [(b, j.apply(b)) for b in duals] if any(phi_scalars) else []
+
+    def coform_coords(a: GElement, ja: GElement, scalars) -> list[Fraction]:
+        out = []
+        for b, jb in dual_images:
+            total = F0
+            for (ia, ib), s_v, s_jv in scalars:
+                c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
+                total -= c_direct * s_v + sign * c_twisted * s_jv
+            out.append(total)
+        return out
+
+    # horizontal case, alpha = 2: the coform representer of
+    # coef * omega_ab(u) = 2 coef (<j a, u b> - <j b, u a>), from one inverse
+    # of the Gram matrix of the vertical basis
+    coef = -Fraction(1, 2) * (1 + sign)
+    if coef:
+        if vertical_basis is None:
+            vertical_basis = vertical_space_basis(at.structure)
+        d = len(vertical_basis)
+        gram = tuple(tuple(fib_pairing(vertical_basis[a], vertical_basis[b]) for b in range(d))
+                     for a in range(d))
+        try:
+            gram_inv = xm.inverse(gram)
+        except xm.SingularMatrixError:
+            raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
+        basis_images = [None if h is None else [u.apply(h) for u in vertical_basis] for h in hs]
+
+    dim = j.dim
+    zero = zero_tangent(n)
+    table: dict[tuple[int, int], TwistorTangent] = {}
+    for i in range(len(probes)):
+        for k in range(i + 1, len(probes)):
+            horizontal = vertical = coform = None
+            h_e, h_f = hs[i], hs[k]
+            if h_e is not None and h_f is not None:
+                a, b, ja, jb = h_e, h_f, jhs[i], jhs[k]
+                if action:
+                    vertical = [[F0] * dim for _ in range(dim)]
+                    for (ia, ib), (v, jv) in action.items():
+                        c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
+                        if c_direct:
+                            _add_scaled(vertical, c_direct, v.rows)
+                        if c_twisted:
+                            _add_scaled(vertical, sign * c_twisted, jv.rows)
+                if coef:
+                    values = [2 * coef * (neutral_pairing(ja, ub) - neutral_pairing(jb, ua))
+                              for ua, ub in zip(basis_images[i], basis_images[k])]
+                    if any(values):
+                        coform = [[F0] * dim for _ in range(dim)]
+                        for c, u in zip(xm.mat_vec(gram_inv, values), vertical_basis):
+                            if c:
+                                _add_scaled(coform, c, u.rows)
+            for h, jh, jv, scalars, s in ((h_e, jhs[i], jvs[k], phi_scalars[k], 1),
+                                          (h_f, jhs[k], jvs[i], phi_scalars[i], -1)):
+                if h is None or (jv is None and scalars is None):
+                    continue
+                if horizontal is None:
+                    horizontal = [F0] * (2 * dim_v)
+                if jv is not None:
+                    for col, x in enumerate(xm.mat_vec(jv.rows, h.coords)):
+                        horizontal[col] += 2 * s * x
+                if scalars is not None:
+                    for col, x in enumerate(coform_coords(h, jh, scalars)):
+                        horizontal[col] += s * x
+            table[(i, k)] = _assemble(zero, horizontal, vertical, coform)
+    return table
+
+
+def _assemble(zero: TwistorTangent, horizontal: list[Fraction] | None,
+              vertical: list[list[Fraction]] | None,
+              coform: list[list[Fraction]] | None) -> TwistorTangent:
+    """A tangent from accumulated parts, None for a part no term reached;
+    `zero` itself when every part is zero."""
+    if horizontal is not None and any(horizontal):
+        half = len(horizontal) // 2
+        h = GElement(half, tuple(horizontal[:half]), tuple(horizontal[half:]))
+    else:
+        h = zero.horizontal
+    dim = zero.vertical.dim
+    v = zero.vertical
+    if vertical is not None and any(any(row) for row in vertical):
+        v = Endo(dim, tuple(tuple(row) for row in vertical))
+    phi = zero.vertical_coform
+    if coform is not None and any(any(row) for row in coform):
+        phi = Endo(dim, tuple(tuple(row) for row in coform))
+    if h is zero.horizontal and v is zero.vertical and phi is zero.vertical_coform:
+        return zero
+    return TwistorTangent(h, v, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 
@@ -52,3 +54,42 @@ def test_row_reducer_tracks_span():
     assert r.contains(xm.vec([1, 1, 1]))
     assert not r.contains(xm.vec([0, 0, 1]))
     assert len(r) == 2
+
+
+def _triple_sum(a, b):
+    """(a b)[r][c] = sum_k a[r][k] b[k][c], the definition."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(tuple(sum((a[r][k] * b[k][c] for k in range(inner)), F(0)) for c in range(cols))
+                 for r in range(len(a)))
+
+
+_nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def _product_operands(draw):
+    """Rectangular or empty operands, all dense or about half zeros."""
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.one_of(st.just(F(0)), _nonzero) if draw(st.booleans()) else _nonzero
+    a = tuple(tuple(draw(entries) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(inner))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_operands())
+def test_mat_mul_matches_triple_sum(operands):
+    # zero skipping changes which terms are added, never the exact result
+    a, b = operands
+    product = xm.mat_mul(a, b)
+    assert product == _triple_sum(a, b)
+    assert all(type(x) is F for row in product for x in row)
+
+
+def test_mat_mul_dense_and_sparse_examples():
+    dense = xm.mat([[1, 2, 3], [4, 5, 6]])
+    sparse = xm.mat([[0, 0], [F(1, 2), 0], [0, -3]])
+    assert xm.mat_mul(dense, sparse) == xm.mat([[1, -9], [F(5, 2), -18]])
+    assert xm.mat_mul(xm.zeros(2, 3), sparse) == xm.zeros(2, 2)
+    assert xm.mat_mul(xm.identity(3), sparse) == sparse

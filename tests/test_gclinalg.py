@@ -379,6 +379,28 @@ def test_generator_defining_action():
     assert s12.apply(basis.vectors[0]).is_zero()
 
 
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 5), (2, 1), (2, 7)])
+def test_generators_match_conjugated_definition(n, seed):
+    # textbook definition: S_ik = B m B^-1, where m sends basis element i to
+    # eps_i times element k and element k to -eps_k times element i
+    basis = random_orthonormal_basis(n, seed)
+    gens = skew_generators(basis)
+    n4 = 4 * n
+    bmat = basis.matrix()
+    binv = xm.inverse(bmat)
+    for i in range(n4):
+        assert gens.generator(i, i) == Endo(n4, xm.zeros(n4, n4))
+        for k in range(n4):
+            if k == i:
+                continue
+            m = [[F(0)] * n4 for _ in range(n4)]
+            m[k][i] = F(basis.signs[i])
+            m[i][k] = -F(basis.signs[k])
+            expected = xm.mat_mul(xm.mat_mul(bmat, xm.mat(m)), binv)
+            assert gens.generator(i, k).rows == expected
+            assert gens.generator(k, i) == -gens.generator(i, k)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_skew_frame_relation_table(seed):
     frames = skew_frames(random_orthonormal_basis(1, seed))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import gctwistor
 from gctwistor.gclinalg import GElement, SkewFrames
 from gctwistor.harness import (
     PRESETS,
@@ -132,12 +134,19 @@ def test_scenario_file_loading(tmp_path):
     assert report.ok
 
 
+def run_cli(*args):
+    """`python -m gctwistor verify ...` in a child interpreter that imports the
+    same gctwistor as the tests, also when only pytest's pythonpath has it."""
+    package_root = os.path.dirname(os.path.dirname(gctwistor.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gctwistor", "verify", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_cli_pass_and_exit_codes(tmp_path):
     out = tmp_path / "report.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "gctwistor", "verify", "examples-courant",
-         "--format", "json", "--out", str(out)],
-        capture_output=True, text=True)
+    result = run_cli("examples-courant", "--format", "json", "--out", str(out))
     assert result.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["ok"] is True
@@ -145,9 +154,7 @@ def test_cli_pass_and_exit_codes(tmp_path):
 
 
 def test_cli_invalid_input_exit_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "gctwistor", "verify", "missing-preset"],
-        capture_output=True, text=True)
+    result = run_cli("missing-preset")
     assert result.returncode == 2
     assert "error" in result.stderr
 
@@ -159,9 +166,7 @@ def test_cli_check_failure_exit_code(tmp_path):
         "n": 1, "mode": "exact", "seed": 0,
         "checks": ["integrability/n2-flat-structure1-vanishes"],
     }))
-    result = subprocess.run(
-        [sys.executable, "-m", "gctwistor", "verify", str(path), "--format", "text"],
-        capture_output=True, text=True)
+    result = run_cli(str(path), "--format", "text")
     assert result.returncode == 1
     assert "[FAIL]" in result.stdout
 
@@ -169,8 +174,7 @@ def test_cli_check_failure_exit_code(tmp_path):
 def run_cli_on(tmp_path, data, *args):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    return subprocess.run([sys.executable, "-m", "gctwistor", "verify", str(path), *args],
-                          capture_output=True, text=True)
+    return run_cli(str(path), *args)
 
 
 def with_samples(preset, **samples):
@@ -216,7 +220,7 @@ def test_valid_samples_accepted():
     assert scenario.count("base_points", 50) == 1
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [1, 3])
 def test_curvature_form_kernel_needs_n2(n):
     scenario = load_scenario({"n": n, "seed": 0,
                               "checks": ["integrability/curvature-form-kernel"]})
@@ -225,12 +229,46 @@ def test_curvature_form_kernel_needs_n2(n):
     assert report.results[0].residual == "curvature-form kernel needs n = 2"
 
 
-def test_cli_curvature_form_kernel_n0_fails(tmp_path):
-    result = run_cli_on(tmp_path, {"n": 0, "seed": 0,
+def test_cli_curvature_form_kernel_n3_fails(tmp_path):
+    result = run_cli_on(tmp_path, {"n": 3, "seed": 0,
                                    "checks": ["integrability/curvature-form-kernel"]},
                         "--format", "text")
     assert result.returncode == 1
     assert "[FAIL]" in result.stdout
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])
+def test_bad_n_rejected(n):
+    with pytest.raises(ScenarioError, match="n must be an integer >= 1"):
+        load_scenario({"n": n, "seed": 0, "checks": []})
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])
+def test_cli_rejects_bad_n(tmp_path, n):
+    result = run_cli_on(tmp_path, {"n": n, "seed": 0, "samples": {"adapted_points": 1},
+                                   "checks": ["integrability/mixed-witness"]})
+    assert result.returncode == 2
+    assert "n must be an integer" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("check", ["oracle/structure1-direct-zero",
+                                   "oracle/lift-bracket-identity",
+                                   "oracle/vertical-bracket-identity"])
+def test_oracle_checks_need_n1(check):
+    scenario = load_scenario({"n": 2, "seed": 0, "samples": {"fibre_params": 1},
+                              "checks": [check]})
+    report = run_scenario(scenario)
+    assert not report.ok
+    assert report.results[0].residual == "oracle needs n = 1"
+
+
+def test_cli_oracle_check_n2_fails_cleanly(tmp_path):
+    result = run_cli_on(tmp_path, {"n": 2, "seed": 0, "samples": {"fibre_params": 1},
+                                   "checks": ["oracle/structure1-direct-zero"]},
+                        "--format", "text")
+    assert result.returncode == 1
+    assert "[FAIL]" in result.stdout and "oracle needs n = 1" in result.stdout
+    assert "Traceback" not in result.stderr
 
 
 def test_integrability_suite_wrapper():

@@ -38,6 +38,7 @@ from gctwistor.twistor import (
     interchanging_structure_odd,
     mu_forced_zero_check,
     nijenhuis_closed_form,
+    nijenhuis_closed_form_table,
     nijenhuis_coform,
     nijenhuis_horizontal,
     nijenhuis_mixed,
@@ -382,6 +383,103 @@ def test_closed_form_n2_flat_vanishes_curved_does_not():
                                          basis).is_zero():
                 found = True
     assert found
+
+
+def reference_closed_form(alpha, conn, at, e, f, basis):
+    """N(E, F) assembled pair by pair from the per-case evaluators."""
+    terms = [
+        nijenhuis_horizontal(alpha, conn, at, e.horizontal, f.horizontal, basis),
+        nijenhuis_mixed(alpha, at, e.horizontal, f.vertical),
+        nijenhuis_mixed(alpha, at, f.horizontal, e.vertical).scale(-1),
+        nijenhuis_coform(alpha, conn, at, e.horizontal, f.vertical_coform),
+        nijenhuis_coform(alpha, conn, at, f.horizontal, e.vertical_coform).scale(-1),
+    ]
+    out = zero_tangent(at.n)
+    for term in terms:
+        out = out + term
+    return out
+
+
+def n2_point(seed):
+    rng = random.Random(seed)
+    structure = sample_fibre_structure(2, rng)
+    return TwistorPoint(random_chart_point(4, rng), structure)
+
+
+def table_probes(at, basis, spec, stride=1):
+    """The scan probe sets ('full', 'horizontal'), thinned by a stride to keep
+    the pair-by-pair reference affordable, or four random tangents."""
+    if spec == "random":
+        rng = random.Random(14)
+        return [sample_tangent(at, rng) for _ in range(4)]
+    probes = [tangent_from_parts(at.n, horizontal=h)
+              for h in coordinate_elements(2 * at.n)[::stride]]
+    if spec == "full":
+        probes += [tangent_from_parts(at.n, vertical=u) for u in basis[::stride]]
+        probes += [tangent_from_parts(at.n, vertical_coform=u) for u in basis[::stride]]
+    return probes
+
+
+TABLE_CASES = [
+    *[("n1-curved", CONN_N1, lambda: n1_point(F(1, 3), F(-1, 4), sheet=-1), alpha, spec, 1)
+      for alpha in (1, 2) for spec in ("full", "horizontal", "random")],
+    ("n2-flat", flat_connection(2), lambda: n2_point(21), 1, "full", 4),
+    ("n2-flat", flat_connection(2), lambda: n2_point(21), 2, "horizontal", 1),
+    ("n2-curved", CONN_N2, lambda: n2_point(22), 1, "horizontal", 1),
+    ("n2-curved", CONN_N2, lambda: n2_point(22), 2, "full", 4),
+]
+
+
+@pytest.mark.parametrize("label, conn, point, alpha, spec, stride", TABLE_CASES,
+                         ids=[f"{c[0]}-alpha{c[3]}-{c[4]}" for c in TABLE_CASES])
+def test_closed_form_table_matches_pairwise_reference(label, conn, point, alpha, spec, stride):
+    at = point()
+    basis = vertical_space_basis(at.structure)
+    probes = table_probes(at, basis, spec, stride)
+    table = nijenhuis_closed_form_table(alpha, conn, at, probes, basis)
+    assert list(table) == [(i, k) for i in range(len(probes))
+                           for k in range(i + 1, len(probes))]
+    for (i, k), value in table.items():
+        assert value == reference_closed_form(alpha, conn, at, probes[i], probes[k], basis)
+    # every zero value is the one shared zero tangent
+    zeros = [value for value in table.values() if value.is_zero()]
+    assert len({id(value) for value in zeros}) <= 1
+
+
+def test_closed_form_is_the_two_probe_table():
+    at = n1_point(F(1, 5), F(2, 5))
+    probes = table_probes(at, vertical_space_basis(at.structure), "random")
+    for alpha in (1, 2):
+        # without a vertical basis the table builds its own
+        table = nijenhuis_closed_form_table(alpha, CONN_N1, at, probes)
+        for (i, k), value in table.items():
+            assert nijenhuis_closed_form(alpha, CONN_N1, at, probes[i], probes[k]) == value
+
+
+def test_closed_form_table_of_fewer_than_two_probes_is_empty():
+    at = n1_point(F(1, 2), F(1, 3))
+    probe = tangent_from_parts(1, horizontal=gelem([1, 0], [0, 1]))
+    for alpha in (1, 2):
+        assert nijenhuis_closed_form_table(alpha, CONN_N1, at, []) == {}
+        assert nijenhuis_closed_form_table(alpha, CONN_N1, at, [probe]) == {}
+
+
+def test_closed_form_table_rejects_non_vertical_probe():
+    at = n1_point(F(1, 2), F(0))
+    good = tangent_from_parts(1, horizontal=gelem([1, 0], [0, 1]))
+    for bad in (tangent_from_parts(1, vertical=at.structure.j),
+                tangent_from_parts(1, vertical_coform=at.structure.j)):
+        for alpha in (1, 2):
+            with pytest.raises(NotVerticalError):
+                nijenhuis_closed_form_table(alpha, CONN_N1, at, [good, bad])
+            with pytest.raises(NotVerticalError):
+                nijenhuis_closed_form(alpha, CONN_N1, at, bad, good)
+
+
+def test_closed_form_table_rejects_bad_alpha():
+    at = n1_point(F(1, 2), F(0))
+    with pytest.raises(ValueError):
+        nijenhuis_closed_form_table(3, CONN_N1, at, [])
 
 
 # ---------------------------------------------------------------------------
