@@ -4,8 +4,10 @@ Matrices are immutable tuples of tuples of Fraction and every algorithm
 is exact: no pivoting heuristics, no tolerances.  Sizes in this package
 stay small (at most a few hundred rows), so plain Gaussian elimination
 over Fraction is both simple and fast enough.  Products skip zero
-entries of both factors: the skew generators and many structures are
-sparse, and a skipped term is exactly zero, so the result is unchanged.
+entries of both factors, and `RowReducer` keeps its rows as nonzero
+entries: the skew generators, many structures and the curvature-form
+system are sparse, and a skipped term is exactly zero, so the result is
+unchanged.
 """
 
 from __future__ import annotations
@@ -152,18 +154,23 @@ def rank(m: Mat) -> int:
 
 
 class RowReducer:
-    """Incremental echelon form for repeated span and independence queries."""
+    """Incremental echelon form for repeated span and independence queries.
+
+    Each stored row keeps only its nonzero (column, value) pairs, so a
+    reduction skips the zero terms, which are exactly zero.
+    """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+        # (pivot column, nonzero (column, value) pairs of the normalized row)
+        self._rows: list[tuple[int, list[tuple[int, Fraction]]]] = []
 
     def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
         out = list(v)
         for pivot, row in self._rows:
             f = out[pivot]
             if f:
-                for i in range(pivot, len(out)):
-                    out[i] -= f * row[i]
+                for i, x in row:
+                    out[i] -= f * x
         return out
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -176,7 +183,7 @@ class RowReducer:
         if pivot is None:
             return False
         p = reduced[pivot]
-        self._rows.append((pivot, [x / p for x in reduced]))
+        self._rows.append((pivot, [(i, x / p) for i, x in enumerate(reduced) if x]))
         return True
 
     def __len__(self) -> int:

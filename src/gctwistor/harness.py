@@ -30,6 +30,7 @@ from .courant import (
     two_form_field,
 )
 from .gclinalg import (
+    DimensionMismatchError,
     Endo,
     GElement,
     b_transform,
@@ -515,9 +516,10 @@ def _check_n2_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "integrability/curvature-form-kernel"
-    if scenario.n != 2:
-        return _fail(name, scenario, "curvature-form kernel needs n = 2", None)
-    report = mu_forced_zero_check(2)
+    try:
+        report = mu_forced_zero_check(scenario.n)
+    except DimensionMismatchError as exc:
+        return _fail(name, scenario, str(exc), None)
     if report.kernel_dim != 0:
         return _fail(name, scenario, report.kernel_dim, {"rank": report.rank})
     return _ok(name, scenario, {"rank": report.rank, "unknowns": report.unknowns,

@@ -713,8 +713,11 @@ class MuForm:
     matrix: Mat
 
     def __call__(self, x: Vec, y: Vec) -> Fraction:
-        return sum(x[i] * self.matrix[i][j] * y[j]
-                   for i in range(len(self.matrix)) for j in range(len(self.matrix)))
+        """sum_ij x_i m_ij y_j over the nonzero x_i and y_j; a skipped term
+        is exactly zero."""
+        nonzero_y = [(j, yj) for j, yj in enumerate(y) if yj]
+        return sum((xi * row[j] * yj for xi, row in zip(x, self.matrix) if xi
+                    for j, yj in nonzero_y), F0)
 
 
 def curvature_from_mu(mu: MuForm, x: Vec, y: Vec, z: Vec) -> Vec:
@@ -779,50 +782,101 @@ class MuSystemReport:
     single_structure_kernel_dim: int
 
 
-def mu_forced_zero_check(n: int = 2, perms: Sequence[Sequence[int]] | None = None) -> MuSystemReport:
-    """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 over the
-    family of interchanging structures on permuted bases.
+def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
+    """The linear system R_mu(e_a, e_b) j = 0 on the unknowns mu_ij.
 
-    For n = 2 the default family (the identity permutation and the middle
-    swap) forces mu = 0, kernel dimension 0.  The single-structure kernel
-    is that of the first permutation alone; at n = 2 it is 0 too.
+    One row per pair a < b of coordinate vectors and per entry of the
+    commutator [R^, j] in row-major order, with R^ = diag(R, -R^T); the
+    row's column i * 2n + j is the coefficient of mu_ij, that is, of
+    mu = eta_i (x) eta_j.  For that mu, `curvature_from_mu` gives
+    R(e_a, e_b) e_l = (d_ia d_jb - d_ib d_ja) e_l + d_ia d_jl e_b - d_ib d_jl e_a,
+    which vanishes unless i is a or b: it is d_jb Id + E_bj for i = a and
+    -(d_ja Id + E_aj) for i = b, E_kj being the matrix unit.  The rows are
+    written down from that closed form and the sparse entries of j; they
+    equal, entry for entry, those of `curvature_from_mu` on each unit form
+    followed by `CurvatureValue.act_on`.
     """
-    if n != 2:
-        raise DimensionMismatchError("the curvature-form system is implemented at desk scale n = 2")
     dim_v = 2 * n
-    if perms is None:
-        perms = [tuple(range(dim_v)), (0, 2, 1, 3)]
+    dim = 2 * dim_v
     unknowns = dim_v * dim_v
+    j = structure.j.rows
+    j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in j]
+    j_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*j)]
+    rows: list[Vec] = []
+    for a in range(dim_v):
+        for b in range(a + 1, dim_v):
+            block = [[F0] * unknowns for _ in range(dim * dim)]
+            for i, k, sign in ((a, b, F1), (b, a, -F1)):
+                for jj in range(dim_v):
+                    r_tm = {(k, jj): sign}
+                    if jj == k:
+                        for l in range(dim_v):
+                            r_tm[(l, l)] = r_tm.get((l, l), F0) + sign
+                    extended = list(r_tm.items())
+                    extended += [((dim_v + c, dim_v + r), -x) for (r, c), x in r_tm.items()]
+                    value: dict[tuple[int, int], Fraction] = {}
+                    for (r, m), x in extended:     # R^ j
+                        for c, y in j_rows[m]:
+                            value[(r, c)] = value.get((r, c), F0) + x * y
+                    for (m, c), x in extended:     # - j R^
+                        for r, y in j_cols[m]:
+                            value[(r, c)] = value.get((r, c), F0) - y * x
+                    idx = i * dim_v + jj
+                    for (r, c), x in value.items():
+                        block[r * dim + c][idx] = x
+            rows.extend(tuple(row) for row in block)
+    return rows
 
-    def constraint_rows(structure: GCStructure) -> list[Vec]:
-        rows = []
-        basis = [tuple(F1 if t == s else F0 for t in range(dim_v)) for s in range(dim_v)]
-        for a in range(dim_v):
-            for b in range(a + 1, dim_v):
-                columns = []
-                for idx in range(unknowns):
-                    mu = MuForm(tuple(tuple(F1 if i * dim_v + j == idx else F0
-                                            for j in range(dim_v)) for i in range(dim_v)))
-                    r_tm = tuple(curvature_from_mu(mu, basis[a], basis[b], basis[l])
-                                 for l in range(dim_v))
-                    # columns of R as an endomorphism: R e_l
-                    r_mat = xm.transpose(xm.mat(r_tm))
-                    value = CurvatureValue(n, r_mat).act_on(structure.j)
-                    columns.append([x for row in value.rows for x in row])
-                rows.extend(tuple(col[t] for col in columns) for t in range(len(columns[0])))
-        return rows
 
-    all_rows: list[Vec] = []
+def mu_forced_zero_check(n: int = 2, perms: Sequence[Sequence[int]] | None = None) -> MuSystemReport:
+    """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 over a
+    family of structures j, for n = 2 and n = 3.
+
+    R_mu(X, Y) Z = mu(X, Y) Z - mu(Y, X) Z + mu(X, Z) Y - mu(Y, Z) X is
+    the curvature a connection with integrable first twistor structure
+    would have; the system forces mu = 0 when its kernel is 0.  The family
+    is `interchanging_structure(n, perm)` over `perms`; by default the
+    identity permutation and the middle swap for n = 2, and the single
+    `interchanging_structure_odd(n)` for n = 3, since the even-n
+    construction has orientation -1 there.  Every
+    structure used must have orientation +1 (InvariantError otherwise)
+    and the family must not be empty (ValueError).
+
+    The rows of each structure are written down in closed form (see
+    `_mu_constraint_rows`) and fed, structure after structure, into one
+    `RowReducer`: its rank after the first structure gives
+    `single_structure_kernel_dim`, after the last one `rank`.  Once the
+    rank reaches the number of unknowns (2n)^2 the reduced rows span the
+    whole space, so every later row is dependent and skipping its
+    reduction leaves the rank exact; the later structures' rows are still
+    built and their structures validated.  Both n = 2 and n = 3 give
+    kernel 0, already for the first structure.
+    """
+    if n not in (2, 3):
+        raise DimensionMismatchError("the curvature-form system is implemented for n = 2 and n = 3")
+    if perms is not None:
+        structures = [interchanging_structure(n, perm) for perm in perms]
+    elif n % 2:
+        structures = [interchanging_structure_odd(n)]
+    else:
+        structures = [interchanging_structure(n, perm) for perm in ((0, 1, 2, 3), (0, 2, 1, 3))]
+    if not structures:
+        raise ValueError("the structure family is empty")
+    unknowns = (2 * n) ** 2
+    reducer = xm.RowReducer()
     single_rank = None
-    for perm in perms:
-        structure = interchanging_structure(n, perm)
-        rows = constraint_rows(structure)
+    for structure in structures:
+        if structure.orientation() != 1:
+            raise InvariantError("a structure of the family does not induce the canonical orientation")
+        rows = _mu_constraint_rows(n, structure)
+        for row in rows:
+            if len(reducer) == unknowns:
+                break
+            reducer.add(row)
         if single_rank is None:
-            single_rank = xm.rank(xm.mat(rows))
-        all_rows.extend(rows)
-    total_rank = xm.rank(xm.mat(all_rows))
-    return MuSystemReport(n, unknowns, total_rank, unknowns - total_rank,
-                          unknowns - (single_rank or 0))
+            single_rank = len(reducer)
+    rank = len(reducer)
+    return MuSystemReport(n, unknowns, rank, unknowns - rank, unknowns - single_rank)
 
 
 def ahs_identity_check(conn: Connection, k: Mat, x: Vec, y: Vec, p: ChartPoint) -> Mat:

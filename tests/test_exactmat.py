@@ -93,3 +93,37 @@ def test_mat_mul_dense_and_sparse_examples():
     assert xm.mat_mul(dense, sparse) == xm.mat([[1, -9], [F(5, 2), -18]])
     assert xm.mat_mul(xm.zeros(2, 3), sparse) == xm.zeros(2, 2)
     assert xm.mat_mul(xm.identity(3), sparse) == sparse
+
+
+@st.composite
+def _reducer_inputs(draw):
+    """Rows to add and vectors to test, of one length, all dense or about
+    two thirds zeros; later rows and the tested vectors are combinations
+    of the first rows, some with one entry moved off their span."""
+    cols = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(F(0)), st.just(F(0)), _nonzero) if draw(st.booleans()) else _nonzero
+    rows = [tuple(draw(entries) for _ in range(cols)) for _ in range(draw(st.integers(1, 5)))]
+
+    def combination():
+        coeffs = [draw(st.integers(-2, 2)) for _ in rows]
+        v = [sum((c * row[i] for c, row in zip(coeffs, rows)), F(0)) for i in range(cols)]
+        if draw(st.booleans()):
+            v[draw(st.integers(0, cols - 1))] += draw(_nonzero)
+        return tuple(v)
+
+    rows += [combination() for _ in range(draw(st.integers(0, 3)))]
+    return rows, [combination() for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reducer_inputs())
+def test_row_reducer_matches_rank(inputs):
+    # stored rows keep only their nonzero columns; the answers are those of rref
+    rows, probes = inputs
+    r = xm.RowReducer()
+    for k, row in enumerate(rows):
+        grew = xm.rank(rows[:k + 1]) > xm.rank(rows[:k])
+        assert r.add(row) == grew
+        assert len(r) == xm.rank(rows[:k + 1])
+    for probe in probes:
+        assert r.contains(probe) == (xm.rank(rows + [probe]) == len(r))

@@ -220,17 +220,27 @@ def test_valid_samples_accepted():
     assert scenario.count("base_points", 50) == 1
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 4])
 def test_curvature_form_kernel_needs_n2(n):
     scenario = load_scenario({"n": n, "seed": 0,
                               "checks": ["integrability/curvature-form-kernel"]})
     report = run_scenario(scenario)
     assert not report.ok
-    assert report.results[0].residual == "curvature-form kernel needs n = 2"
+    assert report.results[0].residual == \
+        "the curvature-form system is implemented for n = 2 and n = 3"
 
 
-def test_cli_curvature_form_kernel_n3_fails(tmp_path):
-    result = run_cli_on(tmp_path, {"n": 3, "seed": 0,
+def test_curvature_form_kernel_n3_passes():
+    scenario = load_scenario({"n": 3, "seed": 0,
+                              "checks": ["integrability/curvature-form-kernel"]})
+    report = run_scenario(scenario)
+    assert report.ok
+    assert report.results[0].witness == {"rank": 36, "unknowns": 36,
+                                         "single_structure_kernel": 0}
+
+
+def test_cli_curvature_form_kernel_n4_fails(tmp_path):
+    result = run_cli_on(tmp_path, {"n": 4, "seed": 0,
                                    "checks": ["integrability/curvature-form-kernel"]},
                         "--format", "text")
     assert result.returncode == 1

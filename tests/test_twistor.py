@@ -22,6 +22,7 @@ from gctwistor.gclinalg import (
 from gctwistor.poly import Poly
 from gctwistor.twistor import (
     Connection,
+    CurvatureValue,
     MuForm,
     NotVerticalError,
     TwistorPoint,
@@ -55,6 +56,7 @@ from gctwistor.twistor import (
     vertical_y_coordinates,
     zero_tangent,
 )
+from gctwistor.twistor import _mu_constraint_rows
 
 X1_2 = Poly.variable(2, 0)
 CONN_N1 = connection(1, {(0, 1, 1): X1_2})
@@ -525,10 +527,59 @@ def test_mu_system_kernel():
     assert report.single_structure_kernel_dim == 0
 
 
+def test_mu_system_kernel_n3():
+    report = mu_forced_zero_check(3)
+    assert (report.unknowns, report.rank) == (36, 36)
+    assert report.kernel_dim == 0
+    assert report.single_structure_kernel_dim == 0
+
+
 def test_mu_system_requires_desk_scale():
     from gctwistor.gclinalg import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
-        mu_forced_zero_check(3)
+        mu_forced_zero_check(4)
+
+
+def test_mu_system_rejects_empty_family():
+    with pytest.raises(ValueError, match="empty"):
+        mu_forced_zero_check(2, [])
+
+
+def test_mu_system_rejects_off_component_structure():
+    # the even-n interchanging structure has orientation -1 at n = 3
+    with pytest.raises(InvariantError):
+        mu_forced_zero_check(3, [tuple(range(6))])
+
+
+def _mu_rows_from_paper_formula(n, structure):
+    """The rows of R_mu(e_a, e_b) j = 0 evaluated from `curvature_from_mu` on
+    each unit form mu = eta_i (x) eta_j, one column per unknown."""
+    dim_v = 2 * n
+    unknowns = dim_v * dim_v
+    basis = [tuple(F(int(t == s)) for t in range(dim_v)) for s in range(dim_v)]
+    rows = []
+    for a in range(dim_v):
+        for b in range(a + 1, dim_v):
+            columns = []
+            for idx in range(unknowns):
+                mu = MuForm(tuple(tuple(F(int(i * dim_v + j == idx)) for j in range(dim_v))
+                                  for i in range(dim_v)))
+                r_tm = [curvature_from_mu(mu, basis[a], basis[b], basis[l]) for l in range(dim_v)]
+                value = CurvatureValue(n, xm.transpose(xm.mat(r_tm))).act_on(structure.j)
+                columns.append([x for row in value.rows for x in row])
+            rows.extend(tuple(col[t] for col in columns) for t in range(len(columns[0])))
+    return rows
+
+
+@pytest.mark.parametrize("n, structure", [
+    (2, interchanging_structure(2)),
+    (2, interchanging_structure(2, (0, 2, 1, 3))),
+    (3, interchanging_structure_odd(3)),
+], ids=["n2-identity", "n2-middle-swap", "n3-odd"])
+def test_mu_constraint_rows_match_paper_formula(n, structure):
+    rows = _mu_constraint_rows(n, structure)
+    assert len(rows) == (2 * n) * (2 * n - 1) // 2 * (4 * n) ** 2
+    assert rows == _mu_rows_from_paper_formula(n, structure)
 
 
 # ---------------------------------------------------------------------------
