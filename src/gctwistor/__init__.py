@@ -59,7 +59,6 @@ from .courant import (
     lie_bracket,
     nijenhuis,
     nijenhuis_table,
-    scan_report_to_json,
     section_from_coefficients,
     two_form_field,
 )
@@ -82,7 +81,6 @@ from .twistor import (
     nijenhuis_coform,
     nijenhuis_horizontal,
     nijenhuis_mixed,
-    nijenhuis_vertical,
     twistor_J,
     twistor_pairing,
 )
@@ -99,10 +97,6 @@ from .harness import (
     Scenario,
     emit_report,
     load_scenario,
-    run_courant_examples,
-    run_integrability_suite,
-    run_linalg_suite,
-    run_oracle,
     run_scenario,
 )
 

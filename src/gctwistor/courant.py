@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, F1, Mat, Vec, fr
+from .exactmat import F0, F1, Mat, Vec
 from .gclinalg import (
     Endo,
     GElement,
@@ -28,7 +28,7 @@ from .gclinalg import (
     is_pairing_skew,
     structure_orientation,
 )
-from .poly import Coefficient, Poly, RationalFn, as_rational
+from .poly import Coefficient, Jet, Poly, RationalFn, as_rational
 
 
 class ChartMismatchError(ValueError):
@@ -67,6 +67,11 @@ class Jet1:
         if len(self.jacobian) != len(self.value):
             raise ChartMismatchError("jacobian rows must match the value length")
 
+    @staticmethod
+    def from_jets(components: Sequence[Jet]) -> "Jet1":
+        """The section jet whose i-th component has the i-th scalar jet."""
+        return Jet1(tuple(c.value for c in components), tuple(c.grad for c in components))
+
 
 @dataclass(frozen=True)
 class JetSection:
@@ -94,8 +99,7 @@ def section_from_coefficients(chart_dim: int, comps: Sequence[Coefficient]) -> J
         raise ChartMismatchError("component arity does not match the chart")
 
     def evaluate(p: ChartPoint) -> Jet1:
-        jets = [r.jet(p.coords) for r in rationals]
-        return Jet1(tuple(v for v, _ in jets), tuple(g for _, g in jets))
+        return Jet1.from_jets([r.jet(p.coords) for r in rationals])
 
     return JetSection(chart_dim, evaluate, rationals)
 
@@ -121,28 +125,6 @@ def coordinate_sections(chart_dim: int) -> list[JetSection]:
     return out
 
 
-def section_sum(a: JetSection, b: JetSection) -> JetSection:
-    if a.chart_dim != b.chart_dim:
-        raise ChartMismatchError("sections live on different charts")
-
-    def evaluate(p: ChartPoint) -> Jet1:
-        ja, jb = a.at(p), b.at(p)
-        return Jet1(tuple(x + y for x, y in zip(ja.value, jb.value)),
-                    xm.mat_add(ja.jacobian, jb.jacobian))
-
-    return JetSection(a.chart_dim, evaluate)
-
-
-def section_scale(c, a: JetSection) -> JetSection:
-    c = fr(c)
-
-    def evaluate(p: ChartPoint) -> Jet1:
-        ja = a.at(p)
-        return Jet1(tuple(c * x for x in ja.value), xm.mat_scale(c, ja.jacobian))
-
-    return JetSection(a.chart_dim, evaluate)
-
-
 # ---------------------------------------------------------------------------
 # structure fields
 
@@ -151,6 +133,14 @@ def section_scale(c, a: JetSection) -> JetSection:
 class FieldJet:
     value: Mat                 # 2m x 2m
     partials: tuple[Mat, ...]  # m matrices, d/dx_k of every entry
+
+    @staticmethod
+    def from_jets(entries: Sequence[Sequence[Jet]]) -> "FieldJet":
+        """The field jet whose (i, j) entry has the scalar jet entries[i][j]."""
+        value = tuple(tuple(e.value for e in row) for row in entries)
+        partials = tuple(tuple(tuple(e.grad[k] for e in row) for row in entries)
+                         for k in range(len(entries[0][0].grad)))
+        return FieldJet(value, partials)
 
 
 @dataclass(frozen=True)
@@ -197,22 +187,7 @@ def field_from_coefficients(chart_dim: int, entries: Sequence[Sequence[Coefficie
     rationals = tuple(tuple(as_rational(c) for c in row) for row in entries)
 
     def evaluate(p: ChartPoint) -> FieldJet:
-        coords = p.coords
-        value_rows = []
-        grads: list[list[tuple[Fraction, ...]]] = []
-        for row in rationals:
-            vrow = []
-            grow = []
-            for r in row:
-                v, g = r.jet(coords)
-                vrow.append(v)
-                grow.append(g)
-            value_rows.append(tuple(vrow))
-            grads.append(grow)
-        partials = tuple(
-            tuple(tuple(grads[i][j][k] for j in range(size)) for i in range(size))
-            for k in range(chart_dim))
-        return FieldJet(tuple(value_rows), partials)
+        return FieldJet.from_jets([[r.jet(p.coords) for r in row] for row in rationals])
 
     return GACField(chart_dim, evaluate, rationals)
 
@@ -334,10 +309,7 @@ class TwoFormField:
     def exterior_derivative(self, p: ChartPoint, i: int, j: int, k: int) -> Fraction:
         """dB(d/dx_i, d/dx_j, d/dx_k) = d_i B_jk + d_j B_ki + d_k B_ij."""
         def partial(a: int, b: int, c: int) -> Fraction:
-            r = self.entries[b][c]
-            nv, ng = r.num.jet(p.coords)
-            dv, dg = r.den.jet(p.coords)
-            return (ng[a] * dv - nv * dg[a]) / (dv * dv)
+            return self.entries[b][c].jet(p.coords).grad[a]
         return partial(i, j, k) + partial(j, k, i) + partial(k, i, j)
 
 
@@ -358,18 +330,13 @@ def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
 
     def evaluate(p: ChartPoint) -> Jet1:
         aj = a.at(p)
-        x = aj.value[:m]
-        jets = [[bf.entries[i][j].jet(p.coords) for j in range(m)] for i in range(m)]
-        value = list(aj.value)
-        jac = [list(row) for row in aj.jacobian]
+        comps = [Jet(v, g) for v, g in zip(aj.value, aj.jacobian)]
+        b_jets = [[e.jet(p.coords) for e in row] for row in bf.entries]
         for j in range(m):
-            # (i_X B)_j = sum_i B_ij X^i, with the product-rule jet
-            value[m + j] += sum(jets[i][j][0] * x[i] for i in range(m))
-            for k in range(m):
-                jac[m + j][k] += sum(jets[i][j][1][k] * x[i]
-                                     + jets[i][j][0] * aj.jacobian[i][k]
-                                     for i in range(m))
-        return Jet1(tuple(value), xm.mat(jac))
+            # (i_X B)_j = sum_i B_ij X^i
+            for i in range(m):
+                comps[m + j] = comps[m + j] + b_jets[i][j] * comps[i]
+        return Jet1.from_jets(comps)
 
     return JetSection(m, evaluate)
 
@@ -408,13 +375,11 @@ def check_spanning(probes: Sequence[JetSection], p: ChartPoint) -> None:
 class PointScan:
     point: ChartPoint
     all_zero: bool
-    max_abs: float
     witness: tuple[int, int] | None  # probe indices of the first nonzero residual
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    mode: str
     points: tuple[PointScan, ...]
 
     @property
@@ -432,43 +397,20 @@ class ScanReport:
         return None
 
 
-def scan_report_to_json(report: ScanReport) -> dict:
-    """Per-point residual entries as plain JSON data."""
-    from .poly import scalar_to_str
-    return {
-        "mode": report.mode,
-        "points": [
-            {"point": [scalar_to_str(c) for c in s.point.coords],
-             "all_zero": s.all_zero,
-             "max_abs": s.max_abs,
-             "witness": list(s.witness) if s.witness else None}
-            for s in report.points
-        ],
-    }
-
-
 def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
-                       probes: Sequence[JetSection], mode: str = "exact") -> ScanReport:
-    """Nijenhuis residuals of a structure field over points x probe pairs.
+                       probes: Sequence[JetSection]) -> ScanReport:
+    """Nijenhuis residuals of a structure field over points x probe pairs,
+    through one `nijenhuis_table` per point.
 
-    Exact mode records is-zero flags; float mode records residual
-    magnitudes.  An empty point list yields an empty report, which is
-    distinct from an all-zero one.
+    Each point records whether every residual is exactly zero and the
+    first probe pair, in (i, k) order, whose residual is not.  An empty
+    point list yields an empty report, which is distinct from an all-zero
+    one.
     """
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
     results = []
     for p in points:
         check_spanning(probes, p)
-        zero = True
-        biggest = 0.0
-        witness = None
-        for pair, value in nijenhuis_table(jf, probes, p).items():
-            if not value.is_zero():
-                zero = False
-                if witness is None:
-                    witness = pair
-                if mode == "float":
-                    biggest = max(biggest, max(abs(float(c)) for c in value.coords))
-        results.append(PointScan(p, zero, biggest, witness))
-    return ScanReport(mode, tuple(results))
+        witness = next((pair for pair, value in nijenhuis_table(jf, probes, p).items()
+                        if not value.is_zero()), None)
+        results.append(PointScan(p, witness is None, witness))
+    return ScanReport(tuple(results))

@@ -163,23 +163,6 @@ class Endo:
         return xm.is_zero(self.rows)
 
 
-def endo_to_json(e: Endo) -> list[str]:
-    """Row-major list of canonical rational strings."""
-    from .poly import scalar_to_str
-    return [scalar_to_str(x) for row in e.rows for x in row]
-
-
-def endo_from_json(data: Sequence[str]) -> Endo:
-    from math import isqrt
-
-    from .poly import scalar_from_str
-    dim = isqrt(len(data))
-    if dim * dim != len(data):
-        raise DimensionMismatchError("row-major data is not square")
-    values = [scalar_from_str(s) for s in data]
-    return Endo(dim, xm.mat([values[i * dim:(i + 1) * dim] for i in range(dim)]))
-
-
 def endo_from_blocks(vv: Mat, vc: Mat, cv: Mat, cc: Mat) -> Endo:
     h = len(vv)
     rows = [tuple(vv[i]) + tuple(vc[i]) for i in range(h)]
@@ -395,12 +378,16 @@ def _hyperbolic_params(rng: random.Random) -> tuple[Fraction, Fraction]:
     return Fraction(1 + t * t, den), Fraction(2 * t, den)
 
 
-def random_orthonormal_basis(n: int, seed: int | random.Random, words: int = 12) -> OrthonormalBasis:
+_BASIS_WORD_LENGTH = 12
+
+
+def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBasis:
     """A seeded random orthonormal basis, exact by construction.
 
-    Starting from the reference basis, applies a word of elementary
-    special-orthogonal moves: rational circular rotations inside a sign
-    class and rational hyperbolic rotations across the two classes.
+    Starting from the reference basis, applies a word of
+    `_BASIS_WORD_LENGTH` elementary special-orthogonal moves: rational
+    circular rotations inside a sign class and rational hyperbolic
+    rotations across the two classes.
     Every move has determinant one, so the result is positively
     oriented.
     """
@@ -408,7 +395,7 @@ def random_orthonormal_basis(n: int, seed: int | random.Random, words: int = 12)
     base = reference_basis(n)
     vectors = list(base.vectors)
     dim_v = 2 * n
-    for _ in range(words):
+    for _ in range(_BASIS_WORD_LENGTH):
         kind = rng.choice(("circular+", "circular-", "hyperbolic"))
         if kind == "circular+":
             i, k = rng.sample(range(dim_v), 2)

@@ -2,10 +2,12 @@
 
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
 sample counts and a list of named checks.  Every check runs in exact
-arithmetic (float mode only changes how residuals are *reported*), and a
-report is a deterministic function of (scenario, seed): two runs emit
-byte-identical JSON.  Wall-clock timings appear in the text rendering
-only, precisely so the JSON stays reproducible.
+arithmetic (float mode only changes how residuals are *reported*), and
+every probe-pair scan, the curved witness among them, goes through one
+per-point Nijenhuis table.  A report is a deterministic function of
+(scenario, seed): two runs emit byte-identical JSON.  Wall-clock timings
+appear in the text rendering only, precisely so the JSON stays
+reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .twistor import (
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_horizontal,
     nijenhuis_mixed,
     random_chart_point,
     random_invertible_matrix,
@@ -296,17 +297,26 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
     return _ok(name, scenario)
 
 
+def _hyperboloid_samples(rng: random.Random, count: int):
+    """Yield count seeded fibre-chart parameters (u, v, sheet) off the circle
+    u^2 + v^2 = 1, on alternating sheets.  Draws are made lazily, so a
+    caller may draw from rng between samples."""
+    made = 0
+    while made < count:
+        u = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+        v = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+        if u * u + v * v == 1:
+            continue
+        yield u, v, 1 if made % 2 == 0 else -1
+        made += 1
+
+
 def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
     name = "linalg/hyperboloid-chart"
     rng = random.Random(scenario.seed + 5)
     basis = reference_basis(1)
     minus_id = Endo(4, xm.mat_scale(Fraction(-1), xm.identity(4)))
-    for trial in range(10):
-        u = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        v = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        if u * u + v * v == 1:
-            continue
-        sheet = 1 if trial % 2 == 0 else -1
+    for u, v, sheet in _hyperboloid_samples(rng, 10):
         x1, x2, x3 = hyperboloid_chart(u, v, sheet)
         if x1 * x1 - x2 * x2 - x3 * x3 != 1:
             return _fail(name, scenario, "chart identity", {"u": scalar_to_str(u)})
@@ -367,8 +377,7 @@ def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     points = [chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
               for _ in range(5)]
-    report = integrability_scan(field, points, default_probes(2, perturbed=True),
-                                mode=scenario.mode)
+    report = integrability_scan(field, points, default_probes(2, perturbed=True))
     if not report.all_zero:
         w = report.first_witness()
         return _fail(name, scenario, "nonzero residual",
@@ -445,18 +454,11 @@ def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     yield from nijenhuis_closed_form_table(alpha, conn, at, probes, basis).items()
 
 
-def _n1_twistor_points(scenario: Scenario, rng: random.Random, count: int):
+def _n1_twistor_points(rng: random.Random, count: int):
     basis = reference_basis(1)
-    made = 0
-    while made < count:
-        u = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        v = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        if u * u + v * v == 1:
-            continue
-        sheet = 1 if made % 2 == 0 else -1
+    for u, v, sheet in _hyperboloid_samples(rng, count):
         structure = hyperboloid_point(u, v, sheet, basis)
         yield TwistorPoint(random_chart_point(2, rng), structure), (u, v, sheet)
-        made += 1
 
 
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -466,7 +468,7 @@ def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 9)
     count = scenario.count("base_points", 50)
     spec = str(scenario.samples.get("probe_spec", "full"))
-    for at, (u, v, sheet) in _n1_twistor_points(scenario, rng, count):
+    for at, (u, v, sheet) in _n1_twistor_points(rng, count):
         for (i, k), value in _scan_closed_form(1, scenario.conn, at, spec):
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
@@ -499,18 +501,16 @@ def _check_n2_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
         return _fail(name, scenario, "scenario needs n = 2 and a curved connection", None)
     rng = random.Random(scenario.seed + 11)
     count = scenario.count("fibre_params", 20)
-    horizontals = coordinate_elements(4)
+    horizontals = [tangent_from_parts(2, horizontal=h) for h in coordinate_elements(4)]
     for trial in range(count):
         structure = sample_fibre_structure(2, rng)
         at = TwistorPoint(random_chart_point(4, rng), structure)
-        for i in range(len(horizontals)):
-            for k in range(i + 1, len(horizontals)):
-                value = nijenhuis_horizontal(1, scenario.conn, at,
-                                             horizontals[i], horizontals[k])
-                if not value.vertical.is_zero():
-                    witness = {"trial": trial, "probe_pair": [i, k],
-                               "point": [scalar_to_str(c) for c in at.point.coords]}
-                    return _ok(name, scenario, witness, finding=True)
+        for (i, k), value in nijenhuis_closed_form_table(1, scenario.conn, at,
+                                                         horizontals).items():
+            if not value.vertical.is_zero():
+                witness = {"trial": trial, "probe_pair": [i, k],
+                           "point": [scalar_to_str(c) for c in at.point.coords]}
+                return _ok(name, scenario, witness, finding=True)
     return _fail(name, scenario, "no witness", {"trials": count})
 
 
@@ -780,27 +780,6 @@ def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:
         timings.append((check_name, time.perf_counter() - started))
     return Report(scenario.name, scenario.seed, scenario.mode,
                   tuple(results), tuple(timings))
-
-
-def run_linalg_suite(seed: int, tamper=None) -> Report:
-    """All linear-algebra identity checks at the given seed."""
-    scenario = load_scenario("linalg-all", seed=seed)
-    return run_scenario(scenario, {"tamper_frames": tamper} if tamper else None)
-
-
-def run_courant_examples(seed: int) -> Report:
-    scenario = load_scenario("examples-courant", seed=seed)
-    return run_scenario(scenario)
-
-
-def run_integrability_suite(scenario: Scenario) -> Report:
-    """The integrability verdict checks scheduled by the scenario."""
-    return run_scenario(scenario)
-
-
-def run_oracle(scenario: Scenario, perturb=None) -> Report:
-    """The direct-versus-closed-form comparison suite."""
-    return run_scenario(scenario, {"perturb_closed_form": perturb} if perturb else None)
 
 
 def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> str:

@@ -10,8 +10,9 @@ closed-form machinery enters.  Comparing the two values pairwise, in
 exact arithmetic, is the strongest end-to-end check in the package.
 
 All field evaluation here runs in forward-mode jet arithmetic over
-rationals: every quantity carries its value and chart gradient, which is
-exactly the first-order data the bracket formulas consume.
+rationals (`poly.Jet`): every quantity carries its value and chart
+gradient, which is exactly the first-order data the bracket formulas
+consume.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, F1, Mat, Vec, fr
+from .exactmat import F0, Mat, Vec
 from .courant import (
     ChartPoint,
     FieldJet,
@@ -33,6 +34,7 @@ from .courant import (
     coordinate_sections,
     lie_bracket,
     nijenhuis_table,
+    section_from_coefficients,
 )
 from .gclinalg import (
     DegenerateInputError,
@@ -40,12 +42,13 @@ from .gclinalg import (
     GCStructure,
     GElement,
     InvariantError,
+    _FRAME_NORMS,
     fib_pairing,
     is_pairing_skew,
     reference_basis,
     skew_frames,
 )
-from .poly import Poly
+from .poly import Jet, Poly
 from .twistor import (
     Connection,
     TwistorPoint,
@@ -57,58 +60,10 @@ from .twistor import (
 
 
 # ---------------------------------------------------------------------------
-# forward-mode jets over exact rationals
+# matrices of jets
 
 
-@dataclass(frozen=True)
-class JetScalar:
-    """A value together with its gradient in the chart variables."""
-
-    value: Fraction
-    grad: Vec
-
-    def __add__(self, other: "JetScalar") -> "JetScalar":
-        return JetScalar(self.value + other.value,
-                         tuple(a + b for a, b in zip(self.grad, other.grad)))
-
-    def __sub__(self, other: "JetScalar") -> "JetScalar":
-        return JetScalar(self.value - other.value,
-                         tuple(a - b for a, b in zip(self.grad, other.grad)))
-
-    def __neg__(self) -> "JetScalar":
-        return JetScalar(-self.value, tuple(-a for a in self.grad))
-
-    def __mul__(self, other: "JetScalar") -> "JetScalar":
-        return JetScalar(self.value * other.value,
-                         tuple(self.value * b + a * other.value
-                               for a, b in zip(self.grad, other.grad)))
-
-    def __truediv__(self, other: "JetScalar") -> "JetScalar":
-        if other.value == 0:
-            raise ZeroDivisionError("jet division by a vanishing value")
-        w2 = other.value * other.value
-        return JetScalar(self.value / other.value,
-                         tuple((a * other.value - self.value * b) / w2
-                               for a, b in zip(self.grad, other.grad)))
-
-    def scale(self, c: Fraction) -> "JetScalar":
-        return JetScalar(c * self.value, tuple(c * a for a in self.grad))
-
-
-def jet_const(c, nvars: int) -> JetScalar:
-    return JetScalar(fr(c), (F0,) * nvars)
-
-
-def jet_var(i: int, point: Vec) -> JetScalar:
-    return JetScalar(point[i], tuple(F1 if k == i else F0 for k in range(len(point))))
-
-
-def jet_of_poly(p: Poly, point: Vec) -> JetScalar:
-    value, grad = p.jet(point)
-    return JetScalar(value, grad)
-
-
-JetMat = list[list[JetScalar]]
+JetMat = list[list[Jet]]
 
 
 def jmat_mul(a: JetMat, b: JetMat) -> JetMat:
@@ -125,9 +80,9 @@ def jmat_mul(a: JetMat, b: JetMat) -> JetMat:
     return out
 
 
-def jmat_comb(mats: Sequence[Mat], coeffs: Sequence[JetScalar], nvars: int) -> JetMat:
+def jmat_comb(mats: Sequence[Mat], coeffs: Sequence[Jet], nvars: int) -> JetMat:
     size = len(mats[0])
-    out = [[jet_const(0, nvars) for _ in range(size)] for _ in range(size)]
+    out = [[Jet.constant(0, nvars) for _ in range(size)] for _ in range(size)]
     for m, c in zip(mats, coeffs):
         for i in range(size):
             for j in range(size):
@@ -142,7 +97,7 @@ def jmat_commutator(a: JetMat, b: JetMat) -> JetMat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
-def jmat_trace_product_const(a: JetMat, m: Mat) -> JetScalar:
+def jmat_trace_product_const(a: JetMat, m: Mat) -> Jet:
     """trace(a m) for a constant second factor."""
     size = len(m)
     acc = None
@@ -151,14 +106,11 @@ def jmat_trace_product_const(a: JetMat, m: Mat) -> JetScalar:
             if m[j][i]:
                 term = a[i][j].scale(m[j][i])
                 acc = term if acc is None else acc + term
-    return acc if acc is not None else jet_const(0, len(a[0][0].grad))
+    return acc if acc is not None else Jet.constant(0, len(a[0][0].grad))
 
 
 # ---------------------------------------------------------------------------
 # the twistor chart over a dim-2 base
-
-
-_FRAME_NORMS = (Fraction(2), Fraction(-2), Fraction(-2))
 
 
 class TwistorChart:
@@ -193,17 +145,17 @@ class TwistorChart:
 
     # -- chart functions in jet arithmetic --------------------------------
 
-    def _chart_jets(self, point: Vec) -> tuple[list[JetScalar], list[list[JetScalar]]]:
+    def _chart_jets(self, point: Vec) -> tuple[list[Jet], list[list[Jet]]]:
         """x_r and their first partials d x_r / d(u, v), all as jets.
 
         The partials are entered through their own closed forms so that
         jet arithmetic yields their gradients exactly.
         """
-        u = jet_var(2, point)
-        v = jet_var(3, point)
-        one = jet_const(1, self.NVARS)
-        two = jet_const(2, self.NVARS)
-        four = jet_const(4, self.NVARS)
+        u = Jet.variable(2, point)
+        v = Jet.variable(3, point)
+        one = Jet.constant(1, self.NVARS)
+        two = Jet.constant(2, self.NVARS)
+        four = Jet.constant(4, self.NVARS)
         uu, vv, uv = u * u, v * v, u * v
         den = one - uu - vv
         if den.value == 0:
@@ -218,13 +170,12 @@ class TwistorChart:
         ]
         return x, dx
 
-    def _coords_of(self, m: JetMat) -> list[JetScalar]:
+    def _coords_of(self, m: JetMat) -> list[Jet]:
         """Coefficients of a skew jet matrix in the anticommuting frame."""
         return [jmat_trace_product_const(m, self.frame[r]).scale(-Fraction(1, 2) / _FRAME_NORMS[r])
                 for r in range(3)]
 
-    def _solve_uv(self, coords: Sequence[JetScalar], dx: list[list[JetScalar]],
-                  check: bool = True) -> tuple[JetScalar, JetScalar]:
+    def _solve_uv(self, coords: Sequence[Jet], dx: list[list[Jet]]) -> tuple[Jet, Jet]:
         """Solve coords = c_u dx/du + c_v dx/dv for a fibre-tangent vector.
 
         Rows 2 and 3 of the chart Jacobian are always independent (their
@@ -234,10 +185,9 @@ class TwistorChart:
         det = dx[1][0] * dx[2][1] - dx[1][1] * dx[2][0]
         c_u = (coords[1] * dx[2][1] - coords[2] * dx[1][1]) / det
         c_v = (dx[1][0] * coords[2] - dx[2][0] * coords[1]) / det
-        if check:
-            probe = dx[0][0] * c_u + dx[0][1] * c_v
-            if probe.value != coords[0].value or probe.grad != coords[0].grad:
-                raise InvariantError("vector is not tangent to the fibre chart")
+        probe = dx[0][0] * c_u + dx[0][1] * c_v
+        if probe.value != coords[0].value or probe.grad != coords[0].grad:
+            raise InvariantError("vector is not tangent to the fibre chart")
         return c_u, c_v
 
     # -- the per-point context ---------------------------------------------
@@ -254,11 +204,11 @@ class TwistorChart:
         # connection forms in the two base directions, as jets
         omega = []
         for a in range(2):
-            gx = [[jet_const(0, nv) for _ in range(2)] for _ in range(2)]
+            gx = [[Jet.constant(0, nv) for _ in range(2)] for _ in range(2)]
             for (k, i, j), poly in self.gamma4.items():
                 if i == a:
-                    gx[k][j] = gx[k][j] + jet_of_poly(poly, point)
-            w = [[jet_const(0, nv) for _ in range(4)] for _ in range(4)]
+                    gx[k][j] = gx[k][j] + poly.jet(point)
+            w = [[Jet.constant(0, nv) for _ in range(4)] for _ in range(4)]
             for r in range(2):
                 for c in range(2):
                     w[r][c] = gx[r][c]
@@ -311,15 +261,11 @@ class TwistorChart:
         """Chart coordinates of a vertical endomorphism at the point."""
         ctx = self.context(q)
         nv = self.NVARS
-        coords = [jet_const(fib_pairing(vertical, Endo(4, self.frame[r])) / _FRAME_NORMS[r], nv)
+        coords = [Jet.constant(fib_pairing(vertical, Endo(4, self.frame[r])) / _FRAME_NORMS[r], nv)
                   for r in range(3)]
-        dx_vals = [[jet_const(ctx["dx"][r][w].value, nv) for w in range(2)] for r in range(3)]
+        dx_vals = [[Jet.constant(ctx["dx"][r][w].value, nv) for w in range(2)] for r in range(3)]
         c_u, c_v = self._solve_uv(coords, dx_vals)
         return c_u.value, c_v.value
-
-    def endo_from_uv(self, c_u: Fraction, c_v: Fraction, q: ChartPoint) -> Endo:
-        b_u, b_v = self.vertical_chart_basis(q)
-        return b_u.scale(c_u) + b_v.scale(c_v)
 
     # -- the structure fields ----------------------------------------------
 
@@ -331,12 +277,7 @@ class TwistorChart:
             return cached
 
         def evaluate(q: ChartPoint) -> FieldJet:
-            entries = self._field_matrix(alpha, q)
-            value = tuple(tuple(e.value for e in row) for row in entries)
-            partials = tuple(
-                tuple(tuple(entries[i][j].grad[k] for j in range(8)) for i in range(8))
-                for k in range(self.NVARS))
-            return FieldJet(value, partials)
+            return FieldJet.from_jets(self._field_matrix(alpha, q))
 
         field = GACField(self.NVARS, evaluate)
         self._fields[alpha] = field
@@ -351,8 +292,8 @@ class TwistorChart:
         """
         ctx = self.context(q)
         nv = self.NVARS
-        zero = jet_const(0, nv)
-        one = jet_const(1, nv)
+        zero = Jet.constant(0, nv)
+        one = Jet.constant(1, nv)
         j_base = ctx["j_base"]
         gammas = ctx["gammas"]
         kappa = ctx["kappa"]
@@ -398,14 +339,13 @@ class TwistorChart:
 
         def evaluate(q: ChartPoint) -> Jet1:
             ctx = self.context(q)
-            xjets = [jet_of_poly(p, q.coords) for p in comps4]
+            xjets = [p.jet(q.coords) for p in comps4]
             vals = [xjets[0], xjets[1]]
             for w in range(2):
                 acc = xjets[0] * ctx["gammas"][0][w] + xjets[1] * ctx["gammas"][1][w]
                 vals.append(acc)
-            zero = jet_const(0, self.NVARS)
-            vals += [zero] * 4
-            return Jet1(tuple(j.value for j in vals), tuple(j.grad for j in vals))
+            vals += [Jet.constant(0, self.NVARS)] * 4
+            return Jet1.from_jets(vals)
 
         return JetSection(self.NVARS, evaluate)
 
@@ -417,13 +357,12 @@ class TwistorChart:
 
         def evaluate(q: ChartPoint) -> Jet1:
             ctx = self.context(q)
-            a_mat = [[jet_of_poly(p, q.coords) for p in row] for row in lifted]
+            a_mat = [[p.jet(q.coords) for p in row] for row in lifted]
             jaj = jmat_mul(jmat_mul(ctx["j_base"], a_mat), ctx["j_base"])
             tilde = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_mat, jaj)]
             c_u, c_v = self._solve_uv(self._coords_of(tilde), ctx["dx"])
-            zero = jet_const(0, self.NVARS)
-            vals = [zero, zero, c_u, c_v] + [zero] * 4
-            return Jet1(tuple(j.value for j in vals), tuple(j.grad for j in vals))
+            zero = Jet.constant(0, self.NVARS)
+            return Jet1.from_jets([zero, zero, c_u, c_v] + [zero] * 4)
 
         return JetSection(self.NVARS, evaluate)
 
@@ -475,20 +414,26 @@ class TwistorChart:
 # checks on the chart
 
 
+def _poly_lie_bracket(x_components: Sequence[Poly], y_components: Sequence[Poly]) -> list[Poly]:
+    """Components of the Lie bracket [X, Y] of two polynomial base fields."""
+    dim = len(x_components)
+    xy = []
+    for i in range(dim):
+        acc = Poly.constant(dim, 0)
+        for j in range(dim):
+            acc = acc + x_components[j] * y_components[i].partial(j)
+            acc = acc - y_components[j] * x_components[i].partial(j)
+        xy.append(acc)
+    return xy
+
+
 def chart_bracket_curvature_check(chart: TwistorChart, x_components: Sequence[Poly],
                                   y_components: Sequence[Poly], q: ChartPoint) -> Vec:
     """Residual of [X^h, Y^h] = [X, Y]^h + R(X, Y) J on the twistor chart."""
     fx = chart.lift_section(x_components)
     fy = chart.lift_section(y_components)
     lhs = lie_bracket(fx, fy, q)
-    # base Lie bracket of the polynomial fields
-    xy = []
-    for i in range(2):
-        acc = Poly.constant(2, 0)
-        for j in range(2):
-            acc = acc + x_components[j] * y_components[i].partial(j)
-            acc = acc - y_components[j] * x_components[i].partial(j)
-        xy.append(acc)
+    xy = _poly_lie_bracket(x_components, y_components)
     rhs = list(chart.lift_section(xy).at(q).value[:4])
     base_q = chart_point(q.coords[:2])
     xv = tuple(p.evaluate(base_q.coords) for p in x_components)
@@ -570,19 +515,12 @@ def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
                     acc = acc - omega[i][k] * a_var[k][j] + a_var[i][k] * omega[k][j]
                 vertical.append(acc)
         comps_all = base + vertical + [Poly.constant(nvars, 0)] * nvars
-        from .courant import section_from_coefficients
         return section_from_coefficients(nvars, comps_all)
 
     point = chart_point(tuple(at.point.coords)
                         + tuple(x for row in at.structure.j.rows for x in row))
     lhs = lie_bracket(lift_field(x_components), lift_field(y_components), point)
-    xy = []
-    for i in range(dim):
-        acc = Poly.constant(dim, 0)
-        for j in range(dim):
-            acc = acc + x_components[j] * y_components[i].partial(j)
-            acc = acc - y_components[j] * x_components[i].partial(j)
-        xy.append(acc)
+    xy = _poly_lie_bracket(x_components, y_components)
     rhs = list(lift_field(xy).at(point).value[:nvars])
     xv = tuple(p.evaluate(at.point.coords) for p in x_components)
     yv = tuple(p.evaluate(at.point.coords) for p in y_components)

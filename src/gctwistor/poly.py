@@ -1,10 +1,14 @@
-"""Multivariate polynomials and rational functions over exact rationals.
+"""Multivariate polynomials, rational functions and forward-mode jets
+over exact rationals.
 
-These are the closed-form coefficients of every section in the package.
-Each carrier evaluates to a value plus a full gradient (a 1-jet), which
-is all any bracket formula downstream consumes.  Rational functions are
-kept as unreduced numerator/denominator pairs; evaluation guards against
-vanishing denominators instead of attempting multivariate gcd.
+Polynomials and rational functions are the closed-form coefficients of
+every section in the package.  Each carrier evaluates to a `Jet`: a value
+plus a full gradient, which is all any bracket formula downstream
+consumes.  `Jet` is the package's one forward-mode scalar; every product,
+quotient and chain rule of a derivative goes through its arithmetic.
+Rational functions are kept as unreduced numerator/denominator pairs;
+evaluation guards against vanishing denominators instead of attempting
+multivariate gcd.
 """
 
 from __future__ import annotations
@@ -20,6 +24,49 @@ Monomial = tuple[int, ...]
 
 class ZeroDenominatorError(ZeroDivisionError):
     """A rational coefficient was evaluated where its denominator vanishes."""
+
+
+@dataclass(frozen=True)
+class Jet:
+    """A value together with its gradient in the chart variables."""
+
+    value: Fraction
+    grad: tuple[Fraction, ...]
+
+    @staticmethod
+    def constant(c, nvars: int) -> "Jet":
+        return Jet(fr(c), (F0,) * nvars)
+
+    @staticmethod
+    def variable(i: int, point: Sequence[Fraction]) -> "Jet":
+        return Jet(point[i], tuple(F1 if k == i else F0 for k in range(len(point))))
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(self.value + other.value,
+                   tuple(a + b for a, b in zip(self.grad, other.grad)))
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet(self.value - other.value,
+                   tuple(a - b for a, b in zip(self.grad, other.grad)))
+
+    def __neg__(self) -> "Jet":
+        return Jet(-self.value, tuple(-a for a in self.grad))
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return Jet(self.value * other.value,
+                   tuple(self.value * b + a * other.value
+                         for a, b in zip(self.grad, other.grad)))
+
+    def __truediv__(self, other: "Jet") -> "Jet":
+        if other.value == 0:
+            raise ZeroDenominatorError("jet division by a vanishing value")
+        w2 = other.value * other.value
+        return Jet(self.value / other.value,
+                   tuple((a * other.value - self.value * b) / w2
+                         for a, b in zip(self.grad, other.grad)))
+
+    def scale(self, c: Fraction) -> "Jet":
+        return Jet(c * self.value, tuple(c * a for a in self.grad))
 
 
 def _canonical(nvars: int, terms: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
@@ -99,10 +146,9 @@ class Poly:
             total += term
         return total
 
-    def jet(self, point: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
-        value = self.evaluate(point)
-        grad = tuple(self.partial(i).evaluate(point) for i in range(self.nvars))
-        return value, grad
+    def jet(self, point: Sequence[Fraction]) -> Jet:
+        return Jet(self.evaluate(point),
+                   tuple(self.partial(i).evaluate(point) for i in range(self.nvars)))
 
 
 @dataclass(frozen=True)
@@ -169,14 +215,9 @@ class RationalFn:
             raise ZeroDenominatorError("denominator vanishes at the evaluation point")
         return self.num.evaluate(point) / d
 
-    def jet(self, point: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
-        nv, ng = self.num.jet(point)
-        dv, dg = self.den.jet(point)
-        if dv == 0:
-            raise ZeroDenominatorError("denominator vanishes at the evaluation point")
-        value = nv / dv
-        grad = tuple((gn * dv - nv * gd) / (dv * dv) for gn, gd in zip(ng, dg))
-        return value, grad
+    def jet(self, point: Sequence[Fraction]) -> Jet:
+        """The quotient-rule jet; ZeroDenominatorError where the denominator vanishes."""
+        return self.num.jet(point) / self.den.jet(point)
 
 
 Coefficient = Poly | RationalFn
@@ -192,7 +233,7 @@ def as_rational(f: Coefficient | Fraction | int) -> RationalFn:
 
 # ---------------------------------------------------------------------------
 # serialization: a polynomial is a list of {exponents, coeff} entries with
-# coefficients as canonical "p/q" strings; a rational function is a pair.
+# coefficients as canonical "p/q" strings.
 
 
 def scalar_to_str(x: Fraction) -> str:
@@ -204,18 +245,6 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def poly_to_json(p: Poly) -> list[dict]:
-    return [{"exponents": list(e), "coeff": scalar_to_str(c)} for e, c in p.terms]
-
-
 def poly_from_json(nvars: int, data: Iterable[Mapping]) -> Poly:
     return Poly.from_dict(nvars, {tuple(t["exponents"]): scalar_from_str(t["coeff"])
                                   for t in data})
-
-
-def rational_to_json(f: RationalFn) -> dict:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
-
-
-def rational_from_json(nvars: int, data: Mapping) -> RationalFn:
-    return RationalFn(poly_from_json(nvars, data["num"]), poly_from_json(nvars, data["den"]))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, F1, Mat, Vec, fr
+from .exactmat import F0, F1, Mat, Vec
 from .courant import ChartPoint, chart_point
 from .gclinalg import (
     DegenerateInputError,
@@ -55,7 +55,7 @@ from .gclinalg import (
     zero_element,
     zero_endo,
 )
-from .poly import Poly, poly_from_json, poly_to_json
+from .poly import Poly, poly_from_json
 
 
 class NotVerticalError(ValueError):
@@ -92,12 +92,6 @@ class Connection:
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-    def gamma(self, k: int, i: int, j: int) -> Poly:
-        for key, p in self.entries:
-            if key == (k, i, j):
-                return p
-        return Poly.constant(self.dim, 0)
 
     def christoffel_at(self, p: ChartPoint):
         """Values Gamma[k][i][j] at the point."""
@@ -154,15 +148,6 @@ def connection(n: int, gamma: Mapping[tuple[int, int, int], Poly]) -> Connection
 
 def flat_connection(n: int) -> Connection:
     return Connection(n, ())
-
-
-def connection_to_json(conn: Connection) -> dict:
-    """Sparse map "k,i,j" (1-based) -> polynomial, mirrors omitted."""
-    out = {}
-    for (k, i, j), p in conn.entries:
-        if i <= j:
-            out[f"{k + 1},{i + 1},{j + 1}"] = poly_to_json(p)
-    return out
 
 
 def connection_from_json(n: int, data: Mapping) -> Connection:
@@ -340,21 +325,6 @@ def horizontal_lift(conn: Connection, x: Vec, at: TwistorPoint) -> TwistorTangen
                               vertical=vertical)
 
 
-def vertical_y_coordinates(a: Endo, gens: SkewGenerators) -> dict[tuple[int, int], Fraction]:
-    """Fibre coordinates y_ij(a) = eps_i eps_j <a, S_ij> of a skew endomorphism."""
-    signs = gens.basis.signs
-    return {(i, k): Fraction(signs[i] * signs[k]) * fib_pairing(a, gens.generator(i, k))
-            for (i, k) in gens.pairs()}
-
-
-def vertical_from_y(y: Mapping[tuple[int, int], Fraction], gens: SkewGenerators) -> Endo:
-    dim = len(gens.basis.vectors)
-    out = zero_endo(dim)
-    for (i, k), c in y.items():
-        out = out + gens.generator(i, k).scale(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the closed-form Nijenhuis tensor, case by case
 
@@ -439,8 +409,7 @@ def nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,
     return tangent_from_parts(n, vertical=vertical, vertical_coform=phi)
 
 
-def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo,
-                    validate: bool = True) -> TwistorTangent:
+def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo) -> TwistorTangent:
     """N_alpha of a horizontal lift against a vertical vector:
     [1 + (-1)^alpha] ((j o V) A)^h, so zero for alpha = 1."""
     if alpha not in (1, 2):
@@ -448,7 +417,7 @@ def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo,
     n = at.n
     if v.is_zero():
         return zero_tangent(n)
-    if validate and not is_vertical(v, at.structure.j):
+    if not is_vertical(v, at.structure.j):
         raise NotVerticalError("V is not a vertical vector at j")
     coef = 1 + (-1) ** alpha
     if coef == 0:
@@ -458,7 +427,7 @@ def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo,
 
 
 def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
-                     a: GElement, phi: Endo, validate: bool = True) -> TwistorTangent:
+                     a: GElement, phi: Endo) -> TwistorTangent:
     """N_alpha of a horizontal lift against a vertical coform.
 
     The value lies in H + H* and is recovered from its pairings against
@@ -473,7 +442,7 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
     if phi.is_zero():
         return zero_tangent(n)
     j = at.structure.j
-    if validate and not is_vertical(phi, j):
+    if not is_vertical(phi, j):
         raise NotVerticalError("coform representer is not vertical at j")
     ja = j.apply(a)
     action = curvature_action_on_structure(conn, at)
@@ -501,29 +470,30 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
     return tangent_from_parts(n, horizontal=GElement(dim_v, vec, cov))
 
 
-def nijenhuis_vertical(alpha: int, at: TwistorPoint, v: Endo, phi: Endo,
-                       w: Endo, psi: Endo) -> TwistorTangent:
-    """N_alpha of two purely vertical arguments: identically zero, because the
-    structure restricted to a fibre is induced by a complex structure."""
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    j = at.structure.j
-    for part in (v, phi, w, psi):
-        if not part.is_zero() and not is_vertical(part, j):
-            raise NotVerticalError("argument is not vertical at j")
-    return zero_tangent(at.n)
-
-
 def nijenhuis_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
                           e: TwistorTangent, f: TwistorTangent,
-                          vertical_basis: Sequence[Endo] | None = None,
-                          validate: bool = True) -> TwistorTangent:
+                          vertical_basis: Sequence[Endo] | None = None) -> TwistorTangent:
     """The full closed-form Nijenhuis value N_alpha(E, F): the two-probe
-    case of `nijenhuis_closed_form_table`.
+    case of `nijenhuis_closed_form_table`."""
+    return nijenhuis_closed_form_table(alpha, conn, at, (e, f), vertical_basis)[(0, 1)]
 
-    Callers that validated their tangents already may pass validate=False.
-    """
-    return _closed_form_table(alpha, conn, at, (e, f), vertical_basis, validate)[(0, 1)]
+
+def _curvature_coeffs(a: GElement, ja: GElement, b: GElement, jb: GElement,
+                      ia: int, ib: int) -> tuple[Fraction, Fraction]:
+    """The coefficients of [R^(d_ia, d_ib), j] and of j o [R^(d_ia, d_ib), j]
+    in the curvature terms of a horizontal pair, the second without its
+    alpha sign."""
+    c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
+    c_twisted = _pair_coeff(a.vec, jb.vec, ia, ib) + _pair_coeff(ja.vec, b.vec, ia, ib)
+    return c_direct, c_twisted
+
+
+def _add_scaled(acc: list[list[Fraction]], c: Fraction, m: Mat) -> None:
+    """acc += c m, in place, over the nonzero entries of m."""
+    for acc_row, row in zip(acc, m):
+        for col, x in enumerate(row):
+            if x:
+                acc_row[col] += c * x
 
 
 def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
@@ -548,31 +518,6 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     zero alpha coefficient.  Pairs whose value is zero share one zero
     tangent.
     """
-    return _closed_form_table(alpha, conn, at, probes, vertical_basis, True)
-
-
-def _curvature_coeffs(a: GElement, ja: GElement, b: GElement, jb: GElement,
-                      ia: int, ib: int) -> tuple[Fraction, Fraction]:
-    """The coefficients of [R^(d_ia, d_ib), j] and of j o [R^(d_ia, d_ib), j]
-    in the curvature terms of a horizontal pair, the second without its
-    alpha sign."""
-    c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
-    c_twisted = _pair_coeff(a.vec, jb.vec, ia, ib) + _pair_coeff(ja.vec, b.vec, ia, ib)
-    return c_direct, c_twisted
-
-
-def _add_scaled(acc: list[list[Fraction]], c: Fraction, m: Mat) -> None:
-    """acc += c m, in place, over the nonzero entries of m."""
-    for acc_row, row in zip(acc, m):
-        for col, x in enumerate(row):
-            if x:
-                acc_row[col] += c * x
-
-
-def _closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
-                       probes: Sequence[TwistorTangent],
-                       vertical_basis: Sequence[Endo] | None,
-                       validate: bool) -> dict[tuple[int, int], TwistorTangent]:
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     n = at.n
@@ -582,14 +527,13 @@ def _closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     hs = [None if t.horizontal.is_zero() else t.horizontal for t in probes]
     vs = [None if t.vertical.is_zero() else t.vertical for t in probes]
     phis = [None if t.vertical_coform.is_zero() else t.vertical_coform for t in probes]
-    if validate:
-        checked: set[Endo] = set()
-        for parts, label in ((vs, "vertical part"), (phis, "vertical coform representer")):
-            for part in parts:
-                if part is not None and part not in checked:
-                    if not is_vertical(part, j):
-                        raise NotVerticalError(f"{label} does not anticommute with j")
-                    checked.add(part)
+    checked: set[Endo] = set()
+    for parts, label in ((vs, "vertical part"), (phis, "vertical coform representer")):
+        for part in parts:
+            if part is not None and part not in checked:
+                if not is_vertical(part, j):
+                    raise NotVerticalError(f"{label} does not anticommute with j")
+                checked.add(part)
     jhs = [None if h is None else j.apply(h) for h in hs]
     action = curvature_action_on_structure(conn, at)
 
@@ -940,9 +884,10 @@ def random_skew_matrix(dim: int, rng: random.Random) -> Mat:
     return xm.mat(rows)
 
 
-def random_invertible_matrix(dim: int, rng: random.Random, words: int = 6) -> Mat:
+def random_invertible_matrix(dim: int, rng: random.Random) -> Mat:
+    """A product of six seeded rational shears: invertible, determinant one."""
     m = xm.identity(dim)
-    for _ in range(words):
+    for _ in range(6):
         i, j = rng.sample(range(dim), 2)
         c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
         shear = [list(row) for row in xm.identity(dim)]
@@ -969,8 +914,9 @@ def standard_symplectic_matrix(n: int) -> Mat:
     return xm.mat(rows)
 
 
-def sample_fibre_structure(n: int, rng: random.Random, words: int = 3) -> GCStructure:
-    """A fibre point generated by a transform word applied to a standard seed.
+def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
+    """A fibre point generated by a word of three transforms applied to a
+    standard seed.
 
     Seeds are the complex-type structure (any n) or the symplectic-type
     one (even n, to stay in the canonical component); every move is an
@@ -981,7 +927,7 @@ def sample_fibre_structure(n: int, rng: random.Random, words: int = 3) -> GCStru
     else:
         structure = from_complex(standard_complex_matrix(n))
     dim_v = 2 * n
-    for _ in range(words):
+    for _ in range(3):
         move = rng.choice(("b", "beta", "gl"))
         if move == "b":
             structure = b_transform(structure, random_skew_matrix(dim_v, rng))

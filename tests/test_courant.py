@@ -27,8 +27,6 @@ from gctwistor.courant import (
     nijenhuis,
     nijenhuis_table,
     section_from_coefficients,
-    section_scale,
-    section_sum,
     two_form_field,
 )
 from gctwistor.gclinalg import Endo, from_complex, gelem, neutral_pairing
@@ -122,17 +120,6 @@ def test_courant_antisymmetry_property(seed):
     b = rand_section(rng)
     p = rand_point(rng)
     assert (courant_bracket(a, b, p) + courant_bracket(b, a, p)).is_zero()
-
-
-def test_section_combinators():
-    rng = random.Random(3)
-    a = rand_section(rng)
-    b = rand_section(rng)
-    p = rand_point(rng)
-    total = section_sum(a, section_scale(F(2), b))
-    got = total.at(p)
-    ja, jb = a.at(p), b.at(p)
-    assert got.value == tuple(x + 2 * y for x, y in zip(ja.value, jb.value))
 
 
 def test_rational_coefficient_sections():
@@ -303,14 +290,6 @@ def test_scan_rejects_non_spanning_probes():
         integrability_scan(field, [chart_point([F(0), F(0)])], probes)
 
 
-def test_scan_float_mode_magnitudes():
-    field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    report = integrability_scan(field, [chart_point([F(1), F(1)])],
-                                default_probes(2), mode="float")
-    assert report.mode == "float"
-    assert report.points[0].max_abs == 0.0
-
-
 def test_field_orientation_validation():
     from gctwistor.twistor import standard_symplectic_matrix
     from gctwistor.gclinalg import from_symplectic
@@ -320,19 +299,6 @@ def test_field_orientation_validation():
     negative.validate_at(chart_point([F(0), F(0)]))  # fine without the assertion
     with pytest.raises(FieldInvariantError):
         negative.validate_at(chart_point([F(0), F(0)]), require_orientation=True)
-
-
-def test_scan_report_json():
-    import json
-
-    from gctwistor.courant import scan_report_to_json
-    field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    report = integrability_scan(field, [chart_point([F(1, 2), F(0)])],
-                                default_probes(2))
-    data = scan_report_to_json(report)
-    assert json.dumps(data, sort_keys=True)  # JSON-serializable
-    assert data["points"][0]["all_zero"] is True
-    assert data["points"][0]["point"] == ["1/2", "0"]
 
 
 # ---------------------------------------------------------------------------

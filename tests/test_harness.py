@@ -15,11 +15,12 @@ from gctwistor.harness import (
     ScenarioError,
     emit_report,
     load_scenario,
-    run_courant_examples,
-    run_linalg_suite,
-    run_oracle,
     run_scenario,
 )
+
+
+def run_preset(name, seed=None, hooks=None):
+    return run_scenario(load_scenario(name, seed=seed), hooks)
 
 
 def test_presets_exist():
@@ -28,7 +29,7 @@ def test_presets_exist():
 
 
 def test_linalg_suite_passes():
-    report = run_linalg_suite(seed=7)
+    report = run_preset("linalg-all", seed=7)
     assert report.ok
     assert len(report.results) == 8
     names = [r.name for r in report.results]
@@ -42,7 +43,7 @@ def test_linalg_suite_detects_tampered_relation():
         left = (frames.left[1], frames.left[0], frames.left[2])
         return SkewFrames(left, frames.right)
 
-    report = run_linalg_suite(seed=7, tamper=tamper)
+    report = run_preset("linalg-all", seed=7, hooks={"tamper_frames": tamper})
     assert not report.ok
     bad = [r for r in report.results if r.status == "fail"]
     assert bad and bad[0].name == "linalg/skew-frame-relations"
@@ -50,7 +51,7 @@ def test_linalg_suite_detects_tampered_relation():
 
 
 def test_courant_examples_pass_with_witness():
-    report = run_courant_examples(seed=3)
+    report = run_preset("examples-courant", seed=3)
     assert report.ok
     by_name = {r.name: r for r in report.results}
     finding = by_name["courant/b-transform-automorphism"]
@@ -62,13 +63,13 @@ def test_oracle_suite_and_perturbation_hook():
     scenario = load_scenario("oracle-n1")
     scenario = load_scenario({**PRESETS["oracle-n1"], "samples": {"fibre_params": 2}},
                              name="oracle-small")
-    report = run_oracle(scenario)
+    report = run_scenario(scenario)
     assert report.ok
 
     def tamper(g):
         return GElement(g.dim_v, g.vec, tuple(c + 1 for c in g.cov))
 
-    bad = run_oracle(scenario, perturb=tamper)
+    bad = run_scenario(scenario, {"perturb_closed_form": tamper})
     assert not bad.ok
     failed = {r.name for r in bad.results if r.status == "fail"}
     assert "oracle/closed-form-equality" in failed
@@ -97,7 +98,7 @@ def test_scenario_overrides():
 
 
 def test_report_json_roundtrip(tmp_path):
-    report = run_linalg_suite(seed=1)
+    report = run_preset("linalg-all", seed=1)
     text = emit_report(report, "json", str(tmp_path / "r.json"))
     parsed = json.loads(text)
     assert parsed == report.to_json_dict()
@@ -106,13 +107,13 @@ def test_report_json_roundtrip(tmp_path):
 
 
 def test_reports_byte_identical_for_same_seed():
-    a = emit_report(run_linalg_suite(seed=11), "json")
-    b = emit_report(run_linalg_suite(seed=11), "json")
+    a = emit_report(run_preset("linalg-all", seed=11), "json")
+    b = emit_report(run_preset("linalg-all", seed=11), "json")
     assert a.encode() == b.encode()
 
 
 def test_text_report_counts():
-    report = run_courant_examples(seed=3)
+    report = run_preset("examples-courant", seed=3)
     text = emit_report(report, "text")
     assert "4/4 checks satisfied; OK" in text
     assert "[FIND]" in text
@@ -282,10 +283,9 @@ def test_cli_oracle_check_n2_fails_cleanly(tmp_path):
 
 
 def test_integrability_suite_wrapper():
-    from gctwistor.harness import run_integrability_suite
     scenario = load_scenario({**PRESETS["thm1-n1"], "samples": {"base_points": 3}},
                              name="thm1-n1-small")
-    report = run_integrability_suite(scenario)
+    report = run_scenario(scenario)
     assert report.ok
     assert [r.name for r in report.results] == list(scenario.checks)
 

@@ -17,8 +17,6 @@ from gctwistor.oracle import (
     TwistorChart,
     chart_bracket_curvature_check,
     chart_vertical_bracket_check,
-    jet_const,
-    jet_var,
     lift_bracket_curvature_check,
     oracle_compare_nijenhuis,
     seeded_oracle_samples,
@@ -41,26 +39,6 @@ X2 = Poly.variable(2, 1)
 
 def q_at(x1=F(1, 2), x2=F(1, 3), u=F(1, 4), v=F(1, 5)):
     return chart_point([x1, x2, u, v])
-
-
-# ---------------------------------------------------------------------------
-# jet arithmetic
-
-
-def test_jet_scalar_rules():
-    point = (F(2), F(3))
-    x = jet_var(0, point)
-    y = jet_var(1, point)
-    p = x * x * y  # value 12, gradient (12, 4)
-    assert p.value == 12
-    assert p.grad == (F(12), F(4))
-    q = p / (x + jet_const(1, 2))
-    assert q.value == 4
-    # quotient rule at (2, 3): d/dx [x^2 y / (x+1)] = (2xy(x+1) - x^2 y)/(x+1)^2
-    assert q.grad[0] == (F(36) - F(12)) / 9
-    assert q.grad[1] == F(4, 3)
-    with pytest.raises(ZeroDivisionError):
-        p / jet_const(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +228,6 @@ def test_scan_of_noninteg_structure_field_on_chart():
     # while the first structure scans all-zero on the same points
     report1 = integrability_scan(chart.field(1), points, default_probes(4))
     assert report1.all_zero
-
-
-def test_endo_serialization_roundtrip():
-    from gctwistor.gclinalg import endo_from_json, endo_to_json
-    chart = TwistorChart(CONN, 1)
-    j = chart.structure_at(q_at()).j
-    data = endo_to_json(j)
-    assert endo_from_json(data) == j
 
 
 def test_direct_nijenhuis_is_tensorial():

@@ -1,15 +1,16 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gctwistor.poly import (
+    Jet,
     Poly,
     RationalFn,
     ZeroDenominatorError,
     poly_from_json,
-    poly_to_json,
-    rational_from_json,
-    rational_to_json,
     scalar_from_str,
     scalar_to_str,
 )
@@ -23,8 +24,7 @@ def test_poly_arithmetic_and_partials():
     # d/dx = 2xy + 3, d/dy = x^2, expanded by hand
     assert p.partial(0).evaluate((F(2), F(5))) == 23
     assert p.partial(1).evaluate((F(2), F(5))) == 4
-    value, grad = p.jet((F(2), F(5)))
-    assert (value, grad) == (F(26), (F(23), F(4)))
+    assert p.jet((F(2), F(5))) == Jet(F(26), (F(23), F(4)))
 
 
 def test_poly_cancellation():
@@ -39,11 +39,11 @@ def test_rational_jet_quotient_rule():
     one = Poly.constant(2, 1)
     f = RationalFn(x * y, one + x * x)   # xy / (1 + x^2)
     p = (F(1, 2), F(3))
-    value, grad = f.jet(p)
-    assert value == F(3, 2) / F(5, 4)
+    jet = f.jet(p)
+    assert jet.value == F(3, 2) / F(5, 4)
     # hand quotient rule: d/dx = y(1 - x^2)/(1 + x^2)^2, d/dy = x/(1 + x^2)
-    assert grad[0] == F(3) * F(3, 4) / (F(5, 4) ** 2)
-    assert grad[1] == F(1, 2) / F(5, 4)
+    assert jet.grad[0] == F(3) * F(3, 4) / (F(5, 4) ** 2)
+    assert jet.grad[1] == F(1, 2) / F(5, 4)
 
 
 def test_rational_vanishing_denominator():
@@ -51,6 +51,44 @@ def test_rational_vanishing_denominator():
     f = RationalFn(Poly.constant(1, 1), x)
     with pytest.raises(ZeroDenominatorError):
         f.evaluate((F(0),))
+    with pytest.raises(ZeroDenominatorError):
+        f.jet((F(0),))
+
+
+def test_jet_scalar_rules():
+    point = (F(2), F(3))
+    x = Jet.variable(0, point)
+    y = Jet.variable(1, point)
+    p = x * x * y  # value 12, gradient (12, 4)
+    assert p.value == 12
+    assert p.grad == (F(12), F(4))
+    q = p / (x + Jet.constant(1, 2))
+    assert q.value == 4
+    # quotient rule at (2, 3): d/dx [x^2 y / (x+1)] = (2xy(x+1) - x^2 y)/(x+1)^2
+    assert q.grad[0] == (F(36) - F(12)) / 9
+    assert q.grad[1] == F(4, 3)
+    with pytest.raises(ZeroDivisionError):
+        p / Jet.constant(0, 2)
+
+
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rationals,
+                        max_size=4).map(lambda terms: Poly.from_dict(2, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, st.tuples(small_rationals, small_rationals))
+def test_jet_matches_polynomial_and_rational_arithmetic(p, q, point):
+    # the jet of a sum, product or quotient is the sum, product or quotient of jets
+    assert (p + q).jet(point) == p.jet(point) + q.jet(point)
+    assert (p * q).jet(point) == p.jet(point) * q.jet(point)
+    if q.evaluate(point) != 0:
+        assert RationalFn(p, q).jet(point) == p.jet(point) / q.jet(point)
+    # q shifted to vanish at the point: a zero denominator, not a value
+    vanishing = q - Poly.constant(2, q.evaluate(point))
+    if not vanishing.is_zero():
+        with pytest.raises(ZeroDenominatorError):
+            RationalFn(p, vanishing).jet(point)
 
 
 def test_rational_equality_cross_multiplied():
@@ -70,7 +108,6 @@ def test_scalar_strings():
 
 def test_poly_serialization_roundtrip():
     p = Poly.from_dict(3, {(1, 0, 2): F(5, 3), (0, 0, 0): F(-2)})
-    assert poly_from_json(3, poly_to_json(p)) == p
-    f = RationalFn(p, Poly.variable(3, 1))
-    back = rational_from_json(3, rational_to_json(f))
-    assert back == f
+    data = json.loads('[{"exponents": [1, 0, 2], "coeff": "5/3"},'
+                      ' {"exponents": [0, 0, 0], "coeff": "-2"}]')
+    assert poly_from_json(3, data) == p
