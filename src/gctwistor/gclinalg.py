@@ -14,8 +14,9 @@ ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import exactmat as xm
@@ -220,11 +221,18 @@ def is_pairing_skew(m: Endo) -> bool:
     return True
 
 
+def _pairing_scale(m: Endo) -> Scalar:
+    """The c with <mA, mB> = c <A, B> for all A, B; 0 if there is none."""
+    h = m.half
+    g = _pairing_gram(h)
+    lhs = xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows)
+    c = 2 * lhs[0][h] if h else F1
+    return c if lhs == xm.mat_scale(c, g) else F0
+
+
 def is_pairing_orthogonal(m: Endo) -> bool:
     """True iff <mA, mB> = <A, B> for all A, B."""
-    g = _pairing_gram(m.half)
-    lhs = xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows)
-    return lhs == g
+    return _pairing_scale(m) == 1
 
 
 def fib_pairing(a: Endo, b: Endo) -> Scalar:
@@ -287,6 +295,25 @@ def structure_orientation(j: Endo) -> int:
 
 
 @dataclass(frozen=True)
+class FrameRecipe:
+    """How a sampled structure was made: j = g j0 g^-1 for a seed j0 and a
+    conformal isometry g of the pairing, kept as factors and multiplied out
+    only by `vertical_space_basis`.
+
+    The seed is j0 = sign * `seed_structure(n, seed)`.  With
+    M = m_k ... m_1 the product of the moves (m, m^-1), applied to the seed
+    in order, g = M, or g = M h when `cayley` is set, where
+    h = 1 - j1 j0 is the Cayley factor to j1 = M^-1 j M.  On the unit
+    hyperboloid h* h = 2 - (j1 j0 + j0 j1) is a nonzero multiple of Id.
+    """
+
+    seed: str
+    sign: int = 1
+    moves: tuple[tuple[Endo, Endo], ...] = ()
+    cayley: bool = False
+
+
+@dataclass(frozen=True)
 class GCStructure:
     """A complex structure on V + V* compatible with the pairing.
 
@@ -294,9 +321,18 @@ class GCStructure:
     orientation is not part of the invariant; use `structure_orientation`
     (it is +1 exactly when the structure belongs to the canonical
     component G(V)).
+
+    `frame` is the optional recipe of an isometry carrying a seed to j (see
+    `FrameRecipe`).  The samplers attach one: `seed_structure` and the
+    `b_transform`, `beta_transform` and `gl_action` moves applied to a
+    framed structure, `adapted_structure` and `hyperboloid_point`.
+    Hand-built structures (`from_complex`, `from_symplectic`, ...) have
+    none.  The frame only chooses how `vertical_space_basis` computes; it
+    is not part of equality, hashing or repr.
     """
 
     j: Endo
+    frame: FrameRecipe | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         sq = self.j.compose(self.j)
@@ -347,6 +383,14 @@ class OrthonormalBasis:
     def matrix(self) -> Mat:
         """Columns are the basis elements in reference coordinates."""
         return xm.transpose(xm.mat([v.coords for v in self.vectors]))
+
+    def inverse_matrix(self) -> Mat:
+        """The inverse of `matrix()`, read off the pairing without elimination:
+        the coefficient of Q_i in x is eps_i <Q_i, x>, so row i is
+        eps_i (cov_i, vec_i) / 2."""
+        half = Fraction(1, 2)
+        return tuple(tuple(s * half * c for c in v.cov + v.vec)
+                     for v, s in zip(self.vectors, self.signs))
 
 
 def reference_basis(n: int) -> OrthonormalBasis:
@@ -514,6 +558,88 @@ def from_symplectic(omega: Mat) -> GCStructure:
                                         iso, xm.zeros(dim_v, dim_v)))
 
 
+def standard_complex_matrix(n: int) -> Mat:
+    """K with K e_{2m-1} = e_{2m}, K e_{2m} = -e_{2m-1} (one-based)."""
+    dim_v = 2 * n
+    rows = [[F0] * dim_v for _ in range(dim_v)]
+    for m in range(n):
+        rows[2 * m + 1][2 * m] = F1
+        rows[2 * m][2 * m + 1] = -F1
+    return xm.mat(rows)
+
+
+def standard_symplectic_matrix(n: int) -> Mat:
+    """omega = sum_m eta_{2m-1} ^ eta_{2m} (one-based)."""
+    dim_v = 2 * n
+    rows = [[F0] * dim_v for _ in range(dim_v)]
+    for m in range(n):
+        rows[2 * m][2 * m + 1] = F1
+        rows[2 * m + 1][2 * m] = -F1
+    return xm.mat(rows)
+
+
+def seed_structure(n: int, kind: str) -> GCStructure:
+    """The framed seed of the samplers: `from_complex(standard_complex_matrix(n))`
+    for kind "complex", `from_symplectic(standard_symplectic_matrix(n))` for
+    "symplectic"; shared per (n, kind)."""
+    return _seed(n, kind)[0]
+
+
+@cache
+def _seed(n: int, kind: str) -> tuple[GCStructure, tuple[Endo, ...]]:
+    """A seed and a basis of its vertical space, written down in closed form;
+    memoised per (n, kind), so at most two entries per n.
+
+    With K = `standard_complex_matrix(n)`, a skew endomorphism is
+    [[A, B], [C, -A^T]] with B, C skew.  The complex seed is diag(K, K): A
+    anticommutes with K, and so do B and C; in the 2x2 blocks of K these
+    are the blocks in the span of diag(1, -1) and [[0, 1], [1, 0]],
+    mirrored with a minus sign across the diagonal for B and C (2n^2 + 2
+    (n^2 - n) elements).  The symplectic seed is [[0, K], [K, 0]]: A K is
+    skew and C = K B K, so each elementary skew S gives A = -S K and
+    (B, C) = (S, K S K) (2 (2n^2 - n) elements).
+    """
+    dim_v = 2 * n
+    k = standard_complex_matrix(n)
+    zero = xm.zeros(dim_v, dim_v)
+
+    def units(terms) -> Mat:
+        m = [[F0] * dim_v for _ in range(dim_v)]
+        for r, c, x in terms:
+            m[r][c] = x
+        return xm.mat(m)
+
+    def skew(a: Mat = zero, b: Mat = zero, c: Mat = zero) -> Endo:
+        return endo_from_blocks(a, b, c, xm.mat_neg(xm.transpose(a)))
+
+    basis = []
+    if kind == "complex":
+        j0 = from_complex(k)
+
+        def block(l: int, m: int, x: Fraction, diagonal: bool) -> list:
+            if diagonal:
+                return [(2 * l, 2 * m, x), (2 * l + 1, 2 * m + 1, -x)]
+            return [(2 * l, 2 * m + 1, x), (2 * l + 1, 2 * m, x)]
+
+        for diagonal in (True, False):
+            basis += [skew(a=units(block(l, m, F1, diagonal)))
+                      for l in range(n) for m in range(n)]
+            for l in range(n):
+                for m in range(l + 1, n):
+                    s = units(block(l, m, F1, diagonal) + block(m, l, -F1, diagonal))
+                    basis += [skew(b=s), skew(c=s)]
+    elif kind == "symplectic":
+        j0 = from_symplectic(standard_symplectic_matrix(n))
+        for r in range(dim_v):
+            for c in range(r + 1, dim_v):
+                s = units([(r, c, F1), (c, r, -F1)])
+                basis += [skew(a=xm.mat_neg(xm.mat_mul(s, k))),
+                          skew(b=s, c=xm.mat_mul(xm.mat_mul(k, s), k))]
+    else:
+        raise ValueError(f"unknown seed kind {kind!r}")
+    return GCStructure(j0.j, FrameRecipe(kind)), tuple(basis)
+
+
 def commute_check(a: GCStructure, b: GCStructure) -> bool:
     if a.j.dim != b.j.dim:
         raise DimensionMismatchError("structures live on different spaces")
@@ -558,13 +684,19 @@ def exp_two_vector(beta: Mat) -> Endo:
                             xm.zeros(dim_v, dim_v), xm.identity(dim_v))
 
 
+def _conjugate(j: GCStructure, e: Endo, e_inv: Endo) -> GCStructure:
+    """e j e^-1; a framed j passes its frame on with the move (e, e^-1) added."""
+    frame = None if j.frame is None else replace(j.frame, moves=j.frame.moves + ((e, e_inv),))
+    return GCStructure(e.compose(j.j).compose(e_inv), frame)
+
+
 def b_transform(j: GCStructure, b: Mat) -> GCStructure:
     """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
     e = exp_two_form(b)
     e_inv = exp_two_form(xm.mat_neg(xm.mat(b)))
     if not is_pairing_orthogonal(e):
         raise InvariantError("e^B failed the isometry check")
-    return GCStructure(e.compose(j.j).compose(e_inv))
+    return _conjugate(j, e, e_inv)
 
 
 def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
@@ -573,7 +705,7 @@ def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
     e_inv = exp_two_vector(xm.mat_neg(xm.mat(beta)))
     if not is_pairing_orthogonal(e):
         raise InvariantError("e^beta failed the isometry check")
-    return GCStructure(e.compose(j.j).compose(e_inv))
+    return _conjugate(j, e, e_inv)
 
 
 def gl_endo(g: Mat) -> Endo:
@@ -591,7 +723,7 @@ def gl_endo(g: Mat) -> Endo:
 def gl_action(g: Mat, j: GCStructure) -> GCStructure:
     u = gl_endo(g)
     u_inv = gl_endo(xm.inverse(xm.mat(g)))
-    return GCStructure(u.compose(j.j).compose(u_inv))
+    return _conjugate(j, u, u_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +732,37 @@ def gl_action(g: Mat, j: GCStructure) -> GCStructure:
 
 @dataclass(frozen=True)
 class SkewGenerators:
-    """The generators S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i) of a basis."""
+    """The generators S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i) of a basis,
+    built on demand from the basis matrix and its inverse and memoised."""
 
     basis: OrthonormalBasis
-    _matrices: tuple[tuple[Endo, ...], ...]
+    bmat: Mat
+    binv: Mat
+    _built: dict = field(default_factory=dict, compare=False, repr=False)
 
     def generator(self, i: int, k: int) -> Endo:
-        """S_ik for zero-based indices; antisymmetric in (i, k)."""
-        return self._matrices[i][k]
+        """S_ik for zero-based indices; antisymmetric in (i, k), S_ii = 0.
+
+        S_ik = eps_i B[:, k] (x) B^-1[i, :] - eps_k B[:, i] (x) B^-1[k, :]:
+        in the basis, S_ik sends Q_i to eps_i Q_k and Q_k to -eps_k Q_i, so
+        B S B^-1 is a difference of two rank-one outer products.
+        """
+        s = self._built.get((i, k))
+        if s is not None:
+            return s
+        n4 = len(self.bmat)
+        if i == k:
+            s = zero_endo(n4)
+        elif i > k:
+            s = -self.generator(k, i)
+        else:
+            b, binv, signs = self.bmat, self.binv, self.basis.signs
+            col_k = [signs[i] * b[r][k] for r in range(n4)]
+            col_i = [signs[k] * b[r][i] for r in range(n4)]
+            s = Endo(n4, tuple(tuple(col_k[r] * binv[i][c] - col_i[r] * binv[k][c]
+                                     for c in range(n4)) for r in range(n4)))
+        self._built[(i, k)] = s
+        return s
 
     def pairs(self) -> list[tuple[int, int]]:
         n4 = len(self.basis.vectors)
@@ -615,26 +770,8 @@ class SkewGenerators:
 
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
-    """S_ik = eps_i B[:, k] (x) B^-1[i, :] - eps_k B[:, i] (x) B^-1[k, :].
-
-    In the basis, S_ik sends Q_i to eps_i Q_k and Q_k to -eps_k Q_i, so
-    B S B^-1 is a difference of two rank-one outer products.  Built for
-    i < k; S_ki = -S_ik and S_ii = 0.
-    """
-    n4 = len(basis.vectors)
-    bmat = basis.matrix()
-    binv = xm.inverse(bmat)
-    zero = zero_endo(n4)
-    grid = [[zero] * n4 for _ in range(n4)]
-    for i in range(n4):
-        for k in range(i + 1, n4):
-            col_k = [basis.signs[i] * bmat[r][k] for r in range(n4)]
-            col_i = [basis.signs[k] * bmat[r][i] for r in range(n4)]
-            s = Endo(n4, tuple(tuple(col_k[r] * binv[i][c] - col_i[r] * binv[k][c]
-                                     for c in range(n4)) for r in range(n4)))
-            grid[i][k] = s
-            grid[k][i] = -s
-    return SkewGenerators(basis, tuple(tuple(row) for row in grid))
+    """The skew generators of a basis; each S_ik is built on first use."""
+    return SkewGenerators(basis, basis.matrix(), basis.inverse_matrix())
 
 
 @dataclass(frozen=True)
@@ -723,29 +860,45 @@ def hyperboloid_point(u: Scalar, v: Scalar, sheet: int, basis: OrthonormalBasis)
 
     The point x = (x1, x2, x3) satisfies x1^2 - x2^2 - x3^2 = 1 exactly,
     so x . left squares to -Id; for a positively oriented basis the
-    result induces the canonical orientation.
+    result induces the canonical orientation.  The seed of its frame is
+    sheet * L1 at the reference basis, the complex seed up to sign; the
+    moves B R^-1 carry it to sheet * L1 at `basis`, and the Cayley factor
+    from there to the point.
     """
     x1, x2, x3 = hyperboloid_chart(u, v, sheet)
     frames = skew_frames(basis)
     k = frames.left[0].scale(x1) + frames.left[1].scale(x2) + frames.left[2].scale(x3)
-    structure = GCStructure(k)
+    structure = GCStructure(k, FrameRecipe("complex", sheet, _basis_moves(basis), cayley=True))
     if structure.orientation() != 1:
         raise InvariantError("hyperboloid point does not induce the canonical orientation; "
                              "was the supplied basis positively oriented?")
     return structure
 
 
+def _basis_moves(basis: OrthonormalBasis) -> tuple[tuple[Endo, Endo], ...]:
+    """The moves (R^-1, R), (B, B^-1) whose product B R^-1 is an isometry
+    sending the reference basis (matrix R) to `basis` (matrix B)."""
+    n4 = len(basis.vectors)
+    ref = reference_basis(n4 // 4)
+    return ((Endo(n4, ref.inverse_matrix()), Endo(n4, ref.matrix())),
+            (Endo(n4, basis.matrix()), Endo(n4, basis.inverse_matrix())))
+
+
 def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
-    """The structure with j Q_{2l-1} = Q_{2l} for an orthonormal basis."""
+    """The structure with j Q_{2l-1} = Q_{2l} for an orthonormal basis.
+
+    At the reference basis this is the complex seed, so the frame is
+    g = B R^-1 from that seed.
+    """
     n4 = len(basis.vectors)
     cols = [[F0] * n4 for _ in range(n4)]
     for l in range(n4 // 2):
         cols[2 * l][2 * l + 1] = F1
         cols[2 * l + 1][2 * l] = -F1
-    m_in_basis = xm.transpose(xm.mat(cols))
-    bmat = basis.matrix()
-    j = Endo(n4, xm.mat_mul(xm.mat_mul(bmat, m_in_basis), xm.inverse(bmat)))
-    return GCStructure(j)
+    moves = _basis_moves(basis)
+    b, b_inv = moves[1]
+    j = b.compose(Endo(n4, xm.transpose(xm.mat(cols)))).compose(b_inv)
+    return GCStructure(j, FrameRecipe("complex", moves=moves))
 
 
 def is_vertical(q: Endo, j: Endo) -> bool:
@@ -761,14 +914,22 @@ def vertical_complex_action(j: GCStructure, q: Endo) -> Endo:
 
 
 def vertical_space_basis(j: GCStructure) -> list[Endo]:
-    """A basis of the skew endomorphisms anticommuting with j.
+    """A basis of the 4n^2 - 2n skew endomorphisms anticommuting with j.
 
-    Uses the projection a -> a + j a j, which maps skew endomorphisms
-    onto the anticommuting ones (it doubles those already vertical), and
-    filters a maximal independent family from the projected generators
-    of the reference basis.
+    With a frame (see `GCStructure`), the closed-form basis V0 of the seed
+    j0 is transported to g V0 g^-1.  The frame is checked exactly first:
+    g g^-1 = Id, g^T G g = c G with c != 0 for the Gram matrix G of the
+    pairing, and g j0 g^-1 = j, else InvariantError.  Then every g V g^-1
+    is skew and anticommutes with j, and the elements stay independent.
+
+    Without a frame, uses the projection a -> a + j a j, which maps skew
+    endomorphisms onto the anticommuting ones (it doubles those already
+    vertical), and filters a maximal independent family from the projected
+    generators of the reference basis.
     """
     n = j.dim_v // 2
+    if j.frame is not None:
+        return _transported_basis(j)
     gens = skew_generators(reference_basis(n))
     candidates = []
     for (i, k) in gens.pairs():
@@ -785,6 +946,33 @@ def vertical_space_basis(j: GCStructure) -> list[Endo]:
     if len(basis) != expected:
         raise InvariantError(f"vertical space has rank {len(basis)}, expected {expected}")
     return basis
+
+
+def _transported_basis(j: GCStructure) -> list[Endo]:
+    """g V0 g^-1 for the frame of j, after the exact frame check."""
+    frame = j.frame
+    seed, v0 = _seed(j.dim_v // 2, frame.seed)
+    j0 = seed.j.scale(frame.sign)
+    ident = identity_endo(j.j.dim)
+    g = g_inv = ident
+    for m, m_inv in frame.moves:
+        g = m.compose(g)
+        g_inv = g_inv.compose(m_inv)
+    if frame.cayley:
+        j1 = g_inv.compose(j.j).compose(g)
+        j1j0, j0j1 = j1.compose(j0), j0.compose(j1)
+        c = 2 - (j1j0 + j0j1).rows[0][0]
+        if c == 0:
+            raise InvariantError("frame: the Cayley factor is singular")
+        g = g.compose(ident - j1j0)
+        g_inv = (ident - j0j1).scale(1 / c).compose(g_inv)
+    if g.compose(g_inv) != ident:
+        raise InvariantError("frame: g g^-1 is not Id")
+    if _pairing_scale(g) == 0:
+        raise InvariantError("frame: g is not a conformal isometry of the pairing")
+    if g.compose(j0).compose(g_inv) != j.j:
+        raise InvariantError("frame: g does not carry the seed to j")
+    return [g.compose(v).compose(g_inv) for v in v0]
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ from .gclinalg import (
     reference_basis,
     skew_decompose,
     skew_frames,
+    standard_complex_matrix,
+    standard_symplectic_matrix,
     vertical_space_basis,
 )
 from .oracle import (
@@ -79,8 +81,6 @@ from .twistor import (
     random_skew_matrix,
     sample_adapted_point,
     sample_fibre_structure,
-    standard_complex_matrix,
-    standard_symplectic_matrix,
     tangent_from_parts,
 )
 
@@ -477,22 +477,31 @@ def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     return _ok(name, scenario, {"points": count, "sheets": "both"})
 
 
-def _check_n2_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/n2-flat-structure1-vanishes"
-    if scenario.n != 2:
-        return _fail(name, scenario, "scenario has n != 2", None)
+def _flat_vanishing(name: str, n: int, scenario: Scenario) -> CheckResult:
+    """Structure 1 has zero closed-form Nijenhuis value on every probe pair
+    at sampled fibre points over a flat chart of dimension 2n."""
+    if scenario.n != n:
+        return _fail(name, scenario, f"scenario has n != {n}", None)
     if scenario.conn.entries:
         return _fail(name, scenario, "connection is not flat", None)
     rng = random.Random(scenario.seed + 10)
     count = scenario.count("fibre_params", 20)
     spec = str(scenario.samples.get("probe_spec", "full"))
     for trial in range(count):
-        structure = sample_fibre_structure(2, rng)
-        at = TwistorPoint(random_chart_point(4, rng), structure)
+        structure = sample_fibre_structure(n, rng)
+        at = TwistorPoint(random_chart_point(2 * n, rng), structure)
         for (i, k), value in _scan_closed_form(1, scenario.conn, at, spec):
             if not value.is_zero():
                 return _fail(name, scenario, "nonzero", {"trial": trial, "probe_pair": [i, k]})
     return _ok(name, scenario, {"fibre_samples": count})
+
+
+def _check_n2_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    return _flat_vanishing("integrability/n2-flat-structure1-vanishes", 2, scenario)
+
+
+def _check_n3_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    return _flat_vanishing("integrability/n3-flat-structure1-vanishes", 3, scenario)
 
 
 def _check_n2_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -652,6 +661,7 @@ CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
     "courant/b-transform-automorphism": _check_b_automorphism,
     "integrability/n1-structure1-vanishes": _check_n1_vanishing,
     "integrability/n2-flat-structure1-vanishes": _check_n2_flat_vanishing,
+    "integrability/n3-flat-structure1-vanishes": _check_n3_flat_vanishing,
     "integrability/n2-curved-witness": _check_n2_curved_witness,
     "integrability/curvature-form-kernel": _check_mu_kernel,
     "integrability/mixed-witness": _check_mixed_witness,
@@ -699,6 +709,12 @@ PRESETS: dict[str, dict] = {
         "n": 2, "connection": {"gamma": {}}, "mode": "exact", "seed": 1204,
         "samples": {"fibre_params": 20, "adapted_points": 5},
         "checks": ["integrability/n2-flat-structure1-vanishes", "integrability/mixed-witness"],
+    },
+    "thm1-n3-flat": {
+        "n": 3, "connection": {"gamma": {}}, "mode": "exact", "seed": 1207,
+        "samples": {"fibre_params": 6, "adapted_points": 4},
+        "checks": ["integrability/n3-flat-structure1-vanishes",
+                   "integrability/curvature-form-kernel", "integrability/mixed-witness"],
     },
     "thm1-n2-curved": {
         "n": 2, "connection": {"gamma": _gamma_x1_json(2)}, "mode": "exact", "seed": 1205,

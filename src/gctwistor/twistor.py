@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
@@ -44,12 +45,11 @@ from .gclinalg import (
     endo_from_blocks,
     fib_pairing,
     fiber_kahler_structure,
-    from_complex,
-    from_symplectic,
     gl_action,
     is_vertical,
     neutral_pairing,
     random_orthonormal_basis,
+    seed_structure,
     skew_generators,
     vertical_space_basis,
     zero_element,
@@ -263,8 +263,15 @@ class TwistorTangent:
                               self.vertical_coform.scale(c))
 
     def is_zero(self) -> bool:
-        return self.horizontal.is_zero() and self.vertical.is_zero() \
-            and self.vertical_coform.is_zero()
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> bool:
+        """Whether every coordinate is zero; scanned once per tangent, so the
+        zero tangent a table shares among its zero pairs is scanned once."""
+        return not (any(self.horizontal.vec) or any(self.horizontal.cov)
+                    or any(map(any, self.vertical.rows))
+                    or any(map(any, self.vertical_coform.rows)))
 
 
 def zero_tangent(n: int) -> TwistorTangent:
@@ -896,24 +903,6 @@ def random_invertible_matrix(dim: int, rng: random.Random) -> Mat:
     return m
 
 
-def standard_complex_matrix(n: int) -> Mat:
-    dim_v = 2 * n
-    rows = [[F0] * dim_v for _ in range(dim_v)]
-    for m in range(n):
-        rows[2 * m + 1][2 * m] = F1
-        rows[2 * m][2 * m + 1] = -F1
-    return xm.mat(rows)
-
-
-def standard_symplectic_matrix(n: int) -> Mat:
-    dim_v = 2 * n
-    rows = [[F0] * dim_v for _ in range(dim_v)]
-    for m in range(n):
-        rows[2 * m][2 * m + 1] = F1
-        rows[2 * m + 1][2 * m] = -F1
-    return xm.mat(rows)
-
-
 def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
     """A fibre point generated by a word of three transforms applied to a
     standard seed.
@@ -921,11 +910,12 @@ def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
     Seeds are the complex-type structure (any n) or the symplectic-type
     one (even n, to stay in the canonical component); every move is an
     exact isometry of the pairing, so invariants survive by construction.
+    The result carries the frame of its seed and moves.
     """
     if n % 2 == 0 and rng.random() < Fraction(1, 2):
-        structure = from_symplectic(standard_symplectic_matrix(n))
+        structure = seed_structure(n, "symplectic")
     else:
-        structure = from_complex(standard_complex_matrix(n))
+        structure = seed_structure(n, "complex")
     dim_v = 2 * n
     for _ in range(3):
         move = rng.choice(("b", "beta", "gl"))

@@ -23,9 +23,17 @@ from gctwistor.gclinalg import (
     random_orthonormal_basis,
     reference_basis,
     skew_frames,
+    standard_complex_matrix,
+    standard_symplectic_matrix,
     vertical_space_basis,
 )
-from gctwistor.harness import emit_report, load_scenario, run_scenario
+from gctwistor.harness import (
+    _hyperboloid_samples,
+    _probe_set,
+    emit_report,
+    load_scenario,
+    run_scenario,
+)
 from gctwistor.oracle import oracle_compare_nijenhuis, seeded_oracle_samples
 from gctwistor.poly import Poly
 from gctwistor.twistor import (
@@ -40,9 +48,6 @@ from gctwistor.twistor import (
     random_chart_point,
     sample_adapted_point,
     sample_fibre_structure,
-    standard_complex_matrix,
-    standard_symplectic_matrix,
-    tangent_from_parts,
     validate_tangent,
 )
 
@@ -140,10 +145,7 @@ def test_bracket_automorphism_iff_closed():
 
 def _full_probes(at):
     basis = vertical_space_basis(at.structure)
-    probes = [tangent_from_parts(at.n, horizontal=h)
-              for h in coordinate_elements(2 * at.n)]
-    probes += [tangent_from_parts(at.n, vertical=u) for u in basis]
-    probes += [tangent_from_parts(at.n, vertical_coform=u) for u in basis]
+    probes = _probe_set(at.n, basis, "full")
     for t in probes:
         validate_tangent(t, at)
     return basis, probes
@@ -156,13 +158,7 @@ def test_n1_structure1_integrable():
     basis_ref = reference_basis(1)
     ok = True
     sheets = set()
-    for trial in range(50):
-        while True:
-            u = F(rng.randint(-3, 3), rng.randint(2, 5))
-            v = F(rng.randint(-3, 3), rng.randint(2, 5))
-            if u * u + v * v != 1:
-                break
-        sheet = 1 if trial % 2 == 0 else -1
+    for u, v, sheet in _hyperboloid_samples(rng, 50):
         sheets.add(sheet)
         at = TwistorPoint(random_chart_point(2, rng),
                           hyperboloid_point(u, v, sheet, basis_ref))
@@ -205,6 +201,15 @@ def test_n2_flat_vanishes_curved_witnessed():
     _report("first structure, dim-4 base: flat zero on 20 transform-word "
             "samples, curved witness found, curvature-form kernel 0",
             ok and witness and kernel == 0)
+
+
+def test_n3_flat_preset():
+    started = time.perf_counter()
+    report = run_scenario(load_scenario("thm1-n3-flat"))
+    elapsed = time.perf_counter() - started
+    _report("first structure, dim-6 base, flat: preset thm1-n3-flat passes, "
+            f"curvature-form kernel 0, in {elapsed:.1f}s (< 10s)",
+            report.ok and elapsed < 10.0)
 
 
 def test_second_structure_mixed_witness():

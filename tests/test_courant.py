@@ -29,9 +29,8 @@ from gctwistor.courant import (
     section_from_coefficients,
     two_form_field,
 )
-from gctwistor.gclinalg import Endo, from_complex, gelem, neutral_pairing
+from gctwistor.gclinalg import from_complex, gelem, neutral_pairing, standard_complex_matrix
 from gctwistor.poly import Poly, RationalFn
-from gctwistor.twistor import standard_complex_matrix
 
 ZERO2 = Poly.constant(2, 0)
 ONE2 = Poly.constant(2, 1)
@@ -291,8 +290,7 @@ def test_scan_rejects_non_spanning_probes():
 
 
 def test_field_orientation_validation():
-    from gctwistor.twistor import standard_symplectic_matrix
-    from gctwistor.gclinalg import from_symplectic
+    from gctwistor.gclinalg import from_symplectic, standard_symplectic_matrix
     good = constant_field(from_complex(standard_complex_matrix(1)).j)
     good.validate_at(chart_point([F(0), F(0)]), require_orientation=True)
     negative = constant_field(from_symplectic(standard_symplectic_matrix(1)).j)

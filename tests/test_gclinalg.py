@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
@@ -21,6 +22,7 @@ from gctwistor.gclinalg import (
     coordinate_elements,
     dim2_basis_orientation,
     direct_sum,
+    endo_from_blocks,
     exp_two_form,
     exp_two_vector,
     fib_pairing,
@@ -40,15 +42,18 @@ from gctwistor.gclinalg import (
     projection_nondegeneracy_check,
     random_orthonormal_basis,
     reference_basis,
+    seed_structure,
     skew_decompose,
     skew_frames,
     skew_generators,
+    standard_complex_matrix,
+    standard_symplectic_matrix,
     structure_orientation,
     vertical_complex_action,
     vertical_space_basis,
     zero_element,
 )
-from gctwistor.twistor import standard_complex_matrix, standard_symplectic_matrix
+from gctwistor.twistor import sample_fibre_structure
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -602,3 +607,145 @@ def test_decompose_recovers_chart_coordinates():
         assert d.family == "left" and d.compatible_complex
         assert d.left == hyperboloid_chart(u, v, sheet)
         assert d.right == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# vertical bases transported along the samplers' frames
+
+
+def _entries(e: Endo) -> list:
+    return [x for row in e.rows for x in row]
+
+
+def _assert_transport_spans_projection(structure: GCStructure) -> None:
+    """The framed basis has 4n^2 - 2n independent vertical elements and spans
+    the space the projection finds for the same structure without a frame."""
+    assert structure.frame is not None
+    n = structure.dim_v // 2
+    transported = vertical_space_basis(structure)
+    projected = vertical_space_basis(GCStructure(structure.j))
+    assert len(transported) == len(projected) == 4 * n * n - 2 * n
+    assert all(is_vertical(q, structure.j) for q in transported)
+    for source, target in ((transported, projected), (projected, transported)):
+        span = xm.RowReducer()
+        assert all(span.add(_entries(q)) for q in source)
+        assert all(span.contains(_entries(q)) for q in target)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(min_value=0, max_value=10 ** 6))
+def test_fibre_sample_transport_spans_projection(n, seed):
+    _assert_transport_spans_projection(sample_fibre_structure(n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_fibre_sample_transport_spans_projection_n3(seed):
+    _assert_transport_spans_projection(sample_fibre_structure(3, random.Random(seed)))
+
+
+@pytest.mark.parametrize("kind", ("complex", "symplectic"))
+def test_fibre_sample_transport_from_each_seed(kind):
+    rng = random.Random(5)
+    structure = sample_fibre_structure(2, rng)
+    while structure.frame.seed != kind:
+        structure = sample_fibre_structure(2, rng)
+    assert len(structure.frame.moves) == 3
+    _assert_transport_spans_projection(structure)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(min_value=0, max_value=10 ** 6))
+def test_adapted_transport_spans_projection(n, seed):
+    _assert_transport_spans_projection(adapted_structure(random_orthonormal_basis(n, seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals, rationals, st.sampled_from((1, -1)),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+def test_hyperboloid_transport_spans_projection(u, v, sheet, basis_seed):
+    assume(u * u + v * v != 1)
+    basis = reference_basis(1) if basis_seed is None else random_orthonormal_basis(1, basis_seed)
+    _assert_transport_spans_projection(hyperboloid_point(u, v, sheet, basis))
+
+
+@pytest.mark.parametrize("u, v", [(F(2), F(3)), (F(3, 2), F(0)), (F(-1), F(1, 2)), (F(0), F(0))])
+@pytest.mark.parametrize("sheet", (1, -1))
+def test_hyperboloid_transport_on_both_sides_of_the_circle(u, v, sheet):
+    _assert_transport_spans_projection(hyperboloid_point(u, v, sheet, reference_basis(1)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("complex", "symplectic"))
+def test_seed_basis_spans_projection(n, kind):
+    _assert_transport_spans_projection(seed_structure(n, kind))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_seeds_are_the_standard_structures(n):
+    assert seed_structure(n, "complex") == from_complex(standard_complex_matrix(n))
+    assert seed_structure(n, "symplectic") == from_symplectic(standard_symplectic_matrix(n))
+    assert adapted_structure(reference_basis(n)) == seed_structure(n, "complex")
+    with pytest.raises(ValueError):
+        seed_structure(n, "kahler")
+
+
+def test_frame_is_not_part_of_equality():
+    structure = sample_fibre_structure(2, random.Random(3))
+    bare = GCStructure(structure.j)
+    assert bare.frame is None and structure.frame is not None
+    assert structure == bare and hash(structure) == hash(bare)
+    assert repr(structure) == repr(bare)
+
+
+def test_non_isometric_frame_rejected():
+    # g = diag(1 + K, Id) commutes with the seed diag(K, K) but scales the
+    # pairing differently on different vectors
+    k = standard_complex_matrix(1)
+    d = xm.mat_add(xm.identity(2), k)
+    zero = xm.zeros(2, 2)
+    g = endo_from_blocks(d, zero, zero, xm.identity(2))
+    g_inv = endo_from_blocks(xm.inverse(d), zero, zero, xm.identity(2))
+    seed = seed_structure(1, "complex")
+    tampered = GCStructure(seed.j, replace(seed.frame, moves=((g, g_inv),)))
+    with pytest.raises(InvariantError, match="conformal"):
+        vertical_space_basis(tampered)
+
+
+def test_wrong_inverse_in_frame_rejected():
+    structure = sample_fibre_structure(2, random.Random(3))
+    (m, m_inv), *rest = structure.frame.moves
+    frame = replace(structure.frame, moves=((m, m_inv.scale(2)), *rest))
+    with pytest.raises(InvariantError, match="g g\\^-1"):
+        vertical_space_basis(GCStructure(structure.j, frame))
+
+
+@pytest.mark.parametrize("field", ("sign", "seed"))
+def test_wrong_seed_in_frame_rejected(field):
+    structure = sample_fibre_structure(2, random.Random(3))
+    frame = structure.frame
+    wrong = {"sign": -frame.sign,
+             "seed": "symplectic" if frame.seed == "complex" else "complex"}[field]
+    with pytest.raises(InvariantError, match="seed"):
+        vertical_space_basis(GCStructure(structure.j, replace(frame, **{field: wrong})))
+
+
+def test_singular_cayley_factor_rejected():
+    # j = -L1 on the lower sheet; with the seed's sign flipped to +L1 the
+    # Cayley factor 1 - j j0 = 1 + j0^2 vanishes
+    structure = hyperboloid_point(0, 0, -1, reference_basis(1))
+    frame = replace(structure.frame, sign=1)
+    with pytest.raises(InvariantError, match="Cayley"):
+        vertical_space_basis(GCStructure(structure.j, frame))
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_inverse_matrix_is_the_inverse(n):
+    for seed in range(3):
+        basis = random_orthonormal_basis(n, seed)
+        assert basis.inverse_matrix() == xm.inverse(basis.matrix())
+
+
+def test_generators_are_built_once():
+    gens = skew_generators(random_orthonormal_basis(1, 4))
+    s = gens.generator(0, 2)
+    assert gens.generator(0, 2) is s

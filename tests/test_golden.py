@@ -3,8 +3,10 @@ canonical JSON report byte for byte.
 
 The digests are SHA-256 of `emit_report(report, "json")`, recorded on
 Python 3.11.7 before the forward-mode jet arithmetic was merged into
-`poly.Jet`.  A refactor that changes any verdict, witness or residual
-string of any preset changes a digest.
+`poly.Jet`; `thm1-n3-flat` was added later, with the transported
+vertical bases, and recorded from two runs that agreed.  A refactor that
+changes any verdict, witness or residual string of any preset changes a
+digest.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ GOLDEN = {
     "examples-courant": "0656c56a7659b3264787397c025f16a89c19a889c2de859bf0fb7f3896536a76",
     "thm1-n1": "3dbd05898e84dd84ce0c90c01729e48355f9c1b1aa2ed59bc6da1b85b5bd9f0b",
     "thm1-n2-flat": "2e7e474c5b9c96c8544e17184ecf9ddbdd2d73f96a7ed8aa0354e9cedfc7ed39",
+    "thm1-n3-flat": "6130da28590b69a0e1d9332be9ab2b114f4d2c60751f112857cf40d55b07ecb7",
     "thm1-n2-curved": "3dd9bd1c7ce355b051615a70713c5316be5db093b16341f1cf6ea025adbbfffa",
     "oracle-n1": "38416f371f256a60b038a29346d2531ce432fe65ad82ec1d02d96dc036deade3",
 }

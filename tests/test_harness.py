@@ -25,7 +25,8 @@ def run_preset(name, seed=None, hooks=None):
 
 def test_presets_exist():
     assert set(PRESETS) == {"linalg-all", "examples-courant", "thm1-n1",
-                            "thm1-n2-flat", "thm1-n2-curved", "oracle-n1"}
+                            "thm1-n2-flat", "thm1-n3-flat", "thm1-n2-curved",
+                            "oracle-n1"}
 
 
 def test_linalg_suite_passes():
@@ -170,6 +171,18 @@ def test_cli_check_failure_exit_code(tmp_path):
     result = run_cli(str(path), "--format", "text")
     assert result.returncode == 1
     assert "[FAIL]" in result.stdout
+
+
+@pytest.mark.parametrize("n, gamma, residual", [
+    (2, {}, "scenario has n != 3"),
+    (3, {"1,2,2": [{"exponents": [1, 0, 0, 0, 0, 0], "coeff": "1"}]}, "connection is not flat"),
+])
+def test_n3_flat_check_fails_outside_its_setting(n, gamma, residual):
+    scenario = load_scenario({"n": n, "connection": {"gamma": gamma},
+                              "samples": {"fibre_params": 1},
+                              "checks": ["integrability/n3-flat-structure1-vanishes"]})
+    result = run_scenario(scenario).results[0]
+    assert result.status == "fail" and result.residual == residual
 
 
 def run_cli_on(tmp_path, data, *args):

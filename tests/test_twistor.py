@@ -17,6 +17,7 @@ from gctwistor.gclinalg import (
     is_vertical,
     neutral_pairing,
     reference_basis,
+    standard_complex_matrix,
     vertical_space_basis,
 )
 from gctwistor.poly import Poly
@@ -45,7 +46,6 @@ from gctwistor.twistor import (
     random_chart_point,
     sample_adapted_point,
     sample_fibre_structure,
-    standard_complex_matrix,
     tangent_from_parts,
     twistor_J,
     twistor_pairing,
@@ -195,7 +195,7 @@ def test_twistor_J_rejects_non_vertical_parts():
 
 def test_twistor_point_requires_canonical_orientation():
     from gctwistor.gclinalg import from_symplectic
-    from gctwistor.twistor import standard_symplectic_matrix
+    from gctwistor.gclinalg import standard_symplectic_matrix
     with pytest.raises(InvariantError):
         TwistorPoint(chart_point([F(0), F(0)]),
                      from_symplectic(standard_symplectic_matrix(1)))
