@@ -224,21 +224,46 @@ def lie_bracket(xs: JetSection, ys: JetSection, p: ChartPoint) -> Vec:
     return _bracket(jx, jy, m).vec
 
 
+def _add_scaled(acc: list[Fraction], c: Fraction, entries: Sequence[Fraction]) -> None:
+    """acc[i] += c entries[i] over the nonzero entries."""
+    for i, e in enumerate(entries):
+        if e:
+            acc[i] += c * e
+
+
 def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
-    """The Courant bracket of two sections from their 1-jets at one point."""
+    """The Courant bracket of two sections from their 1-jets at one point.
+
+    The covector part is regrouped by component of the two sections,
+
+        sum_j x_j (d_j eta_i - d_i eta_j / 2) - y_j (d_j xi_i - d_i xi_j / 2)
+              + (eta_j d_i X^j - xi_j d_i Y^j) / 2,
+
+    so only the nonzero entries of x, y, xi and eta, and of the partials
+    they multiply, are visited.
+    """
     x, xi, dx, dxi = _split_jet(ja, m)
     y, eta, dy, deta = _split_jet(jb, m)
-    vec = tuple(sum(x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(m)) for i in range(m))
     half = Fraction(1, 2)
-    cov = []
-    for i in range(m):
-        total = F0
-        for j in range(m):
-            total += x[j] * deta[i][j] - y[j] * dxi[i][j]
-            total += half * (eta[j] * dx[j][i] - xi[j] * dy[j][i])
-            total -= half * (x[j] * deta[j][i] - y[j] * dxi[j][i])
-        cov.append(total)
-    return GElement(m, vec, tuple(cov))
+    vec = [F0] * m
+    cov = [F0] * m
+    for j, xj in enumerate(x):
+        if xj:
+            _add_scaled(vec, xj, [row[j] for row in dy])
+            _add_scaled(cov, xj, [row[j] for row in deta])
+            _add_scaled(cov, -half * xj, deta[j])
+    for j, yj in enumerate(y):
+        if yj:
+            _add_scaled(vec, -yj, [row[j] for row in dx])
+            _add_scaled(cov, -yj, [row[j] for row in dxi])
+            _add_scaled(cov, half * yj, dxi[j])
+    for j, ej in enumerate(eta):
+        if ej:
+            _add_scaled(cov, half * ej, dx[j])
+    for j, xij in enumerate(xi):
+        if xij:
+            _add_scaled(cov, -half * xij, dy[j])
+    return GElement(m, tuple(vec), tuple(cov))
 
 
 def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:

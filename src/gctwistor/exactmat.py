@@ -3,11 +3,15 @@
 Matrices are immutable tuples of tuples of Fraction and every algorithm
 is exact: no pivoting heuristics, no tolerances.  Sizes in this package
 stay small (at most a few hundred rows), so plain Gaussian elimination
-over Fraction is both simple and fast enough.  Products skip zero
-entries of both factors, and `RowReducer` keeps its rows as nonzero
-entries: the skew generators, many structures and the curvature-form
-system are sparse, and a skipped term is exactly zero, so the result is
-unchanged.
+over Fraction is both simple and fast enough.  The kernels skip terms
+that are exactly zero, so every result is the same rational: `mat_mul`
+skips zero entries of both factors, `mat_vec` zero entries of the
+vector, `trace_product` zero entries of the first factor, `det` and
+`rref` skip rows whose elimination factor is zero, and `RowReducer`
+keeps its rows as nonzero entries.  The skew generators, many
+structures, the curvature-form system and the unit probes of the
+Courant-bracket oracle are sparse.  Sums start at `F0`, so every entry
+is a `Fraction` even when all its terms are skipped.
 """
 
 from __future__ import annotations
@@ -83,7 +87,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """a v over the nonzero entries of v."""
+    nonzero = [(c, y) for c, y in enumerate(v) if y]
+    return tuple(sum((row[c] * y for c, y in nonzero), F0) for row in a)
 
 
 def is_zero(a: Mat) -> bool:
@@ -95,9 +101,8 @@ def trace(a: Mat) -> Fraction:
 
 
 def trace_product(a: Mat, b: Mat) -> Fraction:
-    """trace(a b) without forming the product."""
-    k = len(a)
-    return sum((a[i][j] * b[j][i] for i in range(k) for j in range(k)), F0)
+    """trace(a b) without forming the product, over the nonzero entries of a."""
+    return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x), F0)
 
 
 def det(m: Mat) -> Fraction:

@@ -12,7 +12,12 @@ exact arithmetic, is the strongest end-to-end check in the package.
 All field evaluation here runs in forward-mode jet arithmetic over
 rationals (`poly.Jet`): every quantity carries its value and chart
 gradient, which is exactly the first-order data the bracket formulas
-consume.
+consume.  `jmat_mul` skips the zero jets of both factors, which are
+exactly zero terms.  Each chart point's context (chart jets, base
+structure, horizontal-lift and fibre-structure coefficients) is computed
+once per chart and memoized, together with the numeric views
+`gamma_values` and `vertical_chart_basis` that the probe-pair
+comparison reads.
 """
 
 from __future__ import annotations
@@ -67,16 +72,17 @@ JetMat = list[list[Jet]]
 
 
 def jmat_mul(a: JetMat, b: JetMat) -> JetMat:
-    size = len(a)
+    """a b, accumulated row by row over the nonzero jets of a and b."""
+    nvars = len(a[0][0].grad)
+    sparse_b = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, size):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = [Jet.constant(0, nvars)] * len(b[0])
+        for x, nonzero in zip(row, sparse_b):
+            if not x.is_zero():
+                for c, y in nonzero:
+                    acc[c] = acc[c] + x * y
+        out.append(acc)
     return out
 
 
@@ -121,7 +127,10 @@ class TwistorChart:
     unit-hyperboloid chart x1 = sheet (1+u^2+v^2)/(1-u^2-v^2),
     x2 = 2u/(1-u^2-v^2), x3 = 2v/(1-u^2-v^2); the circle u^2+v^2 = 1 is
     excluded.  All per-point data (structure, splitting, the two twistor
-    structure fields) is computed in jet arithmetic and memoized.
+    structure fields) is computed in jet arithmetic and memoized.  The
+    point's context also memoizes its two numeric views that `decompose`
+    and `compose` read for every probe pair: `gamma_values` and
+    `vertical_chart_basis`.
     """
 
     NVARS = 4
@@ -242,20 +251,26 @@ class TwistorChart:
         return TwistorPoint(chart_point(q.coords[:2]), self.structure_at(q))
 
     def vertical_chart_basis(self, q: ChartPoint) -> tuple[Endo, Endo]:
-        """The endomorphisms dJ/du and dJ/dv at the point."""
+        """The endomorphisms dJ/du and dJ/dv at the point, memoized in its context."""
         ctx = self.context(q)
-        out = []
-        for w in range(2):
-            m = xm.zeros(4, 4)
-            for r in range(3):
-                m = xm.mat_add(m, xm.mat_scale(ctx["dx"][r][w].value, self.frame[r]))
-            out.append(Endo(4, m))
-        return out[0], out[1]
+        if "vertical_chart_basis" not in ctx:
+            out = []
+            for w in range(2):
+                m = xm.zeros(4, 4)
+                for r in range(3):
+                    m = xm.mat_add(m, xm.mat_scale(ctx["dx"][r][w].value, self.frame[r]))
+                out.append(Endo(4, m))
+            ctx["vertical_chart_basis"] = (out[0], out[1])
+        return ctx["vertical_chart_basis"]
 
     def gamma_values(self, q: ChartPoint) -> Mat:
-        """gamma[a][w]: the (u, v) components of the lift of d/dx_a."""
+        """gamma[a][w]: the (u, v) components of the lift of d/dx_a, memoized
+        in the point's context."""
         ctx = self.context(q)
-        return xm.mat([[ctx["gammas"][a][w].value for w in range(2)] for a in range(2)])
+        if "gamma_values" not in ctx:
+            ctx["gamma_values"] = xm.mat([[ctx["gammas"][a][w].value for w in range(2)]
+                                          for a in range(2)])
+        return ctx["gamma_values"]
 
     def uv_coordinates(self, vertical: Endo, q: ChartPoint) -> tuple[Fraction, Fraction]:
         """Chart coordinates of a vertical endomorphism at the point."""

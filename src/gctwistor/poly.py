@@ -68,6 +68,10 @@ class Jet:
     def scale(self, c: Fraction) -> "Jet":
         return Jet(c * self.value, tuple(c * a for a in self.grad))
 
+    def is_zero(self) -> bool:
+        """True for the zero jet: zero value and an all-zero gradient."""
+        return self.value == 0 and not any(self.grad)
+
 
 def _canonical(nvars: int, terms: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
     cleaned = {}
@@ -147,8 +151,23 @@ class Poly:
         return total
 
     def jet(self, point: Sequence[Fraction]) -> Jet:
-        return Jet(self.evaluate(point),
-                   tuple(self.partial(i).evaluate(point) for i in range(self.nvars)))
+        """Value and gradient at the point, read off the monomials: the
+        partial in x_i of c x^e is c e_i x_i^(e_i - 1) times the other powers."""
+        value = F0
+        grad = [F0] * self.nvars
+        for exps, coeff in self.terms:
+            powers = [(i, point[i], e) for i, e in enumerate(exps) if e]
+            term = coeff
+            for _, x, e in powers:
+                term *= x ** e
+            value += term
+            for i, x, e in powers:
+                d = coeff * e * x ** (e - 1)
+                for k, y, f in powers:
+                    if k != i:
+                        d *= y ** f
+                grad[i] += d
+        return Jet(value, tuple(grad))
 
 
 @dataclass(frozen=True)

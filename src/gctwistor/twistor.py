@@ -111,7 +111,10 @@ class Connection:
         return d
 
     def curvature_basis_at(self, p: ChartPoint) -> dict[tuple[int, int], Mat]:
-        """R(d/dx_a, d/dx_b) for a < b at the point, memoized per point."""
+        """R(d/dx_a, d/dx_b) for a < b at the point, memoized per point.
+
+        A connection without entries is flat: every matrix is zero, and the
+        Christoffel sums are not formed."""
         cached = self._curvature_cache.get(p.coords)
         if cached is not None:
             return cached
@@ -121,6 +124,9 @@ class Connection:
         table = {}
         for a in range(dim):
             for b in range(a + 1, dim):
+                if not self.entries:
+                    table[(a, b)] = xm.zeros(dim, dim)
+                    continue
                 rows = []
                 for k in range(dim):
                     row = []

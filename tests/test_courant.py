@@ -29,6 +29,7 @@ from gctwistor.courant import (
     section_from_coefficients,
     two_form_field,
 )
+from gctwistor.courant import _bracket
 from gctwistor.gclinalg import from_complex, gelem, neutral_pairing, standard_complex_matrix
 from gctwistor.poly import Poly, RationalFn
 
@@ -119,6 +120,57 @@ def test_courant_antisymmetry_property(seed):
     b = rand_section(rng)
     p = rand_point(rng)
     assert (courant_bracket(a, b, p) + courant_bracket(b, a, p)).is_zero()
+
+
+def textbook_bracket(ja: Jet1, jb: Jet1, m: int):
+    """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2,
+    every term written out in coordinates and summed densely."""
+    x, xi, dx, dxi = ja.value[:m], ja.value[m:], ja.jacobian[:m], ja.jacobian[m:]
+    y, eta, dy, deta = jb.value[:m], jb.value[m:], jb.jacobian[:m], jb.jacobian[m:]
+    vec, cov = [], []
+    for i in range(m):
+        vec.append(sum((x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(m)), F(0)))
+        lie_x_eta = sum((x[j] * deta[i][j] + eta[j] * dx[j][i] for j in range(m)), F(0))
+        lie_y_xi = sum((y[j] * dxi[i][j] + xi[j] * dy[j][i] for j in range(m)), F(0))
+        d_pairing = sum((eta[j] * dx[j][i] + x[j] * deta[j][i]
+                         - xi[j] * dy[j][i] - y[j] * dxi[j][i] for j in range(m)), F(0))
+        cov.append(lie_x_eta - lie_y_xi - d_pairing / 2)
+    return tuple(vec), tuple(cov)
+
+
+_nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+def _zero_pattern(draw):
+    """Entries that are all zero, all nonzero or about half zeros."""
+    kind = draw(st.sampled_from(["zero", "dense", "mixed"]))
+    return {"zero": st.just(F(0)), "dense": _nonzero,
+            "mixed": st.one_of(st.just(F(0)), _nonzero)}[kind]
+
+
+@st.composite
+def _bracket_operands(draw):
+    """Two section jets on an m-chart, m = 2, 4 or 6 (a GElement has even
+    dimension), whose values and Jacobians each follow their own zero
+    pattern."""
+    m = draw(st.sampled_from([2, 4, 6]))
+
+    def jet():
+        values, partials = _zero_pattern(draw), _zero_pattern(draw)
+        return Jet1(tuple(draw(values) for _ in range(2 * m)),
+                    tuple(tuple(draw(partials) for _ in range(m)) for _ in range(2 * m)))
+
+    return jet(), jet(), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bracket_operands())
+def test_bracket_matches_textbook_formula(operands):
+    # the regrouped, zero-skipping bracket is the same rational as the definition
+    ja, jb, m = operands
+    value = _bracket(ja, jb, m)
+    assert (value.vec, value.cov) == textbook_bracket(ja, jb, m)
+    assert all(type(c) is F for c in value.vec + value.cov)
 
 
 def test_rational_coefficient_sections():

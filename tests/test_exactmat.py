@@ -87,6 +87,51 @@ def test_mat_mul_matches_triple_sum(operands):
     assert all(type(x) is F for row in product for x in row)
 
 
+def _zero_pattern(draw):
+    """Entries that are all zero, all nonzero or about half zeros."""
+    kind = draw(st.sampled_from(["zero", "dense", "mixed"]))
+    return {"zero": st.just(F(0)), "dense": _nonzero,
+            "mixed": st.one_of(st.just(F(0)), _nonzero)}[kind]
+
+
+@st.composite
+def _mat_vec_operands(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries, v_entries = _zero_pattern(draw), _zero_pattern(draw)
+    a = tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+    return a, tuple(draw(v_entries) for _ in range(cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mat_vec_operands())
+def test_mat_vec_matches_dense_sum(operands):
+    # zero entries of the vector are skipped; every entry is still a Fraction
+    a, v = operands
+    image = xm.mat_vec(a, v)
+    assert image == tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a)
+    assert all(type(x) is F for x in image)
+
+
+@st.composite
+def _square_pair(draw):
+    k = draw(st.integers(0, 5))
+    a_entries, b_entries = _zero_pattern(draw), _zero_pattern(draw)
+    a = tuple(tuple(draw(a_entries) for _ in range(k)) for _ in range(k))
+    b = tuple(tuple(draw(b_entries) for _ in range(k)) for _ in range(k))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_pair())
+def test_trace_product_matches_dense_sum(operands):
+    # zero entries of the first factor are skipped; the trace is still a Fraction
+    a, b = operands
+    k = len(a)
+    value = xm.trace_product(a, b)
+    assert value == sum((a[i][j] * b[j][i] for i in range(k) for j in range(k)), F(0))
+    assert type(value) is F
+
+
 def test_mat_mul_dense_and_sparse_examples():
     dense = xm.mat([[1, 2, 3], [4, 5, 6]])
     sparse = xm.mat([[0, 0], [F(1, 2), 0], [0, -3]])

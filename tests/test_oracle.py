@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gctwistor.courant import chart_point, coordinate_sections, nijenhuis, nijenhuis_table
 from gctwistor.gclinalg import (
@@ -17,11 +19,12 @@ from gctwistor.oracle import (
     TwistorChart,
     chart_bracket_curvature_check,
     chart_vertical_bracket_check,
+    jmat_mul,
     lift_bracket_curvature_check,
     oracle_compare_nijenhuis,
     seeded_oracle_samples,
 )
-from gctwistor.poly import Poly
+from gctwistor.poly import Jet, Poly
 from gctwistor.twistor import (
     TwistorPoint,
     connection,
@@ -53,6 +56,18 @@ def test_chart_structure_matches_constructor():
     negative = TwistorChart(CONN, -1)
     expected_neg = hyperboloid_point(F(1, 4), F(1, 5), -1, reference_basis(1))
     assert negative.structure_at(q).j == expected_neg.j
+
+
+def test_chart_views_memoized_per_point():
+    chart = TwistorChart(CONN, 1)
+    q, other = q_at(), q_at(u=F(-1, 3), v=F(1, 2))
+    gammas, basis = chart.gamma_values(q), chart.vertical_chart_basis(q)
+    assert chart.gamma_values(q) is gammas and chart.vertical_chart_basis(q) is basis
+    # a fresh chart recomputes the same rationals; another point gives other values
+    fresh = TwistorChart(CONN, 1)
+    assert fresh.gamma_values(q) == gammas and fresh.vertical_chart_basis(q) == basis
+    assert chart.gamma_values(other) != gammas
+    assert chart.vertical_chart_basis(other) != basis
 
 
 def test_chart_rejects_singular_fibre():
@@ -287,3 +302,52 @@ def test_table_matches_pairwise_nijenhuis_on_chart_fields():
         assert len(table) == 28
         for (i, k), value in table.items():
             assert value == nijenhuis(field, probes[i], probes[k], q)
+
+
+# ---------------------------------------------------------------------------
+# jet matrix products
+
+
+_nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+def _zero_pattern(draw):
+    """Entries that are all zero, all nonzero or about half zeros."""
+    kind = draw(st.sampled_from(["zero", "dense", "mixed"]))
+    return {"zero": st.just(F(0)), "dense": _nonzero,
+            "mixed": st.one_of(st.just(F(0)), _nonzero)}[kind]
+
+
+@st.composite
+def _jet_matrices(draw):
+    """Two square jet matrices whose values and gradients each follow their
+    own zero pattern, so zero jets, zero-valued jets with a gradient and
+    constant jets all occur."""
+    size, nvars = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix():
+        values, grads = _zero_pattern(draw), _zero_pattern(draw)
+        return [[Jet(draw(values), tuple(draw(grads) for _ in range(nvars)))
+                 for _ in range(size)] for _ in range(size)]
+
+    return matrix(), matrix(), nvars
+
+
+@settings(max_examples=80, deadline=None)
+@given(_jet_matrices())
+def test_jmat_mul_matches_dense_triple_loop(operands):
+    # zero jets of either factor are skipped; the product is the same jets
+    a, b, nvars = operands
+    size = len(a)
+    dense = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = Jet.constant(0, nvars)
+            for k in range(size):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        dense.append(row)
+    product = jmat_mul(a, b)
+    assert product == dense
+    assert all(type(x) is F for row in product for e in row for x in (e.value,) + e.grad)

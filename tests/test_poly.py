@@ -91,6 +91,35 @@ def test_jet_matches_polynomial_and_rational_arithmetic(p, q, point):
             RationalFn(p, vanishing).jet(point)
 
 
+@st.composite
+def _poly_and_point(draw):
+    """A polynomial in 1..6 variables, exponents up to 3, and a point whose
+    coordinates are all zero, all nonzero or about half zeros."""
+    nvars = draw(st.integers(1, 6))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), small_rationals,
+                                 max_size=5))
+    coords = draw(st.sampled_from([st.just(F(0)), small_rationals.filter(bool),
+                                   small_rationals]))
+    return Poly.from_dict(nvars, terms), tuple(draw(coords) for _ in range(nvars))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_and_point())
+def test_poly_jet_matches_partial_polynomials(operands):
+    # the gradient read off the monomials is that of the partial polynomials
+    p, point = operands
+    jet = p.jet(point)
+    assert jet.value == p.evaluate(point)
+    assert jet.grad == tuple(p.partial(i).evaluate(point) for i in range(p.nvars))
+    assert all(type(x) is F for x in (jet.value,) + jet.grad)
+
+
+def test_jet_is_zero_needs_value_and_gradient():
+    assert Jet.constant(0, 3).is_zero()
+    assert not Jet(F(0), (F(0), F(1))).is_zero()
+    assert not Jet.constant(F(1, 2), 2).is_zero()
+
+
 def test_rational_equality_cross_multiplied():
     x = Poly.variable(1, 0)
     one = Poly.constant(1, 1)

@@ -109,6 +109,16 @@ def test_flat_connections_have_zero_curvature():
     assert curvature(constant, (F(1), F(0)), (F(0), F(1)), p).is_zero()
 
 
+def test_flat_curvature_table_is_zero_and_memoized():
+    p = chart_point([F(1), F(2), F(-1), F(1, 2)])
+    flat = flat_connection(2)
+    table = flat.curvature_basis_at(p)
+    # the same (a, b) keys as a curved table, every matrix zero
+    assert table.keys() == CONN_N2.curvature_basis_at(p).keys()
+    assert all(r == xm.zeros(4, 4) for r in table.values())
+    assert flat.curvature_basis_at(p) is table
+
+
 def test_extended_curvature_action():
     p = chart_point([F(2), F(3)])
     r = curvature(CONN_N1, (F(1), F(0)), (F(0), F(1)), p)
