@@ -1,22 +1,38 @@
 """Dense linear algebra over exact rationals.
 
-Matrices are immutable tuples of tuples of Fraction and every algorithm
-is exact: no pivoting heuristics, no tolerances.  Sizes in this package
-stay small (at most a few hundred rows), so plain Gaussian elimination
-over Fraction is both simple and fast enough.  The kernels skip terms
-that are exactly zero, so every result is the same rational: `mat_mul`
-skips zero entries of both factors, `mat_vec` zero entries of the
-vector, `trace_product` zero entries of the first factor, `det` and
-`rref` skip rows whose elimination factor is zero, and `RowReducer`
-keeps its rows as nonzero entries.  The skew generators, many
-structures, the curvature-form system and the unit probes of the
-Courant-bracket oracle are sparse.  Sums start at `F0`, so every entry
+Matrices are immutable tuples of tuples of Fraction.  That is the
+contract at every public function: entries go in as Fraction (or int)
+and come out as Fraction, and every result is the exact rational, with
+no pivoting heuristics and no tolerances.  Inside, the hot kernels work
+over Python ints, which skips the gcd that normalises every Fraction
+product and sum: a row, or a whole factor, is multiplied by the lcm of
+its denominators, the arithmetic is done in integers, and each entry of
+the result is built once as a Fraction.
+
+- `mat_mul` scales the nonzero entries of b once and each row of a once,
+  sums integer products and divides each entry by the two scales;
+  `mat_vec` does the same with the vector in place of b.
+- `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
+  22, 1968) on the rows scaled to integers; every division in it is exact.
+- `rref`, and through it `rank`, `solve`, `inverse` and `nullspace`, is a
+  fraction-free Gauss-Jordan elimination on primitive integer rows; each
+  pivot row is divided by its pivot at the end.  The reduced row echelon
+  form is unique, so it is the one elimination over Fraction gives.
+- `RowReducer` stores primitive integer rows with their pivots.
+
+The kernels skip terms that are exactly zero: `mat_mul` zero entries of
+both factors, `mat_vec` zero entries of the vector, `trace_product` zero
+entries of the first factor, and `RowReducer` keeps its rows as nonzero
+entries.  The skew generators, many structures, the curvature-form
+system and the unit probes of the Courant-bracket oracle are sparse.
+Sums start at `F0`, and a zero entry of a product is `F0`, so every entry
 is a `Fraction` even when all its terms are skipped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -71,29 +87,68 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _scaled(entries: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers N and the least d > 0 with entries = N / d."""
+    pairs = [(x.numerator, x.denominator) for x in entries]
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (unchanged if all zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
+    """An integer matrix N and the least d > 0 with m = N / d, the form in
+    which gclinalg's orthonormality, generator and anticommutator kernels
+    work."""
+    pairs = [[(x.numerator, x.denominator) for x in row] for row in m]
+    d = lcm(*(q for row in pairs for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in pairs], d
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """a b, accumulated row by row over the nonzero entries of a and b."""
+    """a b in integers: the nonzero entries of b are scaled once by the lcm
+    d_b of their denominators, each row of a by the lcm d_a of the
+    denominators it uses, and each entry is one integer sum over d_a d_b."""
     cols = len(b[0]) if b else 0
-    sparse_b = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    nonzero_b = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    db = lcm(*(y.denominator for nonzero in nonzero_b for _, y in nonzero))
+    scaled_b = [[(c, y.numerator * (db // y.denominator)) for c, y in nonzero]
+                for nonzero in nonzero_b]
     out = []
     for row in a:
-        acc = [F0] * cols
-        for x, nonzero in zip(row, sparse_b):
-            if x:
-                for c, y in nonzero:
-                    acc[c] += x * y
-        out.append(tuple(acc))
+        used = [(x, nonzero) for x, nonzero in zip(row, scaled_b) if x and nonzero]
+        da = lcm(*(x.denominator for x, _ in used))
+        acc = [0] * cols
+        for x, nonzero in used:
+            x = x.numerator * (da // x.denominator)
+            for c, y in nonzero:
+                acc[c] += x * y
+        d = da * db
+        out.append(tuple(Fraction(v, d) if v else F0 for v in acc))
     return tuple(out)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    """a v over the nonzero entries of v."""
+    """a v in integers, as in `mat_mul`: the nonzero entries of v are
+    scaled once, each row of a by the lcm of the denominators it uses."""
     nonzero = [(c, y) for c, y in enumerate(v) if y]
-    return tuple(sum((row[c] * y for c, y in nonzero), F0) for row in a)
+    dv = lcm(*(y.denominator for _, y in nonzero))
+    scaled = [(c, y.numerator * (dv // y.denominator)) for c, y in nonzero]
+    out = []
+    for row in a:
+        used = [(row[c], y) for c, y in scaled if row[c]]
+        da = lcm(*(x.denominator for x, _ in used))
+        total = sum(x.numerator * (da // x.denominator) * y for x, y in used)
+        out.append(Fraction(total, da * dv) if total else F0)
+    return tuple(out)
 
 
 def is_zero(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return not any(map(any, a))
 
 
 def trace(a: Mat) -> Fraction:
@@ -106,50 +161,74 @@ def trace_product(a: Mat, b: Mat) -> Fraction:
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant by exact Gaussian elimination with row swaps."""
+    """Determinant by Bareiss's fraction-free elimination with row swaps.
+
+    Each row is scaled to integers by the lcm of its denominators.  After
+    step k every remaining entry is a (k + 1)-minor of the scaled matrix,
+    so each division by the previous pivot is exact, and the last pivot
+    over the product of the row scales is the determinant.
+    """
     k = len(m)
-    rows = [list(row) for row in m]
+    rows = []
+    scale = 1
+    for row in m:
+        ints, d = _scaled(row)
+        rows.append(ints)
+        scale *= d
     sign = 1
-    result = F1
+    prev = 1
     for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, k) if rows[r][col]), None)
         if pivot is None:
             return F0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        p = rows[col][col]
-        result *= p
+        prow = rows[col]
+        p = prow[col]
+        tail = prow[col + 1:]
         for r in range(col + 1, k):
-            factor = rows[r][col] / p
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return result * sign
+            row = rows[r]
+            f = row[col]
+            row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], tail)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    rows = [list(row) for row in m]
+    """Reduced row echelon form and the tuple of pivot columns.
+
+    Fraction-free Gauss-Jordan: rows are scaled to primitive integer rows,
+    a row is cleared in a pivot column by subtracting an integer multiple
+    of the pivot row from an integer multiple of itself and is made
+    primitive again, and each pivot row is divided by its pivot at the end.
+    """
+    rows = [_primitive(_scaled(row)[0]) for row in m]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
         if r >= nrows:
             break
-        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
+        prow = rows[r]
+        p = prow[col]
         for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and f:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                rows[i] = _primitive([pg * x - fg * y for x, y in zip(rows[i], prow)])
         pivots.append(col)
         r += 1
-    return mat(rows), tuple(pivots)
+    # rows past the last pivot row are zero
+    out = [tuple(Fraction(x, row[c]) if x else F0 for x in row) for row, c in zip(rows, pivots)]
+    out += [(F0,) * ncols] * (nrows - r)
+    return tuple(out), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -161,34 +240,41 @@ def rank(m: Mat) -> int:
 class RowReducer:
     """Incremental echelon form for repeated span and independence queries.
 
-    Each stored row keeps only its nonzero (column, value) pairs, so a
-    reduction skips the zero terms, which are exactly zero.
+    Each stored row is a primitive integer row, kept as its nonzero
+    (column, value) pairs with its pivot column and pivot value.  A vector
+    is scaled to integers once; reducing it by a stored row multiplies it
+    by pivot / g and subtracts value / g times the row, g the gcd of the
+    pivot and the vector's entry in the pivot column.
     """
 
     def __init__(self) -> None:
-        # (pivot column, nonzero (column, value) pairs of the normalized row)
-        self._rows: list[tuple[int, list[tuple[int, Fraction]]]] = []
+        # (pivot column, pivot value, nonzero (column, value) pairs of the primitive row)
+        self._rows: list[tuple[int, int, list[tuple[int, int]]]] = []
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        out = list(v)
-        for pivot, row in self._rows:
+    def _reduce(self, v: Sequence[Fraction]) -> list[int]:
+        out = _scaled(v)[0]
+        for pivot, p, row in self._rows:
             f = out[pivot]
             if f:
+                g = gcd(p, f)
+                if p != g:
+                    pg = p // g
+                    out = [pg * x for x in out]
+                f //= g
                 for i, x in row:
                     out[i] -= f * x
         return out
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Add a vector to the span; False if it was already dependent."""
-        reduced = self._reduce(v)
-        pivot = next((i for i, x in enumerate(reduced) if x != 0), None)
+        reduced = _primitive(self._reduce(v))
+        pivot = next((i for i, x in enumerate(reduced) if x), None)
         if pivot is None:
             return False
-        p = reduced[pivot]
-        self._rows.append((pivot, [(i, x / p) for i, x in enumerate(reduced) if x]))
+        self._rows.append((pivot, reduced[pivot], [(i, x) for i, x in enumerate(reduced) if x]))
         return True
 
     def __len__(self) -> int:

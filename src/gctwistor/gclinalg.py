@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import exactmat as xm
@@ -212,12 +214,12 @@ def is_pairing_skew(m: Endo) -> bool:
     rows = m.rows
     for i in range(h):
         for j in range(h):
-            if rows[i][h + j] + rows[j][h + i] != 0:        # B skew
-                return False
-            if rows[h + i][j] + rows[h + j][i] != 0:        # C skew
-                return False
-            if rows[h + i][h + j] + rows[j][i] != 0:        # D = -A^T
-                return False
+            for x, y in ((rows[i][h + j], rows[j][h + i]),       # B skew
+                         (rows[h + i][j], rows[h + j][i]),       # C skew
+                         (rows[h + i][h + j], rows[j][i])):      # D = -A^T
+                # x = -y in lowest terms, compared as integers
+                if x.numerator != -y.numerator or x.denominator != y.denominator:
+                    return False
     return True
 
 
@@ -370,10 +372,18 @@ class OrthonormalBasis:
         half = n4 // 2
         if self.signs != (1,) * half + (-1,) * half:
             raise InvariantError("expected 2n signs +1 followed by 2n signs -1")
-        for i, a in enumerate(self.vectors):
+        if any(v.dim_v != half for v in self.vectors):
+            raise DimensionMismatchError("basis elements do not live in V + V* of dim V = 2n")
+        # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2) over the
+        # integer coordinates N = d Q, d the common denominator
+        ints, d = xm._integer_matrix([v.coords for v in self.vectors])
+        vecs = [row[:half] for row in ints]
+        covs = [row[half:] for row in ints]
+        norm = 2 * d * d
+        for i in range(n4):
             for k in range(i, n4):
-                expected = Fraction(self.signs[i]) if i == k else F0
-                if neutral_pairing(a, self.vectors[k]) != expected:
+                total = sum(map(mul, covs[i], vecs[k])) + sum(map(mul, covs[k], vecs[i]))
+                if total != (self.signs[i] * norm if i == k else 0):
                     raise InvariantError(f"pairing of elements {i} and {k} is not orthonormal")
 
     @property
@@ -425,6 +435,19 @@ def _hyperbolic_params(rng: random.Random) -> tuple[Fraction, Fraction]:
 _BASIS_WORD_LENGTH = 12
 
 
+def _combine(x: Fraction, u: tuple[list[int], int], y: Fraction,
+             w: tuple[list[int], int]) -> tuple[list[int], int]:
+    """x u + y w for vectors kept as (integer coordinates, denominator),
+    in lowest terms."""
+    (nu, du), (nw, dw) = u, w
+    a = x.numerator * y.denominator * dw
+    b = y.numerator * x.denominator * du
+    num = [a * p + b * q for p, q in zip(nu, nw)]
+    den = x.denominator * y.denominator * du * dw
+    g = gcd(den, *num)
+    return [p // g for p in num], den // g
+
+
 def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBasis:
     """A seeded random orthonormal basis, exact by construction.
 
@@ -433,12 +456,18 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
     circular rotations inside a sign class and rational hyperbolic
     rotations across the two classes.
     Every move has determinant one, so the result is positively
-    oriented.
+    oriented.  Each element is kept as integer coordinates over its own
+    denominator through the moves and becomes a `GElement` at the end.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    base = reference_basis(n)
-    vectors = list(base.vectors)
     dim_v = 2 * n
+    # e_i + a_i, then e_i - a_i: the reference basis
+    vectors = []
+    for sign in (1, -1):
+        for i in range(dim_v):
+            coords = [0] * (2 * dim_v)
+            coords[i], coords[dim_v + i] = 1, sign
+            vectors.append((coords, 1))
     for _ in range(_BASIS_WORD_LENGTH):
         kind = rng.choice(("circular+", "circular-", "hyperbolic"))
         if kind == "circular+":
@@ -448,17 +477,17 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
         else:
             i = rng.randrange(dim_v)
             k = dim_v + rng.randrange(dim_v)
+        vi, vk = vectors[i], vectors[k]
         if kind == "hyperbolic":
             c, s = _hyperbolic_params(rng)
-            vi, vk = vectors[i], vectors[k]
-            vectors[i] = vi.scale(c) + vk.scale(s)
-            vectors[k] = vi.scale(s) + vk.scale(c)
+            vectors[i] = _combine(c, vi, s, vk)
         else:
             c, s = _rotation_params(rng)
-            vi, vk = vectors[i], vectors[k]
-            vectors[i] = vi.scale(c) - vk.scale(s)
-            vectors[k] = vi.scale(s) + vk.scale(c)
-    return OrthonormalBasis(tuple(vectors), base.signs)
+            vectors[i] = _combine(c, vi, -s, vk)
+        vectors[k] = _combine(s, vi, c, vk)
+    return OrthonormalBasis(tuple(from_coords([Fraction(x, d) for x in coords])
+                                  for coords, d in vectors),
+                            (1,) * dim_v + (-1,) * dim_v)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +762,17 @@ def gl_action(g: Mat, j: GCStructure) -> GCStructure:
 @dataclass(frozen=True)
 class SkewGenerators:
     """The generators S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i) of a basis,
-    built on demand from the basis matrix and its inverse and memoised."""
+    built on demand from the basis matrix B and its inverse and memoised.
+
+    B and B^-1 are kept as integer matrices: B = bmat / d and
+    B^-1 = binv / d' for integers d and d', and `den` = d d', so each
+    entry of a generator is one integer over `den`.
+    """
 
     basis: OrthonormalBasis
-    bmat: Mat
-    binv: Mat
+    bmat: tuple[tuple[int, ...], ...]
+    binv: tuple[tuple[int, ...], ...]
+    den: int
     _built: dict = field(default_factory=dict, compare=False, repr=False)
 
     def generator(self, i: int, k: int) -> Endo:
@@ -756,11 +791,14 @@ class SkewGenerators:
         elif i > k:
             s = -self.generator(k, i)
         else:
-            b, binv, signs = self.bmat, self.binv, self.basis.signs
-            col_k = [signs[i] * b[r][k] for r in range(n4)]
-            col_i = [signs[k] * b[r][i] for r in range(n4)]
-            s = Endo(n4, tuple(tuple(col_k[r] * binv[i][c] - col_i[r] * binv[k][c]
-                                     for c in range(n4)) for r in range(n4)))
+            b, signs, den = self.bmat, self.basis.signs, self.den
+            row_i, row_k = self.binv[i], self.binv[k]
+            rows = []
+            for r in range(n4):
+                x, y = signs[i] * b[r][k], signs[k] * b[r][i]
+                rows.append(tuple(Fraction(v, den) if (v := x * p - y * q) else F0
+                                  for p, q in zip(row_i, row_k)))
+            s = Endo(n4, tuple(rows))
         self._built[(i, k)] = s
         return s
 
@@ -771,7 +809,9 @@ class SkewGenerators:
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
     """The skew generators of a basis; each S_ik is built on first use."""
-    return SkewGenerators(basis, basis.matrix(), basis.inverse_matrix())
+    b, d = xm._integer_matrix(basis.matrix())
+    binv, d_inv = xm._integer_matrix(basis.inverse_matrix())
+    return SkewGenerators(basis, tuple(map(tuple, b)), tuple(map(tuple, binv)), d * d_inv)
 
 
 @dataclass(frozen=True)
@@ -902,8 +942,24 @@ def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
 
 
 def is_vertical(q: Endo, j: Endo) -> bool:
-    """True iff q is pairing skew and anticommutes with j."""
-    return is_pairing_skew(q) and (q.compose(j) + j.compose(q)).is_zero()
+    """True iff q is pairing skew and anticommutes with j.
+
+    q j + j q is tested entry by entry in integers, Q J + J Q for the
+    integer matrices Q = d_q q and J = d_j j, up to the first nonzero entry.
+    """
+    if not is_pairing_skew(q):
+        return False
+    if q.dim != j.dim:
+        raise DimensionMismatchError("endomorphism sizes differ")
+    qi, _ = xm._integer_matrix(q.rows)
+    ji, _ = xm._integer_matrix(j.rows)
+    q_cols = list(zip(*qi))
+    j_cols = list(zip(*ji))
+    for q_row, j_row in zip(qi, ji):
+        for j_col, q_col in zip(j_cols, q_cols):
+            if sum(map(mul, q_row, j_col)) + sum(map(mul, j_row, q_col)):
+                return False
+    return True
 
 
 def vertical_complex_action(j: GCStructure, q: Endo) -> Endo:

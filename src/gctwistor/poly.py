@@ -235,7 +235,12 @@ class RationalFn:
         return self.num.evaluate(point) / d
 
     def jet(self, point: Sequence[Fraction]) -> Jet:
-        """The quotient-rule jet; ZeroDenominatorError where the denominator vanishes."""
+        """The quotient-rule jet; ZeroDenominatorError where the denominator vanishes.
+
+        Over the constant denominator 1 (every `from_poly`), the numerator's jet.
+        """
+        if self.den.terms == ((self.den.nvars * (0,), F1),):
+            return self.num.jet(point)
         return self.num.jet(point) / self.den.jet(point)
 
 

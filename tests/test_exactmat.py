@@ -67,31 +67,31 @@ def _triple_sum(a, b):
 _nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 
 
-@st.composite
-def _product_operands(draw):
-    """Rectangular or empty operands, all dense or about half zeros."""
-    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
-    entries = st.one_of(st.just(F(0)), _nonzero) if draw(st.booleans()) else _nonzero
-    a = tuple(tuple(draw(entries) for _ in range(inner)) for _ in range(rows))
-    b = tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(inner))
-    return a, b
-
-
-@settings(max_examples=80, deadline=None)
-@given(_product_operands())
-def test_mat_mul_matches_triple_sum(operands):
-    # zero skipping changes which terms are added, never the exact result
-    a, b = operands
-    product = xm.mat_mul(a, b)
-    assert product == _triple_sum(a, b)
-    assert all(type(x) is F for row in product for x in row)
-
-
 def _zero_pattern(draw):
     """Entries that are all zero, all nonzero or about half zeros."""
     kind = draw(st.sampled_from(["zero", "dense", "mixed"]))
     return {"zero": st.just(F(0)), "dense": _nonzero,
             "mixed": st.one_of(st.just(F(0)), _nonzero)}[kind]
+
+
+@st.composite
+def _product_operands(draw):
+    """Rectangular or empty operands, each all zero, dense or about half zeros."""
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    a_entries, b_entries = _zero_pattern(draw), _zero_pattern(draw)
+    a = tuple(tuple(draw(a_entries) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(b_entries) for _ in range(cols)) for _ in range(inner))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(_product_operands())
+def test_mat_mul_matches_triple_sum(operands):
+    # integer products over the row and factor scales give the exact sums
+    a, b = operands
+    product = xm.mat_mul(a, b)
+    assert product == _triple_sum(a, b)
+    assert all(type(x) is F for row in product for x in row)
 
 
 @st.composite
@@ -172,3 +172,189 @@ def test_row_reducer_matches_rank(inputs):
         assert len(r) == xm.rank(rows[:k + 1])
     for probe in probes:
         assert r.contains(probe) == (xm.rank(rows + [probe]) == len(r))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: Gaussian elimination over Fraction, the
+# definitions the integer kernels must reproduce exactly
+
+
+def _ref_det(m):
+    rows = [list(row) for row in m]
+    k, sign, result = len(rows), 1, F(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        p = rows[col][col]
+        result *= p
+        for r in range(col + 1, k):
+            factor = rows[r][col] / p
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return result * sign
+
+
+def _ref_rref(m):
+    rows = [list(row) for row in m]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(F(x) for x in row) for row in rows), tuple(pivots)
+
+
+def _ref_nullspace(m):
+    if not m:
+        return []
+    reduced, pivots = _ref_rref(m)
+    ncols = len(m[0])
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fcol] = F(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -reduced[r][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve_columns(a, columns):
+    """Solutions of a x = c for each column c; None if a is singular."""
+    k = len(a)
+    aug = [list(row) + [c[i] for c in columns] for i, row in enumerate(a)]
+    reduced, pivots = _ref_rref(aug)
+    if pivots != tuple(range(k)):
+        return None
+    return [tuple(reduced[i][k + j] for i in range(k)) for j in range(len(columns))]
+
+
+class _RefRowReducer:
+    """Echelon rows over Fraction, each normalised to pivot 1."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, v):
+        out = list(v)
+        for pivot, row in self.rows:
+            f = out[pivot]
+            out = [x - f * y for x, y in zip(out, row)]
+        return out
+
+    def add(self, v):
+        reduced = self.reduce(v)
+        pivot = next((i for i, x in enumerate(reduced) if x != 0), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, [x / reduced[pivot] for x in reduced]))
+        return True
+
+
+@st.composite
+def _matrix(draw, square=False):
+    """A 0x0 to 5x6 matrix, all zero, dense or about half zeros, with
+    mixed denominators and signs; about half the time one row is made a
+    combination of the others, so square inputs are often singular."""
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 6))
+    entries = _zero_pattern(draw)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(nrows - 1)]
+        rows[draw(st.integers(0, nrows - 1))] = [
+            sum((c * row[i] for c, row in zip(coeffs, rows[1:])), F(0)) for i in range(ncols)]
+    return tuple(tuple(row) for row in rows)
+
+
+def _all_fractions(m):
+    return all(type(x) is F for row in m for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix(square=True))
+def test_det_matches_fraction_elimination(m):
+    # Bareiss on the scaled rows, divided by the row scales, is the exact determinant
+    d = xm.det(m)
+    assert d == _ref_det(m)
+    assert type(d) is F
+
+
+def test_det_small_cases():
+    assert xm.det(()) == 1 and type(xm.det(())) is F
+    assert xm.det(xm.mat([[F(-3, 7)]])) == F(-3, 7)
+    assert xm.det(xm.mat([[0]])) == 0
+    # a zero pivot that needs a swap, and a 3x3 with mixed denominators
+    assert xm.det(xm.mat([[0, F(1, 2)], [F(2, 3), 5]])) == F(-1, 3)
+    m = xm.mat([[F(1, 2), F(1, 3), 0], [F(1, 4), 0, F(-1, 5)], [1, F(1, 6), F(1, 7)]])
+    # cofactor expansion along the first row: 1/60 - 11/140
+    assert xm.det(m) == _ref_det(m) == F(-13, 210)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix())
+def test_rref_rank_nullspace_match_fraction_elimination(m):
+    # the reduced row echelon form is unique, so fraction-free elimination gives the same one
+    reduced, pivots = xm.rref(m)
+    assert (reduced, pivots) == _ref_rref(m)
+    assert _all_fractions(reduced)
+    assert xm.rank(m) == len(pivots)
+    kernel = xm.nullspace(m)
+    assert kernel == _ref_nullspace(m)
+    assert all(type(x) is F for v in kernel for x in v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix(square=True), st.data())
+def test_solve_and_inverse_match_fraction_elimination(a, data):
+    k = len(a)
+    b = tuple(data.draw(_nonzero | st.just(F(0))) for _ in range(k))
+    identity_cols = [tuple(F(int(i == j)) for i in range(k)) for j in range(k)]
+    expected = _ref_solve_columns(a, [b] + identity_cols)
+    if expected is None:
+        with pytest.raises(xm.SingularMatrixError):
+            xm.solve(a, b)
+        with pytest.raises(xm.SingularMatrixError):
+            xm.inverse(a)
+        return
+    x = xm.solve(a, b)
+    assert x == expected[0]
+    assert all(type(v) is F for v in x)
+    inv = xm.inverse(a)
+    assert inv == tuple(zip(*expected[1:]))
+    assert _all_fractions(inv)
+
+
+def test_one_by_one_solve_and_inverse():
+    assert xm.solve(xm.mat([[F(-2, 3)]]), xm.vec([F(1, 5)])) == (F(-3, 10),)
+    assert xm.inverse(xm.mat([[F(-2, 3)]])) == ((F(-3, 2),),)
+    with pytest.raises(xm.SingularMatrixError):
+        xm.inverse(xm.mat([[0]]))
+    assert xm.solve((), ()) == () and xm.inverse(()) == ()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_reducer_inputs())
+def test_row_reducer_matches_fraction_reducer(inputs):
+    # primitive integer rows answer add and contains as normalised Fraction rows do
+    rows, probes = inputs
+    r, ref = xm.RowReducer(), _RefRowReducer()
+    for row in rows:
+        assert r.add(row) == ref.add(row)
+        assert len(r) == len(ref.rows)
+    for probe in probes:
+        assert r.contains(probe) == (not any(ref.reduce(probe)))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
+from gctwistor import gclinalg as gl
 from gctwistor.gclinalg import (
     DegenerateInputError,
     Endo,
@@ -36,6 +37,7 @@ from gctwistor.gclinalg import (
     hyperboloid_point,
     identity_endo,
     is_pairing_orthogonal,
+    is_pairing_skew,
     is_vertical,
     neutral_pairing,
     orientation_sign,
@@ -186,6 +188,77 @@ def test_dim2_sampled_bases():
         report = dim2_basis_orientation(random_orthonormal_basis(1, seed))
         assert report.orthogonal
         assert report.transition_det == 4 * xm.det(report.a)
+
+
+def _gelement_moves_basis(n, seed):
+    """The random basis built move by move on GElements: the reference
+    basis and the same word of rotations, drawn in the same order."""
+    rng = random.Random(seed)
+    vectors = list(reference_basis(n).vectors)
+    dim_v = 2 * n
+    for _ in range(gl._BASIS_WORD_LENGTH):
+        kind = rng.choice(("circular+", "circular-", "hyperbolic"))
+        if kind == "circular+":
+            i, k = rng.sample(range(dim_v), 2)
+        elif kind == "circular-":
+            i, k = (dim_v + x for x in rng.sample(range(dim_v), 2))
+        else:
+            i, k = rng.randrange(dim_v), dim_v + rng.randrange(dim_v)
+        vi, vk = vectors[i], vectors[k]
+        if kind == "hyperbolic":
+            c, s = gl._hyperbolic_params(rng)
+            vectors[i] = vi.scale(c) + vk.scale(s)
+        else:
+            c, s = gl._rotation_params(rng)
+            vectors[i] = vi.scale(c) - vk.scale(s)
+        vectors[k] = vi.scale(s) + vk.scale(c)
+    return tuple(vectors)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_basis_matches_gelement_moves(n, seed):
+    # integer coordinates over per-element denominators give the same rationals
+    basis = random_orthonormal_basis(n, seed)
+    assert basis.vectors == _gelement_moves_basis(n, seed)
+    assert basis.signs == (1,) * (2 * n) + (-1,) * (2 * n)
+    assert all(type(x) is F for v in basis.vectors for x in v.coords)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 3), (2, 5), (3, 1)])
+def test_perturbed_basis_entry_rejected(n, seed):
+    basis = random_orthonormal_basis(n, seed)
+    vectors = basis.vectors
+    rng = random.Random(seed)
+    for _ in range(6):
+        i = rng.randrange(len(vectors))
+        c = rng.randrange(4 * n)
+        coords = list(vectors[i].coords)
+        coords[c] += F(1, 7)
+        perturbed = list(vectors)
+        perturbed[i] = gl.from_coords(coords)
+        # the pairing of element i with itself or with another element moves
+        with pytest.raises(InvariantError, match=r"pairing of elements \d+ and \d+"):
+            OrthonormalBasis(tuple(perturbed), basis.signs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rescaled_basis_element_rejected(n):
+    # orthogonality survives a rescaling, the norm eps_i does not (a sign flip keeps it)
+    basis = random_orthonormal_basis(n, 2)
+    for i in range(4 * n):
+        vectors = list(basis.vectors)
+        vectors[i] = vectors[i].scale(-1)
+        OrthonormalBasis(tuple(vectors), basis.signs)
+        vectors[i] = vectors[i].scale(F(2, 3))
+        with pytest.raises(InvariantError, match=f"elements {i} and {i} "):
+            OrthonormalBasis(tuple(vectors), basis.signs)
+
+
+def test_basis_elements_of_another_dimension_rejected():
+    wide = reference_basis(2).vectors[:4]
+    with pytest.raises(gl.DimensionMismatchError):
+        OrthonormalBasis(wide, (1, 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +616,31 @@ def test_vertical_action_rejects_non_tangent():
     j = adapted_structure(reference_basis(1))
     with pytest.raises(InvariantError):
         vertical_complex_action(j, j.j)  # commutes instead of anticommuting
+
+
+def _anticommutes_by_definition(q, j):
+    return is_pairing_skew(q) and (q.compose(j) + j.compose(q)).is_zero()
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 4), (2, 1), (2, 7), (3, 2)])
+def test_is_vertical_matches_definition(n, seed):
+    j = sample_fibre_structure(n, random.Random(seed)).j
+    vertical = vertical_space_basis(GCStructure(j))
+    gens = skew_generators(random_orthonormal_basis(n, seed))
+    rng = random.Random(seed)
+    # j and j + v are skew but do not anticommute with j; the generators
+    # are skew and some anticommute; a vertical element plus a generator
+    # and one with an entry moved (no longer skew)
+    candidates = list(vertical) + [j, j + vertical[0]]
+    candidates += [gens.generator(*pair) for pair in rng.sample(gens.pairs(), 6)]
+    candidates.append(vertical[-1] + gens.generator(0, 1))
+    moved = [list(row) for row in vertical[1].rows]
+    moved[0][1] += F(1, 3)
+    candidates.append(Endo(j.dim, xm.mat(moved)))
+    verdicts = [is_vertical(q, j) for q in candidates]
+    assert verdicts == [_anticommutes_by_definition(q, j) for q in candidates]
+    assert verdicts[:len(vertical)] == [True] * len(vertical)
+    assert not any(verdicts[len(vertical):len(vertical) + 2])
 
 
 def test_vertical_space_dimension():

@@ -114,6 +114,19 @@ def test_poly_jet_matches_partial_polynomials(operands):
     assert all(type(x) is F for x in (jet.value,) + jet.grad)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_poly_and_point())
+def test_rational_jet_over_one_is_the_quotient_rule(operands):
+    # over the constant denominator 1 the jet is the numerator's, as the quotient rule gives
+    p, point = operands
+    one = Poly.constant(p.nvars, 1)
+    jet = RationalFn.from_poly(p).jet(point)
+    assert jet == p.jet(point) / one.jet(point)
+    assert all(type(x) is F for x in (jet.value,) + jet.grad)
+    # other constant denominators still go through the quotient rule
+    assert RationalFn(p, one.scale(2)).jet(point) == p.jet(point).scale(F(1, 2))
+
+
 def test_jet_is_zero_needs_value_and_gradient():
     assert Jet.constant(0, 3).is_zero()
     assert not Jet(F(0), (F(0), F(1))).is_zero()
