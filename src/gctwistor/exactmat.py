@@ -240,11 +240,12 @@ def rank(m: Mat) -> int:
 class RowReducer:
     """Incremental echelon form for repeated span and independence queries.
 
-    Each stored row is a primitive integer row, kept as its nonzero
-    (column, value) pairs with its pivot column and pivot value.  A vector
-    is scaled to integers once; reducing it by a stored row multiplies it
-    by pivot / g and subtracts value / g times the row, g the gcd of the
-    pivot and the vector's entry in the pivot column.
+    Vectors may have int or Fraction entries.  Each stored row is a
+    primitive integer row, kept as its nonzero (column, value) pairs with
+    its pivot column and pivot value.  A vector is scaled to integers once;
+    reducing it by a stored row multiplies it by pivot / g and subtracts
+    value / g times the row, g the gcd of the pivot and the vector's entry
+    in the pivot column.
     """
 
     def __init__(self) -> None:

@@ -14,9 +14,8 @@ ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -223,18 +222,10 @@ def is_pairing_skew(m: Endo) -> bool:
     return True
 
 
-def _pairing_scale(m: Endo) -> Scalar:
-    """The c with <mA, mB> = c <A, B> for all A, B; 0 if there is none."""
-    h = m.half
-    g = _pairing_gram(h)
-    lhs = xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows)
-    c = 2 * lhs[0][h] if h else F1
-    return c if lhs == xm.mat_scale(c, g) else F0
-
-
 def is_pairing_orthogonal(m: Endo) -> bool:
     """True iff <mA, mB> = <A, B> for all A, B."""
-    return _pairing_scale(m) == 1
+    g = _pairing_gram(m.half)
+    return xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows) == g
 
 
 def fib_pairing(a: Endo, b: Endo) -> Scalar:
@@ -297,44 +288,17 @@ def structure_orientation(j: Endo) -> int:
 
 
 @dataclass(frozen=True)
-class FrameRecipe:
-    """How a sampled structure was made: j = g j0 g^-1 for a seed j0 and a
-    conformal isometry g of the pairing, kept as factors and multiplied out
-    only by `vertical_space_basis`.
-
-    The seed is j0 = sign * `seed_structure(n, seed)`.  With
-    M = m_k ... m_1 the product of the moves (m, m^-1), applied to the seed
-    in order, g = M, or g = M h when `cayley` is set, where
-    h = 1 - j1 j0 is the Cayley factor to j1 = M^-1 j M.  On the unit
-    hyperboloid h* h = 2 - (j1 j0 + j0 j1) is a nonzero multiple of Id.
-    """
-
-    seed: str
-    sign: int = 1
-    moves: tuple[tuple[Endo, Endo], ...] = ()
-    cayley: bool = False
-
-
-@dataclass(frozen=True)
 class GCStructure:
     """A complex structure on V + V* compatible with the pairing.
 
     Construction checks j^2 = -Id and pairing skewness exactly.  The
     orientation is not part of the invariant; use `structure_orientation`
     (it is +1 exactly when the structure belongs to the canonical
-    component G(V)).
-
-    `frame` is the optional recipe of an isometry carrying a seed to j (see
-    `FrameRecipe`).  The samplers attach one: `seed_structure` and the
-    `b_transform`, `beta_transform` and `gl_action` moves applied to a
-    framed structure, `adapted_structure` and `hyperboloid_point`.
-    Hand-built structures (`from_complex`, `from_symplectic`, ...) have
-    none.  The frame only chooses how `vertical_space_basis` computes; it
-    is not part of equality, hashing or repr.
+    component G(V)).  The structure is its matrix alone: however it was
+    made, `vertical_space_basis` computes from j.
     """
 
     j: Endo
-    frame: FrameRecipe | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         sq = self.j.compose(self.j)
@@ -607,68 +571,6 @@ def standard_symplectic_matrix(n: int) -> Mat:
     return xm.mat(rows)
 
 
-def seed_structure(n: int, kind: str) -> GCStructure:
-    """The framed seed of the samplers: `from_complex(standard_complex_matrix(n))`
-    for kind "complex", `from_symplectic(standard_symplectic_matrix(n))` for
-    "symplectic"; shared per (n, kind)."""
-    return _seed(n, kind)[0]
-
-
-@cache
-def _seed(n: int, kind: str) -> tuple[GCStructure, tuple[Endo, ...]]:
-    """A seed and a basis of its vertical space, written down in closed form;
-    memoised per (n, kind), so at most two entries per n.
-
-    With K = `standard_complex_matrix(n)`, a skew endomorphism is
-    [[A, B], [C, -A^T]] with B, C skew.  The complex seed is diag(K, K): A
-    anticommutes with K, and so do B and C; in the 2x2 blocks of K these
-    are the blocks in the span of diag(1, -1) and [[0, 1], [1, 0]],
-    mirrored with a minus sign across the diagonal for B and C (2n^2 + 2
-    (n^2 - n) elements).  The symplectic seed is [[0, K], [K, 0]]: A K is
-    skew and C = K B K, so each elementary skew S gives A = -S K and
-    (B, C) = (S, K S K) (2 (2n^2 - n) elements).
-    """
-    dim_v = 2 * n
-    k = standard_complex_matrix(n)
-    zero = xm.zeros(dim_v, dim_v)
-
-    def units(terms) -> Mat:
-        m = [[F0] * dim_v for _ in range(dim_v)]
-        for r, c, x in terms:
-            m[r][c] = x
-        return xm.mat(m)
-
-    def skew(a: Mat = zero, b: Mat = zero, c: Mat = zero) -> Endo:
-        return endo_from_blocks(a, b, c, xm.mat_neg(xm.transpose(a)))
-
-    basis = []
-    if kind == "complex":
-        j0 = from_complex(k)
-
-        def block(l: int, m: int, x: Fraction, diagonal: bool) -> list:
-            if diagonal:
-                return [(2 * l, 2 * m, x), (2 * l + 1, 2 * m + 1, -x)]
-            return [(2 * l, 2 * m + 1, x), (2 * l + 1, 2 * m, x)]
-
-        for diagonal in (True, False):
-            basis += [skew(a=units(block(l, m, F1, diagonal)))
-                      for l in range(n) for m in range(n)]
-            for l in range(n):
-                for m in range(l + 1, n):
-                    s = units(block(l, m, F1, diagonal) + block(m, l, -F1, diagonal))
-                    basis += [skew(b=s), skew(c=s)]
-    elif kind == "symplectic":
-        j0 = from_symplectic(standard_symplectic_matrix(n))
-        for r in range(dim_v):
-            for c in range(r + 1, dim_v):
-                s = units([(r, c, F1), (c, r, -F1)])
-                basis += [skew(a=xm.mat_neg(xm.mat_mul(s, k))),
-                          skew(b=s, c=xm.mat_mul(xm.mat_mul(k, s), k))]
-    else:
-        raise ValueError(f"unknown seed kind {kind!r}")
-    return GCStructure(j0.j, FrameRecipe(kind)), tuple(basis)
-
-
 def commute_check(a: GCStructure, b: GCStructure) -> bool:
     if a.j.dim != b.j.dim:
         raise DimensionMismatchError("structures live on different spaces")
@@ -713,19 +615,13 @@ def exp_two_vector(beta: Mat) -> Endo:
                             xm.zeros(dim_v, dim_v), xm.identity(dim_v))
 
 
-def _conjugate(j: GCStructure, e: Endo, e_inv: Endo) -> GCStructure:
-    """e j e^-1; a framed j passes its frame on with the move (e, e^-1) added."""
-    frame = None if j.frame is None else replace(j.frame, moves=j.frame.moves + ((e, e_inv),))
-    return GCStructure(e.compose(j.j).compose(e_inv), frame)
-
-
 def b_transform(j: GCStructure, b: Mat) -> GCStructure:
     """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
     e = exp_two_form(b)
     e_inv = exp_two_form(xm.mat_neg(xm.mat(b)))
     if not is_pairing_orthogonal(e):
         raise InvariantError("e^B failed the isometry check")
-    return _conjugate(j, e, e_inv)
+    return GCStructure(e.compose(j.j).compose(e_inv))
 
 
 def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
@@ -734,7 +630,7 @@ def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
     e_inv = exp_two_vector(xm.mat_neg(xm.mat(beta)))
     if not is_pairing_orthogonal(e):
         raise InvariantError("e^beta failed the isometry check")
-    return _conjugate(j, e, e_inv)
+    return GCStructure(e.compose(j.j).compose(e_inv))
 
 
 def gl_endo(g: Mat) -> Endo:
@@ -752,7 +648,7 @@ def gl_endo(g: Mat) -> Endo:
 def gl_action(g: Mat, j: GCStructure) -> GCStructure:
     u = gl_endo(g)
     u_inv = gl_endo(xm.inverse(xm.mat(g)))
-    return _conjugate(j, u, u_inv)
+    return GCStructure(u.compose(j.j).compose(u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -900,45 +796,31 @@ def hyperboloid_point(u: Scalar, v: Scalar, sheet: int, basis: OrthonormalBasis)
 
     The point x = (x1, x2, x3) satisfies x1^2 - x2^2 - x3^2 = 1 exactly,
     so x . left squares to -Id; for a positively oriented basis the
-    result induces the canonical orientation.  The seed of its frame is
-    sheet * L1 at the reference basis, the complex seed up to sign; the
-    moves B R^-1 carry it to sheet * L1 at `basis`, and the Cayley factor
-    from there to the point.
+    result induces the canonical orientation.
     """
     x1, x2, x3 = hyperboloid_chart(u, v, sheet)
     frames = skew_frames(basis)
     k = frames.left[0].scale(x1) + frames.left[1].scale(x2) + frames.left[2].scale(x3)
-    structure = GCStructure(k, FrameRecipe("complex", sheet, _basis_moves(basis), cayley=True))
+    structure = GCStructure(k)
     if structure.orientation() != 1:
         raise InvariantError("hyperboloid point does not induce the canonical orientation; "
                              "was the supplied basis positively oriented?")
     return structure
 
 
-def _basis_moves(basis: OrthonormalBasis) -> tuple[tuple[Endo, Endo], ...]:
-    """The moves (R^-1, R), (B, B^-1) whose product B R^-1 is an isometry
-    sending the reference basis (matrix R) to `basis` (matrix B)."""
-    n4 = len(basis.vectors)
-    ref = reference_basis(n4 // 4)
-    return ((Endo(n4, ref.inverse_matrix()), Endo(n4, ref.matrix())),
-            (Endo(n4, basis.matrix()), Endo(n4, basis.inverse_matrix())))
-
-
 def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
-    """The structure with j Q_{2l-1} = Q_{2l} for an orthonormal basis.
-
-    At the reference basis this is the complex seed, so the frame is
-    g = B R^-1 from that seed.
+    """The structure with j Q_{2l-1} = Q_{2l} for an orthonormal basis:
+    B j0 B^-1 for the basis matrix B and j0 Q_{2l-1} = Q_{2l} in basis
+    coordinates.  At the reference basis this is
+    `from_complex(standard_complex_matrix(n))`.
     """
     n4 = len(basis.vectors)
     cols = [[F0] * n4 for _ in range(n4)]
     for l in range(n4 // 2):
         cols[2 * l][2 * l + 1] = F1
         cols[2 * l + 1][2 * l] = -F1
-    moves = _basis_moves(basis)
-    b, b_inv = moves[1]
-    j = b.compose(Endo(n4, xm.transpose(xm.mat(cols)))).compose(b_inv)
-    return GCStructure(j, FrameRecipe("complex", moves=moves))
+    b, b_inv = Endo(n4, basis.matrix()), Endo(n4, basis.inverse_matrix())
+    return GCStructure(b.compose(Endo(n4, xm.transpose(xm.mat(cols)))).compose(b_inv))
 
 
 def is_vertical(q: Endo, j: Endo) -> bool:
@@ -972,63 +854,47 @@ def vertical_complex_action(j: GCStructure, q: Endo) -> Endo:
 def vertical_space_basis(j: GCStructure) -> list[Endo]:
     """A basis of the 4n^2 - 2n skew endomorphisms anticommuting with j.
 
-    With a frame (see `GCStructure`), the closed-form basis V0 of the seed
-    j0 is transported to g V0 g^-1.  The frame is checked exactly first:
-    g g^-1 = Id, g^T G g = c G with c != 0 for the Gram matrix G of the
-    pairing, and g j0 g^-1 = j, else InvariantError.  Then every g V g^-1
-    is skew and anticommutes with j, and the elements stay independent.
-
-    Without a frame, uses the projection a -> a + j a j, which maps skew
-    endomorphisms onto the anticommuting ones (it doubles those already
-    vertical), and filters a maximal independent family from the projected
-    generators of the reference basis.
+    The projection s -> s + j s j maps the pairing-skew endomorphisms onto
+    the anticommuting ones (it doubles those already vertical).  It is
+    applied in integers to each elementary skew S = E_pq - E_p'q' of
+    [[A, B], [C, -A^T]]: B = E_rc - E_cr and C = E_rc - E_cr for r < c,
+    then A = E_rc.  With J = d j for the least integer d > 0 the candidate
+    is d^2 S + J S J, where J S J = J[:, p] (x) J[q, :] - J[:, p'] (x) J[q', :].
+    The candidates are ranked in one `RowReducer` on the coordinates that
+    fix a skew endomorphism: A and the strict upper triangles of B and C.
+    The result is S + j S j for the first 4n^2 - 2n independent
+    candidates.  Every candidate is vertical and the vertical space has
+    exactly that dimension, so stopping there is exact; InvariantError if
+    the candidates run out first.  B and C come first because for a
+    generic j their 4n^2 - 2n candidates are already independent.
     """
-    n = j.dim_v // 2
-    if j.frame is not None:
-        return _transported_basis(j)
-    gens = skew_generators(reference_basis(n))
-    candidates = []
-    for (i, k) in gens.pairs():
-        s = gens.generator(i, k)
-        candidates.append(s + j.j.compose(s).compose(j.j))
+    h = j.dim_v
+    expected = h * h - h
+    ji, d = xm._integer_matrix(j.j.rows)
+    d2 = d * d
+    cols = list(zip(*ji))
+    upper = [(r, c) for r in range(h) for c in range(r + 1, h)]
+    units = [((r, h + c), (c, h + r)) for r, c in upper]
+    units += [((h + r, c), (h + c, r)) for r, c in upper]
+    units += [((r, c), (h + c, h + r)) for r in range(h) for c in range(h)]
     basis: list[Endo] = []
     span = xm.RowReducer()
-    for c in candidates:
-        if c.is_zero():
-            continue
-        if span.add([x for row in c.rows for x in row]):
-            basis.append(c)
-    expected = 4 * n * n - 2 * n
+    for (p, q), (p2, q2) in units:
+        if len(basis) == expected:
+            break
+        row_q, row_q2 = ji[q], ji[q2]
+        m = [[x * y - x2 * y2 for y, y2 in zip(row_q, row_q2)] for x, x2 in zip(cols[p], cols[p2])]
+        m[p][q] += d2
+        m[p2][q2] -= d2
+        key = [x for row in m[:h] for x in row[:h]]
+        key += [m[r][h + c] for r, c in upper]
+        key += [m[h + r][c] for r, c in upper]
+        if span.add(key):
+            basis.append(Endo(2 * h, tuple(tuple(Fraction(x, d2) if x else F0 for x in row)
+                                           for row in m)))
     if len(basis) != expected:
         raise InvariantError(f"vertical space has rank {len(basis)}, expected {expected}")
     return basis
-
-
-def _transported_basis(j: GCStructure) -> list[Endo]:
-    """g V0 g^-1 for the frame of j, after the exact frame check."""
-    frame = j.frame
-    seed, v0 = _seed(j.dim_v // 2, frame.seed)
-    j0 = seed.j.scale(frame.sign)
-    ident = identity_endo(j.j.dim)
-    g = g_inv = ident
-    for m, m_inv in frame.moves:
-        g = m.compose(g)
-        g_inv = g_inv.compose(m_inv)
-    if frame.cayley:
-        j1 = g_inv.compose(j.j).compose(g)
-        j1j0, j0j1 = j1.compose(j0), j0.compose(j1)
-        c = 2 - (j1j0 + j0j1).rows[0][0]
-        if c == 0:
-            raise InvariantError("frame: the Cayley factor is singular")
-        g = g.compose(ident - j1j0)
-        g_inv = (ident - j0j1).scale(1 / c).compose(g_inv)
-    if g.compose(g_inv) != ident:
-        raise InvariantError("frame: g g^-1 is not Id")
-    if _pairing_scale(g) == 0:
-        raise InvariantError("frame: g is not a conformal isometry of the pairing")
-    if g.compose(j0).compose(g_inv) != j.j:
-        raise InvariantError("frame: g does not carry the seed to j")
-    return [g.compose(v).compose(g_inv) for v in v0]
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,15 @@ from .gclinalg import (
     endo_from_blocks,
     fib_pairing,
     fiber_kahler_structure,
+    from_complex,
+    from_symplectic,
     gl_action,
     is_vertical,
     neutral_pairing,
     random_orthonormal_basis,
-    seed_structure,
     skew_generators,
+    standard_complex_matrix,
+    standard_symplectic_matrix,
     vertical_space_basis,
     zero_element,
     zero_endo,
@@ -382,6 +385,16 @@ def _pair_coeff(x: Vec, y: Vec, a: int, b: int) -> Fraction:
     return x[a] * y[b] - x[b] * y[a]
 
 
+def _curvature_coeffs(a: GElement, ja: GElement, b: GElement, jb: GElement,
+                      ia: int, ib: int) -> tuple[Fraction, Fraction]:
+    """The coefficients of [R^(d_ia, d_ib), j] and of j o [R^(d_ia, d_ib), j]
+    in the curvature terms of a horizontal pair, the second without its
+    alpha sign."""
+    c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
+    c_twisted = _pair_coeff(a.vec, jb.vec, ia, ib) + _pair_coeff(ja.vec, b.vec, ia, ib)
+    return c_direct, c_twisted
+
+
 def nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,
                          a: GElement, b: GElement,
                          vertical_basis: Sequence[Endo] | None = None) -> TwistorTangent:
@@ -396,13 +409,11 @@ def nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,
     sign = Fraction((-1) ** alpha)
     vertical = zero_endo(j.dim)
     for (ia, ib), (v, jv) in curvature_action_on_structure(conn, at).items():
-        c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
-        c_twisted = sign * (_pair_coeff(a.vec, jb.vec, ia, ib)
-                            + _pair_coeff(ja.vec, b.vec, ia, ib))
+        c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
         if c_direct:
             vertical = vertical + v.scale(c_direct)
         if c_twisted:
-            vertical = vertical + jv.scale(c_twisted)
+            vertical = vertical + jv.scale(sign * c_twisted)
     coef = -Fraction(1, 2) * (1 + sign)
     n = at.n
     if coef == 0:
@@ -468,9 +479,7 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
         jb = j.apply(b)
         total = F0
         for (ia, ib), (s_v, s_jv) in scalars.items():
-            c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
-            c_twisted = (_pair_coeff(a.vec, jb.vec, ia, ib)
-                         + _pair_coeff(ja.vec, b.vec, ia, ib))
+            c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
             # phi of the alpha = 1 vertical part, with the twisted sign -1
             total -= Fraction(1, 2) * (c_direct * s_v - c_twisted * s_jv)
             if alpha == 2:
@@ -489,16 +498,6 @@ def nijenhuis_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     """The full closed-form Nijenhuis value N_alpha(E, F): the two-probe
     case of `nijenhuis_closed_form_table`."""
     return nijenhuis_closed_form_table(alpha, conn, at, (e, f), vertical_basis)[(0, 1)]
-
-
-def _curvature_coeffs(a: GElement, ja: GElement, b: GElement, jb: GElement,
-                      ia: int, ib: int) -> tuple[Fraction, Fraction]:
-    """The coefficients of [R^(d_ia, d_ib), j] and of j o [R^(d_ia, d_ib), j]
-    in the curvature terms of a horizontal pair, the second without its
-    alpha sign."""
-    c_direct = _pair_coeff(ja.vec, jb.vec, ia, ib) - _pair_coeff(a.vec, b.vec, ia, ib)
-    c_twisted = _pair_coeff(a.vec, jb.vec, ia, ib) + _pair_coeff(ja.vec, b.vec, ia, ib)
-    return c_direct, c_twisted
 
 
 def _add_scaled(acc: list[list[Fraction]], c: Fraction, m: Mat) -> None:
@@ -523,7 +522,7 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     `nijenhuis_mixed` and `nijenhuis_coform`.
 
     Everything that depends on one probe is computed once per point: the
-    validation of each distinct vertical or coform endomorphism, j h for
+    validation of each vertical or coform endomorphism object, j h for
     each horizontal part, j o V for each vertical part, the pairings of
     each coform representer with the curvature action, and (alpha = 2)
     the inverse Gram matrix of the vertical basis.  A term is skipped only
@@ -540,13 +539,15 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     hs = [None if t.horizontal.is_zero() else t.horizontal for t in probes]
     vs = [None if t.vertical.is_zero() else t.vertical for t in probes]
     phis = [None if t.vertical_coform.is_zero() else t.vertical_coform for t in probes]
-    checked: set[Endo] = set()
+    # keyed on identity: hashing an Endo hashes every entry, and an equal
+    # but distinct part is merely checked again
+    checked: set[int] = set()
     for parts, label in ((vs, "vertical part"), (phis, "vertical coform representer")):
         for part in parts:
-            if part is not None and part not in checked:
+            if part is not None and id(part) not in checked:
                 if not is_vertical(part, j):
                     raise NotVerticalError(f"{label} does not anticommute with j")
-                checked.add(part)
+                checked.add(id(part))
     jhs = [None if h is None else j.apply(h) for h in hs]
     action = curvature_action_on_structure(conn, at)
 
@@ -913,15 +914,15 @@ def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
     """A fibre point generated by a word of three transforms applied to a
     standard seed.
 
-    Seeds are the complex-type structure (any n) or the symplectic-type
-    one (even n, to stay in the canonical component); every move is an
-    exact isometry of the pairing, so invariants survive by construction.
-    The result carries the frame of its seed and moves.
+    Seeds are `from_complex(standard_complex_matrix(n))` (any n) or
+    `from_symplectic(standard_symplectic_matrix(n))` (even n, to stay in
+    the canonical component); every move is an exact isometry of the
+    pairing, so invariants survive by construction.
     """
     if n % 2 == 0 and rng.random() < Fraction(1, 2):
-        structure = seed_structure(n, "symplectic")
+        structure = from_symplectic(standard_symplectic_matrix(n))
     else:
-        structure = seed_structure(n, "complex")
+        structure = from_complex(standard_complex_matrix(n))
     dim_v = 2 * n
     for _ in range(3):
         move = rng.choice(("b", "beta", "gl"))

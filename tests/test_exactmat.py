@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +359,19 @@ def test_row_reducer_matches_fraction_reducer(inputs):
         assert len(r) == len(ref.rows)
     for probe in probes:
         assert r.contains(probe) == (not any(ref.reduce(probe)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reducer_inputs())
+def test_row_reducer_integer_rows_match_fraction_rows(inputs):
+    # each vector scaled to integers, fed once as int and once as Fraction
+    def integers(v):
+        d = lcm(*(x.denominator for x in v))
+        return [int(x * d) for x in v]
+
+    rows, probes = ([integers(v) for v in vectors] for vectors in inputs)
+    as_int, as_fraction = xm.RowReducer(), xm.RowReducer()
+    for row in rows:
+        assert as_int.add(row) == as_fraction.add([F(x) for x in row])
+    for probe in probes:
+        assert as_int.contains(probe) == as_fraction.contains([F(x) for x in probe])

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from gctwistor import exactmat as xm
+from gctwistor import twistor
 from gctwistor.courant import chart_point
 from gctwistor.gclinalg import (
+    Endo,
     InvariantError,
     basis_covector,
     basis_vector,
@@ -20,6 +22,7 @@ from gctwistor.gclinalg import (
     standard_complex_matrix,
     vertical_space_basis,
 )
+from gctwistor.harness import _probe_set
 from gctwistor.poly import Poly
 from gctwistor.twistor import (
     Connection,
@@ -477,6 +480,28 @@ def test_closed_form_table_rejects_non_vertical_probe():
                 nijenhuis_closed_form_table(alpha, CONN_N1, at, [good, bad])
             with pytest.raises(NotVerticalError):
                 nijenhuis_closed_form(alpha, CONN_N1, at, bad, good)
+
+
+def test_closed_form_table_checks_each_part_object_once(monkeypatch):
+    at = n1_point(F(1, 3), F(1, 4))
+    basis = vertical_space_basis(at.structure)
+    probes = _probe_set(at.n, basis, "full")
+    checked = []
+
+    def counting_is_vertical(q, j):
+        checked.append(q)
+        return is_vertical(q, j)
+
+    monkeypatch.setattr(twistor, "is_vertical", counting_is_vertical)
+    nijenhuis_closed_form_table(2, CONN_N1, at, probes, basis)
+    # the vertical and the coform probe of a basis element share one check
+    assert sorted(map(id, checked)) == sorted(map(id, basis))
+    # an equal but distinct object is checked on its own
+    checked.clear()
+    copy = Endo(basis[0].dim, basis[0].rows)
+    probes.append(tangent_from_parts(at.n, vertical_coform=copy))
+    nijenhuis_closed_form_table(2, CONN_N1, at, probes, basis)
+    assert len(checked) == len(basis) + 1 and any(q is copy for q in checked)
 
 
 def test_closed_form_table_rejects_bad_alpha():
