@@ -10,6 +10,13 @@ ever appears.
 Chart dimension m is arbitrary here; a section has m vector and m
 covector components.  Exact evaluators (polynomial or rational
 coefficients) return exact rationals.
+
+The bracket has one kernel, in integers: the jets are scaled over one
+common denominator d (`exactmat._scaled`) and one loop over their
+nonzero entries gives 2 d^2 times the bracket.  `courant_bracket` and
+`lie_bracket` scale their two jets; `nijenhuis_table` scales every probe
+jet, J-image jet and J once per point and builds each component of a
+pair's value as one `Fraction`.
 """
 
 from __future__ import annotations
@@ -138,8 +145,9 @@ class FieldJet:
     def from_jets(entries: Sequence[Sequence[Jet]]) -> "FieldJet":
         """The field jet whose (i, j) entry has the scalar jet entries[i][j]."""
         value = tuple(tuple(e.value for e in row) for row in entries)
-        partials = tuple(tuple(tuple(e.grad[k] for e in row) for row in entries)
-                         for k in range(len(entries[0][0].grad)))
+        grads = [[e.grad for e in row] for row in entries]
+        partials = tuple(tuple(tuple(g[k] for g in row) for row in grads)
+                         for k in range(len(grads[0][0])))
         return FieldJet(value, partials)
 
 
@@ -206,14 +214,6 @@ def constant_field(j: Endo) -> GACField:
 # brackets
 
 
-def _split_jet(j: Jet1, m: int):
-    x = j.value[:m]
-    xi = j.value[m:]
-    dx = j.jacobian[:m]
-    dxi = j.jacobian[m:]
-    return x, xi, dx, dxi
-
-
 def lie_bracket(xs: JetSection, ys: JetSection, p: ChartPoint) -> Vec:
     """Lie bracket of two purely vector sections, from their 1-jets."""
     m = p.dim
@@ -224,15 +224,40 @@ def lie_bracket(xs: JetSection, ys: JetSection, p: ChartPoint) -> Vec:
     return _bracket(jx, jy, m).vec
 
 
-def _add_scaled(acc: list[Fraction], c: Fraction, entries: Sequence[Fraction]) -> None:
-    """acc[i] += c entries[i] over the nonzero entries."""
-    for i, e in enumerate(entries):
-        if e:
-            acc[i] += c * e
+def _integer_jets(jets: Sequence[Jet1], m: int) -> tuple[list[tuple], int]:
+    """The jets over one common denominator d, in the sparse integer form
+    the bracket kernel reads, and d.
+
+    Each jet becomes (x, xi, dx rows, dx columns, dxi rows, dxi columns):
+    the nonzero (index, numerator) pairs of the vector and covector values,
+    and of each row and each column of the two Jacobian blocks.
+    """
+    flat = []
+    for j in jets:
+        flat.extend(j.value)
+        for row in j.jacobian:
+            flat.extend(row)
+    ints, d = xm._scaled(flat)
+    size = 2 * m + 2 * m * m
+    out = []
+    for start in range(0, len(ints), size):
+        value = ints[start:start + 2 * m]
+        jac = [ints[start + 2 * m + r * m:start + 2 * m + (r + 1) * m] for r in range(2 * m)]
+        blocks = []
+        for rows in (jac[:m], jac[m:]):
+            blocks.append([_nonzero(row) for row in rows])
+            blocks.append([_nonzero(col) for col in zip(*rows)])
+        out.append((_nonzero(value[:m]), _nonzero(value[m:]), *blocks))
+    return out, d
 
 
-def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
-    """The Courant bracket of two sections from their 1-jets at one point.
+def _nonzero(entries: Sequence[int]) -> list[tuple[int, int]]:
+    return [(i, v) for i, v in enumerate(entries) if v]
+
+
+def _integer_bracket(ja: tuple, jb: tuple, m: int) -> list[int]:
+    """2 d^2 times the Courant bracket of two jets in `_integer_jets` form
+    over one denominator d, as 2m integers (vector, then covector).
 
     The covector part is regrouped by component of the two sections,
 
@@ -242,28 +267,42 @@ def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
     so only the nonzero entries of x, y, xi and eta, and of the partials
     they multiply, are visited.
     """
-    x, xi, dx, dxi = _split_jet(ja, m)
-    y, eta, dy, deta = _split_jet(jb, m)
-    half = Fraction(1, 2)
-    vec = [F0] * m
-    cov = [F0] * m
-    for j, xj in enumerate(x):
-        if xj:
-            _add_scaled(vec, xj, [row[j] for row in dy])
-            _add_scaled(cov, xj, [row[j] for row in deta])
-            _add_scaled(cov, -half * xj, deta[j])
-    for j, yj in enumerate(y):
-        if yj:
-            _add_scaled(vec, -yj, [row[j] for row in dx])
-            _add_scaled(cov, -yj, [row[j] for row in dxi])
-            _add_scaled(cov, half * yj, dxi[j])
-    for j, ej in enumerate(eta):
-        if ej:
-            _add_scaled(cov, half * ej, dx[j])
-    for j, xij in enumerate(xi):
-        if xij:
-            _add_scaled(cov, -half * xij, dy[j])
-    return GElement(m, tuple(vec), tuple(cov))
+    x, xi, dx_rows, dx_cols, dxi_rows, dxi_cols = ja
+    y, eta, dy_rows, dy_cols, deta_rows, deta_cols = jb
+    vec = [0] * m
+    cov = [0] * m
+    for j, xj in x:
+        x2 = 2 * xj
+        for i, v in dy_cols[j]:
+            vec[i] += x2 * v
+        for i, v in deta_cols[j]:
+            cov[i] += x2 * v
+        for i, v in deta_rows[j]:
+            cov[i] -= xj * v
+    for j, yj in y:
+        y2 = 2 * yj
+        for i, v in dx_cols[j]:
+            vec[i] -= y2 * v
+        for i, v in dxi_cols[j]:
+            cov[i] -= y2 * v
+        for i, v in dxi_rows[j]:
+            cov[i] += yj * v
+    for j, ej in eta:
+        for i, v in dx_rows[j]:
+            cov[i] += ej * v
+    for j, xij in xi:
+        for i, v in dy_rows[j]:
+            cov[i] -= xij * v
+    return vec + cov
+
+
+def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
+    """The Courant bracket of two sections from their 1-jets at one point,
+    computed in integers over the jets' common denominator."""
+    (a, b), d = _integer_jets((ja, jb), m)
+    scale = 2 * d * d
+    out = tuple(Fraction(v, scale) if v else F0 for v in _integer_bracket(a, b, m))
+    return GElement(m, out[:m], out[m:])
 
 
 def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
@@ -286,20 +325,33 @@ def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
                     p: ChartPoint) -> dict[tuple[int, int], GElement]:
     """N(A_i, A_k) = -[A, B] - J[A, JB] - J[JA, B] + [JA, JB] (Courant brackets)
     for every probe pair i < k at p, in (i, k) order.  The field is validated
-    at p once, and each probe's jet and its J-image jet are built once."""
+    at p once, and each probe's jet and its J-image jet are built once.
+
+    All the jets are scaled to integers over one denominator d and J over
+    its own d_J, once per point; each pair is assembled as 2 d^2 d_J N in
+    integers, and each of its components is built once as a Fraction.
+    """
     jf.validate_at(p)
-    j_at_p = jf.endo_at(p)
     fj = jf.jet_at(p)
     m = p.dim
     jets = [a.at(p) for a in probes]
     images = [_field_image(fj, aj, m) for aj in jets]
+    ints, d = _integer_jets(jets + images, m)
+    plain, imaged = ints[:len(jets)], ints[len(jets):]
+    j_int, dj = xm._integer_matrix(fj.value)
+    j_rows = [[(c, v) for c, v in enumerate(row) if v] for row in j_int]
+    scale = 2 * d * d * dj
     table = {}
     for i in range(len(probes)):
         for k in range(i + 1, len(probes)):
-            t1 = _bracket(jets[i], jets[k], m)
-            t23 = _bracket(jets[i], images[k], m) + _bracket(images[i], jets[k], m)
-            t4 = _bracket(images[i], images[k], m)
-            table[(i, k)] = (-t1) - j_at_p.apply(t23) + t4
+            t1 = _integer_bracket(plain[i], plain[k], m)
+            t23 = [a + b for a, b in zip(_integer_bracket(plain[i], imaged[k], m),
+                                         _integer_bracket(imaged[i], plain[k], m))]
+            t4 = _integer_bracket(imaged[i], imaged[k], m)
+            out = tuple(Fraction(v, scale) if v else F0
+                        for v in (dj * (b - a) - sum(x * t23[c] for c, x in row)
+                                  for a, b, row in zip(t1, t4, j_rows)))
+            table[(i, k)] = GElement(m, out[:m], out[m:])
     return table
 
 
@@ -328,9 +380,6 @@ class TwoFormField:
                 if not (self.entries[i][j] + self.entries[j][i]).is_zero():
                     raise FieldInvariantError("two-form entries are not skew")
 
-    def value_at(self, p: ChartPoint) -> Mat:
-        return tuple(tuple(e.evaluate(p.coords) for e in row) for row in self.entries)
-
     def exterior_derivative(self, p: ChartPoint, i: int, j: int, k: int) -> Fraction:
         """dB(d/dx_i, d/dx_j, d/dx_k) = d_i B_jk + d_j B_ki + d_k B_ij."""
         def partial(a: int, b: int, c: int) -> Fraction:
@@ -347,6 +396,17 @@ def _exp_b_value(bmat: Mat, g: GElement) -> GElement:
     return GElement(g.dim_v, g.vec, tuple(c + e for c, e in zip(g.cov, extra)))
 
 
+def _exp_b_jet(b_jets: Sequence[Sequence[Jet]], aj: Jet1, m: int) -> Jet1:
+    """The 1-jet of e^B a = a + i_X B at a point, from the jets of B's
+    entries and of a: (i_X B)_j = sum_i B_ij X^i over the nonzero B_ij."""
+    comps = [Jet(v, g) for v, g in zip(aj.value, aj.jacobian)]
+    for i in range(m):
+        for j in range(m):
+            if not b_jets[i][j].is_zero():
+                comps[m + j] = comps[m + j] + b_jets[i][j] * comps[i]
+    return Jet1.from_jets(comps)
+
+
 def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
     """The section p -> e^{B(p)} a(p) = a(p) + i_{X(p)} B(p)."""
     m = bf.chart_dim
@@ -354,24 +414,24 @@ def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
         raise ChartMismatchError("section and two-form live on different charts")
 
     def evaluate(p: ChartPoint) -> Jet1:
-        aj = a.at(p)
-        comps = [Jet(v, g) for v, g in zip(aj.value, aj.jacobian)]
-        b_jets = [[e.jet(p.coords) for e in row] for row in bf.entries]
-        for j in range(m):
-            # (i_X B)_j = sum_i B_ij X^i
-            for i in range(m):
-                comps[m + j] = comps[m + j] + b_jets[i][j] * comps[i]
-        return Jet1.from_jets(comps)
+        return _exp_b_jet([[e.jet(p.coords) for e in row] for row in bf.entries], a.at(p), m)
 
     return JetSection(m, evaluate)
 
 
 def b_automorphism_defect(bf: TwoFormField, a: JetSection, c: JetSection,
                           p: ChartPoint) -> GElement:
-    """e^B [A, C] - [e^B A, e^B C] at p; zero everywhere iff dB = 0."""
-    lhs = _exp_b_value(bf.value_at(p), courant_bracket(a, c, p))
-    rhs = courant_bracket(exp_b_section(bf, a), exp_b_section(bf, c), p)
-    return lhs - rhs
+    """e^B [A, C] - [e^B A, e^B C] at p; zero everywhere iff dB = 0.
+
+    The jets of a, c and of every entry of B are evaluated once."""
+    m = bf.chart_dim
+    if a.chart_dim != m or c.chart_dim != m:
+        raise ChartMismatchError("section and two-form live on different charts")
+    b_jets = [[e.jet(p.coords) for e in row] for row in bf.entries]
+    aj, cj = a.at(p), c.at(p)
+    bmat = tuple(tuple(e.value for e in row) for row in b_jets)
+    lhs = _exp_b_value(bmat, _bracket(aj, cj, m))
+    return lhs - _bracket(_exp_b_jet(b_jets, aj, m), _exp_b_jet(b_jets, cj, m), m)
 
 
 # ---------------------------------------------------------------------------

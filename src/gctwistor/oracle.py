@@ -9,13 +9,15 @@ directly from Courant brackets of coordinate sections -- no part of the
 closed-form machinery enters.  Comparing the two values pairwise, in
 exact arithmetic, is the strongest end-to-end check in the package.
 
-All field evaluation here runs in forward-mode jet arithmetic over
-rationals (`poly.Jet`): every quantity carries its value and chart
-gradient, which is exactly the first-order data the bracket formulas
-consume.  `jmat_mul` skips the zero jets of both factors, which are
-exactly zero terms.  Each chart point's context (chart jets, base
-structure, horizontal-lift and fibre-structure coefficients) is computed
-once per chart and memoized, together with the numeric views
+All field evaluation here runs in forward-mode jet arithmetic
+(`poly.Jet`, exact rationals kept as integers over one denominator):
+every quantity carries its value and chart gradient, which is exactly
+the first-order data the bracket formulas consume; jets are compared as
+values (`==`), never component by component.  `jmat_mul` skips the
+zero jets of both factors, which are exactly zero terms.  Each chart
+point's context (chart jets, base structure, horizontal-lift and
+fibre-structure coefficients) is computed once per chart and memoized,
+together with the numeric views
 `gamma_values` and `vertical_chart_basis` that the probe-pair
 comparison reads.
 """
@@ -195,7 +197,7 @@ class TwistorChart:
         c_u = (coords[1] * dx[2][1] - coords[2] * dx[1][1]) / det
         c_v = (dx[1][0] * coords[2] - dx[2][0] * coords[1]) / det
         probe = dx[0][0] * c_u + dx[0][1] * c_v
-        if probe.value != coords[0].value or probe.grad != coords[0].grad:
+        if probe != coords[0]:
             raise InvariantError("vector is not tangent to the fibre chart")
         return c_u, c_v
 

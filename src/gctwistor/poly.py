@@ -6,6 +6,14 @@ every section in the package.  Each carrier evaluates to a `Jet`: a value
 plus a full gradient, which is all any bracket formula downstream
 consumes.  `Jet` is the package's one forward-mode scalar; every product,
 quotient and chain rule of a derivative goes through its arithmetic.
+
+A `Jet` takes and returns `Fraction`s, as `exactmat` does, and computes
+in Python ints inside: it stores integer numerators over one positive
+denominator in lowest terms, and each result of `+ - * /`, `neg` and
+`scale` is normalised by one gcd.  `Poly.jet` works in integers over a
+common denominator of its coefficients and the point, and builds the
+`Jet` directly.
+
 Rational functions are kept as unreduced numerator/denominator pairs;
 evaluation guards against vanishing denominators instead of attempting
 multivariate gcd.
@@ -15,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .exactmat import F0, F1, fr
+from .exactmat import F0, F1, _scaled, fr
 
 Monomial = tuple[int, ...]
 
@@ -26,51 +35,97 @@ class ZeroDenominatorError(ZeroDivisionError):
     """A rational coefficient was evaluated where its denominator vanishes."""
 
 
-@dataclass(frozen=True)
 class Jet:
-    """A value together with its gradient in the chart variables."""
+    """A value together with its gradient in the chart variables.
 
-    value: Fraction
-    grad: tuple[Fraction, ...]
+    Stored as integer numerators, the value's then the gradient's, over
+    one positive denominator, in lowest terms: gcd(*num, den) == 1.  That
+    form is unique, so equality and hashing compare values.  `value` and
+    `grad` read the rationals back as `Fraction`s.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, value, grad: Sequence):
+        ints, self.den = _scaled((value, *grad))
+        self.num = tuple(ints)
+
+    @staticmethod
+    def _lowest(num: Sequence[int], den: int) -> "Jet":
+        """The jet num / den for den > 0, divided by one gcd."""
+        out = object.__new__(Jet)
+        g = gcd(*num, den)
+        if g > 1:
+            out.num, out.den = tuple(x // g for x in num), den // g
+        else:
+            out.num, out.den = tuple(num), den
+        return out
 
     @staticmethod
     def constant(c, nvars: int) -> "Jet":
-        return Jet(fr(c), (F0,) * nvars)
+        return Jet._lowest((c.numerator,) + (0,) * nvars, c.denominator)
 
     @staticmethod
     def variable(i: int, point: Sequence[Fraction]) -> "Jet":
-        return Jet(point[i], tuple(F1 if k == i else F0 for k in range(len(point))))
+        x = point[i]
+        q = x.denominator
+        return Jet._lowest((x.numerator,) + tuple(q if k == i else 0 for k in range(len(point))), q)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def grad(self) -> tuple[Fraction, ...]:
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.num[1:])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"Jet(value={self.value!r}, grad={self.grad!r})"
 
     def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.value + other.value,
-                   tuple(a + b for a, b in zip(self.grad, other.grad)))
+        da, db = self.den, other.den
+        if da == db:
+            return Jet._lowest([a + b for a, b in zip(self.num, other.num)], da)
+        return Jet._lowest([a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.value - other.value,
-                   tuple(a - b for a, b in zip(self.grad, other.grad)))
+        return self + (-other)
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.value, tuple(-a for a in self.grad))
+        return Jet._lowest([-a for a in self.num], self.den)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        return Jet(self.value * other.value,
-                   tuple(self.value * b + a * other.value
-                         for a, b in zip(self.grad, other.grad)))
+        a0, b0 = self.num[0], other.num[0]
+        return Jet._lowest([a0 * b0] + [a0 * b + a * b0
+                                        for a, b in zip(self.num[1:], other.num[1:])],
+                           self.den * other.den)
 
     def __truediv__(self, other: "Jet") -> "Jet":
-        if other.value == 0:
+        """(a / da) / (b / db) = a0 b0 db / (da b0^2), and each partial is
+        (a_i b0 - a0 b_i) db / (da b0^2): the denominator is positive."""
+        a0, b0, db = self.num[0], other.num[0], other.den
+        if b0 == 0:
             raise ZeroDenominatorError("jet division by a vanishing value")
-        w2 = other.value * other.value
-        return Jet(self.value / other.value,
-                   tuple((a * other.value - self.value * b) / w2
-                         for a, b in zip(self.grad, other.grad)))
+        return Jet._lowest([a0 * b0 * db] + [(a * b0 - a0 * b) * db
+                                             for a, b in zip(self.num[1:], other.num[1:])],
+                           self.den * b0 * b0)
 
-    def scale(self, c: Fraction) -> "Jet":
-        return Jet(c * self.value, tuple(c * a for a in self.grad))
+    def scale(self, c) -> "Jet":
+        p, q = c.numerator, c.denominator
+        return Jet._lowest([p * a for a in self.num], self.den * q)
 
     def is_zero(self) -> bool:
         """True for the zero jet: zero value and an all-zero gradient."""
-        return self.value == 0 and not any(self.grad)
+        return not any(self.num)
 
 
 def _canonical(nvars: int, terms: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
@@ -152,22 +207,34 @@ class Poly:
 
     def jet(self, point: Sequence[Fraction]) -> Jet:
         """Value and gradient at the point, read off the monomials: the
-        partial in x_i of c x^e is c e_i x_i^(e_i - 1) times the other powers."""
-        value = F0
-        grad = [F0] * self.nvars
+        partial in x_i of c x^e is c e_i x_i^(e_i - 1) times the other powers.
+
+        Computed in integers over D = lcm(coefficient denominators) times
+        q_i^deg_i over the variables, where x_i = p_i / q_i and deg_i is
+        the highest power of x_i in the polynomial; the scaled term of
+        c x^e is then c D / (c.denominator q^e) p^e, an integer.
+        """
+        n = self.nvars
+        ps = [x.numerator for x in point]
+        qs = [x.denominator for x in point]
+        big = lcm(*(c.denominator for _, c in self.terms))
+        for i, q in enumerate(qs):
+            big *= q ** max((exps[i] for exps, _ in self.terms), default=0)
+        num = [0] * (n + 1)
         for exps, coeff in self.terms:
-            powers = [(i, point[i], e) for i, e in enumerate(exps) if e]
-            term = coeff
-            for _, x, e in powers:
-                term *= x ** e
-            value += term
-            for i, x, e in powers:
-                d = coeff * e * x ** (e - 1)
-                for k, y, f in powers:
+            powers = [(i, e) for i, e in enumerate(exps) if e]
+            rest = coeff.denominator
+            for i, e in powers:
+                rest *= qs[i] ** e
+            rest = coeff.numerator * (big // rest)
+            num[0] += rest * prod(ps[i] ** e for i, e in powers)
+            for i, e in powers:
+                d = rest * e * qs[i] * ps[i] ** (e - 1)
+                for k, f in powers:
                     if k != i:
-                        d *= y ** f
-                grad[i] += d
-        return Jet(value, tuple(grad))
+                        d *= ps[k] ** f
+                num[i + 1] += d
+        return Jet._lowest(num, big)
 
 
 @dataclass(frozen=True)

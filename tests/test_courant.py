@@ -30,7 +30,15 @@ from gctwistor.courant import (
     two_form_field,
 )
 from gctwistor.courant import _bracket
-from gctwistor.gclinalg import from_complex, gelem, neutral_pairing, standard_complex_matrix
+from gctwistor.gclinalg import (
+    GElement,
+    from_complex,
+    from_symplectic,
+    gelem,
+    neutral_pairing,
+    standard_complex_matrix,
+    standard_symplectic_matrix,
+)
 from gctwistor.poly import Poly, RationalFn
 
 ZERO2 = Poly.constant(2, 0)
@@ -342,7 +350,6 @@ def test_scan_rejects_non_spanning_probes():
 
 
 def test_field_orientation_validation():
-    from gctwistor.gclinalg import from_symplectic, standard_symplectic_matrix
     good = constant_field(from_complex(standard_complex_matrix(1)).j)
     good.validate_at(chart_point([F(0), F(0)]), require_orientation=True)
     negative = constant_field(from_symplectic(standard_symplectic_matrix(1)).j)
@@ -371,10 +378,17 @@ def field_image_section(f: GACField, a: JetSection) -> JetSection:
 
 
 def reference_nijenhuis(f: GACField, a: JetSection, b: JetSection, p):
+    """N(A, B) from dense textbook brackets, independent of the bracket
+    kernel that `courant_bracket` and the table share."""
+    m = p.dim
+
+    def bracket(s, t):
+        return GElement(m, *textbook_bracket(s.at(p), t.at(p), m))
+
     j = f.endo_at(p)
     ja, jb = field_image_section(f, a), field_image_section(f, b)
-    return (-courant_bracket(a, b, p) - j.apply(courant_bracket(a, jb, p))
-            - j.apply(courant_bracket(ja, b, p)) + courant_bracket(ja, jb, p))
+    return (-bracket(a, b) - j.apply(bracket(a, jb))
+            - j.apply(bracket(ja, b)) + bracket(ja, jb))
 
 
 def test_table_matches_pairwise_nijenhuis_constant_field():
@@ -397,6 +411,61 @@ def test_table_matches_reference_on_varying_field():
     probes = [rand_section(rng) for _ in range(4)]
     p = rand_point(rng)
     for (i, k), value in nijenhuis_table(field, probes, p).items():
+        assert value == reference_nijenhuis(field, probes[i], probes[k], p)
+
+
+def _poly_matrix_product(a, b):
+    zero = Poly.constant(a[0][0].nvars, 0)
+    out = []
+    for row in a:
+        out.append([])
+        for c in range(len(b[0])):
+            acc = zero
+            for x, brow in zip(row, b):
+                acc = acc + x * brow[c]
+            out[-1].append(acc)
+    return out
+
+
+def b_transformed_field(m, fill):
+    """e^B J0 e^-B for the constant symplectic-type J0 and the two-form B
+    with the given upper entries; not integrable where dB does not vanish."""
+    zero, one = Poly.constant(m, 0), Poly.constant(m, 1)
+    j0 = [[Poly.constant(m, x) for x in row]
+          for row in from_symplectic(standard_symplectic_matrix(m // 2)).j.rows]
+
+    def exp_b(sign):
+        e = [[one if r == c else zero for c in range(2 * m)] for r in range(2 * m)]
+        for (i, k), val in fill.items():
+            e[m + k][i] = val.scale(sign)
+            e[m + i][k] = val.scale(-sign)
+        return e
+
+    return field_from_coefficients(
+        m, _poly_matrix_product(_poly_matrix_product(exp_b(1), j0), exp_b(-1)))
+
+
+def test_table_matches_reference_with_rational_sections():
+    # rational-coefficient sections against a varying, non-integrable field
+    # at a point whose coordinates have distinct denominators
+    m = 4
+    x = [Poly.variable(m, i) for i in range(m)]
+    zero, one = Poly.constant(m, 0), Poly.constant(m, 1)
+    field = b_transformed_field(m, {(0, 2): x[1].scale(F(3, 2)), (1, 3): x[0] * x[2]})
+    den = RationalFn(one, one + (x[1] * x[1]).scale(F(1, 3)))
+    probes = [
+        section_from_coefficients(m, [den * RationalFn.from_poly(x[0].scale(F(2, 3)) + one),
+                                      zero, x[3].scale(F(-1, 5)), zero,
+                                      zero, x[2] * x[3], zero, one.scale(F(5, 7))]),
+        section_from_coefficients(m, [zero, x[2].scale(F(1, 4)), zero, one,
+                                      den, zero, x[0].scale(F(-3, 2)), zero]),
+        section_from_coefficients(m, [one, zero, zero, x[1] * x[0].scale(F(7, 3)),
+                                      zero, zero, zero, zero]),
+    ]
+    p = chart_point([F(1, 3), F(-2, 5), F(3, 7), F(-1, 2)])
+    table = nijenhuis_table(field, probes, p)
+    assert any(not value.is_zero() for value in table.values())
+    for (i, k), value in table.items():
         assert value == reference_nijenhuis(field, probes[i], probes[k], p)
 
 

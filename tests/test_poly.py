@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -93,14 +94,25 @@ def test_jet_matches_polynomial_and_rational_arithmetic(p, q, point):
 
 @st.composite
 def _poly_and_point(draw):
-    """A polynomial in 1..6 variables, exponents up to 3, and a point whose
-    coordinates are all zero, all nonzero or about half zeros."""
-    nvars = draw(st.integers(1, 6))
-    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), small_rationals,
-                                 max_size=5))
-    coords = draw(st.sampled_from([st.just(F(0)), small_rationals.filter(bool),
-                                   small_rationals]))
-    return Poly.from_dict(nvars, terms), tuple(draw(coords) for _ in range(nvars))
+    """A polynomial in 1..5 variables, exponents 0..3, coefficients with
+    mixed denominators (sometimes the zero polynomial), and a point whose
+    coordinates are all zero, all nonzero, about half zeros, or of distinct
+    denominators with either sign."""
+    nvars = draw(st.integers(1, 5))
+    coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    terms = draw(st.one_of(st.just({}), st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                                                        coeffs, max_size=5)))
+    kind = draw(st.sampled_from(["zero", "nonzero", "mixed", "distinct"]))
+    if kind == "distinct":
+        dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7, 11]), min_size=nvars,
+                             max_size=nvars, unique=True))
+        point = tuple(F(draw(st.integers(-6, 6).filter(lambda k: k % q)) if q > 1
+                        else draw(st.integers(-6, 6)), q) for q in dens)
+    else:
+        coords = {"zero": st.just(F(0)), "nonzero": small_rationals.filter(bool),
+                  "mixed": small_rationals}[kind]
+        point = tuple(draw(coords) for _ in range(nvars))
+    return Poly.from_dict(nvars, terms), point
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,6 +137,86 @@ def test_rational_jet_over_one_is_the_quotient_rule(operands):
     assert all(type(x) is F for x in (jet.value,) + jet.grad)
     # other constant denominators still go through the quotient rule
     assert RationalFn(p, one.scale(2)).jet(point) == p.jet(point).scale(F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the integer jet against the Fraction formulae
+
+
+def _ref_add(a, b):
+    return a[0] + b[0], tuple(x + y for x, y in zip(a[1], b[1]))
+
+
+def _ref_mul(a, b):
+    return a[0] * b[0], tuple(a[0] * y + x * b[0] for x, y in zip(a[1], b[1]))
+
+
+def _ref_div(a, b):
+    w2 = b[0] * b[0]
+    return a[0] / b[0], tuple((x * b[0] - a[0] * y) / w2 for x, y in zip(a[1], b[1]))
+
+
+def _ref_scale(c, a):
+    return c * a[0], tuple(c * x for x in a[1])
+
+
+def _rationals_of(jet):
+    """(value, grad) of a jet, checked to be exactly Fractions, with the
+    jet checked to be in its canonical form."""
+    assert type(jet.value) is F and all(type(x) is F for x in jet.grad)
+    assert jet.den > 0 and math.gcd(*jet.num, jet.den) == 1
+    assert jet == Jet(jet.value, jet.grad) and hash(jet) == hash(Jet(jet.value, jet.grad))
+    return jet.value, jet.grad
+
+
+_jet_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _jet_operands(draw):
+    """Two (value, grad) pairs with 1..4 partials and a scale factor; the
+    values are as often zero or negative as positive."""
+    nvars = draw(st.integers(1, 4))
+    values = st.one_of(st.just(F(0)), _jet_rationals)
+
+    def pair():
+        return draw(values), tuple(draw(_jet_rationals) for _ in range(nvars))
+
+    return pair(), pair(), draw(_jet_rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jet_operands())
+def test_jet_matches_fraction_formulae(operands):
+    a, b, c = operands
+    ja, jb = Jet(*a), Jet(*b)
+    assert _rationals_of(ja) == a
+    assert _rationals_of(ja + jb) == _ref_add(a, b)
+    assert _rationals_of(ja - jb) == _ref_add(a, _ref_scale(F(-1), b))
+    assert _rationals_of(-ja) == _ref_scale(F(-1), a)
+    assert _rationals_of(ja * jb) == _ref_mul(a, b)
+    assert _rationals_of(ja.scale(c)) == _ref_scale(c, a)
+    assert ja.is_zero() == (a[0] == 0 and not any(a[1]))
+    if b[0] == 0:
+        with pytest.raises(ZeroDenominatorError):
+            ja / jb
+        with pytest.raises(ZeroDenominatorError):
+            ja / -jb
+    else:
+        # one of jb and -jb has a negative value
+        assert _rationals_of(ja / jb) == _ref_div(a, b)
+        assert _rationals_of(ja / -jb) == _ref_div(a, _ref_scale(F(-1), b))
+        assert (ja * jb) / jb == ja
+
+
+def test_jet_equality_and_hash_are_by_value():
+    assert Jet(F(2, 4), (F(1),)) == Jet(F(1, 2), (F(1),))
+    assert hash(Jet(F(2, 4), (F(1),))) == hash(Jet(F(1, 2), (F(1),)))
+    x = Jet.variable(0, (F(2, 3), F(5)))
+    # (x + x) / 2 and x reach the same rationals along different denominators
+    assert (x + x).scale(F(1, 2)) == x
+    assert len({x, (x * x) / x, Jet(F(2, 3), (F(1), F(0)))}) == 1
+    assert Jet.constant(F(-3, 6), 2) == Jet(F(-1, 2), (F(0), F(0)))
 
 
 def test_jet_is_zero_needs_value_and_gradient():
