@@ -1,13 +1,17 @@
 """Scenario-driven verification suites with machine-readable reports.
 
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
-sample counts and a list of named checks.  Every check runs in exact
-arithmetic (float mode only changes how residuals are *reported*), and
-every probe-pair scan, the curved witness among them, goes through one
-per-point Nijenhuis table.  A report is a deterministic function of
-(scenario, seed): two runs emit byte-identical JSON.  Wall-clock timings
-appear in the text rendering only, precisely so the JSON stays
-reproducible.
+sample counts and a list of named checks.  A check's name lives only in
+`CHECKS`: each check is a plain (scenario, hooks) -> CheckResult
+function, and `run_scenario` stamps every result with the key it ran
+under.  Each integrability claim has one check that reads `scenario.n`;
+the n-specific names that older presets schedule are the same checks,
+pinned to their n.  Every check runs in exact arithmetic (float mode
+only changes how residuals are *reported*), and every probe-pair scan,
+the curved witness among them, goes through one per-point Nijenhuis
+table.  A report is a deterministic function of (scenario, seed): two
+runs emit byte-identical JSON.  Wall-clock timings appear in the text
+rendering only, precisely so the JSON stays reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -105,7 +109,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
+    name: str                   # the CHECKS key, stamped by run_scenario
     status: str                 # "pass" | "fail" | "finding"
     residual: str | None
     witness: dict | None
@@ -145,18 +149,17 @@ def _zero_residual(mode: str) -> str:
     return "0" if mode == "exact" else "0.0"
 
 
-def _ok(name: str, scenario: Scenario, witness: dict | None = None,
-        finding: bool = False) -> CheckResult:
-    return CheckResult(name, "finding" if finding else "pass",
+def _ok(scenario: Scenario, witness: dict | None = None, finding: bool = False) -> CheckResult:
+    return CheckResult("", "finding" if finding else "pass",
                        _zero_residual(scenario.mode), witness)
 
 
-def _fail(name: str, scenario: Scenario, residual, witness: dict | None = None) -> CheckResult:
+def _fail(scenario: Scenario, residual, witness: dict | None = None) -> CheckResult:
     if isinstance(residual, Fraction):
         text = scalar_to_str(residual) if scenario.mode == "exact" else repr(float(residual))
     else:
         text = str(residual)
-    return CheckResult(name, "fail", text, witness)
+    return CheckResult("", "fail", text, witness)
 
 
 def _element_witness(g: GElement) -> dict:
@@ -173,53 +176,49 @@ def _first_nonzero(g: GElement) -> Fraction:
 
 
 def _check_pairing_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/pairing-examples"
     e1 = basis_vector(2, 0)
     e2 = basis_vector(2, 1)
     a1 = basis_covector(2, 0)
     if neutral_pairing(e1, a1) != Fraction(1, 2):
-        return _fail(name, scenario, neutral_pairing(e1, a1), {"case": "<e1, a1>"})
+        return _fail(scenario, neutral_pairing(e1, a1), {"case": "<e1, a1>"})
     if neutral_pairing(e1, e2) != 0:
-        return _fail(name, scenario, neutral_pairing(e1, e2), {"case": "<e1, e2>"})
+        return _fail(scenario, neutral_pairing(e1, e2), {"case": "<e1, e2>"})
     if neutral_pairing(e1 + a1, e1 + a1) != 1:
-        return _fail(name, scenario, neutral_pairing(e1 + a1, e1 + a1), {"case": "<e1+a1, e1+a1>"})
-    return _ok(name, scenario)
+        return _fail(scenario, neutral_pairing(e1 + a1, e1 + a1), {"case": "<e1+a1, e1+a1>"})
+    return _ok(scenario)
 
 
 def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/projection-nondegeneracy"
     rng = random.Random(scenario.seed)
     for n in (1, 2):
         for trial in range(scenario.count("base_points", 25)):
             basis = random_orthonormal_basis(n, rng)
             report = projection_nondegeneracy_check(basis)
             if not report.ok or report.det_p == 0:
-                return _fail(name, scenario, report.det_p, {"n": n, "trial": trial})
-    return _ok(name, scenario)
+                return _fail(scenario, report.det_p, {"n": n, "trial": trial})
+    return _ok(scenario)
 
 
 def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/dim2-orientation"
     rng = random.Random(scenario.seed + 1)
     for trial in range(scenario.count("base_points", 100)):
         basis = random_orthonormal_basis(1, rng)
         report = dim2_basis_orientation(basis)
         if not report.orthogonal:
-            return _fail(name, scenario, "A not orthogonal", {"trial": trial})
+            return _fail(scenario, "A not orthogonal", {"trial": trial})
         if report.transition_det != 4 * xm.det(report.a):
-            return _fail(name, scenario, report.transition_det, {"trial": trial})
-    return _ok(name, scenario)
+            return _fail(scenario, report.transition_det, {"trial": trial})
+    return _ok(scenario)
 
 
 def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/orientation-parity"
     for n in range(1, 5):
         if from_complex(standard_complex_matrix(n)).orientation() != 1:
-            return _fail(name, scenario, "complex-type orientation", {"n": n})
+            return _fail(scenario, "complex-type orientation", {"n": n})
         expected = 1 if n % 2 == 0 else -1
         if from_symplectic(standard_symplectic_matrix(n)).orientation() != expected:
-            return _fail(name, scenario, "symplectic-type orientation", {"n": n})
-    return _ok(name, scenario)
+            return _fail(scenario, "symplectic-type orientation", {"n": n})
+    return _ok(scenario)
 
 
 def _frame_relation_table(frames) -> list[tuple[str, Endo, Endo]]:
@@ -243,7 +242,6 @@ def _frame_relation_table(frames) -> list[tuple[str, Endo, Endo]]:
 
 
 def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/skew-frame-relations"
     rng = random.Random(scenario.seed + 2)
     tamper = hooks.get("tamper_frames")
     for trial in range(10):
@@ -253,16 +251,15 @@ def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResu
             frames = tamper(frames)
         relations = _frame_relation_table(frames)
         if len(relations) != 21:
-            return _fail(name, scenario, len(relations), {"reason": "relation count"})
+            return _fail(scenario, len(relations), {"reason": "relation count"})
         for label, got, expected in relations:
             if got != expected:
-                return _fail(name, scenario, "relation violated",
+                return _fail(scenario, "relation violated",
                              {"trial": trial, "relation": label})
-    return _ok(name, scenario)
+    return _ok(scenario)
 
 
 def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/frame-decomposition-roundtrip"
     rng = random.Random(scenario.seed + 3)
     for trial in range(10):
         basis = random_orthonormal_basis(1, rng)
@@ -273,12 +270,11 @@ def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
             k = k + m.scale(c)
         decomposition = skew_decompose(k, basis)
         if list(decomposition.left) + list(decomposition.right) != coeffs:
-            return _fail(name, scenario, "coefficients differ", {"trial": trial})
-    return _ok(name, scenario)
+            return _fail(scenario, "coefficients differ", {"trial": trial})
+    return _ok(scenario)
 
 
 def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/transform-isometries"
     rng = random.Random(scenario.seed + 4)
     probes = coordinate_elements(2)
     j = from_complex(standard_complex_matrix(1))
@@ -289,12 +285,12 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
         for label, m in (("e^B", exp_two_form(b)), ("e^beta", exp_two_vector(beta)),
                          ("gl", gl_endo(g))):
             if not is_pairing_orthogonal(m):
-                return _fail(name, scenario, "pairing not preserved", {"map": label})
+                return _fail(scenario, "pairing not preserved", {"map": label})
         for label, jt in (("b", b_transform(j, b)), ("beta", beta_transform(j, beta)),
                           ("gl", gl_action(g, j))):
             if jt.orientation() != j.orientation():
-                return _fail(name, scenario, "orientation flipped", {"map": label})
-    return _ok(name, scenario)
+                return _fail(scenario, "orientation flipped", {"map": label})
+    return _ok(scenario)
 
 
 def _hyperboloid_samples(rng: random.Random, count: int):
@@ -312,18 +308,17 @@ def _hyperboloid_samples(rng: random.Random, count: int):
 
 
 def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "linalg/hyperboloid-chart"
     rng = random.Random(scenario.seed + 5)
     basis = reference_basis(1)
     minus_id = Endo(4, xm.mat_scale(Fraction(-1), xm.identity(4)))
     for u, v, sheet in _hyperboloid_samples(rng, 10):
         x1, x2, x3 = hyperboloid_chart(u, v, sheet)
         if x1 * x1 - x2 * x2 - x3 * x3 != 1:
-            return _fail(name, scenario, "chart identity", {"u": scalar_to_str(u)})
+            return _fail(scenario, "chart identity", {"u": scalar_to_str(u)})
         structure = hyperboloid_point(u, v, sheet, basis)
         if structure.j.compose(structure.j) != minus_id:
-            return _fail(name, scenario, "square", {"u": scalar_to_str(u)})
-    return _ok(name, scenario)
+            return _fail(scenario, "square", {"u": scalar_to_str(u)})
+    return _ok(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +326,6 @@ def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "courant/bracket-examples"
     m = 2
     x1 = Poly.variable(m, 0)
     x2 = Poly.variable(m, 1)
@@ -341,19 +335,18 @@ def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
     xs = section_from_coefficients(m, [x2, zero, zero, zero])
     ys = section_from_coefficients(m, [zero, one, zero, zero])
     if lie_bracket(xs, ys, p) != (Fraction(-1), Fraction(0)):
-        return _fail(name, scenario, "lie", {"case": "[x2 d1, d2]"})
+        return _fail(scenario, "lie", {"case": "[x2 d1, d2]"})
     a = section_from_coefficients(m, [zero, zero, zero, x1])
     b = section_from_coefficients(m, [one, zero, zero, zero])
     got = courant_bracket(a, b, p)
     if got != gelem([0, 0], [0, -1]):
-        return _fail(name, scenario, "courant", {"case": "(0, x1 dx2) with (d1, 0)"})
+        return _fail(scenario, "courant", {"case": "(0, x1 dx2) with (d1, 0)"})
     if not courant_bracket(a, a, p).is_zero():
-        return _fail(name, scenario, "courant", {"case": "[A, A]"})
-    return _ok(name, scenario)
+        return _fail(scenario, "courant", {"case": "[A, A]"})
+    return _ok(scenario)
 
 
 def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "courant/nijenhuis-antisymmetry"
     rng = random.Random(scenario.seed + 6)
     m = 2
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
@@ -367,12 +360,11 @@ def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckRe
         b = section_from_coefficients(m, [rand_poly() for _ in range(4)])
         p = chart_point([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)])
         if not (nijenhuis(field, a, b, p) + nijenhuis(field, b, a, p)).is_zero():
-            return _fail(name, scenario, "antisymmetry", {"trial": trial})
-    return _ok(name, scenario)
+            return _fail(scenario, "antisymmetry", {"trial": trial})
+    return _ok(scenario)
 
 
 def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "courant/constant-structure-integrable"
     rng = random.Random(scenario.seed + 7)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     points = [chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
@@ -380,13 +372,12 @@ def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult
     report = integrability_scan(field, points, default_probes(2, perturbed=True))
     if not report.all_zero:
         w = report.first_witness()
-        return _fail(name, scenario, "nonzero residual",
+        return _fail(scenario, "nonzero residual",
                      {"point": [scalar_to_str(c) for c in w[0].coords]} if w else None)
-    return _ok(name, scenario)
+    return _ok(scenario)
 
 
 def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "courant/b-transform-automorphism"
     rng = random.Random(scenario.seed + 8)
     m = 4
     zero = Poly.constant(m, 0)
@@ -418,7 +409,7 @@ def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
         for p in points:
             defect = b_automorphism_defect(bf, a, c, p)
             if not defect.is_zero():
-                return _fail(name, scenario, _first_nonzero(defect),
+                return _fail(scenario, _first_nonzero(defect),
                              {"field": idx, "point": [scalar_to_str(x) for x in p.coords]})
     open_field = two_form_field(m, skew_entries({(0, 2): x2}))
     for p in points:
@@ -428,15 +419,15 @@ def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
             if not defect.is_zero():
                 witness = {"point": [scalar_to_str(x) for x in p.coords],
                            "defect": _element_witness(defect)}
-                return _ok(name, scenario, witness, finding=True)
-    return _fail(name, scenario, "no witness", {"reason": "non-closed form gave zero defect"})
+                return _ok(scenario, witness, finding=True)
+    return _fail(scenario, "no witness", {"reason": "non-closed form gave zero defect"})
 
 
 # ---------------------------------------------------------------------------
 # integrability suite
 
 
-def _probe_set(n: int, basis: Sequence[Endo], spec: str):
+def _probe_set(n: int, basis: Sequence[Endo] | None, spec: str):
     """'full': horizontal, vertical and coform probes; 'horizontal': the
     coordinate elements only (they already span H + H*)."""
     probes = [tangent_from_parts(n, horizontal=h) for h in coordinate_elements(2 * n)]
@@ -448,8 +439,10 @@ def _probe_set(n: int, basis: Sequence[Endo], spec: str):
 
 def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
                       spec: str = "full"):
-    """Yield (probe pair, value) over the probe set at one twistor point."""
-    basis = vertical_space_basis(at.structure)
+    """Yield (probe pair, value) over the probe set at one twistor point.
+    The vertical basis is built only for the 'full' probe set, the one
+    that contains it."""
+    basis = vertical_space_basis(at.structure) if spec == "full" else None
     probes = _probe_set(at.n, basis, spec)
     yield from nijenhuis_closed_form_table(alpha, conn, at, probes, basis).items()
 
@@ -462,9 +455,8 @@ def _n1_twistor_points(rng: random.Random, count: int):
 
 
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/n1-structure1-vanishes"
     if scenario.n != 1:
-        return _fail(name, scenario, "scenario has n != 1", None)
+        return _fail(scenario, "scenario has n != 1")
     rng = random.Random(scenario.seed + 9)
     count = scenario.count("base_points", 50)
     spec = str(scenario.samples.get("probe_spec", "full"))
@@ -473,70 +465,74 @@ def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
                            "probe_pair": [i, k]}
-                return _fail(name, scenario, "nonzero", witness)
-    return _ok(name, scenario, {"points": count, "sheets": "both"})
+                return _fail(scenario, "nonzero", witness)
+    return _ok(scenario, {"points": count, "sheets": "both"})
 
 
-def _flat_vanishing(name: str, n: int, scenario: Scenario) -> CheckResult:
+def _fibre_points(scenario: Scenario, offset: int):
+    """Yield (trial, twistor point) over `fibre_params` seeded fibre samples
+    at random points of the chart of dimension 2n."""
+    rng = random.Random(scenario.seed + offset)
+    for trial in range(scenario.count("fibre_params", 20)):
+        structure = sample_fibre_structure(scenario.n, rng)
+        yield trial, TwistorPoint(random_chart_point(2 * scenario.n, rng), structure)
+
+
+def _pair_witness(trial: int, pair: tuple[int, int], at: TwistorPoint) -> dict:
+    """Enough to replay one probe pair: the trial, the pair and the chart point."""
+    return {"trial": trial, "probe_pair": list(pair),
+            "point": [scalar_to_str(c) for c in at.point.coords]}
+
+
+def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has zero closed-form Nijenhuis value on every probe pair
-    at sampled fibre points over a flat chart of dimension 2n."""
-    if scenario.n != n:
-        return _fail(name, scenario, f"scenario has n != {n}", None)
+    at sampled fibre points over a flat chart of dimension 2n >= 4."""
+    if scenario.n < 2:
+        return _fail(scenario, "scenario needs n >= 2")
     if scenario.conn.entries:
-        return _fail(name, scenario, "connection is not flat", None)
-    rng = random.Random(scenario.seed + 10)
-    count = scenario.count("fibre_params", 20)
+        return _fail(scenario, "connection is not flat")
     spec = str(scenario.samples.get("probe_spec", "full"))
-    for trial in range(count):
-        structure = sample_fibre_structure(n, rng)
-        at = TwistorPoint(random_chart_point(2 * n, rng), structure)
-        for (i, k), value in _scan_closed_form(1, scenario.conn, at, spec):
+    for trial, at in _fibre_points(scenario, 10):
+        for pair, value in _scan_closed_form(1, scenario.conn, at, spec):
             if not value.is_zero():
-                return _fail(name, scenario, "nonzero", {"trial": trial, "probe_pair": [i, k]})
-    return _ok(name, scenario, {"fibre_samples": count})
+                return _fail(scenario, "nonzero", _pair_witness(trial, pair, at))
+    return _ok(scenario, {"fibre_samples": scenario.count("fibre_params", 20)})
 
 
-def _check_n2_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    return _flat_vanishing("integrability/n2-flat-structure1-vanishes", 2, scenario)
-
-
-def _check_n3_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    return _flat_vanishing("integrability/n3-flat-structure1-vanishes", 3, scenario)
-
-
-def _check_n2_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/n2-curved-witness"
-    if scenario.n != 2 or not scenario.conn.entries:
-        return _fail(name, scenario, "scenario needs n = 2 and a curved connection", None)
-    rng = random.Random(scenario.seed + 11)
-    count = scenario.count("fibre_params", 20)
-    horizontals = [tangent_from_parts(2, horizontal=h) for h in coordinate_elements(4)]
-    for trial in range(count):
-        structure = sample_fibre_structure(2, rng)
-        at = TwistorPoint(random_chart_point(4, rng), structure)
-        for (i, k), value in nijenhuis_closed_form_table(1, scenario.conn, at,
-                                                         horizontals).items():
+def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    """Structure 1 has a nonzero vertical closed-form Nijenhuis value on a
+    horizontal probe pair over a curved chart of dimension 2n >= 4."""
+    if scenario.n < 2 or not scenario.conn.entries:
+        return _fail(scenario, "scenario needs n >= 2 and a curved connection")
+    for trial, at in _fibre_points(scenario, 11):
+        for pair, value in _scan_closed_form(1, scenario.conn, at, "horizontal"):
             if not value.vertical.is_zero():
-                witness = {"trial": trial, "probe_pair": [i, k],
-                           "point": [scalar_to_str(c) for c in at.point.coords]}
-                return _ok(name, scenario, witness, finding=True)
-    return _fail(name, scenario, "no witness", {"trials": count})
+                return _ok(scenario, _pair_witness(trial, pair, at), finding=True)
+    return _fail(scenario, "no witness", {"trials": scenario.count("fibre_params", 20)})
+
+
+def _pinned(n: int, check: Callable[[Scenario, dict], CheckResult]):
+    """`check`, failing on every scenario whose n is not `n`."""
+    def pinned(scenario: Scenario, hooks: Mapping) -> CheckResult:
+        if scenario.n != n:
+            return _fail(scenario, f"scenario has n != {n}")
+        return check(scenario, hooks)
+    return pinned
 
 
 def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/curvature-form-kernel"
     try:
         report = mu_forced_zero_check(scenario.n)
     except DimensionMismatchError as exc:
-        return _fail(name, scenario, str(exc), None)
+        return _fail(scenario, str(exc))
     if report.kernel_dim != 0:
-        return _fail(name, scenario, report.kernel_dim, {"rank": report.rank})
-    return _ok(name, scenario, {"rank": report.rank, "unknowns": report.unknowns,
-                                "single_structure_kernel": report.single_structure_kernel_dim})
+        return _fail(scenario, report.kernel_dim, {"rank": report.rank})
+    # the system has one structure, so its kernel is the single-structure one
+    return _ok(scenario, {"rank": report.rank, "unknowns": report.unknowns,
+                          "single_structure_kernel": report.kernel_dim})
 
 
 def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/mixed-witness"
     rng = random.Random(scenario.seed + 12)
     count = scenario.count("adapted_points", 10)
     for trial in range(count):
@@ -546,14 +542,13 @@ def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
         q4 = sample.basis.vectors[3]
         got = nijenhuis_mixed(2, sample.at, q1, v)
         if got.horizontal != q4.scale(2) or got.horizontal.is_zero():
-            return _fail(name, scenario, "value differs from 2 Q4", {"trial": trial})
+            return _fail(scenario, "value differs from 2 Q4", {"trial": trial})
         if not nijenhuis_mixed(1, sample.at, q1, v).is_zero():
-            return _fail(name, scenario, "alpha=1 value nonzero", {"trial": trial})
-    return _ok(name, scenario, {"adapted_points": count}, finding=True)
+            return _fail(scenario, "alpha=1 value nonzero", {"trial": trial})
+    return _ok(scenario, {"adapted_points": count}, finding=True)
 
 
 def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "integrability/hybrid-witness"
     rng = random.Random(scenario.seed + 13)
     count = scenario.count("adapted_points", 10)
     for trial in range(count):
@@ -564,9 +559,9 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
         for alpha in (1, 2):
             got = hybrid_nijenhuis_horizontal(alpha, scenario.conn, sample.at, q1, v)
             if got != q4 or got.is_zero():
-                return _fail(name, scenario, "value differs from Q4",
+                return _fail(scenario, "value differs from Q4",
                              {"trial": trial, "alpha": alpha})
-    return _ok(name, scenario, {"adapted_points": count}, finding=True)
+    return _ok(scenario, {"adapted_points": count}, finding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -585,42 +580,39 @@ def _oracle_cached(scenario: Scenario, hooks: dict):
 
 
 def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "oracle/closed-form-equality"
     if scenario.n != 1:
-        return _fail(name, scenario, "oracle needs n = 1", None)
+        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.all_equal:
             witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
                        "sheet": r.sample.sheet, "alpha": r.alpha,
                        "probe_pair": list(r.mismatch) if r.mismatch else None}
-            return _fail(name, scenario, "mismatch", witness)
+            return _fail(scenario, "mismatch", witness)
     pairs = sum(r.pairs for r in report.results)
-    return _ok(name, scenario, {"samples": len(report.results) // 2, "pairs": pairs})
+    return _ok(scenario, {"samples": len(report.results) // 2, "pairs": pairs})
 
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "oracle/structure1-direct-zero"
     if scenario.n != 1:
-        return _fail(name, scenario, "oracle needs n = 1", None)
+        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if r.alpha == 1 and not r.direct_all_zero:
-            return _fail(name, scenario, "nonzero", {"sheet": r.sample.sheet})
+            return _fail(scenario, "nonzero", {"sheet": r.sample.sheet})
         if r.alpha == 2 and r.direct_all_zero:
-            return _fail(name, scenario, "alpha=2 unexpectedly zero",
+            return _fail(scenario, "alpha=2 unexpectedly zero",
                          {"sheet": r.sample.sheet})
-    return _ok(name, scenario)
+    return _ok(scenario)
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "oracle/lift-bracket-identity"
     if scenario.n != 1:
-        return _fail(name, scenario, "oracle needs n = 1", None)
+        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.lift_bracket_ok:
-            return _fail(name, scenario, "nonzero residual", {"sheet": r.sample.sheet})
+            return _fail(scenario, "nonzero residual", {"sheet": r.sample.sheet})
     # the same identity on the endomorphism-bundle chart, sized by n
     rng = random.Random(scenario.seed + 15)
     basis = reference_basis(1)
@@ -631,19 +623,18 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
     residual = lift_bracket_curvature_check(scenario.conn, [one, x1],
                                             [x1, one + x1 * x1], at)
     if any(c != 0 for c in residual):
-        return _fail(name, scenario, "bundle chart residual", None)
-    return _ok(name, scenario)
+        return _fail(scenario, "bundle chart residual")
+    return _ok(scenario)
 
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    name = "oracle/vertical-bracket-identity"
     if scenario.n != 1:
-        return _fail(name, scenario, "oracle needs n = 1", None)
+        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.vertical_bracket_ok:
-            return _fail(name, scenario, "nonzero residual", {"sheet": r.sample.sheet})
-    return _ok(name, scenario)
+            return _fail(scenario, "nonzero residual", {"sheet": r.sample.sheet})
+    return _ok(scenario)
 
 
 CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
@@ -660,9 +651,12 @@ CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
     "courant/constant-structure-integrable": _check_constant_structure,
     "courant/b-transform-automorphism": _check_b_automorphism,
     "integrability/n1-structure1-vanishes": _check_n1_vanishing,
-    "integrability/n2-flat-structure1-vanishes": _check_n2_flat_vanishing,
-    "integrability/n3-flat-structure1-vanishes": _check_n3_flat_vanishing,
-    "integrability/n2-curved-witness": _check_n2_curved_witness,
+    "integrability/flat-structure1-vanishes": _check_flat_vanishing,
+    "integrability/curved-witness": _check_curved_witness,
+    # names the n = 2 and n = 3 presets schedule, kept so their reports stay the same
+    "integrability/n2-flat-structure1-vanishes": _pinned(2, _check_flat_vanishing),
+    "integrability/n3-flat-structure1-vanishes": _pinned(3, _check_flat_vanishing),
+    "integrability/n2-curved-witness": _pinned(2, _check_curved_witness),
     "integrability/curvature-form-kernel": _check_mu_kernel,
     "integrability/mixed-witness": _check_mixed_witness,
     "integrability/hybrid-witness": _check_hybrid_witness,
@@ -720,6 +714,18 @@ PRESETS: dict[str, dict] = {
         "n": 2, "connection": {"gamma": _gamma_x1_json(2)}, "mode": "exact", "seed": 1205,
         "samples": {"fibre_params": 20, "adapted_points": 5},
         "checks": ["integrability/n2-curved-witness", "integrability/curvature-form-kernel",
+                   "integrability/mixed-witness"],
+    },
+    "thm1-n4-flat": {
+        "n": 4, "connection": {"gamma": {}}, "mode": "exact", "seed": 1208,
+        "samples": {"fibre_params": 4, "adapted_points": 2},
+        "checks": ["integrability/flat-structure1-vanishes",
+                   "integrability/curvature-form-kernel", "integrability/mixed-witness"],
+    },
+    "thm1-n4-curved": {
+        "n": 4, "connection": {"gamma": _gamma_x1_json(4)}, "mode": "exact", "seed": 1209,
+        "samples": {"fibre_params": 4, "adapted_points": 2},
+        "checks": ["integrability/curved-witness", "integrability/curvature-form-kernel",
                    "integrability/mixed-witness"],
     },
     "oracle-n1": {
@@ -792,7 +798,8 @@ def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:
     timings = []
     for check_name in scenario.checks:
         started = time.perf_counter()
-        results.append(CHECKS[check_name](scenario, hook_state))
+        result = CHECKS[check_name](scenario, hook_state)
+        results.append(replace(result, name=check_name))
         timings.append((check_name, time.perf_counter() - started))
     return Report(scenario.name, scenario.seed, scenario.mode,
                   tuple(results), tuple(timings))

@@ -686,48 +686,29 @@ def curvature_from_mu(mu: MuForm, x: Vec, y: Vec, z: Vec) -> Vec:
     return tuple(cxy * z[i] + cxz * y[i] - cyz * x[i] for i in range(len(x)))
 
 
-def interchanging_structure(n: int, perm: Sequence[int] | None = None) -> GCStructure:
-    """The structure sending the (permuted) coordinate basis of V to its dual:
-    J E_{2k-1} = eta_{2k}, J E_{2k} = -eta_{2k-1} in one-based pair notation.
+def interchanging_structure(n: int) -> GCStructure:
+    """The structure sending each coordinate pair of V to its dual pair:
+    J E_{2k-1} = eta_{2k}, J E_{2k} = -eta_{2k-1} in one-based pair notation,
+    except that for odd n the last pair is a complex pair, J E_{2n-1} = E_{2n}
+    and J eta_{2n-1} = eta_{2n}.
 
     Used by the curvature-form argument; it lies in the canonical
-    component exactly when n is even.
+    component (orientation +1) at every n.
     """
     dim_v = 2 * n
-    sigma = tuple(perm) if perm is not None else tuple(range(dim_v))
-    if sorted(sigma) != list(range(dim_v)):
-        raise ValueError("perm must be a permutation of the basis positions")
-    cols: dict[int, tuple[int, Fraction]] = {}
-    for m in range(n):
-        a, b = sigma[2 * m], sigma[2 * m + 1]
-        cols[a] = (dim_v + b, F1)        # J e_a = alpha_b
-        cols[b] = (dim_v + a, -F1)       # J e_b = -alpha_a
-        cols[dim_v + b] = (a, -F1)       # J alpha_b = -e_a
-        cols[dim_v + a] = (b, F1)        # J alpha_a = e_b
     rows = [[F0] * (2 * dim_v) for _ in range(2 * dim_v)]
-    for col, (row, val) in cols.items():
-        rows[row][col] = val
-    return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
-
-
-def interchanging_structure_odd(n: int) -> GCStructure:
-    """The odd-n variant: interchanging pairs on the first 2n - 2 coordinates,
-    a complex-structure pair on the last two (and on their duals)."""
-    if n % 2 == 0:
-        raise ValueError("this constructor is the odd-n variant")
-    dim_v = 2 * n
-    rows = [[F0] * (2 * dim_v) for _ in range(2 * dim_v)]
-    for m in range(n - 1):
+    for m in range(n - n % 2):
         a, b = 2 * m, 2 * m + 1
-        rows[dim_v + b][a] = F1
-        rows[dim_v + a][b] = -F1
-        rows[a][dim_v + b] = -F1
-        rows[b][dim_v + a] = F1
-    a, b = dim_v - 2, dim_v - 1
-    rows[b][a] = F1                      # J e_a = e_b
-    rows[a][b] = -F1
-    rows[dim_v + b][dim_v + a] = F1      # J alpha_a = alpha_b
-    rows[dim_v + a][dim_v + b] = -F1
+        rows[dim_v + b][a] = F1              # J e_a = alpha_b
+        rows[dim_v + a][b] = -F1             # J e_b = -alpha_a
+        rows[a][dim_v + b] = -F1             # J alpha_b = -e_a
+        rows[b][dim_v + a] = F1              # J alpha_a = e_b
+    if n % 2:
+        a, b = dim_v - 2, dim_v - 1
+        rows[b][a] = F1                      # J e_a = e_b
+        rows[a][b] = -F1
+        rows[dim_v + b][dim_v + a] = F1      # J alpha_a = alpha_b
+        rows[dim_v + a][dim_v + b] = -F1
     return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
 
 
@@ -737,7 +718,6 @@ class MuSystemReport:
     unknowns: int
     rank: int
     kernel_dim: int
-    single_structure_kernel_dim: int
 
 
 def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
@@ -786,55 +766,35 @@ def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
     return rows
 
 
-def mu_forced_zero_check(n: int = 2, perms: Sequence[Sequence[int]] | None = None) -> MuSystemReport:
-    """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 over a
-    family of structures j, for n = 2 and n = 3.
+def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
+    """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 for the
+    one structure j = `interchanging_structure(n)`, at any n >= 2.
 
     R_mu(X, Y) Z = mu(X, Y) Z - mu(Y, X) Z + mu(X, Z) Y - mu(Y, Z) X is
     the curvature a connection with integrable first twistor structure
-    would have; the system forces mu = 0 when its kernel is 0.  The family
-    is `interchanging_structure(n, perm)` over `perms`; by default the
-    identity permutation and the middle swap for n = 2, and the single
-    `interchanging_structure_odd(n)` for n = 3, since the even-n
-    construction has orientation -1 there.  Every
-    structure used must have orientation +1 (InvariantError otherwise)
-    and the family must not be empty (ValueError).
+    would have; the system forces mu = 0 when its kernel is 0.  The
+    structure must have orientation +1 (InvariantError otherwise); n < 2
+    raises DimensionMismatchError.
 
-    The rows of each structure are written down in closed form (see
-    `_mu_constraint_rows`) and fed, structure after structure, into one
-    `RowReducer`: its rank after the first structure gives
-    `single_structure_kernel_dim`, after the last one `rank`.  Once the
-    rank reaches the number of unknowns (2n)^2 the reduced rows span the
-    whole space, so every later row is dependent and skipping its
-    reduction leaves the rank exact; the later structures' rows are still
-    built and their structures validated.  Both n = 2 and n = 3 give
-    kernel 0, already for the first structure.
+    The rows are written down in closed form (see `_mu_constraint_rows`)
+    and fed into one `RowReducer`.  Once the rank reaches the number of
+    unknowns (2n)^2 the reduced rows span the whole space, so every later
+    row is dependent and skipping its reduction leaves the rank exact.
+    n = 2 to 5 give full rank, so kernel 0.
     """
-    if n not in (2, 3):
-        raise DimensionMismatchError("the curvature-form system is implemented for n = 2 and n = 3")
-    if perms is not None:
-        structures = [interchanging_structure(n, perm) for perm in perms]
-    elif n % 2:
-        structures = [interchanging_structure_odd(n)]
-    else:
-        structures = [interchanging_structure(n, perm) for perm in ((0, 1, 2, 3), (0, 2, 1, 3))]
-    if not structures:
-        raise ValueError("the structure family is empty")
+    if n < 2:
+        raise DimensionMismatchError("the curvature-form system needs n >= 2")
+    structure = interchanging_structure(n)
+    if structure.orientation() != 1:
+        raise InvariantError("the structure does not induce the canonical orientation")
     unknowns = (2 * n) ** 2
     reducer = xm.RowReducer()
-    single_rank = None
-    for structure in structures:
-        if structure.orientation() != 1:
-            raise InvariantError("a structure of the family does not induce the canonical orientation")
-        rows = _mu_constraint_rows(n, structure)
-        for row in rows:
-            if len(reducer) == unknowns:
-                break
-            reducer.add(row)
-        if single_rank is None:
-            single_rank = len(reducer)
+    for row in _mu_constraint_rows(n, structure):
+        if len(reducer) == unknowns:
+            break
+        reducer.add(row)
     rank = len(reducer)
-    return MuSystemReport(n, unknowns, rank, unknowns - rank, unknowns - single_rank)
+    return MuSystemReport(n, unknowns, rank, unknowns - rank)
 
 
 def ahs_identity_check(conn: Connection, k: Mat, x: Vec, y: Vec, p: ChartPoint) -> Mat:

@@ -212,6 +212,25 @@ def test_n3_flat_preset():
             report.ok and elapsed < 10.0)
 
 
+def test_n4_flat_preset():
+    started = time.perf_counter()
+    report = run_scenario(load_scenario("thm1-n4-flat"))
+    elapsed = time.perf_counter() - started
+    _report("first structure, dim-8 base, flat: preset thm1-n4-flat passes, "
+            f"curvature-form kernel 0, in {elapsed:.1f}s (< 10s)",
+            report.ok and elapsed < 10.0)
+
+
+def test_n4_curved_preset():
+    started = time.perf_counter()
+    report = run_scenario(load_scenario("thm1-n4-curved"))
+    elapsed = time.perf_counter() - started
+    witness = report.results[0]
+    _report("first structure, dim-8 base, curved: preset thm1-n4-curved finds a "
+            f"nonzero witness, curvature-form kernel 0, in {elapsed:.1f}s (< 10s)",
+            report.ok and witness.status == "finding" and elapsed < 10.0)
+
+
 def test_second_structure_mixed_witness():
     rng = random.Random(2501)
     ok = True

@@ -57,7 +57,6 @@ from gctwistor.oracle import TwistorChart
 from gctwistor.twistor import (
     flat_connection,
     interchanging_structure,
-    interchanging_structure_odd,
     sample_fibre_structure,
 )
 
@@ -836,7 +835,7 @@ def test_seed_basis_spans_projection(n, kind):
 
 @pytest.mark.parametrize("make", [
     lambda: interchanging_structure(2),
-    lambda: interchanging_structure_odd(3),
+    lambda: interchanging_structure(3),
     lambda: direct_sum(from_complex(rotation_2()), from_symplectic(standard_symplectic_matrix(1))),
     lambda: TwistorChart(flat_connection(1), 1).structure_at(
         chart_point([F(1, 2), F(1, 3), F(1, 4), F(1, 5)])),

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,6 +9,8 @@ import pytest
 
 import gctwistor
 from gctwistor.gclinalg import GElement, SkewFrames
+from gctwistor.poly import scalar_to_str
+from gctwistor.twistor import random_chart_point, sample_fibre_structure
 from gctwistor.harness import (
     PRESETS,
     CheckResult,
@@ -26,7 +29,7 @@ def run_preset(name, seed=None, hooks=None):
 def test_presets_exist():
     assert set(PRESETS) == {"linalg-all", "examples-courant", "thm1-n1",
                             "thm1-n2-flat", "thm1-n3-flat", "thm1-n2-curved",
-                            "oracle-n1"}
+                            "thm1-n4-flat", "thm1-n4-curved", "oracle-n1"}
 
 
 def test_linalg_suite_passes():
@@ -234,14 +237,15 @@ def test_valid_samples_accepted():
     assert scenario.count("base_points", 50) == 1
 
 
-@pytest.mark.parametrize("n", [1, 4])
-def test_curvature_form_kernel_needs_n2(n):
+@pytest.mark.parametrize("n, status, residual, witness", [
+    (1, "fail", "the curvature-form system needs n >= 2", None),
+    (4, "pass", "0", {"rank": 64, "unknowns": 64, "single_structure_kernel": 0}),
+], ids=["1", "4"])
+def test_curvature_form_kernel_needs_n2(n, status, residual, witness):
     scenario = load_scenario({"n": n, "seed": 0,
                               "checks": ["integrability/curvature-form-kernel"]})
-    report = run_scenario(scenario)
-    assert not report.ok
-    assert report.results[0].residual == \
-        "the curvature-form system is implemented for n = 2 and n = 3"
+    result = run_scenario(scenario).results[0]
+    assert (result.status, result.residual, result.witness) == (status, residual, witness)
 
 
 def test_curvature_form_kernel_n3_passes():
@@ -253,12 +257,66 @@ def test_curvature_form_kernel_n3_passes():
                                          "single_structure_kernel": 0}
 
 
-def test_cli_curvature_form_kernel_n4_fails(tmp_path):
+def test_cli_curvature_form_kernel_n4_passes(tmp_path):
     result = run_cli_on(tmp_path, {"n": 4, "seed": 0,
                                    "checks": ["integrability/curvature-form-kernel"]},
                         "--format", "text")
-    assert result.returncode == 1
-    assert "[FAIL]" in result.stdout
+    assert result.returncode == 0
+    assert "[PASS]" in result.stdout and '"rank": 64' in result.stdout
+
+
+@pytest.mark.parametrize("preset, legacy, generic", [
+    ("thm1-n2-flat", "integrability/n2-flat-structure1-vanishes",
+     "integrability/flat-structure1-vanishes"),
+    ("thm1-n2-curved", "integrability/n2-curved-witness", "integrability/curved-witness"),
+])
+def test_generic_name_matches_legacy_name_at_n2(preset, legacy, generic):
+    data = {**PRESETS[preset], "samples": {"fibre_params": 2}}
+    old = run_scenario(load_scenario({**data, "checks": [legacy]})).results[0]
+    new = run_scenario(load_scenario({**data, "checks": [generic]})).results[0]
+    assert (old.name, new.name) == (legacy, generic)
+    assert (new.status, new.residual, new.witness) == (old.status, old.residual, old.witness)
+
+
+@pytest.mark.parametrize("check, gamma, residual", [
+    ("integrability/flat-structure1-vanishes", {}, "scenario needs n >= 2"),
+    ("integrability/curved-witness", {"1,2,2": [{"exponents": [1, 0], "coeff": "1"}]},
+     "scenario needs n >= 2 and a curved connection"),
+])
+def test_generic_integrability_checks_fail_at_n1(check, gamma, residual):
+    scenario = load_scenario({"n": 1, "connection": {"gamma": gamma},
+                              "samples": {"fibre_params": 1}, "checks": [check]})
+    result = run_scenario(scenario).results[0]
+    assert result.status == "fail" and result.residual == residual
+
+
+def test_legacy_curved_witness_is_pinned_to_n2():
+    scenario = load_scenario({**PRESETS["thm1-n4-curved"], "samples": {"fibre_params": 1},
+                              "checks": ["integrability/n2-curved-witness"]})
+    result = run_scenario(scenario).results[0]
+    assert result.status == "fail" and result.residual == "scenario has n != 2"
+
+
+@pytest.mark.parametrize("preset", ["thm1-n2-flat", "thm1-n4-flat"])
+def test_flat_scan_failure_names_its_chart_point(monkeypatch, preset):
+    from gctwistor import harness
+    from gctwistor.gclinalg import basis_vector
+    from gctwistor.twistor import tangent_from_parts
+
+    def one_nonzero(alpha, conn, at, probes, basis=None):
+        return {(0, 1): tangent_from_parts(at.n, horizontal=basis_vector(2 * at.n, 0))}
+
+    monkeypatch.setattr(harness, "nijenhuis_closed_form_table", one_nonzero)
+    scenario = load_scenario({**PRESETS[preset], "samples": {"fibre_params": 1},
+                              "checks": ["integrability/flat-structure1-vanishes"]})
+    result = run_scenario(scenario).results[0]
+    assert result.status == "fail" and result.residual == "nonzero"
+    assert result.witness["trial"] == 0 and result.witness["probe_pair"] == [0, 1]
+    # the point is the one the unpatched scan visits first, in the curved witness's format
+    rng = random.Random(scenario.seed + 10)
+    sample_fibre_structure(scenario.n, rng)
+    point = random_chart_point(2 * scenario.n, rng)
+    assert result.witness["point"] == [scalar_to_str(c) for c in point.coords]
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])

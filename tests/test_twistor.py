@@ -39,7 +39,6 @@ from gctwistor.twistor import (
     horizontal_lift,
     hybrid_nijenhuis_horizontal,
     interchanging_structure,
-    interchanging_structure_odd,
     mu_forced_zero_check,
     nijenhuis_closed_form,
     nijenhuis_closed_form_table,
@@ -531,50 +530,55 @@ def test_curvature_from_mu_antisymmetry():
 
 
 def test_interchanging_structures_are_valid():
-    for n in (1, 2):
-        j = interchanging_structure(n)
-        assert j.orientation() == (1 if n % 2 == 0 else -1)
-    j = interchanging_structure(2, (0, 2, 1, 3))
-    e1 = basis_vector(4, 0)
-    assert j.apply(e1) == basis_covector(4, 2)
-    odd = interchanging_structure_odd(1)
-    assert odd.orientation() == 1
+    j = interchanging_structure(2)
+    assert j.apply(basis_vector(4, 0)) == basis_covector(4, 1)
+    assert j.apply(basis_vector(4, 1)) == basis_covector(4, 0).scale(-1)
+    # for odd n the last pair is a complex pair
+    odd = interchanging_structure(1)
     assert odd.apply(basis_vector(2, 0)) == basis_vector(2, 1)
     assert odd.apply(basis_covector(2, 0)) == basis_covector(2, 1)
+    j3 = interchanging_structure(3)
+    assert j3.apply(basis_vector(6, 0)) == basis_covector(6, 1)
+    assert j3.apply(basis_vector(6, 4)) == basis_vector(6, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interchanging_structure_orientation(n):
+    assert interchanging_structure(n).orientation() == 1
 
 
 def test_mu_system_kernel():
-    report = mu_forced_zero_check(2)
-    assert report.unknowns == 16
-    assert report.kernel_dim == 0
-    assert report.rank == 16
     # mu = 0 satisfies the system by linearity; the interesting content is
-    # that nothing else does, already for the single identity structure
-    assert report.single_structure_kernel_dim == 0
+    # that nothing else does, already for the one interchanging structure
+    for n in (2, 4, 5):
+        report = mu_forced_zero_check(n)
+        assert (report.unknowns, report.rank, report.kernel_dim) == ((2 * n) ** 2,) * 2 + (0,)
 
 
 def test_mu_system_kernel_n3():
     report = mu_forced_zero_check(3)
     assert (report.unknowns, report.rank) == (36, 36)
     assert report.kernel_dim == 0
-    assert report.single_structure_kernel_dim == 0
 
 
-def test_mu_system_requires_desk_scale():
+def test_mu_system_rejects_n1():
     from gctwistor.gclinalg import DimensionMismatchError
-    with pytest.raises(DimensionMismatchError):
-        mu_forced_zero_check(4)
+    with pytest.raises(DimensionMismatchError, match="n >= 2"):
+        mu_forced_zero_check(1)
 
 
-def test_mu_system_rejects_empty_family():
-    with pytest.raises(ValueError, match="empty"):
-        mu_forced_zero_check(2, [])
+def test_mu_system_rejects_off_component_structure(monkeypatch):
+    from gctwistor.gclinalg import direct_sum, from_symplectic, standard_symplectic_matrix
 
+    def off_component(n):
+        # an interchanging pair in place of the complex pair: orientation -1 at n = 3
+        return direct_sum(interchanging_structure(n - 1),
+                          from_symplectic(standard_symplectic_matrix(1)))
 
-def test_mu_system_rejects_off_component_structure():
-    # the even-n interchanging structure has orientation -1 at n = 3
+    assert off_component(3).orientation() == -1
+    monkeypatch.setattr(twistor, "interchanging_structure", off_component)
     with pytest.raises(InvariantError):
-        mu_forced_zero_check(3, [tuple(range(6))])
+        mu_forced_zero_check(3)
 
 
 def _mu_rows_from_paper_formula(n, structure):
@@ -599,9 +603,8 @@ def _mu_rows_from_paper_formula(n, structure):
 
 @pytest.mark.parametrize("n, structure", [
     (2, interchanging_structure(2)),
-    (2, interchanging_structure(2, (0, 2, 1, 3))),
-    (3, interchanging_structure_odd(3)),
-], ids=["n2-identity", "n2-middle-swap", "n3-odd"])
+    (3, interchanging_structure(3)),
+], ids=["n2-identity", "n3-odd"])
 def test_mu_constraint_rows_match_paper_formula(n, structure):
     rows = _mu_constraint_rows(n, structure)
     assert len(rows) == (2 * n) * (2 * n - 1) // 2 * (4 * n) ** 2
