@@ -21,7 +21,6 @@ pair's value as one `Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +35,7 @@ from .gclinalg import (
     structure_orientation,
 )
 from .poly import Coefficient, Jet, Poly, RationalFn, as_rational
+from .value import Value
 
 
 class ChartMismatchError(ValueError):
@@ -50,9 +50,19 @@ class ProbeSpanError(ValueError):
     """A probe set fails to span TM + T*M at a sampled point."""
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    coords: Vec
+class ChartPoint(Value):
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Vec):
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ChartPoint:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @property
     def dim(self) -> int:
@@ -63,16 +73,24 @@ def chart_point(coords: Iterable) -> ChartPoint:
     return ChartPoint(xm.vec(coords))
 
 
-@dataclass(frozen=True)
-class Jet1:
+class Jet1(Value):
     """Value and first partials of a section at a point."""
 
-    value: Vec                 # 2m components: m vector then m covector
-    jacobian: Mat              # 2m rows, m columns (column k is the d/dx_k partial)
+    __slots__ = ("value", "jacobian")
 
-    def __post_init__(self):
-        if len(self.jacobian) != len(self.value):
+    def __init__(self, value: Vec, jacobian: Mat):
+        if len(jacobian) != len(value):
             raise ChartMismatchError("jacobian rows must match the value length")
+        self.value = value          # 2m components: m vector then m covector
+        self.jacobian = jacobian    # 2m rows, m columns (column k is the d/dx_k partial)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Jet1:
+            return NotImplemented
+        return self.value == other.value and self.jacobian == other.jacobian
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.jacobian))
 
     @staticmethod
     def from_jets(components: Sequence[Jet]) -> "Jet1":
@@ -80,13 +98,16 @@ class Jet1:
         return Jet1(tuple(c.value for c in components), tuple(c.grad for c in components))
 
 
-@dataclass(frozen=True)
-class JetSection:
+class JetSection(Value):
     """A section of TM + T*M given by a deterministic 1-jet evaluator."""
 
-    chart_dim: int
-    evaluate: Callable[[ChartPoint], Jet1]
-    components: tuple[RationalFn, ...] | None = None  # closed form, when available
+    __slots__ = ("chart_dim", "evaluate", "components")
+
+    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], Jet1],
+                 components: tuple[RationalFn, ...] | None = None):
+        self.chart_dim = chart_dim
+        self.evaluate = evaluate
+        self.components = components  # closed form, when available
 
     def at(self, p: ChartPoint) -> Jet1:
         if p.dim != self.chart_dim:
@@ -136,10 +157,12 @@ def coordinate_sections(chart_dim: int) -> list[JetSection]:
 # structure fields
 
 
-@dataclass(frozen=True)
-class FieldJet:
-    value: Mat                 # 2m x 2m
-    partials: tuple[Mat, ...]  # m matrices, d/dx_k of every entry
+class FieldJet(Value):
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value: Mat, partials: tuple[Mat, ...]):
+        self.value = value          # 2m x 2m
+        self.partials = partials    # m matrices, d/dx_k of every entry
 
     @staticmethod
     def from_jets(entries: Sequence[Sequence[Jet]]) -> "FieldJet":
@@ -151,8 +174,7 @@ class FieldJet:
         return FieldJet(value, partials)
 
 
-@dataclass(frozen=True)
-class GACField:
+class GACField(Value):
     """A generalized almost complex structure field on a chart.
 
     The evaluator returns the 2m x 2m matrix value together with all
@@ -161,10 +183,14 @@ class GACField:
     consumer that needs a valid structure.
     """
 
-    chart_dim: int
-    evaluate: Callable[[ChartPoint], FieldJet]
-    entries: tuple[tuple[RationalFn, ...], ...] | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("chart_dim", "evaluate", "entries", "_cache")
+
+    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], FieldJet],
+                 entries: tuple[tuple[RationalFn, ...], ...] | None = None):
+        self.chart_dim = chart_dim
+        self.evaluate = evaluate
+        self.entries = entries
+        self._cache: dict[Vec, FieldJet] = {}
 
     def jet_at(self, p: ChartPoint) -> FieldJet:
         if p.dim != self.chart_dim:
@@ -364,21 +390,21 @@ def nijenhuis(jf: GACField, a: JetSection, b: JetSection, p: ChartPoint) -> GEle
 # two-form fields and the bracket automorphism test
 
 
-@dataclass(frozen=True)
-class TwoFormField:
+class TwoFormField(Value):
     """A pointwise skew two-form with closed-form entries."""
 
-    chart_dim: int
-    entries: tuple[tuple[RationalFn, ...], ...]
+    __slots__ = ("chart_dim", "entries")
 
-    def __post_init__(self):
-        m = self.chart_dim
-        if len(self.entries) != m or any(len(row) != m for row in self.entries):
+    def __init__(self, chart_dim: int, entries: tuple[tuple[RationalFn, ...], ...]):
+        m = chart_dim
+        if len(entries) != m or any(len(row) != m for row in entries):
             raise ChartMismatchError("a two-form on an m-chart is an m x m matrix")
         for i in range(m):
             for j in range(i, m):
-                if not (self.entries[i][j] + self.entries[j][i]).is_zero():
+                if not (entries[i][j] + entries[j][i]).is_zero():
                     raise FieldInvariantError("two-form entries are not skew")
+        self.chart_dim = chart_dim
+        self.entries = entries
 
     def exterior_derivative(self, p: ChartPoint, i: int, j: int, k: int) -> Fraction:
         """dB(d/dx_i, d/dx_j, d/dx_k) = d_i B_jk + d_j B_ki + d_k B_ij."""
@@ -456,16 +482,20 @@ def check_spanning(probes: Sequence[JetSection], p: ChartPoint) -> None:
         raise ProbeSpanError(f"probe set does not span TM + T*M at {p.coords}")
 
 
-@dataclass(frozen=True)
-class PointScan:
-    point: ChartPoint
-    all_zero: bool
-    witness: tuple[int, int] | None  # probe indices of the first nonzero residual
+class PointScan(Value):
+    __slots__ = ("point", "all_zero", "witness")
+
+    def __init__(self, point: ChartPoint, all_zero: bool, witness: tuple[int, int] | None):
+        self.point = point
+        self.all_zero = all_zero
+        self.witness = witness  # probe indices of the first nonzero residual
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    points: tuple[PointScan, ...]
+class ScanReport(Value):
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[PointScan, ...]):
+        self.points = points
 
     @property
     def empty(self) -> bool:

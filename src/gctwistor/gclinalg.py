@@ -14,7 +14,6 @@ ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -22,6 +21,7 @@ from typing import Iterable, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, F1, Mat, Vec, fr
+from .value import Value
 
 Scalar = Fraction
 
@@ -42,19 +42,27 @@ class InvariantError(ValueError):
 # elements and endomorphisms
 
 
-@dataclass(frozen=True)
-class GElement:
+class GElement(Value):
     """An element X + xi of V + V*, stored as (vector, covector) coordinates."""
 
-    dim_v: int
-    vec: Vec
-    cov: Vec
+    __slots__ = ("dim_v", "vec", "cov")
 
-    def __post_init__(self):
-        if self.dim_v < 0 or self.dim_v % 2 != 0:
+    def __init__(self, dim_v: int, vec: Vec, cov: Vec):
+        if dim_v < 0 or dim_v % 2 != 0:
             raise InvariantError("dim V must be even and nonnegative")
-        if len(self.vec) != self.dim_v or len(self.cov) != self.dim_v:
+        if len(vec) != dim_v or len(cov) != dim_v:
             raise DimensionMismatchError("coordinate length does not match dim V")
+        self.dim_v = dim_v
+        self.vec = vec
+        self.cov = cov
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GElement:
+            return NotImplemented
+        return self.dim_v == other.dim_v and self.vec == other.vec and self.cov == other.cov
+
+    def __hash__(self) -> int:
+        return hash((self.dim_v, self.vec, self.cov))
 
     @property
     def coords(self) -> Vec:
@@ -118,16 +126,24 @@ def _same_dim(a: GElement, b: GElement) -> None:
         raise DimensionMismatchError(f"dim V mismatch: {a.dim_v} vs {b.dim_v}")
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(Value):
     """A square matrix acting on the 4n coordinates of V + V*."""
 
-    dim: int
-    rows: Mat
+    __slots__ = ("dim", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.dim or any(len(r) != self.dim for r in self.rows):
+    def __init__(self, dim: int, rows: Mat):
+        if len(rows) != dim or any(len(r) != dim for r in rows):
             raise DimensionMismatchError("endomorphism matrix is not square of the stated size")
+        self.dim = dim
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Endo:
+            return NotImplemented
+        return self.dim == other.dim and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.rows))
 
     @property
     def half(self) -> int:
@@ -287,8 +303,7 @@ def structure_orientation(j: Endo) -> int:
 # structures and orthonormal bases
 
 
-@dataclass(frozen=True)
-class GCStructure:
+class GCStructure(Value):
     """A complex structure on V + V* compatible with the pairing.
 
     Construction checks j^2 = -Id and pairing skewness exactly.  The
@@ -298,14 +313,14 @@ class GCStructure:
     made, `vertical_space_basis` computes from j.
     """
 
-    j: Endo
+    __slots__ = ("j",)
 
-    def __post_init__(self):
-        sq = self.j.compose(self.j)
-        if sq != (-identity_endo(self.j.dim)):
+    def __init__(self, j: Endo):
+        if j.compose(j) != (-identity_endo(j.dim)):
             raise InvariantError("j^2 is not -Id")
-        if not is_pairing_skew(self.j):
+        if not is_pairing_skew(j):
             raise InvariantError("j is not skew for the neutral pairing")
+        self.j = j
 
     @property
     def dim_v(self) -> int:
@@ -318,37 +333,37 @@ class GCStructure:
         return structure_orientation(self.j)
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
+class OrthonormalBasis(Value):
     """4n elements Q_i with <Q_i, Q_j> = delta_ij eps_i, positive signs first."""
 
-    vectors: tuple[GElement, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("vectors", "signs")
 
-    def __post_init__(self):
-        n4 = len(self.vectors)
+    def __init__(self, vectors: tuple[GElement, ...], signs: tuple[int, ...]):
+        n4 = len(vectors)
         if n4 == 0 or n4 % 4 != 0:
             raise DimensionMismatchError("an orthonormal basis of V + V* has 4n elements")
-        if len(self.signs) != n4:
+        if len(signs) != n4:
             raise DimensionMismatchError("one sign per basis element")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise InvariantError("signs must be +1 or -1")
         half = n4 // 2
-        if self.signs != (1,) * half + (-1,) * half:
+        if signs != (1,) * half + (-1,) * half:
             raise InvariantError("expected 2n signs +1 followed by 2n signs -1")
-        if any(v.dim_v != half for v in self.vectors):
+        if any(v.dim_v != half for v in vectors):
             raise DimensionMismatchError("basis elements do not live in V + V* of dim V = 2n")
         # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2) over the
         # integer coordinates N = d Q, d the common denominator
-        ints, d = xm._integer_matrix([v.coords for v in self.vectors])
+        ints, d = xm._integer_matrix([v.coords for v in vectors])
         vecs = [row[:half] for row in ints]
         covs = [row[half:] for row in ints]
         norm = 2 * d * d
         for i in range(n4):
             for k in range(i, n4):
                 total = sum(map(mul, covs[i], vecs[k])) + sum(map(mul, covs[k], vecs[i]))
-                if total != (self.signs[i] * norm if i == k else 0):
+                if total != (signs[i] * norm if i == k else 0):
                     raise InvariantError(f"pairing of elements {i} and {k} is not orthonormal")
+        self.vectors = vectors
+        self.signs = signs
 
     @property
     def dim_v(self) -> int:
@@ -458,10 +473,12 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
 # basis reports
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    det_p: Scalar
-    ok: bool
+class ProjectionReport(Value):
+    __slots__ = ("det_p", "ok")
+
+    def __init__(self, det_p: Scalar, ok: bool):
+        self.det_p = det_p
+        self.ok = ok
 
 
 def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
@@ -479,12 +496,14 @@ def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
     return ProjectionReport(d, d * d >= 1)
 
 
-@dataclass(frozen=True)
-class Dim2OrientationReport:
-    a: Mat
-    orthogonal: bool
-    transition_det: Scalar
-    orientation: int
+class Dim2OrientationReport(Value):
+    __slots__ = ("a", "orthogonal", "transition_det", "orientation")
+
+    def __init__(self, a: Mat, orthogonal: bool, transition_det: Scalar, orientation: int):
+        self.a = a
+        self.orthogonal = orthogonal
+        self.transition_det = transition_det
+        self.orientation = orientation
 
 
 def dim2_basis_orientation(basis: OrthonormalBasis) -> Dim2OrientationReport:
@@ -655,8 +674,7 @@ def gl_action(g: Mat, j: GCStructure) -> GCStructure:
 # skew generators of an orthonormal basis and the fibre geometry
 
 
-@dataclass(frozen=True)
-class SkewGenerators:
+class SkewGenerators(Value):
     """The generators S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i) of a basis,
     built on demand from the basis matrix B and its inverse and memoised.
 
@@ -665,11 +683,15 @@ class SkewGenerators:
     entry of a generator is one integer over `den`.
     """
 
-    basis: OrthonormalBasis
-    bmat: tuple[tuple[int, ...], ...]
-    binv: tuple[tuple[int, ...], ...]
-    den: int
-    _built: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("basis", "bmat", "binv", "den", "_built")
+
+    def __init__(self, basis: OrthonormalBasis, bmat: tuple[tuple[int, ...], ...],
+                 binv: tuple[tuple[int, ...], ...], den: int):
+        self.basis = basis
+        self.bmat = bmat
+        self.binv = binv
+        self.den = den
+        self._built: dict[tuple[int, int], Endo] = {}
 
     def generator(self, i: int, k: int) -> Endo:
         """S_ik for zero-based indices; antisymmetric in (i, k), S_ii = 0.
@@ -710,8 +732,7 @@ def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
     return SkewGenerators(basis, tuple(map(tuple, b)), tuple(map(tuple, binv)), d * d_inv)
 
 
-@dataclass(frozen=True)
-class SkewFrames:
+class SkewFrames(Value):
     """Two anticommuting triples spanning the skew endomorphisms of neutral 4-space.
 
     The `left` triple (L1, L2, L3) satisfies L1^2 = -Id, L2^2 = L3^2 = Id
@@ -721,8 +742,11 @@ class SkewFrames:
     statement for `right`).
     """
 
-    left: tuple[Endo, Endo, Endo]
-    right: tuple[Endo, Endo, Endo]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[Endo, Endo, Endo], right: tuple[Endo, Endo, Endo]):
+        self.left = left
+        self.right = right
 
     def all(self) -> list[Endo]:
         return list(self.left) + list(self.right)
@@ -741,12 +765,15 @@ def skew_frames(basis: OrthonormalBasis) -> SkewFrames:
 _FRAME_NORMS = (Fraction(2), Fraction(-2), Fraction(-2))
 
 
-@dataclass(frozen=True)
-class SkewDecomposition:
-    left: tuple[Scalar, Scalar, Scalar]
-    right: tuple[Scalar, Scalar, Scalar]
-    compatible_complex: bool
-    family: str | None  # "left", "right" or None
+class SkewDecomposition(Value):
+    __slots__ = ("left", "right", "compatible_complex", "family")
+
+    def __init__(self, left: tuple[Scalar, Scalar, Scalar], right: tuple[Scalar, Scalar, Scalar],
+                 compatible_complex: bool, family: str | None):
+        self.left = left
+        self.right = right
+        self.compatible_complex = compatible_complex
+        self.family = family  # "left", "right" or None
 
 
 def skew_decompose(k: Endo, basis: OrthonormalBasis) -> SkewDecomposition:
@@ -897,8 +924,7 @@ def vertical_space_basis(j: GCStructure) -> list[Endo]:
     return basis
 
 
-@dataclass(frozen=True)
-class FiberKahlerStructure:
+class FiberKahlerStructure(Value):
     """The symplectic-type structure of the vertical space at a point j.
 
     Built from the two-form Omega(U, W) = <j o U, W> (trace pairing) on a
@@ -907,9 +933,12 @@ class FiberKahlerStructure:
     by dual coordinates and squares to -Id.
     """
 
-    basis: tuple[Endo, ...]
-    omega: Mat
-    matrix: Mat
+    __slots__ = ("basis", "omega", "matrix")
+
+    def __init__(self, basis: tuple[Endo, ...], omega: Mat, matrix: Mat):
+        self.basis = basis
+        self.omega = omega
+        self.matrix = matrix
 
 
 def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahlerStructure:

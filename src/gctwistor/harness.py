@@ -1,17 +1,20 @@
 """Scenario-driven verification suites with machine-readable reports.
 
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
-sample counts and a list of named checks.  A check's name lives only in
-`CHECKS`: each check is a plain (scenario, hooks) -> CheckResult
-function, and `run_scenario` stamps every result with the key it ran
-under.  Each integrability claim has one check that reads `scenario.n`;
-the n-specific names that older presets schedule are the same checks,
-pinned to their n.  Every check runs in exact arithmetic (float mode
-only changes how residuals are *reported*), and every probe-pair scan,
-the curved witness among them, goes through one per-point Nijenhuis
-table.  A report is a deterministic function of (scenario, seed): two
-runs emit byte-identical JSON.  Wall-clock timings appear in the text
-rendering only, precisely so the JSON stays reproducible.
+sample counts and a list of named checks.  A check is named once, in a
+registry that pairs it with what it asks of its scenario (an n, a flat
+or a curved connection); `load_scenario` rejects a scenario that
+schedules a check it cannot run.  `CHECKS` maps each name to a plain
+(scenario, hooks) -> CheckResult function, and `run_scenario` stamps
+every result with the key it ran under.  Each integrability claim has
+one check that reads `scenario.n`; the n-specific names that older
+presets schedule are the same checks, registered for their n only.
+Every check runs in exact arithmetic (float mode only changes how
+residuals are *reported*), and every probe-pair scan, the curved
+witness among them, goes through one per-point Nijenhuis table.  A
+report is a deterministic function of (scenario, seed): two runs emit
+byte-identical JSON.  Wall-clock timings appear in the text rendering
+only, precisely so the JSON stays reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -36,7 +38,6 @@ from .courant import (
     two_form_field,
 )
 from .gclinalg import (
-    DimensionMismatchError,
     Endo,
     GElement,
     b_transform,
@@ -87,45 +88,55 @@ from .twistor import (
     sample_fibre_structure,
     tangent_from_parts,
 )
+from .value import Value
 
 
 class ScenarioError(ValueError):
-    """The scenario is malformed: unknown check, bad connection, bad mode."""
+    """The scenario is malformed (unknown check, bad connection, bad mode) or
+    schedules a check it cannot run."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    n: int
-    conn: Connection
-    mode: str
-    seed: int
-    samples: Mapping[str, object]
-    checks: tuple[str, ...]
+class Scenario(Value):
+    __slots__ = ("name", "n", "conn", "mode", "seed", "samples", "checks")
+
+    def __init__(self, name: str, n: int, conn: Connection, mode: str, seed: int,
+                 samples: Mapping[str, object], checks: tuple[str, ...]):
+        self.name = name
+        self.n = n
+        self.conn = conn
+        self.mode = mode
+        self.seed = seed
+        self.samples = samples
+        self.checks = checks
 
     def count(self, key: str, default: int) -> int:
         return int(self.samples.get(key, default))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str                   # the CHECKS key, stamped by run_scenario
-    status: str                 # "pass" | "fail" | "finding"
-    residual: str | None
-    witness: dict | None
+class CheckResult(Value):
+    __slots__ = ("name", "status", "residual", "witness")
+
+    def __init__(self, name: str, status: str, residual: str | None, witness: dict | None):
+        self.name = name            # the CHECKS key, stamped by run_scenario
+        self.status = status        # "pass" | "fail" | "finding"
+        self.residual = residual
+        self.witness = witness
 
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "finding")
 
 
-@dataclass(frozen=True)
-class Report:
-    scenario: str
-    seed: int
-    mode: str
-    results: tuple[CheckResult, ...]
-    timings: tuple[tuple[str, float], ...]
+class Report(Value):
+    __slots__ = ("scenario", "seed", "mode", "results", "timings")
+
+    def __init__(self, scenario: str, seed: int, mode: str, results: tuple[CheckResult, ...],
+                 timings: tuple[tuple[str, float], ...]):
+        self.scenario = scenario
+        self.seed = seed
+        self.mode = mode
+        self.results = results
+        self.timings = timings
 
     @property
     def ok(self) -> bool:
@@ -455,8 +466,6 @@ def _n1_twistor_points(rng: random.Random, count: int):
 
 
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    if scenario.n != 1:
-        return _fail(scenario, "scenario has n != 1")
     rng = random.Random(scenario.seed + 9)
     count = scenario.count("base_points", 50)
     spec = str(scenario.samples.get("probe_spec", "full"))
@@ -487,10 +496,6 @@ def _pair_witness(trial: int, pair: tuple[int, int], at: TwistorPoint) -> dict:
 def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has zero closed-form Nijenhuis value on every probe pair
     at sampled fibre points over a flat chart of dimension 2n >= 4."""
-    if scenario.n < 2:
-        return _fail(scenario, "scenario needs n >= 2")
-    if scenario.conn.entries:
-        return _fail(scenario, "connection is not flat")
     spec = str(scenario.samples.get("probe_spec", "full"))
     for trial, at in _fibre_points(scenario, 10):
         for pair, value in _scan_closed_form(1, scenario.conn, at, spec):
@@ -502,8 +507,6 @@ def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
 def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has a nonzero vertical closed-form Nijenhuis value on a
     horizontal probe pair over a curved chart of dimension 2n >= 4."""
-    if scenario.n < 2 or not scenario.conn.entries:
-        return _fail(scenario, "scenario needs n >= 2 and a curved connection")
     for trial, at in _fibre_points(scenario, 11):
         for pair, value in _scan_closed_form(1, scenario.conn, at, "horizontal"):
             if not value.vertical.is_zero():
@@ -511,20 +514,8 @@ def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     return _fail(scenario, "no witness", {"trials": scenario.count("fibre_params", 20)})
 
 
-def _pinned(n: int, check: Callable[[Scenario, dict], CheckResult]):
-    """`check`, failing on every scenario whose n is not `n`."""
-    def pinned(scenario: Scenario, hooks: Mapping) -> CheckResult:
-        if scenario.n != n:
-            return _fail(scenario, f"scenario has n != {n}")
-        return check(scenario, hooks)
-    return pinned
-
-
 def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    try:
-        report = mu_forced_zero_check(scenario.n)
-    except DimensionMismatchError as exc:
-        return _fail(scenario, str(exc))
+    report = mu_forced_zero_check(scenario.n)
     if report.kernel_dim != 0:
         return _fail(scenario, report.kernel_dim, {"rank": report.rank})
     # the system has one structure, so its kernel is the single-structure one
@@ -580,8 +571,6 @@ def _oracle_cached(scenario: Scenario, hooks: dict):
 
 
 def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    if scenario.n != 1:
-        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.all_equal:
@@ -594,8 +583,6 @@ def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    if scenario.n != 1:
-        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if r.alpha == 1 and not r.direct_all_zero:
@@ -607,8 +594,6 @@ def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    if scenario.n != 1:
-        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.lift_bracket_ok:
@@ -628,8 +613,6 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
 
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    if scenario.n != 1:
-        return _fail(scenario, "oracle needs n = 1")
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.vertical_bracket_ok:
@@ -637,34 +620,60 @@ def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckR
     return _ok(scenario)
 
 
-CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
-    "linalg/pairing-examples": _check_pairing_examples,
-    "linalg/projection-nondegeneracy": _check_projection,
-    "linalg/dim2-orientation": _check_dim2_orientation,
-    "linalg/orientation-parity": _check_orientation_parity,
-    "linalg/skew-frame-relations": _check_skew_frame_relations,
-    "linalg/frame-decomposition-roundtrip": _check_frame_roundtrip,
-    "linalg/transform-isometries": _check_transform_isometries,
-    "linalg/hyperboloid-chart": _check_hyperboloid_chart,
-    "courant/bracket-examples": _check_bracket_examples,
-    "courant/nijenhuis-antisymmetry": _check_nijenhuis_antisymmetry,
-    "courant/constant-structure-integrable": _check_constant_structure,
-    "courant/b-transform-automorphism": _check_b_automorphism,
-    "integrability/n1-structure1-vanishes": _check_n1_vanishing,
-    "integrability/flat-structure1-vanishes": _check_flat_vanishing,
-    "integrability/curved-witness": _check_curved_witness,
+def _needs(n: int | None = None, at_least: int = 1, connection: str | None = None):
+    """What a check asks of its scenario: n equal to `n`, or at least
+    `at_least`, and a "flat" or "curved" connection when `connection` says
+    which.  Returns a function of (n, connection) that names what the
+    scenario lacks, or returns None."""
+    def lacks(scenario_n: int, conn: Connection) -> str | None:
+        if n is not None and scenario_n != n:
+            return f"n = {n}, not {scenario_n}"
+        if scenario_n < at_least:
+            return f"n >= {at_least}, not {scenario_n}"
+        if connection is not None and (connection == "curved") != bool(conn.entries):
+            return f"a {connection} connection"
+        return None
+    return lacks
+
+
+# name -> (check, what it asks of the scenario or None); `load_scenario`
+# rejects a scenario that schedules a check it cannot run
+_REGISTRY: dict[str, tuple[Callable[[Scenario, dict], CheckResult], Callable | None]] = {
+    "linalg/pairing-examples": (_check_pairing_examples, None),
+    "linalg/projection-nondegeneracy": (_check_projection, None),
+    "linalg/dim2-orientation": (_check_dim2_orientation, None),
+    "linalg/orientation-parity": (_check_orientation_parity, None),
+    "linalg/skew-frame-relations": (_check_skew_frame_relations, None),
+    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, None),
+    "linalg/transform-isometries": (_check_transform_isometries, None),
+    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, None),
+    "courant/bracket-examples": (_check_bracket_examples, None),
+    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, None),
+    "courant/constant-structure-integrable": (_check_constant_structure, None),
+    "courant/b-transform-automorphism": (_check_b_automorphism, None),
+    "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1)),
+    "integrability/flat-structure1-vanishes":
+        (_check_flat_vanishing, _needs(at_least=2, connection="flat")),
+    "integrability/curved-witness":
+        (_check_curved_witness, _needs(at_least=2, connection="curved")),
     # names the n = 2 and n = 3 presets schedule, kept so their reports stay the same
-    "integrability/n2-flat-structure1-vanishes": _pinned(2, _check_flat_vanishing),
-    "integrability/n3-flat-structure1-vanishes": _pinned(3, _check_flat_vanishing),
-    "integrability/n2-curved-witness": _pinned(2, _check_curved_witness),
-    "integrability/curvature-form-kernel": _check_mu_kernel,
-    "integrability/mixed-witness": _check_mixed_witness,
-    "integrability/hybrid-witness": _check_hybrid_witness,
-    "oracle/closed-form-equality": _check_oracle_equality,
-    "oracle/structure1-direct-zero": _check_oracle_direct_zero,
-    "oracle/lift-bracket-identity": _check_oracle_lift_bracket,
-    "oracle/vertical-bracket-identity": _check_oracle_vertical_bracket,
+    "integrability/n2-flat-structure1-vanishes":
+        (_check_flat_vanishing, _needs(n=2, connection="flat")),
+    "integrability/n3-flat-structure1-vanishes":
+        (_check_flat_vanishing, _needs(n=3, connection="flat")),
+    "integrability/n2-curved-witness":
+        (_check_curved_witness, _needs(n=2, connection="curved")),
+    "integrability/curvature-form-kernel": (_check_mu_kernel, _needs(at_least=2)),
+    "integrability/mixed-witness": (_check_mixed_witness, None),
+    "integrability/hybrid-witness": (_check_hybrid_witness, None),
+    "oracle/closed-form-equality": (_check_oracle_equality, _needs(n=1)),
+    "oracle/structure1-direct-zero": (_check_oracle_direct_zero, _needs(n=1)),
+    "oracle/lift-bracket-identity": (_check_oracle_lift_bracket, _needs(n=1)),
+    "oracle/vertical-bracket-identity": (_check_oracle_vertical_bracket, _needs(n=1)),
 }
+
+CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
+    name: check for name, (check, _) in _REGISTRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +796,11 @@ def load_scenario(source: str | Mapping, name: str | None = None,
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ScenarioError(f"unknown checks: {unknown}")
+    for check in checks:
+        needs = _REGISTRY[check][1]
+        lacking = needs and needs(n, conn)
+        if lacking:
+            raise ScenarioError(f"check {check} needs {lacking}")
     _validate_samples(samples)
     return Scenario(name, n, conn, effective_mode, effective_seed, samples, checks)
 
@@ -799,7 +813,7 @@ def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:
     for check_name in scenario.checks:
         started = time.perf_counter()
         result = CHECKS[check_name](scenario, hook_state)
-        results.append(replace(result, name=check_name))
+        results.append(CheckResult(check_name, result.status, result.residual, result.witness))
         timings.append((check_name, time.perf_counter() - started))
     return Report(scenario.name, scenario.seed, scenario.mode,
                   tuple(results), tuple(timings))

@@ -19,13 +19,12 @@ point's context (chart jets, base structure, horizontal-lift and
 fibre-structure coefficients) is computed once per chart and memoized,
 together with the numeric views
 `gamma_values` and `vertical_chart_basis` that the probe-pair
-comparison reads.
+comparison reads, and the inverse Gram matrix of that basis.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -64,6 +63,7 @@ from .twistor import (
     curvature,
     nijenhuis_closed_form_table,
 )
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,8 @@ class TwistorChart:
     excluded.  All per-point data (structure, splitting, the two twistor
     structure fields) is computed in jet arithmetic and memoized.  The
     point's context also memoizes its two numeric views that `decompose`
-    and `compose` read for every probe pair: `gamma_values` and
-    `vertical_chart_basis`.
+    and `compose` read for every probe pair, `gamma_values` and
+    `vertical_chart_basis`, and the inverse Gram matrix of that basis.
     """
 
     NVARS = 4
@@ -254,16 +254,25 @@ class TwistorChart:
 
     def vertical_chart_basis(self, q: ChartPoint) -> tuple[Endo, Endo]:
         """The endomorphisms dJ/du and dJ/dv at the point, memoized in its context."""
+        return self._vertical_frame(q)[0]
+
+    def _vertical_frame(self, q: ChartPoint) -> tuple[tuple[Endo, Endo], Mat]:
+        """`vertical_chart_basis` and the inverse of its trace-pairing Gram
+        matrix, memoized together in the point's context."""
         ctx = self.context(q)
-        if "vertical_chart_basis" not in ctx:
+        frame = ctx.get("vertical_frame")
+        if frame is None:
             out = []
             for w in range(2):
                 m = xm.zeros(4, 4)
                 for r in range(3):
                     m = xm.mat_add(m, xm.mat_scale(ctx["dx"][r][w].value, self.frame[r]))
                 out.append(Endo(4, m))
-            ctx["vertical_chart_basis"] = (out[0], out[1])
-        return ctx["vertical_chart_basis"]
+            b_u, b_v = out
+            gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
+                    (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
+            frame = ctx["vertical_frame"] = ((b_u, b_v), xm.inverse(gram))
+        return frame
 
     def gamma_values(self, q: ChartPoint) -> Mat:
         """gamma[a][w]: the (u, v) components of the lift of d/dx_a, memoized
@@ -391,7 +400,7 @@ class TwistorChart:
         if value.dim_v != 4:
             raise DegenerateInputError("chart values have four vector components")
         g = self.gamma_values(q)
-        b_u, b_v = self.vertical_chart_basis(q)
+        (b_u, b_v), gram_inverse = self._vertical_frame(q)
         x = value.vec
         theta = value.cov
         horizontal = GElement(
@@ -402,9 +411,7 @@ class TwistorChart:
         vert_v = x[3] - x[0] * g[0][1] - x[1] * g[1][1]
         vertical = b_u.scale(vert_u) + b_v.scale(vert_v)
         # representer of theta_u thu + theta_v thv on the chart fibre basis
-        gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
-                (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
-        lam = xm.solve(gram, (theta[2], theta[3]))
+        lam = xm.mat_vec(gram_inverse, (theta[2], theta[3]))
         coform = b_u.scale(lam[0]) + b_v.scale(lam[1])
         return TwistorTangent(horizontal, vertical, coform)
 
@@ -552,31 +559,41 @@ def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
 # the oracle comparison
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    base: tuple[Fraction, Fraction]
-    fibre: tuple[Fraction, Fraction]
-    sheet: int
+class OracleSample(Value):
+    __slots__ = ("base", "fibre", "sheet")
+
+    def __init__(self, base: tuple[Fraction, Fraction], fibre: tuple[Fraction, Fraction],
+                 sheet: int):
+        self.base = base
+        self.fibre = fibre
+        self.sheet = sheet
 
     def chart_point(self) -> ChartPoint:
         return chart_point(self.base + self.fibre)
 
 
-@dataclass(frozen=True)
-class OracleSampleResult:
-    sample: OracleSample
-    alpha: int
-    pairs: int
-    direct_all_zero: bool
-    all_equal: bool
-    mismatch: tuple[int, int] | None
-    lift_bracket_ok: bool
-    vertical_bracket_ok: bool
+class OracleSampleResult(Value):
+    __slots__ = ("sample", "alpha", "pairs", "direct_all_zero", "all_equal", "mismatch",
+                 "lift_bracket_ok", "vertical_bracket_ok")
+
+    def __init__(self, sample: OracleSample, alpha: int, pairs: int, direct_all_zero: bool,
+                 all_equal: bool, mismatch: tuple[int, int] | None, lift_bracket_ok: bool,
+                 vertical_bracket_ok: bool):
+        self.sample = sample
+        self.alpha = alpha
+        self.pairs = pairs
+        self.direct_all_zero = direct_all_zero
+        self.all_equal = all_equal
+        self.mismatch = mismatch
+        self.lift_bracket_ok = lift_bracket_ok
+        self.vertical_bracket_ok = vertical_bracket_ok
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    results: tuple[OracleSampleResult, ...]
+class OracleReport(Value):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[OracleSampleResult, ...]):
+        self.results = results
 
     @property
     def all_equal(self) -> bool:
@@ -615,6 +632,13 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
     """
     charts: dict[int, TwistorChart] = {}
     probes = coordinate_sections(4)
+    one = Poly.constant(2, 1)
+    zero = Poly.constant(2, 0)
+    x1p = Poly.variable(2, 0)
+    a_entries = [[zero, zero, zero, x1p],
+                 [zero, zero, -x1p, zero],
+                 [zero, zero, zero, zero],
+                 [zero, zero, zero, zero]]
     results = []
     for sample in samples:
         chart = charts.get(sample.sheet)
@@ -625,6 +649,11 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
         at = chart.twistor_point(q)
         vertical_basis = list(chart.vertical_chart_basis(q))
         decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
+        # the two bracket identities do not depend on alpha
+        lift_ok = all(r == 0 for r in chart_bracket_curvature_check(
+            chart, [one, zero], [zero, x1p + one], q))
+        vertical_ok = all(r == 0 for r in chart_vertical_bracket_check(
+            chart, [one, x1p], a_entries, q))
         for alpha in alphas:
             pairs = 0
             direct_zero = True
@@ -643,16 +672,6 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
                     equal = False
                     if mismatch is None:
                         mismatch = (i, k)
-            one = Poly.constant(2, 1)
-            zero = Poly.constant(2, 0)
-            x1p = Poly.variable(2, 0)
-            eq_res = chart_bracket_curvature_check(chart, [one, zero], [zero, x1p + one], q)
-            a_entries = [[zero, zero, zero, x1p],
-                         [zero, zero, -x1p, zero],
-                         [zero, zero, zero, zero],
-                         [zero, zero, zero, zero]]
-            hv_res = chart_vertical_bracket_check(chart, [one, x1p], a_entries, q)
-            results.append(OracleSampleResult(
-                sample, alpha, pairs, direct_zero, equal, mismatch,
-                all(r == 0 for r in eq_res), all(r == 0 for r in hv_res)))
+            results.append(OracleSampleResult(sample, alpha, pairs, direct_zero, equal,
+                                              mismatch, lift_ok, vertical_ok))
     return OracleReport(tuple(results))

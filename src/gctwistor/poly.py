@@ -21,12 +21,12 @@ multivariate gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .exactmat import F0, F1, _scaled, fr
+from .value import Value
 
 Monomial = tuple[int, ...]
 
@@ -139,12 +139,22 @@ def _canonical(nvars: int, terms: Mapping[Monomial, Fraction]) -> tuple[tuple[Mo
     return tuple(sorted((k, c) for k, c in cleaned.items() if c != 0))
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """A multivariate polynomial as a sorted tuple of (exponents, coefficient)."""
 
-    nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, Fraction], ...]):
+        self.nvars = nvars
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.terms))
 
     @staticmethod
     def from_dict(nvars: int, terms: Mapping[Monomial, Fraction]) -> "Poly":
@@ -237,18 +247,26 @@ class Poly:
         return Jet._lowest(num, big)
 
 
-@dataclass(frozen=True)
-class RationalFn:
+class RationalFn(Value):
     """A quotient of polynomials, stored unreduced."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.num.nvars != self.den.nvars:
+    def __init__(self, num: Poly, den: Poly):
+        if num.nvars != den.nvars:
             raise ValueError("numerator and denominator arity differ")
-        if self.den.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("denominator is the zero polynomial")
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RationalFn:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @property
     def nvars(self) -> int:

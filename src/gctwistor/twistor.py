@@ -18,10 +18,7 @@ Convention notes, fixed here and relied on everywhere:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from dataclasses import field as dataclasses_field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
@@ -59,6 +56,7 @@ from .gclinalg import (
     zero_endo,
 )
 from .poly import Poly, poly_from_json
+from .value import Value
 
 
 class NotVerticalError(ValueError):
@@ -69,19 +67,15 @@ class NotVerticalError(ValueError):
 # connections and curvature
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """Torsion-free Christoffel data with polynomial entries on a 2n-chart."""
 
-    n: int
-    entries: tuple[tuple[tuple[int, int, int], Poly], ...]  # (k, i, j) -> Gamma^k_ij
-    _curvature_cache: dict = dataclasses_field(default_factory=dict, compare=False, repr=False)
-    _action_cache: dict = dataclasses_field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("n", "entries", "_curvature_cache", "_action_cache")
 
-    def __post_init__(self):
-        dim = 2 * self.n
+    def __init__(self, n: int, entries: tuple[tuple[tuple[int, int, int], Poly], ...]):
+        dim = 2 * n
         seen: dict[tuple[int, int, int], Poly] = {}
-        for (k, i, j), p in self.entries:
+        for (k, i, j), p in entries:
             if not (0 <= k < dim and 0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError("Christoffel index out of range")
             if p.nvars != dim:
@@ -91,6 +85,10 @@ class Connection:
             mirror = seen.get((k, j, i), Poly.constant(dim, 0))
             if not (p - mirror).is_zero():
                 raise InvariantError(f"connection has torsion at Gamma^{k}_{i}{j}")
+        self.n = n
+        self.entries = entries  # (k, i, j) -> Gamma^k_ij
+        self._curvature_cache: dict[Vec, dict[tuple[int, int], Mat]] = {}
+        self._action_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -177,12 +175,14 @@ def connection_matrix(conn: Connection, x: Vec, p: ChartPoint) -> Endo:
                             xm.mat_neg(xm.transpose(gx)))
 
 
-@dataclass(frozen=True)
-class CurvatureValue:
+class CurvatureValue(Value):
     """R(X, Y) at a point, as an endomorphism of T_pM."""
 
-    n: int
-    endo_tm: Mat
+    __slots__ = ("n", "endo_tm")
+
+    def __init__(self, n: int, endo_tm: Mat):
+        self.n = n
+        self.endo_tm = endo_tm
 
     def extended(self) -> Endo:
         """Action on T_pM + T*_pM: R on vectors, eta -> -eta o R on covectors."""
@@ -227,26 +227,25 @@ def curvature(conn: Connection, x: Vec, y: Vec, p: ChartPoint) -> CurvatureValue
 # twistor points and tangents
 
 
-@dataclass(frozen=True)
-class TwistorPoint:
+class TwistorPoint(Value):
     """A base point together with a fibre structure of canonical orientation."""
 
-    point: ChartPoint
-    structure: GCStructure
+    __slots__ = ("point", "structure")
 
-    def __post_init__(self):
-        if self.point.dim != self.structure.dim_v:
+    def __init__(self, point: ChartPoint, structure: GCStructure):
+        if point.dim != structure.dim_v:
             raise DimensionMismatchError("base point and fibre structure disagree on dim M")
-        if self.structure.orientation() != 1:
+        if structure.orientation() != 1:
             raise InvariantError("fibre structure does not induce the canonical orientation")
+        self.point = point
+        self.structure = structure
 
     @property
     def n(self) -> int:
         return self.point.dim // 2
 
 
-@dataclass(frozen=True)
-class TwistorTangent:
+class TwistorTangent(Value):
     """An element of (H + H*) + (V + V*) at a twistor point.
 
     The horizontal summand H + H* is identified with T_pM + T*_pM and
@@ -255,9 +254,22 @@ class TwistorTangent:
     with phi(W) = <Phi, W>.
     """
 
-    horizontal: GElement
-    vertical: Endo
-    vertical_coform: Endo
+    __slots__ = ("horizontal", "vertical", "vertical_coform", "_zero")
+
+    def __init__(self, horizontal: GElement, vertical: Endo, vertical_coform: Endo):
+        self.horizontal = horizontal
+        self.vertical = vertical
+        self.vertical_coform = vertical_coform
+        self._zero: bool | None = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TwistorTangent:
+            return NotImplemented
+        return (self.horizontal == other.horizontal and self.vertical == other.vertical
+                and self.vertical_coform == other.vertical_coform)
+
+    def __hash__(self) -> int:
+        return hash((self.horizontal, self.vertical, self.vertical_coform))
 
     def __add__(self, other: "TwistorTangent") -> "TwistorTangent":
         return TwistorTangent(self.horizontal + other.horizontal,
@@ -272,15 +284,14 @@ class TwistorTangent:
                               self.vertical_coform.scale(c))
 
     def is_zero(self) -> bool:
-        return self._zero
-
-    @cached_property
-    def _zero(self) -> bool:
         """Whether every coordinate is zero; scanned once per tangent, so the
         zero tangent a table shares among its zero pairs is scanned once."""
-        return not (any(self.horizontal.vec) or any(self.horizontal.cov)
-                    or any(map(any, self.vertical.rows))
-                    or any(map(any, self.vertical_coform.rows)))
+        zero = self._zero
+        if zero is None:
+            zero = self._zero = not (any(self.horizontal.vec) or any(self.horizontal.cov)
+                                     or any(map(any, self.vertical.rows))
+                                     or any(map(any, self.vertical_coform.rows)))
+        return zero
 
 
 def zero_tangent(n: int) -> TwistorTangent:
@@ -664,11 +675,13 @@ def _assemble(zero: TwistorTangent, horizontal: list[Fraction] | None,
 # the curvature form argument
 
 
-@dataclass(frozen=True)
-class MuForm:
+class MuForm(Value):
     """A bilinear form on T_pM x T_pM."""
 
-    matrix: Mat
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Mat):
+        self.matrix = matrix
 
     def __call__(self, x: Vec, y: Vec) -> Fraction:
         """sum_ij x_i m_ij y_j over the nonzero x_i and y_j; a skipped term
@@ -712,12 +725,14 @@ def interchanging_structure(n: int) -> GCStructure:
     return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
 
 
-@dataclass(frozen=True)
-class MuSystemReport:
-    n: int
-    unknowns: int
-    rank: int
-    kernel_dim: int
+class MuSystemReport(Value):
+    __slots__ = ("n", "unknowns", "rank", "kernel_dim")
+
+    def __init__(self, n: int, unknowns: int, rank: int, kernel_dim: int):
+        self.n = n
+        self.unknowns = unknowns
+        self.rank = rank
+        self.kernel_dim = kernel_dim
 
 
 def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
@@ -899,13 +914,15 @@ def random_chart_point(dim: int, rng: random.Random) -> ChartPoint:
     return chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
 
 
-@dataclass(frozen=True)
-class AdaptedSample:
+class AdaptedSample(Value):
     """A twistor point whose structure is adapted to a sampled orthonormal basis."""
 
-    at: TwistorPoint
-    basis: OrthonormalBasis
-    generators: SkewGenerators
+    __slots__ = ("at", "basis", "generators")
+
+    def __init__(self, at: TwistorPoint, basis: OrthonormalBasis, generators: SkewGenerators):
+        self.at = at
+        self.basis = basis
+        self.generators = generators
 
 
 def sample_adapted_point(n: int, rng: random.Random) -> AdaptedSample:

@@ -164,28 +164,34 @@ def test_cli_invalid_input_exit_code():
     assert "error" in result.stderr
 
 
-def test_cli_check_failure_exit_code(tmp_path):
-    # a scheduled check whose precondition the scenario violates must fail
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "n": 1, "mode": "exact", "seed": 0,
-        "checks": ["integrability/n2-flat-structure1-vanishes"],
-    }))
-    result = run_cli(str(path), "--format", "text")
-    assert result.returncode == 1
-    assert "[FAIL]" in result.stdout
+def test_cli_check_failure_exit_code(monkeypatch, capsys):
+    # a check that fails on a scenario the CLI accepts gives exit code 1
+    from gctwistor import cli, harness
+
+    def failing(scenario, hooks):
+        return CheckResult("", "fail", "1", None)
+
+    monkeypatch.setitem(harness.CHECKS, "linalg/pairing-examples", failing)
+    assert cli.main(["verify", "linalg-all", "--format", "text"]) == 1
+    assert "[FAIL] linalg/pairing-examples" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n, gamma, residual", [
-    (2, {}, "scenario has n != 3"),
-    (3, {"1,2,2": [{"exponents": [1, 0, 0, 0, 0, 0], "coeff": "1"}]}, "connection is not flat"),
+def test_cli_rejects_check_outside_its_setting(tmp_path):
+    result = run_cli_on(tmp_path, {"n": 1, "mode": "exact", "seed": 0,
+                                   "checks": ["integrability/n2-flat-structure1-vanishes"]})
+    assert result.returncode == 2 and result.stdout == ""
+    assert "needs n = 2, not 1" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("n, gamma, lacking", [
+    (2, {}, "n = 3, not 2"),
+    (3, {"1,2,2": [{"exponents": [1, 0, 0, 0, 0, 0], "coeff": "1"}]}, "a flat connection"),
 ])
-def test_n3_flat_check_fails_outside_its_setting(n, gamma, residual):
-    scenario = load_scenario({"n": n, "connection": {"gamma": gamma},
-                              "samples": {"fibre_params": 1},
-                              "checks": ["integrability/n3-flat-structure1-vanishes"]})
-    result = run_scenario(scenario).results[0]
-    assert result.status == "fail" and result.residual == residual
+def test_n3_flat_check_rejected_outside_its_setting(n, gamma, lacking):
+    with pytest.raises(ScenarioError,
+                       match=f"check integrability/n3-flat-structure1-vanishes needs {lacking}"):
+        load_scenario({"n": n, "connection": {"gamma": gamma}, "samples": {"fibre_params": 1},
+                       "checks": ["integrability/n3-flat-structure1-vanishes"]})
 
 
 def run_cli_on(tmp_path, data, *args):
@@ -237,15 +243,16 @@ def test_valid_samples_accepted():
     assert scenario.count("base_points", 50) == 1
 
 
-@pytest.mark.parametrize("n, status, residual, witness", [
-    (1, "fail", "the curvature-form system needs n >= 2", None),
-    (4, "pass", "0", {"rank": 64, "unknowns": 64, "single_structure_kernel": 0}),
-], ids=["1", "4"])
-def test_curvature_form_kernel_needs_n2(n, status, residual, witness):
-    scenario = load_scenario({"n": n, "seed": 0,
-                              "checks": ["integrability/curvature-form-kernel"]})
-    result = run_scenario(scenario).results[0]
-    assert (result.status, result.residual, result.witness) == (status, residual, witness)
+@pytest.mark.parametrize("n", [1, 4], ids=["1", "4"])
+def test_curvature_form_kernel_needs_n2(n):
+    data = {"n": n, "seed": 0, "checks": ["integrability/curvature-form-kernel"]}
+    if n < 2:
+        with pytest.raises(ScenarioError, match="needs n >= 2, not 1"):
+            load_scenario(data)
+        return
+    result = run_scenario(load_scenario(data)).results[0]
+    assert (result.status, result.residual, result.witness) == (
+        "pass", "0", {"rank": 64, "unknowns": 64, "single_structure_kernel": 0})
 
 
 def test_curvature_form_kernel_n3_passes():
@@ -278,23 +285,31 @@ def test_generic_name_matches_legacy_name_at_n2(preset, legacy, generic):
     assert (new.status, new.residual, new.witness) == (old.status, old.residual, old.witness)
 
 
-@pytest.mark.parametrize("check, gamma, residual", [
-    ("integrability/flat-structure1-vanishes", {}, "scenario needs n >= 2"),
+@pytest.mark.parametrize("check, gamma, lacking", [
+    ("integrability/flat-structure1-vanishes", {}, "n >= 2, not 1"),
     ("integrability/curved-witness", {"1,2,2": [{"exponents": [1, 0], "coeff": "1"}]},
-     "scenario needs n >= 2 and a curved connection"),
+     "n >= 2, not 1"),
 ])
-def test_generic_integrability_checks_fail_at_n1(check, gamma, residual):
-    scenario = load_scenario({"n": 1, "connection": {"gamma": gamma},
-                              "samples": {"fibre_params": 1}, "checks": [check]})
-    result = run_scenario(scenario).results[0]
-    assert result.status == "fail" and result.residual == residual
+def test_generic_integrability_checks_fail_at_n1(check, gamma, lacking):
+    with pytest.raises(ScenarioError, match=f"check {check} needs {lacking}"):
+        load_scenario({"n": 1, "connection": {"gamma": gamma},
+                       "samples": {"fibre_params": 1}, "checks": [check]})
+
+
+@pytest.mark.parametrize("check, preset", [
+    ("integrability/flat-structure1-vanishes", "thm1-n2-curved"),
+    ("integrability/curved-witness", "thm1-n2-flat"),
+])
+def test_generic_integrability_checks_need_their_connection(check, preset):
+    want = "flat" if "flat" in check else "curved"
+    with pytest.raises(ScenarioError, match=f"check {check} needs a {want} connection"):
+        load_scenario({**PRESETS[preset], "checks": [check]})
 
 
 def test_legacy_curved_witness_is_pinned_to_n2():
-    scenario = load_scenario({**PRESETS["thm1-n4-curved"], "samples": {"fibre_params": 1},
-                              "checks": ["integrability/n2-curved-witness"]})
-    result = run_scenario(scenario).results[0]
-    assert result.status == "fail" and result.residual == "scenario has n != 2"
+    with pytest.raises(ScenarioError, match="n2-curved-witness needs n = 2, not 4"):
+        load_scenario({**PRESETS["thm1-n4-curved"], "samples": {"fibre_params": 1},
+                       "checks": ["integrability/n2-curved-witness"]})
 
 
 @pytest.mark.parametrize("preset", ["thm1-n2-flat", "thm1-n4-flat"])
@@ -333,24 +348,22 @@ def test_cli_rejects_bad_n(tmp_path, n):
     assert "n must be an integer" in result.stderr and "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("check", ["oracle/structure1-direct-zero",
+@pytest.mark.parametrize("check", ["oracle/closed-form-equality",
+                                   "oracle/structure1-direct-zero",
                                    "oracle/lift-bracket-identity",
-                                   "oracle/vertical-bracket-identity"])
+                                   "oracle/vertical-bracket-identity",
+                                   "integrability/n1-structure1-vanishes"])
 def test_oracle_checks_need_n1(check):
-    scenario = load_scenario({"n": 2, "seed": 0, "samples": {"fibre_params": 1},
-                              "checks": [check]})
-    report = run_scenario(scenario)
-    assert not report.ok
-    assert report.results[0].residual == "oracle needs n = 1"
+    with pytest.raises(ScenarioError, match=f"check {check} needs n = 1, not 2"):
+        load_scenario({"n": 2, "seed": 0, "samples": {"fibre_params": 1}, "checks": [check]})
 
 
 def test_cli_oracle_check_n2_fails_cleanly(tmp_path):
     result = run_cli_on(tmp_path, {"n": 2, "seed": 0, "samples": {"fibre_params": 1},
                                    "checks": ["oracle/structure1-direct-zero"]},
                         "--format", "text")
-    assert result.returncode == 1
-    assert "[FAIL]" in result.stdout and "oracle needs n = 1" in result.stdout
-    assert "Traceback" not in result.stderr
+    assert result.returncode == 2 and result.stdout == ""
+    assert "needs n = 1, not 2" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_integrability_suite_wrapper():

@@ -9,6 +9,7 @@ from gctwistor.courant import chart_point, coordinate_sections, nijenhuis, nijen
 from gctwistor.gclinalg import (
     DegenerateInputError,
     GElement,
+    fib_pairing,
     gelem,
     hyperboloid_point,
     is_vertical,
@@ -115,6 +116,46 @@ def test_decompose_compose_roundtrip():
                       [F(rng.randint(-3, 3), 3) for _ in range(4)])
         t = chart.decompose(value, q)
         assert chart.compose(t, q) == value
+
+
+def test_decompose_reuses_the_gram_inverse_of_its_point(monkeypatch):
+    from gctwistor import oracle
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return fib_pairing(a, b)
+
+    monkeypatch.setattr(oracle, "fib_pairing", counted)
+    chart = TwistorChart(CONN, 1)
+    q = q_at()
+    b_u, b_v = chart.vertical_chart_basis(q)
+    for probe in coordinate_sections(4):
+        value = probe.value_at(q)
+        coform = chart.decompose(value, q).vertical_coform
+        # the coform's representer pairs with the chart fibre basis to theta_u, theta_v
+        assert (fib_pairing(coform, b_u), fib_pairing(coform, b_v)) == value.cov[2:]
+    assert len(calls) == 4  # one 2 x 2 Gram matrix for the point, not one per probe
+
+
+def test_bracket_identities_checked_once_per_sample(monkeypatch):
+    from gctwistor import oracle
+    calls = {"lift": 0, "vertical": 0}
+
+    def counting(key, check):
+        def counted(*args):
+            calls[key] += 1
+            return check(*args)
+        return counted
+
+    monkeypatch.setattr(oracle, "chart_bracket_curvature_check",
+                        counting("lift", chart_bracket_curvature_check))
+    monkeypatch.setattr(oracle, "chart_vertical_bracket_check",
+                        counting("vertical", chart_vertical_bracket_check))
+    report = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
+    assert calls == {"lift": 2, "vertical": 2}
+    assert [r.alpha for r in report.results] == [1, 2, 1, 2]
+    assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in report.results)
 
 
 def test_decompose_splits_lift_directions():

@@ -1,0 +1,179 @@
+"""The package's value classes: plain `__slots__` classes, equal and hashed
+by their fields, with invariants checked in the constructor and caches
+kept out of equality, hashing and the repr."""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gctwistor
+from gctwistor.courant import ChartMismatchError, Jet1, PointScan, chart_point, constant_field
+from gctwistor.gclinalg import (
+    DimensionMismatchError,
+    Endo,
+    GElement,
+    InvariantError,
+    ProjectionReport,
+    from_complex,
+    random_orthonormal_basis,
+    standard_complex_matrix,
+)
+from gctwistor.harness import CheckResult
+from gctwistor.oracle import OracleSample
+from gctwistor.poly import Poly, RationalFn
+from gctwistor.twistor import (
+    CurvatureValue,
+    MuForm,
+    MuSystemReport,
+    TwistorPoint,
+    TwistorTangent,
+    connection,
+    random_chart_point,
+    sample_fibre_structure,
+)
+from gctwistor.value import Value
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; before = set(sys.modules); import gctwistor; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    package_root = os.path.dirname(os.path.dirname(gctwistor.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# equality and hashing by value
+
+
+def _q(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _vec(rng, k):
+    return tuple(_q(rng) for _ in range(k))
+
+
+def _mat(rng, r, c):
+    return tuple(_vec(rng, c) for _ in range(r))
+
+
+def _poly(rng):
+    return Poly.from_dict(2, {(rng.randint(0, 2), rng.randint(0, 2)): _q(rng) for _ in range(2)})
+
+
+def _structure(rng):
+    return sample_fibre_structure(1, rng)
+
+
+# one factory per compared or hashed type; the same seed makes equal,
+# distinct objects
+FACTORIES = {
+    "Poly": _poly,
+    "RationalFn": lambda rng: RationalFn(_poly(rng), Poly.constant(2, rng.randint(1, 3))),
+    "GElement": lambda rng: GElement(2, _vec(rng, 2), _vec(rng, 2)),
+    "Endo": lambda rng: Endo(4, _mat(rng, 4, 4)),
+    "ChartPoint": lambda rng: chart_point(_vec(rng, 2)),
+    "Jet1": lambda rng: Jet1(_vec(rng, 4), _mat(rng, 4, 2)),
+    "TwistorTangent": lambda rng: TwistorTangent(GElement(2, _vec(rng, 2), _vec(rng, 2)),
+                                                 Endo(4, _mat(rng, 4, 4)),
+                                                 Endo(4, _mat(rng, 4, 4))),
+    "Connection": lambda rng: connection(1, {(0, 0, 1): _poly(rng)}),
+    "CurvatureValue": lambda rng: CurvatureValue(1, _mat(rng, 2, 2)),
+    "GCStructure": _structure,
+    "TwistorPoint": lambda rng: TwistorPoint(random_chart_point(2, rng), _structure(rng)),
+    "OrthonormalBasis": lambda rng: random_orthonormal_basis(1, rng),
+    "MuForm": lambda rng: MuForm(_mat(rng, 2, 2)),
+    "MuSystemReport": lambda rng: MuSystemReport(*(rng.randint(0, 2) for _ in range(4))),
+    "ProjectionReport": lambda rng: ProjectionReport(_q(rng), rng.random() < 0.5),
+    "PointScan": lambda rng: PointScan(chart_point(_vec(rng, 2)), rng.random() < 0.5,
+                                       (rng.randint(0, 1), 2)),
+    "OracleSample": lambda rng: OracleSample(_vec(rng, 2), _vec(rng, 2), rng.choice((1, -1))),
+    "CheckResult": lambda rng: CheckResult("x", rng.choice(("pass", "fail")),
+                                           str(rng.randint(0, 1)), None),
+}
+
+
+def _fields(value):
+    return tuple(getattr(value, name) for name in type(value).__slots__ if name[0] != "_")
+
+
+def _twin(value):
+    """An instance of another value class with the same slots and fields."""
+    cls = type(value)
+    twin = object.__new__(type("Twin" + cls.__name__, (Value,), {"__slots__": cls.__slots__}))
+    for name in cls.__slots__:
+        setattr(twin, name, getattr(value, name))
+    return twin
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), other=st.integers(0, 10 ** 6))
+def test_equal_and_hashed_by_fields(kind, seed, other):
+    make = FACTORIES[kind]
+    a, b = make(random.Random(seed)), make(random.Random(seed))
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    c = make(random.Random(other))
+    assert (a == c) == (_fields(a) == _fields(c)) and (a != c) == (not a == c)
+    twin = _twin(a)
+    assert a != twin and twin != a
+
+
+def test_caches_take_no_part_in_equality_or_repr():
+    conn, fresh = (connection(1, {(0, 0, 1): Poly.variable(2, 0)}) for _ in range(2))
+    conn.curvature_basis_at(chart_point([F(1), F(2)]))
+    assert conn._curvature_cache and conn == fresh and hash(conn) == hash(fresh)
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    twin = type(field)(field.chart_dim, field.evaluate, field.entries)
+    field.jet_at(chart_point([F(0), F(1)]))
+    assert field._cache and field == twin and hash(field) == hash(twin)
+    assert "_cache" not in repr(field) and repr(field).startswith("GACField(chart_dim=2, ")
+    tangent = FACTORIES["TwistorTangent"](random.Random(0))
+    assert tangent.is_zero() is False and tangent._zero is False
+    assert tangent == FACTORIES["TwistorTangent"](random.Random(0))
+
+
+def test_repr_names_the_fields():
+    assert repr(chart_point([F(1, 2)])) == "ChartPoint(coords=(Fraction(1, 2),))"
+    assert repr(MuSystemReport(2, 16, 16, 0)) == \
+        "MuSystemReport(n=2, unknowns=16, rank=16, kernel_dim=0)"
+
+
+# ---------------------------------------------------------------------------
+# construction-time validation not covered elsewhere
+
+
+def test_non_square_endo_rejected():
+    with pytest.raises(DimensionMismatchError):
+        Endo(2, ((F(1), F(0)), (F(0),)))
+    with pytest.raises(DimensionMismatchError):
+        Endo(3, ((F(1), F(0)), (F(0), F(1))))
+
+
+def test_odd_dim_v_element_rejected():
+    with pytest.raises(InvariantError):
+        GElement(3, (F(0),) * 3, (F(0),) * 3)
+    with pytest.raises(DimensionMismatchError):
+        GElement(2, (F(0),) * 2, (F(0),) * 3)
+
+
+def test_mismatched_jet1_rejected():
+    with pytest.raises(ChartMismatchError):
+        Jet1((F(0),) * 4, ((F(0), F(0)),) * 3)
+
+
+def test_rational_function_with_zero_denominator_rejected():
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(Poly.variable(2, 0), Poly.constant(2, 0))
+    with pytest.raises(ValueError):
+        RationalFn(Poly.variable(2, 0), Poly.constant(3, 1))
