@@ -30,7 +30,6 @@ from .gclinalg import (
     Endo,
     GElement,
     from_coords,
-    identity_endo,
     is_pairing_skew,
     structure_orientation,
 )
@@ -204,14 +203,16 @@ class GACField(Value):
     def endo_at(self, p: ChartPoint) -> Endo:
         return Endo(2 * self.chart_dim, self.jet_at(p).value)
 
-    def validate_at(self, p: ChartPoint, require_orientation: bool = False) -> None:
+    def validate_at(self, p: ChartPoint, require_orientation: bool = False) -> Endo:
+        """The structure's value at p, checked; FieldInvariantError if it fails."""
         m = self.endo_at(p)
-        if m.compose(m) != (-identity_endo(m.dim)):
+        if not m.squares_to_minus_identity():
             raise FieldInvariantError(f"structure field does not square to -Id at {p.coords}")
         if not is_pairing_skew(m):
             raise FieldInvariantError(f"structure field is not pairing skew at {p.coords}")
         if require_orientation and structure_orientation(m) != 1:
             raise FieldInvariantError(f"structure field orientation is not +1 at {p.coords}")
+        return m
 
 
 def field_from_coefficients(chart_dim: int, entries: Sequence[Sequence[Coefficient]]) -> GACField:
@@ -357,15 +358,15 @@ def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
     its own d_J, once per point; each pair is assembled as 2 d^2 d_J N in
     integers, and each of its components is built once as a Fraction.
     """
-    jf.validate_at(p)
+    j = jf.validate_at(p)
     fj = jf.jet_at(p)
     m = p.dim
     jets = [a.at(p) for a in probes]
     images = [_field_image(fj, aj, m) for aj in jets]
     ints, d = _integer_jets(jets + images, m)
     plain, imaged = ints[:len(jets)], ints[len(jets):]
-    j_int, dj = xm._integer_matrix(fj.value)
-    j_rows = [[(c, v) for c, v in enumerate(row) if v] for row in j_int]
+    dj = j.den
+    j_rows = [[(c, v) for c, v in enumerate(row) if v] for row in j.num]
     scale = 2 * d * d * dj
     table = {}
     for i in range(len(probes)):

@@ -21,12 +21,17 @@ the result is built once as a Fraction.
 - `RowReducer` stores primitive integer rows with their pivots.
 
 The kernels skip terms that are exactly zero: `mat_mul` zero entries of
-both factors, `mat_vec` zero entries of the vector, `trace_product` zero
-entries of the first factor, and `RowReducer` keeps its rows as nonzero
-entries.  The skew generators, many structures, the curvature-form
-system and the unit probes of the Courant-bracket oracle are sparse.
-Sums start at `F0`, and a zero entry of a product is `F0`, so every entry
-is a `Fraction` even when all its terms are skipped.
+both factors, `mat_vec` zero entries of the vector, and `RowReducer`
+keeps its rows as nonzero entries.  The skew generators, many
+structures, the curvature-form system and the unit probes of the
+Courant-bracket oracle are sparse.  Sums start at `F0`, and a zero entry
+of a product is `F0`, so every entry is a `Fraction` even when all its
+terms are skipped.
+
+`_scaled` and `_integer_matrix` are the scaling step on its own.
+`gclinalg.Endo` keeps its matrix in that integer form and does its own
+arithmetic on it, so a structure or skew endomorphism meets this
+module's `Fraction` interface only where a caller reads `Endo.rows`.
 """
 
 from __future__ import annotations
@@ -101,9 +106,10 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
-    """An integer matrix N and the least d > 0 with m = N / d, the form in
-    which gclinalg's orthonormality, generator and anticommutator kernels
-    work."""
+    """An integer matrix N and the least d > 0 with m = N / d; then
+    gcd(d, *N) == 1.  This is how `gclinalg.Endo` stores a matrix, and the
+    form of the orthonormality check and the skew generators' basis
+    matrices."""
     pairs = [[(x.numerator, x.denominator) for x in row] for row in m]
     d = lcm(*(q for row in pairs for _, q in row))
     return [[p * (d // q) for p, q in row] for row in pairs], d
@@ -153,11 +159,6 @@ def is_zero(a: Mat) -> bool:
 
 def trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), F0)
-
-
-def trace_product(a: Mat, b: Mat) -> Fraction:
-    """trace(a b) without forming the product, over the nonzero entries of a."""
-    return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x), F0)
 
 
 def det(m: Mat) -> Fraction:

@@ -9,13 +9,22 @@ an element of V + V* is stored as 2n vector components in a basis
 basis {a_1, ..., a_2n}.  Endomorphisms act on these 4n coordinates with
 the V block first, so the canonical orientation is the one of the
 ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
+
+An endomorphism (`Endo`) is an integer matrix over one positive
+denominator in lowest terms, and its arithmetic, the pairing-skew and
+anticommutation tests, j^2 = -Id, the fibre pairing, the orientation,
+the skew generators and the vertical basis all work on those integers;
+`Endo.rows` reads the matrix back as `Fraction`s for the callers that
+want them.  The moves of `random_orthonormal_basis` and the
+orthonormality check of `OrthonormalBasis` work in integers too.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -127,23 +136,57 @@ def _same_dim(a: GElement, b: GElement) -> None:
 
 
 class Endo(Value):
-    """A square matrix acting on the 4n coordinates of V + V*."""
+    """A square matrix acting on the 4n coordinates of V + V*.
 
-    __slots__ = ("dim", "rows")
+    Stored as an integer matrix `num` (a tuple of int rows) over one
+    positive denominator `den`, in lowest terms: gcd(den, *entries) == 1.
+    That form is unique, so equality and hashing compare values, and the
+    arithmetic below works in integers with one gcd per result.  `rows`
+    reads the matrix back as `Fraction`s, built on first read and cached.
+    """
+
+    __slots__ = ("dim", "num", "den", "_rows")
 
     def __init__(self, dim: int, rows: Mat):
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise DimensionMismatchError("endomorphism matrix is not square of the stated size")
+        num, den = xm._integer_matrix(rows)
         self.dim = dim
-        self.rows = rows
+        self.num = tuple(map(tuple, num))
+        self.den = den
+        self._rows = None
+
+    @staticmethod
+    def _lowest(dim: int, num: Sequence[Sequence[int]], den: int) -> "Endo":
+        """The endomorphism num / den for den > 0, divided by one gcd."""
+        out = object.__new__(Endo)
+        out.dim = dim
+        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+        if g > 1:
+            out.num = tuple(tuple(x // g for x in row) for row in num)
+            out.den = den // g
+        else:
+            out.num = tuple(map(tuple, num))
+            out.den = den
+        out._rows = None
+        return out
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Endo:
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.den == other.den and self.dim == other.dim and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.rows))
+        return hash((self.dim, self.num, self.den))
+
+    @property
+    def rows(self) -> Mat:
+        rows = self._rows
+        if rows is None:
+            d = self.den
+            rows = self._rows = tuple(tuple(Fraction(x, d) if x else F0 for x in row)
+                                      for row in self.num)
+        return rows
 
     @property
     def half(self) -> int:
@@ -156,29 +199,77 @@ class Endo(Value):
         return tuple(tuple(self.rows[r0 + i][c0 + j] for j in range(h)) for i in range(h))
 
     def apply(self, a: GElement) -> GElement:
+        """The image of a, each coordinate one integer sum over den d_a."""
         if 2 * a.dim_v != self.dim:
             raise DimensionMismatchError("element does not match endomorphism size")
-        return from_coords(xm.mat_vec(self.rows, a.coords))
+        ints, da = xm._scaled(a.coords)
+        d = self.den * da
+        out = tuple(Fraction(v, d) if (v := sum(map(mul, row, ints))) else F0
+                    for row in self.num)
+        return GElement(a.dim_v, out[:a.dim_v], out[a.dim_v:])
 
     def compose(self, other: "Endo") -> "Endo":
-        if self.dim != other.dim:
+        """self o other: the product of the numerators over the nonzero
+        entries of both, over den * other.den."""
+        dim = self.dim
+        if dim != other.dim:
             raise DimensionMismatchError("endomorphism sizes differ")
-        return Endo(self.dim, xm.mat_mul(self.rows, other.rows))
+        nonzero = [[(c, y) for c, y in enumerate(row) if y] for row in other.num]
+        out = []
+        for row in self.num:
+            acc = [0] * dim
+            for x, pairs in zip(row, nonzero):
+                if x:
+                    for c, y in pairs:
+                        acc[c] += x * y
+            out.append(acc)
+        return Endo._lowest(dim, out, self.den * other.den)
 
     def __add__(self, other: "Endo") -> "Endo":
-        return Endo(self.dim, xm.mat_add(self.rows, other.rows))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Endo") -> "Endo":
-        return Endo(self.dim, xm.mat_sub(self.rows, other.rows))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Endo", sign: int) -> "Endo":
+        """self + sign * other over the lcm of the two denominators."""
+        if self.dim != other.dim:
+            raise DimensionMismatchError("endomorphism sizes differ")
+        da, db = self.den, other.den
+        if da == db:
+            fa, fb = 1, sign
+        else:
+            den = lcm(da, db)
+            fa, fb, da = den // da, sign * (den // db), den
+        return Endo._lowest(self.dim, [[fa * x + fb * y for x, y in zip(ra, rb)]
+                                       for ra, rb in zip(self.num, other.num)], da)
 
     def __neg__(self) -> "Endo":
-        return Endo(self.dim, xm.mat_neg(self.rows))
+        out = object.__new__(Endo)
+        out.dim, out.den, out._rows = self.dim, self.den, None
+        out.num = tuple(tuple(-x for x in row) for row in self.num)
+        return out
 
     def scale(self, c) -> "Endo":
-        return Endo(self.dim, xm.mat_scale(fr(c), self.rows))
+        """c self for an int or Fraction c."""
+        p = c.numerator
+        return Endo._lowest(self.dim, [[p * x for x in row] for row in self.num],
+                            self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return xm.is_zero(self.rows)
+        return not any(map(any, self.num))
+
+    def squares_to_minus_identity(self) -> bool:
+        """Whether self o self = -Id, tested as num num = -den^2 Id entry by
+        entry up to the first mismatch."""
+        num = self.num
+        cols = list(zip(*num))
+        minus_d2 = -self.den * self.den
+        for r, row in enumerate(num):
+            for c, col in enumerate(cols):
+                if sum(map(mul, row, col)) != (minus_d2 if r == c else 0):
+                    return False
+        return True
 
 
 def endo_from_blocks(vv: Mat, vc: Mat, cv: Mat, cc: Mat) -> Endo:
@@ -188,12 +279,8 @@ def endo_from_blocks(vv: Mat, vc: Mat, cv: Mat, cc: Mat) -> Endo:
     return Endo(2 * h, xm.mat(rows))
 
 
-def identity_endo(dim: int) -> Endo:
-    return Endo(dim, xm.identity(dim))
-
-
 def zero_endo(dim: int) -> Endo:
-    return Endo(dim, xm.zeros(dim, dim))
+    return Endo._lowest(dim, ((0,) * dim,) * dim, 1)
 
 
 def commutator(a: Endo, b: Endo) -> Endo:
@@ -223,18 +310,17 @@ def _pairing_gram(dim_v: int) -> Mat:
 def is_pairing_skew(m: Endo) -> bool:
     """True iff <mA, B> + <A, mB> = 0 for all A, B.
 
-    In blocks [[A, B], [C, D]] this reads: B and C skew, D = -A^T.
+    In blocks [[A, B], [C, D]] this reads: B and C skew, D = -A^T, tested
+    on the integer numerators over the one denominator.
     """
     h = m.half
-    rows = m.rows
+    num = m.num
     for i in range(h):
         for j in range(h):
-            for x, y in ((rows[i][h + j], rows[j][h + i]),       # B skew
-                         (rows[h + i][j], rows[h + j][i]),       # C skew
-                         (rows[h + i][h + j], rows[j][i])):      # D = -A^T
-                # x = -y in lowest terms, compared as integers
-                if x.numerator != -y.numerator or x.denominator != y.denominator:
-                    return False
+            if (num[i][h + j] != -num[j][h + i]                  # B skew
+                    or num[h + i][j] != -num[h + j][i]           # C skew
+                    or num[h + i][h + j] != -num[j][i]):         # D = -A^T
+                return False
     return True
 
 
@@ -245,10 +331,13 @@ def is_pairing_orthogonal(m: Endo) -> bool:
 
 
 def fib_pairing(a: Endo, b: Endo) -> Scalar:
-    """The pairing <a, b> = -Trace(a b) / 2 on skew endomorphisms."""
+    """The pairing <a, b> = -Trace(a b) / 2 on skew endomorphisms: one
+    integer trace over the nonzero entries of a, over 2 den_a den_b."""
     if a.dim != b.dim:
         raise DimensionMismatchError("endomorphism sizes differ")
-    return -Fraction(1, 2) * xm.trace_product(a.rows, b.rows)
+    b_num = b.num
+    total = sum(x * b_num[c][r] for r, row in enumerate(a.num) for c, x in enumerate(row) if x)
+    return Fraction(-total, 2 * a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +368,30 @@ def structure_orientation(j: Endo) -> int:
 
     Computed from an adapted basis {b_1, j b_1, b_2, j b_2, ...} built
     greedily from the reference basis; for a complex structure the
-    result does not depend on the choices made.
+    result does not depend on the choices made.  It is built in integers:
+    b is a unit vector e_c and den j b is column c of `num`.  Scaling the
+    images by den > 0 multiplies the determinant by a positive power of
+    den, so the sign of the one integer determinant is the orientation.
     """
     dim = j.dim
     if dim == 0:
         return 1
-    dim_v = dim // 2
-    chosen: list[GElement] = []
+    cols = list(zip(*j.num))
+    chosen: list[Sequence[int]] = []
     span = xm.RowReducer()
-    for cand in coordinate_elements(dim_v):
+    for c in range(dim):
         if len(chosen) == dim:
             break
-        if span.contains(cand.coords):
+        unit = [0] * dim
+        unit[c] = 1
+        if span.contains(unit):
             continue
-        image = j.apply(cand)
-        chosen.extend([cand, image])
-        if not (span.add(cand.coords) and span.add(image.coords)):
+        chosen.extend([unit, cols[c]])
+        if not (span.add(unit) and span.add(cols[c])):
             raise InvariantError("adapted basis construction failed; j is not a complex structure")
-    return orientation_sign(chosen)
+    # the reducer has certified the basis, so its determinant (as rows or
+    # as columns, the same) is nonzero
+    return 1 if xm.det(chosen) > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +411,7 @@ class GCStructure(Value):
     __slots__ = ("j",)
 
     def __init__(self, j: Endo):
-        if j.compose(j) != (-identity_endo(j.dim)):
+        if not j.squares_to_minus_identity():
             raise InvariantError("j^2 is not -Id")
         if not is_pairing_skew(j):
             raise InvariantError("j is not skew for the neutral pairing")
@@ -709,14 +804,13 @@ class SkewGenerators(Value):
         elif i > k:
             s = -self.generator(k, i)
         else:
-            b, signs, den = self.bmat, self.basis.signs, self.den
+            b, signs = self.bmat, self.basis.signs
             row_i, row_k = self.binv[i], self.binv[k]
             rows = []
             for r in range(n4):
                 x, y = signs[i] * b[r][k], signs[k] * b[r][i]
-                rows.append(tuple(Fraction(v, den) if (v := x * p - y * q) else F0
-                                  for p, q in zip(row_i, row_k)))
-            s = Endo(n4, tuple(rows))
+                rows.append([x * p - y * q for p, q in zip(row_i, row_k)])
+            s = Endo._lowest(n4, rows, self.den)
         self._built[(i, k)] = s
         return s
 
@@ -854,14 +948,13 @@ def is_vertical(q: Endo, j: Endo) -> bool:
     """True iff q is pairing skew and anticommutes with j.
 
     q j + j q is tested entry by entry in integers, Q J + J Q for the
-    integer matrices Q = d_q q and J = d_j j, up to the first nonzero entry.
+    numerators Q = d_q q and J = d_j j, up to the first nonzero entry.
     """
     if not is_pairing_skew(q):
         return False
     if q.dim != j.dim:
         raise DimensionMismatchError("endomorphism sizes differ")
-    qi, _ = xm._integer_matrix(q.rows)
-    ji, _ = xm._integer_matrix(j.rows)
+    qi, ji = q.num, j.num
     q_cols = list(zip(*qi))
     j_cols = list(zip(*ji))
     for q_row, j_row in zip(qi, ji):
@@ -889,15 +982,16 @@ def vertical_space_basis(j: GCStructure) -> list[Endo]:
     is d^2 S + J S J, where J S J = J[:, p] (x) J[q, :] - J[:, p'] (x) J[q', :].
     The candidates are ranked in one `RowReducer` on the coordinates that
     fix a skew endomorphism: A and the strict upper triangles of B and C.
-    The result is S + j S j for the first 4n^2 - 2n independent
-    candidates.  Every candidate is vertical and the vertical space has
-    exactly that dimension, so stopping there is exact; InvariantError if
-    the candidates run out first.  B and C come first because for a
+    The result is S + j S j = (d^2 S + J S J) / d^2, built from those
+    integers, for the first 4n^2 - 2n independent candidates.  Every
+    candidate is vertical and the vertical space has exactly that
+    dimension, so stopping there is exact; InvariantError if the
+    candidates run out first.  B and C come first because for a
     generic j their 4n^2 - 2n candidates are already independent.
     """
     h = j.dim_v
     expected = h * h - h
-    ji, d = xm._integer_matrix(j.j.rows)
+    ji, d = j.j.num, j.j.den
     d2 = d * d
     cols = list(zip(*ji))
     upper = [(r, c) for r in range(h) for c in range(r + 1, h)]
@@ -917,8 +1011,7 @@ def vertical_space_basis(j: GCStructure) -> list[Endo]:
         key += [m[r][h + c] for r, c in upper]
         key += [m[h + r][c] for r, c in upper]
         if span.add(key):
-            basis.append(Endo(2 * h, tuple(tuple(Fraction(x, d2) if x else F0 for x in row)
-                                           for row in m)))
+            basis.append(Endo._lowest(2 * h, m, d2))
     if len(basis) != expected:
         raise InvariantError(f"vertical space has rank {len(basis)}, expected {expected}")
     return basis
@@ -956,6 +1049,6 @@ def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahler
     except xm.SingularMatrixError:
         raise DegenerateInputError("fibre two-form is degenerate on the supplied basis") from None
     s = endo_from_blocks(xm.zeros(d, d), xm.mat_neg(inv), iso, xm.zeros(d, d))
-    if s.compose(s) != (-identity_endo(2 * d)):
+    if not s.squares_to_minus_identity():
         raise InvariantError("fibre structure does not square to -Id")
     return FiberKahlerStructure(tuple(basis), omega, s.rows)

@@ -3,7 +3,8 @@
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
 sample counts and a list of named checks.  A check is named once, in a
 registry that pairs it with what it asks of its scenario (an n, a flat
-or a curved connection); `load_scenario` rejects a scenario that
+or a curved connection); the `Scenario` constructor, and so both
+`load_scenario` and a scenario built directly, rejects a scenario that
 schedules a check it cannot run.  `CHECKS` maps each name to a plain
 (scenario, hooks) -> CheckResult function, and `run_scenario` stamps
 every result with the key it ran under.  Each integrability claim has
@@ -97,10 +98,30 @@ class ScenarioError(ValueError):
 
 
 class Scenario(Value):
+    """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
+    a scenario whose checks cannot run: a bad n, mode or sample count, a
+    connection for another n, an unknown check, or a check whose registry
+    requirements (an n, a flat or a curved connection) it does not meet."""
+
     __slots__ = ("name", "n", "conn", "mode", "seed", "samples", "checks")
 
     def __init__(self, name: str, n: int, conn: Connection, mode: str, seed: int,
                  samples: Mapping[str, object], checks: tuple[str, ...]):
+        if type(n) is not int or n < 1:
+            raise ScenarioError(f"malformed scenario: n must be an integer >= 1, got {n!r}")
+        if conn.n != n:
+            raise ScenarioError(f"the connection is for n = {conn.n}, not {n}")
+        if mode not in ("exact", "float"):
+            raise ScenarioError(f"unknown mode {mode!r}")
+        unknown = [c for c in checks if c not in _REGISTRY]
+        if unknown:
+            raise ScenarioError(f"unknown checks: {unknown}")
+        for check in checks:
+            needs = _REGISTRY[check][1]
+            lacking = needs and needs(n, conn)
+            if lacking:
+                raise ScenarioError(f"check {check} needs {lacking}")
+        _validate_samples(samples)
         self.name = name
         self.n = n
         self.conn = conn
@@ -636,8 +657,8 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
     return lacks
 
 
-# name -> (check, what it asks of the scenario or None); `load_scenario`
-# rejects a scenario that schedules a check it cannot run
+# name -> (check, what it asks of the scenario or None); the `Scenario`
+# constructor rejects a scenario that schedules a check it cannot run
 _REGISTRY: dict[str, tuple[Callable[[Scenario, dict], CheckResult], Callable | None]] = {
     "linalg/pairing-examples": (_check_pairing_examples, None),
     "linalg/projection-nondegeneracy": (_check_projection, None),
@@ -791,17 +812,6 @@ def load_scenario(source: str | Mapping, name: str | None = None,
         checks = tuple(data.get("checks", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    if effective_mode not in ("exact", "float"):
-        raise ScenarioError(f"unknown mode {effective_mode!r}")
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ScenarioError(f"unknown checks: {unknown}")
-    for check in checks:
-        needs = _REGISTRY[check][1]
-        lacking = needs and needs(n, conn)
-        if lacking:
-            raise ScenarioError(f"check {check} needs {lacking}")
-    _validate_samples(samples)
     return Scenario(name, n, conn, effective_mode, effective_seed, samples, checks)
 
 

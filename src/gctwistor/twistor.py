@@ -289,8 +289,8 @@ class TwistorTangent(Value):
         zero = self._zero
         if zero is None:
             zero = self._zero = not (any(self.horizontal.vec) or any(self.horizontal.cov)
-                                     or any(map(any, self.vertical.rows))
-                                     or any(map(any, self.vertical_coform.rows)))
+                                     or not self.vertical.is_zero()
+                                     or not self.vertical_coform.is_zero())
         return zero
 
 
@@ -377,7 +377,7 @@ def curvature_action_on_structure(conn: Connection, at: TwistorPoint) -> dict:
     bilinear combination of these, so computing them once per point
     reduces each evaluation to scalar contractions.
     """
-    key = (at.point.coords, at.structure.j.rows)
+    key = (at.point.coords, at.structure.j)
     cached = conn._action_cache.get(key)
     if cached is not None:
         return cached

@@ -14,12 +14,12 @@ from fractions import Fraction as F
 from gctwistor import exactmat as xm
 from gctwistor.courant import b_automorphism_defect, chart_point, section_from_coefficients, two_form_field
 from gctwistor.gclinalg import (
+    Endo,
     coordinate_elements,
     dim2_basis_orientation,
     from_complex,
     from_symplectic,
     hyperboloid_point,
-    identity_endo,
     random_orthonormal_basis,
     reference_basis,
     skew_frames,
@@ -50,6 +50,10 @@ from gctwistor.twistor import (
     sample_fibre_structure,
     validate_tangent,
 )
+
+
+def identity_endo(dim: int) -> Endo:
+    return Endo(dim, xm.identity(dim))
 
 
 def _report(label: str, ok: bool) -> None:

@@ -41,12 +41,6 @@ def test_rank_and_nullspace():
         assert all(x == 0 for x in xm.mat_vec(m, v))
 
 
-def test_trace_product_matches_mat_mul():
-    a = xm.mat([[1, 2], [3, F(1, 2)]])
-    b = xm.mat([[0, 5], [7, -1]])
-    assert xm.trace_product(a, b) == xm.trace(xm.mat_mul(a, b))
-
-
 def test_row_reducer_tracks_span():
     r = xm.RowReducer()
     assert r.add(xm.vec([1, 0, 1]))
@@ -111,26 +105,6 @@ def test_mat_vec_matches_dense_sum(operands):
     image = xm.mat_vec(a, v)
     assert image == tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a)
     assert all(type(x) is F for x in image)
-
-
-@st.composite
-def _square_pair(draw):
-    k = draw(st.integers(0, 5))
-    a_entries, b_entries = _zero_pattern(draw), _zero_pattern(draw)
-    a = tuple(tuple(draw(a_entries) for _ in range(k)) for _ in range(k))
-    b = tuple(tuple(draw(b_entries) for _ in range(k)) for _ in range(k))
-    return a, b
-
-
-@settings(max_examples=80, deadline=None)
-@given(_square_pair())
-def test_trace_product_matches_dense_sum(operands):
-    # zero entries of the first factor are skipped; the trace is still a Fraction
-    a, b = operands
-    k = len(a)
-    value = xm.trace_product(a, b)
-    assert value == sum((a[i][j] * b[j][i] for i in range(k) for j in range(k)), F(0))
-    assert type(value) is F
 
 
 def test_mat_mul_dense_and_sparse_examples():

@@ -34,7 +34,6 @@ from gctwistor.gclinalg import (
     gl_endo,
     hyperboloid_chart,
     hyperboloid_point,
-    identity_endo,
     is_pairing_orthogonal,
     is_pairing_skew,
     is_vertical,
@@ -61,6 +60,10 @@ from gctwistor.twistor import (
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def identity_endo(dim: int) -> Endo:
+    return Endo(dim, xm.identity(dim))
 
 
 def rotation_2():
@@ -858,3 +861,127 @@ def test_generators_are_built_once():
     gens = skew_generators(random_orthonormal_basis(1, 4))
     s = gens.generator(0, 2)
     assert gens.generator(0, 2) is s
+
+
+# ---------------------------------------------------------------------------
+# the integer-backed Endo against Fraction formulae
+
+
+def _endo_rows(dim):
+    # sparse and dense rational matrices, zeros drawn often
+    entry = st.one_of(st.just(F(0)), rationals, st.integers(-5, 5).map(F))
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+@st.composite
+def _endo_triples(draw):
+    dim = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    return [xm.mat(draw(_endo_rows(dim))) for _ in range(3)]
+
+
+def _assert_canonical(e, rows):
+    """num / den in lowest terms, den > 0, and `rows` the given matrix."""
+    from math import gcd
+    assert e.den > 0 and gcd(e.den, *(x for row in e.num for x in row)) == 1
+    assert all(type(x) is int for row in e.num for x in row)
+    assert e.rows == rows and all(type(x) is F for row in e.rows for x in row)
+    assert Endo(e.dim, e.rows) == e and hash(Endo(e.dim, e.rows)) == hash(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_endo_triples(), st.one_of(st.just(0), st.integers(-4, 4), rationals),
+       st.lists(rationals, min_size=8, max_size=8))
+def test_endo_matches_fraction_formulae(mats, c, coords):
+    ra, rb, rc = mats
+    dim = len(ra)
+    a, b, cc = (Endo(dim, m) for m in mats)
+    for e, rows in ((a, ra), (b, rb),
+                    (a.compose(b), xm.mat_mul(ra, rb)),
+                    (a + b, xm.mat_add(ra, rb)),
+                    (a - b, xm.mat_sub(ra, rb)),
+                    (-a, xm.mat_neg(ra)),
+                    (a.scale(c), xm.mat_scale(F(c), ra)),
+                    (a.compose(b).compose(cc), xm.mat_mul(xm.mat_mul(ra, rb), rc)),
+                    (a.scale(0), xm.zeros(dim, dim))):
+        _assert_canonical(e, rows)
+        assert e.is_zero() == xm.is_zero(rows)
+    # equality and hashing by value across construction paths
+    for got in ((a + b) - b, (a - b) + b, -(-a), a.scale(2).scale(F(1, 2)),
+                a.compose(Endo(dim, xm.identity(dim)))):
+        assert got == a and hash(got) == hash(a)
+    assert (a == b) == (ra == rb)
+    assert a.scale(0) == (a - a) == Endo(dim, xm.zeros(dim, dim))
+    assert a.squares_to_minus_identity() == (xm.mat_mul(ra, ra)
+                                             == xm.mat_scale(F(-1), xm.identity(dim)))
+    assert fib_pairing(a, b) == -xm.trace(xm.mat_mul(ra, rb)) / 2
+    half = dim // 2
+    if dim % 4 == 0:  # dim V = half is even
+        x = gelem(coords[:half], coords[half:dim])
+        assert a.apply(x).coords == xm.mat_vec(ra, x.coords)
+    if dim % 2 == 0:
+        assert a.block("vc") == tuple(row[half:] for row in ra[:half])
+        assert is_pairing_skew(a) == all(
+            ra[i][half + k] == -ra[k][half + i] and ra[half + i][k] == -ra[half + k][i]
+            and ra[half + i][half + k] == -ra[k][i] for i in range(half) for k in range(half))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 2, 4)).flatmap(lambda k: st.tuples(_endo_rows(k), _endo_rows(k))))
+def test_fib_pairing_matches_dense_trace(operands):
+    # the integer trace skips zero entries of the first factor; the value is still a Fraction
+    a, b = (xm.mat(m) for m in operands)
+    k = len(a)
+    value = fib_pairing(Endo(k, a), Endo(k, b))
+    assert value == -sum((a[i][j] * b[j][i] for i in range(k) for j in range(k)), F(0)) / 2
+    assert value == -xm.trace(xm.mat_mul(a, b)) / 2
+    assert type(value) is F
+
+
+def test_endo_keeps_the_size_checks():
+    with pytest.raises(gl.DimensionMismatchError):
+        Endo(2, xm.identity(2)).compose(Endo(4, xm.identity(4)))
+    with pytest.raises(gl.DimensionMismatchError):
+        Endo(2, xm.identity(2)) + Endo(4, xm.identity(4))
+
+
+# ---------------------------------------------------------------------------
+# the integer structure_orientation against the GElement adapted basis
+
+
+def _adapted_basis_orientation(j):
+    """The adapted basis {b, j b, ...} of unit vectors b and their images
+    as GElements, and `orientation_sign` of it."""
+    chosen = []
+    span = xm.RowReducer()
+    for cand in coordinate_elements(j.half):
+        if len(chosen) == j.dim:
+            break
+        if span.contains(cand.coords):
+            continue
+        image = j.apply(cand)
+        chosen.extend([cand, image])
+        assert span.add(cand.coords) and span.add(image.coords)
+    return orientation_sign(chosen)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_integer_orientation_matches_adapted_basis(n):
+    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
+    rng = random.Random(100 + n)
+    seeds = [from_complex(standard_complex_matrix(n)),
+             from_symplectic(standard_symplectic_matrix(n)),
+             interchanging_structure(n),
+             adapted_structure(random_orthonormal_basis(n, rng)),
+             sample_fibre_structure(n, rng)]
+    structures = list(seeds)
+    for s in seeds:
+        structures.append(b_transform(s, random_skew_matrix(2 * n, rng)))
+        structures.append(gl_action(random_invertible_matrix(2 * n, rng), s))
+        structures.append(beta_transform(s, random_skew_matrix(2 * n, rng)))
+    signs = set()
+    for s in structures:
+        got = structure_orientation(s.j)
+        assert got == _adapted_basis_orientation(s.j)
+        signs.add(got)
+    # odd n: the symplectic seed is negative, so both signs are exercised
+    assert signs == ({1, -1} if n % 2 else {1})

@@ -10,11 +10,12 @@ import pytest
 import gctwistor
 from gctwistor.gclinalg import GElement, SkewFrames
 from gctwistor.poly import scalar_to_str
-from gctwistor.twistor import random_chart_point, sample_fibre_structure
+from gctwistor.twistor import flat_connection, random_chart_point, sample_fibre_structure
 from gctwistor.harness import (
     PRESETS,
     CheckResult,
     Report,
+    Scenario,
     ScenarioError,
     emit_report,
     load_scenario,
@@ -356,6 +357,38 @@ def test_cli_rejects_bad_n(tmp_path, n):
 def test_oracle_checks_need_n1(check):
     with pytest.raises(ScenarioError, match=f"check {check} needs n = 1, not 2"):
         load_scenario({"n": 2, "seed": 0, "samples": {"fibre_params": 1}, "checks": [check]})
+
+
+def _direct_scenario(**changes):
+    fields = {"name": "direct", "n": 2, "conn": flat_connection(2), "mode": "exact",
+              "seed": 0, "samples": {"fibre_params": 1},
+              "checks": ("integrability/mixed-witness",)}
+    fields.update(changes)
+    return Scenario(**fields)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"checks": ("oracle/structure1-direct-zero",)},
+     "check oracle/structure1-direct-zero needs n = 1, not 2"),
+    ({"checks": ("integrability/curved-witness",)},
+     "check integrability/curved-witness needs a curved connection"),
+    ({"n": 1}, "the connection is for n = 2, not 1"),
+    ({"n": 0}, "n must be an integer >= 1"),
+    ({"mode": "fast"}, "unknown mode 'fast'"),
+    ({"checks": ("linalg/no-such-check",)}, "unknown checks"),
+    ({"samples": {"fibre_params": 0}}, "bad sample fibre_params=0"),
+], ids=["oracle-at-n2", "curved-check-flat-connection", "connection-n", "n-zero", "mode",
+        "unknown-check", "zero-samples"])
+def test_directly_built_scenario_is_checked(changes, message):
+    # the constructor checks what load_scenario checks, so run_scenario
+    # never meets a scenario it cannot run
+    with pytest.raises(ScenarioError, match=message):
+        _direct_scenario(**changes)
+
+
+def test_directly_built_scenario_runs():
+    report = run_scenario(_direct_scenario(samples={"adapted_points": 1}))
+    assert report.ok and [r.name for r in report.results] == ["integrability/mixed-witness"]
 
 
 def test_cli_oracle_check_n2_fails_cleanly(tmp_path):
