@@ -47,7 +47,6 @@ from .gclinalg import (
 from .courant import (
     ChartPoint,
     GACField,
-    Jet1,
     JetSection,
     TwoFormField,
     b_automorphism_defect,

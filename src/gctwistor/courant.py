@@ -1,27 +1,31 @@
 """Sections of TM + T*M over a chart, their Courant bracket and Nijenhuis tensor.
 
 A section is represented by its evaluator only: at a chart point it
-returns a 1-jet (value and first partials), and every operation in this
-module consumes nothing beyond that jet.  That first-order completeness
-is an API contract: the Lie derivative and exterior-derivative pieces of
-the Courant bracket are expanded in coordinates so no second derivative
-ever appears.
+returns its 1-jet, the tuple of 2m scalar `poly.Jet`s of its components
+(m vector components, then m covector components), each a value and its
+m first partials.  A structure field's 1-jet is its 2m x 2m matrix of
+`Jet`s.  Every operation in this module consumes nothing beyond these
+jets.  That first-order completeness is an API contract: the Lie
+derivative and exterior-derivative pieces of the Courant bracket are
+expanded in coordinates so no second derivative ever appears.
 
 Chart dimension m is arbitrary here; a section has m vector and m
 covector components.  Exact evaluators (polynomial or rational
 coefficients) return exact rationals.
 
-The bracket has one kernel, in integers: the jets are scaled over one
-common denominator d (`exactmat._scaled`) and one loop over their
-nonzero entries gives 2 d^2 times the bracket.  `courant_bracket` and
-`lie_bracket` scale their two jets; `nijenhuis_table` scales every probe
-jet, J-image jet and J once per point and builds each component of a
+The bracket has one kernel, in integers: the jets' numerators are scaled
+to the lcm d of their denominators, and one loop over their nonzero
+entries gives 2 d^2 times the bracket.  `courant_bracket` and
+`lie_bracket` scale their two jets.  `nijenhuis_table` forms each
+J-image jet as the jet product J a (`poly.jmat_mul`), scales every probe
+jet, J-image jet and J once per point, and builds each component of a
 pair's value as one `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from . import exactmat as xm
@@ -33,7 +37,7 @@ from .gclinalg import (
     is_pairing_skew,
     structure_orientation,
 )
-from .poly import Coefficient, Jet, Poly, RationalFn, as_rational
+from .poly import Coefficient, Jet, JetMat, Poly, RationalFn, as_rational, jmat_mul
 from .value import Value
 
 
@@ -72,49 +76,25 @@ def chart_point(coords: Iterable) -> ChartPoint:
     return ChartPoint(xm.vec(coords))
 
 
-class Jet1(Value):
-    """Value and first partials of a section at a point."""
-
-    __slots__ = ("value", "jacobian")
-
-    def __init__(self, value: Vec, jacobian: Mat):
-        if len(jacobian) != len(value):
-            raise ChartMismatchError("jacobian rows must match the value length")
-        self.value = value          # 2m components: m vector then m covector
-        self.jacobian = jacobian    # 2m rows, m columns (column k is the d/dx_k partial)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Jet1:
-            return NotImplemented
-        return self.value == other.value and self.jacobian == other.jacobian
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.jacobian))
-
-    @staticmethod
-    def from_jets(components: Sequence[Jet]) -> "Jet1":
-        """The section jet whose i-th component has the i-th scalar jet."""
-        return Jet1(tuple(c.value for c in components), tuple(c.grad for c in components))
+SectionJet = tuple[Jet, ...]
 
 
 class JetSection(Value):
     """A section of TM + T*M given by a deterministic 1-jet evaluator."""
 
-    __slots__ = ("chart_dim", "evaluate", "components")
+    __slots__ = ("chart_dim", "evaluate")
 
-    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], Jet1],
-                 components: tuple[RationalFn, ...] | None = None):
+    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], SectionJet]):
         self.chart_dim = chart_dim
         self.evaluate = evaluate
-        self.components = components  # closed form, when available
 
-    def at(self, p: ChartPoint) -> Jet1:
+    def at(self, p: ChartPoint) -> SectionJet:
         if p.dim != self.chart_dim:
             raise ChartMismatchError("point does not belong to this chart")
         return self.evaluate(p)
 
     def value_at(self, p: ChartPoint) -> GElement:
-        return from_coords(self.at(p).value)
+        return from_coords(tuple(c.value for c in self.at(p)))
 
 
 def section_from_coefficients(chart_dim: int, comps: Sequence[Coefficient]) -> JetSection:
@@ -125,20 +105,20 @@ def section_from_coefficients(chart_dim: int, comps: Sequence[Coefficient]) -> J
     if any(r.nvars != chart_dim for r in rationals):
         raise ChartMismatchError("component arity does not match the chart")
 
-    def evaluate(p: ChartPoint) -> Jet1:
-        return Jet1.from_jets([r.jet(p.coords) for r in rationals])
+    def evaluate(p: ChartPoint) -> SectionJet:
+        return tuple(r.jet(p.coords) for r in rationals)
 
-    return JetSection(chart_dim, evaluate, rationals)
+    return JetSection(chart_dim, evaluate)
 
 
 def constant_section(chart_dim: int, values: Sequence) -> JetSection:
     vals = xm.vec(values)
     if len(vals) != 2 * chart_dim:
         raise ChartMismatchError("a section needs 2m components")
-    zero_jac = xm.zeros(2 * chart_dim, chart_dim)
+    jets = tuple(Jet.constant(v, chart_dim) for v in vals)
 
-    def evaluate(p: ChartPoint) -> Jet1:
-        return Jet1(vals, zero_jac)
+    def evaluate(p: ChartPoint) -> SectionJet:
+        return jets
 
     return JetSection(chart_dim, evaluate)
 
@@ -156,42 +136,23 @@ def coordinate_sections(chart_dim: int) -> list[JetSection]:
 # structure fields
 
 
-class FieldJet(Value):
-    __slots__ = ("value", "partials")
-
-    def __init__(self, value: Mat, partials: tuple[Mat, ...]):
-        self.value = value          # 2m x 2m
-        self.partials = partials    # m matrices, d/dx_k of every entry
-
-    @staticmethod
-    def from_jets(entries: Sequence[Sequence[Jet]]) -> "FieldJet":
-        """The field jet whose (i, j) entry has the scalar jet entries[i][j]."""
-        value = tuple(tuple(e.value for e in row) for row in entries)
-        grads = [[e.grad for e in row] for row in entries]
-        partials = tuple(tuple(tuple(g[k] for g in row) for row in grads)
-                         for k in range(len(grads[0][0])))
-        return FieldJet(value, partials)
-
-
 class GACField(Value):
     """A generalized almost complex structure field on a chart.
 
-    The evaluator returns the 2m x 2m matrix value together with all
-    first partials.  `validate_at` checks the pointwise identities
-    (square -Id, pairing skewness) exactly and is invoked by every
-    consumer that needs a valid structure.
+    The evaluator returns the 2m x 2m matrix of the entries' `Jet`s.
+    `validate_at` checks the pointwise identities (square -Id, pairing
+    skewness) exactly and is invoked by every consumer that needs a valid
+    structure.
     """
 
-    __slots__ = ("chart_dim", "evaluate", "entries", "_cache")
+    __slots__ = ("chart_dim", "evaluate", "_cache")
 
-    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], FieldJet],
-                 entries: tuple[tuple[RationalFn, ...], ...] | None = None):
+    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], JetMat]):
         self.chart_dim = chart_dim
         self.evaluate = evaluate
-        self.entries = entries
-        self._cache: dict[Vec, FieldJet] = {}
+        self._cache: dict[Vec, JetMat] = {}
 
-    def jet_at(self, p: ChartPoint) -> FieldJet:
+    def jet_at(self, p: ChartPoint) -> JetMat:
         if p.dim != self.chart_dim:
             raise ChartMismatchError("point does not belong to this chart")
         cached = self._cache.get(p.coords)
@@ -201,7 +162,8 @@ class GACField(Value):
         return cached
 
     def endo_at(self, p: ChartPoint) -> Endo:
-        return Endo(2 * self.chart_dim, self.jet_at(p).value)
+        return Endo(2 * self.chart_dim, tuple(tuple(e.value for e in row)
+                                              for row in self.jet_at(p)))
 
     def validate_at(self, p: ChartPoint, require_orientation: bool = False) -> Endo:
         """The structure's value at p, checked; FieldInvariantError if it fails."""
@@ -221,18 +183,18 @@ def field_from_coefficients(chart_dim: int, entries: Sequence[Sequence[Coefficie
         raise ChartMismatchError("a structure field is a 2m x 2m matrix of coefficients")
     rationals = tuple(tuple(as_rational(c) for c in row) for row in entries)
 
-    def evaluate(p: ChartPoint) -> FieldJet:
-        return FieldJet.from_jets([[r.jet(p.coords) for r in row] for row in rationals])
+    def evaluate(p: ChartPoint) -> JetMat:
+        return tuple(tuple(r.jet(p.coords) for r in row) for row in rationals)
 
-    return GACField(chart_dim, evaluate, rationals)
+    return GACField(chart_dim, evaluate)
 
 
 def constant_field(j: Endo) -> GACField:
     chart_dim = j.dim // 2
-    zero = tuple(xm.zeros(j.dim, j.dim) for _ in range(chart_dim))
+    jets = tuple(tuple(Jet.constant(x, chart_dim) for x in row) for row in j.rows)
 
-    def evaluate(p: ChartPoint) -> FieldJet:
-        return FieldJet(j.rows, zero)
+    def evaluate(p: ChartPoint) -> JetMat:
+        return jets
 
     return GACField(chart_dim, evaluate)
 
@@ -245,36 +207,31 @@ def lie_bracket(xs: JetSection, ys: JetSection, p: ChartPoint) -> Vec:
     """Lie bracket of two purely vector sections, from their 1-jets."""
     m = p.dim
     jx, jy = xs.at(p), ys.at(p)
-    for j in (jx, jy):
-        if any(v != 0 for v in j.value[m:]) or not xm.is_zero(j.jacobian[m:]):
-            raise ChartMismatchError("lie_bracket expects purely vector sections")
+    if not all(c.is_zero() for jet in (jx, jy) for c in jet[m:]):
+        raise ChartMismatchError("lie_bracket expects purely vector sections")
     return _bracket(jx, jy, m).vec
 
 
-def _integer_jets(jets: Sequence[Jet1], m: int) -> tuple[list[tuple], int]:
-    """The jets over one common denominator d, in the sparse integer form
-    the bracket kernel reads, and d.
+def _integer_jets(jets: Sequence[SectionJet], m: int) -> tuple[list[tuple], int]:
+    """The section jets over the lcm d of their components' denominators,
+    in the sparse integer form the bracket kernel reads, and d.
 
     Each jet becomes (x, xi, dx rows, dx columns, dxi rows, dxi columns):
     the nonzero (index, numerator) pairs of the vector and covector values,
-    and of each row and each column of the two Jacobian blocks.
+    and of each row and each column of the two Jacobian blocks (row i is
+    the gradient of component i).
     """
-    flat = []
-    for j in jets:
-        flat.extend(j.value)
-        for row in j.jacobian:
-            flat.extend(row)
-    ints, d = xm._scaled(flat)
-    size = 2 * m + 2 * m * m
+    d = lcm(*(c.den for jet in jets for c in jet))
     out = []
-    for start in range(0, len(ints), size):
-        value = ints[start:start + 2 * m]
-        jac = [ints[start + 2 * m + r * m:start + 2 * m + (r + 1) * m] for r in range(2 * m)]
+    for jet in jets:
+        nums = [c.num if c.den == d else [x * (d // c.den) for x in c.num] for c in jet]
         blocks = []
-        for rows in (jac[:m], jac[m:]):
-            blocks.append([_nonzero(row) for row in rows])
-            blocks.append([_nonzero(col) for col in zip(*rows)])
-        out.append((_nonzero(value[:m]), _nonzero(value[m:]), *blocks))
+        for comps in (nums[:m], nums[m:]):
+            grads = [c[1:] for c in comps]
+            blocks.append([_nonzero(row) for row in grads])
+            blocks.append([_nonzero(col) for col in zip(*grads)])
+        out.append((_nonzero([c[0] for c in nums[:m]]), _nonzero([c[0] for c in nums[m:]]),
+                    *blocks))
     return out, d
 
 
@@ -323,7 +280,7 @@ def _integer_bracket(ja: tuple, jb: tuple, m: int) -> list[int]:
     return vec + cov
 
 
-def _bracket(ja: Jet1, jb: Jet1, m: int) -> GElement:
+def _bracket(ja: SectionJet, jb: SectionJet, m: int) -> GElement:
     """The Courant bracket of two sections from their 1-jets at one point,
     computed in integers over the jets' common denominator."""
     (a, b), d = _integer_jets((ja, jb), m)
@@ -340,19 +297,18 @@ def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
     return _bracket(a.at(p), b.at(p), m)
 
 
-def _field_image(fj: FieldJet, aj: Jet1, m: int) -> Jet1:
-    """The 1-jet of p -> J(p) a(p) at a point, by the product rule."""
-    cols = [tuple(x + y for x, y in zip(xm.mat_vec(fj.partials[k], aj.value),
-                                        xm.mat_vec(fj.value, tuple(row[k] for row in aj.jacobian))))
-            for k in range(m)]
-    return Jet1(xm.mat_vec(fj.value, aj.value), xm.transpose(xm.mat(cols)))
-
-
 def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
                     p: ChartPoint) -> dict[tuple[int, int], GElement]:
     """N(A_i, A_k) = -[A, B] - J[A, JB] - J[JA, B] + [JA, JB] (Courant brackets)
-    for every probe pair i < k at p, in (i, k) order.  The field is validated
-    at p once, and each probe's jet and its J-image jet are built once.
+    for every probe pair i < k at p, in (i, k) order."""
+    return _jet_table(jf, [a.at(p) for a in probes], p)
+
+
+def _jet_table(jf: GACField, jets: Sequence[SectionJet],
+               p: ChartPoint) -> dict[tuple[int, int], GElement]:
+    """`nijenhuis_table` from the probes' jets at p.  The field is validated
+    at p once, and each probe's J-image jet is built once, as the jet
+    product of the field's jet matrix with the probe's jet as a column.
 
     All the jets are scaled to integers over one denominator d and J over
     its own d_J, once per point; each pair is assembled as 2 d^2 d_J N in
@@ -361,16 +317,15 @@ def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
     j = jf.validate_at(p)
     fj = jf.jet_at(p)
     m = p.dim
-    jets = [a.at(p) for a in probes]
-    images = [_field_image(fj, aj, m) for aj in jets]
-    ints, d = _integer_jets(jets + images, m)
+    images = [tuple(row[0] for row in jmat_mul(fj, [(c,) for c in aj])) for aj in jets]
+    ints, d = _integer_jets([*jets, *images], m)
     plain, imaged = ints[:len(jets)], ints[len(jets):]
     dj = j.den
     j_rows = [[(c, v) for c, v in enumerate(row) if v] for row in j.num]
     scale = 2 * d * d * dj
     table = {}
-    for i in range(len(probes)):
-        for k in range(i + 1, len(probes)):
+    for i in range(len(jets)):
+        for k in range(i + 1, len(jets)):
             t1 = _integer_bracket(plain[i], plain[k], m)
             t23 = [a + b for a, b in zip(_integer_bracket(plain[i], imaged[k], m),
                                          _integer_bracket(imaged[i], plain[k], m))]
@@ -423,15 +378,15 @@ def _exp_b_value(bmat: Mat, g: GElement) -> GElement:
     return GElement(g.dim_v, g.vec, tuple(c + e for c, e in zip(g.cov, extra)))
 
 
-def _exp_b_jet(b_jets: Sequence[Sequence[Jet]], aj: Jet1, m: int) -> Jet1:
+def _exp_b_jet(b_jets: JetMat, aj: SectionJet, m: int) -> SectionJet:
     """The 1-jet of e^B a = a + i_X B at a point, from the jets of B's
     entries and of a: (i_X B)_j = sum_i B_ij X^i over the nonzero B_ij."""
-    comps = [Jet(v, g) for v, g in zip(aj.value, aj.jacobian)]
+    comps = list(aj)
     for i in range(m):
         for j in range(m):
             if not b_jets[i][j].is_zero():
                 comps[m + j] = comps[m + j] + b_jets[i][j] * comps[i]
-    return Jet1.from_jets(comps)
+    return tuple(comps)
 
 
 def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
@@ -440,7 +395,7 @@ def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
     if a.chart_dim != m:
         raise ChartMismatchError("section and two-form live on different charts")
 
-    def evaluate(p: ChartPoint) -> Jet1:
+    def evaluate(p: ChartPoint) -> SectionJet:
         return _exp_b_jet([[e.jet(p.coords) for e in row] for row in bf.entries], a.at(p), m)
 
     return JetSection(m, evaluate)
@@ -477,9 +432,9 @@ def default_probes(chart_dim: int, perturbed: bool = False) -> list[JetSection]:
     return probes
 
 
-def check_spanning(probes: Sequence[JetSection], p: ChartPoint) -> None:
-    rows = [probe.at(p).value for probe in probes]
-    if xm.rank(xm.mat(rows)) != 2 * p.dim:
+def check_spanning(jets: Sequence[SectionJet], p: ChartPoint) -> None:
+    """ProbeSpanError unless the values of the probes' jets at p span TM + T*M."""
+    if xm.rank(tuple(tuple(c.value for c in jet) for jet in jets)) != 2 * p.dim:
         raise ProbeSpanError(f"probe set does not span TM + T*M at {p.coords}")
 
 
@@ -516,7 +471,8 @@ class ScanReport(Value):
 def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
                        probes: Sequence[JetSection]) -> ScanReport:
     """Nijenhuis residuals of a structure field over points x probe pairs,
-    through one `nijenhuis_table` per point.
+    through one `nijenhuis_table` per point, from the probe jets that the
+    spanning check read.
 
     Each point records whether every residual is exactly zero and the
     first probe pair, in (i, k) order, whose residual is not.  An empty
@@ -525,8 +481,9 @@ def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
     """
     results = []
     for p in points:
-        check_spanning(probes, p)
-        witness = next((pair for pair, value in nijenhuis_table(jf, probes, p).items()
+        jets = [a.at(p) for a in probes]
+        check_spanning(jets, p)
+        witness = next((pair for pair, value in _jet_table(jf, jets, p).items()
                         if not value.is_zero()), None)
         results.append(PointScan(p, witness is None, witness))
     return ScanReport(tuple(results))

@@ -113,6 +113,8 @@ class Scenario(Value):
             raise ScenarioError(f"the connection is for n = {conn.n}, not {n}")
         if mode not in ("exact", "float"):
             raise ScenarioError(f"unknown mode {mode!r}")
+        if any(type(c) is not str for c in checks):
+            raise ScenarioError(f"checks must be a list of check names, got {checks!r}")
         unknown = [c for c in checks if c not in _REGISTRY]
         if unknown:
             raise ScenarioError(f"unknown checks: {unknown}")
@@ -804,15 +806,21 @@ def load_scenario(source: str | Mapping, name: str | None = None,
         n = data["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        gamma = data.get("connection", {}).get("gamma", {})
+        conn_data = data.get("connection", {})
+        gamma = conn_data.get("gamma", {}) if isinstance(conn_data, Mapping) else None
+        if not isinstance(gamma, Mapping):
+            raise ValueError(f"the connection must be an object whose gamma is an object, "
+                             f"got {conn_data!r}")
         conn = connection_from_json(n, gamma) if gamma else flat_connection(n)
         effective_mode = mode or data.get("mode", "exact")
         effective_seed = seed if seed is not None else int(data.get("seed", 0))
         samples = dict(data.get("samples", {}))
-        checks = tuple(data.get("checks", ()))
+        checks = data.get("checks", ())
+        if not isinstance(checks, (list, tuple)):
+            raise ValueError(f"checks must be a list of check names, got {checks!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    return Scenario(name, n, conn, effective_mode, effective_seed, samples, checks)
+    return Scenario(name, n, conn, effective_mode, effective_seed, samples, tuple(checks))
 
 
 def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:

@@ -13,8 +13,11 @@ All field evaluation here runs in forward-mode jet arithmetic
 (`poly.Jet`, exact rationals kept as integers over one denominator):
 every quantity carries its value and chart gradient, which is exactly
 the first-order data the bracket formulas consume; jets are compared as
-values (`==`), never component by component.  `jmat_mul` skips the
-zero jets of both factors, which are exactly zero terms.  Each chart
+values (`==`), never component by component.  The structure fields
+evaluate to the jet matrices that `_field_matrix` computes, and the
+lift and tilde sections to tuples of the jets of their components, the
+1-jets `courant` reads.  `poly.jmat_mul` skips the zero jets of both
+factors, which are exactly zero terms.  Each chart
 point's context (chart jets, base structure, horizontal-lift and
 fibre-structure coefficients) is computed once per chart and memoized,
 together with the numeric views
@@ -32,10 +35,9 @@ from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
 from .courant import (
     ChartPoint,
-    FieldJet,
     GACField,
-    Jet1,
     JetSection,
+    SectionJet,
     chart_point,
     coordinate_sections,
     lie_bracket,
@@ -54,7 +56,7 @@ from .gclinalg import (
     reference_basis,
     skew_frames,
 )
-from .poly import Jet, Poly
+from .poly import Jet, JetMat, Poly, jmat_mul
 from .twistor import (
     Connection,
     TwistorPoint,
@@ -68,24 +70,6 @@ from .value import Value
 
 # ---------------------------------------------------------------------------
 # matrices of jets
-
-
-JetMat = list[list[Jet]]
-
-
-def jmat_mul(a: JetMat, b: JetMat) -> JetMat:
-    """a b, accumulated row by row over the nonzero jets of a and b."""
-    nvars = len(a[0][0].grad)
-    sparse_b = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
-    out = []
-    for row in a:
-        acc = [Jet.constant(0, nvars)] * len(b[0])
-        for x, nonzero in zip(row, sparse_b):
-            if not x.is_zero():
-                for c, y in nonzero:
-                    acc[c] = acc[c] + x * y
-        out.append(acc)
-    return out
 
 
 def jmat_comb(mats: Sequence[Mat], coeffs: Sequence[Jet], nvars: int) -> JetMat:
@@ -302,8 +286,8 @@ class TwistorChart:
         if cached is not None:
             return cached
 
-        def evaluate(q: ChartPoint) -> FieldJet:
-            return FieldJet.from_jets(self._field_matrix(alpha, q))
+        def evaluate(q: ChartPoint) -> JetMat:
+            return self._field_matrix(alpha, q)
 
         field = GACField(self.NVARS, evaluate)
         self._fields[alpha] = field
@@ -363,7 +347,7 @@ class TwistorChart:
         comps4 = [Poly.from_dict(self.NVARS, {e + (0, 0): c for e, c in p.terms})
                   if p.nvars == 2 else p for p in x_components]
 
-        def evaluate(q: ChartPoint) -> Jet1:
+        def evaluate(q: ChartPoint) -> SectionJet:
             ctx = self.context(q)
             xjets = [p.jet(q.coords) for p in comps4]
             vals = [xjets[0], xjets[1]]
@@ -371,7 +355,7 @@ class TwistorChart:
                 acc = xjets[0] * ctx["gammas"][0][w] + xjets[1] * ctx["gammas"][1][w]
                 vals.append(acc)
             vals += [Jet.constant(0, self.NVARS)] * 4
-            return Jet1.from_jets(vals)
+            return tuple(vals)
 
         return JetSection(self.NVARS, evaluate)
 
@@ -381,14 +365,14 @@ class TwistorChart:
         lifted = [[Poly.from_dict(self.NVARS, {e + (0, 0): c for e, c in p.terms})
                    if p.nvars == 2 else p for p in row] for row in entries]
 
-        def evaluate(q: ChartPoint) -> Jet1:
+        def evaluate(q: ChartPoint) -> SectionJet:
             ctx = self.context(q)
             a_mat = [[p.jet(q.coords) for p in row] for row in lifted]
             jaj = jmat_mul(jmat_mul(ctx["j_base"], a_mat), ctx["j_base"])
             tilde = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_mat, jaj)]
             c_u, c_v = self._solve_uv(self._coords_of(tilde), ctx["dx"])
             zero = Jet.constant(0, self.NVARS)
-            return Jet1.from_jets([zero, zero, c_u, c_v] + [zero] * 4)
+            return (zero, zero, c_u, c_v) + (zero,) * 4
 
         return JetSection(self.NVARS, evaluate)
 
@@ -458,7 +442,7 @@ def chart_bracket_curvature_check(chart: TwistorChart, x_components: Sequence[Po
     fy = chart.lift_section(y_components)
     lhs = lie_bracket(fx, fy, q)
     xy = _poly_lie_bracket(x_components, y_components)
-    rhs = list(chart.lift_section(xy).at(q).value[:4])
+    rhs = [c.value for c in chart.lift_section(xy).at(q)[:4]]
     base_q = chart_point(q.coords[:2])
     xv = tuple(p.evaluate(base_q.coords) for p in x_components)
     yv = tuple(p.evaluate(base_q.coords) for p in y_components)
@@ -545,7 +529,7 @@ def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
                         + tuple(x for row in at.structure.j.rows for x in row))
     lhs = lie_bracket(lift_field(x_components), lift_field(y_components), point)
     xy = _poly_lie_bracket(x_components, y_components)
-    rhs = list(lift_field(xy).at(point).value[:nvars])
+    rhs = [c.value for c in lift_field(xy).at(point)[:nvars]]
     xv = tuple(p.evaluate(at.point.coords) for p in x_components)
     yv = tuple(p.evaluate(at.point.coords) for p in y_components)
     r_vert = curvature(conn, xv, yv, at.point).act_on(at.structure.j)

@@ -6,6 +6,9 @@ every section in the package.  Each carrier evaluates to a `Jet`: a value
 plus a full gradient, which is all any bracket formula downstream
 consumes.  `Jet` is the package's one forward-mode scalar; every product,
 quotient and chain rule of a derivative goes through its arithmetic.
+A section's 1-jet is a tuple of `Jet`s and a structure field's a matrix
+of them; `jmat_mul` is the one product of jet matrices, and a field
+applied to a section is that product with a one-column matrix.
 
 A `Jet` takes and returns `Fraction`s, as `exactmat` does, and computes
 in Python ints inside: it stores integer numerators over one positive
@@ -126,6 +129,24 @@ class Jet:
     def is_zero(self) -> bool:
         """True for the zero jet: zero value and an all-zero gradient."""
         return not any(self.num)
+
+
+JetMat = Sequence[Sequence[Jet]]
+
+
+def jmat_mul(a: JetMat, b: JetMat) -> list[list[Jet]]:
+    """a b, accumulated row by row over the nonzero jets of a and b."""
+    nvars = len(a[0][0].num) - 1
+    sparse_b = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
+    out = []
+    for row in a:
+        acc = [Jet.constant(0, nvars)] * len(b[0])
+        for x, nonzero in zip(row, sparse_b):
+            if not x.is_zero():
+                for c, y in nonzero:
+                    acc[c] = acc[c] + x * y
+        out.append(acc)
+    return out
 
 
 def _canonical(nvars: int, terms: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
@@ -355,5 +376,13 @@ def scalar_from_str(s: str) -> Fraction:
 
 
 def poly_from_json(nvars: int, data: Iterable[Mapping]) -> Poly:
-    return Poly.from_dict(nvars, {tuple(t["exponents"]): scalar_from_str(t["coeff"])
-                                  for t in data})
+    terms = {}
+    for t in data:
+        exps = tuple(t["exponents"])
+        if any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"exponents must be integers >= 0, got {list(exps)}")
+        if type(t["coeff"]) not in (str, int):
+            raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
+                             f"got {t['coeff']!r}")
+        terms[exps] = scalar_from_str(t["coeff"])
+    return Poly.from_dict(nvars, terms)

@@ -10,7 +10,6 @@ from gctwistor.courant import (
     ChartMismatchError,
     FieldInvariantError,
     GACField,
-    Jet1,
     JetSection,
     ProbeSpanError,
     b_automorphism_defect,
@@ -39,7 +38,7 @@ from gctwistor.gclinalg import (
     standard_complex_matrix,
     standard_symplectic_matrix,
 )
-from gctwistor.poly import Poly, RationalFn
+from gctwistor.poly import Jet, Poly, RationalFn
 
 ZERO2 = Poly.constant(2, 0)
 ONE2 = Poly.constant(2, 1)
@@ -130,11 +129,14 @@ def test_courant_antisymmetry_property(seed):
     assert (courant_bracket(a, b, p) + courant_bracket(b, a, p)).is_zero()
 
 
-def textbook_bracket(ja: Jet1, jb: Jet1, m: int):
+def textbook_bracket(ja, jb, m: int):
     """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2,
-    every term written out in coordinates and summed densely."""
-    x, xi, dx, dxi = ja.value[:m], ja.value[m:], ja.jacobian[:m], ja.jacobian[m:]
-    y, eta, dy, deta = jb.value[:m], jb.value[m:], jb.jacobian[:m], jb.jacobian[m:]
+    every term written out in coordinates and summed densely, in Fractions
+    read off the two section jets."""
+    values = [tuple(c.value for c in j) for j in (ja, jb)]
+    grads = [tuple(c.grad for c in j) for j in (ja, jb)]
+    x, xi, dx, dxi = values[0][:m], values[0][m:], grads[0][:m], grads[0][m:]
+    y, eta, dy, deta = values[1][:m], values[1][m:], grads[1][:m], grads[1][m:]
     vec, cov = [], []
     for i in range(m):
         vec.append(sum((x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(m)), F(0)))
@@ -159,14 +161,15 @@ def _zero_pattern(draw):
 @st.composite
 def _bracket_operands(draw):
     """Two section jets on an m-chart, m = 2, 4 or 6 (a GElement has even
-    dimension), whose values and Jacobians each follow their own zero
-    pattern."""
+    dimension): tuples of 2m component `Jet`s whose values and gradients
+    each follow their own zero pattern.  Each component has its own
+    denominator, so the kernel's scaling to their lcm is exercised."""
     m = draw(st.sampled_from([2, 4, 6]))
 
     def jet():
         values, partials = _zero_pattern(draw), _zero_pattern(draw)
-        return Jet1(tuple(draw(values) for _ in range(2 * m)),
-                    tuple(tuple(draw(partials) for _ in range(m)) for _ in range(2 * m)))
+        return tuple(Jet(draw(values), [draw(partials) for _ in range(m)]).scale(
+                     F(1, draw(st.integers(1, 12)))) for _ in range(2 * m))
 
     return jet(), jet(), m
 
@@ -187,8 +190,8 @@ def test_rational_coefficient_sections():
     f = RationalFn(one, one + x * x)
     s = section_from_coefficients(1, [f, RationalFn.from_poly(x)])
     jet = s.at(chart_point([F(1, 2)]))
-    assert jet.value == (F(4, 5), F(1, 2))
-    assert jet.jacobian[0][0] == F(-16, 25)
+    assert (jet[0].value, jet[1].value) == (F(4, 5), F(1, 2))
+    assert jet[0].grad == (F(-16, 25),)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +366,19 @@ def test_field_orientation_validation():
 
 
 def field_image_section(f: GACField, a: JetSection) -> JetSection:
-    """p -> J(p) a(p) as a section, with the product-rule jet: the reference
-    the table's pair brackets are compared against."""
+    """p -> J(p) a(p) as a section, with the product-rule jet in Fractions
+    read off the jets of J and a: the reference the table's pair brackets
+    are compared against."""
     def evaluate(p):
         fj, aj = f.jet_at(p), a.at(p)
+        j = tuple(tuple(e.value for e in row) for row in fj)
+        av = tuple(c.value for c in aj)
         cols = []
         for k in range(f.chart_dim):
-            da = tuple(row[k] for row in aj.jacobian)
-            cols.append(tuple(x + y for x, y in zip(xm.mat_vec(fj.partials[k], aj.value),
-                                                    xm.mat_vec(fj.value, da))))
-        return Jet1(xm.mat_vec(fj.value, aj.value), xm.transpose(xm.mat(cols)))
+            dj = tuple(tuple(e.grad[k] for e in row) for row in fj)
+            da = tuple(c.grad[k] for c in aj)
+            cols.append(tuple(x + y for x, y in zip(xm.mat_vec(dj, av), xm.mat_vec(j, da))))
+        return tuple(Jet(v, g) for v, g in zip(xm.mat_vec(j, av), zip(*cols)))
 
     return JetSection(f.chart_dim, evaluate)
 
@@ -490,3 +496,20 @@ def test_scan_validates_field_at_every_point():
     assert len(integrability_scan(field, [origin], probes).points) == 1
     with pytest.raises(FieldInvariantError):
         integrability_scan(field, [origin, off], probes)
+
+
+def test_scan_evaluates_each_probe_jet_once_per_point():
+    # the spanning check and the table read the same jets
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    calls = []
+
+    def counted(probe):
+        def evaluate(p):
+            calls.append(p.coords)
+            return probe.at(p)
+        return JetSection(2, evaluate)
+
+    probes = [counted(probe) for probe in default_probes(2, perturbed=True)]
+    points = [chart_point([F(0), F(0)]), chart_point([F(1, 2), F(-1)])]
+    assert integrability_scan(field, points, probes).all_zero
+    assert len(calls) == len(probes) * len(points)

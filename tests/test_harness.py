@@ -205,6 +205,27 @@ def with_samples(preset, **samples):
     return {**PRESETS[preset], "samples": {**PRESETS[preset]["samples"], **samples}}
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 1, "connection": 5, "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "connection": {"gamma": [1]}, "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "checks": [["a"]]},
+    {"n": 1, "checks": "linalg/pairing-examples"},
+    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [-1, 0],
+                                                               "coeff": "1"}]}}},
+    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [0.5, 0],
+                                                               "coeff": "1"}]}}},
+    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0],
+                                                               "coeff": 0.1}]}}},
+])
+def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
+    from gctwistor import cli
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_rejects_zero_oracle_samples(tmp_path):
     result = run_cli_on(tmp_path, with_samples("oracle-n1", fibre_params=0))
     assert result.returncode == 2

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctwistor
-from gctwistor.courant import ChartMismatchError, Jet1, PointScan, chart_point, constant_field
+from gctwistor.courant import PointScan, chart_point, constant_field
 from gctwistor.gclinalg import (
     DimensionMismatchError,
     Endo,
@@ -83,7 +83,6 @@ FACTORIES = {
     "GElement": lambda rng: GElement(2, _vec(rng, 2), _vec(rng, 2)),
     "Endo": lambda rng: Endo(4, _mat(rng, 4, 4)),
     "ChartPoint": lambda rng: chart_point(_vec(rng, 2)),
-    "Jet1": lambda rng: Jet1(_vec(rng, 4), _mat(rng, 4, 2)),
     "TwistorTangent": lambda rng: TwistorTangent(GElement(2, _vec(rng, 2), _vec(rng, 2)),
                                                  Endo(4, _mat(rng, 4, 4)),
                                                  Endo(4, _mat(rng, 4, 4))),
@@ -134,7 +133,7 @@ def test_caches_take_no_part_in_equality_or_repr():
     conn.curvature_basis_at(chart_point([F(1), F(2)]))
     assert conn._curvature_cache and conn == fresh and hash(conn) == hash(fresh)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    twin = type(field)(field.chart_dim, field.evaluate, field.entries)
+    twin = type(field)(field.chart_dim, field.evaluate)
     field.jet_at(chart_point([F(0), F(1)]))
     assert field._cache and field == twin and hash(field) == hash(twin)
     assert "_cache" not in repr(field) and repr(field).startswith("GACField(chart_dim=2, ")
@@ -165,11 +164,6 @@ def test_odd_dim_v_element_rejected():
         GElement(3, (F(0),) * 3, (F(0),) * 3)
     with pytest.raises(DimensionMismatchError):
         GElement(2, (F(0),) * 2, (F(0),) * 3)
-
-
-def test_mismatched_jet1_rejected():
-    with pytest.raises(ChartMismatchError):
-        Jet1((F(0),) * 4, ((F(0), F(0)),) * 3)
 
 
 def test_rational_function_with_zero_denominator_rejected():
