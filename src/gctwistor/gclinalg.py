@@ -14,15 +14,18 @@ An endomorphism (`Endo`) is an integer matrix over one positive
 denominator in lowest terms, and its arithmetic, the pairing-skew and
 anticommutation tests, j^2 = -Id, the fibre pairing, the orientation,
 the skew generators and the vertical basis all work on those integers;
+the adapted structure of a basis is a sum of its skew generators.
 `Endo.rows` reads the matrix back as `Fraction`s for the callers that
-want them.  The moves of `random_orthonormal_basis` and the
-orthonormality check of `OrthonormalBasis` work in integers too.
+want them.  The moves of `random_orthonormal_basis`, the orthonormality
+check of `OrthonormalBasis` and the basis matrices of the skew
+generators work in integers too.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -464,18 +467,6 @@ class OrthonormalBasis(Value):
     def dim_v(self) -> int:
         return len(self.vectors) // 2
 
-    def matrix(self) -> Mat:
-        """Columns are the basis elements in reference coordinates."""
-        return xm.transpose(xm.mat([v.coords for v in self.vectors]))
-
-    def inverse_matrix(self) -> Mat:
-        """The inverse of `matrix()`, read off the pairing without elimination:
-        the coefficient of Q_i in x is eps_i <Q_i, x>, so row i is
-        eps_i (cov_i, vec_i) / 2."""
-        half = Fraction(1, 2)
-        return tuple(tuple(s * half * c for c in v.cov + v.vec)
-                     for v, s in zip(self.vectors, self.signs))
-
 
 def reference_basis(n: int) -> OrthonormalBasis:
     """The standard orthonormal basis {e_i + a_i ; e_i - a_i} of V + V*."""
@@ -774,7 +765,7 @@ class SkewGenerators(Value):
     built on demand from the basis matrix B and its inverse and memoised.
 
     B and B^-1 are kept as integer matrices: B = bmat / d and
-    B^-1 = binv / d' for integers d and d', and `den` = d d', so each
+    B^-1 = binv / (2 d) for one integer d, and `den` = 2 d^2, so each
     entry of a generator is one integer over `den`.
     """
 
@@ -820,10 +811,18 @@ class SkewGenerators(Value):
 
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
-    """The skew generators of a basis; each S_ik is built on first use."""
-    b, d = xm._integer_matrix(basis.matrix())
-    binv, d_inv = xm._integer_matrix(basis.inverse_matrix())
-    return SkewGenerators(basis, tuple(map(tuple, b)), tuple(map(tuple, binv)), d * d_inv)
+    """The skew generators of a basis; each S_ik is built on first use.
+
+    Both basis matrices come from one integer matrix N = d Q of the basis
+    elements, with no elimination: B = N^T / d, and since the coefficient
+    of Q_i in x is eps_i <Q_i, x>, row i of 2 d B^-1 is eps_i (cov_i, vec_i)
+    of row i of N.
+    """
+    ints, d = xm._integer_matrix([v.coords for v in basis.vectors])
+    half = len(ints) // 2
+    binv = tuple(tuple(s * x for x in row[half:] + row[:half])
+                 for row, s in zip(ints, basis.signs))
+    return SkewGenerators(basis, tuple(zip(*ints)), binv, 2 * d * d)
 
 
 class SkewFrames(Value):
@@ -886,10 +885,7 @@ def skew_decompose(k: Endo, basis: OrthonormalBasis) -> SkewDecomposition:
     frames = skew_frames(basis)
     x = tuple(fib_pairing(k, frames.left[r]) / _FRAME_NORMS[r] for r in range(3))
     y = tuple(fib_pairing(k, frames.right[r]) / _FRAME_NORMS[r] for r in range(3))
-    recon = zero_endo(4)
-    for c, m in zip(x + y, frames.all()):
-        recon = recon + m.scale(c)
-    if recon != k:
+    if reduce(Endo.__add__, (m.scale(c) for c, m in zip(x + y, frames.all()))) != k:
         raise InvariantError("skew frame decomposition failed to reconstruct the input")
     on_left = (x[0] ** 2 - x[1] ** 2 - x[2] ** 2 == 1) and all(c == 0 for c in y)
     on_right = (y[0] ** 2 - y[1] ** 2 - y[2] ** 2 == 1) and all(c == 0 for c in x)
@@ -930,18 +926,15 @@ def hyperboloid_point(u: Scalar, v: Scalar, sheet: int, basis: OrthonormalBasis)
 
 
 def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
-    """The structure with j Q_{2l-1} = Q_{2l} for an orthonormal basis:
-    B j0 B^-1 for the basis matrix B and j0 Q_{2l-1} = Q_{2l} in basis
-    coordinates.  At the reference basis this is
-    `from_complex(standard_complex_matrix(n))`.
+    """The structure with j Q_2l = Q_2l+1 and j Q_2l+1 = -Q_2l (zero-based)
+    for an orthonormal basis: the sum over l of eps_2l S_2l,2l+1.  S_ik
+    sends Q_i to eps_i Q_k, Q_k to -eps_k Q_i and the other elements to
+    zero, and both elements of a pair share their sign.  At the reference
+    basis this is `from_complex(standard_complex_matrix(n))`.
     """
-    n4 = len(basis.vectors)
-    cols = [[F0] * n4 for _ in range(n4)]
-    for l in range(n4 // 2):
-        cols[2 * l][2 * l + 1] = F1
-        cols[2 * l + 1][2 * l] = -F1
-    b, b_inv = Endo(n4, basis.matrix()), Endo(n4, basis.inverse_matrix())
-    return GCStructure(b.compose(Endo(n4, xm.transpose(xm.mat(cols)))).compose(b_inv))
+    gens = skew_generators(basis)
+    return GCStructure(reduce(Endo.__add__, (gens.generator(i, i + 1).scale(basis.signs[i])
+                                             for i in range(0, len(basis.vectors), 2))))
 
 
 def is_vertical(q: Endo, j: Endo) -> bool:

@@ -24,6 +24,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
@@ -99,7 +100,7 @@ class ScenarioError(ValueError):
 
 class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
-    a scenario whose checks cannot run: a bad n, mode or sample count, a
+    a scenario whose checks cannot run: a bad n, seed, mode or samples, a
     connection for another n, an unknown check, or a check whose registry
     requirements (an n, a flat or a curved connection) it does not meet."""
 
@@ -111,6 +112,8 @@ class Scenario(Value):
             raise ScenarioError(f"malformed scenario: n must be an integer >= 1, got {n!r}")
         if conn.n != n:
             raise ScenarioError(f"the connection is for n = {conn.n}, not {n}")
+        if type(seed) is not int:
+            raise ScenarioError(f"malformed scenario: the seed must be an integer, got {seed!r}")
         if mode not in ("exact", "float"):
             raise ScenarioError(f"unknown mode {mode!r}")
         if any(type(c) is not str for c in checks):
@@ -129,7 +132,7 @@ class Scenario(Value):
         self.conn = conn
         self.mode = mode
         self.seed = seed
-        self.samples = samples
+        self.samples = dict(samples)
         self.checks = checks
 
     def count(self, key: str, default: int) -> int:
@@ -299,9 +302,7 @@ def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
         basis = random_orthonormal_basis(1, rng)
         frames = skew_frames(basis)
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
-        k = Endo(4, xm.zeros(4, 4))
-        for c, m in zip(coeffs, frames.all()):
-            k = k + m.scale(c)
+        k = reduce(Endo.__add__, (m.scale(c) for c, m in zip(coeffs, frames.all())))
         decomposition = skew_decompose(k, basis)
         if list(decomposition.left) + list(decomposition.right) != coeffs:
             return _fail(scenario, "coefficients differ", {"trial": trial})
@@ -773,8 +774,10 @@ SAMPLE_COUNTS = ("base_points", "fibre_params", "adapted_points")
 
 
 def _validate_samples(samples: Mapping[str, object]) -> None:
-    """Every sample count must be an int >= 1 and probe_spec a known probe
-    set, so no check runs over zero samples or fails on a mistyped value."""
+    """The samples map every sample count to an int >= 1 and probe_spec to a
+    known probe set, so no check runs over zero samples or a mistyped value."""
+    if not isinstance(samples, Mapping):
+        raise ScenarioError(f"malformed scenario: samples must be an object, got {samples!r}")
     for key, value in samples.items():
         if key == "probe_spec":
             ok = value in ("full", "horizontal")
@@ -813,8 +816,8 @@ def load_scenario(source: str | Mapping, name: str | None = None,
                              f"got {conn_data!r}")
         conn = connection_from_json(n, gamma) if gamma else flat_connection(n)
         effective_mode = mode or data.get("mode", "exact")
-        effective_seed = seed if seed is not None else int(data.get("seed", 0))
-        samples = dict(data.get("samples", {}))
+        effective_seed = seed if seed is not None else data.get("seed", 0)
+        samples = data.get("samples", {})
         checks = data.get("checks", ())
         if not isinstance(checks, (list, tuple)):
             raise ValueError(f"checks must be a list of check names, got {checks!r}")

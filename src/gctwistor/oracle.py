@@ -128,8 +128,9 @@ class TwistorChart:
             raise ValueError("sheet must be +1 or -1")
         self.conn = conn
         self.sheet = sheet
-        frames = skew_frames(reference_basis(1))
-        self.frame = [f.rows for f in frames.left]
+        # the left frame as Endos, and as the rows that jmat_comb reads
+        self.left = skew_frames(reference_basis(1)).left
+        self.frame = [f.rows for f in self.left]
         # Christoffel polynomials lifted from (x1, x2) to (x1, x2, u, v)
         self.gamma4: dict[tuple[int, int, int], Poly] = {}
         for (k, i, j), p in conn.entries:
@@ -246,13 +247,10 @@ class TwistorChart:
         ctx = self.context(q)
         frame = ctx.get("vertical_frame")
         if frame is None:
-            out = []
-            for w in range(2):
-                m = xm.zeros(4, 4)
-                for r in range(3):
-                    m = xm.mat_add(m, xm.mat_scale(ctx["dx"][r][w].value, self.frame[r]))
-                out.append(Endo(4, m))
-            b_u, b_v = out
+            dx = ctx["dx"]
+            l1, l2, l3 = self.left
+            b_u, b_v = (l1.scale(dx[0][w].value) + l2.scale(dx[1][w].value)
+                        + l3.scale(dx[2][w].value) for w in range(2))
             gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
                     (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
             frame = ctx["vertical_frame"] = ((b_u, b_v), xm.inverse(gram))
@@ -271,8 +269,8 @@ class TwistorChart:
         """Chart coordinates of a vertical endomorphism at the point."""
         ctx = self.context(q)
         nv = self.NVARS
-        coords = [Jet.constant(fib_pairing(vertical, Endo(4, self.frame[r])) / _FRAME_NORMS[r], nv)
-                  for r in range(3)]
+        coords = [Jet.constant(fib_pairing(vertical, f) / norm, nv)
+                  for f, norm in zip(self.left, _FRAME_NORMS)]
         dx_vals = [[Jet.constant(ctx["dx"][r][w].value, nv) for w in range(2)] for r in range(3)]
         c_u, c_v = self._solve_uv(coords, dx_vals)
         return c_u.value, c_v.value

@@ -384,5 +384,8 @@ def poly_from_json(nvars: int, data: Iterable[Mapping]) -> Poly:
         if type(t["coeff"]) not in (str, int):
             raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
                              f"got {t['coeff']!r}")
-        terms[exps] = scalar_from_str(t["coeff"])
+        try:
+            terms[exps] = scalar_from_str(t["coeff"])
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {t['coeff']!r} has a zero denominator") from None
     return Poly.from_dict(nvars, terms)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, is_
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
@@ -43,6 +45,7 @@ from .gclinalg import (
     fib_pairing,
     fiber_kahler_structure,
     from_complex,
+    from_coords,
     from_symplectic,
     gl_action,
     is_vertical,
@@ -70,7 +73,7 @@ class NotVerticalError(ValueError):
 class Connection(Value):
     """Torsion-free Christoffel data with polynomial entries on a 2n-chart."""
 
-    __slots__ = ("n", "entries", "_curvature_cache", "_action_cache")
+    __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[tuple[tuple[int, int, int], Poly], ...]):
         dim = 2 * n
@@ -87,8 +90,6 @@ class Connection(Value):
                 raise InvariantError(f"connection has torsion at Gamma^{k}_{i}{j}")
         self.n = n
         self.entries = entries  # (k, i, j) -> Gamma^k_ij
-        self._curvature_cache: dict[Vec, dict[tuple[int, int], Mat]] = {}
-        self._action_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -112,22 +113,18 @@ class Connection(Value):
         return d
 
     def curvature_basis_at(self, p: ChartPoint) -> dict[tuple[int, int], Mat]:
-        """R(d/dx_a, d/dx_b) for a < b at the point, memoized per point.
+        """R(d/dx_a, d/dx_b) for a < b at the point.
 
         A connection without entries is flat: every matrix is zero, and the
         Christoffel sums are not formed."""
-        cached = self._curvature_cache.get(p.coords)
-        if cached is not None:
-            return cached
         dim = self.dim
+        if not self.entries:
+            return {(a, b): xm.zeros(dim, dim) for a in range(dim) for b in range(a + 1, dim)}
         g = self.christoffel_at(p)
         dg = self.christoffel_partials_at(p)
         table = {}
         for a in range(dim):
             for b in range(a + 1, dim):
-                if not self.entries:
-                    table[(a, b)] = xm.zeros(dim, dim)
-                    continue
                 rows = []
                 for k in range(dim):
                     row = []
@@ -138,7 +135,6 @@ class Connection(Value):
                         row.append(-std)
                     rows.append(tuple(row))
                 table[(a, b)] = xm.mat(rows)
-        self._curvature_cache[p.coords] = table
         return table
 
 
@@ -202,11 +198,8 @@ class CurvatureValue(Value):
 
 
 def curvature(conn: Connection, x: Vec, y: Vec, p: ChartPoint) -> CurvatureValue:
-    """R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y] for constant X, Y at p.
-
-    Contracted from the memoized coordinate values, so repeated
-    evaluation at one point costs a bilinear combination only.
-    """
+    """R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y] for constant X, Y at p,
+    contracted from the coordinate values of `curvature_basis_at`."""
     dim = conn.dim
     table = conn.curvature_basis_at(p)
     total = [[F0] * dim for _ in range(dim)]
@@ -370,17 +363,13 @@ def _gram_solve_representer(basis: Sequence[Endo], values: Sequence[Fraction]) -
 
 
 def curvature_action_on_structure(conn: Connection, at: TwistorPoint) -> dict:
-    """For each coordinate pair a < b: the vertical endomorphisms
-    [R^(d_a, d_b), j] and j o [R^(d_a, d_b), j], memoized.
+    """For each coordinate pair a < b with nonzero curvature: the vertical
+    endomorphisms [R^(d_a, d_b), j] and j o [R^(d_a, d_b), j].
 
     Every curvature term of the closed-form Nijenhuis tensor is a
     bilinear combination of these, so computing them once per point
     reduces each evaluation to scalar contractions.
     """
-    key = (at.point.coords, at.structure.j)
-    cached = conn._action_cache.get(key)
-    if cached is not None:
-        return cached
     j = at.structure.j
     out = {}
     for (a, b), r_ab in conn.curvature_basis_at(at.point).items():
@@ -388,7 +377,6 @@ def curvature_action_on_structure(conn: Connection, at: TwistorPoint) -> dict:
             continue
         v = CurvatureValue(conn.n, r_ab).act_on(j)
         out[(a, b)] = (v, j.compose(v))
-    conn._action_cache[key] = out
     return out
 
 
@@ -511,14 +499,6 @@ def nijenhuis_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     return nijenhuis_closed_form_table(alpha, conn, at, (e, f), vertical_basis)[(0, 1)]
 
 
-def _add_scaled(acc: list[list[Fraction]], c: Fraction, m: Mat) -> None:
-    """acc += c m, in place, over the nonzero entries of m."""
-    for acc_row, row in zip(acc, m):
-        for col, x in enumerate(row):
-            if x:
-                acc_row[col] += c * x
-
-
 def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                                 probes: Sequence[TwistorTangent],
                                 vertical_basis: Sequence[Endo] | None = None,
@@ -538,7 +518,10 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     each coform representer with the curvature action, and (alpha = 2)
     the inverse Gram matrix of the vertical basis.  A term is skipped only
     where it is exactly zero: a zero part, an empty curvature action or a
-    zero alpha coefficient.  Pairs whose value is zero share one zero
+    zero alpha coefficient.  A pair's vertical and coform parts are sums
+    of scaled `Endo`s and its horizontal part a sum of `GElement`s, so no
+    part is rebuilt from `Fraction` rows.  Pairs whose value is zero,
+    because no term reached them or their terms cancel, share one zero
     tangent.
     """
     if alpha not in (1, 2):
@@ -608,67 +591,46 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
             raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
         basis_images = [None if h is None else [u.apply(h) for u in vertical_basis] for h in hs]
 
-    dim = j.dim
     zero = zero_tangent(n)
+    zeros = (zero.horizontal, zero.vertical, zero.vertical_coform)
     table: dict[tuple[int, int], TwistorTangent] = {}
     for i in range(len(probes)):
         for k in range(i + 1, len(probes)):
-            horizontal = vertical = coform = None
+            horizontal, vertical, coform = [], [], []
             h_e, h_f = hs[i], hs[k]
             if h_e is not None and h_f is not None:
                 a, b, ja, jb = h_e, h_f, jhs[i], jhs[k]
-                if action:
-                    vertical = [[F0] * dim for _ in range(dim)]
-                    for (ia, ib), (v, jv) in action.items():
-                        c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
-                        if c_direct:
-                            _add_scaled(vertical, c_direct, v.rows)
-                        if c_twisted:
-                            _add_scaled(vertical, sign * c_twisted, jv.rows)
+                for (ia, ib), (v, jv) in action.items():
+                    c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
+                    if c_direct:
+                        vertical.append(v.scale(c_direct))
+                    if c_twisted:
+                        vertical.append(jv.scale(sign * c_twisted))
                 if coef:
                     values = [2 * coef * (neutral_pairing(ja, ub) - neutral_pairing(jb, ua))
                               for ua, ub in zip(basis_images[i], basis_images[k])]
                     if any(values):
-                        coform = [[F0] * dim for _ in range(dim)]
-                        for c, u in zip(xm.mat_vec(gram_inv, values), vertical_basis):
-                            if c:
-                                _add_scaled(coform, c, u.rows)
+                        coform = [u.scale(c) for c, u in zip(xm.mat_vec(gram_inv, values),
+                                                             vertical_basis) if c]
             for h, jh, jv, scalars, s in ((h_e, jhs[i], jvs[k], phi_scalars[k], 1),
                                           (h_f, jhs[k], jvs[i], phi_scalars[i], -1)):
-                if h is None or (jv is None and scalars is None):
+                if h is None:
                     continue
-                if horizontal is None:
-                    horizontal = [F0] * (2 * dim_v)
                 if jv is not None:
-                    for col, x in enumerate(xm.mat_vec(jv.rows, h.coords)):
-                        horizontal[col] += 2 * s * x
+                    horizontal.append(jv.apply(h).scale(2 * s))
                 if scalars is not None:
-                    for col, x in enumerate(coform_coords(h, jh, scalars)):
-                        horizontal[col] += s * x
-            table[(i, k)] = _assemble(zero, horizontal, vertical, coform)
+                    horizontal.append(from_coords(coform_coords(h, jh, scalars)).scale(s))
+            parts = [_sum(terms, z) for terms, z in zip((horizontal, vertical, coform), zeros)]
+            table[(i, k)] = zero if all(map(is_, parts, zeros)) else TwistorTangent(*parts)
     return table
 
 
-def _assemble(zero: TwistorTangent, horizontal: list[Fraction] | None,
-              vertical: list[list[Fraction]] | None,
-              coform: list[list[Fraction]] | None) -> TwistorTangent:
-    """A tangent from accumulated parts, None for a part no term reached;
-    `zero` itself when every part is zero."""
-    if horizontal is not None and any(horizontal):
-        half = len(horizontal) // 2
-        h = GElement(half, tuple(horizontal[:half]), tuple(horizontal[half:]))
-    else:
-        h = zero.horizontal
-    dim = zero.vertical.dim
-    v = zero.vertical
-    if vertical is not None and any(any(row) for row in vertical):
-        v = Endo(dim, tuple(tuple(row) for row in vertical))
-    phi = zero.vertical_coform
-    if coform is not None and any(any(row) for row in coform):
-        phi = Endo(dim, tuple(tuple(row) for row in coform))
-    if h is zero.horizontal and v is zero.vertical and phi is zero.vertical_coform:
+def _sum(terms: list, zero):
+    """The sum of GElements or Endos; `zero` itself if there are none or they cancel."""
+    if not terms:
         return zero
-    return TwistorTangent(h, v, phi)
+    total = reduce(add, terms)
+    return zero if total.is_zero() else total
 
 
 # ---------------------------------------------------------------------------

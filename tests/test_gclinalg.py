@@ -482,7 +482,7 @@ def test_generators_match_conjugated_definition(n, seed):
     basis = random_orthonormal_basis(n, seed)
     gens = skew_generators(basis)
     n4 = 4 * n
-    bmat = basis.matrix()
+    bmat = xm.transpose(xm.mat([v.coords for v in basis.vectors]))
     binv = xm.inverse(bmat)
     for i in range(n4):
         assert gens.generator(i, i) == Endo(n4, xm.zeros(n4, n4))
@@ -685,13 +685,24 @@ def test_structure_invariants_enforced():
 
 
 def test_adapted_structure_is_adapted():
-    for seed in range(4):
-        basis = random_orthonormal_basis(1, seed)
-        j = adapted_structure(basis)
-        assert j.apply(basis.vectors[0]) == basis.vectors[1]
-        assert j.apply(basis.vectors[2]) == basis.vectors[3]
-        assert j.orientation() == 1
-        assert structure_orientation(j.j) == 1
+    for n in (1, 2, 3):
+        n4 = 4 * n
+        j0 = [[F(0)] * n4 for _ in range(n4)]
+        for l in range(0, n4, 2):
+            j0[l + 1][l] = F(1)
+            j0[l][l + 1] = F(-1)
+        for seed in range(4):
+            basis = random_orthonormal_basis(n, seed)
+            j = adapted_structure(basis)
+            q = basis.vectors
+            for l in range(0, n4, 2):
+                assert j.apply(q[l]) == q[l + 1]
+                assert j.apply(q[l + 1]) == -q[l]
+            # the textbook form B j0 B^-1, B the matrix whose columns are the Q_i
+            bmat = xm.transpose(xm.mat([v.coords for v in q]))
+            assert j.j.rows == xm.mat_mul(xm.mat_mul(bmat, xm.mat(j0)), xm.inverse(bmat))
+            assert j.orientation() == 1
+            assert structure_orientation(j.j) == 1
 
 
 def test_zero_element_identity():
@@ -848,13 +859,6 @@ def test_seed_basis_spans_projection(n, kind):
         "chart-lower"])
 def test_hand_built_basis_spans_projection(make):
     _assert_basis_spans_reference(make())
-
-
-@pytest.mark.parametrize("n", (1, 2))
-def test_inverse_matrix_is_the_inverse(n):
-    for seed in range(3):
-        basis = random_orthonormal_basis(n, seed)
-        assert basis.inverse_matrix() == xm.inverse(basis.matrix())
 
 
 def test_generators_are_built_once():

@@ -216,6 +216,12 @@ def with_samples(preset, **samples):
                                                                "coeff": "1"}]}}},
     {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0],
                                                                "coeff": 0.1}]}}},
+    {"n": 1, "seed": 1.9, "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "seed": "12", "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "seed": True, "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "samples": [["base_points", 5]], "checks": ["linalg/pairing-examples"]},
+    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0],
+                                                               "coeff": "1/0"}]}}},
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -398,8 +404,11 @@ def _direct_scenario(**changes):
     ({"mode": "fast"}, "unknown mode 'fast'"),
     ({"checks": ("linalg/no-such-check",)}, "unknown checks"),
     ({"samples": {"fibre_params": 0}}, "bad sample fibre_params=0"),
+    ({"samples": [("fibre_params", 1)]}, "samples must be an object"),
+    ({"seed": 1.5}, "the seed must be an integer"),
+    ({"seed": True}, "the seed must be an integer"),
 ], ids=["oracle-at-n2", "curved-check-flat-connection", "connection-n", "n-zero", "mode",
-        "unknown-check", "zero-samples"])
+        "unknown-check", "zero-samples", "samples-list", "seed-float", "seed-bool"])
 def test_directly_built_scenario_is_checked(changes, message):
     # the constructor checks what load_scenario checks, so run_scenario
     # never meets a scenario it cannot run

@@ -118,7 +118,6 @@ def test_flat_curvature_table_is_zero_and_memoized():
     # the same (a, b) keys as a curved table, every matrix zero
     assert table.keys() == CONN_N2.curvature_basis_at(p).keys()
     assert all(r == xm.zeros(4, 4) for r in table.values())
-    assert flat.curvature_basis_at(p) is table
 
 
 def test_extended_curvature_action():
@@ -432,6 +431,9 @@ TABLE_CASES = [
     ("n2-flat", flat_connection(2), lambda: n2_point(21), 2, "horizontal", 1),
     ("n2-curved", CONN_N2, lambda: n2_point(22), 1, "horizontal", 1),
     ("n2-curved", CONN_N2, lambda: n2_point(22), 2, "full", 4),
+    # mixed probes at n = 2, where the coform case is nonzero: the pairs
+    # whose second probe carries the horizontal part and the first the coform
+    ("n2-curved", CONN_N2, lambda: n2_point(22), 2, "random", 1),
 ]
 
 

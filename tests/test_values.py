@@ -129,9 +129,6 @@ def test_equal_and_hashed_by_fields(kind, seed, other):
 
 
 def test_caches_take_no_part_in_equality_or_repr():
-    conn, fresh = (connection(1, {(0, 0, 1): Poly.variable(2, 0)}) for _ in range(2))
-    conn.curvature_basis_at(chart_point([F(1), F(2)]))
-    assert conn._curvature_cache and conn == fresh and hash(conn) == hash(fresh)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     twin = type(field)(field.chart_dim, field.evaluate)
     field.jet_at(chart_point([F(0), F(1)]))
