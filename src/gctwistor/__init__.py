@@ -24,9 +24,7 @@ from .gclinalg import (
     Scalar,
     b_transform,
     beta_transform,
-    commute_check,
     dim2_basis_orientation,
-    direct_sum,
     fiber_kahler_structure,
     from_complex,
     from_symplectic,
@@ -41,7 +39,6 @@ from .gclinalg import (
     skew_frames,
     skew_generators,
     structure_orientation,
-    vertical_complex_action,
     vertical_space_basis,
 )
 from .courant import (
@@ -53,7 +50,6 @@ from .courant import (
     chart_point,
     constant_field,
     courant_bracket,
-    field_from_coefficients,
     integrability_scan,
     lie_bracket,
     nijenhuis,
@@ -81,7 +77,6 @@ from .twistor import (
     nijenhuis_horizontal,
     nijenhuis_mixed,
     twistor_J,
-    twistor_pairing,
 )
 from .oracle import (
     OracleSample,

@@ -177,18 +177,6 @@ class GACField(Value):
         return m
 
 
-def field_from_coefficients(chart_dim: int, entries: Sequence[Sequence[Coefficient]]) -> GACField:
-    size = 2 * chart_dim
-    if len(entries) != size or any(len(row) != size for row in entries):
-        raise ChartMismatchError("a structure field is a 2m x 2m matrix of coefficients")
-    rationals = tuple(tuple(as_rational(c) for c in row) for row in entries)
-
-    def evaluate(p: ChartPoint) -> JetMat:
-        return tuple(tuple(r.jet(p.coords) for r in row) for row in rationals)
-
-    return GACField(chart_dim, evaluate)
-
-
 def constant_field(j: Endo) -> GACField:
     chart_dim = j.dim // 2
     jets = tuple(tuple(Jet.constant(x, chart_dim) for x in row) for row in j.rows)

@@ -11,10 +11,10 @@ the V block first, so the canonical orientation is the one of the
 ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 
 An endomorphism (`Endo`) is an integer matrix over one positive
-denominator in lowest terms, and its arithmetic, the pairing-skew and
-anticommutation tests, j^2 = -Id, the fibre pairing, the orientation,
-the skew generators and the vertical basis all work on those integers;
-the adapted structure of a basis is a sum of its skew generators.
+denominator in lowest terms, and its arithmetic, the pairing-skew,
+isometry and anticommutation tests, j^2 = -Id, the fibre pairing, the
+orientation, the skew generators and the vertical basis all work on those
+integers; the adapted structure of a basis is a sum of its skew generators.
 `Endo.rows` reads the matrix back as `Fraction`s for the callers that
 want them.  The moves of `random_orthonormal_basis`, the orthonormality
 check of `OrthonormalBasis` and the basis matrices of the skew
@@ -301,15 +301,6 @@ def neutral_pairing(a: GElement, b: GElement) -> Scalar:
                              + sum(x * y for x, y in zip(b.cov, a.vec)))
 
 
-def _pairing_gram(dim_v: int) -> Mat:
-    half = Fraction(1, 2)
-    g = [[F0] * (2 * dim_v) for _ in range(2 * dim_v)]
-    for i in range(dim_v):
-        g[i][dim_v + i] = half
-        g[dim_v + i][i] = half
-    return xm.mat(g)
-
-
 def is_pairing_skew(m: Endo) -> bool:
     """True iff <mA, B> + <A, mB> = 0 for all A, B.
 
@@ -328,9 +319,22 @@ def is_pairing_skew(m: Endo) -> bool:
 
 
 def is_pairing_orthogonal(m: Endo) -> bool:
-    """True iff <mA, mB> = <A, B> for all A, B."""
-    g = _pairing_gram(m.half)
-    return xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows) == g
+    """True iff <mA, mB> = <A, B> for all A, B.
+
+    The Gram matrix of the pairing is S / 2, S the swap of the V and V*
+    halves, so for m = N / d this is N^T S N = d^2 S: entry (r, c) is
+    column r of N, halves swapped, dotted with column c.  It is tested in
+    integers for r <= c up to the first mismatch.
+    """
+    h = m.half
+    cols = list(zip(*m.num))
+    d2 = m.den * m.den
+    for r, col in enumerate(cols):
+        swapped = col[h:] + col[:h]
+        for c in range(r, len(cols)):
+            if sum(map(mul, swapped, cols[c])) != (d2 if c == r + h else 0):
+                return False
+    return True
 
 
 def fib_pairing(a: Endo, b: Endo) -> Scalar:
@@ -676,30 +680,6 @@ def standard_symplectic_matrix(n: int) -> Mat:
     return xm.mat(rows)
 
 
-def commute_check(a: GCStructure, b: GCStructure) -> bool:
-    if a.j.dim != b.j.dim:
-        raise DimensionMismatchError("structures live on different spaces")
-    return a.j.compose(b.j) == b.j.compose(a.j)
-
-
-def direct_sum(a: GCStructure, b: GCStructure) -> GCStructure:
-    """Block sum respecting the (V1 + V2) + (V1* + V2*) coordinate order."""
-    da, db = a.dim_v, b.dim_v
-    dim_v = da + db
-    rows = [[F0] * (2 * dim_v) for _ in range(2 * dim_v)]
-
-    def embed(offset_v: int, source: Endo, dv: int) -> None:
-        def new_index(i: int) -> int:
-            return (offset_v + i) if i < dv else (dim_v + offset_v + (i - dv))
-        for i in range(2 * dv):
-            for k in range(2 * dv):
-                rows[new_index(i)][new_index(k)] = source.rows[i][k]
-
-    embed(0, a.j, da)
-    embed(da, b.j, db)
-    return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
-
-
 def exp_two_form(b: Mat) -> Endo:
     """The orthogonal map e^B : X + xi -> X + xi + i_X B for a skew 2-form B."""
     b = xm.mat(b)
@@ -738,21 +718,25 @@ def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
     return GCStructure(e.compose(j.j).compose(e_inv))
 
 
-def gl_endo(g: Mat) -> Endo:
-    """GL(V) acting on V + V* by g on V and (g alpha)(X) = alpha(g^{-1} X) on V*."""
+def _gl_pair(g: Mat) -> tuple[Endo, Endo]:
+    """diag(g, g^-T) and its inverse diag(g^-1, g^T), from one inverse of g."""
     g = xm.mat(g)
-    dim_v = len(g)
+    zero = xm.zeros(len(g), len(g))
     try:
         ginv = xm.inverse(g)
     except xm.SingularMatrixError:
         raise DegenerateInputError("g is singular") from None
-    return endo_from_blocks(g, xm.zeros(dim_v, dim_v),
-                            xm.zeros(dim_v, dim_v), xm.transpose(ginv))
+    return (endo_from_blocks(g, zero, zero, xm.transpose(ginv)),
+            endo_from_blocks(ginv, zero, zero, xm.transpose(g)))
+
+
+def gl_endo(g: Mat) -> Endo:
+    """GL(V) acting on V + V* by g on V and (g alpha)(X) = alpha(g^{-1} X) on V*."""
+    return _gl_pair(g)[0]
 
 
 def gl_action(g: Mat, j: GCStructure) -> GCStructure:
-    u = gl_endo(g)
-    u_inv = gl_endo(xm.inverse(xm.mat(g)))
+    u, u_inv = _gl_pair(g)
     return GCStructure(u.compose(j.j).compose(u_inv))
 
 
@@ -955,13 +939,6 @@ def is_vertical(q: Endo, j: Endo) -> bool:
             if sum(map(mul, q_row, j_col)) + sum(map(mul, j_row, q_col)):
                 return False
     return True
-
-
-def vertical_complex_action(j: GCStructure, q: Endo) -> Endo:
-    """The fibre complex structure Q -> j o Q on tangents to the space of structures."""
-    if not is_vertical(q, j.j):
-        raise InvariantError("Q is not tangent to the fibre at j")
-    return j.j.compose(q)
 
 
 def vertical_space_basis(j: GCStructure) -> list[Endo]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
-from operator import add, is_
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
@@ -45,11 +46,9 @@ from .gclinalg import (
     fib_pairing,
     fiber_kahler_structure,
     from_complex,
-    from_coords,
     from_symplectic,
     gl_action,
     is_vertical,
-    neutral_pairing,
     random_orthonormal_basis,
     skew_generators,
     standard_complex_matrix,
@@ -200,8 +199,12 @@ class CurvatureValue(Value):
 def curvature(conn: Connection, x: Vec, y: Vec, p: ChartPoint) -> CurvatureValue:
     """R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y] for constant X, Y at p,
     contracted from the coordinate values of `curvature_basis_at`."""
-    dim = conn.dim
-    table = conn.curvature_basis_at(p)
+    return _contract(conn.n, conn.curvature_basis_at(p), x, y)
+
+
+def _contract(n: int, table: dict[tuple[int, int], Mat], x: Vec, y: Vec) -> CurvatureValue:
+    """R(X, Y) = sum over a < b of (x_a y_b - x_b y_a) R(d_a, d_b)."""
+    dim = 2 * n
     total = [[F0] * dim for _ in range(dim)]
     for (a, b), r_ab in table.items():
         coeff = x[a] * y[b] - x[b] * y[a]
@@ -213,7 +216,7 @@ def curvature(conn: Connection, x: Vec, y: Vec, p: ChartPoint) -> CurvatureValue
             for l in range(dim):
                 if row[l]:
                     trow[l] += coeff * row[l]
-    return CurvatureValue(conn.n, xm.mat(total))
+    return CurvatureValue(n, xm.mat(total))
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +308,6 @@ def validate_tangent(t: TwistorTangent, at: TwistorPoint) -> None:
         raise NotVerticalError("vertical part does not anticommute with j")
     if not t.vertical_coform.is_zero() and not is_vertical(t.vertical_coform, j):
         raise NotVerticalError("vertical coform representer does not anticommute with j")
-
-
-def twistor_pairing(t1: TwistorTangent, t2: TwistorTangent) -> Fraction:
-    """The neutral pairing of the twistor space in the splitting frame."""
-    vertical = Fraction(1, 2) * (fib_pairing(t1.vertical_coform, t2.vertical)
-                                 + fib_pairing(t2.vertical_coform, t1.vertical))
-    return neutral_pairing(t1.horizontal, t2.horizontal) + vertical
 
 
 def twistor_J(alpha: int, t: TwistorTangent, at: TwistorPoint) -> TwistorTangent:
@@ -512,25 +508,33 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     Phi, with H, M and C the values of `nijenhuis_horizontal`,
     `nijenhuis_mixed` and `nijenhuis_coform`.
 
-    Everything that depends on one probe is computed once per point: the
-    validation of each vertical or coform endomorphism object, j h for
-    each horizontal part, j o V for each vertical part, the pairings of
-    each coform representer with the curvature action, and (alpha = 2)
-    the inverse Gram matrix of the vertical basis.  A term is skipped only
-    where it is exactly zero: a zero part, an empty curvature action or a
-    zero alpha coefficient.  A pair's vertical and coform parts are sums
-    of scaled `Endo`s and its horizontal part a sum of `GElement`s, so no
-    part is rebuilt from `Fraction` rows.  Pairs whose value is zero,
-    because no term reached them or their terms cancel, share one zero
-    tangent.
+    Each vertical or coform part object is validated once, and every
+    per-probe quantity is turned into integers once per point, so a pair
+    costs integer dot products and one division per coordinate of its
+    value.  With j = J / jd, a horizontal part h = H / D is kept as
+    A = jd H and JA = J H over E = jd D, and the curvature action
+    ([R^(d_a, d_b), j], j o [R^(d_a, d_b), j]) over one denominator:
+    - H(e, f): the curvature coefficients of a pair are integers over
+      E_e E_f, so its vertical part is one integer combination of the
+      action; for alpha = 2 its coform part is one mat-vec with the
+      integer inverse Gram matrix of the vertical basis and one
+      combination of the basis, from the images u h of each probe;
+    - M(h, V) = 2 (j o V) h for alpha = 2, one integer mat-vec;
+    - C(h, Phi): each horizontal part's coefficients against the 4n
+      coordinate duals, contracted with the pairings of Phi with the
+      action, all integers.
+    A term is skipped only where it is exactly zero.  Pairs whose value
+    is zero, because no term reached them or their terms cancel, share
+    one zero tangent.
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     n = at.n
-    dim_v = 2 * n
+    h = 2 * n
+    dim = 2 * h
     j = at.structure.j
-    sign = Fraction((-1) ** alpha)
-    hs = [None if t.horizontal.is_zero() else t.horizontal for t in probes]
+    jn, jd = j.num, j.den
+    sign = (-1) ** alpha
     vs = [None if t.vertical.is_zero() else t.vertical for t in probes]
     phis = [None if t.vertical_coform.is_zero() else t.vertical_coform for t in probes]
     # keyed on identity: hashing an Endo hashes every entry, and an equal
@@ -542,95 +546,126 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                 if not is_vertical(part, j):
                     raise NotVerticalError(f"{label} does not anticommute with j")
                 checked.add(id(part))
-    jhs = [None if h is None else j.apply(h) for h in hs]
+    # horizontal parts: (H, D, A, JA)
+    hs = []
+    for t in probes:
+        ints, d = xm._scaled(t.horizontal.coords)
+        hs.append((ints, d, [jd * x for x in ints], _mv(jn, ints)) if any(ints) else None)
+    # the curvature action, v_1, j v_1, v_2, j v_2, ... over one denominator lv
     action = curvature_action_on_structure(conn, at)
+    keys = list(action)
+    ends = [e for pair in action.values() for e in pair]
+    lv = lcm(*(e.den for e in ends))
+    vflat = [[x * (lv // e.den) for row in e.num for x in row] for e in ends]
+    vcols = list(zip(*vflat))
+
+    def coeffs(x, jx, y, jy):
+        """The coefficients of a horizontal pair's curvature terms: c_direct
+        and, with its alpha sign, c_twisted for each key, interleaved."""
+        out = []
+        for ia, ib in keys:
+            out.append(jx[ia] * jy[ib] - jx[ib] * jy[ia] - x[ia] * y[ib] + x[ib] * y[ia])
+            out.append(sign * (x[ia] * jy[ib] - x[ib] * jy[ia] + jx[ia] * y[ib] - jx[ib] * y[ia]))
+        return out
+
+    # coform case: C(h, Phi) depends on Phi only through its pairings with
+    # the action, trace(Phi X) over 2 den_Phi lv; it is zero where they vanish
+    qs = []
+    for phi in phis:
+        flat = () if phi is None else tuple(chain.from_iterable(zip(*phi.num)))
+        q = [sum(map(mul, flat, x)) for x in vflat]
+        qs.append((q, 2 * phi.den * lv) if any(q) else None)
+    if any(qs):
+        # coordinate p of C(h, Phi) pairs with the coordinate dual b at index
+        # (p + h) % dim: jd b is 0 on V or jd times a unit vector, J b a column of J
+        duals = [(p + h) % dim for p in range(dim)]
+        for k, part in enumerate(hs):
+            if part is not None:
+                hs[k] += ([coeffs(part[2], part[3], [jd if c == q else 0 for c in range(h)],
+                                  [row[q] for row in jn[:h]]) for q in duals],)
 
     # mixed case, alpha = 2 only: M(h, V) = 2 (j o V) h
     jvs = [None if v is None or alpha == 1 else j.compose(v) for v in vs]
-
-    # coform case: C(h, Phi) depends on Phi only through its pairings with
-    # the curvature action; it is zero where they all vanish
-    def coform_scalars(phi: Endo | None):
-        if phi is None:
-            return None
-        scalars = [(key, fib_pairing(phi, v), fib_pairing(phi, jv))
-                   for key, (v, jv) in action.items()]
-        if all(s_v == 0 and s_jv == 0 for _, s_v, s_jv in scalars):
-            return None
-        return scalars
-
-    phi_scalars = [coform_scalars(phi) for phi in phis]
-    # coordinates of C(h, Phi) are 2 rhs(b) over b = a_1..a_2n, e_1..e_2n
-    duals = [basis_covector(dim_v, k) for k in range(dim_v)]
-    duals += [basis_vector(dim_v, k) for k in range(dim_v)]
-    dual_images = [(b, j.apply(b)) for b in duals] if any(phi_scalars) else []
-
-    def coform_coords(a: GElement, ja: GElement, scalars) -> list[Fraction]:
-        out = []
-        for b, jb in dual_images:
-            total = F0
-            for (ia, ib), s_v, s_jv in scalars:
-                c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
-                total -= c_direct * s_v + sign * c_twisted * s_jv
-            out.append(total)
-        return out
-
     # horizontal case, alpha = 2: the coform representer of
-    # coef * omega_ab(u) = 2 coef (<j a, u b> - <j b, u a>), from one inverse
+    # -2 (<j a, u b> - <j b, u a>), with basis = U / lu, from one inverse
     # of the Gram matrix of the vertical basis
-    coef = -Fraction(1, 2) * (1 + sign)
-    if coef:
+    if alpha == 2:
         if vertical_basis is None:
             vertical_basis = vertical_space_basis(at.structure)
-        d = len(vertical_basis)
-        gram = tuple(tuple(fib_pairing(vertical_basis[a], vertical_basis[b]) for b in range(d))
-                     for a in range(d))
+        gram = tuple(tuple(fib_pairing(u, w) for w in vertical_basis) for u in vertical_basis)
         try:
-            gram_inv = xm.inverse(gram)
+            ginv, gd = xm._integer_matrix(xm.inverse(gram))
         except xm.SingularMatrixError:
             raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
-        basis_images = [None if h is None else [u.apply(h) for u in vertical_basis] for h in hs]
+        lu = lcm(*(u.den for u in vertical_basis))
+        umats = [[[x * (lu // u.den) for x in row] for row in u.num] for u in vertical_basis]
+        ucols = list(zip(*(list(chain.from_iterable(m)) for m in umats)))
+        # per horizontal part: J A with its halves swapped, so that
+        # 2 <x, y> = swapped(x) . y, and the images U H
+        images = [None if part is None else
+                  (part[3][h:] + part[3][:h], [_mv(m, part[0]) for m in umats])
+                  for part in hs]
 
     zero = zero_tangent(n)
-    zeros = (zero.horizontal, zero.vertical, zero.vertical_coform)
     table: dict[tuple[int, int], TwistorTangent] = {}
     for i in range(len(probes)):
         for k in range(i + 1, len(probes)):
-            horizontal, vertical, coform = [], [], []
-            h_e, h_f = hs[i], hs[k]
-            if h_e is not None and h_f is not None:
-                a, b, ja, jb = h_e, h_f, jhs[i], jhs[k]
-                for (ia, ib), (v, jv) in action.items():
-                    c_direct, c_twisted = _curvature_coeffs(a, ja, b, jb, ia, ib)
-                    if c_direct:
-                        vertical.append(v.scale(c_direct))
-                    if c_twisted:
-                        vertical.append(jv.scale(sign * c_twisted))
-                if coef:
-                    values = [2 * coef * (neutral_pairing(ja, ub) - neutral_pairing(jb, ua))
-                              for ua, ub in zip(basis_images[i], basis_images[k])]
-                    if any(values):
-                        coform = [u.scale(c) for c, u in zip(xm.mat_vec(gram_inv, values),
-                                                             vertical_basis) if c]
-            for h, jh, jv, scalars, s in ((h_e, jhs[i], jvs[k], phi_scalars[k], 1),
-                                          (h_f, jhs[k], jvs[i], phi_scalars[i], -1)):
-                if h is None:
+            horizontal = vertical = coform = None
+            pe, pf = hs[i], hs[k]
+            if pe is not None and pf is not None:
+                den = pe[1] * pf[1] * jd * jd
+                if keys:
+                    c = coeffs(pe[2], pe[3], pf[2], pf[3])
+                    if any(c):
+                        vertical = _endo(dim, [sum(map(mul, col, c)) for col in vcols],
+                                         lv * den)
+                if alpha == 2:
+                    (se, ue), (sf, uf) = images[i], images[k]
+                    w = [sum(map(mul, sf, x)) - sum(map(mul, se, y)) for x, y in zip(ue, uf)]
+                    if any(w):
+                        gw = [sum(map(mul, row, w)) for row in ginv]
+                        coform = _endo(dim, [sum(map(mul, col, gw)) for col in ucols],
+                                       gd * lu * lu * den // jd)
+            terms = []
+            for part, jv, q, s in ((pe, jvs[k], qs[k], 1), (pf, jvs[i], qs[i], -1)):
+                if part is None:
                     continue
                 if jv is not None:
-                    horizontal.append(jv.apply(h).scale(2 * s))
-                if scalars is not None:
-                    horizontal.append(from_coords(coform_coords(h, jh, scalars)).scale(s))
-            parts = [_sum(terms, z) for terms, z in zip((horizontal, vertical, coform), zeros)]
-            table[(i, k)] = zero if all(map(is_, parts, zeros)) else TwistorTangent(*parts)
+                    terms.append(([2 * s * x for x in _mv(jv.num, part[0])], jv.den * part[1]))
+                if q is not None:
+                    terms.append(([s * sum(map(mul, row, q[0])) for row in part[4]],
+                                  q[1] * part[1] * jd * jd))
+            if terms:
+                horizontal = _element(h, terms)
+            table[(i, k)] = (zero if horizontal is vertical is coform is None else
+                             TwistorTangent(horizontal or zero.horizontal,
+                                            vertical or zero.vertical,
+                                            coform or zero.vertical_coform))
     return table
 
 
-def _sum(terms: list, zero):
-    """The sum of GElements or Endos; `zero` itself if there are none or they cancel."""
-    if not terms:
-        return zero
-    total = reduce(add, terms)
-    return zero if total.is_zero() else total
+def _mv(m: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """The integer product m x over the nonzero entries of x."""
+    nonzero = [(c, y) for c, y in enumerate(x) if y]
+    return [sum(row[c] * y for c, y in nonzero) for row in m]
+
+
+def _endo(dim: int, flat: list[int], den: int) -> Endo | None:
+    """The endomorphism with row-major integer entries over den; None if zero."""
+    if not any(flat):
+        return None
+    return Endo._lowest(dim, [flat[r:r + dim] for r in range(0, dim * dim, dim)], den)
+
+
+def _element(dim_v: int, terms: list[tuple[list[int], int]]) -> GElement | None:
+    """The sum of integer coordinate vectors over their denominators; None if zero."""
+    num, den = terms[0]
+    for x, d in terms[1:]:
+        num, den = [p * d + y * den for p, y in zip(num, x)], den * d
+    if not any(num):
+        return None
+    coords = tuple(Fraction(x, den) if x else F0 for x in num)
+    return GElement(dim_v, coords[:dim_v], coords[dim_v:])
 
 
 # ---------------------------------------------------------------------------
@@ -777,16 +812,18 @@ def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
 def ahs_identity_check(conn: Connection, k: Mat, x: Vec, y: Vec, p: ChartPoint) -> Mat:
     """Residual of the four-term curvature identity of a complex structure K
     on T_pM, with R(.,.)K the commutator action; zero for flat connections
-    and whenever the first twistor structure is integrable."""
+    and whenever the first twistor structure is integrable.  The four
+    curvature values are contracted from one `curvature_basis_at` table."""
     dim = conn.dim
     k = xm.mat(k)
     if xm.mat_mul(k, k) != xm.mat_scale(Fraction(-1), xm.identity(dim)):
         raise InvariantError("K^2 is not -Id")
     kx = xm.mat_vec(k, x)
     ky = xm.mat_vec(k, y)
+    table = conn.curvature_basis_at(p)
 
     def r(u: Vec, v: Vec) -> Mat:
-        return curvature(conn, u, v, p).endo_tm
+        return _contract(conn.n, table, u, v).endo_tm
 
     def bracket(m: Mat) -> Mat:
         return xm.mat_sub(xm.mat_mul(m, k), xm.mat_mul(k, m))

@@ -20,7 +20,6 @@ from gctwistor.courant import (
     courant_bracket,
     default_probes,
     exp_b_section,
-    field_from_coefficients,
     integrability_scan,
     lie_bracket,
     nijenhuis,
@@ -29,6 +28,7 @@ from gctwistor.courant import (
     two_form_field,
 )
 from gctwistor.courant import _bracket
+from gctwistor.poly import as_rational
 from gctwistor.gclinalg import (
     GElement,
     from_complex,
@@ -218,6 +218,13 @@ def test_nijenhuis_antisymmetry():
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     a, b, p = rand_section(rng), rand_section(rng), rand_point(rng)
     assert (nijenhuis(field, a, b, p) + nijenhuis(field, b, a, p)).is_zero()
+
+
+def field_from_coefficients(chart_dim, entries):
+    """The structure field with the given polynomial or rational entries."""
+    rationals = tuple(tuple(as_rational(c) for c in row) for row in entries)
+    return GACField(chart_dim, lambda p: tuple(tuple(r.jet(p.coords) for r in row)
+                                               for row in rationals))
 
 
 def test_field_invariant_violation_reported():

@@ -19,10 +19,8 @@ from gctwistor.gclinalg import (
     basis_covector,
     basis_vector,
     beta_transform,
-    commute_check,
     coordinate_elements,
     dim2_basis_orientation,
-    direct_sum,
     exp_two_form,
     exp_two_vector,
     fib_pairing,
@@ -48,7 +46,6 @@ from gctwistor.gclinalg import (
     standard_complex_matrix,
     standard_symplectic_matrix,
     structure_orientation,
-    vertical_complex_action,
     vertical_space_basis,
     zero_element,
 )
@@ -307,6 +304,12 @@ def test_from_symplectic_rejects_degenerate():
         from_symplectic(xm.zeros(2, 2))
 
 
+def commute_check(a, b):
+    if a.j.dim != b.j.dim:
+        raise gl.DimensionMismatchError("structures live on different spaces")
+    return a.j.compose(b.j) == b.j.compose(a.j)
+
+
 def test_compatible_pair_commutes():
     # omega(X, Y) = g(KX, Y) for euclidean g and the rotation K
     k = rotation_2()
@@ -323,6 +326,19 @@ def test_unrelated_symplectic_does_not_commute():
 def test_commute_with_self():
     j = from_complex(rotation_2())
     assert commute_check(j, j)
+
+
+def direct_sum(a, b):
+    """Block sum respecting the (V1 + V2) + (V1* + V2*) coordinate order."""
+    da, db = a.dim_v, b.dim_v
+    dim_v = da + db
+    rows = [[F(0)] * (2 * dim_v) for _ in range(2 * dim_v)]
+    for offset, source, dv in ((0, a.j, da), (da, b.j, db)):
+        index = [offset + i for i in range(dv)] + [dim_v + offset + i for i in range(dv)]
+        for i, row in zip(index, source.rows):
+            for k, x in zip(index, row):
+                rows[i][k] = x
+    return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
 
 
 def test_direct_sum_invariants_and_orientation():
@@ -370,6 +386,39 @@ def test_exp_two_form_is_isometry():
 ], ids=["identity", "minus-identity", "conformal", "non-conformal"])
 def test_pairing_orthogonality_examples(m, orthogonal):
     assert is_pairing_orthogonal(m) == orthogonal
+
+
+def _orthogonal_by_definition(m):
+    """m^T G m == G over Fractions, G the Gram matrix of the pairing."""
+    h = m.half
+    g = xm.mat([[F(1, 2) if abs(r - c) == h else 0 for c in range(2 * h)] for r in range(2 * h)])
+    return xm.mat_mul(xm.mat_mul(xm.transpose(m.rows), g), m.rows) == g
+
+
+def _orthogonality_cases():
+    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
+    rng = random.Random(16)
+    out = []
+    for dim_v in (2, 4, 6):
+        b = random_skew_matrix(dim_v, rng)
+        g = random_invertible_matrix(dim_v, rng)
+        out += [(exp_two_form(b), True), (exp_two_vector(b), True), (gl_endo(g), True),
+                (exp_two_form(b).compose(gl_endo(g)).compose(exp_two_vector(b)), True),
+                (identity_endo(2 * dim_v).scale(2), False),
+                # a skew endomorphism that is not an isometry: X + xi -> i_X B
+                (gl.endo_from_blocks(xm.zeros(dim_v, dim_v), xm.zeros(dim_v, dim_v), b,
+                                     xm.zeros(dim_v, dim_v)), False)]
+        rows = [list(row) for row in gl_endo(g).rows]
+        rows[1][dim_v] += F(1, 3)  # one perturbed entry
+        out.append((Endo(2 * dim_v, xm.mat(rows)), False))
+    return out
+
+
+def test_pairing_orthogonality_matches_fraction_definition():
+    cases = _orthogonality_cases()
+    assert any(m.den > 1 for m, orthogonal in cases if orthogonal)
+    for m, orthogonal in cases:
+        assert is_pairing_orthogonal(m) == _orthogonal_by_definition(m) == orthogonal
 
 
 def test_b_transform_explicit_matrix():
@@ -609,6 +658,13 @@ def test_chart_singularity_rejected():
 
 # ---------------------------------------------------------------------------
 # the fibre geometry
+
+
+def vertical_complex_action(j, q):
+    """The fibre complex structure Q -> j o Q on tangents to the space of structures."""
+    if not is_vertical(q, j.j):
+        raise InvariantError("Q is not tangent to the fibre at j")
+    return j.j.compose(q)
 
 
 def test_vertical_action_squares_to_minus_one():

@@ -50,7 +50,6 @@ from gctwistor.twistor import (
     sample_fibre_structure,
     tangent_from_parts,
     twistor_J,
-    twistor_pairing,
     validate_tangent,
     zero_tangent,
 )
@@ -184,6 +183,13 @@ def test_alpha_difference_is_vertical_sign():
     assert t1.horizontal == t2.horizontal
     assert (t1.vertical + t2.vertical).is_zero()
     assert (t1.vertical_coform + t2.vertical_coform).is_zero()
+
+
+def twistor_pairing(t1, t2):
+    """The neutral pairing of the twistor space in the splitting frame."""
+    vertical = F(1, 2) * (fib_pairing(t1.vertical_coform, t2.vertical)
+                          + fib_pairing(t2.vertical_coform, t1.vertical))
+    return neutral_pairing(t1.horizontal, t2.horizontal) + vertical
 
 
 def test_twistor_pairing_preserved():
@@ -390,24 +396,34 @@ def test_closed_form_n2_flat_vanishes_curved_does_not():
 
 
 def reference_closed_form(alpha, conn, at, e, f, basis):
-    """N(E, F) assembled pair by pair from the per-case evaluators."""
-    terms = [
-        nijenhuis_horizontal(alpha, conn, at, e.horizontal, f.horizontal, basis),
-        nijenhuis_mixed(alpha, at, e.horizontal, f.vertical),
-        nijenhuis_mixed(alpha, at, f.horizontal, e.vertical).scale(-1),
-        nijenhuis_coform(alpha, conn, at, e.horizontal, f.vertical_coform),
-        nijenhuis_coform(alpha, conn, at, f.horizontal, e.vertical_coform).scale(-1),
-    ]
+    """N(E, F) assembled pair by pair from the per-case evaluators; a case
+    with a zero horizontal argument is zero by linearity and is skipped."""
+    terms = []
+    if not (e.horizontal.is_zero() or f.horizontal.is_zero()):
+        terms.append(nijenhuis_horizontal(alpha, conn, at, e.horizontal, f.horizontal, basis))
+    for a, other, s in ((e.horizontal, f, 1), (f.horizontal, e, -1)):
+        if not a.is_zero():
+            terms += [nijenhuis_mixed(alpha, at, a, other.vertical).scale(s),
+                      nijenhuis_coform(alpha, conn, at, a, other.vertical_coform).scale(s)]
     out = zero_tangent(at.n)
     for term in terms:
         out = out + term
     return out
 
 
-def n2_point(seed):
+def n2_point(seed, n=2):
     rng = random.Random(seed)
-    structure = sample_fibre_structure(2, rng)
-    return TwistorPoint(random_chart_point(4, rng), structure)
+    structure = sample_fibre_structure(n, rng)
+    return TwistorPoint(random_chart_point(2 * n, rng), structure)
+
+
+def multikey_connection(n):
+    """Gamma^1_22 = x_1, Gamma^2_13 = (2/3) x_4 and Gamma^3_44 = (1/5) x_2: at
+    the points below, four or five coordinate pairs carry curvature, and
+    their actions on j have different denominators."""
+    return connection(n, {(0, 1, 1): Poly.variable(2 * n, 0),
+                          (1, 0, 2): Poly.variable(2 * n, 3).scale(F(2, 3)),
+                          (2, 3, 3): Poly.variable(2 * n, 1).scale(F(1, 5))})
 
 
 def table_probes(at, basis, spec, stride=1):
@@ -434,6 +450,10 @@ TABLE_CASES = [
     # mixed probes at n = 2, where the coform case is nonzero: the pairs
     # whose second probe carries the horizontal part and the first the coform
     ("n2-curved", CONN_N2, lambda: n2_point(22), 2, "random", 1),
+    # several curvature keys over different denominators
+    *[("n2-multikey", multikey_connection(2), lambda: n2_point(23), alpha, spec, stride)
+      for alpha in (1, 2) for spec, stride in (("full", 3), ("random", 1))],
+    ("n3-multikey", multikey_connection(3), lambda: n2_point(31, n=3), 2, "full", 5),
 ]
 
 
@@ -570,12 +590,11 @@ def test_mu_system_rejects_n1():
 
 
 def test_mu_system_rejects_off_component_structure(monkeypatch):
-    from gctwistor.gclinalg import direct_sum, from_symplectic, standard_symplectic_matrix
+    from gctwistor.gclinalg import from_symplectic, standard_symplectic_matrix
 
     def off_component(n):
-        # an interchanging pair in place of the complex pair: orientation -1 at n = 3
-        return direct_sum(interchanging_structure(n - 1),
-                          from_symplectic(standard_symplectic_matrix(1)))
+        # induced by a symplectic form: orientation -1 at odd n
+        return from_symplectic(standard_symplectic_matrix(n))
 
     assert off_component(3).orientation() == -1
     monkeypatch.setattr(twistor, "interchanging_structure", off_component)
