@@ -31,7 +31,6 @@ from .gclinalg import (
     gl_action,
     hyperboloid_point,
     neutral_pairing,
-    orientation_sign,
     projection_nondegeneracy_check,
     random_orthonormal_basis,
     reference_basis,

@@ -16,9 +16,8 @@ isometry and anticommutation tests, j^2 = -Id, the fibre pairing, the
 orientation, the skew generators and the vertical basis all work on those
 integers; the adapted structure of a basis is a sum of its skew generators.
 `Endo.rows` reads the matrix back as `Fraction`s for the callers that
-want them.  The moves of `random_orthonormal_basis`, the orthonormality
-check of `OrthonormalBasis` and the basis matrices of the skew
-generators work in integers too.
+want them.  An `OrthonormalBasis` is stored the same way, and its moves,
+orthonormality check, skew generators and reports work on its integers.
 """
 
 from __future__ import annotations
@@ -351,25 +350,6 @@ def fib_pairing(a: Endo, b: Endo) -> Scalar:
 # orientation
 
 
-def orientation_sign(vectors: "Sequence[GElement] | OrthonormalBasis") -> int:
-    """Sign of the transition determinant from the reference basis.
-
-    The input must be a basis of V + V*; a zero determinant raises.
-    """
-    if isinstance(vectors, OrthonormalBasis):
-        vectors = vectors.vectors
-    if not vectors:
-        raise DegenerateInputError("empty basis")
-    dim = 2 * vectors[0].dim_v
-    if len(vectors) != dim:
-        raise DimensionMismatchError("wrong number of basis elements")
-    m = xm.transpose(xm.mat([v.coords for v in vectors]))
-    d = xm.det(m)
-    if d == 0:
-        raise DegenerateInputError("input does not span the space")
-    return 1 if d > 0 else -1
-
-
 def structure_orientation(j: Endo) -> int:
     """Orientation induced by a complex structure j on V + V*.
 
@@ -436,83 +416,111 @@ class GCStructure(Value):
 
 
 class OrthonormalBasis(Value):
-    """4n elements Q_i with <Q_i, Q_j> = delta_ij eps_i, positive signs first."""
+    """4n elements Q_i with <Q_i, Q_j> = delta_ij eps_i, positive signs first.
 
-    __slots__ = ("vectors", "signs")
+    Stored as `Endo` is: an integer matrix `num` whose row i is d Q_i, over
+    the one denominator `den` = d > 0 in lowest terms, and the `signs`.
+    Equality and hashing compare those values; `vectors` reads the elements
+    back as `GElement`s, built on first read and cached.
+    """
+
+    __slots__ = ("num", "den", "signs", "_vectors")
 
     def __init__(self, vectors: tuple[GElement, ...], signs: tuple[int, ...]):
-        n4 = len(vectors)
+        if any(2 * v.dim_v != len(vectors) for v in vectors):
+            raise DimensionMismatchError("basis elements do not live in V + V* of dim V = 2n")
+        self._fill(*xm._integer_matrix([v.coords for v in vectors]), signs)
+
+    @staticmethod
+    def _lowest(num: Sequence[Sequence[int]], den: int, signs: tuple) -> "OrthonormalBasis":
+        """The basis with rows num / den for den > 0, checked as `__init__` checks."""
+        out = object.__new__(OrthonormalBasis)
+        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+        if g > 1:
+            num, den = [[x // g for x in row] for row in num], den // g
+        out._fill(num, den, signs)
+        return out
+
+    def _fill(self, num: list, den: int, signs: tuple[int, ...]) -> None:
+        n4 = len(num)
         if n4 == 0 or n4 % 4 != 0:
             raise DimensionMismatchError("an orthonormal basis of V + V* has 4n elements")
         if len(signs) != n4:
             raise DimensionMismatchError("one sign per basis element")
-        if any(s not in (1, -1) for s in signs):
-            raise InvariantError("signs must be +1 or -1")
         half = n4 // 2
         if signs != (1,) * half + (-1,) * half:
             raise InvariantError("expected 2n signs +1 followed by 2n signs -1")
-        if any(v.dim_v != half for v in vectors):
-            raise DimensionMismatchError("basis elements do not live in V + V* of dim V = 2n")
-        # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2) over the
-        # integer coordinates N = d Q, d the common denominator
-        ints, d = xm._integer_matrix([v.coords for v in vectors])
-        vecs = [row[:half] for row in ints]
-        covs = [row[half:] for row in ints]
-        norm = 2 * d * d
+        # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2)
+        vecs = [row[:half] for row in num]
+        covs = [row[half:] for row in num]
+        norm = 2 * den * den
         for i in range(n4):
             for k in range(i, n4):
                 total = sum(map(mul, covs[i], vecs[k])) + sum(map(mul, covs[k], vecs[i]))
                 if total != (signs[i] * norm if i == k else 0):
                     raise InvariantError(f"pairing of elements {i} and {k} is not orthonormal")
-        self.vectors = vectors
+        self.num = tuple(map(tuple, num))
+        self.den = den
         self.signs = signs
+        self._vectors = None
+
+    @property
+    def vectors(self) -> tuple[GElement, ...]:
+        vectors = self._vectors
+        if vectors is None:
+            d = self.den
+            vectors = self._vectors = tuple(
+                from_coords([Fraction(x, d) if x else F0 for x in row]) for row in self.num)
+        return vectors
 
     @property
     def dim_v(self) -> int:
-        return len(self.vectors) // 2
+        return len(self.num) // 2
 
 
 def reference_basis(n: int) -> OrthonormalBasis:
     """The standard orthonormal basis {e_i + a_i ; e_i - a_i} of V + V*."""
-    dim_v = 2 * n
-    plus = [basis_vector(dim_v, i) + basis_covector(dim_v, i) for i in range(dim_v)]
-    minus = [basis_vector(dim_v, i) - basis_covector(dim_v, i) for i in range(dim_v)]
-    return OrthonormalBasis(tuple(plus + minus), (1,) * dim_v + (-1,) * dim_v)
+    return OrthonormalBasis._lowest(_reference_rows(2 * n), 1, (1,) * (2 * n) + (-1,) * (2 * n))
 
 
-def _rotation_params(rng: random.Random) -> tuple[Fraction, Fraction]:
-    # rational point on c^2 + s^2 = 1 via a Pythagorean parametrisation
+def _reference_rows(dim_v: int) -> list[list[int]]:
+    """e_i + a_i, then e_i - a_i, as integer rows."""
+    return [[int(c == i) + sign * int(c == dim_v + i) for c in range(2 * dim_v)]
+            for sign in (1, -1) for i in range(dim_v)]
+
+
+def _rotation_params(rng: random.Random) -> tuple[int, int, int]:
+    # (c, s) = (a, b) / e on c^2 + s^2 = 1 via a Pythagorean parametrisation
     while True:
         p = rng.randint(-3, 3)
         q = rng.randint(-3, 3)
         if (p, q) != (0, 0) and q != 0:
             break
-    den = p * p + q * q
-    return Fraction(p * p - q * q, den), Fraction(2 * p * q, den)
+    return p * p - q * q, 2 * p * q, p * p + q * q
 
 
-def _hyperbolic_params(rng: random.Random) -> tuple[Fraction, Fraction]:
-    # rational point on c^2 - s^2 = 1, parameter away from +-1
+def _hyperbolic_params(rng: random.Random) -> tuple[int, int, int]:
+    # (c, s) = (a, b) / e on c^2 - s^2 = 1 from t = r / q away from +-1, e > 0
     while True:
-        t = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        if abs(t) != 1:
+        r, q = rng.randint(-2, 2), rng.randint(1, 3)
+        if abs(r) != q:
             break
-    den = 1 - t * t
-    return Fraction(1 + t * t, den), Fraction(2 * t, den)
+    e = q * q - r * r
+    sign = 1 if e > 0 else -1
+    return sign * (q * q + r * r), sign * 2 * r * q, sign * e
 
 
 _BASIS_WORD_LENGTH = 12
 
 
-def _combine(x: Fraction, u: tuple[list[int], int], y: Fraction,
+def _combine(a: int, b: int, e: int, u: tuple[list[int], int],
              w: tuple[list[int], int]) -> tuple[list[int], int]:
-    """x u + y w for vectors kept as (integer coordinates, denominator),
-    in lowest terms."""
+    """(a u + b w) / e for e > 0 and vectors kept as (integer coordinates,
+    denominator > 0), in lowest terms."""
     (nu, du), (nw, dw) = u, w
-    a = x.numerator * y.denominator * dw
-    b = y.numerator * x.denominator * du
-    num = [a * p + b * q for p, q in zip(nu, nw)]
-    den = x.denominator * y.denominator * du * dw
+    x, y = a * dw, b * du
+    num = [x * p + y * q for p, q in zip(nu, nw)]
+    den = e * du * dw
     g = gcd(den, *num)
     return [p // g for p in num], den // g
 
@@ -526,17 +534,12 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
     rotations across the two classes.
     Every move has determinant one, so the result is positively
     oriented.  Each element is kept as integer coordinates over its own
-    denominator through the moves and becomes a `GElement` at the end.
+    denominator through the moves; the basis is built from the rows put
+    over their lcm.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     dim_v = 2 * n
-    # e_i + a_i, then e_i - a_i: the reference basis
-    vectors = []
-    for sign in (1, -1):
-        for i in range(dim_v):
-            coords = [0] * (2 * dim_v)
-            coords[i], coords[dim_v + i] = 1, sign
-            vectors.append((coords, 1))
+    vectors = [(row, 1) for row in _reference_rows(dim_v)]
     for _ in range(_BASIS_WORD_LENGTH):
         kind = rng.choice(("circular+", "circular-", "hyperbolic"))
         if kind == "circular+":
@@ -548,15 +551,15 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
             k = dim_v + rng.randrange(dim_v)
         vi, vk = vectors[i], vectors[k]
         if kind == "hyperbolic":
-            c, s = _hyperbolic_params(rng)
-            vectors[i] = _combine(c, vi, s, vk)
+            a, b, e = _hyperbolic_params(rng)
+            vectors[i] = _combine(a, b, e, vi, vk)
         else:
-            c, s = _rotation_params(rng)
-            vectors[i] = _combine(c, vi, -s, vk)
-        vectors[k] = _combine(s, vi, c, vk)
-    return OrthonormalBasis(tuple(from_coords([Fraction(x, d) for x in coords])
-                                  for coords, d in vectors),
-                            (1,) * dim_v + (-1,) * dim_v)
+            a, b, e = _rotation_params(rng)
+            vectors[i] = _combine(a, -b, e, vi, vk)
+        vectors[k] = _combine(b, a, e, vi, vk)
+    den = lcm(*(d for _, d in vectors))
+    return OrthonormalBasis._lowest([[x * (den // d) for x in row] for row, d in vectors], den,
+                                    (1,) * dim_v + (-1,) * dim_v)
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +579,13 @@ def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
 
     Writing the positive-sign basis elements as Q_l = e_l + eta_l, the
     matrix P is invertible with (det P)^2 >= 1; the report carries the
-    exact determinant and that inequality as a boolean.
+    exact determinant and that inequality as a boolean.  For the rows
+    N = d Q of the basis, det P = det(d^2 P) / d^(2 dim V) in integers.
     """
-    dim_v = basis.dim_v
-    p = tuple(tuple(sum(basis.vectors[l].cov[m] * basis.vectors[k].vec[m]
-                        for m in range(dim_v))
-                    for k in range(dim_v)) for l in range(dim_v))
-    d = xm.det(p)
+    h = basis.dim_v
+    num = basis.num[:h]
+    p = [[sum(map(mul, row_l[h:], row_k[:h])) for row_k in num] for row_l in num]
+    d = xm.det(p) / basis.den ** (2 * h)
     return ProjectionReport(d, d * d >= 1)
 
 
@@ -603,26 +606,30 @@ def dim2_basis_orientation(basis: OrthonormalBasis) -> Dim2OrientationReport:
     satisfy e_3 = a_11 e_1 + a_12 e_2, e_4 = a_21 e_1 + a_22 e_2 for an
     orthogonal matrix A, and the transition determinant from the basis
     {e_1, e_2, alpha_1, alpha_2} (alpha dual to e) equals 4 det A.
+
+    On the rows N = d Q, Cramer's rule gives A = M / D in integers, D the
+    determinant of the vector parts of N_1 and N_2.  The transition matrix
+    scaled to integers has rows D (vector coefficients) and d^2 (eta_i(e_k)).
     """
     if basis.dim_v != 2:
         raise DimensionMismatchError("this report is specific to dim V = 2")
-    e = [v.vec for v in basis.vectors]
-    eta = [v.cov for v in basis.vectors]
-    e12 = xm.mat([e[0], e[1]])  # rows e1, e2
-    if xm.det(e12) == 0:
+    e = [row[:2] for row in basis.num]
+    e1, e2 = e[0], e[1]
+    dd = e1[0] * e2[1] - e1[1] * e2[0]
+    if dd == 0:
         raise DegenerateInputError("inconsistent basis: vector parts e_1, e_2 are dependent")
-    # row k of A solves e_{2+k} = a_k1 e1 + a_k2 e2
-    a = xm.mat([xm.solve(xm.transpose(e12), e[2 + k]) for k in range(2)])
-    orthogonal = xm.mat_mul(a, xm.transpose(a)) == xm.identity(2)
-    cols = []
-    for i in range(4):
-        vcoef = xm.solve(xm.transpose(e12), e[i])
-        ccoef = tuple(sum(eta[i][m] * e[k][m] for m in range(2)) for k in range(2))
-        cols.append(tuple(vcoef) + ccoef)
-    trans = xm.transpose(xm.mat(cols))
-    d = xm.det(trans)
-    det_a = xm.det(a)
-    return Dim2OrientationReport(a, orthogonal, d, 1 if det_a > 0 else -1)
+    # row k of M solves D e_{2+k} = m_k1 e1 + m_k2 e2
+    m = [(v[0] * e2[1] - v[1] * e2[0], e1[0] * v[1] - e1[1] * v[0]) for v in e[2:]]
+    d2 = dd * dd
+    orthogonal = all(sum(map(mul, m[r], m[c])) == (d2 if r == c else 0)
+                     for r in range(2) for c in range(2))
+    vcoef = [(dd, 0), (0, dd)] + m
+    trans = list(zip(*vcoef)) + [[sum(map(mul, row[2:], e[k])) for row in basis.num]
+                                  for k in range(2)]
+    d = xm.det(trans) / (d2 * basis.den ** 4)
+    a = tuple(tuple(Fraction(x, dd) for x in row) for row in m)
+    det_m = m[0][0] * m[1][1] - m[0][1] * m[1][0]  # D^2 det A
+    return Dim2OrientationReport(a, orthogonal, d, 1 if det_m > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +654,25 @@ def from_symplectic(omega: Mat) -> GCStructure:
     skew omega; it induces the canonical orientation exactly when half
     the dimension of V is even.
     """
-    omega = xm.mat(omega)
-    dim_v = len(omega)
-    if xm.transpose(omega) != xm.mat_neg(omega):
-        raise InvariantError("omega is not skew")
-    iso = xm.transpose(omega)  # X -> omega(X, .) in coordinates
+    return GCStructure(_symplectic_endo(omega, "omega"))
+
+
+def _skew(m: Mat, what: str) -> Mat:
+    m = xm.mat(m)
+    if xm.transpose(m) != xm.mat_neg(m):
+        raise InvariantError(f"{what} is not skew")
+    return m
+
+
+def _symplectic_endo(omega: Mat, what: str) -> Endo:
+    """[[0, -omega^-T], [omega^T, 0]] for a nondegenerate skew omega."""
+    iso = xm.transpose(_skew(omega, what))  # X -> omega(X, .) in coordinates
     try:
         inv = xm.inverse(iso)
     except xm.SingularMatrixError:
-        raise DegenerateInputError("omega is degenerate") from None
-    return GCStructure(endo_from_blocks(xm.zeros(dim_v, dim_v), xm.mat_neg(inv),
-                                        iso, xm.zeros(dim_v, dim_v)))
+        raise DegenerateInputError(f"{what} is degenerate") from None
+    zero = xm.zeros(len(omega), len(omega))
+    return endo_from_blocks(zero, xm.mat_neg(inv), iso, zero)
 
 
 def standard_complex_matrix(n: int) -> Mat:
@@ -671,50 +686,42 @@ def standard_complex_matrix(n: int) -> Mat:
 
 
 def standard_symplectic_matrix(n: int) -> Mat:
-    """omega = sum_m eta_{2m-1} ^ eta_{2m} (one-based)."""
-    dim_v = 2 * n
-    rows = [[F0] * dim_v for _ in range(dim_v)]
-    for m in range(n):
-        rows[2 * m][2 * m + 1] = F1
-        rows[2 * m + 1][2 * m] = -F1
-    return xm.mat(rows)
+    """omega = sum_m eta_{2m-1} ^ eta_{2m} (one-based): the matrix -K of
+    `standard_complex_matrix`."""
+    return xm.mat_neg(standard_complex_matrix(n))
 
 
 def exp_two_form(b: Mat) -> Endo:
     """The orthogonal map e^B : X + xi -> X + xi + i_X B for a skew 2-form B."""
-    b = xm.mat(b)
+    b = _skew(b, "B")
     dim_v = len(b)
-    if xm.transpose(b) != xm.mat_neg(b):
-        raise InvariantError("B is not skew")
     return endo_from_blocks(xm.identity(dim_v), xm.zeros(dim_v, dim_v),
                             xm.transpose(b), xm.identity(dim_v))
 
 
 def exp_two_vector(beta: Mat) -> Endo:
     """The orthogonal map e^beta : X + xi -> X + i_xi beta + xi for a skew 2-vector."""
-    beta = xm.mat(beta)
+    beta = _skew(beta, "beta")
     dim_v = len(beta)
-    if xm.transpose(beta) != xm.mat_neg(beta):
-        raise InvariantError("beta is not skew")
     return endo_from_blocks(xm.identity(dim_v), xm.transpose(beta),
                             xm.zeros(dim_v, dim_v), xm.identity(dim_v))
 
 
 def b_transform(j: GCStructure, b: Mat) -> GCStructure:
     """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
-    e = exp_two_form(b)
-    e_inv = exp_two_form(xm.mat_neg(xm.mat(b)))
-    if not is_pairing_orthogonal(e):
-        raise InvariantError("e^B failed the isometry check")
-    return GCStructure(e.compose(j.j).compose(e_inv))
+    return _conjugate(j, exp_two_form, b, "e^B")
 
 
 def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
     """Conjugate by e^beta, the two-vector mirror of the B-transform."""
-    e = exp_two_vector(beta)
-    e_inv = exp_two_vector(xm.mat_neg(xm.mat(beta)))
+    return _conjugate(j, exp_two_vector, beta, "e^beta")
+
+
+def _conjugate(j: GCStructure, exp, m: Mat, what: str) -> GCStructure:
+    """e j e^-1 for e = exp(m), e^-1 = exp(-m)."""
+    e, e_inv = exp(m), exp(xm.mat_neg(xm.mat(m)))
     if not is_pairing_orthogonal(e):
-        raise InvariantError("e^beta failed the isometry check")
+        raise InvariantError(f"{what} failed the isometry check")
     return GCStructure(e.compose(j.j).compose(e_inv))
 
 
@@ -790,19 +797,18 @@ class SkewGenerators(Value):
         return s
 
     def pairs(self) -> list[tuple[int, int]]:
-        n4 = len(self.basis.vectors)
+        n4 = len(self.bmat)
         return [(i, k) for i in range(n4) for k in range(i + 1, n4)]
 
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
     """The skew generators of a basis; each S_ik is built on first use.
 
-    Both basis matrices come from one integer matrix N = d Q of the basis
-    elements, with no elimination: B = N^T / d, and since the coefficient
-    of Q_i in x is eps_i <Q_i, x>, row i of 2 d B^-1 is eps_i (cov_i, vec_i)
-    of row i of N.
+    Both basis matrices come from the basis's integer matrix N = d Q, with
+    no elimination: B = N^T / d, and since the coefficient of Q_i in x is
+    eps_i <Q_i, x>, row i of 2 d B^-1 is eps_i (cov_i, vec_i) of row i of N.
     """
-    ints, d = xm._integer_matrix([v.coords for v in basis.vectors])
+    ints, d = basis.num, basis.den
     half = len(ints) // 2
     binv = tuple(tuple(s * x for x in row[half:] + row[:half])
                  for row, s in zip(ints, basis.signs))
@@ -830,7 +836,7 @@ class SkewFrames(Value):
 
 
 def skew_frames(basis: OrthonormalBasis) -> SkewFrames:
-    if len(basis.vectors) != 4:
+    if len(basis.num) != 4:
         raise DimensionMismatchError("skew frames are specific to neutral 4-space")
     g = skew_generators(basis)
     s = g.generator
@@ -918,7 +924,7 @@ def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
     """
     gens = skew_generators(basis)
     return GCStructure(reduce(Endo.__add__, (gens.generator(i, i + 1).scale(basis.signs[i])
-                                             for i in range(0, len(basis.vectors), 2))))
+                                             for i in range(0, len(basis.num), 2))))
 
 
 def is_vertical(q: Endo, j: Endo) -> bool:
@@ -1011,14 +1017,7 @@ def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahler
             raise InvariantError("supplied basis element is not vertical at j")
     omega = tuple(tuple(fib_pairing(j.j.compose(basis[a]), basis[b]) for b in range(d))
                   for a in range(d))
-    if xm.transpose(omega) != xm.mat_neg(omega):
-        raise InvariantError("fibre two-form is not skew")
-    iso = xm.transpose(omega)
-    try:
-        inv = xm.inverse(iso)
-    except xm.SingularMatrixError:
-        raise DegenerateInputError("fibre two-form is degenerate on the supplied basis") from None
-    s = endo_from_blocks(xm.zeros(d, d), xm.mat_neg(inv), iso, xm.zeros(d, d))
+    s = _symplectic_endo(omega, "fibre two-form")
     if not s.squares_to_minus_identity():
         raise InvariantError("fibre structure does not square to -Id")
     return FiberKahlerStructure(tuple(basis), omega, s.rows)

@@ -67,6 +67,7 @@ from .gclinalg import (
     standard_complex_matrix,
     standard_symplectic_matrix,
     vertical_space_basis,
+    zero_endo,
 )
 from .oracle import (
     lift_bracket_curvature_check,
@@ -258,19 +259,21 @@ def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult
     return _ok(scenario)
 
 
+_IDENTITY_4 = Endo(4, xm.identity(4))
+_FRAME_SQUARES = (-_IDENTITY_4, _IDENTITY_4, _IDENTITY_4)
+
+
 def _frame_relation_table(frames) -> list[tuple[str, Endo, Endo]]:
     left, right = frames.left, frames.right
-    ident = Endo(4, xm.identity(4))
     rel: list[tuple[str, Endo, Endo]] = []
     for label, triple in (("left", left), ("right", right)):
-        squares = (ident.scale(-1), ident, ident)
         for r in range(3):
-            rel.append((f"{label}{r + 1}^2", triple[r].compose(triple[r]), squares[r]))
+            rel.append((f"{label}{r + 1}^2", triple[r].compose(triple[r]), _FRAME_SQUARES[r]))
         for r in range(3):
             for s in range(r + 1, 3):
                 rel.append((f"{label}{r + 1}{label}{s + 1} anticommute",
                             triple[r].compose(triple[s]) + triple[s].compose(triple[r]),
-                            Endo(4, xm.zeros(4, 4))))
+                            zero_endo(4)))
     for r in range(3):
         for s in range(3):
             rel.append((f"left{r + 1} right{s + 1} commute",
@@ -313,6 +316,7 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
     rng = random.Random(scenario.seed + 4)
     probes = coordinate_elements(2)
     j = from_complex(standard_complex_matrix(1))
+    orientation = j.orientation()
     for trial in range(10):
         b = random_skew_matrix(2, rng)
         beta = random_skew_matrix(2, rng)
@@ -323,7 +327,7 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
                 return _fail(scenario, "pairing not preserved", {"map": label})
         for label, jt in (("b", b_transform(j, b)), ("beta", beta_transform(j, beta)),
                           ("gl", gl_action(g, j))):
-            if jt.orientation() != j.orientation():
+            if jt.orientation() != orientation:
                 return _fail(scenario, "orientation flipped", {"map": label})
     return _ok(scenario)
 

@@ -94,46 +94,33 @@ class Connection(Value):
     def dim(self) -> int:
         return 2 * self.n
 
-    def christoffel_at(self, p: ChartPoint):
-        """Values Gamma[k][i][j] at the point."""
-        dim = self.dim
-        g = [[[F0] * dim for _ in range(dim)] for _ in range(dim)]
-        for (k, i, j), poly in self.entries:
-            g[k][i][j] = poly.evaluate(p.coords)
-        return g
-
-    def christoffel_partials_at(self, p: ChartPoint):
-        """Partials dGamma[a][k][i][j] at the point."""
-        dim = self.dim
-        d = [[[[F0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        for (k, i, j), poly in self.entries:
-            for a in range(dim):
-                d[a][k][i][j] = poly.partial(a).evaluate(p.coords)
-        return d
-
     def curvature_basis_at(self, p: ChartPoint) -> dict[tuple[int, int], Mat]:
-        """R(d/dx_a, d/dx_b) for a < b at the point.
-
-        A connection without entries is flat: every matrix is zero, and the
-        Christoffel sums are not formed."""
+        """R(d/dx_a, d/dx_b) for a < b at the point: entry (k, l) is d_b Gamma^k_al
+        - d_a Gamma^k_bl plus the sum over m of Gamma^k_bm Gamma^m_al - Gamma^k_am Gamma^m_bl,
+        summed over the nonzero values and partials of the entries' jets alone,
+        collected once and keyed (k, i) and (a, k, i) to their (j, value) pairs."""
         dim = self.dim
-        if not self.entries:
-            return {(a, b): xm.zeros(dim, dim) for a in range(dim) for b in range(a + 1, dim)}
-        g = self.christoffel_at(p)
-        dg = self.christoffel_partials_at(p)
+        g: dict = {}
+        dg: dict = {}
+        for (k, i, j), poly in self.entries:
+            jet = poly.jet(p.coords)
+            if jet.num[0]:
+                g.setdefault((k, i), []).append((j, jet.value))
+            for a, x in enumerate(jet.grad):
+                if x:
+                    dg.setdefault((a, k, i), []).append((j, x))
         table = {}
         for a in range(dim):
             for b in range(a + 1, dim):
-                rows = []
-                for k in range(dim):
-                    row = []
-                    for l in range(dim):
-                        std = dg[a][k][b][l] - dg[b][k][a][l]
-                        std += sum(g[k][a][m] * g[m][b][l] - g[k][b][m] * g[m][a][l]
-                                   for m in range(dim))
-                        row.append(-std)
-                    rows.append(tuple(row))
-                table[(a, b)] = xm.mat(rows)
+                rows = [[F0] * dim for _ in range(dim)]
+                for k, row in enumerate(rows):
+                    for u, v, sign in ((a, b, -1), (b, a, 1)):
+                        for l, x in dg.get((u, k, v), ()):
+                            row[l] += sign * x
+                        for m, x in g.get((k, u), ()):
+                            for l, y in g.get((m, v), ()):
+                                row[l] += sign * x * y
+                table[(a, b)] = tuple(map(tuple, rows))
         return table
 
 
@@ -161,11 +148,13 @@ def connection_from_json(n: int, data: Mapping) -> Connection:
 
 
 def connection_matrix(conn: Connection, x: Vec, p: ChartPoint) -> Endo:
-    """The connection form on TM + T*M in direction x: diag(G(x), -G(x)^T)."""
+    """The connection form on TM + T*M in direction x: diag(G(x), -G(x)^T),
+    G(x)[k][j] the sum over a of x_a Gamma^k_aj, summed over the entries."""
     dim = conn.dim
-    g = conn.christoffel_at(p)
-    gx = tuple(tuple(sum(x[a] * g[k][a][j] for a in range(dim)) for j in range(dim))
-               for k in range(dim))
+    gx = [[F0] * dim for _ in range(dim)]
+    for (k, a, j), poly in conn.entries:
+        if x[a]:
+            gx[k][j] += x[a] * poly.evaluate(p.coords)
     return endo_from_blocks(gx, xm.zeros(dim, dim), xm.zeros(dim, dim),
                             xm.mat_neg(xm.transpose(gx)))
 
@@ -732,7 +721,7 @@ class MuSystemReport(Value):
         self.kernel_dim = kernel_dim
 
 
-def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
+def _mu_constraint_rows(n: int, structure: GCStructure) -> list[tuple[int, ...]]:
     """The linear system R_mu(e_a, e_b) j = 0 on the unknowns mu_ij.
 
     One row per pair a < b of coordinate vectors and per entry of the
@@ -744,33 +733,35 @@ def _mu_constraint_rows(n: int, structure: GCStructure) -> list[Vec]:
     -(d_ja Id + E_aj) for i = b, E_kj being the matrix unit.  The rows are
     written down from that closed form and the sparse entries of j; they
     equal, entry for entry, those of `curvature_from_mu` on each unit form
-    followed by `CurvatureValue.act_on`.
+    followed by `CurvatureValue.act_on`, times the denominator d of j: they
+    are written in integers from J = d j, and [R^, J] = 0 exactly when
+    [R^, j] = 0.  The interchanging structures have d = 1.
     """
     dim_v = 2 * n
     dim = 2 * dim_v
     unknowns = dim_v * dim_v
-    j = structure.j.rows
+    j = structure.j.num
     j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in j]
     j_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*j)]
-    rows: list[Vec] = []
+    rows = []
     for a in range(dim_v):
         for b in range(a + 1, dim_v):
-            block = [[F0] * unknowns for _ in range(dim * dim)]
-            for i, k, sign in ((a, b, F1), (b, a, -F1)):
+            block = [[0] * unknowns for _ in range(dim * dim)]
+            for i, k, sign in ((a, b, 1), (b, a, -1)):
                 for jj in range(dim_v):
                     r_tm = {(k, jj): sign}
                     if jj == k:
                         for l in range(dim_v):
-                            r_tm[(l, l)] = r_tm.get((l, l), F0) + sign
+                            r_tm[(l, l)] = r_tm.get((l, l), 0) + sign
                     extended = list(r_tm.items())
                     extended += [((dim_v + c, dim_v + r), -x) for (r, c), x in r_tm.items()]
-                    value: dict[tuple[int, int], Fraction] = {}
-                    for (r, m), x in extended:     # R^ j
+                    value: dict[tuple[int, int], int] = {}
+                    for (r, m), x in extended:     # R^ J
                         for c, y in j_rows[m]:
-                            value[(r, c)] = value.get((r, c), F0) + x * y
-                    for (m, c), x in extended:     # - j R^
+                            value[(r, c)] = value.get((r, c), 0) + x * y
+                    for (m, c), x in extended:     # - J R^
                         for r, y in j_cols[m]:
-                            value[(r, c)] = value.get((r, c), F0) - y * x
+                            value[(r, c)] = value.get((r, c), 0) - y * x
                     idx = i * dim_v + jj
                     for (r, c), x in value.items():
                         block[r * dim + c][idx] = x
@@ -789,9 +780,10 @@ def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
     raises DimensionMismatchError.
 
     The rows are written down in closed form (see `_mu_constraint_rows`)
-    and fed into one `RowReducer`.  Once the rank reaches the number of
-    unknowns (2n)^2 the reduced rows span the whole space, so every later
-    row is dependent and skipping its reduction leaves the rank exact.
+    and the nonzero ones fed into one `RowReducer`.  Once the rank reaches
+    the number of unknowns (2n)^2 the reduced rows span the whole space, so
+    every later row is dependent and skipping its reduction leaves the rank
+    exact.
     n = 2 to 5 give full rank, so kernel 0.
     """
     if n < 2:
@@ -804,7 +796,8 @@ def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
     for row in _mu_constraint_rows(n, structure):
         if len(reducer) == unknowns:
             break
-        reducer.add(row)
+        if any(row):  # most rows are zero and add nothing to the span
+            reducer.add(row)
     rank = len(reducer)
     return MuSystemReport(n, unknowns, rank, unknowns - rank)
 

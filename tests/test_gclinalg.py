@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +37,6 @@ from gctwistor.gclinalg import (
     is_pairing_skew,
     is_vertical,
     neutral_pairing,
-    orientation_sign,
     projection_nondegeneracy_check,
     random_orthonormal_basis,
     reference_basis,
@@ -65,6 +65,20 @@ def identity_endo(dim: int) -> Endo:
 
 def rotation_2():
     return xm.mat([[0, -1], [1, 0]])
+
+
+def orientation_sign(vectors) -> int:
+    """Sign of the transition determinant from the reference basis to a
+    basis of V + V*, given as GElements or as an OrthonormalBasis; the
+    independent reference for `structure_orientation`.  A zero
+    determinant raises DegenerateInputError."""
+    if isinstance(vectors, OrthonormalBasis):
+        vectors = vectors.vectors
+    assert len(vectors) == 2 * vectors[0].dim_v
+    d = xm.det(xm.transpose(xm.mat([v.coords for v in vectors])))
+    if d == 0:
+        raise DegenerateInputError("input does not span the space")
+    return 1 if d > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +222,12 @@ def _gelement_moves_basis(n, seed):
         else:
             i, k = rng.randrange(dim_v), dim_v + rng.randrange(dim_v)
         vi, vk = vectors[i], vectors[k]
+        params = gl._hyperbolic_params if kind == "hyperbolic" else gl._rotation_params
+        a, b, e = params(rng)
+        c, s = F(a, e), F(b, e)
         if kind == "hyperbolic":
-            c, s = gl._hyperbolic_params(rng)
             vectors[i] = vi.scale(c) + vk.scale(s)
         else:
-            c, s = gl._rotation_params(rng)
             vectors[i] = vi.scale(c) - vk.scale(s)
         vectors[k] = vi.scale(s) + vk.scale(c)
     return tuple(vectors)
@@ -262,6 +277,108 @@ def test_basis_elements_of_another_dimension_rejected():
     wide = reference_basis(2).vectors[:4]
     with pytest.raises(gl.DimensionMismatchError):
         OrthonormalBasis(wide, (1, 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# the integer basis layer against the Fraction formulas it replaced
+
+
+def _fraction_rotation_params(rng):
+    while True:
+        p = rng.randint(-3, 3)
+        q = rng.randint(-3, 3)
+        if (p, q) != (0, 0) and q != 0:
+            break
+    den = p * p + q * q
+    return F(p * p - q * q, den), F(2 * p * q, den)
+
+
+def _fraction_hyperbolic_params(rng):
+    while True:
+        t = F(rng.randint(-2, 2), rng.randint(1, 3))
+        if abs(t) != 1:
+            break
+    den = 1 - t * t
+    return F(1 + t * t, den), F(2 * t, den)
+
+
+@pytest.mark.parametrize("integer, fraction", [
+    (gl._rotation_params, _fraction_rotation_params),
+    (gl._hyperbolic_params, _fraction_hyperbolic_params),
+], ids=["rotation", "hyperbolic"])
+def test_move_params_are_integer_triples(integer, fraction):
+    # the same draws give (c, s) = (a, b) / e, with e > 0 as `_combine` requires
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        a, b, e = integer(rng)
+        assert all(type(x) is int for x in (a, b, e)) and e > 0
+        assert (F(a, e), F(b, e)) == fraction(ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def _fraction_projection_det(basis):
+    h = basis.dim_v
+    q = basis.vectors
+    return xm.det(tuple(tuple(sum(q[l].cov[m] * q[k].vec[m] for m in range(h))
+                              for k in range(h)) for l in range(h)))
+
+
+def _fraction_dim2_report(basis):
+    """(A, orthogonal, transition_det, orientation) by `xm.solve` over Fraction."""
+    e = [v.vec for v in basis.vectors]
+    eta = [v.cov for v in basis.vectors]
+    e12 = xm.transpose(xm.mat(e[:2]))
+    a = xm.mat([xm.solve(e12, e[2 + k]) for k in range(2)])
+    cols = [tuple(xm.solve(e12, e[i])) + tuple(sum(eta[i][m] * e[k][m] for m in range(2))
+                                               for k in range(2)) for i in range(4)]
+    return (a, xm.mat_mul(a, xm.transpose(a)) == xm.identity(2),
+            xm.det(xm.transpose(cols)), 1 if xm.det(a) > 0 else -1)
+
+
+def _hand_built_dim2_bases():
+    """Bases of neutral 4-space with den > 1 and both orientations: a
+    rational rotation of the negative pair, a boost, and their reflections."""
+    e1, e2, a1, a2 = coordinate_elements(2)
+    c, s = F(3, 5), F(4, 5)
+    q3 = (e1 - a1).scale(c) - (e2 - a2).scale(s)
+    q4 = (e1 - a1).scale(s) + (e2 - a2).scale(c)
+    ch, sh = F(5, 3), F(4, 3)  # ch^2 - sh^2 = 1
+    q1 = (e1 + a1).scale(ch) + (e1 - a1).scale(sh)
+    q3b = (e1 + a1).scale(sh) + (e1 - a1).scale(ch)
+    bases = [(e1 + a1, e2 + a2, q3, q4), (q1, e2 + a2, q3b, e2 - a2)]
+    bases += [(x, y, z, w.scale(-1)) for x, y, z, w in bases]
+    return [OrthonormalBasis(v, (1, 1, -1, -1)) for v in bases]
+
+
+def test_basis_reports_match_fraction_formulas():
+    bases = [random_orthonormal_basis(n, seed) for n in (1, 2, 3) for seed in range(60)]
+    bases += _hand_built_dim2_bases()
+    assert sum(b.den > 1 for b in bases) > 150
+    for basis in bases:
+        report = projection_nondegeneracy_check(basis)
+        assert report.det_p == _fraction_projection_det(basis)
+        assert report.ok == (report.det_p ** 2 >= 1)
+        if basis.dim_v == 2:
+            got = dim2_basis_orientation(basis)
+            assert (got.a, got.orthogonal, got.transition_det, got.orientation) == \
+                _fraction_dim2_report(basis)
+    assert {dim2_basis_orientation(b).orientation for b in _hand_built_dim2_bases()} == {1, -1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_basis_equals_gelement_basis(n):
+    built = [reference_basis(n)] + [random_orthonormal_basis(n, seed) for seed in range(10)]
+    for basis in built:
+        # lowest terms, so equal values have one representation
+        assert basis.den > 0 and gcd(basis.den, *(x for row in basis.num for x in row)) == 1
+        again = OrthonormalBasis(basis.vectors, basis.signs)
+        assert again == basis and hash(again) == hash(basis)
+        assert again.vectors == basis.vectors
+    dim_v = 2 * n
+    plus = [basis_vector(dim_v, i) + basis_covector(dim_v, i) for i in range(dim_v)]
+    minus = [basis_vector(dim_v, i) - basis_covector(dim_v, i) for i in range(dim_v)]
+    assert OrthonormalBasis(tuple(plus + minus), (1,) * dim_v + (-1,) * dim_v) == built[0]
+    assert built[1] != built[2] and OrthonormalBasis(built[1].vectors, built[1].signs) != built[2]
 
 
 # ---------------------------------------------------------------------------

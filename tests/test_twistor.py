@@ -119,6 +119,57 @@ def test_flat_curvature_table_is_zero_and_memoized():
     assert all(r == xm.zeros(4, 4) for r in table.values())
 
 
+_X6 = [Poly.variable(6, i) for i in range(6)]
+# flat, one-key and three-key connections for the sparse Christoffel sums
+SPARSE_CHECK_CONNECTIONS = (
+    CONN_N1, CONN_N2, flat_connection(2),
+    connection(3, {(0, 1, 1): _X6[0], (1, 0, 2): _X6[1].scale(F(2, 3)),
+                   (2, 3, 4): _X6[2] * _X6[5] + Poly.constant(6, 1)}))
+
+
+def _dense_curvature_table(conn, p):
+    """R(d_a, d_b) for a < b from the full Christoffel arrays, every index summed."""
+    dim = conn.dim
+    g = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    dg = [[[[F(0)] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    for (k, i, j), poly in conn.entries:
+        g[k][i][j] = poly.evaluate(p.coords)
+        for a in range(dim):
+            dg[a][k][i][j] = poly.partial(a).evaluate(p.coords)
+    return {(a, b): tuple(tuple(-(dg[a][k][b][l] - dg[b][k][a][l]
+                                  + sum(g[k][a][m] * g[m][b][l] - g[k][b][m] * g[m][a][l]
+                                        for m in range(dim)))
+                                for l in range(dim)) for k in range(dim))
+            for a in range(dim) for b in range(a + 1, dim)}
+
+
+def test_sparse_curvature_table_matches_dense_sums():
+    rng = random.Random(3)
+    for conn in SPARSE_CHECK_CONNECTIONS:
+        for _ in range(8):
+            p = random_chart_point(conn.dim, rng)
+            assert conn.curvature_basis_at(p) == _dense_curvature_table(conn, p)
+
+
+def test_connection_matrix_matches_dense_christoffel_sums():
+    rng = random.Random(4)
+    for conn in SPARSE_CHECK_CONNECTIONS:
+        dim = conn.dim
+        for _ in range(8):
+            p = random_chart_point(dim, rng)
+            direction = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim))
+            g = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+            for (k, i, j), poly in conn.entries:
+                g[k][i][j] = poly.evaluate(p.coords)
+            gx = tuple(tuple(sum(direction[a] * g[k][a][j] for a in range(dim))
+                             for j in range(dim)) for k in range(dim))
+            zero = xm.zeros(dim, dim)
+            expected = Endo(2 * dim, tuple(gx[k] + zero[k] for k in range(dim))
+                            + tuple(zero[k] + tuple(-gx[j][k] for j in range(dim))
+                                    for k in range(dim)))
+            assert twistor.connection_matrix(conn, direction, p) == expected
+
+
 def test_extended_curvature_action():
     p = chart_point([F(2), F(3)])
     r = curvature(CONN_N1, (F(1), F(0)), (F(0), F(1)), p)
