@@ -62,7 +62,6 @@ from .twistor import (
     MuForm,
     TwistorPoint,
     TwistorTangent,
-    ahs_identity_check,
     connection,
     curvature,
     curvature_from_mu,

@@ -35,7 +35,6 @@ from .gclinalg import (
     GElement,
     from_coords,
     is_pairing_skew,
-    structure_orientation,
 )
 from .poly import Coefficient, Jet, JetMat, Poly, RationalFn, as_rational, jmat_mul
 from .value import Value
@@ -140,41 +139,32 @@ class GACField(Value):
     """A generalized almost complex structure field on a chart.
 
     The evaluator returns the 2m x 2m matrix of the entries' `Jet`s.
-    `validate_at` checks the pointwise identities (square -Id, pairing
-    skewness) exactly and is invoked by every consumer that needs a valid
-    structure.
+    `validate_at` reads that matrix once and checks the pointwise
+    identities (square -Id, pairing skewness) exactly; every consumer
+    that needs a valid structure calls it.
     """
 
-    __slots__ = ("chart_dim", "evaluate", "_cache")
+    __slots__ = ("chart_dim", "evaluate")
 
     def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], JetMat]):
         self.chart_dim = chart_dim
         self.evaluate = evaluate
-        self._cache: dict[Vec, JetMat] = {}
 
     def jet_at(self, p: ChartPoint) -> JetMat:
         if p.dim != self.chart_dim:
             raise ChartMismatchError("point does not belong to this chart")
-        cached = self._cache.get(p.coords)
-        if cached is None:
-            cached = self.evaluate(p)
-            self._cache[p.coords] = cached
-        return cached
+        return self.evaluate(p)
 
-    def endo_at(self, p: ChartPoint) -> Endo:
-        return Endo(2 * self.chart_dim, tuple(tuple(e.value for e in row)
-                                              for row in self.jet_at(p)))
-
-    def validate_at(self, p: ChartPoint, require_orientation: bool = False) -> Endo:
-        """The structure's value at p, checked; FieldInvariantError if it fails."""
-        m = self.endo_at(p)
+    def validate_at(self, p: ChartPoint) -> tuple[Endo, JetMat]:
+        """The structure's value at p, checked, with the jet matrix it was
+        read from; FieldInvariantError if the value fails."""
+        jets = self.jet_at(p)
+        m = Endo(2 * self.chart_dim, tuple(tuple(e.value for e in row) for row in jets))
         if not m.squares_to_minus_identity():
             raise FieldInvariantError(f"structure field does not square to -Id at {p.coords}")
         if not is_pairing_skew(m):
             raise FieldInvariantError(f"structure field is not pairing skew at {p.coords}")
-        if require_orientation and structure_orientation(m) != 1:
-            raise FieldInvariantError(f"structure field orientation is not +1 at {p.coords}")
-        return m
+        return m, jets
 
 
 def constant_field(j: Endo) -> GACField:
@@ -294,16 +284,15 @@ def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
 
 def _jet_table(jf: GACField, jets: Sequence[SectionJet],
                p: ChartPoint) -> dict[tuple[int, int], GElement]:
-    """`nijenhuis_table` from the probes' jets at p.  The field is validated
-    at p once, and each probe's J-image jet is built once, as the jet
-    product of the field's jet matrix with the probe's jet as a column.
+    """`nijenhuis_table` from the probes' jets at p.  The field's jet matrix
+    is read and validated at p once, and each probe's J-image jet is built
+    once, as the jet product of that matrix with the probe's jet as a column.
 
     All the jets are scaled to integers over one denominator d and J over
     its own d_J, once per point; each pair is assembled as 2 d^2 d_J N in
     integers, and each of its components is built once as a Fraction.
     """
-    j = jf.validate_at(p)
-    fj = jf.jet_at(p)
+    j, fj = jf.validate_at(p)
     m = p.dim
     images = [tuple(row[0] for row in jmat_mul(fj, [(c,) for c in aj])) for aj in jets]
     ints, d = _integer_jets([*jets, *images], m)
@@ -350,12 +339,6 @@ class TwoFormField(Value):
         self.chart_dim = chart_dim
         self.entries = entries
 
-    def exterior_derivative(self, p: ChartPoint, i: int, j: int, k: int) -> Fraction:
-        """dB(d/dx_i, d/dx_j, d/dx_k) = d_i B_jk + d_j B_ki + d_k B_ij."""
-        def partial(a: int, b: int, c: int) -> Fraction:
-            return self.entries[b][c].jet(p.coords).grad[a]
-        return partial(i, j, k) + partial(j, k, i) + partial(k, i, j)
-
 
 def two_form_field(chart_dim: int, entries: Sequence[Sequence[Coefficient]]) -> TwoFormField:
     return TwoFormField(chart_dim, tuple(tuple(as_rational(e) for e in row) for row in entries))
@@ -377,18 +360,6 @@ def _exp_b_jet(b_jets: JetMat, aj: SectionJet, m: int) -> SectionJet:
     return tuple(comps)
 
 
-def exp_b_section(bf: TwoFormField, a: JetSection) -> JetSection:
-    """The section p -> e^{B(p)} a(p) = a(p) + i_{X(p)} B(p)."""
-    m = bf.chart_dim
-    if a.chart_dim != m:
-        raise ChartMismatchError("section and two-form live on different charts")
-
-    def evaluate(p: ChartPoint) -> SectionJet:
-        return _exp_b_jet([[e.jet(p.coords) for e in row] for row in bf.entries], a.at(p), m)
-
-    return JetSection(m, evaluate)
-
-
 def b_automorphism_defect(bf: TwoFormField, a: JetSection, c: JetSection,
                           p: ChartPoint) -> GElement:
     """e^B [A, C] - [e^B A, e^B C] at p; zero everywhere iff dB = 0.
@@ -408,15 +379,15 @@ def b_automorphism_defect(bf: TwoFormField, a: JetSection, c: JetSection,
 # scanning
 
 
-def default_probes(chart_dim: int, perturbed: bool = False) -> list[JetSection]:
-    """Coordinate sections, plus polynomial-perturbed copies when requested."""
+def default_probes(chart_dim: int) -> list[JetSection]:
+    """Coordinate sections, then polynomial-perturbed copies: the i-th
+    coordinate section times 1 + x_(i mod m)."""
     probes = coordinate_sections(chart_dim)
-    if perturbed:
-        for i, base in enumerate(coordinate_sections(chart_dim)):
-            factor = Poly.constant(chart_dim, 1) + Poly.variable(chart_dim, i % chart_dim)
-            comps = [Poly.constant(chart_dim, 0)] * (2 * chart_dim)
-            comps[i] = factor
-            probes.append(section_from_coefficients(chart_dim, comps))
+    for i in range(2 * chart_dim):
+        factor = Poly.constant(chart_dim, 1) + Poly.variable(chart_dim, i % chart_dim)
+        comps = [Poly.constant(chart_dim, 0)] * (2 * chart_dim)
+        comps[i] = factor
+        probes.append(section_from_coefficients(chart_dim, comps))
     return probes
 
 
@@ -426,52 +397,23 @@ def check_spanning(jets: Sequence[SectionJet], p: ChartPoint) -> None:
         raise ProbeSpanError(f"probe set does not span TM + T*M at {p.coords}")
 
 
-class PointScan(Value):
-    __slots__ = ("point", "all_zero", "witness")
-
-    def __init__(self, point: ChartPoint, all_zero: bool, witness: tuple[int, int] | None):
-        self.point = point
-        self.all_zero = all_zero
-        self.witness = witness  # probe indices of the first nonzero residual
-
-
-class ScanReport(Value):
-    __slots__ = ("points",)
-
-    def __init__(self, points: tuple[PointScan, ...]):
-        self.points = points
-
-    @property
-    def empty(self) -> bool:
-        return not self.points
-
-    @property
-    def all_zero(self) -> bool:
-        return bool(self.points) and all(s.all_zero for s in self.points)
-
-    def first_witness(self) -> tuple[ChartPoint, tuple[int, int]] | None:
-        for s in self.points:
-            if s.witness is not None:
-                return s.point, s.witness
-        return None
-
-
 def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
-                       probes: Sequence[JetSection]) -> ScanReport:
-    """Nijenhuis residuals of a structure field over points x probe pairs,
-    through one `nijenhuis_table` per point, from the probe jets that the
-    spanning check read.
+                       probes: Sequence[JetSection]) -> tuple[ChartPoint, tuple[int, int]] | None:
+    """The first point, and its first probe pair in (i, k) order, at which
+    the Nijenhuis residual of a structure field is not exactly zero; None
+    when every residual is zero.
 
-    Each point records whether every residual is exactly zero and the
-    first probe pair, in (i, k) order, whose residual is not.  An empty
-    point list yields an empty report, which is distinct from an all-zero
-    one.
+    Each point runs one `nijenhuis_table`, from the probe jets that the
+    spanning check read, and the scan stops at the first witness.  An
+    empty point list raises ValueError, so a scan never passes over zero
+    points.
     """
-    results = []
+    if not points:
+        raise ValueError("an integrability scan needs at least one point")
     for p in points:
         jets = [a.at(p) for a in probes]
         check_spanning(jets, p)
-        witness = next((pair for pair, value in _jet_table(jf, jets, p).items()
-                        if not value.is_zero()), None)
-        results.append(PointScan(p, witness is None, witness))
-    return ScanReport(tuple(results))
+        for pair, value in _jet_table(jf, jets, p).items():
+            if not value.is_zero():
+                return p, pair
+    return None

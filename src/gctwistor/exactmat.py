@@ -14,11 +14,12 @@ the result is built once as a Fraction.
   `mat_vec` does the same with the vector in place of b.
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
-- `rref`, and through it `rank`, `solve`, `inverse` and `nullspace`, is a
+- `rref`, and through it `rank`, `solve` and `inverse`, is a
   fraction-free Gauss-Jordan elimination on primitive integer rows; each
   pivot row is divided by its pivot at the end.  The reduced row echelon
   form is unique, so it is the one elimination over Fraction gives.
-- `RowReducer` stores primitive integer rows with their pivots.
+- `RowReducer` takes integer vectors only, the one exception to the
+  Fraction contract, and stores primitive integer rows with their pivots.
 
 The kernels skip terms that are exactly zero: `mat_mul` zero entries of
 both factors, `mat_vec` zero entries of the vector, and `RowReducer`
@@ -73,14 +74,6 @@ def identity(k: int) -> Mat:
 
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: Mat) -> Mat:
@@ -155,10 +148,6 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
 
 def is_zero(a: Mat) -> bool:
     return not any(map(any, a))
-
-
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), F0)
 
 
 def det(m: Mat) -> Fraction:
@@ -241,20 +230,20 @@ def rank(m: Mat) -> int:
 class RowReducer:
     """Incremental echelon form for repeated span and independence queries.
 
-    Vectors may have int or Fraction entries.  Each stored row is a
-    primitive integer row, kept as its nonzero (column, value) pairs with
-    its pivot column and pivot value.  A vector is scaled to integers once;
-    reducing it by a stored row multiplies it by pivot / g and subtracts
-    value / g times the row, g the gcd of the pivot and the vector's entry
-    in the pivot column.
+    Vectors have int entries; a Fraction entry fails in `gcd` with a
+    TypeError.  Each stored row is a primitive integer row, kept as its
+    nonzero (column, value) pairs with its pivot column and pivot value.
+    Reducing a vector by a stored row multiplies it by pivot / g and
+    subtracts value / g times the row, g the gcd of the pivot and the
+    vector's entry in the pivot column.
     """
 
     def __init__(self) -> None:
         # (pivot column, pivot value, nonzero (column, value) pairs of the primitive row)
         self._rows: list[tuple[int, int, list[tuple[int, int]]]] = []
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[int]:
-        out = _scaled(v)[0]
+    def _reduce(self, v: Sequence[int]) -> list[int]:
+        out = list(v)
         for pivot, p, row in self._rows:
             f = out[pivot]
             if f:
@@ -267,10 +256,10 @@ class RowReducer:
                     out[i] -= f * x
         return out
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Sequence[int]) -> bool:
         return not any(self._reduce(v))
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence[int]) -> bool:
         """Add a vector to the span; False if it was already dependent."""
         reduced = _primitive(self._reduce(v))
         pivot = next((i for i, x in enumerate(reduced) if x), None)
@@ -281,23 +270,6 @@ class RowReducer:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-
-def nullspace(m: Mat) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column."""
-    if not m:
-        return []
-    reduced, pivots = rref(m)
-    ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [F0] * ncols
-        v[fcol] = F1
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -reduced[r][fcol]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(a: Mat, b: Sequence[Fraction]) -> Vec:

@@ -408,11 +408,10 @@ def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     points = [chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
               for _ in range(5)]
-    report = integrability_scan(field, points, default_probes(2, perturbed=True))
-    if not report.all_zero:
-        w = report.first_witness()
+    witness = integrability_scan(field, points, default_probes(2))
+    if witness is not None:
         return _fail(scenario, "nonzero residual",
-                     {"point": [scalar_to_str(c) for c in w[0].coords]} if w else None)
+                     {"point": [scalar_to_str(c) for c in witness[0].coords]})
     return _ok(scenario)
 
 
@@ -496,9 +495,8 @@ def _n1_twistor_points(rng: random.Random, count: int):
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 9)
     count = scenario.count("base_points", 50)
-    spec = str(scenario.samples.get("probe_spec", "full"))
     for at, (u, v, sheet) in _n1_twistor_points(rng, count):
-        for (i, k), value in _scan_closed_form(1, scenario.conn, at, spec):
+        for (i, k), value in _scan_closed_form(1, scenario.conn, at):
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
                            "probe_pair": [i, k]}
@@ -524,9 +522,8 @@ def _pair_witness(trial: int, pair: tuple[int, int], at: TwistorPoint) -> dict:
 def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has zero closed-form Nijenhuis value on every probe pair
     at sampled fibre points over a flat chart of dimension 2n >= 4."""
-    spec = str(scenario.samples.get("probe_spec", "full"))
     for trial, at in _fibre_points(scenario, 10):
-        for pair, value in _scan_closed_form(1, scenario.conn, at, spec):
+        for pair, value in _scan_closed_form(1, scenario.conn, at):
             if not value.is_zero():
                 return _fail(scenario, "nonzero", _pair_witness(trial, pair, at))
     return _ok(scenario, {"fibre_samples": scenario.count("fibre_params", 20)})
@@ -778,18 +775,14 @@ SAMPLE_COUNTS = ("base_points", "fibre_params", "adapted_points")
 
 
 def _validate_samples(samples: Mapping[str, object]) -> None:
-    """The samples map every sample count to an int >= 1 and probe_spec to a
-    known probe set, so no check runs over zero samples or a mistyped value."""
+    """The samples map every sample count to an int >= 1, so no check runs
+    over zero samples or a mistyped value."""
     if not isinstance(samples, Mapping):
         raise ScenarioError(f"malformed scenario: samples must be an object, got {samples!r}")
     for key, value in samples.items():
-        if key == "probe_spec":
-            ok = value in ("full", "horizontal")
-        else:
-            ok = key in SAMPLE_COUNTS and type(value) is int and value >= 1
-        if not ok:
-            raise ScenarioError(f"bad sample {key}={value!r}: counts are integers >= 1 "
-                                "and probe_spec is 'full' or 'horizontal'")
+        if not (key in SAMPLE_COUNTS and type(value) is int and value >= 1):
+            raise ScenarioError(f"bad sample {key}={value!r}: the sample keys are "
+                                f"{', '.join(SAMPLE_COUNTS)}, each an integer >= 1")
 
 
 def load_scenario(source: str | Mapping, name: str | None = None,

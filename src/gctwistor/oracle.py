@@ -17,12 +17,12 @@ values (`==`), never component by component.  The structure fields
 evaluate to the jet matrices that `_field_matrix` computes, and the
 lift and tilde sections to tuples of the jets of their components, the
 1-jets `courant` reads.  `poly.jmat_mul` skips the zero jets of both
-factors, which are exactly zero terms.  Each chart
-point's context (chart jets, base structure, horizontal-lift and
-fibre-structure coefficients) is computed once per chart and memoized,
-together with the numeric views
-`gamma_values` and `vertical_chart_basis` that the probe-pair
-comparison reads, and the inverse Gram matrix of that basis.
+factors, which are exactly zero terms.  A chart keeps
+the context of the last point it was asked about (chart jets, base
+structure, horizontal-lift and fibre-structure coefficients), together
+with the numeric views `gamma_values` and `vertical_chart_basis` that the
+probe-pair comparison reads and the inverse Gram matrix of that basis:
+every caller works through one sample point at a time.
 """
 
 from __future__ import annotations
@@ -113,10 +113,11 @@ class TwistorChart:
     unit-hyperboloid chart x1 = sheet (1+u^2+v^2)/(1-u^2-v^2),
     x2 = 2u/(1-u^2-v^2), x3 = 2v/(1-u^2-v^2); the circle u^2+v^2 = 1 is
     excluded.  All per-point data (structure, splitting, the two twistor
-    structure fields) is computed in jet arithmetic and memoized.  The
-    point's context also memoizes its two numeric views that `decompose`
-    and `compose` read for every probe pair, `gamma_values` and
-    `vertical_chart_basis`, and the inverse Gram matrix of that basis.
+    structure fields) is computed in jet arithmetic from the point's
+    context, which the chart keeps for the last point only.  That context
+    also keeps its two numeric views that `decompose` and `compose` read
+    for every probe pair, `gamma_values` and `vertical_chart_basis`, and
+    the inverse Gram matrix of that basis.
     """
 
     NVARS = 4
@@ -136,8 +137,7 @@ class TwistorChart:
         for (k, i, j), p in conn.entries:
             lifted = {exps + (0, 0): c for exps, c in p.terms}
             self.gamma4[(k, i, j)] = Poly.from_dict(self.NVARS, lifted)
-        self._contexts: dict[Vec, dict] = {}
-        self._fields: dict[int, GACField] = {}
+        self._last: tuple[Vec, dict] | None = None
 
     # -- chart functions in jet arithmetic --------------------------------
 
@@ -189,9 +189,9 @@ class TwistorChart:
     # -- the per-point context ---------------------------------------------
 
     def context(self, q: ChartPoint) -> dict:
-        cached = self._contexts.get(q.coords)
-        if cached is not None:
-            return cached
+        """The point's context, built unless q is the last point asked for."""
+        if self._last is not None and self._last[0] == q.coords:
+            return self._last[1]
         point = q.coords
         nv = self.NVARS
         x, dx = self._chart_jets(point)
@@ -225,7 +225,7 @@ class TwistorChart:
             kappa.append(self._solve_uv(self._coords_of(jv), dx))
 
         ctx = {"x": x, "dx": dx, "j_base": j_base, "gammas": gammas, "kappa": kappa}
-        self._contexts[q.coords] = ctx
+        self._last = (point, ctx)
         return ctx
 
     # -- numeric views of the context --------------------------------------
@@ -280,16 +280,11 @@ class TwistorChart:
     def field(self, alpha: int) -> GACField:
         if alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
-        cached = self._fields.get(alpha)
-        if cached is not None:
-            return cached
 
         def evaluate(q: ChartPoint) -> JetMat:
             return self._field_matrix(alpha, q)
 
-        field = GACField(self.NVARS, evaluate)
-        self._fields[alpha] = field
-        return field
+        return GACField(self.NVARS, evaluate)
 
     def _field_matrix(self, alpha: int, q: ChartPoint) -> JetMat:
         """The twistor structure at q in the coordinate frame, with gradients.

@@ -330,10 +330,6 @@ class RationalFn(Value):
     def scale(self, c) -> "RationalFn":
         return RationalFn(self.num.scale(c), self.den)
 
-    def equals(self, other: "RationalFn") -> bool:
-        """Exact equality as functions, by cross multiplication."""
-        return (self.num * other.den - other.num * self.den).is_zero()
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         d = self.den.evaluate(point)
         if d == 0:

@@ -178,9 +178,6 @@ class CurvatureValue(Value):
         """Curvature of the induced connection on endomorphisms: [R^, a]."""
         return commutator(self.extended(), a)
 
-    def apply_vector(self, z: Vec) -> Vec:
-        return xm.mat_vec(self.endo_tm, z)
-
     def is_zero(self) -> bool:
         return xm.is_zero(self.endo_tm)
 
@@ -800,32 +797,6 @@ def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
             reducer.add(row)
     rank = len(reducer)
     return MuSystemReport(n, unknowns, rank, unknowns - rank)
-
-
-def ahs_identity_check(conn: Connection, k: Mat, x: Vec, y: Vec, p: ChartPoint) -> Mat:
-    """Residual of the four-term curvature identity of a complex structure K
-    on T_pM, with R(.,.)K the commutator action; zero for flat connections
-    and whenever the first twistor structure is integrable.  The four
-    curvature values are contracted from one `curvature_basis_at` table."""
-    dim = conn.dim
-    k = xm.mat(k)
-    if xm.mat_mul(k, k) != xm.mat_scale(Fraction(-1), xm.identity(dim)):
-        raise InvariantError("K^2 is not -Id")
-    kx = xm.mat_vec(k, x)
-    ky = xm.mat_vec(k, y)
-    table = conn.curvature_basis_at(p)
-
-    def r(u: Vec, v: Vec) -> Mat:
-        return _contract(conn.n, table, u, v).endo_tm
-
-    def bracket(m: Mat) -> Mat:
-        return xm.mat_sub(xm.mat_mul(m, k), xm.mat_mul(k, m))
-
-    res = bracket(r(x, y))
-    res = xm.mat_add(res, xm.mat_mul(k, bracket(r(x, ky))))
-    res = xm.mat_add(res, xm.mat_mul(k, bracket(r(kx, y))))
-    res = xm.mat_sub(res, bracket(r(kx, ky)))
-    return res
 
 
 def hybrid_nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,

@@ -19,7 +19,6 @@ from gctwistor.courant import (
     coordinate_sections,
     courant_bracket,
     default_probes,
-    exp_b_section,
     integrability_scan,
     lie_bracket,
     nijenhuis,
@@ -34,7 +33,6 @@ from gctwistor.gclinalg import (
     from_complex,
     from_symplectic,
     gelem,
-    neutral_pairing,
     standard_complex_matrix,
     standard_symplectic_matrix,
 )
@@ -279,18 +277,6 @@ def test_two_form_requires_skewness():
         two_form_field(2, [[zero, one], [one, zero]])
 
 
-def test_exterior_derivative_values():
-    m = 4
-    x2 = Poly.variable(m, 1)
-    x1 = Poly.variable(m, 0)
-    closed = make_skew_field(m, {(0, 1): x1})
-    open_form = make_skew_field(m, {(0, 2): x2})
-    p = chart_point([F(1), F(2), F(3), F(4)])
-    assert closed.exterior_derivative(p, 0, 1, 2) == 0
-    assert closed.exterior_derivative(p, 0, 1, 3) == 0
-    assert open_form.exterior_derivative(p, 1, 0, 2) == 1
-
-
 def test_defect_zero_for_closed_forms():
     rng = random.Random(6)
     m = 4
@@ -319,19 +305,6 @@ def test_defect_nonzero_for_non_closed_form():
     assert found
 
 
-def test_exp_b_preserves_pairing_pointwise():
-    rng = random.Random(8)
-    m = 2
-    bf = make_skew_field(m, {(0, 1): X1 + X2})
-    a = rand_section(rng, m=m)
-    c = rand_section(rng, m=m)
-    for _ in range(5):
-        p = rand_point(rng, m)
-        lhs = neutral_pairing(exp_b_section(bf, a).value_at(p),
-                              exp_b_section(bf, c).value_at(p))
-        assert lhs == neutral_pairing(a.value_at(p), c.value_at(p))
-
-
 # ---------------------------------------------------------------------------
 # scanning
 
@@ -340,16 +313,14 @@ def test_scan_constant_field_all_zero():
     rng = random.Random(9)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     points = [rand_point(rng) for _ in range(3)]
-    report = integrability_scan(field, points, default_probes(2, perturbed=True))
-    assert report.all_zero and not report.empty
-    assert report.first_witness() is None
+    assert integrability_scan(field, points, default_probes(2)) is None
 
 
 def test_scan_empty_points_distinct_from_all_zero():
+    # a scan over no points raises rather than reading as all zero
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    report = integrability_scan(field, [], default_probes(2))
-    assert report.empty
-    assert not report.all_zero
+    with pytest.raises(ValueError):
+        integrability_scan(field, [], default_probes(2))
 
 
 def test_scan_rejects_non_spanning_probes():
@@ -360,12 +331,14 @@ def test_scan_rejects_non_spanning_probes():
 
 
 def test_field_orientation_validation():
-    good = constant_field(from_complex(standard_complex_matrix(1)).j)
-    good.validate_at(chart_point([F(0), F(0)]), require_orientation=True)
-    negative = constant_field(from_symplectic(standard_symplectic_matrix(1)).j)
-    negative.validate_at(chart_point([F(0), F(0)]))  # fine without the assertion
-    with pytest.raises(FieldInvariantError):
-        negative.validate_at(chart_point([F(0), F(0)]), require_orientation=True)
+    # validate_at checks square -Id and pairing skewness, not the orientation:
+    # both orientations pass, each with the jet matrix its value was read from
+    p = chart_point([F(0), F(0)])
+    for j in (from_complex(standard_complex_matrix(1)).j,
+              from_symplectic(standard_symplectic_matrix(1)).j):
+        field = constant_field(j)
+        value, jets = field.validate_at(p)
+        assert value == j and jets == field.jet_at(p)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +371,7 @@ def reference_nijenhuis(f: GACField, a: JetSection, b: JetSection, p):
     def bracket(s, t):
         return GElement(m, *textbook_bracket(s.at(p), t.at(p), m))
 
-    j = f.endo_at(p)
+    j = f.validate_at(p)[0]
     ja, jb = field_image_section(f, a), field_image_section(f, b)
     return (-bracket(a, b) - j.apply(bracket(a, jb))
             - j.apply(bracket(ja, b)) + bracket(ja, jb))
@@ -406,7 +379,7 @@ def reference_nijenhuis(f: GACField, a: JetSection, b: JetSection, p):
 
 def test_table_matches_pairwise_nijenhuis_constant_field():
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    probes = default_probes(2, perturbed=True)
+    probes = default_probes(2)
     p = chart_point([F(1, 2), F(-2, 3)])
     table = nijenhuis_table(field, probes, p)
     pairs = [(i, k) for i in range(len(probes)) for k in range(i + 1, len(probes))]
@@ -494,13 +467,15 @@ def test_table_rejects_section_on_other_chart():
 
 
 def test_scan_validates_field_at_every_point():
-    # (1 + x1) J0 is pairing skew everywhere but squares to -Id only where
-    # x1 = 0: the scan must reject it at the second point, not only the first
+    # (1 + x1^2) J0 is pairing skew everywhere but squares to -Id only where
+    # x1 = 0, and its 1-jet at the origin is that of J0, so the origin gives
+    # no witness: the scan must go on and reject the field at the second point
     j0 = from_complex(standard_complex_matrix(1)).j
-    field = field_from_coefficients(2, [[(ONE2 + X1).scale(c) for c in row] for row in j0.rows])
-    probes = default_probes(2)
+    field = field_from_coefficients(2, [[(ONE2 + X1 * X1).scale(c) for c in row]
+                                        for row in j0.rows])
+    probes = coordinate_sections(2)
     origin, off = chart_point([F(0), F(0)]), chart_point([F(1), F(0)])
-    assert len(integrability_scan(field, [origin], probes).points) == 1
+    assert integrability_scan(field, [origin], probes) is None
     with pytest.raises(FieldInvariantError):
         integrability_scan(field, [origin, off], probes)
 
@@ -516,7 +491,7 @@ def test_scan_evaluates_each_probe_jet_once_per_point():
             return probe.at(p)
         return JetSection(2, evaluate)
 
-    probes = [counted(probe) for probe in default_probes(2, perturbed=True)]
+    probes = [counted(probe) for probe in default_probes(2)]
     points = [chart_point([F(0), F(0)]), chart_point([F(1, 2), F(-1)])]
-    assert integrability_scan(field, points, probes).all_zero
+    assert integrability_scan(field, points, probes) is None
     assert len(calls) == len(probes) * len(points)

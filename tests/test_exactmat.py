@@ -33,22 +33,29 @@ def test_solve_singular_raises():
 
 
 def test_rank_and_nullspace():
+    # rank 2 of 3 columns: the nullspace is the line through (1, 1, -1)
     m = xm.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert xm.rank(m) == 2
-    kernel = xm.nullspace(m)
-    assert len(kernel) == 1
-    for v in kernel:
-        assert all(x == 0 for x in xm.mat_vec(m, v))
+    assert xm.mat_vec(m, xm.vec([1, 1, -1])) == xm.vec([0, 0, 0])
 
 
 def test_row_reducer_tracks_span():
     r = xm.RowReducer()
-    assert r.add(xm.vec([1, 0, 1]))
-    assert r.add(xm.vec([0, 1, 0]))
-    assert not r.add(xm.vec([2, 3, 2]))
-    assert r.contains(xm.vec([1, 1, 1]))
-    assert not r.contains(xm.vec([0, 0, 1]))
+    assert r.add([1, 0, 1])
+    assert r.add([0, 1, 0])
+    assert not r.add([2, 3, 2])
+    assert r.contains([1, 1, 1])
+    assert not r.contains([0, 0, 1])
     assert len(r) == 2
+    # integer vectors only: a Fraction fails loudly
+    with pytest.raises(TypeError):
+        r.add([F(1, 2), 0, 1])
+
+
+def _integer_row(v):
+    """v times the lcm of its denominators: the same span, in integers."""
+    d = lcm(*(x.denominator for x in v))
+    return [int(x * d) for x in v]
 
 
 def _triple_sum(a, b):
@@ -143,10 +150,10 @@ def test_row_reducer_matches_rank(inputs):
     r = xm.RowReducer()
     for k, row in enumerate(rows):
         grew = xm.rank(rows[:k + 1]) > xm.rank(rows[:k])
-        assert r.add(row) == grew
+        assert r.add(_integer_row(row)) == grew
         assert len(r) == xm.rank(rows[:k + 1])
     for probe in probes:
-        assert r.contains(probe) == (xm.rank(rows + [probe]) == len(r))
+        assert r.contains(_integer_row(probe)) == (xm.rank(rows + [probe]) == len(r))
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +198,6 @@ def _ref_rref(m):
         pivots.append(col)
         r += 1
     return tuple(tuple(F(x) for x in row) for row in rows), tuple(pivots)
-
-
-def _ref_nullspace(m):
-    if not m:
-        return []
-    reduced, pivots = _ref_rref(m)
-    ncols = len(m[0])
-    basis = []
-    for fcol in (c for c in range(ncols) if c not in pivots):
-        v = [F(0)] * ncols
-        v[fcol] = F(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -reduced[r][fcol]
-        basis.append(tuple(v))
-    return basis
 
 
 def _ref_solve_columns(a, columns):
@@ -282,15 +274,12 @@ def test_det_small_cases():
 
 @settings(max_examples=150, deadline=None)
 @given(_matrix())
-def test_rref_rank_nullspace_match_fraction_elimination(m):
+def test_rref_and_rank_match_fraction_elimination(m):
     # the reduced row echelon form is unique, so fraction-free elimination gives the same one
     reduced, pivots = xm.rref(m)
     assert (reduced, pivots) == _ref_rref(m)
     assert _all_fractions(reduced)
     assert xm.rank(m) == len(pivots)
-    kernel = xm.nullspace(m)
-    assert kernel == _ref_nullspace(m)
-    assert all(type(x) is F for v in kernel for x in v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,23 +318,7 @@ def test_row_reducer_matches_fraction_reducer(inputs):
     rows, probes = inputs
     r, ref = xm.RowReducer(), _RefRowReducer()
     for row in rows:
-        assert r.add(row) == ref.add(row)
+        assert r.add(_integer_row(row)) == ref.add(row)
         assert len(r) == len(ref.rows)
     for probe in probes:
-        assert r.contains(probe) == (not any(ref.reduce(probe)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_reducer_inputs())
-def test_row_reducer_integer_rows_match_fraction_rows(inputs):
-    # each vector scaled to integers, fed once as int and once as Fraction
-    def integers(v):
-        d = lcm(*(x.denominator for x in v))
-        return [int(x * d) for x in v]
-
-    rows, probes = ([integers(v) for v in vectors] for vectors in inputs)
-    as_int, as_fraction = xm.RowReducer(), xm.RowReducer()
-    for row in rows:
-        assert as_int.add(row) == as_fraction.add([F(x) for x in row])
-    for probe in probes:
-        assert as_int.contains(probe) == as_fraction.contains([F(x) for x in probe])
+        assert r.contains(_integer_row(probe)) == (not any(ref.reduce(probe)))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -920,6 +920,12 @@ def _entries(e: Endo) -> list:
     return [x for row in e.rows for x in row]
 
 
+def _integer_row(v) -> list[int]:
+    """v times the lcm of its denominators, for `RowReducer`'s integer rows."""
+    d = lcm(*(x.denominator for x in v))
+    return [int(x * d) for x in v]
+
+
 def _reference_vertical_basis(structure: GCStructure) -> list[Endo]:
     """The projection s -> s + j s j over Fraction, dense, of every skew
     generator of the reference basis, with a maximal independent family kept."""
@@ -929,7 +935,7 @@ def _reference_vertical_basis(structure: GCStructure) -> list[Endo]:
     for i, k in gens.pairs():
         s = gens.generator(i, k)
         candidate = s + j.compose(s).compose(j)
-        if span.add(_entries(candidate)):
+        if span.add(_integer_row(_entries(candidate))):
             basis.append(candidate)
     return basis
 
@@ -964,8 +970,8 @@ def _assert_basis_spans_reference(structure: GCStructure) -> None:
     assert all(type(x) is F for q in basis for x in _entries(q))
     for source, target in ((basis, reference), (reference, basis)):
         span = xm.RowReducer()
-        assert all(span.add(_entries(q)) for q in source)
-        assert all(span.contains(_entries(q)) for q in target)
+        assert all(span.add(_integer_row(_entries(q))) for q in source)
+        assert all(span.contains(_integer_row(_entries(q))) for q in target)
     assert vertical_space_basis(structure) == basis
 
 
@@ -1065,6 +1071,18 @@ def _assert_canonical(e, rows):
     assert Endo(e.dim, e.rows) == e and hash(Endo(e.dim, e.rows)) == hash(e)
 
 
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _trace(a):
+    return sum((a[i][i] for i in range(len(a))), F(0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_endo_triples(), st.one_of(st.just(0), st.integers(-4, 4), rationals),
        st.lists(rationals, min_size=8, max_size=8))
@@ -1074,8 +1092,8 @@ def test_endo_matches_fraction_formulae(mats, c, coords):
     a, b, cc = (Endo(dim, m) for m in mats)
     for e, rows in ((a, ra), (b, rb),
                     (a.compose(b), xm.mat_mul(ra, rb)),
-                    (a + b, xm.mat_add(ra, rb)),
-                    (a - b, xm.mat_sub(ra, rb)),
+                    (a + b, _mat_add(ra, rb)),
+                    (a - b, _mat_sub(ra, rb)),
                     (-a, xm.mat_neg(ra)),
                     (a.scale(c), xm.mat_scale(F(c), ra)),
                     (a.compose(b).compose(cc), xm.mat_mul(xm.mat_mul(ra, rb), rc)),
@@ -1090,7 +1108,7 @@ def test_endo_matches_fraction_formulae(mats, c, coords):
     assert a.scale(0) == (a - a) == Endo(dim, xm.zeros(dim, dim))
     assert a.squares_to_minus_identity() == (xm.mat_mul(ra, ra)
                                              == xm.mat_scale(F(-1), xm.identity(dim)))
-    assert fib_pairing(a, b) == -xm.trace(xm.mat_mul(ra, rb)) / 2
+    assert fib_pairing(a, b) == -_trace(xm.mat_mul(ra, rb)) / 2
     half = dim // 2
     if dim % 4 == 0:  # dim V = half is even
         x = gelem(coords[:half], coords[half:dim])
@@ -1110,7 +1128,7 @@ def test_fib_pairing_matches_dense_trace(operands):
     k = len(a)
     value = fib_pairing(Endo(k, a), Endo(k, b))
     assert value == -sum((a[i][j] * b[j][i] for i in range(k) for j in range(k)), F(0)) / 2
-    assert value == -xm.trace(xm.mat_mul(a, b)) / 2
+    assert value == -_trace(xm.mat_mul(a, b)) / 2
     assert type(value) is F
 
 
@@ -1133,11 +1151,11 @@ def _adapted_basis_orientation(j):
     for cand in coordinate_elements(j.half):
         if len(chosen) == j.dim:
             break
-        if span.contains(cand.coords):
+        if span.contains(_integer_row(cand.coords)):
             continue
         image = j.apply(cand)
         chosen.extend([cand, image])
-        assert span.add(cand.coords) and span.add(image.coords)
+        assert span.add(_integer_row(cand.coords)) and span.add(_integer_row(image.coords))
     return orientation_sign(chosen)
 
 

@@ -251,14 +251,15 @@ def test_cli_rejects_non_integer_base_points(tmp_path):
 
 
 def test_cli_rejects_unknown_probe_spec(tmp_path):
-    result = run_cli_on(tmp_path, with_samples("thm1-n1", probe_spec="bogus"))
+    # probe_spec is not a sample key: a scenario that sets it exits 2
+    result = run_cli_on(tmp_path, with_samples("thm1-n1", probe_spec="horizontal"))
     assert result.returncode == 2
     assert "probe_spec" in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("samples", [
     {"base_points": True}, {"adapted_points": 2.0}, {"fibre_params": "3"},
-    {"base_point": 3}, {"probe_spec": None},
+    {"base_point": 3}, {"probe_spec": None}, {"probe_spec": "full"},
 ])
 def test_bad_samples_rejected(samples):
     with pytest.raises(ScenarioError):
@@ -267,7 +268,7 @@ def test_bad_samples_rejected(samples):
 
 def test_valid_samples_accepted():
     scenario = load_scenario({"n": 1, "seed": 0, "checks": [], "samples": {
-        "base_points": 1, "fibre_params": 2, "adapted_points": 3, "probe_spec": "horizontal"}})
+        "base_points": 1, "fibre_params": 2, "adapted_points": 3}})
     assert scenario.count("base_points", 50) == 1
 
 

@@ -225,15 +225,6 @@ def test_jet_is_zero_needs_value_and_gradient():
     assert not Jet.constant(F(1, 2), 2).is_zero()
 
 
-def test_rational_equality_cross_multiplied():
-    x = Poly.variable(1, 0)
-    one = Poly.constant(1, 1)
-    f = RationalFn(x * x - one, x - one)
-    g = RationalFn(x + one, one)
-    assert f.equals(g)
-    assert not f.equals(RationalFn(x, one))
-
-
 def test_scalar_strings():
     assert scalar_to_str(F(3, 4)) == "3/4"
     assert scalar_to_str(F(-5)) == "-5"

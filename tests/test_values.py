@@ -13,16 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctwistor
-from gctwistor.courant import PointScan, chart_point, constant_field
+from gctwistor.courant import chart_point
 from gctwistor.gclinalg import (
     DimensionMismatchError,
     Endo,
     GElement,
     InvariantError,
     ProjectionReport,
-    from_complex,
     random_orthonormal_basis,
-    standard_complex_matrix,
 )
 from gctwistor.harness import CheckResult
 from gctwistor.oracle import OracleSample
@@ -94,8 +92,6 @@ FACTORIES = {
     "MuForm": lambda rng: MuForm(_mat(rng, 2, 2)),
     "MuSystemReport": lambda rng: MuSystemReport(*(rng.randint(0, 2) for _ in range(4))),
     "ProjectionReport": lambda rng: ProjectionReport(_q(rng), rng.random() < 0.5),
-    "PointScan": lambda rng: PointScan(chart_point(_vec(rng, 2)), rng.random() < 0.5,
-                                       (rng.randint(0, 1), 2)),
     "OracleSample": lambda rng: OracleSample(_vec(rng, 2), _vec(rng, 2), rng.choice((1, -1))),
     "CheckResult": lambda rng: CheckResult("x", rng.choice(("pass", "fail")),
                                            str(rng.randint(0, 1)), None),
@@ -129,14 +125,11 @@ def test_equal_and_hashed_by_fields(kind, seed, other):
 
 
 def test_caches_take_no_part_in_equality_or_repr():
-    field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    twin = type(field)(field.chart_dim, field.evaluate)
-    field.jet_at(chart_point([F(0), F(1)]))
-    assert field._cache and field == twin and hash(field) == hash(twin)
-    assert "_cache" not in repr(field) and repr(field).startswith("GACField(chart_dim=2, ")
     tangent = FACTORIES["TwistorTangent"](random.Random(0))
-    assert tangent.is_zero() is False and tangent._zero is False
-    assert tangent == FACTORIES["TwistorTangent"](random.Random(0))
+    twin = FACTORIES["TwistorTangent"](random.Random(0))
+    assert tangent.is_zero() is False and tangent._zero is False and twin._zero is None
+    assert tangent == twin and hash(tangent) == hash(twin)
+    assert "_zero" not in repr(tangent) and repr(tangent) == repr(twin)
 
 
 def test_repr_names_the_fields():
