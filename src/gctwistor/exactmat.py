@@ -14,10 +14,13 @@ the result is built once as a Fraction.
   `mat_vec` does the same with the vector in place of b.
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
-- `rref`, and through it `rank`, `solve` and `inverse`, is a
-  fraction-free Gauss-Jordan elimination on primitive integer rows; each
-  pivot row is divided by its pivot at the end.  The reduced row echelon
-  form is unique, so it is the one elimination over Fraction gives.
+- `rref`, and through it `rank` and `solve`, is a fraction-free
+  Gauss-Jordan elimination on primitive integer rows; each pivot row is
+  divided by its pivot at the end.  The reduced row echelon form is
+  unique, so it is the one elimination over Fraction gives.
+  `_integer_inverse`, and through it `inverse`, runs the same
+  elimination on [N | Id] for an integer matrix N and keeps the inverse
+  as integers over one denominator.
 - `RowReducer` takes integer vectors only, the one exception to the
   Fraction contract, and stores primitive integer rows with their pivots.
 
@@ -188,14 +191,26 @@ def det(m: Mat) -> Fraction:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Fraction-free Gauss-Jordan: rows are scaled to primitive integer rows,
-    a row is cleared in a pivot column by subtracting an integer multiple
-    of the pivot row from an integer multiple of itself and is made
-    primitive again, and each pivot row is divided by its pivot at the end.
+    Fraction-free Gauss-Jordan (`_gauss_jordan`) on the rows scaled to
+    primitive integer rows; each pivot row is divided by its pivot at the end.
     """
-    rows = [_primitive(_scaled(row)[0]) for row in m]
-    nrows = len(rows)
     ncols = len(m[0]) if m else 0
+    rows, pivots = _gauss_jordan([_primitive(_scaled(row)[0]) for row in m], ncols)
+    # rows past the last pivot row are zero
+    out = [tuple(Fraction(x, row[c]) if x else F0 for x in row) for row, c in zip(rows, pivots)]
+    out += [(F0,) * ncols] * (len(rows) - len(pivots))
+    return tuple(out), tuple(pivots)
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer rows in reduced echelon form, up to each pivot row's scale,
+    and the pivot columns of the first `ncols` columns.
+
+    A row is cleared in a pivot column by subtracting an integer multiple
+    of the pivot row from an integer multiple of itself and is made
+    primitive again.  The rows are reordered in place.
+    """
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -215,10 +230,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 rows[i] = _primitive([pg * x - fg * y for x, y in zip(rows[i], prow)])
         pivots.append(col)
         r += 1
-    # rows past the last pivot row are zero
-    out = [tuple(Fraction(x, row[c]) if x else F0 for x in row) for row, c in zip(rows, pivots)]
-    out += [(F0,) * ncols] * (nrows - r)
-    return tuple(out), tuple(pivots)
+    return rows, pivots
 
 
 def rank(m: Mat) -> int:
@@ -283,9 +295,19 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
 
 
 def inverse(a: Mat) -> Mat:
+    """a^-1 = s N^-1 for a = N / s with N an integer matrix."""
+    ints, s = _integer_matrix(a)
+    num, d = _integer_inverse(ints)
+    return tuple(tuple(Fraction(s * x, d) if x else F0 for x in row) for row in num)
+
+
+def _integer_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """An integer matrix N and d > 0 with a^-1 = N / d, for a square
+    invertible integer matrix a, by `_gauss_jordan` on [a | Id]."""
     k = len(a)
-    aug = mat([list(row) + list(idrow) for row, idrow in zip(a, identity(k))])
-    reduced, pivots = rref(aug)
-    if pivots != tuple(range(k)):
+    rows = [list(row) + [1 if c == r else 0 for c in range(k)] for r, row in enumerate(a)]
+    rows, pivots = _gauss_jordan(rows, k)
+    if pivots != list(range(k)):
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(reduced[i][k:]) for i in range(k))
+    d = lcm(*(row[r] for r, row in enumerate(rows)))
+    return [[x * (d // row[r]) for x in row[k:]] for r, row in enumerate(rows)], d

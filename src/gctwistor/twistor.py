@@ -578,14 +578,22 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     if alpha == 2:
         if vertical_basis is None:
             vertical_basis = vertical_space_basis(at.structure)
-        gram = tuple(tuple(fib_pairing(u, w) for w in vertical_basis) for u in vertical_basis)
-        try:
-            ginv, gd = xm._integer_matrix(xm.inverse(gram))
-        except xm.SingularMatrixError:
-            raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
         lu = lcm(*(u.den for u in vertical_basis))
         umats = [[[x * (lu // u.den) for x in row] for row in u.num] for u in vertical_basis]
-        ucols = list(zip(*(list(chain.from_iterable(m)) for m in umats)))
+        flats = [list(chain.from_iterable(m)) for m in umats]
+        ucols = list(zip(*flats))
+        # the Gram matrix is G / (2 lu^2) with G_rc = -trace(U_r U_c), so its
+        # inverse is 2 lu^2 G^-1; G is symmetric, so one half is filled
+        flats_t = [list(chain.from_iterable(zip(*m))) for m in umats]
+        size = len(umats)
+        gram = [[0] * size for _ in range(size)]
+        for r in range(size):
+            for c in range(r, size):
+                gram[r][c] = gram[c][r] = -sum(map(mul, flats[r], flats_t[c]))
+        try:
+            ginv, gd = xm._integer_inverse(gram)
+        except xm.SingularMatrixError:
+            raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
         # per horizontal part: J A with its halves swapped, so that
         # 2 <x, y> = swapped(x) . y, and the images U H
         images = [None if part is None else
@@ -610,8 +618,8 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                     w = [sum(map(mul, sf, x)) - sum(map(mul, se, y)) for x, y in zip(ue, uf)]
                     if any(w):
                         gw = [sum(map(mul, row, w)) for row in ginv]
-                        coform = _endo(dim, [sum(map(mul, col, gw)) for col in ucols],
-                                       gd * lu * lu * den // jd)
+                        coform = _endo(dim, [2 * sum(map(mul, col, gw)) for col in ucols],
+                                       gd * den // jd)
             terms = []
             for part, jv, q, s in ((pe, jvs[k], qs[k], 1), (pf, jvs[i], qs[i], -1)):
                 if part is None:

@@ -303,6 +303,23 @@ def test_solve_and_inverse_match_fraction_elimination(a, data):
     assert _all_fractions(inv)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_matrix(square=True))
+def test_integer_inverse_matches_fraction_elimination(a):
+    # the inverse of an integer matrix as integers over one positive denominator
+    ints = xm._integer_matrix(a)[0] if a else []
+    k = len(ints)
+    expected = _ref_solve_columns([[F(x) for x in row] for row in ints],
+                                  [tuple(F(int(i == j)) for i in range(k)) for j in range(k)])
+    if expected is None:
+        with pytest.raises(xm.SingularMatrixError):
+            xm._integer_inverse(ints)
+        return
+    num, d = xm._integer_inverse(ints)
+    assert d > 0 and all(type(x) is int for row in num for x in row)
+    assert tuple(tuple(F(x, d) for x in row) for row in num) == tuple(zip(*expected))
+
+
 def test_one_by_one_solve_and_inverse():
     assert xm.solve(xm.mat([[F(-2, 3)]]), xm.vec([F(1, 5)])) == (F(-3, 10),)
     assert xm.inverse(xm.mat([[F(-2, 3)]])) == ((F(-3, 2),),)

@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gctwistor.courant import chart_point, coordinate_sections, nijenhuis, nijenhuis_table
+from gctwistor import exactmat as xm
+from gctwistor import oracle
+from gctwistor.courant import (
+    chart_point,
+    coordinate_sections,
+    lie_bracket,
+    nijenhuis,
+    nijenhuis_table,
+    section_from_coefficients,
+)
 from gctwistor.gclinalg import (
     DegenerateInputError,
     GElement,
+    InvariantError,
     fib_pairing,
     gelem,
     hyperboloid_point,
@@ -27,6 +37,7 @@ from gctwistor.oracle import (
 )
 from gctwistor.poly import Jet, Poly, jmat_mul
 from gctwistor.twistor import (
+    CurvatureValue,
     TwistorPoint,
     connection,
     flat_connection,
@@ -95,6 +106,15 @@ def test_vertical_chart_basis_is_vertical():
     # uv coordinates invert the basis construction
     assert chart.uv_coordinates(b_u, q) == (1, 0)
     assert chart.uv_coordinates(b_v.scale(F(3, 2)), q) == (0, F(3, 2))
+
+
+def test_uv_coordinates_rejects_a_non_tangent_endomorphism():
+    # j itself is normal to the hyperboloid at j: the (u, v) solve from two
+    # chart rows cannot reproduce the third
+    chart = TwistorChart(CONN, 1)
+    for q in (q_at(), q_at(u=F(-1, 2), v=F(1, 3))):
+        with pytest.raises(InvariantError):
+            chart.uv_coordinates(chart.structure_at(q).j, q)
 
 
 def test_lift_section_matches_closed_form_lift():
@@ -217,6 +237,91 @@ def test_bundle_chart_identity_n1_n2():
     res2 = lift_bracket_curvature_check(conn2, [one4, zero4, x14, zero4],
                                         [zero4, one4, zero4, x14 * x14], at2)
     assert all(r == 0 for r in res2)
+
+
+def _polynomial_lift_residual(conn, x_components, y_components, at):
+    """Reference for `lift_bracket_curvature_check`: the lift fields built as
+    polynomial sections on the endomorphism-bundle chart, then jetted."""
+    dim = conn.dim
+    fibre = (2 * dim) ** 2
+    nvars = dim + fibre
+
+    def lift(p):
+        return Poly.from_dict(nvars, {e + (0,) * fibre: c for e, c in p.terms})
+
+    a_var = [[Poly.variable(nvars, dim + (2 * dim) * i + j) for j in range(2 * dim)]
+             for i in range(2 * dim)]
+
+    def lift_field(comps):
+        gx = [[Poly.constant(nvars, 0) for _ in range(dim)] for _ in range(dim)]
+        for (k, i, j), poly in conn.entries:
+            gx[k][j] = gx[k][j] + lift(poly * comps[i])
+        omega = [[Poly.constant(nvars, 0) for _ in range(2 * dim)] for _ in range(2 * dim)]
+        for r in range(dim):
+            for c in range(dim):
+                omega[r][c] = gx[r][c]
+                omega[dim + r][dim + c] = -gx[c][r]
+        vertical = []
+        for i in range(2 * dim):
+            for j in range(2 * dim):
+                acc = Poly.constant(nvars, 0)
+                for k in range(2 * dim):
+                    acc = acc - omega[i][k] * a_var[k][j] + a_var[i][k] * omega[k][j]
+                vertical.append(acc)
+        comps_all = [lift(p) for p in comps] + vertical + [Poly.constant(nvars, 0)] * nvars
+        return section_from_coefficients(nvars, comps_all)
+
+    point = chart_point(tuple(at.point.coords)
+                        + tuple(x for row in at.structure.j.rows for x in row))
+    lhs = lie_bracket(lift_field(x_components), lift_field(y_components), point)
+    xy = oracle._poly_lie_bracket(x_components, y_components)
+    rhs = [c.value for c in lift_field(xy).at(point)[:nvars]]
+    xv = tuple(p.evaluate(at.point.coords) for p in x_components)
+    yv = tuple(p.evaluate(at.point.coords) for p in y_components)
+    r_vert = oracle.curvature(conn, xv, yv, at.point).act_on(at.structure.j)
+    for idx, val in enumerate(x for row in r_vert.rows for x in row):
+        rhs[dim + idx] += val
+    return tuple(a - b for a, b in zip(lhs, rhs))
+
+
+def _bundle_chart_cases():
+    """Seeded points at n = 1 and n = 2 with connections of several entries."""
+    rng = random.Random(23)
+    x = [Poly.variable(2, i) for i in range(2)]
+    one = Poly.constant(2, 1)
+    conn1 = connection(1, {(0, 1, 1): x[0], (1, 0, 1): x[1] * x[1], (0, 0, 0): x[0] * x[1]})
+    cases = [(conn1, [one, x[0]], [x[0] * x[1], one + x[0] * x[0]],
+              TwistorPoint(random_chart_point(2, rng), sample_fibre_structure(1, rng)))
+             for _ in range(2)]
+    y = [Poly.variable(4, i) for i in range(4)]
+    one4, zero4 = Poly.constant(4, 1), Poly.constant(4, 0)
+    conn2 = connection(2, {(0, 1, 1): y[0], (2, 3, 1): y[1] * y[2], (1, 0, 3): y[3]})
+    cases += [(conn2, [one4, zero4, y[0], zero4], [zero4, one4, zero4, y[0] * y[0]],
+               TwistorPoint(random_chart_point(4, rng), sample_fibre_structure(2, rng)))
+              for _ in range(2)]
+    return cases
+
+
+def test_bundle_chart_jets_match_polynomial_reference():
+    for case in _bundle_chart_cases():
+        residual = lift_bracket_curvature_check(*case)
+        assert residual == _polynomial_lift_residual(*case)
+        assert not any(residual)
+
+
+def test_bundle_chart_jets_match_reference_under_scaled_curvature(monkeypatch):
+    # a curvature term scaled by 2 leaves the residual R(X, Y) a, nonzero, and
+    # both evaluations of the lift must report the same vector
+    exact = oracle.curvature
+
+    def doubled(conn, x, y, p):
+        return CurvatureValue(conn.n, xm.mat_scale(F(2), exact(conn, x, y, p).endo_tm))
+
+    monkeypatch.setattr(oracle, "curvature", doubled)
+    for case in _bundle_chart_cases():
+        residual = lift_bracket_curvature_check(*case)
+        assert residual == _polynomial_lift_residual(*case)
+        assert any(residual)
 
 
 # ---------------------------------------------------------------------------
