@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, F1, Mat, Vec
@@ -55,17 +55,6 @@ class ProbeSpanError(ValueError):
 class ChartPoint(Value):
     __slots__ = ("coords",)
 
-    def __init__(self, coords: Vec):
-        self.coords = coords
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ChartPoint:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -82,10 +71,6 @@ class JetSection(Value):
     """A section of TM + T*M given by a deterministic 1-jet evaluator."""
 
     __slots__ = ("chart_dim", "evaluate")
-
-    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], SectionJet]):
-        self.chart_dim = chart_dim
-        self.evaluate = evaluate
 
     def at(self, p: ChartPoint) -> SectionJet:
         if p.dim != self.chart_dim:
@@ -145,10 +130,6 @@ class GACField(Value):
     """
 
     __slots__ = ("chart_dim", "evaluate")
-
-    def __init__(self, chart_dim: int, evaluate: Callable[[ChartPoint], JetMat]):
-        self.chart_dim = chart_dim
-        self.evaluate = evaluate
 
     def jet_at(self, p: ChartPoint) -> JetMat:
         if p.dim != self.chart_dim:

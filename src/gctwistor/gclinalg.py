@@ -67,14 +67,6 @@ class GElement(Value):
         self.vec = vec
         self.cov = cov
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GElement:
-            return NotImplemented
-        return self.dim_v == other.dim_v and self.vec == other.vec and self.cov == other.cov
-
-    def __hash__(self) -> int:
-        return hash((self.dim_v, self.vec, self.cov))
-
     @property
     def coords(self) -> Vec:
         return self.vec + self.cov
@@ -172,14 +164,6 @@ class Endo(Value):
             out.den = den
         out._rows = None
         return out
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Endo:
-            return NotImplemented
-        return self.den == other.den and self.dim == other.dim and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.num, self.den))
 
     @property
     def rows(self) -> Mat:
@@ -569,10 +553,6 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
 class ProjectionReport(Value):
     __slots__ = ("det_p", "ok")
 
-    def __init__(self, det_p: Scalar, ok: bool):
-        self.det_p = det_p
-        self.ok = ok
-
 
 def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
     """Determinant of P = [eta_l(e_k)] over the positive half of the basis.
@@ -591,12 +571,6 @@ def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
 
 class Dim2OrientationReport(Value):
     __slots__ = ("a", "orthogonal", "transition_det", "orientation")
-
-    def __init__(self, a: Mat, orthogonal: bool, transition_det: Scalar, orientation: int):
-        self.a = a
-        self.orthogonal = orthogonal
-        self.transition_det = transition_det
-        self.orientation = orientation
 
 
 def dim2_basis_orientation(basis: OrthonormalBasis) -> Dim2OrientationReport:
@@ -796,10 +770,6 @@ class SkewGenerators(Value):
         self._built[(i, k)] = s
         return s
 
-    def pairs(self) -> list[tuple[int, int]]:
-        n4 = len(self.bmat)
-        return [(i, k) for i in range(n4) for k in range(i + 1, n4)]
-
 
 def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
     """The skew generators of a basis; each S_ik is built on first use.
@@ -827,10 +797,6 @@ class SkewFrames(Value):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: tuple[Endo, Endo, Endo], right: tuple[Endo, Endo, Endo]):
-        self.left = left
-        self.right = right
-
     def all(self) -> list[Endo]:
         return list(self.left) + list(self.right)
 
@@ -849,14 +815,11 @@ _FRAME_NORMS = (Fraction(2), Fraction(-2), Fraction(-2))
 
 
 class SkewDecomposition(Value):
-    __slots__ = ("left", "right", "compatible_complex", "family")
+    """Coefficients in the `left` and `right` skew frames; `family` is
+    "left", "right" or None, the frame whose combination is a compatible
+    complex structure when `compatible_complex` holds."""
 
-    def __init__(self, left: tuple[Scalar, Scalar, Scalar], right: tuple[Scalar, Scalar, Scalar],
-                 compatible_complex: bool, family: str | None):
-        self.left = left
-        self.right = right
-        self.compatible_complex = compatible_complex
-        self.family = family  # "left", "right" or None
+    __slots__ = ("left", "right", "compatible_complex", "family")
 
 
 def skew_decompose(k: Endo, basis: OrthonormalBasis) -> SkewDecomposition:
@@ -1003,11 +966,6 @@ class FiberKahlerStructure(Value):
     """
 
     __slots__ = ("basis", "omega", "matrix")
-
-    def __init__(self, basis: tuple[Endo, ...], omega: Mat, matrix: Mat):
-        self.basis = basis
-        self.omega = omega
-        self.matrix = matrix
 
 
 def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahlerStructure:

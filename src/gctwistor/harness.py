@@ -102,8 +102,9 @@ class ScenarioError(ValueError):
 class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
     a scenario whose checks cannot run: a bad n, seed, mode or samples, a
-    connection for another n, an unknown check, or a check whose registry
-    requirements (an n, a flat or a curved connection) it does not meet."""
+    connection for another n, an empty check list, an unknown check, or a
+    check whose registry requirements (an n, a flat or a curved connection)
+    it does not meet."""
 
     __slots__ = ("name", "n", "conn", "mode", "seed", "samples", "checks")
 
@@ -119,6 +120,8 @@ class Scenario(Value):
             raise ScenarioError(f"unknown mode {mode!r}")
         if any(type(c) is not str for c in checks):
             raise ScenarioError(f"checks must be a list of check names, got {checks!r}")
+        if not checks:
+            raise ScenarioError("malformed scenario: the check list is empty")
         unknown = [c for c in checks if c not in _REGISTRY]
         if unknown:
             raise ScenarioError(f"unknown checks: {unknown}")
@@ -141,13 +144,10 @@ class Scenario(Value):
 
 
 class CheckResult(Value):
-    __slots__ = ("name", "status", "residual", "witness")
+    """One check's outcome.  `name` is the CHECKS key, stamped by
+    `run_scenario`; `status` is "pass", "fail" or "finding"."""
 
-    def __init__(self, name: str, status: str, residual: str | None, witness: dict | None):
-        self.name = name            # the CHECKS key, stamped by run_scenario
-        self.status = status        # "pass" | "fail" | "finding"
-        self.residual = residual
-        self.witness = witness
+    __slots__ = ("name", "status", "residual", "witness")
 
     @property
     def ok(self) -> bool:
@@ -156,14 +156,6 @@ class CheckResult(Value):
 
 class Report(Value):
     __slots__ = ("scenario", "seed", "mode", "results", "timings")
-
-    def __init__(self, scenario: str, seed: int, mode: str, results: tuple[CheckResult, ...],
-                 timings: tuple[tuple[str, float], ...]):
-        self.scenario = scenario
-        self.seed = seed
-        self.mode = mode
-        self.results = results
-        self.timings = timings
 
     @property
     def ok(self) -> bool:
@@ -548,32 +540,38 @@ def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
                           "single_structure_kernel": report.kernel_dim})
 
 
-def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 12)
+def _adapted_cases(scenario: Scenario, offset: int):
+    """The adapted-point count and, drawn lazily from the seed plus `offset`,
+    each trial's (trial, twistor point, Q1, Q4, V = S_02 - S_13) of an
+    adapted sample."""
+    rng = random.Random(scenario.seed + offset)
     count = scenario.count("adapted_points", 10)
-    for trial in range(count):
-        sample = sample_adapted_point(scenario.n, rng)
-        v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
-        q1 = sample.basis.vectors[0]
-        q4 = sample.basis.vectors[3]
-        got = nijenhuis_mixed(2, sample.at, q1, v)
+
+    def cases():
+        for trial in range(count):
+            sample = sample_adapted_point(scenario.n, rng)
+            s, q = sample.generators.generator, sample.basis.vectors
+            yield trial, sample.at, q[0], q[3], s(0, 2) - s(1, 3)
+
+    return count, cases()
+
+
+def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    count, cases = _adapted_cases(scenario, 12)
+    for trial, at, q1, q4, v in cases:
+        got = nijenhuis_mixed(2, at, q1, v)
         if got.horizontal != q4.scale(2) or got.horizontal.is_zero():
             return _fail(scenario, "value differs from 2 Q4", {"trial": trial})
-        if not nijenhuis_mixed(1, sample.at, q1, v).is_zero():
+        if not nijenhuis_mixed(1, at, q1, v).is_zero():
             return _fail(scenario, "alpha=1 value nonzero", {"trial": trial})
     return _ok(scenario, {"adapted_points": count}, finding=True)
 
 
 def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 13)
-    count = scenario.count("adapted_points", 10)
-    for trial in range(count):
-        sample = sample_adapted_point(scenario.n, rng)
-        v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
-        q1 = sample.basis.vectors[0]
-        q4 = sample.basis.vectors[3]
+    count, cases = _adapted_cases(scenario, 13)
+    for trial, at, q1, q4, v in cases:
         for alpha in (1, 2):
-            got = hybrid_nijenhuis_horizontal(alpha, scenario.conn, sample.at, q1, v)
+            got = hybrid_nijenhuis_horizontal(alpha, scenario.conn, at, q1, v)
             if got != q4 or got.is_zero():
                 return _fail(scenario, "value differs from Q4",
                              {"trial": trial, "alpha": alpha})
@@ -772,6 +770,7 @@ PRESETS: dict[str, dict] = {
 
 
 SAMPLE_COUNTS = ("base_points", "fibre_params", "adapted_points")
+SCENARIO_KEYS = ("name", "n", "connection", "mode", "seed", "samples", "checks")
 
 
 def _validate_samples(samples: Mapping[str, object]) -> None:
@@ -783,6 +782,13 @@ def _validate_samples(samples: Mapping[str, object]) -> None:
         if not (key in SAMPLE_COUNTS and type(value) is int and value >= 1):
             raise ScenarioError(f"bad sample {key}={value!r}: the sample keys are "
                                 f"{', '.join(SAMPLE_COUNTS)}, each an integer >= 1")
+
+
+def _reject_unknown_keys(data: Mapping, keys: Sequence[str], what: str) -> None:
+    """A misspelt key would otherwise leave its field at the default."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; a {what} has only {', '.join(keys)}")
 
 
 def load_scenario(source: str | Mapping, name: str | None = None,
@@ -803,6 +809,7 @@ def load_scenario(source: str | Mapping, name: str | None = None,
         data = dict(source)
         name = name or data.get("name", "scenario")
     try:
+        _reject_unknown_keys(data, SCENARIO_KEYS, "scenario")
         n = data["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -811,6 +818,7 @@ def load_scenario(source: str | Mapping, name: str | None = None,
         if not isinstance(gamma, Mapping):
             raise ValueError(f"the connection must be an object whose gamma is an object, "
                              f"got {conn_data!r}")
+        _reject_unknown_keys(conn_data, ("gamma",), "connection")
         conn = connection_from_json(n, gamma) if gamma else flat_connection(n)
         effective_mode = mode or data.get("mode", "exact")
         effective_seed = seed if seed is not None else data.get("seed", 0)

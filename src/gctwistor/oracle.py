@@ -533,12 +533,6 @@ def _padded_jet(p: Poly, point: Vec, nvars: int) -> Jet:
 class OracleSample(Value):
     __slots__ = ("base", "fibre", "sheet")
 
-    def __init__(self, base: tuple[Fraction, Fraction], fibre: tuple[Fraction, Fraction],
-                 sheet: int):
-        self.base = base
-        self.fibre = fibre
-        self.sheet = sheet
-
     def chart_point(self) -> ChartPoint:
         return chart_point(self.base + self.fibre)
 
@@ -547,24 +541,9 @@ class OracleSampleResult(Value):
     __slots__ = ("sample", "alpha", "pairs", "direct_all_zero", "all_equal", "mismatch",
                  "lift_bracket_ok", "vertical_bracket_ok")
 
-    def __init__(self, sample: OracleSample, alpha: int, pairs: int, direct_all_zero: bool,
-                 all_equal: bool, mismatch: tuple[int, int] | None, lift_bracket_ok: bool,
-                 vertical_bracket_ok: bool):
-        self.sample = sample
-        self.alpha = alpha
-        self.pairs = pairs
-        self.direct_all_zero = direct_all_zero
-        self.all_equal = all_equal
-        self.mismatch = mismatch
-        self.lift_bracket_ok = lift_bracket_ok
-        self.vertical_bracket_ok = vertical_bracket_ok
-
 
 class OracleReport(Value):
     __slots__ = ("results",)
-
-    def __init__(self, results: tuple[OracleSampleResult, ...]):
-        self.results = results
 
     @property
     def all_equal(self) -> bool:

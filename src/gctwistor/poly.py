@@ -165,18 +165,6 @@ class Poly(Value):
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, Fraction], ...]):
-        self.nvars = nvars
-        self.terms = terms
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Poly:
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.terms))
-
     @staticmethod
     def from_dict(nvars: int, terms: Mapping[Monomial, Fraction]) -> "Poly":
         return Poly(nvars, _canonical(nvars, {k: fr(v) for k, v in terms.items()}))

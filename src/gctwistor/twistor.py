@@ -34,8 +34,6 @@ from .gclinalg import (
     GCStructure,
     GElement,
     InvariantError,
-    OrthonormalBasis,
-    SkewGenerators,
     adapted_structure,
     b_transform,
     basis_covector,
@@ -164,10 +162,6 @@ class CurvatureValue(Value):
 
     __slots__ = ("n", "endo_tm")
 
-    def __init__(self, n: int, endo_tm: Mat):
-        self.n = n
-        self.endo_tm = endo_tm
-
     def extended(self) -> Endo:
         """Action on T_pM + T*_pM: R on vectors, eta -> -eta o R on covectors."""
         dim = 2 * self.n
@@ -243,15 +237,6 @@ class TwistorTangent(Value):
         self.vertical = vertical
         self.vertical_coform = vertical_coform
         self._zero: bool | None = None
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not TwistorTangent:
-            return NotImplemented
-        return (self.horizontal == other.horizontal and self.vertical == other.vertical
-                and self.vertical_coform == other.vertical_coform)
-
-    def __hash__(self) -> int:
-        return hash((self.horizontal, self.vertical, self.vertical_coform))
 
     def __add__(self, other: "TwistorTangent") -> "TwistorTangent":
         return TwistorTangent(self.horizontal + other.horizontal,
@@ -671,9 +656,6 @@ class MuForm(Value):
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Mat):
-        self.matrix = matrix
-
     def __call__(self, x: Vec, y: Vec) -> Fraction:
         """sum_ij x_i m_ij y_j over the nonzero x_i and y_j; a skipped term
         is exactly zero."""
@@ -718,12 +700,6 @@ def interchanging_structure(n: int) -> GCStructure:
 
 class MuSystemReport(Value):
     __slots__ = ("n", "unknowns", "rank", "kernel_dim")
-
-    def __init__(self, n: int, unknowns: int, rank: int, kernel_dim: int):
-        self.n = n
-        self.unknowns = unknowns
-        self.rank = rank
-        self.kernel_dim = kernel_dim
 
 
 def _mu_constraint_rows(n: int, structure: GCStructure) -> list[tuple[int, ...]]:
@@ -889,11 +865,6 @@ class AdaptedSample(Value):
     """A twistor point whose structure is adapted to a sampled orthonormal basis."""
 
     __slots__ = ("at", "basis", "generators")
-
-    def __init__(self, at: TwistorPoint, basis: OrthonormalBasis, generators: SkewGenerators):
-        self.at = at
-        self.basis = basis
-        self.generators = generators
 
 
 def sample_adapted_point(n: int, rng: random.Random) -> AdaptedSample:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -823,7 +824,8 @@ def test_is_vertical_matches_definition(n, seed):
     # are skew and some anticommute; a vertical element plus a generator
     # and one with an entry moved (no longer skew)
     candidates = list(vertical) + [j, j + vertical[0]]
-    candidates += [gens.generator(*pair) for pair in rng.sample(gens.pairs(), 6)]
+    pairs = list(combinations(range(len(gens.bmat)), 2))
+    candidates += [gens.generator(*pair) for pair in rng.sample(pairs, 6)]
     candidates.append(vertical[-1] + gens.generator(0, 1))
     moved = [list(row) for row in vertical[1].rows]
     moved[0][1] += F(1, 3)
@@ -932,7 +934,7 @@ def _reference_vertical_basis(structure: GCStructure) -> list[Endo]:
     j = structure.j
     gens = skew_generators(reference_basis(structure.dim_v // 2))
     basis, span = [], xm.RowReducer()
-    for i, k in gens.pairs():
+    for i, k in combinations(range(len(gens.bmat)), 2):
         s = gens.generator(i, k)
         candidate = s + j.compose(s).compose(j)
         if span.add(_integer_row(_entries(candidate))):

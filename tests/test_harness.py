@@ -80,21 +80,40 @@ def test_oracle_suite_and_perturbation_hook():
     assert "oracle/closed-form-equality" in failed
 
 
-def test_empty_check_list_yields_empty_report():
-    scenario = load_scenario({"n": 1, "mode": "exact", "seed": 5, "checks": []})
-    report = run_scenario(scenario)
-    assert report.results == ()
-    assert report.ok  # vacuous, but distinct from a failing report
+def test_empty_check_list_rejected():
+    # a report over no checks would pass vacuously
+    for data in ({"n": 1, "mode": "exact", "seed": 5, "checks": []},
+                 {"n": 1, "mode": "exact", "seed": 5}):
+        with pytest.raises(ScenarioError, match="the check list is empty"):
+            load_scenario(data)
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="unknown checks"):
         load_scenario({"n": 1, "seed": 0, "checks": ["no/such-check"]})
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ScenarioError):
-        load_scenario({"n": 1, "seed": 0, "mode": "approximate", "checks": []})
+    with pytest.raises(ScenarioError, match="unknown mode 'approximate'"):
+        load_scenario({"n": 1, "seed": 0, "mode": "approximate",
+                       "checks": ["linalg/pairing-examples"]})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 1, "chekcs": ["linalg/pairing-examples"]}, r"unknown scenario keys \['chekcs'\]"),
+    ({"n": 1, "checks": ["linalg/pairing-examples"], "connection": {}, "description": "x"},
+     r"unknown scenario keys \['description'\]"),
+    ({"n": 2, "connection": {"gama": {"1,2,2": [{"exponents": [1, 0, 0, 0], "coeff": "1"}]}},
+      "checks": ["integrability/flat-structure1-vanishes"]},
+     r"unknown connection keys \['gama'\]; a connection has only gamma"),
+    ({"n": 2, "connection": {"gamma": {}, "torsion": {}},
+      "checks": ["integrability/flat-structure1-vanishes"]},
+     r"unknown connection keys \['torsion'\]"),
+])
+def test_unknown_keys_rejected(data, message):
+    # a misspelt key must not fall back silently to a default
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(data)
 
 
 def test_scenario_overrides():
@@ -210,18 +229,23 @@ def with_samples(preset, **samples):
     {"n": 1, "connection": {"gamma": [1]}, "checks": ["linalg/pairing-examples"]},
     {"n": 1, "checks": [["a"]]},
     {"n": 1, "checks": "linalg/pairing-examples"},
-    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [-1, 0],
-                                                               "coeff": "1"}]}}},
-    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [0.5, 0],
-                                                               "coeff": "1"}]}}},
-    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0],
-                                                               "coeff": 0.1}]}}},
+    {"n": 1, "checks": ["linalg/pairing-examples"],
+     "connection": {"gamma": {"1,1,2": [{"exponents": [-1, 0], "coeff": "1"}]}}},
+    {"n": 1, "checks": ["linalg/pairing-examples"],
+     "connection": {"gamma": {"1,1,2": [{"exponents": [0.5, 0], "coeff": "1"}]}}},
+    {"n": 1, "checks": ["linalg/pairing-examples"],
+     "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0], "coeff": 0.1}]}}},
     {"n": 1, "seed": 1.9, "checks": ["linalg/pairing-examples"]},
     {"n": 1, "seed": "12", "checks": ["linalg/pairing-examples"]},
     {"n": 1, "seed": True, "checks": ["linalg/pairing-examples"]},
     {"n": 1, "samples": [["base_points", 5]], "checks": ["linalg/pairing-examples"]},
-    {"n": 1, "checks": [], "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0],
-                                                               "coeff": "1/0"}]}}},
+    {"n": 1, "checks": ["linalg/pairing-examples"],
+     "connection": {"gamma": {"1,1,2": [{"exponents": [1, 0], "coeff": "1/0"}]}}},
+    # each of the next three would otherwise pass vacuously with exit 0
+    {"n": 2, "connection": {"gama": {"1,2,2": [{"exponents": [1, 0, 0, 0], "coeff": "1"}]}},
+     "samples": {"fibre_params": 1}, "checks": ["integrability/flat-structure1-vanishes"]},
+    {"n": 1, "chekcs": ["linalg/pairing-examples"]},
+    {"n": 1, "checks": []},
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -262,13 +286,15 @@ def test_cli_rejects_unknown_probe_spec(tmp_path):
     {"base_point": 3}, {"probe_spec": None}, {"probe_spec": "full"},
 ])
 def test_bad_samples_rejected(samples):
-    with pytest.raises(ScenarioError):
-        load_scenario({"n": 1, "seed": 0, "samples": samples, "checks": []})
+    with pytest.raises(ScenarioError, match="bad sample"):
+        load_scenario({"n": 1, "seed": 0, "samples": samples,
+                       "checks": ["linalg/pairing-examples"]})
 
 
 def test_valid_samples_accepted():
-    scenario = load_scenario({"n": 1, "seed": 0, "checks": [], "samples": {
-        "base_points": 1, "fibre_params": 2, "adapted_points": 3}})
+    scenario = load_scenario({"n": 1, "seed": 0, "checks": ["linalg/pairing-examples"],
+                              "samples": {"base_points": 1, "fibre_params": 2,
+                                          "adapted_points": 3}})
     assert scenario.count("base_points", 50) == 1
 
 
@@ -366,7 +392,7 @@ def test_flat_scan_failure_names_its_chart_point(monkeypatch, preset):
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])
 def test_bad_n_rejected(n):
     with pytest.raises(ScenarioError, match="n must be an integer >= 1"):
-        load_scenario({"n": n, "seed": 0, "checks": []})
+        load_scenario({"n": n, "seed": 0, "checks": ["linalg/pairing-examples"]})
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])
@@ -404,12 +430,14 @@ def _direct_scenario(**changes):
     ({"n": 0}, "n must be an integer >= 1"),
     ({"mode": "fast"}, "unknown mode 'fast'"),
     ({"checks": ("linalg/no-such-check",)}, "unknown checks"),
+    ({"checks": ()}, "the check list is empty"),
     ({"samples": {"fibre_params": 0}}, "bad sample fibre_params=0"),
     ({"samples": [("fibre_params", 1)]}, "samples must be an object"),
     ({"seed": 1.5}, "the seed must be an integer"),
     ({"seed": True}, "the seed must be an integer"),
 ], ids=["oracle-at-n2", "curved-check-flat-connection", "connection-n", "n-zero", "mode",
-        "unknown-check", "zero-samples", "samples-list", "seed-float", "seed-bool"])
+        "unknown-check", "empty-checks", "zero-samples", "samples-list", "seed-float",
+        "seed-bool"])
 def test_directly_built_scenario_is_checked(changes, message):
     # the constructor checks what load_scenario checks, so run_scenario
     # never meets a scenario it cannot run

@@ -1,8 +1,11 @@
-"""The package's value classes: plain `__slots__` classes, equal and hashed
-by their fields, with invariants checked in the constructor and caches
-kept out of equality, hashing and the repr."""
+"""The package's value classes: plain `__slots__` classes, built by
+`Value.__init__` unless they check an invariant or start a cache, equal and
+hashed by their fields, with caches kept out of equality, hashing and the
+repr."""
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -122,6 +125,8 @@ def test_equal_and_hashed_by_fields(kind, seed, other):
     assert (a == c) == (_fields(a) == _fields(c)) and (a != c) == (not a == c)
     twin = _twin(a)
     assert a != twin and twin != a
+    assert repr(a) == repr(b) and repr(a).startswith(f"{kind}(")
+    assert all(f"{name}=" in repr(a) for name in type(a).__slots__ if name[0] != "_")
 
 
 def test_caches_take_no_part_in_equality_or_repr():
@@ -136,6 +141,41 @@ def test_repr_names_the_fields():
     assert repr(chart_point([F(1, 2)])) == "ChartPoint(coords=(Fraction(1, 2),))"
     assert repr(MuSystemReport(2, 16, 16, 0)) == \
         "MuSystemReport(n=2, unknowns=16, rank=16, kernel_dim=0)"
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+def _value_classes():
+    """Every Value subclass defined in the gctwistor package."""
+    for info in pkgutil.iter_modules(gctwistor.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"gctwistor.{info.name}")
+    found, todo = [], [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("gctwistor."):
+                found.append(sub)
+    return found
+
+
+def test_generic_constructor_only_for_cache_free_records():
+    # Value.__init__ assigns every slot from an argument, so a class that
+    # keeps a cache slot must start the cache in its own constructor
+    classes = _value_classes()
+    assert len(classes) >= 25
+    for cls in classes:
+        if "__init__" not in vars(cls):
+            assert not [s for s in cls.__slots__ if s[0] == "_"], cls.__qualname__
+
+
+@pytest.mark.parametrize("fields", [(), (2, 16, 16), (2, 16, 16, 0, 0)])
+def test_generic_constructor_rejects_wrong_field_count(fields):
+    # a missing field never leaves a slot unset
+    with pytest.raises(TypeError, match="MuSystemReport takes 4 fields"):
+        MuSystemReport(*fields)
 
 
 # ---------------------------------------------------------------------------
