@@ -15,9 +15,12 @@ denominator in lowest terms, and its arithmetic, the pairing-skew,
 isometry and anticommutation tests, j^2 = -Id, the fibre pairing, the
 orientation, the skew generators and the vertical basis all work on those
 integers; the adapted structure of a basis is a sum of its skew generators.
-`Endo.rows` reads the matrix back as `Fraction`s for the callers that
-want them.  An `OrthonormalBasis` is stored the same way, and its moves,
-orthonormality check, skew generators and reports work on its integers.
+The constructors of structures and isometries read their input's integer
+numerators over one denominator once, check and assemble in integers and
+end in one `Endo._lowest`.  `Endo.rows` reads the matrix back as
+`Fraction`s for the callers that want them.  An `OrthonormalBasis` is
+stored the same way, and its moves, orthonormality check, skew generators
+and reports work on its integers.
 """
 
 from __future__ import annotations
@@ -246,23 +249,39 @@ class Endo(Value):
         return not any(map(any, self.num))
 
     def squares_to_minus_identity(self) -> bool:
-        """Whether self o self = -Id, tested as num num = -den^2 Id entry by
-        entry up to the first mismatch."""
-        num = self.num
-        cols = list(zip(*num))
-        minus_d2 = -self.den * self.den
-        for r, row in enumerate(num):
-            for c, col in enumerate(cols):
-                if sum(map(mul, row, col)) != (minus_d2 if r == c else 0):
-                    return False
-        return True
+        """Whether self o self = -Id (see `_squares_to_minus_identity`)."""
+        return _squares_to_minus_identity(self.num, self.den)
 
 
-def endo_from_blocks(vv: Mat, vc: Mat, cv: Mat, cc: Mat) -> Endo:
-    h = len(vv)
-    rows = [tuple(vv[i]) + tuple(vc[i]) for i in range(h)]
-    rows += [tuple(cv[i]) + tuple(cc[i]) for i in range(h)]
-    return Endo(2 * h, xm.mat(rows))
+def _squares_to_minus_identity(num: Sequence[Sequence[int]], den: int) -> bool:
+    """Whether (num / den)^2 = -Id for an integer matrix num and den > 0,
+    tested as num num = -den^2 Id entry by entry up to the first mismatch;
+    False for a matrix that is not square."""
+    cols = list(zip(*num))
+    if len(cols) != len(num):
+        return False
+    minus_d2 = -den * den
+    for r, row in enumerate(num):
+        for c, col in enumerate(cols):
+            if sum(map(mul, row, col)) != (minus_d2 if r == c else 0):
+                return False
+    return True
+
+
+def _int_blocks(vv: Sequence[Sequence[int]] | None, vc: Sequence[Sequence[int]] | None,
+                cv: Sequence[Sequence[int]] | None, cc: Sequence[Sequence[int]] | None,
+                h: int, den: int) -> Endo:
+    """[[vv, vc], [cv, cc]] / den for h x h integer blocks, None a zero block."""
+    zero = ((0,) * h,) * h
+    vv, vc, cv, cc = (zero if b is None else b for b in (vv, vc, cv, cc))
+    rows = [[*a, *b] for a, b in zip(vv, vc)] + [[*a, *b] for a, b in zip(cv, cc)]
+    return Endo._lowest(2 * h, rows, den)
+
+
+def _dual_diag(num: Sequence[Sequence[int]], d: int) -> Endo:
+    """diag(A, -A^T), the action on V + V* of the endomorphism A = num / d
+    of V: diag(num, -num^T) / d."""
+    return _int_blocks(num, None, None, [[-x for x in col] for col in zip(*num)], len(num), d)
 
 
 def zero_endo(dim: int) -> Endo:
@@ -611,14 +630,15 @@ def dim2_basis_orientation(basis: OrthonormalBasis) -> Dim2OrientationReport:
 
 
 def from_complex(k: Mat) -> GCStructure:
-    """Structure induced by a complex structure K on V: K on V, -K* on V*."""
-    k = xm.mat(k)
-    dim_v = len(k)
-    if xm.mat_mul(k, k) != xm.mat_scale(Fraction(-1), xm.identity(dim_v)):
+    """Structure induced by a complex structure K on V: K on V, -K* on V*.
+
+    For K = N / d in integers, K^2 = -Id is tested as N N = -d^2 Id and the
+    structure is diag(N, -N^T) / d.
+    """
+    num, d = xm._integer_matrix(k)
+    if not _squares_to_minus_identity(num, d):
         raise InvariantError("K^2 is not -Id")
-    return GCStructure(endo_from_blocks(k, xm.zeros(dim_v, dim_v),
-                                        xm.zeros(dim_v, dim_v),
-                                        xm.mat_neg(xm.transpose(k))))
+    return GCStructure(_dual_diag(num, d))
 
 
 def from_symplectic(omega: Mat) -> GCStructure:
@@ -631,22 +651,33 @@ def from_symplectic(omega: Mat) -> GCStructure:
     return GCStructure(_symplectic_endo(omega, "omega"))
 
 
-def _skew(m: Mat, what: str) -> Mat:
-    m = xm.mat(m)
-    if xm.transpose(m) != xm.mat_neg(m):
+def _skew(m: Mat, what: str) -> tuple[list[list[int]], int]:
+    """The integer matrix N and the least d > 0 with m = N / d, for a skew m;
+    InvariantError unless N[i][j] == -N[j][i] for every entry."""
+    num, d = xm._integer_matrix(m)
+    k = len(num)
+    if any(len(row) != k for row in num) or any(
+            num[i][j] != -num[j][i] for i in range(k) for j in range(i, k)):
         raise InvariantError(f"{what} is not skew")
-    return m
+    return num, d
 
 
 def _symplectic_endo(omega: Mat, what: str) -> Endo:
-    """[[0, -omega^-T], [omega^T, 0]] for a nondegenerate skew omega."""
-    iso = xm.transpose(_skew(omega, what))  # X -> omega(X, .) in coordinates
+    """[[0, -omega^-T], [omega^T, 0]] for a nondegenerate skew omega.
+
+    In integers: for omega = N / d and (N^T)^-1 = M / e, omega^-T = d M / e,
+    so the result is [[0, -d^2 M], [e N^T, 0]] / (d e), from one integer
+    inverse.
+    """
+    num, d = _skew(omega, what)
+    iso = list(zip(*num))  # X -> omega(X, .) in coordinates, times d
     try:
-        inv = xm.inverse(iso)
+        inv, e = xm._integer_inverse(iso)
     except xm.SingularMatrixError:
         raise DegenerateInputError(f"{what} is degenerate") from None
-    zero = xm.zeros(len(omega), len(omega))
-    return endo_from_blocks(zero, xm.mat_neg(inv), iso, zero)
+    d2 = d * d
+    return _int_blocks(None, [[-d2 * x for x in row] for row in inv],
+                       [[e * x for x in row] for row in iso], None, len(num), d * e)
 
 
 def standard_complex_matrix(n: int) -> Mat:
@@ -665,50 +696,66 @@ def standard_symplectic_matrix(n: int) -> Mat:
     return xm.mat_neg(standard_complex_matrix(n))
 
 
+def _unipotent(num: Sequence[Sequence[int]], d: int, sign: int, lower: bool) -> Endo:
+    """[[Id, 0], [C, Id]] if lower, else [[Id, C], [0, Id]], for
+    C = sign N^T / d: [[d Id, 0], [sign N^T, d Id]] / d and its mirror."""
+    h = len(num)
+    ident = [[d if r == k else 0 for k in range(h)] for r in range(h)]
+    c = [[sign * x for x in col] for col in zip(*num)]
+    if lower:
+        return _int_blocks(ident, None, c, ident, h, d)
+    return _int_blocks(ident, c, None, ident, h, d)
+
+
 def exp_two_form(b: Mat) -> Endo:
     """The orthogonal map e^B : X + xi -> X + xi + i_X B for a skew 2-form B."""
-    b = _skew(b, "B")
-    dim_v = len(b)
-    return endo_from_blocks(xm.identity(dim_v), xm.zeros(dim_v, dim_v),
-                            xm.transpose(b), xm.identity(dim_v))
+    return _unipotent(*_skew(b, "B"), 1, True)
 
 
 def exp_two_vector(beta: Mat) -> Endo:
     """The orthogonal map e^beta : X + xi -> X + i_xi beta + xi for a skew 2-vector."""
-    beta = _skew(beta, "beta")
-    dim_v = len(beta)
-    return endo_from_blocks(xm.identity(dim_v), xm.transpose(beta),
-                            xm.zeros(dim_v, dim_v), xm.identity(dim_v))
+    return _unipotent(*_skew(beta, "beta"), 1, False)
 
 
 def b_transform(j: GCStructure, b: Mat) -> GCStructure:
     """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
-    return _conjugate(j, exp_two_form, b, "e^B")
+    return _conjugate(j, *_skew(b, "B"), True, "e^B")
 
 
 def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
     """Conjugate by e^beta, the two-vector mirror of the B-transform."""
-    return _conjugate(j, exp_two_vector, beta, "e^beta")
+    return _conjugate(j, *_skew(beta, "beta"), False, "e^beta")
 
 
-def _conjugate(j: GCStructure, exp, m: Mat, what: str) -> GCStructure:
-    """e j e^-1 for e = exp(m), e^-1 = exp(-m)."""
-    e, e_inv = exp(m), exp(xm.mat_neg(xm.mat(m)))
+def _conjugate(j: GCStructure, num: Sequence[Sequence[int]], d: int, lower: bool,
+               what: str) -> GCStructure:
+    """e j e^-1 for the e^B (lower) or e^beta of m = num / d, with
+    e^-1 = exp(-m): the same integer blocks with the sign of N^T flipped."""
+    e, e_inv = _unipotent(num, d, 1, lower), _unipotent(num, d, -1, lower)
     if not is_pairing_orthogonal(e):
         raise InvariantError(f"{what} failed the isometry check")
     return GCStructure(e.compose(j.j).compose(e_inv))
 
 
 def _gl_pair(g: Mat) -> tuple[Endo, Endo]:
-    """diag(g, g^-T) and its inverse diag(g^-1, g^T), from one inverse of g."""
-    g = xm.mat(g)
-    zero = xm.zeros(len(g), len(g))
+    """diag(g, g^-T) and its inverse diag(g^-1, g^T), from one integer inverse.
+
+    For g = N / d and N^-1 = M / e, g^-1 = d M / e, so the pair is
+    diag(e N, d^2 M^T) / (d e) and diag(d^2 M, e N^T) / (d e).
+    """
+    num, d = xm._integer_matrix(g)
+    h = len(num)
+    if any(len(row) != h for row in num):
+        raise DimensionMismatchError("endomorphism matrix is not square of the stated size")
     try:
-        ginv = xm.inverse(g)
+        inv, e = xm._integer_inverse(num)
     except xm.SingularMatrixError:
         raise DegenerateInputError("g is singular") from None
-    return (endo_from_blocks(g, zero, zero, xm.transpose(ginv)),
-            endo_from_blocks(ginv, zero, zero, xm.transpose(g)))
+    d2, den = d * d, d * e
+    return (_int_blocks([[e * x for x in row] for row in num], None, None,
+                        [[d2 * x for x in col] for col in zip(*inv)], h, den),
+            _int_blocks([[d2 * x for x in row] for row in inv], None, None,
+                        [[e * x for x in col] for col in zip(*num)], h, den))
 
 
 def gl_endo(g: Mat) -> Endo:

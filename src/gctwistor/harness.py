@@ -101,7 +101,7 @@ class ScenarioError(ValueError):
 
 class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
-    a scenario whose checks cannot run: a bad n, seed, mode or samples, a
+    a scenario whose checks cannot run: a bad name, n, seed, mode or samples, a
     connection for another n, an empty check list, an unknown check, or a
     check whose registry requirements (an n, a flat or a curved connection)
     it does not meet."""
@@ -110,6 +110,8 @@ class Scenario(Value):
 
     def __init__(self, name: str, n: int, conn: Connection, mode: str, seed: int,
                  samples: Mapping[str, object], checks: tuple[str, ...]):
+        if type(name) is not str:
+            raise ScenarioError(f"malformed scenario: the name must be a string, got {name!r}")
         if type(n) is not int or n < 1:
             raise ScenarioError(f"malformed scenario: n must be an integer >= 1, got {n!r}")
         if conn.n != n:
@@ -804,7 +806,10 @@ def load_scenario(source: str | Mapping, name: str | None = None,
                     data = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ScenarioError(f"cannot load scenario {source!r}: {exc}") from exc
-            name = name or source
+            if not isinstance(data, dict):
+                raise ScenarioError(f"malformed scenario: a scenario file holds a JSON object, "
+                                    f"got {data!r}")
+            name = name or data.get("name", source)
     else:
         data = dict(source)
         name = name or data.get("name", "scenario")

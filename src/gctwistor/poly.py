@@ -231,14 +231,17 @@ class Poly(Value):
         Computed in integers over D = lcm(coefficient denominators) times
         q_i^deg_i over the variables, where x_i = p_i / q_i and deg_i is
         the highest power of x_i in the polynomial; the scaled term of
-        c x^e is then c D / (c.denominator q^e) p^e, an integer.
+        c x^e is then c D / (c.denominator q^e) p^e, an integer.  The zero
+        polynomial has the zero jet.
         """
         n = self.nvars
+        if not self.terms:
+            return Jet._lowest((0,) * (n + 1), 1)
         ps = [x.numerator for x in point]
         qs = [x.denominator for x in point]
         big = lcm(*(c.denominator for _, c in self.terms))
-        for i, q in enumerate(qs):
-            big *= q ** max((exps[i] for exps, _ in self.terms), default=0)
+        for q, deg in zip(qs, map(max, zip(*(exps for exps, _ in self.terms)))):
+            big *= q ** deg
         num = [0] * (n + 1)
         for exps, coeff in self.terms:
             powers = [(i, e) for i, e in enumerate(exps) if e]

@@ -34,13 +34,13 @@ from .gclinalg import (
     GCStructure,
     GElement,
     InvariantError,
+    _dual_diag,
     adapted_structure,
     b_transform,
     basis_covector,
     basis_vector,
     beta_transform,
     commutator,
-    endo_from_blocks,
     fib_pairing,
     fiber_kahler_structure,
     from_complex,
@@ -153,8 +153,7 @@ def connection_matrix(conn: Connection, x: Vec, p: ChartPoint) -> Endo:
     for (k, a, j), poly in conn.entries:
         if x[a]:
             gx[k][j] += x[a] * poly.evaluate(p.coords)
-    return endo_from_blocks(gx, xm.zeros(dim, dim), xm.zeros(dim, dim),
-                            xm.mat_neg(xm.transpose(gx)))
+    return _dual_diag(*xm._integer_matrix(gx))
 
 
 class CurvatureValue(Value):
@@ -164,9 +163,7 @@ class CurvatureValue(Value):
 
     def extended(self) -> Endo:
         """Action on T_pM + T*_pM: R on vectors, eta -> -eta o R on covectors."""
-        dim = 2 * self.n
-        return endo_from_blocks(self.endo_tm, xm.zeros(dim, dim), xm.zeros(dim, dim),
-                                xm.mat_neg(xm.transpose(self.endo_tm)))
+        return _dual_diag(*xm._integer_matrix(self.endo_tm))
 
     def act_on(self, a: Endo) -> Endo:
         """Curvature of the induced connection on endomorphisms: [R^, a]."""
@@ -821,15 +818,25 @@ def random_skew_matrix(dim: int, rng: random.Random) -> Mat:
 
 
 def random_invertible_matrix(dim: int, rng: random.Random) -> Mat:
-    """A product of six seeded rational shears: invertible, determinant one."""
-    m = xm.identity(dim)
+    """A product of six seeded rational shears: invertible, determinant one.
+
+    Multiplying by the shear Id + c E_ij on the right adds c times column i
+    to column j.  The product is kept as one integer matrix over one
+    denominator: for c = p / q each shear multiplies the numerators and the
+    denominator by q, then adds p times the old column i to column j.
+    """
+    m = [[int(r == k) for k in range(dim)] for r in range(dim)]
+    den = 1
     for _ in range(6):
         i, j = rng.sample(range(dim), 2)
-        c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        shear = [list(row) for row in xm.identity(dim)]
-        shear[i][j] = c
-        m = xm.mat_mul(m, xm.mat(shear))
-    return m
+        p, q = rng.randint(-2, 2), rng.randint(1, 3)
+        for row in m:
+            add = p * row[i]
+            if q != 1:
+                row[:] = [q * x for x in row]
+            row[j] += add
+        den *= q
+    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
 
 def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd, lcm
@@ -524,8 +525,8 @@ def _orthogonality_cases():
                 (exp_two_form(b).compose(gl_endo(g)).compose(exp_two_vector(b)), True),
                 (identity_endo(2 * dim_v).scale(2), False),
                 # a skew endomorphism that is not an isometry: X + xi -> i_X B
-                (gl.endo_from_blocks(xm.zeros(dim_v, dim_v), xm.zeros(dim_v, dim_v), b,
-                                     xm.zeros(dim_v, dim_v)), False)]
+                (_blocks_reference(xm.zeros(dim_v, dim_v), xm.zeros(dim_v, dim_v), b,
+                                   xm.zeros(dim_v, dim_v)), False)]
         rows = [list(row) for row in gl_endo(g).rows]
         rows[1][dim_v] += F(1, 3)  # one perturbed entry
         out.append((Endo(2 * dim_v, xm.mat(rows)), False))
@@ -614,6 +615,112 @@ def test_gl_endo_preserves_pairing():
 def test_gl_action_rejects_singular():
     with pytest.raises(DegenerateInputError):
         gl_action(xm.zeros(2, 2), from_complex(rotation_2()))
+
+
+# ---------------------------------------------------------------------------
+# the integer constructors against Fraction references
+
+
+def _blocks_reference(vv, vc, cv, cc):
+    """[[vv, vc], [cv, cc]] by the Fraction recipe: rows joined, re-wrapped
+    as Fractions and put over one denominator by `Endo`."""
+    h = len(vv)
+    rows = [tuple(vv[i]) + tuple(vc[i]) for i in range(h)]
+    rows += [tuple(cv[i]) + tuple(cc[i]) for i in range(h)]
+    return Endo(2 * h, xm.mat(rows))
+
+
+def _seeded_matrices(n, seed):
+    """A seeded skew matrix and a seeded invertible matrix on V of dim 2n."""
+    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
+    rng = random.Random(seed)
+    return random_skew_matrix(2 * n, rng), random_invertible_matrix(2 * n, rng)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
+def test_unipotent_and_gl_constructors_match_fraction_references(n, seed):
+    b, g = _seeded_matrices(n, seed)
+    dim_v = 2 * n
+    ident, zero = xm.identity(dim_v), xm.zeros(dim_v, dim_v)
+    assert exp_two_form(b) == _blocks_reference(ident, zero, xm.transpose(b), ident)
+    assert exp_two_vector(b) == _blocks_reference(ident, xm.transpose(b), zero, ident)
+    ginv = xm.inverse(g)
+    u, u_inv = gl._gl_pair(g)
+    assert gl_endo(g) == u == _blocks_reference(g, zero, zero, xm.transpose(ginv))
+    assert u_inv == _blocks_reference(ginv, zero, zero, xm.transpose(g))
+    assert u.compose(u_inv) == identity_endo(2 * dim_v) == u_inv.compose(u)
+    assert u.den > 1 and exp_two_form(b).den > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_constructors_match_fraction_references(n):
+    b, g = _seeded_matrices(n, 10 + n)
+    ginv = xm.inverse(g)
+    zero = xm.zeros(2 * n, 2 * n)
+    # K = g K0 g^-1 squares to -Id; omega = g^T omega0 g is skew and nondegenerate
+    k = xm.mat_mul(xm.mat_mul(g, standard_complex_matrix(n)), ginv)
+    omega = xm.mat_mul(xm.mat_mul(xm.transpose(g), standard_symplectic_matrix(n)), g)
+    assert from_complex(k).j == _blocks_reference(k, zero, zero, xm.mat_neg(xm.transpose(k)))
+    iso = xm.transpose(omega)
+    assert from_symplectic(omega).j == _blocks_reference(zero, xm.mat_neg(xm.inverse(iso)),
+                                                         iso, zero)
+    assert from_complex(k).j.den > 1
+    for transform, endo in ((b_transform, exp_two_form), (beta_transform, exp_two_vector)):
+        e, e_inv = endo(b).rows, endo(xm.mat_neg(b)).rows
+        for j in (from_complex(k), from_symplectic(omega)):
+            assert transform(j, b).j.rows == xm.mat_mul(xm.mat_mul(e, j.j.rows), e_inv)
+    j = from_complex(k)
+    u = _blocks_reference(g, zero, zero, xm.transpose(ginv)).rows
+    u_inv = _blocks_reference(ginv, zero, zero, xm.transpose(g)).rows
+    assert gl_action(g, j).j.rows == xm.mat_mul(xm.mat_mul(u, j.j.rows), u_inv)
+
+
+@pytest.mark.parametrize("build, arg, error, message", [
+    (from_complex, xm.identity(2), InvariantError, "K^2 is not -Id"),
+    (from_complex, xm.mat([[0, -1, 0], [1, 0, 0]]), InvariantError, "K^2 is not -Id"),
+    (exp_two_form, xm.identity(2), InvariantError, "B is not skew"),
+    (exp_two_vector, xm.mat([[0, 1], [F(1, 2), 0]]), InvariantError, "beta is not skew"),
+    (lambda m: b_transform(from_complex(rotation_2()), m), xm.identity(2),
+     InvariantError, "B is not skew"),
+    (lambda m: beta_transform(from_complex(rotation_2()), m), xm.mat([[0, 1], [1, 0]]),
+     InvariantError, "beta is not skew"),
+    (from_symplectic, xm.mat([[0, 1], [1, 0]]), InvariantError, "omega is not skew"),
+    (from_symplectic, xm.mat([[1, 1], [-1, 0]]), InvariantError, "omega is not skew"),
+    (from_symplectic, xm.zeros(2, 2), DegenerateInputError, "omega is degenerate"),
+    (from_symplectic, xm.mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+     DegenerateInputError, "omega is degenerate"),
+    (gl_endo, xm.mat([[1, 2], [F(1, 2), 1]]), DegenerateInputError, "g is singular"),
+    (lambda m: gl_action(m, from_complex(rotation_2())), xm.zeros(2, 2),
+     DegenerateInputError, "g is singular"),
+    (gl_endo, xm.mat([[1, 0, 0], [0, 1, 0]]), gl.DimensionMismatchError,
+     "endomorphism matrix is not square of the stated size"),
+    (lambda m: gl_action(m, from_complex(rotation_2())), xm.mat([[1, 0, 0], [0, 1, 0]]),
+     gl.DimensionMismatchError, "endomorphism matrix is not square of the stated size"),
+], ids=["k-squared", "k-not-square", "b", "beta", "b-transform", "beta-transform",
+        "omega-symmetric", "omega-diagonal", "omega-zero", "omega-rank-2", "g", "gl-action",
+        "g-not-square", "gl-action-not-square"])
+def test_constructor_errors_keep_type_and_message(build, arg, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(arg)
+
+
+@pytest.mark.parametrize("transform, what", [(b_transform, "e^B"), (beta_transform, "e^beta")])
+def test_conjugation_runs_the_isometry_check_on_e(monkeypatch, transform, what):
+    # every conjugation tests its e for the isometry property: with the test
+    # answering False the transform must refuse, and the endomorphism tested
+    # must be the transform's e
+    tested = []
+
+    def refuse(m):
+        tested.append(m)
+        return False
+
+    monkeypatch.setattr(gl, "is_pairing_orthogonal", refuse)
+    b = xm.mat([[0, F(2, 3)], [F(-2, 3), 0]])
+    with pytest.raises(InvariantError, match=f"^{re.escape(what)} failed the isometry check$"):
+        transform(from_complex(rotation_2()), b)
+    endo = exp_two_form if transform is b_transform else exp_two_vector
+    assert tested == [endo(b)]
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,9 @@ def with_samples(preset, **samples):
      "samples": {"fibre_params": 1}, "checks": ["integrability/flat-structure1-vanishes"]},
     {"n": 1, "chekcs": ["linalg/pairing-examples"]},
     {"n": 1, "checks": []},
+    {"name": 5, "n": 1, "checks": ["linalg/pairing-examples"]},
+    {"name": None, "n": 1, "checks": ["linalg/pairing-examples"]},
+    ["linalg/pairing-examples"],
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -254,6 +257,18 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     assert cli.main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_reports_the_name_a_scenario_file_gives(tmp_path, capsys):
+    from gctwistor import cli
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "my-run", "n": 1, "checks": ["linalg/pairing-examples"]}))
+    assert cli.main(["verify", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("scenario my-run  seed 0  mode exact\n")
+    # without a name the report is named after the path
+    path.write_text(json.dumps({"n": 1, "checks": ["linalg/pairing-examples"]}))
+    assert cli.main(["verify", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith(f"scenario {path}  seed 0")
 
 
 def test_cli_rejects_zero_oracle_samples(tmp_path):

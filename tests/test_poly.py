@@ -126,6 +126,27 @@ def test_poly_jet_matches_partial_polynomials(operands):
     assert all(type(x) is F for x in (jet.value,) + jet.grad)
 
 
+@pytest.mark.parametrize("p, point", [
+    (Poly.from_dict(3, {}), (F(1, 2), F(-2, 3), F(5, 7))),
+    (Poly.from_dict(0, {}), ()),
+    (Poly.constant(2, F(-3, 4)), (F(1, 3), F(2, 5))),
+    # x_1 appears in no term, and its coordinate has the largest denominator
+    (Poly.from_dict(3, {(2, 0, 1): F(1, 6), (0, 0, 3): F(-2)}), (F(3, 2), F(1, 11), F(-1, 3))),
+    (Poly.from_dict(2, {(2, 1): F(1, 3), (0, 1): F(5, 2)}), (3, -2)),
+    (Poly.from_dict(2, {(1, 0): F(1)}), (0, 7)),
+], ids=["zero", "zero-no-variables", "constant", "absent-variable", "integer-point",
+        "integer-zero-coordinate"])
+def test_poly_jet_edge_cases(p, point):
+    jet = p.jet(point)
+    assert jet.value == p.evaluate([F(x) for x in point])
+    assert jet.grad == tuple(p.partial(i).evaluate([F(x) for x in point])
+                             for i in range(p.nvars))
+    assert jet.den > 0 and math.gcd(*jet.num, jet.den) == 1
+    assert jet == Jet(jet.value, jet.grad)
+    if p.is_zero():
+        assert jet.is_zero() and jet.num == (0,) * (p.nvars + 1) and jet.den == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(_poly_and_point())
 def test_rational_jet_over_one_is_the_quotient_rule(operands):

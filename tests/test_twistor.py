@@ -175,6 +175,23 @@ def test_extended_curvature_action():
     # vectors transform by R, covectors by the negative dual
     assert ext.block("vv") == r.endo_tm
     assert ext.block("cc") == xm.mat_neg(xm.transpose(r.endo_tm))
+    zero = xm.zeros(2, 2)
+    assert ext.block("vc") == ext.block("cv") == zero
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (4, 1), (6, 2), (8, 3)])
+def test_random_invertible_matrix_is_the_product_of_its_shears(dim, seed):
+    # the same draws, in the same order, multiplied out as Fraction shears
+    got = twistor.random_invertible_matrix(dim, random.Random(seed))
+    rng = random.Random(seed)
+    expected = xm.identity(dim)
+    for _ in range(6):
+        i, j = rng.sample(range(dim), 2)
+        shear = [list(row) for row in xm.identity(dim)]
+        shear[i][j] = F(rng.randint(-2, 2), rng.randint(1, 3))
+        expected = xm.mat_mul(expected, xm.mat(shear))
+    assert got == expected and xm.det(got) == 1
+    assert all(type(x) is F for row in got for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def _twin(value):
 def test_equal_and_hashed_by_fields(kind, seed, other):
     make = FACTORIES[kind]
     a, b = make(random.Random(seed)), make(random.Random(seed))
-    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b) == hash(_fields(a))
     c = make(random.Random(other))
     assert (a == c) == (_fields(a) == _fields(c)) and (a != c) == (not a == c)
     twin = _twin(a)
