@@ -18,8 +18,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a preset or a scenario JSON file",
         description="Presets: " + ", ".join(sorted(PRESETS)))
     verify.add_argument("target", help="preset name or path to a scenario .json file")
-    verify.add_argument("--mode", choices=["exact", "float"], default=None,
-                        help="override the scenario's reporting mode")
     verify.add_argument("--seed", type=int, default=None,
                         help="override the scenario's seed")
     verify.add_argument("--out", default=None, help="also write the report to this path")
@@ -30,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.target, mode=args.mode, seed=args.seed)
+        scenario = load_scenario(args.target, seed=args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,12 @@ schedules a check it cannot run.  `CHECKS` maps each name to a plain
 every result with the key it ran under.  Each integrability claim has
 one check that reads `scenario.n`; the n-specific names that older
 presets schedule are the same checks, registered for their n only.
-Every check runs in exact arithmetic (float mode only changes how
-residuals are *reported*), and every probe-pair scan, the curved
-witness among them, goes through one per-point Nijenhuis table.  A
-report is a deterministic function of (scenario, seed): two runs emit
-byte-identical JSON.  Wall-clock timings appear in the text rendering
-only, precisely so the JSON stays reproducible.
+Every check runs, and reports its residual, in exact arithmetic, and
+every probe-pair scan, the curved witness among them, goes through one
+per-point Nijenhuis table.  A report is a deterministic function of
+(scenario, seed): two runs emit byte-identical JSON.  Wall-clock timings
+appear in the text rendering only, precisely so the JSON stays
+reproducible.
 """
 
 from __future__ import annotations
@@ -95,20 +95,20 @@ from .value import Value
 
 
 class ScenarioError(ValueError):
-    """The scenario is malformed (unknown check, bad connection, bad mode) or
-    schedules a check it cannot run."""
+    """The scenario is malformed (unknown check, bad connection, a mode other
+    than "exact") or schedules a check it cannot run."""
 
 
 class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
-    a scenario whose checks cannot run: a bad name, n, seed, mode or samples, a
+    a scenario whose checks cannot run: a bad name, n, seed or samples, a
     connection for another n, an empty check list, an unknown check, or a
     check whose registry requirements (an n, a flat or a curved connection)
     it does not meet."""
 
-    __slots__ = ("name", "n", "conn", "mode", "seed", "samples", "checks")
+    __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
-    def __init__(self, name: str, n: int, conn: Connection, mode: str, seed: int,
+    def __init__(self, name: str, n: int, conn: Connection, seed: int,
                  samples: Mapping[str, object], checks: tuple[str, ...]):
         if type(name) is not str:
             raise ScenarioError(f"malformed scenario: the name must be a string, got {name!r}")
@@ -118,8 +118,6 @@ class Scenario(Value):
             raise ScenarioError(f"the connection is for n = {conn.n}, not {n}")
         if type(seed) is not int:
             raise ScenarioError(f"malformed scenario: the seed must be an integer, got {seed!r}")
-        if mode not in ("exact", "float"):
-            raise ScenarioError(f"unknown mode {mode!r}")
         if any(type(c) is not str for c in checks):
             raise ScenarioError(f"checks must be a list of check names, got {checks!r}")
         if not checks:
@@ -136,7 +134,6 @@ class Scenario(Value):
         self.name = name
         self.n = n
         self.conn = conn
-        self.mode = mode
         self.seed = seed
         self.samples = dict(samples)
         self.checks = checks
@@ -157,7 +154,7 @@ class CheckResult(Value):
 
 
 class Report(Value):
-    __slots__ = ("scenario", "seed", "mode", "results", "timings")
+    __slots__ = ("scenario", "seed", "results", "timings")
 
     @property
     def ok(self) -> bool:
@@ -167,7 +164,7 @@ class Report(Value):
         return {
             "scenario": self.scenario,
             "seed": self.seed,
-            "mode": self.mode,
+            "mode": "exact",
             "ok": self.ok,
             "results": [
                 {"name": r.name, "status": r.status, "residual": r.residual,
@@ -177,20 +174,12 @@ class Report(Value):
         }
 
 
-def _zero_residual(mode: str) -> str:
-    return "0" if mode == "exact" else "0.0"
+def _ok(witness: dict | None = None, finding: bool = False) -> CheckResult:
+    return CheckResult("", "finding" if finding else "pass", "0", witness)
 
 
-def _ok(scenario: Scenario, witness: dict | None = None, finding: bool = False) -> CheckResult:
-    return CheckResult("", "finding" if finding else "pass",
-                       _zero_residual(scenario.mode), witness)
-
-
-def _fail(scenario: Scenario, residual, witness: dict | None = None) -> CheckResult:
-    if isinstance(residual, Fraction):
-        text = scalar_to_str(residual) if scenario.mode == "exact" else repr(float(residual))
-    else:
-        text = str(residual)
+def _fail(residual, witness: dict | None = None) -> CheckResult:
+    text = scalar_to_str(residual) if isinstance(residual, Fraction) else str(residual)
     return CheckResult("", "fail", text, witness)
 
 
@@ -212,12 +201,12 @@ def _check_pairing_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
     e2 = basis_vector(2, 1)
     a1 = basis_covector(2, 0)
     if neutral_pairing(e1, a1) != Fraction(1, 2):
-        return _fail(scenario, neutral_pairing(e1, a1), {"case": "<e1, a1>"})
+        return _fail(neutral_pairing(e1, a1), {"case": "<e1, a1>"})
     if neutral_pairing(e1, e2) != 0:
-        return _fail(scenario, neutral_pairing(e1, e2), {"case": "<e1, e2>"})
+        return _fail(neutral_pairing(e1, e2), {"case": "<e1, e2>"})
     if neutral_pairing(e1 + a1, e1 + a1) != 1:
-        return _fail(scenario, neutral_pairing(e1 + a1, e1 + a1), {"case": "<e1+a1, e1+a1>"})
-    return _ok(scenario)
+        return _fail(neutral_pairing(e1 + a1, e1 + a1), {"case": "<e1+a1, e1+a1>"})
+    return _ok()
 
 
 def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -227,8 +216,8 @@ def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
             basis = random_orthonormal_basis(n, rng)
             report = projection_nondegeneracy_check(basis)
             if not report.ok or report.det_p == 0:
-                return _fail(scenario, report.det_p, {"n": n, "trial": trial})
-    return _ok(scenario)
+                return _fail(report.det_p, {"n": n, "trial": trial})
+    return _ok()
 
 
 def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -237,20 +226,20 @@ def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
         basis = random_orthonormal_basis(1, rng)
         report = dim2_basis_orientation(basis)
         if not report.orthogonal:
-            return _fail(scenario, "A not orthogonal", {"trial": trial})
+            return _fail("A not orthogonal", {"trial": trial})
         if report.transition_det != 4 * xm.det(report.a):
-            return _fail(scenario, report.transition_det, {"trial": trial})
-    return _ok(scenario)
+            return _fail(report.transition_det, {"trial": trial})
+    return _ok()
 
 
 def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult:
     for n in range(1, 5):
         if from_complex(standard_complex_matrix(n)).orientation() != 1:
-            return _fail(scenario, "complex-type orientation", {"n": n})
+            return _fail("complex-type orientation", {"n": n})
         expected = 1 if n % 2 == 0 else -1
         if from_symplectic(standard_symplectic_matrix(n)).orientation() != expected:
-            return _fail(scenario, "symplectic-type orientation", {"n": n})
-    return _ok(scenario)
+            return _fail("symplectic-type orientation", {"n": n})
+    return _ok()
 
 
 _IDENTITY_4 = Endo(4, xm.identity(4))
@@ -285,12 +274,11 @@ def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResu
             frames = tamper(frames)
         relations = _frame_relation_table(frames)
         if len(relations) != 21:
-            return _fail(scenario, len(relations), {"reason": "relation count"})
+            return _fail(len(relations), {"reason": "relation count"})
         for label, got, expected in relations:
             if got != expected:
-                return _fail(scenario, "relation violated",
-                             {"trial": trial, "relation": label})
-    return _ok(scenario)
+                return _fail("relation violated", {"trial": trial, "relation": label})
+    return _ok()
 
 
 def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -302,8 +290,8 @@ def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
         k = reduce(Endo.__add__, (m.scale(c) for c, m in zip(coeffs, frames.all())))
         decomposition = skew_decompose(k, basis)
         if list(decomposition.left) + list(decomposition.right) != coeffs:
-            return _fail(scenario, "coefficients differ", {"trial": trial})
-    return _ok(scenario)
+            return _fail("coefficients differ", {"trial": trial})
+    return _ok()
 
 
 def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -318,12 +306,12 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
         for label, m in (("e^B", exp_two_form(b)), ("e^beta", exp_two_vector(beta)),
                          ("gl", gl_endo(g))):
             if not is_pairing_orthogonal(m):
-                return _fail(scenario, "pairing not preserved", {"map": label})
+                return _fail("pairing not preserved", {"map": label})
         for label, jt in (("b", b_transform(j, b)), ("beta", beta_transform(j, beta)),
                           ("gl", gl_action(g, j))):
             if jt.orientation() != orientation:
-                return _fail(scenario, "orientation flipped", {"map": label})
-    return _ok(scenario)
+                return _fail("orientation flipped", {"map": label})
+    return _ok()
 
 
 def _hyperboloid_samples(rng: random.Random, count: int):
@@ -343,15 +331,14 @@ def _hyperboloid_samples(rng: random.Random, count: int):
 def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 5)
     basis = reference_basis(1)
-    minus_id = Endo(4, xm.mat_scale(Fraction(-1), xm.identity(4)))
     for u, v, sheet in _hyperboloid_samples(rng, 10):
         x1, x2, x3 = hyperboloid_chart(u, v, sheet)
         if x1 * x1 - x2 * x2 - x3 * x3 != 1:
-            return _fail(scenario, "chart identity", {"u": scalar_to_str(u)})
+            return _fail("chart identity", {"u": scalar_to_str(u)})
         structure = hyperboloid_point(u, v, sheet, basis)
-        if structure.j.compose(structure.j) != minus_id:
-            return _fail(scenario, "square", {"u": scalar_to_str(u)})
-    return _ok(scenario)
+        if structure.j.compose(structure.j) != _FRAME_SQUARES[0]:  # -Id
+            return _fail("square", {"u": scalar_to_str(u)})
+    return _ok()
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +355,15 @@ def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
     xs = section_from_coefficients(m, [x2, zero, zero, zero])
     ys = section_from_coefficients(m, [zero, one, zero, zero])
     if lie_bracket(xs, ys, p) != (Fraction(-1), Fraction(0)):
-        return _fail(scenario, "lie", {"case": "[x2 d1, d2]"})
+        return _fail("lie", {"case": "[x2 d1, d2]"})
     a = section_from_coefficients(m, [zero, zero, zero, x1])
     b = section_from_coefficients(m, [one, zero, zero, zero])
     got = courant_bracket(a, b, p)
     if got != gelem([0, 0], [0, -1]):
-        return _fail(scenario, "courant", {"case": "(0, x1 dx2) with (d1, 0)"})
+        return _fail("courant", {"case": "(0, x1 dx2) with (d1, 0)"})
     if not courant_bracket(a, a, p).is_zero():
-        return _fail(scenario, "courant", {"case": "[A, A]"})
-    return _ok(scenario)
+        return _fail("courant", {"case": "[A, A]"})
+    return _ok()
 
 
 def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -393,8 +380,8 @@ def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckRe
         b = section_from_coefficients(m, [rand_poly() for _ in range(4)])
         p = chart_point([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)])
         if not (nijenhuis(field, a, b, p) + nijenhuis(field, b, a, p)).is_zero():
-            return _fail(scenario, "antisymmetry", {"trial": trial})
-    return _ok(scenario)
+            return _fail("antisymmetry", {"trial": trial})
+    return _ok()
 
 
 def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -404,9 +391,9 @@ def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult
               for _ in range(5)]
     witness = integrability_scan(field, points, default_probes(2))
     if witness is not None:
-        return _fail(scenario, "nonzero residual",
+        return _fail("nonzero residual",
                      {"point": [scalar_to_str(c) for c in witness[0].coords]})
-    return _ok(scenario)
+    return _ok()
 
 
 def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -441,7 +428,7 @@ def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
         for p in points:
             defect = b_automorphism_defect(bf, a, c, p)
             if not defect.is_zero():
-                return _fail(scenario, _first_nonzero(defect),
+                return _fail(_first_nonzero(defect),
                              {"field": idx, "point": [scalar_to_str(x) for x in p.coords]})
     open_field = two_form_field(m, skew_entries({(0, 2): x2}))
     for p in points:
@@ -451,8 +438,8 @@ def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
             if not defect.is_zero():
                 witness = {"point": [scalar_to_str(x) for x in p.coords],
                            "defect": _element_witness(defect)}
-                return _ok(scenario, witness, finding=True)
-    return _fail(scenario, "no witness", {"reason": "non-closed form gave zero defect"})
+                return _ok(witness, finding=True)
+    return _fail("no witness", {"reason": "non-closed form gave zero defect"})
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +481,8 @@ def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
                            "probe_pair": [i, k]}
-                return _fail(scenario, "nonzero", witness)
-    return _ok(scenario, {"points": count, "sheets": "both"})
+                return _fail("nonzero", witness)
+    return _ok({"points": count, "sheets": "both"})
 
 
 def _fibre_points(scenario: Scenario, offset: int):
@@ -519,8 +506,8 @@ def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     for trial, at in _fibre_points(scenario, 10):
         for pair, value in _scan_closed_form(1, scenario.conn, at):
             if not value.is_zero():
-                return _fail(scenario, "nonzero", _pair_witness(trial, pair, at))
-    return _ok(scenario, {"fibre_samples": scenario.count("fibre_params", 20)})
+                return _fail("nonzero", _pair_witness(trial, pair, at))
+    return _ok({"fibre_samples": scenario.count("fibre_params", 20)})
 
 
 def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -529,17 +516,17 @@ def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     for trial, at in _fibre_points(scenario, 11):
         for pair, value in _scan_closed_form(1, scenario.conn, at, "horizontal"):
             if not value.vertical.is_zero():
-                return _ok(scenario, _pair_witness(trial, pair, at), finding=True)
-    return _fail(scenario, "no witness", {"trials": scenario.count("fibre_params", 20)})
+                return _ok(_pair_witness(trial, pair, at), finding=True)
+    return _fail("no witness", {"trials": scenario.count("fibre_params", 20)})
 
 
 def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
     report = mu_forced_zero_check(scenario.n)
     if report.kernel_dim != 0:
-        return _fail(scenario, report.kernel_dim, {"rank": report.rank})
+        return _fail(report.kernel_dim, {"rank": report.rank})
     # the system has one structure, so its kernel is the single-structure one
-    return _ok(scenario, {"rank": report.rank, "unknowns": report.unknowns,
-                          "single_structure_kernel": report.kernel_dim})
+    return _ok({"rank": report.rank, "unknowns": report.unknowns,
+                "single_structure_kernel": report.kernel_dim})
 
 
 def _adapted_cases(scenario: Scenario, offset: int):
@@ -563,10 +550,10 @@ def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     for trial, at, q1, q4, v in cases:
         got = nijenhuis_mixed(2, at, q1, v)
         if got.horizontal != q4.scale(2) or got.horizontal.is_zero():
-            return _fail(scenario, "value differs from 2 Q4", {"trial": trial})
+            return _fail("value differs from 2 Q4", {"trial": trial})
         if not nijenhuis_mixed(1, at, q1, v).is_zero():
-            return _fail(scenario, "alpha=1 value nonzero", {"trial": trial})
-    return _ok(scenario, {"adapted_points": count}, finding=True)
+            return _fail("alpha=1 value nonzero", {"trial": trial})
+    return _ok({"adapted_points": count}, finding=True)
 
 
 def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -575,9 +562,8 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
         for alpha in (1, 2):
             got = hybrid_nijenhuis_horizontal(alpha, scenario.conn, at, q1, v)
             if got != q4 or got.is_zero():
-                return _fail(scenario, "value differs from Q4",
-                             {"trial": trial, "alpha": alpha})
-    return _ok(scenario, {"adapted_points": count}, finding=True)
+                return _fail("value differs from Q4", {"trial": trial, "alpha": alpha})
+    return _ok({"adapted_points": count}, finding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -602,27 +588,26 @@ def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
             witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
                        "sheet": r.sample.sheet, "alpha": r.alpha,
                        "probe_pair": list(r.mismatch) if r.mismatch else None}
-            return _fail(scenario, "mismatch", witness)
+            return _fail("mismatch", witness)
     pairs = sum(r.pairs for r in report.results)
-    return _ok(scenario, {"samples": len(report.results) // 2, "pairs": pairs})
+    return _ok({"samples": len(report.results) // 2, "pairs": pairs})
 
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if r.alpha == 1 and not r.direct_all_zero:
-            return _fail(scenario, "nonzero", {"sheet": r.sample.sheet})
+            return _fail("nonzero", {"sheet": r.sample.sheet})
         if r.alpha == 2 and r.direct_all_zero:
-            return _fail(scenario, "alpha=2 unexpectedly zero",
-                         {"sheet": r.sample.sheet})
-    return _ok(scenario)
+            return _fail("alpha=2 unexpectedly zero", {"sheet": r.sample.sheet})
+    return _ok()
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.lift_bracket_ok:
-            return _fail(scenario, "nonzero residual", {"sheet": r.sample.sheet})
+            return _fail("nonzero residual", {"sheet": r.sample.sheet})
     # the same identity on the endomorphism-bundle chart, sized by n
     rng = random.Random(scenario.seed + 15)
     basis = reference_basis(1)
@@ -633,16 +618,16 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
     residual = lift_bracket_curvature_check(scenario.conn, [one, x1],
                                             [x1, one + x1 * x1], at)
     if any(c != 0 for c in residual):
-        return _fail(scenario, "bundle chart residual")
-    return _ok(scenario)
+        return _fail("bundle chart residual")
+    return _ok()
 
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
     report = _oracle_cached(scenario, hooks)
     for r in report.results:
         if not r.vertical_bracket_ok:
-            return _fail(scenario, "nonzero residual", {"sheet": r.sample.sheet})
-    return _ok(scenario)
+            return _fail("nonzero residual", {"sheet": r.sample.sheet})
+    return _ok()
 
 
 def _needs(n: int | None = None, at_least: int = 1, connection: str | None = None):
@@ -713,7 +698,7 @@ def _gamma_x1_json(n: int) -> dict:
 
 PRESETS: dict[str, dict] = {
     "linalg-all": {
-        "n": 1, "connection": {"gamma": {}}, "mode": "exact", "seed": 1201,
+        "n": 1, "connection": {"gamma": {}}, "seed": 1201,
         "samples": {"base_points": 100},
         "checks": ["linalg/pairing-examples", "linalg/projection-nondegeneracy",
                    "linalg/dim2-orientation", "linalg/orientation-parity",
@@ -721,49 +706,49 @@ PRESETS: dict[str, dict] = {
                    "linalg/transform-isometries", "linalg/hyperboloid-chart"],
     },
     "examples-courant": {
-        "n": 1, "connection": {"gamma": {}}, "mode": "exact", "seed": 1202,
+        "n": 1, "connection": {"gamma": {}}, "seed": 1202,
         "samples": {},
         "checks": ["courant/bracket-examples", "courant/nijenhuis-antisymmetry",
                    "courant/constant-structure-integrable",
                    "courant/b-transform-automorphism"],
     },
     "thm1-n1": {
-        "n": 1, "connection": {"gamma": _gamma_x1_json(1)}, "mode": "exact", "seed": 1203,
+        "n": 1, "connection": {"gamma": _gamma_x1_json(1)}, "seed": 1203,
         "samples": {"base_points": 50, "adapted_points": 10},
         "checks": ["integrability/n1-structure1-vanishes", "integrability/mixed-witness",
                    "integrability/hybrid-witness"],
     },
     "thm1-n2-flat": {
-        "n": 2, "connection": {"gamma": {}}, "mode": "exact", "seed": 1204,
+        "n": 2, "connection": {"gamma": {}}, "seed": 1204,
         "samples": {"fibre_params": 20, "adapted_points": 5},
         "checks": ["integrability/n2-flat-structure1-vanishes", "integrability/mixed-witness"],
     },
     "thm1-n3-flat": {
-        "n": 3, "connection": {"gamma": {}}, "mode": "exact", "seed": 1207,
+        "n": 3, "connection": {"gamma": {}}, "seed": 1207,
         "samples": {"fibre_params": 6, "adapted_points": 4},
         "checks": ["integrability/n3-flat-structure1-vanishes",
                    "integrability/curvature-form-kernel", "integrability/mixed-witness"],
     },
     "thm1-n2-curved": {
-        "n": 2, "connection": {"gamma": _gamma_x1_json(2)}, "mode": "exact", "seed": 1205,
+        "n": 2, "connection": {"gamma": _gamma_x1_json(2)}, "seed": 1205,
         "samples": {"fibre_params": 20, "adapted_points": 5},
         "checks": ["integrability/n2-curved-witness", "integrability/curvature-form-kernel",
                    "integrability/mixed-witness"],
     },
     "thm1-n4-flat": {
-        "n": 4, "connection": {"gamma": {}}, "mode": "exact", "seed": 1208,
+        "n": 4, "connection": {"gamma": {}}, "seed": 1208,
         "samples": {"fibre_params": 4, "adapted_points": 2},
         "checks": ["integrability/flat-structure1-vanishes",
                    "integrability/curvature-form-kernel", "integrability/mixed-witness"],
     },
     "thm1-n4-curved": {
-        "n": 4, "connection": {"gamma": _gamma_x1_json(4)}, "mode": "exact", "seed": 1209,
+        "n": 4, "connection": {"gamma": _gamma_x1_json(4)}, "seed": 1209,
         "samples": {"fibre_params": 4, "adapted_points": 2},
         "checks": ["integrability/curved-witness", "integrability/curvature-form-kernel",
                    "integrability/mixed-witness"],
     },
     "oracle-n1": {
-        "n": 1, "connection": {"gamma": _gamma_x1_json(1)}, "mode": "exact", "seed": 1206,
+        "n": 1, "connection": {"gamma": _gamma_x1_json(1)}, "seed": 1206,
         "samples": {"fibre_params": 10},
         "checks": ["oracle/closed-form-equality", "oracle/structure1-direct-zero",
                    "oracle/lift-bracket-identity", "oracle/vertical-bracket-identity"],
@@ -794,8 +779,9 @@ def _reject_unknown_keys(data: Mapping, keys: Sequence[str], what: str) -> None:
 
 
 def load_scenario(source: str | Mapping, name: str | None = None,
-                  mode: str | None = None, seed: int | None = None) -> Scenario:
-    """Build a scenario from a preset name, a JSON file path, or a mapping."""
+                  seed: int | None = None) -> Scenario:
+    """Build a scenario from a preset name, a JSON file path, or a mapping.
+    A "mode" key, if present, must be "exact", the only mode there is."""
     if isinstance(source, str):
         if source in PRESETS:
             data = PRESETS[source]
@@ -825,7 +811,10 @@ def load_scenario(source: str | Mapping, name: str | None = None,
                              f"got {conn_data!r}")
         _reject_unknown_keys(conn_data, ("gamma",), "connection")
         conn = connection_from_json(n, gamma) if gamma else flat_connection(n)
-        effective_mode = mode or data.get("mode", "exact")
+        mode = data.get("mode", "exact")
+        if mode != "exact":
+            raise ValueError(f"unknown mode {mode!r}; every check runs and reports "
+                             "in exact arithmetic, so the only mode is 'exact'")
         effective_seed = seed if seed is not None else data.get("seed", 0)
         samples = data.get("samples", {})
         checks = data.get("checks", ())
@@ -833,7 +822,7 @@ def load_scenario(source: str | Mapping, name: str | None = None,
             raise ValueError(f"checks must be a list of check names, got {checks!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    return Scenario(name, n, conn, effective_mode, effective_seed, samples, tuple(checks))
+    return Scenario(name, n, conn, effective_seed, samples, tuple(checks))
 
 
 def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:
@@ -846,8 +835,7 @@ def run_scenario(scenario: Scenario, hooks: Mapping | None = None) -> Report:
         result = CHECKS[check_name](scenario, hook_state)
         results.append(CheckResult(check_name, result.status, result.residual, result.witness))
         timings.append((check_name, time.perf_counter() - started))
-    return Report(scenario.name, scenario.seed, scenario.mode,
-                  tuple(results), tuple(timings))
+    return Report(scenario.name, scenario.seed, tuple(results), tuple(timings))
 
 
 def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> str:
@@ -855,7 +843,7 @@ def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> s
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     elif fmt == "text":
-        lines = [f"scenario {report.scenario}  seed {report.seed}  mode {report.mode}"]
+        lines = [f"scenario {report.scenario}  seed {report.seed}  mode exact"]
         timing = dict(report.timings)
         for r in report.results:
             mark = {"pass": "PASS", "finding": "FIND", "fail": "FAIL"}[r.status]

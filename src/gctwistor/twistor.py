@@ -80,13 +80,16 @@ class Connection(Value):
                 raise DimensionMismatchError("Christoffel index out of range")
             if p.nvars != dim:
                 raise DimensionMismatchError("Christoffel entry arity does not match the chart")
+            if (k, i, j) in seen:
+                raise InvariantError(f"connection lists Gamma^{k}_{i}{j} twice")
             seen[(k, i, j)] = p
         for (k, i, j), p in seen.items():
             mirror = seen.get((k, j, i), Poly.constant(dim, 0))
             if not (p - mirror).is_zero():
                 raise InvariantError(f"connection has torsion at Gamma^{k}_{i}{j}")
         self.n = n
-        self.entries = entries  # (k, i, j) -> Gamma^k_ij
+        # (k, i, j) -> Gamma^k_ij, nonzero only: no entries exactly when flat
+        self.entries = tuple(e for e in entries if not e[1].is_zero())
 
     @property
     def dim(self) -> int:
@@ -138,10 +141,17 @@ def flat_connection(n: int) -> Connection:
 
 
 def connection_from_json(n: int, data: Mapping) -> Connection:
+    """Read one-based "k,i,j" keys; two keys that name one triple, such as
+    "1,1,2" and "01,1,2", are rejected rather than one replacing the other."""
     gamma = {}
+    keys: dict[tuple[int, int, int], str] = {}
     for key, terms in data.items():
         k, i, j = (int(s) - 1 for s in key.split(","))
-        gamma[(k, i, j)] = poly_from_json(2 * n, terms)
+        if (k, i, j) in keys:
+            raise ValueError(f"Christoffel keys {keys[k, i, j]!r} and {key!r} both name "
+                             f"Gamma^{k + 1}_{i + 1}{j + 1}")
+        keys[k, i, j] = key
+        gamma[k, i, j] = poly_from_json(2 * n, terms)
     return connection(n, gamma)
 
 

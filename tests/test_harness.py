@@ -94,9 +94,11 @@ def test_unknown_check_rejected():
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ScenarioError, match="unknown mode 'approximate'"):
-        load_scenario({"n": 1, "seed": 0, "mode": "approximate",
-                       "checks": ["linalg/pairing-examples"]})
+    # every check runs and reports in exact arithmetic; "exact" is the only mode
+    for mode in ("approximate", "float"):
+        with pytest.raises(ScenarioError, match=f"malformed scenario: unknown mode '{mode}'"):
+            load_scenario({"n": 1, "seed": 0, "mode": mode,
+                           "checks": ["linalg/pairing-examples"]})
 
 
 @pytest.mark.parametrize("data, message", [
@@ -117,8 +119,8 @@ def test_unknown_keys_rejected(data, message):
 
 
 def test_scenario_overrides():
-    scenario = load_scenario("linalg-all", mode="float", seed=99)
-    assert scenario.mode == "float" and scenario.seed == 99
+    scenario = load_scenario("linalg-all", seed=99)
+    assert scenario.seed == 99
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -143,11 +145,26 @@ def test_text_report_counts():
     assert "[FIND]" in text
 
 
-def test_float_mode_residual_format():
-    scenario = load_scenario("examples-courant", mode="float")
-    report = run_scenario(scenario)
-    assert report.ok
-    assert all(r.residual == "0.0" for r in report.results)
+def test_residuals_are_exact():
+    from gctwistor.harness import _fail, _ok
+    assert _fail(F(-3, 4)).residual == "-3/4"
+    assert _fail("no witness").residual == "no witness"
+    assert _ok().residual == "0"
+
+
+def test_exact_mode_scenario_file_runs(tmp_path, capsys):
+    # "mode": "exact" is still accepted, and every report carries it
+    from gctwistor import cli
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 1, "mode": "exact", "checks": ["linalg/pairing-examples"]}))
+    assert cli.main(["verify", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+
+
+def test_cli_rejects_mode_option():
+    result = run_cli("linalg-all", "--mode", "float")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "unrecognized arguments: --mode float" in result.stderr
 
 
 def test_scenario_file_loading(tmp_path):
@@ -220,6 +237,9 @@ def run_cli_on(tmp_path, data, *args):
     return run_cli(str(path), *args)
 
 
+ZERO_GAMMAS = [{"1,1,1": [{"exponents": [0, 0, 0, 0], "coeff": "0"}]}, {"1,1,1": []}]
+
+
 def with_samples(preset, **samples):
     return {**PRESETS[preset], "samples": {**PRESETS[preset]["samples"], **samples}}
 
@@ -249,6 +269,13 @@ def with_samples(preset, **samples):
     {"name": 5, "n": 1, "checks": ["linalg/pairing-examples"]},
     {"name": None, "n": 1, "checks": ["linalg/pairing-examples"]},
     ["linalg/pairing-examples"],
+    {"n": 1, "mode": "float", "checks": ["linalg/pairing-examples"]},
+    # an all-zero gamma is flat, and two spellings of one key are not both kept
+    *[{"n": 2, "connection": {"gamma": gamma}, "samples": {"fibre_params": 1},
+       "checks": ["integrability/curved-witness"]} for gamma in ZERO_GAMMAS],
+    {"n": 2, "connection": {"gamma": {"1,1,1": [{"exponents": [1, 0, 0, 0], "coeff": "1"}],
+                                      " 1,1,1": []}},
+     "samples": {"fibre_params": 1}, "checks": ["integrability/flat-structure1-vanishes"]},
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -257,6 +284,15 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     assert cli.main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma", ZERO_GAMMAS, ids=["zero-coeff", "no-terms"])
+def test_all_zero_gamma_is_flat(gamma):
+    data = {"n": 2, "connection": {"gamma": gamma}, "samples": {"fibre_params": 1}}
+    report = run_scenario(load_scenario(
+        {**data, "checks": ["integrability/flat-structure1-vanishes"]}))
+    assert report.ok and report.results[0].status == "pass"
 
 
 def test_cli_reports_the_name_a_scenario_file_gives(tmp_path, capsys):
@@ -429,7 +465,7 @@ def test_oracle_checks_need_n1(check):
 
 
 def _direct_scenario(**changes):
-    fields = {"name": "direct", "n": 2, "conn": flat_connection(2), "mode": "exact",
+    fields = {"name": "direct", "n": 2, "conn": flat_connection(2),
               "seed": 0, "samples": {"fibre_params": 1},
               "checks": ("integrability/mixed-witness",)}
     fields.update(changes)
@@ -443,14 +479,13 @@ def _direct_scenario(**changes):
      "check integrability/curved-witness needs a curved connection"),
     ({"n": 1}, "the connection is for n = 2, not 1"),
     ({"n": 0}, "n must be an integer >= 1"),
-    ({"mode": "fast"}, "unknown mode 'fast'"),
     ({"checks": ("linalg/no-such-check",)}, "unknown checks"),
     ({"checks": ()}, "the check list is empty"),
     ({"samples": {"fibre_params": 0}}, "bad sample fibre_params=0"),
     ({"samples": [("fibre_params", 1)]}, "samples must be an object"),
     ({"seed": 1.5}, "the seed must be an integer"),
     ({"seed": True}, "the seed must be an integer"),
-], ids=["oracle-at-n2", "curved-check-flat-connection", "connection-n", "n-zero", "mode",
+], ids=["oracle-at-n2", "curved-check-flat-connection", "connection-n", "n-zero",
         "unknown-check", "empty-checks", "zero-samples", "samples-list", "seed-float",
         "seed-bool"])
 def test_directly_built_scenario_is_checked(changes, message):
@@ -482,9 +517,8 @@ def test_integrability_suite_wrapper():
 
 
 def test_report_ok_reflects_statuses():
-    good = Report("x", 0, "exact",
-                  (CheckResult("a", "pass", "0", None),
-                   CheckResult("b", "finding", "0", None)), ())
+    good = Report("x", 0, (CheckResult("a", "pass", "0", None),
+                           CheckResult("b", "finding", "0", None)), ())
     assert good.ok
-    bad = Report("x", 0, "exact", (CheckResult("a", "fail", "1", None),), ())
+    bad = Report("x", 0, (CheckResult("a", "fail", "1", None),), ())
     assert not bad.ok

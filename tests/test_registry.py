@@ -1,7 +1,9 @@
 """The check registry: every check name that the presets or the benchmark's
 tracer use is a key of `harness.CHECKS`, and a report names each result by
 the key it was scheduled under.  Every method the tracer wraps by name
-exists, so deleting one fails here rather than in a traced benchmark run.
+exists, every keyword the benchmark's child passes to `load_scenario` is
+one of its parameters, and every preset has the keys the child reads, so
+a change to any of them fails here rather than in a benchmark run.
 
 The benchmark's sources under bench/ are only read, never imported, so
 this test does not depend on what the tracer imports.
@@ -9,13 +11,15 @@ this test does not depend on what the tracer imports.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 from gctwistor.harness import CHECKS, PRESETS, SAMPLE_COUNTS, load_scenario, run_scenario
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing_constant(name: str):
@@ -42,6 +46,30 @@ def test_traced_methods_exist():
             cls_name, meth = qualname.split(".")
             cls = getattr(module, cls_name, None)
             assert cls is not None and meth in vars(cls), f"{layer}.{qualname}"
+
+
+def _child_tree() -> ast.Module:
+    return ast.parse((BENCH / "child.py").read_text(encoding="utf-8"))
+
+
+def test_child_calls_load_scenario_with_its_parameters():
+    calls = [node for node in ast.walk(_child_tree()) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "load_scenario"]
+    assert calls
+    parameters = inspect.signature(load_scenario).parameters
+    for call in calls:
+        assert {kw.arg for kw in call.keywords} <= set(parameters)
+        assert len(call.args) <= len(parameters)
+
+
+def test_presets_have_the_keys_the_child_reads():
+    # the child reads a copy of each preset as `data`: data["samples"], data["seed"]
+    read = {node.slice.value for node in ast.walk(_child_tree())
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "data" and isinstance(node.slice, ast.Constant)}
+    assert read
+    for preset in PRESETS.values():
+        assert read <= set(preset)
 
 
 def test_scheduled_checks_are_registered():

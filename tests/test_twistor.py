@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -72,11 +73,44 @@ def test_torsion_free_enforced():
         Connection(1, (((0, 0, 1), X1_2),))  # mirror entry absent
 
 
+def test_repeated_entry_rejected():
+    # the curvature sums would add both entries, the torsion check only the last
+    with pytest.raises(InvariantError, match=r"lists Gamma\^0_11 twice"):
+        Connection(1, (((0, 1, 1), X1_2), ((0, 1, 1), X1_2)))
+
+
 def test_connection_json_roundtrip():
     # Gamma^1_22 = x1 (1-based), its mirror filled in by the loader
     data = json.loads('{"1,2,2": [{"exponents": [1, 0], "coeff": "1"}]}')
     back = connection_from_json(1, data)
     assert back.entries == CONN_N1.entries
+
+
+def test_zero_entries_are_dropped():
+    # a connection has no entries exactly when every Christoffel symbol is zero
+    zero = Poly.constant(2, 0)
+    assert connection(1, {(0, 0, 1): zero}).entries == ()
+    assert connection_from_json(1, {"1,1,1": []}).entries == ()
+    assert connection_from_json(
+        1, {"1,1,1": [{"exponents": [0, 0], "coeff": "0"}]}).entries == ()
+    assert connection(1, {(0, 1, 1): X1_2, (1, 0, 0): zero}).entries == CONN_N1.entries
+
+
+@pytest.mark.parametrize("second", [" 1,2,2", "01,2,2", "1, 2,2"])
+def test_duplicate_christoffel_key_rejected(second):
+    # two spellings of one triple: neither may silently replace the other
+    x1 = [{"exponents": [1, 0], "coeff": "1"}]
+    message = f"Christoffel keys '1,2,2' and '{second}' both name Gamma^1_22"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        connection_from_json(1, {"1,2,2": x1, second: []})
+
+
+def test_mirror_key_is_another_triple():
+    x1 = [{"exponents": [1, 0], "coeff": "1"}]
+    both = connection_from_json(1, {"1,1,2": x1, "1,2,1": x1})
+    assert both.entries == connection_from_json(1, {"1,1,2": x1}).entries
+    with pytest.raises(InvariantError, match="torsion"):
+        connection_from_json(1, {"1,1,2": x1, "1,2,1": []})
 
 
 def test_curvature_sign_convention():
