@@ -36,7 +36,6 @@ from .gclinalg import (
     reference_basis,
     skew_decompose,
     skew_frames,
-    skew_generators,
     structure_orientation,
     vertical_space_basis,
 )

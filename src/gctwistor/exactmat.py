@@ -3,15 +3,14 @@
 Matrices are immutable tuples of tuples of Fraction.  That is the
 contract at every public function: entries go in as Fraction (or int)
 and come out as Fraction, and every result is the exact rational, with
-no pivoting heuristics and no tolerances.  Inside, the hot kernels work
-over Python ints, which skips the gcd that normalises every Fraction
-product and sum: a row, or a whole factor, is multiplied by the lcm of
-its denominators, the arithmetic is done in integers, and each entry of
-the result is built once as a Fraction.
+no pivoting heuristics and no tolerances.  `mat_mul` and `mat_vec` are
+plain `Fraction` sums, the reference that tests hold the integer
+arithmetic of `gclinalg.Endo` to.  The eliminations work over Python
+ints, which skips the gcd that normalises every Fraction product and
+sum: a row is multiplied by the lcm of its denominators, the arithmetic
+is done in integers, and each entry of the result is built once as a
+Fraction.
 
-- `mat_mul` scales the nonzero entries of b once and each row of a once,
-  sums integer products and divides each entry by the two scales;
-  `mat_vec` does the same with the vector in place of b.
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
 - `rref`, and through it `rank` and `solve`, is a fraction-free
@@ -22,15 +21,8 @@ the result is built once as a Fraction.
   elimination on [N | Id] for an integer matrix N and keeps the inverse
   as integers over one denominator.
 - `RowReducer` takes integer vectors only, the one exception to the
-  Fraction contract, and stores primitive integer rows with their pivots.
-
-The kernels skip terms that are exactly zero: `mat_mul` zero entries of
-both factors, `mat_vec` zero entries of the vector, and `RowReducer`
-keeps its rows as nonzero entries.  The skew generators, many
-structures, the curvature-form system and the unit probes of the
-Courant-bracket oracle are sparse.  Sums start at `F0`, and a zero entry
-of a product is `F0`, so every entry is a `Fraction` even when all its
-terms are skipped.
+  Fraction contract, and stores primitive integer rows, as their nonzero
+  entries, with their pivots.
 
 `_scaled` and `_integer_matrix` are the scaling step on its own.
 `gclinalg.Endo` keeps its matrix in that integer form and does its own
@@ -42,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -103,50 +96,22 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
     """An integer matrix N and the least d > 0 with m = N / d; then
-    gcd(d, *N) == 1.  This is how `gclinalg.Endo` stores a matrix, and the
-    form of the orthonormality check and the skew generators' basis
-    matrices."""
+    gcd(d, *N) == 1.  This is how `gclinalg.Endo` and
+    `gclinalg.OrthonormalBasis` store a matrix."""
     pairs = [[(x.numerator, x.denominator) for x in row] for row in m]
     d = lcm(*(q for row in pairs for _, q in row))
     return [[p * (d // q) for p, q in row] for row in pairs], d
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """a b in integers: the nonzero entries of b are scaled once by the lcm
-    d_b of their denominators, each row of a by the lcm d_a of the
-    denominators it uses, and each entry is one integer sum over d_a d_b."""
-    cols = len(b[0]) if b else 0
-    nonzero_b = [[(c, y) for c, y in enumerate(row) if y] for row in b]
-    db = lcm(*(y.denominator for nonzero in nonzero_b for _, y in nonzero))
-    scaled_b = [[(c, y.numerator * (db // y.denominator)) for c, y in nonzero]
-                for nonzero in nonzero_b]
-    out = []
-    for row in a:
-        used = [(x, nonzero) for x, nonzero in zip(row, scaled_b) if x and nonzero]
-        da = lcm(*(x.denominator for x, _ in used))
-        acc = [0] * cols
-        for x, nonzero in used:
-            x = x.numerator * (da // x.denominator)
-            for c, y in nonzero:
-                acc[c] += x * y
-        d = da * db
-        out.append(tuple(Fraction(v, d) if v else F0 for v in acc))
-    return tuple(out)
+    """a b, each entry one `Fraction` sum."""
+    cols = transpose(b)
+    return tuple(tuple(sum(map(mul, row, col), F0) for col in cols) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    """a v in integers, as in `mat_mul`: the nonzero entries of v are
-    scaled once, each row of a by the lcm of the denominators it uses."""
-    nonzero = [(c, y) for c, y in enumerate(v) if y]
-    dv = lcm(*(y.denominator for _, y in nonzero))
-    scaled = [(c, y.numerator * (dv // y.denominator)) for c, y in nonzero]
-    out = []
-    for row in a:
-        used = [(row[c], y) for c, y in scaled if row[c]]
-        da = lcm(*(x.denominator for x, _ in used))
-        total = sum(x.numerator * (da // x.denominator) * y for x, y in used)
-        out.append(Fraction(total, da * dv) if total else F0)
-    return tuple(out)
+    """a v, each entry one `Fraction` sum."""
+    return tuple(sum(map(mul, row, v), F0) for row in a)
 
 
 def is_zero(a: Mat) -> bool:

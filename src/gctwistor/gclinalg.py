@@ -13,14 +13,14 @@ ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 An endomorphism (`Endo`) is an integer matrix over one positive
 denominator in lowest terms, and its arithmetic, the pairing-skew,
 isometry and anticommutation tests, j^2 = -Id, the fibre pairing, the
-orientation, the skew generators and the vertical basis all work on those
-integers; the adapted structure of a basis is a sum of its skew generators.
-The constructors of structures and isometries read their input's integer
+orientation and the vertical basis all work on those integers.  The
+constructors of structures and isometries read their input's integer
 numerators over one denominator once, check and assemble in integers and
-end in one `Endo._lowest`.  `Endo.rows` reads the matrix back as
-`Fraction`s for the callers that want them.  An `OrthonormalBasis` is
-stored the same way, and its moves, orthonormality check, skew generators
-and reports work on its integers.
+end in one `Endo._lowest`.  `Endo.rows` builds the matrix as `Fraction`s
+for the callers that want them.  An `OrthonormalBasis` is stored the same
+way, and its moves, orthonormality check, skew generators and reports
+work on its integers; the adapted structure of a basis is a sum of its
+skew generators.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -139,10 +139,10 @@ class Endo(Value):
     positive denominator `den`, in lowest terms: gcd(den, *entries) == 1.
     That form is unique, so equality and hashing compare values, and the
     arithmetic below works in integers with one gcd per result.  `rows`
-    reads the matrix back as `Fraction`s, built on first read and cached.
+    builds the matrix as `Fraction`s on each read.
     """
 
-    __slots__ = ("dim", "num", "den", "_rows")
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, dim: int, rows: Mat):
         if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -151,7 +151,6 @@ class Endo(Value):
         self.dim = dim
         self.num = tuple(map(tuple, num))
         self.den = den
-        self._rows = None
 
     @staticmethod
     def _lowest(dim: int, num: Sequence[Sequence[int]], den: int) -> "Endo":
@@ -165,17 +164,12 @@ class Endo(Value):
         else:
             out.num = tuple(map(tuple, num))
             out.den = den
-        out._rows = None
         return out
 
     @property
     def rows(self) -> Mat:
-        rows = self._rows
-        if rows is None:
-            d = self.den
-            rows = self._rows = tuple(tuple(Fraction(x, d) if x else F0 for x in row)
-                                      for row in self.num)
-        return rows
+        d = self.den
+        return tuple(tuple(Fraction(x, d) if x else F0 for x in row) for row in self.num)
 
     @property
     def half(self) -> int:
@@ -185,7 +179,7 @@ class Endo(Value):
         """One of the four blocks: 'vv' (V->V), 'vc' (V*->V), 'cv' (V->V*), 'cc'."""
         h = self.half
         r0, c0 = {"vv": (0, 0), "vc": (0, h), "cv": (h, 0), "cc": (h, h)}[which]
-        return tuple(tuple(self.rows[r0 + i][c0 + j] for j in range(h)) for i in range(h))
+        return tuple(row[c0:c0 + h] for row in self.rows[r0:r0 + h])
 
     def apply(self, a: GElement) -> GElement:
         """The image of a, each coordinate one integer sum over den d_a."""
@@ -235,7 +229,7 @@ class Endo(Value):
 
     def __neg__(self) -> "Endo":
         out = object.__new__(Endo)
-        out.dim, out.den, out._rows = self.dim, self.den, None
+        out.dim, out.den = self.dim, self.den
         out.num = tuple(tuple(-x for x in row) for row in self.num)
         return out
 
@@ -423,11 +417,11 @@ class OrthonormalBasis(Value):
 
     Stored as `Endo` is: an integer matrix `num` whose row i is d Q_i, over
     the one denominator `den` = d > 0 in lowest terms, and the `signs`.
-    Equality and hashing compare those values; `vectors` reads the elements
-    back as `GElement`s, built on first read and cached.
+    Equality and hashing compare those values; `vectors` builds the elements
+    as `GElement`s on each read.
     """
 
-    __slots__ = ("num", "den", "signs", "_vectors")
+    __slots__ = ("num", "den", "signs")
 
     def __init__(self, vectors: tuple[GElement, ...], signs: tuple[int, ...]):
         if any(2 * v.dim_v != len(vectors) for v in vectors):
@@ -465,20 +459,34 @@ class OrthonormalBasis(Value):
         self.num = tuple(map(tuple, num))
         self.den = den
         self.signs = signs
-        self._vectors = None
 
     @property
     def vectors(self) -> tuple[GElement, ...]:
-        vectors = self._vectors
-        if vectors is None:
-            d = self.den
-            vectors = self._vectors = tuple(
-                from_coords([Fraction(x, d) if x else F0 for x in row]) for row in self.num)
-        return vectors
+        d = self.den
+        return tuple(from_coords([Fraction(x, d) if x else F0 for x in row]) for row in self.num)
 
     @property
     def dim_v(self) -> int:
         return len(self.num) // 2
+
+    def generator(self, i: int, k: int) -> Endo:
+        """The skew generator S_ik for zero-based indices: S_ik Q_m =
+        eps_m (delta_im Q_k - delta_mk Q_i), so S_ki = -S_ik and S_ii = 0.
+
+        In the basis S_ik sends Q_i to eps_i Q_k and Q_k to -eps_k Q_i, so
+        S_ik = eps_i B[:, k] (x) B^-1[i, :] - eps_k B[:, i] (x) B^-1[k, :]
+        for the basis matrix B.  Both come from the rows N = d Q with no
+        elimination: B = N^T / d, and since the coefficient of Q_i in x is
+        eps_i <Q_i, x>, row i of 2 d B^-1 is eps_i swap(N_i), swap
+        exchanging the V and V* halves.  The two eps cancel, so entry (r, c)
+        is (N_k[r] swap(N_i)[c] - N_i[r] swap(N_k)[c]) / (2 d^2).
+        """
+        num = self.num
+        h = len(num) // 2
+        ni, nk = num[i], num[k]
+        swap_i, swap_k = ni[h:] + ni[:h], nk[h:] + nk[:h]
+        rows = [[x * p - y * q for p, q in zip(swap_i, swap_k)] for x, y in zip(nk, ni)]
+        return Endo._lowest(len(num), rows, 2 * self.den * self.den)
 
 
 def reference_basis(n: int) -> OrthonormalBasis:
@@ -769,67 +777,7 @@ def gl_action(g: Mat, j: GCStructure) -> GCStructure:
 
 
 # ---------------------------------------------------------------------------
-# skew generators of an orthonormal basis and the fibre geometry
-
-
-class SkewGenerators(Value):
-    """The generators S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i) of a basis,
-    built on demand from the basis matrix B and its inverse and memoised.
-
-    B and B^-1 are kept as integer matrices: B = bmat / d and
-    B^-1 = binv / (2 d) for one integer d, and `den` = 2 d^2, so each
-    entry of a generator is one integer over `den`.
-    """
-
-    __slots__ = ("basis", "bmat", "binv", "den", "_built")
-
-    def __init__(self, basis: OrthonormalBasis, bmat: tuple[tuple[int, ...], ...],
-                 binv: tuple[tuple[int, ...], ...], den: int):
-        self.basis = basis
-        self.bmat = bmat
-        self.binv = binv
-        self.den = den
-        self._built: dict[tuple[int, int], Endo] = {}
-
-    def generator(self, i: int, k: int) -> Endo:
-        """S_ik for zero-based indices; antisymmetric in (i, k), S_ii = 0.
-
-        S_ik = eps_i B[:, k] (x) B^-1[i, :] - eps_k B[:, i] (x) B^-1[k, :]:
-        in the basis, S_ik sends Q_i to eps_i Q_k and Q_k to -eps_k Q_i, so
-        B S B^-1 is a difference of two rank-one outer products.
-        """
-        s = self._built.get((i, k))
-        if s is not None:
-            return s
-        n4 = len(self.bmat)
-        if i == k:
-            s = zero_endo(n4)
-        elif i > k:
-            s = -self.generator(k, i)
-        else:
-            b, signs = self.bmat, self.basis.signs
-            row_i, row_k = self.binv[i], self.binv[k]
-            rows = []
-            for r in range(n4):
-                x, y = signs[i] * b[r][k], signs[k] * b[r][i]
-                rows.append([x * p - y * q for p, q in zip(row_i, row_k)])
-            s = Endo._lowest(n4, rows, self.den)
-        self._built[(i, k)] = s
-        return s
-
-
-def skew_generators(basis: OrthonormalBasis) -> SkewGenerators:
-    """The skew generators of a basis; each S_ik is built on first use.
-
-    Both basis matrices come from the basis's integer matrix N = d Q, with
-    no elimination: B = N^T / d, and since the coefficient of Q_i in x is
-    eps_i <Q_i, x>, row i of 2 d B^-1 is eps_i (cov_i, vec_i) of row i of N.
-    """
-    ints, d = basis.num, basis.den
-    half = len(ints) // 2
-    binv = tuple(tuple(s * x for x in row[half:] + row[:half])
-                 for row, s in zip(ints, basis.signs))
-    return SkewGenerators(basis, tuple(zip(*ints)), binv, 2 * d * d)
+# skew frames of an orthonormal basis and the fibre geometry
 
 
 class SkewFrames(Value):
@@ -851,10 +799,9 @@ class SkewFrames(Value):
 def skew_frames(basis: OrthonormalBasis) -> SkewFrames:
     if len(basis.num) != 4:
         raise DimensionMismatchError("skew frames are specific to neutral 4-space")
-    g = skew_generators(basis)
-    s = g.generator
-    left = (s(0, 1) - s(2, 3), s(0, 2) - s(1, 3), s(0, 3) + s(1, 2))
-    right = (s(0, 1) + s(2, 3), s(0, 2) + s(1, 3), s(0, 3) - s(1, 2))
+    s01, s02, s03, s12, s13, s23 = (basis.generator(i, k) for i, k in combinations(range(4), 2))
+    left = (s01 - s23, s02 - s13, s03 + s12)
+    right = (s01 + s23, s02 + s13, s03 - s12)
     return SkewFrames(left, right)
 
 
@@ -932,8 +879,7 @@ def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
     zero, and both elements of a pair share their sign.  At the reference
     basis this is `from_complex(standard_complex_matrix(n))`.
     """
-    gens = skew_generators(basis)
-    return GCStructure(reduce(Endo.__add__, (gens.generator(i, i + 1).scale(basis.signs[i])
+    return GCStructure(reduce(Endo.__add__, (basis.generator(i, i + 1).scale(basis.signs[i])
                                              for i in range(0, len(basis.num), 2))))
 
 

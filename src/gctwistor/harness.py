@@ -539,7 +539,7 @@ def _adapted_cases(scenario: Scenario, offset: int):
     def cases():
         for trial in range(count):
             sample = sample_adapted_point(scenario.n, rng)
-            s, q = sample.generators.generator, sample.basis.vectors
+            s, q = sample.basis.generator, sample.basis.vectors
             yield trial, sample.at, q[0], q[3], s(0, 2) - s(1, 3)
 
     return count, cases()
@@ -640,7 +640,7 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
             return f"n = {n}, not {scenario_n}"
         if scenario_n < at_least:
             return f"n >= {at_least}, not {scenario_n}"
-        if connection is not None and (connection == "curved") != bool(conn.entries):
+        if connection is not None and (connection == "flat") != conn.is_flat:
             return f"a {connection} connection"
         return None
     return lacks

@@ -29,9 +29,7 @@ are solved from those values in `Fraction`s.
 
 The bundle-chart identity `lift_bracket_curvature_check` is evaluated
 the same way, as 1-jets at the point, in dim + (2 dim)^2 chart variables
-(18 at n = 1, 68 at n = 2): about 1-2 ms per check at n = 1 and 6 ms at
-n = 2 (Python 3.11.7, shared 2-vCPU host), where building the lift
-fields as polynomials first took 7-13 ms and 44-77 ms.
+(18 at n = 1, 68 at n = 2).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, F1, Mat, Vec
+from .exactmat import F0, Mat, Vec
 from .courant import ChartPoint, chart_point
 from .gclinalg import (
     DegenerateInputError,
@@ -48,7 +48,6 @@ from .gclinalg import (
     gl_action,
     is_vertical,
     random_orthonormal_basis,
-    skew_generators,
     standard_complex_matrix,
     standard_symplectic_matrix,
     vertical_space_basis,
@@ -68,9 +67,14 @@ class NotVerticalError(ValueError):
 
 
 class Connection(Value):
-    """Torsion-free Christoffel data with polynomial entries on a 2n-chart."""
+    """Torsion-free Christoffel data with polynomial entries on a 2n-chart.
 
-    __slots__ = ("n", "entries")
+    The curvature R(d/dx_a, d/dx_b) for a < b is built once, as
+    polynomials, when the connection is made; the connection is flat
+    exactly when every one of them is the zero polynomial.
+    """
+
+    __slots__ = ("n", "entries", "_curvature")
 
     def __init__(self, n: int, entries: tuple[tuple[tuple[int, int, int], Poly], ...]):
         dim = 2 * n
@@ -88,41 +92,60 @@ class Connection(Value):
             if not (p - mirror).is_zero():
                 raise InvariantError(f"connection has torsion at Gamma^{k}_{i}{j}")
         self.n = n
-        # (k, i, j) -> Gamma^k_ij, nonzero only: no entries exactly when flat
+        # (k, i, j) -> Gamma^k_ij, nonzero only
         self.entries = tuple(e for e in entries if not e[1].is_zero())
+        self._curvature = _curvature_polys(dim, self.entries)
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    @property
+    def is_flat(self) -> bool:
+        """Whether the curvature vanishes identically."""
+        return not self._curvature
+
     def curvature_basis_at(self, p: ChartPoint) -> dict[tuple[int, int], Mat]:
-        """R(d/dx_a, d/dx_b) for a < b at the point: entry (k, l) is d_b Gamma^k_al
-        - d_a Gamma^k_bl plus the sum over m of Gamma^k_bm Gamma^m_al - Gamma^k_am Gamma^m_bl,
-        summed over the nonzero values and partials of the entries' jets alone,
-        collected once and keyed (k, i) and (a, k, i) to their (j, value) pairs."""
+        """R(d/dx_a, d/dx_b) at the point for every a < b: the nonzero
+        curvature polynomials evaluated there, zero everywhere else."""
         dim = self.dim
-        g: dict = {}
-        dg: dict = {}
-        for (k, i, j), poly in self.entries:
-            jet = poly.jet(p.coords)
-            if jet.num[0]:
-                g.setdefault((k, i), []).append((j, jet.value))
-            for a, x in enumerate(jet.grad):
-                if x:
-                    dg.setdefault((a, k, i), []).append((j, x))
+        curvature = self._curvature
         table = {}
         for a in range(dim):
             for b in range(a + 1, dim):
                 rows = [[F0] * dim for _ in range(dim)]
-                for k, row in enumerate(rows):
-                    for u, v, sign in ((a, b, -1), (b, a, 1)):
-                        for l, x in dg.get((u, k, v), ()):
-                            row[l] += sign * x
-                        for m, x in g.get((k, u), ()):
-                            for l, y in g.get((m, v), ()):
-                                row[l] += sign * x * y
+                for k, l, poly in curvature.get((a, b), ()):
+                    rows[k][l] = poly.evaluate(p.coords)
                 table[(a, b)] = tuple(map(tuple, rows))
         return table
+
+
+def _curvature_polys(dim: int, entries) -> dict[tuple[int, int], tuple[tuple[int, int, Poly], ...]]:
+    """R(d/dx_a, d/dx_b) for a < b as polynomials: entry (k, l) is
+    d_b Gamma^k_al - d_a Gamma^k_bl plus the sum over m of
+    Gamma^k_bm Gamma^m_al - Gamma^k_am Gamma^m_bl, summed over the nonzero
+    entries alone.  Only the nonzero (k, l, polynomial) entries are kept,
+    and only the pairs a < b that have one."""
+    g: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
+    for (k, i, j), poly in entries:
+        g.setdefault((k, i), []).append((j, poly))
+    zero = Poly.constant(dim, 0)
+    out = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            acc: dict[tuple[int, int], Poly] = {}
+            for k in range(dim):
+                for u, v, sign in ((a, b, -1), (b, a, 1)):
+                    terms = [(l, poly.partial(u)) for l, poly in g.get((k, v), ())]
+                    terms += [(l, x * y) for m, x in g.get((k, u), ())
+                              for l, y in g.get((m, v), ())]
+                    for l, term in terms:
+                        total = acc.get((k, l), zero)
+                        acc[k, l] = total + term if sign > 0 else total - term
+            nonzero = tuple((k, l, poly) for (k, l), poly in acc.items() if not poly.is_zero())
+            if nonzero:
+                out[(a, b)] = nonzero
+    return out
 
 
 def connection(n: int, gamma: Mapping[tuple[int, int, int], Poly]) -> Connection:
@@ -689,20 +712,20 @@ def interchanging_structure(n: int) -> GCStructure:
     component (orientation +1) at every n.
     """
     dim_v = 2 * n
-    rows = [[F0] * (2 * dim_v) for _ in range(2 * dim_v)]
+    rows = [[0] * (2 * dim_v) for _ in range(2 * dim_v)]
     for m in range(n - n % 2):
         a, b = 2 * m, 2 * m + 1
-        rows[dim_v + b][a] = F1              # J e_a = alpha_b
-        rows[dim_v + a][b] = -F1             # J e_b = -alpha_a
-        rows[a][dim_v + b] = -F1             # J alpha_b = -e_a
-        rows[b][dim_v + a] = F1              # J alpha_a = e_b
+        rows[dim_v + b][a] = 1               # J e_a = alpha_b
+        rows[dim_v + a][b] = -1              # J e_b = -alpha_a
+        rows[a][dim_v + b] = -1              # J alpha_b = -e_a
+        rows[b][dim_v + a] = 1               # J alpha_a = e_b
     if n % 2:
         a, b = dim_v - 2, dim_v - 1
-        rows[b][a] = F1                      # J e_a = e_b
-        rows[a][b] = -F1
-        rows[dim_v + b][dim_v + a] = F1      # J alpha_a = alpha_b
-        rows[dim_v + a][dim_v + b] = -F1
-    return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
+        rows[b][a] = 1                       # J e_a = e_b
+        rows[a][b] = -1
+        rows[dim_v + b][dim_v + a] = 1       # J alpha_a = alpha_b
+        rows[dim_v + a][dim_v + b] = -1
+    return GCStructure(Endo._lowest(2 * dim_v, rows, 1))
 
 
 class MuSystemReport(Value):
@@ -881,11 +904,11 @@ def random_chart_point(dim: int, rng: random.Random) -> ChartPoint:
 class AdaptedSample(Value):
     """A twistor point whose structure is adapted to a sampled orthonormal basis."""
 
-    __slots__ = ("at", "basis", "generators")
+    __slots__ = ("at", "basis")
 
 
 def sample_adapted_point(n: int, rng: random.Random) -> AdaptedSample:
     basis = random_orthonormal_basis(n, rng)
     structure = adapted_structure(basis)
     at = TwistorPoint(random_chart_point(2 * n, rng), structure)
-    return AdaptedSample(at, basis, skew_generators(basis))
+    return AdaptedSample(at, basis)

@@ -4,10 +4,12 @@ A value class lists its fields in `__slots__`.  A record whose fields carry
 no invariant writes no constructor: `Value.__init__` takes one argument
 per slot, in slot order, and assigns it.  A class writes its own `__init__`
 only to check an invariant its type promises (then rejecting bad input
-before assigning) or to start a cache.  Values are immutable by
-convention: nothing assigns a field after construction.  Slots named with
-a leading underscore hold caches; they take no part in equality, hashing
-or the repr, and only a class with its own constructor has them.
+before assigning) or to fill a slot derived from its fields.  Values are
+immutable by convention: nothing assigns a field after construction.
+Slots named with a leading underscore hold what is derived from the
+public fields, a cache or a value computed once; they take no part in
+equality, hashing or the repr, and only a class with its own constructor
+has them.
 """
 
 

@@ -240,7 +240,7 @@ def test_second_structure_mixed_witness():
     ok = True
     for trial in range(10):
         sample = sample_adapted_point(1 if trial % 2 == 0 else 2, rng)
-        v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
+        v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
         got = nijenhuis_mixed(2, sample.at, sample.basis.vectors[0], v)
         expected = sample.basis.vectors[3].scale(2)
         ok = ok and got.horizontal == expected and not got.horizontal.is_zero()
@@ -254,7 +254,7 @@ def test_hybrid_structure_witness():
     ok = True
     for trial in range(10):
         sample = sample_adapted_point(1, rng)
-        v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
+        v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
         q1 = sample.basis.vectors[0]
         q4 = sample.basis.vectors[3]
         for alpha in (1, 2):

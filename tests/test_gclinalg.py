@@ -44,7 +44,6 @@ from gctwistor.gclinalg import (
     reference_basis,
     skew_decompose,
     skew_frames,
-    skew_generators,
     standard_complex_matrix,
     standard_symplectic_matrix,
     structure_orientation,
@@ -729,19 +728,17 @@ def test_conjugation_runs_the_isometry_check_on_e(monkeypatch, transform, what):
 
 def test_generator_norms_and_antisymmetry():
     basis = reference_basis(1)
-    gens = skew_generators(basis)
-    s01 = gens.generator(0, 1)
-    s03 = gens.generator(0, 3)
+    s01 = basis.generator(0, 1)
+    s03 = basis.generator(0, 3)
     assert fib_pairing(s01, s01) == 1      # both signs positive
     assert fib_pairing(s03, s03) == -1     # mixed signs
-    assert gens.generator(1, 0) == -s01
-    assert fib_pairing(s01, gens.generator(0, 2)) == 0
+    assert basis.generator(1, 0) == -s01
+    assert fib_pairing(s01, basis.generator(0, 2)) == 0
 
 
 def test_generator_defining_action():
     basis = reference_basis(1)
-    gens = skew_generators(basis)
-    s12 = gens.generator(1, 2)
+    s12 = basis.generator(1, 2)
     signs = basis.signs
     # S_ij Q_k = eps_k (delta_ik Q_j - delta_kj Q_i)
     assert s12.apply(basis.vectors[1]) == basis.vectors[2].scale(signs[1])
@@ -754,12 +751,11 @@ def test_generators_match_conjugated_definition(n, seed):
     # textbook definition: S_ik = B m B^-1, where m sends basis element i to
     # eps_i times element k and element k to -eps_k times element i
     basis = random_orthonormal_basis(n, seed)
-    gens = skew_generators(basis)
     n4 = 4 * n
     bmat = xm.transpose(xm.mat([v.coords for v in basis.vectors]))
     binv = xm.inverse(bmat)
     for i in range(n4):
-        assert gens.generator(i, i) == Endo(n4, xm.zeros(n4, n4))
+        assert basis.generator(i, i) == Endo(n4, xm.zeros(n4, n4))
         for k in range(n4):
             if k == i:
                 continue
@@ -767,8 +763,8 @@ def test_generators_match_conjugated_definition(n, seed):
             m[k][i] = F(basis.signs[i])
             m[i][k] = -F(basis.signs[k])
             expected = xm.mat_mul(xm.mat_mul(bmat, xm.mat(m)), binv)
-            assert gens.generator(i, k).rows == expected
-            assert gens.generator(k, i) == -gens.generator(i, k)
+            assert basis.generator(i, k).rows == expected
+            assert basis.generator(k, i) == -basis.generator(i, k)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -904,10 +900,9 @@ def test_vertical_action_squares_to_minus_one():
 def test_vertical_action_explicit_value():
     # at the adapted structure, the fibre action sends S02 - S13 to S03 + S12
     basis = reference_basis(1)
-    gens = skew_generators(basis)
     j = adapted_structure(basis)
-    q = gens.generator(0, 2) - gens.generator(1, 3)
-    expected = gens.generator(0, 3) + gens.generator(1, 2)
+    q = basis.generator(0, 2) - basis.generator(1, 3)
+    expected = basis.generator(0, 3) + basis.generator(1, 2)
     assert vertical_complex_action(j, q) == expected
 
 
@@ -925,15 +920,15 @@ def _anticommutes_by_definition(q, j):
 def test_is_vertical_matches_definition(n, seed):
     j = sample_fibre_structure(n, random.Random(seed)).j
     vertical = vertical_space_basis(GCStructure(j))
-    gens = skew_generators(random_orthonormal_basis(n, seed))
+    basis = random_orthonormal_basis(n, seed)
     rng = random.Random(seed)
     # j and j + v are skew but do not anticommute with j; the generators
     # are skew and some anticommute; a vertical element plus a generator
     # and one with an entry moved (no longer skew)
     candidates = list(vertical) + [j, j + vertical[0]]
-    pairs = list(combinations(range(len(gens.bmat)), 2))
-    candidates += [gens.generator(*pair) for pair in rng.sample(pairs, 6)]
-    candidates.append(vertical[-1] + gens.generator(0, 1))
+    pairs = list(combinations(range(len(basis.num)), 2))
+    candidates += [basis.generator(*pair) for pair in rng.sample(pairs, 6)]
+    candidates.append(vertical[-1] + basis.generator(0, 1))
     moved = [list(row) for row in vertical[1].rows]
     moved[0][1] += F(1, 3)
     candidates.append(Endo(j.dim, xm.mat(moved)))
@@ -1039,10 +1034,10 @@ def _reference_vertical_basis(structure: GCStructure) -> list[Endo]:
     """The projection s -> s + j s j over Fraction, dense, of every skew
     generator of the reference basis, with a maximal independent family kept."""
     j = structure.j
-    gens = skew_generators(reference_basis(structure.dim_v // 2))
+    ref = reference_basis(structure.dim_v // 2)
     basis, span = [], xm.RowReducer()
-    for i, k in combinations(range(len(gens.bmat)), 2):
-        s = gens.generator(i, k)
+    for i, k in combinations(range(len(ref.num)), 2):
+        s = ref.generator(i, k)
         candidate = s + j.compose(s).compose(j)
         if span.add(_integer_row(_entries(candidate))):
             basis.append(candidate)
@@ -1147,12 +1142,6 @@ def test_seed_basis_spans_projection(n, kind):
         "chart-lower"])
 def test_hand_built_basis_spans_projection(make):
     _assert_basis_spans_reference(make())
-
-
-def test_generators_are_built_once():
-    gens = skew_generators(random_orthonormal_basis(1, 4))
-    s = gens.generator(0, 2)
-    assert gens.generator(0, 2) is s
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,9 @@ def run_cli_on(tmp_path, data, *args):
 
 
 ZERO_GAMMAS = [{"1,1,1": [{"exponents": [0, 0, 0, 0], "coeff": "0"}]}, {"1,1,1": []}]
+# Gamma^1_11 = 1 is not zero, but every term of its curvature needs a
+# symbol with a lower index 2, so R = 0 everywhere: it is flat too
+CONSTANT_GAMMA = {"1,1,1": [{"exponents": [0, 0, 0, 0], "coeff": "1"}]}
 
 
 def with_samples(preset, **samples):
@@ -270,9 +273,10 @@ def with_samples(preset, **samples):
     {"name": None, "n": 1, "checks": ["linalg/pairing-examples"]},
     ["linalg/pairing-examples"],
     {"n": 1, "mode": "float", "checks": ["linalg/pairing-examples"]},
-    # an all-zero gamma is flat, and two spellings of one key are not both kept
+    # a gamma with zero curvature is flat, and two spellings of one key are
+    # not both kept
     *[{"n": 2, "connection": {"gamma": gamma}, "samples": {"fibre_params": 1},
-       "checks": ["integrability/curved-witness"]} for gamma in ZERO_GAMMAS],
+       "checks": ["integrability/curved-witness"]} for gamma in [*ZERO_GAMMAS, CONSTANT_GAMMA]],
     {"n": 2, "connection": {"gamma": {"1,1,1": [{"exponents": [1, 0, 0, 0], "coeff": "1"}],
                                       " 1,1,1": []}},
      "samples": {"fibre_params": 1}, "checks": ["integrability/flat-structure1-vanishes"]},
@@ -293,6 +297,18 @@ def test_all_zero_gamma_is_flat(gamma):
     report = run_scenario(load_scenario(
         {**data, "checks": ["integrability/flat-structure1-vanishes"]}))
     assert report.ok and report.results[0].status == "pass"
+
+
+def test_zero_curvature_gamma_is_flat():
+    data = {"n": 2, "connection": {"gamma": CONSTANT_GAMMA}, "samples": {"fibre_params": 1},
+            "checks": ["integrability/flat-structure1-vanishes"]}
+    report = run_scenario(load_scenario(data))
+    assert report.ok and report.results[0].status == "pass"
+
+
+def test_presets_are_curved_exactly_when_they_give_a_gamma():
+    for name, preset in PRESETS.items():
+        assert load_scenario(name).conn.is_flat == (not preset["connection"]["gamma"]), name
 
 
 def test_cli_reports_the_name_a_scenario_file_gives(tmp_path, capsys):

@@ -96,6 +96,16 @@ def test_zero_entries_are_dropped():
     assert connection(1, {(0, 1, 1): X1_2, (1, 0, 0): zero}).entries == CONN_N1.entries
 
 
+def test_curvature_zero_at_a_point_is_still_curved():
+    assert flat_connection(2).is_flat and not CONN_N1.is_flat and not CONN_N2.is_flat
+    # Gamma^1_22 = x1^2: R(d_1, d_2) e_2 = -2 x1 e_1, zero on x1 = 0 only
+    quadratic = connection(1, {(0, 1, 1): X1_2 * X1_2})
+    assert not quadratic.is_flat
+    assert xm.is_zero(quadratic.curvature_basis_at(chart_point([F(0), F(3)]))[(0, 1)])
+    assert quadratic.curvature_basis_at(chart_point([F(1, 2), F(3)]))[(0, 1)] == \
+        ((F(0), F(-1)), (F(0), F(0)))
+
+
 @pytest.mark.parametrize("second", [" 1,2,2", "01,2,2", "1, 2,2"])
 def test_duplicate_christoffel_key_rejected(second):
     # two spellings of one triple: neither may silently replace the other
@@ -366,7 +376,7 @@ def test_horizontal_n1_alpha1_any_connection_zero():
 def test_mixed_term_values():
     rng = random.Random(6)
     sample = sample_adapted_point(1, rng)
-    v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
+    v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
     q1 = sample.basis.vectors[0]
     q4 = sample.basis.vectors[3]
     assert nijenhuis_mixed(1, sample.at, q1, v).is_zero()
@@ -379,7 +389,7 @@ def test_mixed_term_values():
 def test_mixed_term_n2():
     rng = random.Random(7)
     sample = sample_adapted_point(2, rng)
-    v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
+    v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
     q1 = sample.basis.vectors[0]
     q4 = sample.basis.vectors[3]
     assert nijenhuis_mixed(2, sample.at, q1, v).horizontal == q4.scale(2)
@@ -740,7 +750,7 @@ def test_hybrid_witness_value():
     rng = random.Random(11)
     for conn in (flat_connection(1), CONN_N1):
         sample = sample_adapted_point(1, rng)
-        v = sample.generators.generator(0, 2) - sample.generators.generator(1, 3)
+        v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
         q1 = sample.basis.vectors[0]
         q4 = sample.basis.vectors[3]
         got1 = hybrid_nijenhuis_horizontal(1, conn, sample.at, q1, v)
@@ -765,6 +775,7 @@ def test_constant_commuting_connection_is_flat():
     # curvature: no derivative terms, vanishing bracket terms
     conn = connection(1, {(0, 0, 0): Poly.constant(2, 1)})
     p = chart_point([F(3), F(-2)])
+    assert conn.entries and conn.is_flat
     assert curvature(conn, (F(1), F(0)), (F(0), F(1)), p).is_zero()
 
 

@@ -1,7 +1,7 @@
 """The package's value classes: plain `__slots__` classes, built by
-`Value.__init__` unless they check an invariant or start a cache, equal and
-hashed by their fields, with caches kept out of equality, hashing and the
-repr."""
+`Value.__init__` unless they check an invariant or fill a derived slot,
+equal and hashed by their fields, with derived slots kept out of equality,
+hashing and the repr."""
 
 import importlib
 import os
@@ -163,12 +163,19 @@ def _value_classes():
 
 def test_generic_constructor_only_for_cache_free_records():
     # Value.__init__ assigns every slot from an argument, so a class that
-    # keeps a cache slot must start the cache in its own constructor
+    # keeps a derived (underscore) slot must fill it in its own constructor
     classes = _value_classes()
     assert len(classes) >= 25
     for cls in classes:
         if "__init__" not in vars(cls):
             assert not [s for s in cls.__slots__ if s[0] == "_"], cls.__qualname__
+
+
+def test_constructors_fill_their_derived_slots():
+    for make in FACTORIES.values():
+        value = make(random.Random(0))
+        for name in type(value).__slots__:
+            getattr(value, name)  # AttributeError for a slot left unset
 
 
 @pytest.mark.parametrize("fields", [(), (2, 16, 16), (2, 16, 16, 0, 0)])
