@@ -13,16 +13,13 @@ Fraction.
 
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
-- `rref`, and through it `rank` and `solve`, is a fraction-free
-  Gauss-Jordan elimination on primitive integer rows; each pivot row is
-  divided by its pivot at the end.  The reduced row echelon form is
-  unique, so it is the one elimination over Fraction gives.
-  `_integer_inverse`, and through it `inverse`, runs the same
-  elimination on [N | Id] for an integer matrix N and keeps the inverse
-  as integers over one denominator.
+- `inverse` runs a fraction-free Gauss-Jordan elimination
+  (`_gauss_jordan`) on [N | Id] for an integer matrix N and keeps the
+  inverse as integers over one denominator (`_integer_inverse`).
 - `RowReducer` takes integer vectors only, the one exception to the
   Fraction contract, and stores primitive integer rows, as their nonzero
-  entries, with their pivots.
+  entries, with their pivots.  `rank` is the length of one fed the rows
+  scaled to integers.
 
 `_scaled` and `_integer_matrix` are the scaling step on its own.
 `gclinalg.Endo` keeps its matrix in that integer form and does its own
@@ -45,7 +42,7 @@ F1 = Fraction(1)
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an exact solve or inverse meets a singular matrix."""
+    """Raised when an exact inverse meets a singular matrix."""
 
 
 def fr(x) -> Fraction:
@@ -153,20 +150,6 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
-
-    Fraction-free Gauss-Jordan (`_gauss_jordan`) on the rows scaled to
-    primitive integer rows; each pivot row is divided by its pivot at the end.
-    """
-    ncols = len(m[0]) if m else 0
-    rows, pivots = _gauss_jordan([_primitive(_scaled(row)[0]) for row in m], ncols)
-    # rows past the last pivot row are zero
-    out = [tuple(Fraction(x, row[c]) if x else F0 for x in row) for row, c in zip(rows, pivots)]
-    out += [(F0,) * ncols] * (len(rows) - len(pivots))
-    return tuple(out), tuple(pivots)
-
-
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Integer rows in reduced echelon form, up to each pivot row's scale,
     and the pivot columns of the first `ncols` columns.
@@ -196,12 +179,6 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], l
         pivots.append(col)
         r += 1
     return rows, pivots
-
-
-def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
 
 
 class RowReducer:
@@ -249,14 +226,12 @@ class RowReducer:
         return len(self._rows)
 
 
-def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
-    """Solve a x = b for square invertible a."""
-    k = len(a)
-    aug = mat([list(row) + [fr(x)] for row, x in zip(a, b)])
-    reduced, pivots = rref(aug)
-    if pivots != tuple(range(k)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(reduced[i][k] for i in range(k))
+def rank(m: Mat) -> int:
+    """The number of independent rows of m."""
+    reducer = RowReducer()
+    for row in m:
+        reducer.add(_scaled(row)[0])
+    return len(reducer)
 
 
 def inverse(a: Mat) -> Mat:

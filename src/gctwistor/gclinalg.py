@@ -416,49 +416,47 @@ class OrthonormalBasis(Value):
     """4n elements Q_i with <Q_i, Q_j> = delta_ij eps_i, positive signs first.
 
     Stored as `Endo` is: an integer matrix `num` whose row i is d Q_i, over
-    the one denominator `den` = d > 0 in lowest terms, and the `signs`.
-    Equality and hashing compare those values; `vectors` builds the elements
-    as `GElement`s on each read.
+    the one denominator `den` = d > 0 in lowest terms.  Equality and hashing
+    compare those values; `vectors` builds the elements as `GElement`s on
+    each read.  The signs are always 2n times +1, then 2n times -1.
     """
 
-    __slots__ = ("num", "den", "signs")
+    __slots__ = ("num", "den")
 
-    def __init__(self, vectors: tuple[GElement, ...], signs: tuple[int, ...]):
+    def __init__(self, vectors: tuple[GElement, ...]):
         if any(2 * v.dim_v != len(vectors) for v in vectors):
             raise DimensionMismatchError("basis elements do not live in V + V* of dim V = 2n")
-        self._fill(*xm._integer_matrix([v.coords for v in vectors]), signs)
+        self._fill(*xm._integer_matrix([v.coords for v in vectors]))
 
     @staticmethod
-    def _lowest(num: Sequence[Sequence[int]], den: int, signs: tuple) -> "OrthonormalBasis":
+    def _lowest(num: Sequence[Sequence[int]], den: int) -> "OrthonormalBasis":
         """The basis with rows num / den for den > 0, checked as `__init__` checks."""
+        m = Endo._lowest(len(num), num, den)
         out = object.__new__(OrthonormalBasis)
-        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
-        if g > 1:
-            num, den = [[x // g for x in row] for row in num], den // g
-        out._fill(num, den, signs)
+        out._fill(m.num, m.den)
         return out
 
-    def _fill(self, num: list, den: int, signs: tuple[int, ...]) -> None:
+    def _fill(self, num: Sequence[Sequence[int]], den: int) -> None:
         n4 = len(num)
         if n4 == 0 or n4 % 4 != 0:
             raise DimensionMismatchError("an orthonormal basis of V + V* has 4n elements")
-        if len(signs) != n4:
-            raise DimensionMismatchError("one sign per basis element")
         half = n4 // 2
-        if signs != (1,) * half + (-1,) * half:
-            raise InvariantError("expected 2n signs +1 followed by 2n signs -1")
-        # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2)
+        # <Q_i, Q_k> = (cov_i . vec_k + cov_k . vec_i) / (2 d^2), and eps_i = +1 for i < 2n
         vecs = [row[:half] for row in num]
         covs = [row[half:] for row in num]
         norm = 2 * den * den
         for i in range(n4):
             for k in range(i, n4):
                 total = sum(map(mul, covs[i], vecs[k])) + sum(map(mul, covs[k], vecs[i]))
-                if total != (signs[i] * norm if i == k else 0):
+                if total != ((norm if i < half else -norm) if i == k else 0):
                     raise InvariantError(f"pairing of elements {i} and {k} is not orthonormal")
         self.num = tuple(map(tuple, num))
         self.den = den
-        self.signs = signs
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        half = len(self.num) // 2
+        return (1,) * half + (-1,) * half
 
     @property
     def vectors(self) -> tuple[GElement, ...]:
@@ -491,7 +489,7 @@ class OrthonormalBasis(Value):
 
 def reference_basis(n: int) -> OrthonormalBasis:
     """The standard orthonormal basis {e_i + a_i ; e_i - a_i} of V + V*."""
-    return OrthonormalBasis._lowest(_reference_rows(2 * n), 1, (1,) * (2 * n) + (-1,) * (2 * n))
+    return OrthonormalBasis._lowest(_reference_rows(2 * n), 1)
 
 
 def _reference_rows(dim_v: int) -> list[list[int]]:
@@ -569,8 +567,7 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
             vectors[i] = _combine(a, -b, e, vi, vk)
         vectors[k] = _combine(b, a, e, vi, vk)
     den = lcm(*(d for _, d in vectors))
-    return OrthonormalBasis._lowest([[x * (den // d) for x in row] for row, d in vectors], den,
-                                    (1,) * dim_v + (-1,) * dim_v)
+    return OrthonormalBasis._lowest([[x * (den // d) for x in row] for row, d in vectors], den)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
 from .courant import (
+    b_automorphism_defect,
     chart_point,
     constant_field,
     courant_bracket,
@@ -387,8 +388,7 @@ def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckRe
 def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 7)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    points = [chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
-              for _ in range(5)]
+    points = [random_chart_point(2, rng) for _ in range(5)]
     witness = integrability_scan(field, points, default_probes(2))
     if witness is not None:
         return _fail("nonzero residual",
@@ -423,7 +423,6 @@ def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
     closed_fields = [two_form_field(m, skew_entries({(0, 1): one})),
                      two_form_field(m, skew_entries({(0, 1): x1}))]
     a, c = rand_section(), rand_section()
-    from .courant import b_automorphism_defect
     for idx, bf in enumerate(closed_fields):
         for p in points:
             defect = b_automorphism_defect(bf, a, c, p)

@@ -17,9 +17,10 @@ denominator in lowest terms, and each result of `+ - * /`, `neg` and
 common denominator of its coefficients and the point, and builds the
 `Jet` directly.
 
-Rational functions are kept as unreduced numerator/denominator pairs;
-evaluation guards against vanishing denominators instead of attempting
-multivariate gcd.
+Rational functions are kept as unreduced numerator/denominator pairs
+and offer only what their callers use: `from_poly`, `+` (the skew check
+of a two-form field), `*`, `evaluate` and `jet`.  Evaluation guards
+against vanishing denominators instead of attempting multivariate gcd.
 """
 
 from __future__ import annotations
@@ -272,14 +273,6 @@ class RationalFn(Value):
         self.num = num
         self.den = den
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RationalFn:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -287,14 +280,6 @@ class RationalFn(Value):
     @staticmethod
     def from_poly(p: Poly) -> "RationalFn":
         return RationalFn(p, Poly.constant(p.nvars, 1))
-
-    @staticmethod
-    def constant(nvars: int, value) -> "RationalFn":
-        return RationalFn.from_poly(Poly.constant(nvars, value))
-
-    @staticmethod
-    def variable(nvars: int, index: int) -> "RationalFn":
-        return RationalFn.from_poly(Poly.variable(nvars, index))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -304,22 +289,8 @@ class RationalFn(Value):
             return RationalFn(self.num + other.num, self.den)
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def scale(self, c) -> "RationalFn":
-        return RationalFn(self.num.scale(c), self.den)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         d = self.den.evaluate(point)

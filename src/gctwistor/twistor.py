@@ -350,7 +350,7 @@ def _gram_solve_representer(basis: Sequence[Endo], values: Sequence[Fraction]) -
     d = len(basis)
     gram = tuple(tuple(fib_pairing(basis[a], basis[b]) for b in range(d)) for a in range(d))
     try:
-        coeffs = xm.solve(gram, values)
+        coeffs = xm.mat_vec(xm.inverse(gram), values)
     except xm.SingularMatrixError:
         raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
     out = zero_endo(basis[0].dim)
@@ -780,7 +780,7 @@ def _mu_constraint_rows(n: int, structure: GCStructure) -> list[tuple[int, ...]]
     return rows
 
 
-def mu_forced_zero_check(n: int = 2) -> MuSystemReport:
+def mu_forced_zero_check(n: int) -> MuSystemReport:
     """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 for the
     one structure j = `interchanging_structure(n)`, at any n >= 2.
 

@@ -19,17 +19,10 @@ def test_det_singular():
     assert xm.det(xm.mat([[1, 2], [2, 4]])) == 0
 
 
-def test_solve_and_inverse():
+def test_inverse():
     a = xm.mat([[2, 1], [1, 1]])
-    x = xm.solve(a, xm.vec([3, 2]))
-    assert xm.mat_vec(a, x) == xm.vec([3, 2])
     inv = xm.inverse(a)
     assert xm.mat_mul(a, inv) == xm.identity(2)
-
-
-def test_solve_singular_raises():
-    with pytest.raises(xm.SingularMatrixError):
-        xm.solve(xm.mat([[1, 1], [1, 1]]), xm.vec([1, 0]))
 
 
 def test_rank_and_nullspace():
@@ -149,11 +142,11 @@ def test_row_reducer_matches_rank(inputs):
     rows, probes = inputs
     r = xm.RowReducer()
     for k, row in enumerate(rows):
-        grew = xm.rank(rows[:k + 1]) > xm.rank(rows[:k])
+        grew = _ref_rank(rows[:k + 1]) > _ref_rank(rows[:k])
         assert r.add(_integer_row(row)) == grew
-        assert len(r) == xm.rank(rows[:k + 1])
+        assert len(r) == _ref_rank(rows[:k + 1])
     for probe in probes:
-        assert r.contains(_integer_row(probe)) == (xm.rank(rows + [probe]) == len(r))
+        assert r.contains(_integer_row(probe)) == (_ref_rank(rows + [probe]) == len(r))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +191,10 @@ def _ref_rref(m):
         pivots.append(col)
         r += 1
     return tuple(tuple(F(x) for x in row) for row in rows), tuple(pivots)
+
+
+def _ref_rank(m):
+    return len(_ref_rref(m)[1])
 
 
 def _ref_solve_columns(a, columns):
@@ -275,31 +272,21 @@ def test_det_small_cases():
 @settings(max_examples=150, deadline=None)
 @given(_matrix())
 def test_rref_and_rank_match_fraction_elimination(m):
-    # the reduced row echelon form is unique, so fraction-free elimination gives the same one
-    reduced, pivots = xm.rref(m)
-    assert (reduced, pivots) == _ref_rref(m)
-    assert _all_fractions(reduced)
-    assert xm.rank(m) == len(pivots)
+    # the rank is the number of pivots of the Fraction reduced row echelon form
+    assert xm.rank(m) == _ref_rank(m)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_matrix(square=True), st.data())
-def test_solve_and_inverse_match_fraction_elimination(a, data):
+@given(_matrix(square=True))
+def test_inverse_matches_fraction_elimination(a):
     k = len(a)
-    b = tuple(data.draw(_nonzero | st.just(F(0))) for _ in range(k))
-    identity_cols = [tuple(F(int(i == j)) for i in range(k)) for j in range(k)]
-    expected = _ref_solve_columns(a, [b] + identity_cols)
+    expected = _ref_solve_columns(a, [tuple(F(int(i == j)) for i in range(k)) for j in range(k)])
     if expected is None:
-        with pytest.raises(xm.SingularMatrixError):
-            xm.solve(a, b)
         with pytest.raises(xm.SingularMatrixError):
             xm.inverse(a)
         return
-    x = xm.solve(a, b)
-    assert x == expected[0]
-    assert all(type(v) is F for v in x)
     inv = xm.inverse(a)
-    assert inv == tuple(zip(*expected[1:]))
+    assert inv == tuple(zip(*expected))
     assert _all_fractions(inv)
 
 
@@ -320,12 +307,11 @@ def test_integer_inverse_matches_fraction_elimination(a):
     assert tuple(tuple(F(x, d) for x in row) for row in num) == tuple(zip(*expected))
 
 
-def test_one_by_one_solve_and_inverse():
-    assert xm.solve(xm.mat([[F(-2, 3)]]), xm.vec([F(1, 5)])) == (F(-3, 10),)
+def test_one_by_one_inverse():
     assert xm.inverse(xm.mat([[F(-2, 3)]])) == ((F(-3, 2),),)
     with pytest.raises(xm.SingularMatrixError):
         xm.inverse(xm.mat([[0]]))
-    assert xm.solve((), ()) == () and xm.inverse(()) == ()
+    assert xm.inverse(()) == ()
 
 
 @settings(max_examples=120, deadline=None)

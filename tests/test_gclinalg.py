@@ -161,7 +161,7 @@ def test_non_orthonormal_input_rejected():
     a1 = basis_covector(2, 0)
     vectors = (e1 + a1, e1 + a1, e1 - a1, basis_vector(2, 1) - basis_covector(2, 1))
     with pytest.raises(InvariantError):
-        OrthonormalBasis(vectors, (1, 1, -1, -1))
+        OrthonormalBasis(vectors)
 
 
 def test_dim2_reference_transition():
@@ -178,7 +178,7 @@ def test_dim2_reflected_basis():
     a1 = basis_covector(2, 0)
     a2 = basis_covector(2, 1)
     vectors = (e1 + a1, e2 + a2, e1 - a1, (e2 - a2).scale(-1))
-    basis = OrthonormalBasis(vectors, (1, 1, -1, -1))
+    basis = OrthonormalBasis(vectors)
     report = dim2_basis_orientation(basis)
     assert report.a == xm.mat([[1, 0], [0, -1]])
     assert report.transition_det == -4
@@ -194,7 +194,7 @@ def test_dim2_rational_rotation_point():
     a2 = basis_covector(2, 1)
     q3 = (e1 - a1).scale(c) - (e2 - a2).scale(s)
     q4 = (e1 - a1).scale(s) + (e2 - a2).scale(c)
-    basis = OrthonormalBasis((e1 + a1, e2 + a2, q3, q4), (1, 1, -1, -1))
+    basis = OrthonormalBasis((e1 + a1, e2 + a2, q3, q4))
     report = dim2_basis_orientation(basis)
     assert report.orthogonal
     assert xm.det(report.a) == 1
@@ -258,7 +258,7 @@ def test_perturbed_basis_entry_rejected(n, seed):
         perturbed[i] = gl.from_coords(coords)
         # the pairing of element i with itself or with another element moves
         with pytest.raises(InvariantError, match=r"pairing of elements \d+ and \d+"):
-            OrthonormalBasis(tuple(perturbed), basis.signs)
+            OrthonormalBasis(tuple(perturbed))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -268,16 +268,16 @@ def test_rescaled_basis_element_rejected(n):
     for i in range(4 * n):
         vectors = list(basis.vectors)
         vectors[i] = vectors[i].scale(-1)
-        OrthonormalBasis(tuple(vectors), basis.signs)
+        OrthonormalBasis(tuple(vectors))
         vectors[i] = vectors[i].scale(F(2, 3))
         with pytest.raises(InvariantError, match=f"elements {i} and {i} "):
-            OrthonormalBasis(tuple(vectors), basis.signs)
+            OrthonormalBasis(tuple(vectors))
 
 
 def test_basis_elements_of_another_dimension_rejected():
     wide = reference_basis(2).vectors[:4]
     with pytest.raises(gl.DimensionMismatchError):
-        OrthonormalBasis(wide, (1, 1, -1, -1))
+        OrthonormalBasis(wide)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +325,13 @@ def _fraction_projection_det(basis):
 
 
 def _fraction_dim2_report(basis):
-    """(A, orthogonal, transition_det, orientation) by `xm.solve` over Fraction."""
+    """(A, orthogonal, transition_det, orientation) by `xm.inverse` over Fraction."""
     e = [v.vec for v in basis.vectors]
     eta = [v.cov for v in basis.vectors]
-    e12 = xm.transpose(xm.mat(e[:2]))
-    a = xm.mat([xm.solve(e12, e[2 + k]) for k in range(2)])
-    cols = [tuple(xm.solve(e12, e[i])) + tuple(sum(eta[i][m] * e[k][m] for m in range(2))
-                                               for k in range(2)) for i in range(4)]
+    e12_inv = xm.inverse(xm.transpose(xm.mat(e[:2])))
+    a = xm.mat([xm.mat_vec(e12_inv, e[2 + k]) for k in range(2)])
+    cols = [xm.mat_vec(e12_inv, e[i]) + tuple(sum(eta[i][m] * e[k][m] for m in range(2))
+                                             for k in range(2)) for i in range(4)]
     return (a, xm.mat_mul(a, xm.transpose(a)) == xm.identity(2),
             xm.det(xm.transpose(cols)), 1 if xm.det(a) > 0 else -1)
 
@@ -348,7 +348,7 @@ def _hand_built_dim2_bases():
     q3b = (e1 + a1).scale(sh) + (e1 - a1).scale(ch)
     bases = [(e1 + a1, e2 + a2, q3, q4), (q1, e2 + a2, q3b, e2 - a2)]
     bases += [(x, y, z, w.scale(-1)) for x, y, z, w in bases]
-    return [OrthonormalBasis(v, (1, 1, -1, -1)) for v in bases]
+    return [OrthonormalBasis(v) for v in bases]
 
 
 def test_basis_reports_match_fraction_formulas():
@@ -372,14 +372,14 @@ def test_integer_basis_equals_gelement_basis(n):
     for basis in built:
         # lowest terms, so equal values have one representation
         assert basis.den > 0 and gcd(basis.den, *(x for row in basis.num for x in row)) == 1
-        again = OrthonormalBasis(basis.vectors, basis.signs)
+        again = OrthonormalBasis(basis.vectors)
         assert again == basis and hash(again) == hash(basis)
         assert again.vectors == basis.vectors
     dim_v = 2 * n
     plus = [basis_vector(dim_v, i) + basis_covector(dim_v, i) for i in range(dim_v)]
     minus = [basis_vector(dim_v, i) - basis_covector(dim_v, i) for i in range(dim_v)]
-    assert OrthonormalBasis(tuple(plus + minus), (1,) * dim_v + (-1,) * dim_v) == built[0]
-    assert built[1] != built[2] and OrthonormalBasis(built[1].vectors, built[1].signs) != built[2]
+    assert OrthonormalBasis(tuple(plus + minus)) == built[0]
+    assert built[1] != built[2] and OrthonormalBasis(built[1].vectors) != built[2]
 
 
 # ---------------------------------------------------------------------------
