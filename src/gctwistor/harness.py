@@ -3,19 +3,20 @@
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
 sample counts and a list of named checks.  A check is named once, in a
 registry that pairs it with what it asks of its scenario (an n, a flat
-or a curved connection); the `Scenario` constructor, and so both
-`load_scenario` and a scenario built directly, rejects a scenario that
-schedules a check it cannot run.  `CHECKS` maps each name to a plain
-(scenario, hooks) -> CheckResult function, and `run_scenario` stamps
-every result with the key it ran under.  Each integrability claim has
-one check that reads `scenario.n`; the n-specific names that older
-presets schedule are the same checks, registered for their n only.
-Every check runs, and reports its residual, in exact arithmetic, and
-every probe-pair scan, the curved witness among them, goes through one
-per-point Nijenhuis table.  A report is a deterministic function of
-(scenario, seed): two runs emit byte-identical JSON.  Wall-clock timings
-appear in the text rendering only, precisely so the JSON stays
-reproducible.
+or a curved connection) and with the sample count it reads; the
+`Scenario` constructor, and so both `load_scenario` and a scenario built
+directly, rejects a scenario that schedules a check it cannot run or
+twice, or sets a sample count that no scheduled check reads.  `CHECKS`
+maps each name to a plain (scenario, hooks) -> CheckResult function,
+and `run_scenario` stamps every result with the key it ran under.  Each
+integrability claim has one check that reads `scenario.n`; the
+n-specific names that older presets schedule are the same checks,
+registered for their n only.  Every check runs, and reports its
+residual, in exact arithmetic, and every probe-pair scan, the curved
+witness among them, goes through one per-point Nijenhuis table.  A
+report is a deterministic function of (scenario, seed): two runs emit
+byte-identical JSON.  Wall-clock timings appear in the text rendering
+only, precisely so the JSON stays reproducible.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .twistor import (
     Connection,
     TwistorPoint,
     connection_from_json,
+    fibre_chart_samples,
     flat_connection,
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
@@ -103,9 +105,10 @@ class ScenarioError(ValueError):
 class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
     a scenario whose checks cannot run: a bad name, n, seed or samples, a
-    connection for another n, an empty check list, an unknown check, or a
-    check whose registry requirements (an n, a flat or a curved connection)
-    it does not meet."""
+    connection for another n, an empty check list, an unknown check, a
+    check scheduled twice, a check whose registry requirements (an n, a
+    flat or a curved connection) it does not meet, or a sample count that
+    no scheduled check reads."""
 
     __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
@@ -126,12 +129,15 @@ class Scenario(Value):
         unknown = [c for c in checks if c not in _REGISTRY]
         if unknown:
             raise ScenarioError(f"unknown checks: {unknown}")
+        twice = sorted({c for c in checks if checks.count(c) > 1})
+        if twice:
+            raise ScenarioError(f"checks scheduled more than once: {twice}")
         for check in checks:
             needs = _REGISTRY[check][1]
             lacking = needs and needs(n, conn)
             if lacking:
                 raise ScenarioError(f"check {check} needs {lacking}")
-        _validate_samples(samples)
+        _validate_samples(samples, {_REGISTRY[check][2] for check in checks} - {None})
         self.name = name
         self.n = n
         self.conn = conn
@@ -315,24 +321,10 @@ def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResu
     return _ok()
 
 
-def _hyperboloid_samples(rng: random.Random, count: int):
-    """Yield count seeded fibre-chart parameters (u, v, sheet) off the circle
-    u^2 + v^2 = 1, on alternating sheets.  Draws are made lazily, so a
-    caller may draw from rng between samples."""
-    made = 0
-    while made < count:
-        u = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        v = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
-        if u * u + v * v == 1:
-            continue
-        yield u, v, 1 if made % 2 == 0 else -1
-        made += 1
-
-
 def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 5)
     basis = reference_basis(1)
-    for u, v, sheet in _hyperboloid_samples(rng, 10):
+    for u, v, sheet in fibre_chart_samples(rng, 10):
         x1, x2, x3 = hyperboloid_chart(u, v, sheet)
         if x1 * x1 - x2 * x2 - x3 * x3 != 1:
             return _fail("chart identity", {"u": scalar_to_str(u)})
@@ -465,17 +457,13 @@ def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     yield from nijenhuis_closed_form_table(alpha, conn, at, probes, basis).items()
 
 
-def _n1_twistor_points(rng: random.Random, count: int):
-    basis = reference_basis(1)
-    for u, v, sheet in _hyperboloid_samples(rng, count):
-        structure = hyperboloid_point(u, v, sheet, basis)
-        yield TwistorPoint(random_chart_point(2, rng), structure), (u, v, sheet)
-
-
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
     rng = random.Random(scenario.seed + 9)
     count = scenario.count("base_points", 50)
-    for at, (u, v, sheet) in _n1_twistor_points(rng, count):
+    basis = reference_basis(1)
+    for u, v, sheet in fibre_chart_samples(rng, count):
+        structure = hyperboloid_point(u, v, sheet, basis)
+        at = TwistorPoint(random_chart_point(2, rng), structure)
         for (i, k), value in _scan_closed_form(1, scenario.conn, at):
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
@@ -607,10 +595,10 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
     for r in report.results:
         if not r.lift_bracket_ok:
             return _fail("nonzero residual", {"sheet": r.sample.sheet})
-    # the same identity on the endomorphism-bundle chart, sized by n
+    # the same identity on the endomorphism-bundle chart, at one seeded point
     rng = random.Random(scenario.seed + 15)
-    basis = reference_basis(1)
-    structure = hyperboloid_point(Fraction(1, 3), Fraction(1, 5), 1, basis)
+    (u, v, sheet), = fibre_chart_samples(rng, 1)
+    structure = hyperboloid_point(u, v, sheet, reference_basis(1))
     at = TwistorPoint(random_chart_point(2, rng), structure)
     one = Poly.constant(2, 1)
     x1 = Poly.variable(2, 0)
@@ -645,44 +633,46 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
     return lacks
 
 
-# name -> (check, what it asks of the scenario or None); the `Scenario`
-# constructor rejects a scenario that schedules a check it cannot run
-_REGISTRY: dict[str, tuple[Callable[[Scenario, dict], CheckResult], Callable | None]] = {
-    "linalg/pairing-examples": (_check_pairing_examples, None),
-    "linalg/projection-nondegeneracy": (_check_projection, None),
-    "linalg/dim2-orientation": (_check_dim2_orientation, None),
-    "linalg/orientation-parity": (_check_orientation_parity, None),
-    "linalg/skew-frame-relations": (_check_skew_frame_relations, None),
-    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, None),
-    "linalg/transform-isometries": (_check_transform_isometries, None),
-    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, None),
-    "courant/bracket-examples": (_check_bracket_examples, None),
-    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, None),
-    "courant/constant-structure-integrable": (_check_constant_structure, None),
-    "courant/b-transform-automorphism": (_check_b_automorphism, None),
-    "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1)),
+# name -> (check, what it asks of the scenario or None, the sample count it
+# reads or None); the `Scenario` constructor rejects a scenario that
+# schedules a check it cannot run, or sets a sample count no check reads
+_REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
+    "linalg/pairing-examples": (_check_pairing_examples, None, None),
+    "linalg/projection-nondegeneracy": (_check_projection, None, "base_points"),
+    "linalg/dim2-orientation": (_check_dim2_orientation, None, "base_points"),
+    "linalg/orientation-parity": (_check_orientation_parity, None, None),
+    "linalg/skew-frame-relations": (_check_skew_frame_relations, None, None),
+    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, None, None),
+    "linalg/transform-isometries": (_check_transform_isometries, None, None),
+    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, None, None),
+    "courant/bracket-examples": (_check_bracket_examples, None, None),
+    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, None, None),
+    "courant/constant-structure-integrable": (_check_constant_structure, None, None),
+    "courant/b-transform-automorphism": (_check_b_automorphism, None, None),
+    "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1), "base_points"),
     "integrability/flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(at_least=2, connection="flat")),
+        (_check_flat_vanishing, _needs(at_least=2, connection="flat"), "fibre_params"),
     "integrability/curved-witness":
-        (_check_curved_witness, _needs(at_least=2, connection="curved")),
+        (_check_curved_witness, _needs(at_least=2, connection="curved"), "fibre_params"),
     # names the n = 2 and n = 3 presets schedule, kept so their reports stay the same
     "integrability/n2-flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(n=2, connection="flat")),
+        (_check_flat_vanishing, _needs(n=2, connection="flat"), "fibre_params"),
     "integrability/n3-flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(n=3, connection="flat")),
+        (_check_flat_vanishing, _needs(n=3, connection="flat"), "fibre_params"),
     "integrability/n2-curved-witness":
-        (_check_curved_witness, _needs(n=2, connection="curved")),
-    "integrability/curvature-form-kernel": (_check_mu_kernel, _needs(at_least=2)),
-    "integrability/mixed-witness": (_check_mixed_witness, None),
-    "integrability/hybrid-witness": (_check_hybrid_witness, None),
-    "oracle/closed-form-equality": (_check_oracle_equality, _needs(n=1)),
-    "oracle/structure1-direct-zero": (_check_oracle_direct_zero, _needs(n=1)),
-    "oracle/lift-bracket-identity": (_check_oracle_lift_bracket, _needs(n=1)),
-    "oracle/vertical-bracket-identity": (_check_oracle_vertical_bracket, _needs(n=1)),
+        (_check_curved_witness, _needs(n=2, connection="curved"), "fibre_params"),
+    "integrability/curvature-form-kernel": (_check_mu_kernel, _needs(at_least=2), None),
+    "integrability/mixed-witness": (_check_mixed_witness, None, "adapted_points"),
+    "integrability/hybrid-witness": (_check_hybrid_witness, None, "adapted_points"),
+    "oracle/closed-form-equality": (_check_oracle_equality, _needs(n=1), "fibre_params"),
+    "oracle/structure1-direct-zero": (_check_oracle_direct_zero, _needs(n=1), "fibre_params"),
+    "oracle/lift-bracket-identity": (_check_oracle_lift_bracket, _needs(n=1), "fibre_params"),
+    "oracle/vertical-bracket-identity":
+        (_check_oracle_vertical_bracket, _needs(n=1), "fibre_params"),
 }
 
 CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
-    name: check for name, (check, _) in _REGISTRY.items()}
+    name: check for name, (check, _, _) in _REGISTRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -755,19 +745,20 @@ PRESETS: dict[str, dict] = {
 }
 
 
-SAMPLE_COUNTS = ("base_points", "fibre_params", "adapted_points")
 SCENARIO_KEYS = ("name", "n", "connection", "mode", "seed", "samples", "checks")
 
 
-def _validate_samples(samples: Mapping[str, object]) -> None:
-    """The samples map every sample count to an int >= 1, so no check runs
-    over zero samples or a mistyped value."""
+def _validate_samples(samples: Mapping[str, object], read: set[str]) -> None:
+    """The samples map sample counts that a scheduled check reads to ints
+    >= 1, so no check runs over zero samples or a mistyped value, and no
+    count is ignored."""
     if not isinstance(samples, Mapping):
         raise ScenarioError(f"malformed scenario: samples must be an object, got {samples!r}")
     for key, value in samples.items():
-        if not (key in SAMPLE_COUNTS and type(value) is int and value >= 1):
-            raise ScenarioError(f"bad sample {key}={value!r}: the sample keys are "
-                                f"{', '.join(SAMPLE_COUNTS)}, each an integer >= 1")
+        if not (key in read and type(value) is int and value >= 1):
+            raise ScenarioError(f"bad sample {key}={value!r}: the scheduled checks read "
+                                f"{', '.join(sorted(read)) or 'no sample count'}, "
+                                f"each an integer >= 1")
 
 
 def _reject_unknown_keys(data: Mapping, keys: Sequence[str], what: str) -> None:

@@ -19,17 +19,20 @@ lift and tilde sections to tuples of the jets of their components, the
 1-jets `courant` reads; a polynomial base component enters as its base
 jet with the gradient padded by zeros.  `poly.jmat_mul` skips the zero
 jets of both factors, which are exactly zero terms.  A chart keeps the
-context of the last point it was asked about (chart jets, base
-structure, horizontal-lift and fibre-structure coefficients), together
-with the point's numeric views that the probe-pair comparison reads
-(`gamma_values`, `vertical_chart_basis`, the inverse Gram matrix of that
-basis and the chart Jacobian's values): every caller works through one
-sample point at a time.  Chart coordinates of a vertical endomorphism
-are solved from those values in `Fraction`s.
+`ChartContext` of the last point it was asked about (the twistor point,
+chart jets, base structure, horizontal-lift and fibre-structure
+coefficients, and the numeric views the probe-pair comparison reads):
+every caller works through one sample point at a time.  Chart
+coordinates of a vertical endomorphism are solved from those values in
+`Fraction`s.
 
-The bundle-chart identity `lift_bracket_curvature_check` is evaluated
-the same way, as 1-jets at the point, in dim + (2 dim)^2 chart variables
-(18 at n = 1, 68 at n = 2).
+The connection form omega(X) enters in jets through one builder,
+`_connection_form`, from the Christoffel polynomials alone, for the
+chart's lift coefficients (X = d/dx_1, d/dx_2) and for the bundle-chart
+identity `lift_bracket_curvature_check` (X a polynomial field).  That
+identity is evaluated the same way, as 1-jets at the point, in
+dim + (2 dim)^2 chart variables (18 at n = 1, 68 at n = 2).  The oracle's
+fibre points come from `twistor.fibre_chart_samples`.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ from .twistor import (
     TwistorTangent,
     connection_matrix,
     curvature,
+    fibre_chart_samples,
     nijenhuis_closed_form_table,
+    random_chart_point,
 )
 from .value import Value
 
@@ -112,6 +117,19 @@ def jmat_trace_product_const(a: JetMat, m: Mat) -> Jet:
 # the twistor chart over a dim-2 base
 
 
+class ChartContext(Value):
+    """What the chart computes once per point: the twistor point `at`, built
+    and validated once; in jets, the (u, v) partials `dx` of the chart
+    functions, the fibre structure `j_base`, the lift coefficients `gammas`
+    (gammas[a][w], the (u, v) components of the lift of d/dx_a) and the
+    fibre complex structure `kappa` in (u, v) coordinates; and the values
+    that `decompose` and `compose` read for every probe pair, among them
+    the basis dJ/du, dJ/dv and the inverse of its Gram matrix."""
+
+    __slots__ = ("at", "dx", "j_base", "gammas", "kappa", "dx_values", "basis",
+                 "gram_inverse", "gamma_values")
+
+
 class TwistorChart:
     """The rational twistor chart (x1, x2, u, v) over a dim-2 base.
 
@@ -121,10 +139,7 @@ class TwistorChart:
     x2 = 2u/(1-u^2-v^2), x3 = 2v/(1-u^2-v^2); the circle u^2+v^2 = 1 is
     excluded.  All per-point data (structure, splitting, the two twistor
     structure fields) is computed in jet arithmetic from the point's
-    context, which the chart keeps for the last point only.  The context
-    also holds the numeric views that `decompose` and `compose` read for
-    every probe pair: the values of the lift coefficients and of the chart
-    Jacobian, the chart fibre basis and the inverse of its Gram matrix.
+    `ChartContext`, which the chart keeps for the last point only.
     """
 
     NVARS = 4
@@ -139,7 +154,7 @@ class TwistorChart:
         # the left frame as Endos, and as the rows that jmat_comb reads
         self.left = skew_frames(reference_basis(1)).left
         self.frame = [f.rows for f in self.left]
-        self._last: tuple[Vec, dict] | None = None
+        self._last: tuple[Vec, ChartContext] | None = None
 
     # -- chart functions in jet arithmetic --------------------------------
 
@@ -192,7 +207,7 @@ class TwistorChart:
 
     # -- the per-point context ---------------------------------------------
 
-    def context(self, q: ChartPoint) -> dict:
+    def context(self, q: ChartPoint) -> ChartContext:
         """The point's context, built unless q is the last point asked for."""
         if self._last is not None and self._last[0] == q.coords:
             return self._last[1]
@@ -201,24 +216,13 @@ class TwistorChart:
         x, dx = self._chart_jets(point)
         j_base = jmat_comb(self.frame, x, nv)
 
-        # connection forms in the two base directions, as jets
-        omega = []
-        for a in range(2):
-            gx = [[Jet.constant(0, nv) for _ in range(2)] for _ in range(2)]
-            for (k, i, j), poly in self.conn.entries:
-                if i == a:
-                    gx[k][j] = gx[k][j] + _padded_jet(poly, point, nv)
-            w = [[Jet.constant(0, nv) for _ in range(4)] for _ in range(4)]
-            for r in range(2):
-                for c in range(2):
-                    w[r][c] = gx[r][c]
-                    w[2 + r][2 + c] = -gx[c][r]
-            omega.append(w)
-
-        # horizontal lift coefficients: vertical part of the lift of d/dx_a
+        # horizontal lift coefficients: the vertical part -[omega(d/dx_a), J]
+        # of the lift of d/dx_a, in the two base directions
+        christoffel = [(key, _padded_jet(p, point, nv)) for key, p in self.conn.entries]
+        one, zero = Jet.constant(1, nv), Jet.constant(0, nv)
         gammas = []
-        for a in range(2):
-            w_a = jmat_commutator(j_base, omega[a])  # = -[omega, J]
+        for direction in ((one, zero), (zero, one)):
+            w_a = jmat_commutator(j_base, _connection_form(christoffel, direction))
             gammas.append(self._solve_uv(self._coords_of(w_a), dx))
 
         # the fibre complex structure in (u, v) coordinates
@@ -235,37 +239,18 @@ class TwistorChart:
                     + l3.scale(dx_values[2][w]) for w in range(2))
         gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
                 (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
-        ctx = {"dx": dx, "j_base": j_base, "gammas": gammas, "kappa": kappa,
-               "dx_values": dx_values, "basis": (b_u, b_v), "gram_inverse": xm.inverse(gram),
-               "gamma_values": tuple(tuple(c.value for c in g) for g in gammas)}
+        structure = GCStructure(Endo(4, xm.mat([[e.value for e in row] for row in j_base])))
+        ctx = ChartContext(TwistorPoint(chart_point(point[:2]), structure), dx, j_base,
+                           gammas, kappa, dx_values, (b_u, b_v), xm.inverse(gram),
+                           tuple(tuple(c.value for c in g) for g in gammas))
         self._last = (point, ctx)
         return ctx
-
-    # -- numeric views of the context --------------------------------------
-
-    def structure_at(self, q: ChartPoint) -> GCStructure:
-        ctx = self.context(q)
-        return GCStructure(Endo(4, xm.mat([[e.value for e in row] for row in ctx["j_base"]])))
-
-    def twistor_point(self, q: ChartPoint) -> TwistorPoint:
-        return TwistorPoint(chart_point(q.coords[:2]), self.structure_at(q))
-
-    def vertical_chart_basis(self, q: ChartPoint) -> tuple[Endo, Endo]:
-        """The endomorphisms dJ/du and dJ/dv at the point."""
-        return self.context(q)["basis"]
-
-    def gamma_values(self, q: ChartPoint) -> Mat:
-        """gamma[a][w]: the (u, v) components of the lift of d/dx_a."""
-        return self.context(q)["gamma_values"]
 
     def uv_coordinates(self, vertical: Endo, q: ChartPoint) -> tuple[Fraction, Fraction]:
         """Chart coordinates of a vertical endomorphism at the point;
         InvariantError if it is not tangent to the fibre chart."""
-        return self._uv(vertical, self.context(q)["dx_values"])
-
-    def _uv(self, vertical: Endo, dx: Mat) -> tuple[Fraction, Fraction]:
         coords = [fib_pairing(vertical, f) / norm for f, norm in zip(self.left, _FRAME_NORMS)]
-        return self._solve_uv(coords, dx)
+        return self._solve_uv(coords, self.context(q).dx_values)
 
     # -- the structure fields ----------------------------------------------
 
@@ -289,9 +274,7 @@ class TwistorChart:
         nv = self.NVARS
         zero = Jet.constant(0, nv)
         one = Jet.constant(1, nv)
-        j_base = ctx["j_base"]
-        gammas = ctx["gammas"]
-        kappa = ctx["kappa"]
+        j_base, gammas, kappa = ctx.j_base, ctx.gammas, ctx.kappa
         sign = 1 if alpha == 1 else -1   # (-1)^(alpha+1)
 
         split = [[zero for _ in range(8)] for _ in range(8)]
@@ -331,7 +314,7 @@ class TwistorChart:
             raise DegenerateInputError("a base vector field has two components")
 
         def evaluate(q: ChartPoint) -> SectionJet:
-            g = self.context(q)["gammas"]
+            g = self.context(q).gammas
             x0, x1 = (_padded_jet(p, q.coords, self.NVARS) for p in x_components)
             zero = Jet.constant(0, self.NVARS)
             return (x0, x1, x0 * g[0][0] + x1 * g[1][0], x0 * g[0][1] + x1 * g[1][1]) + (zero,) * 4
@@ -345,9 +328,9 @@ class TwistorChart:
         def evaluate(q: ChartPoint) -> SectionJet:
             ctx = self.context(q)
             a_mat = [[_padded_jet(p, q.coords, self.NVARS) for p in row] for row in entries]
-            jaj = jmat_mul(jmat_mul(ctx["j_base"], a_mat), ctx["j_base"])
+            jaj = jmat_mul(jmat_mul(ctx.j_base, a_mat), ctx.j_base)
             tilde = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_mat, jaj)]
-            c_u, c_v = self._solve_uv(self._coords_of(tilde), ctx["dx"])
+            c_u, c_v = self._solve_uv(self._coords_of(tilde), ctx.dx)
             zero = Jet.constant(0, self.NVARS)
             return (zero, zero, c_u, c_v) + (zero,) * 4
 
@@ -361,8 +344,8 @@ class TwistorChart:
         if value.dim_v != 4:
             raise DegenerateInputError("chart values have four vector components")
         ctx = self.context(q)
-        g = ctx["gamma_values"]
-        b_u, b_v = ctx["basis"]
+        g = ctx.gamma_values
+        b_u, b_v = ctx.basis
         x = value.vec
         theta = value.cov
         horizontal = GElement(
@@ -373,7 +356,7 @@ class TwistorChart:
         vert_v = x[3] - x[0] * g[0][1] - x[1] * g[1][1]
         vertical = b_u.scale(vert_u) + b_v.scale(vert_v)
         # representer of theta_u thu + theta_v thv on the chart fibre basis
-        lam = xm.mat_vec(ctx["gram_inverse"], (theta[2], theta[3]))
+        lam = xm.mat_vec(ctx.gram_inverse, (theta[2], theta[3]))
         coform = b_u.scale(lam[0]) + b_v.scale(lam[1])
         return TwistorTangent(horizontal, vertical, coform)
 
@@ -382,11 +365,11 @@ class TwistorChart:
         if t.is_zero():
             return _ZERO_VALUE
         ctx = self.context(q)
-        g = ctx["gamma_values"]
-        b_u, b_v = ctx["basis"]
+        g = ctx.gamma_values
+        b_u, b_v = ctx.basis
         c_u, c_v = (F0, F0)
         if not t.vertical.is_zero():
-            c_u, c_v = self._uv(t.vertical, ctx["dx_values"])
+            c_u, c_v = self.uv_coordinates(t.vertical, q)
         phi_u = fib_pairing(t.vertical_coform, b_u)
         phi_v = fib_pairing(t.vertical_coform, b_v)
         h = t.horizontal
@@ -427,15 +410,11 @@ def chart_bracket_curvature_check(chart: TwistorChart, x_components: Sequence[Po
     lhs = lie_bracket(fx, fy, q)
     xy = _poly_lie_bracket(x_components, y_components)
     rhs = [c.value for c in chart.lift_section(xy).at(q)[:4]]
-    base_q = chart_point(q.coords[:2])
-    xv = tuple(p.evaluate(base_q.coords) for p in x_components)
-    yv = tuple(p.evaluate(base_q.coords) for p in y_components)
-    r = curvature(chart.conn, xv, yv, base_q)
-    r_vert = r.act_on(chart.structure_at(q).j)
-    if not r_vert.is_zero():
-        c_u, c_v = chart.uv_coordinates(r_vert, q)
-        rhs[2] += c_u
-        rhs[3] += c_v
+    at = chart.context(q).at
+    xv = tuple(p.evaluate(at.point.coords) for p in x_components)
+    yv = tuple(p.evaluate(at.point.coords) for p in y_components)
+    r_vert = curvature(chart.conn, xv, yv, at.point).act_on(at.structure.j)
+    rhs[2:] = (a + b for a, b in zip(rhs[2:], chart.uv_coordinates(r_vert, q)))
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 
@@ -447,23 +426,21 @@ def chart_vertical_bracket_check(chart: TwistorChart, x_components: Sequence[Pol
     section a of the endomorphism bundle, and nabla is the induced
     connection, so nabla_X a = X(a) + [omega(X), a] in the constant frame.
     """
-    a_mat = [[Poly.from_dict(2, dict(p.terms)) for p in row] for row in a_entries]
     lhs = lie_bracket(chart.lift_section(x_components), chart.tilde_section(a_entries), q)
-    base_q = chart_point(q.coords[:2])
-    xv = tuple(p.evaluate(base_q.coords) for p in x_components)
-    a_val = Endo(4, tuple(tuple(p.evaluate(base_q.coords) for p in row) for row in a_mat))
+    at = chart.context(q).at
+    base = at.point.coords
+    xv = tuple(p.evaluate(base) for p in x_components)
+    a_val = Endo(4, tuple(tuple(p.evaluate(base) for p in row) for row in a_entries))
     if not is_pairing_skew(a_val):
         raise InvariantError("the section a must be skew for the pairing")
     # directional derivative of the entries plus the connection commutator
-    da = [[sum((xv[k] * p.partial(k).evaluate(base_q.coords) for k in range(2)), F0)
-           for p in row] for row in a_mat]
-    omega = connection_matrix(chart.conn, xv, base_q)
+    da = [[sum((xv[k] * p.partial(k).evaluate(base) for k in range(2)), F0)
+           for p in row] for row in a_entries]
+    omega = connection_matrix(chart.conn, xv, at.point)
     nabla = Endo(4, xm.mat(da)) + (omega.compose(a_val) - a_val.compose(omega))
-    j = chart.structure_at(q).j
+    j = at.structure.j
     tilde = nabla + j.compose(nabla).compose(j)
-    c_u, c_v = chart.uv_coordinates(tilde, q) if not tilde.is_zero() else (F0, F0)
-    rhs = (F0, F0, c_u, c_v)
-    return tuple(a - b for a, b in zip(lhs, rhs))
+    return tuple(a - b for a, b in zip(lhs, (F0, F0) + chart.uv_coordinates(tilde, q)))
 
 
 def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
@@ -489,19 +466,13 @@ def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
     point = chart_point(base + tuple(x for row in at.structure.j.rows for x in row))
     a_var = [[Jet.variable(dim + size * i + j, point.coords) for j in range(size)]
              for i in range(size)]
-    gammas = [(key, _padded_jet(p, base, nvars)) for key, p in conn.entries]
+    christoffel = [(key, _padded_jet(p, base, nvars)) for key, p in conn.entries]
     zero = Jet.constant(0, nvars)
 
     def lift_field(comps: Sequence[Poly]) -> SectionJet:
         base_jets = [_padded_jet(p, base, nvars) for p in comps]
-        # the connection form in direction X, omega[dim + j][dim + k] = -omega[k][j]
-        omega = [[zero] * size for _ in range(size)]
-        for (k, i, j), gamma in gammas:
-            term = gamma * base_jets[i]
-            omega[k][j] = omega[k][j] + term
-            omega[dim + j][dim + k] = omega[dim + j][dim + k] - term
-        vertical = [y - x for rx, ry in zip(jmat_mul(omega, a_var), jmat_mul(a_var, omega))
-                    for x, y in zip(rx, ry)]
+        omega = _connection_form(christoffel, base_jets)
+        vertical = [e for row in jmat_commutator(a_var, omega) for e in row]
         return tuple(base_jets + vertical) + (zero,) * nvars
 
     fx, fy = (lift_field(c) for c in (x_components, y_components))
@@ -514,6 +485,23 @@ def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
     for idx, val in enumerate(flat_r):
         rhs[dim + idx] += val
     return tuple(a - b for a, b in zip(lhs, rhs))
+
+
+def _connection_form(christoffel: Sequence[tuple[tuple[int, int, int], Jet]],
+                     x: Sequence[Jet]) -> JetMat:
+    """The connection form omega(X) = diag(G(X), -G(X)^T) on TM + T*M as a
+    jet matrix, G(X)[k][j] the sum over i of X_i Gamma^k_ij: `christoffel`
+    pairs each nonzero Gamma^k_ij's key (k, i, j) with its jet, and x holds
+    the jets of X's components.  A zero component adds nothing."""
+    dim = len(x)
+    zero = Jet.constant(0, len(x[0].num) - 1)
+    omega = [[zero] * (2 * dim) for _ in range(2 * dim)]
+    for (k, i, j), gamma in christoffel:
+        if not x[i].is_zero():
+            term = gamma * x[i]
+            omega[k][j] = omega[k][j] + term
+            omega[dim + j][dim + k] = omega[dim + j][dim + k] - term
+    return omega
 
 
 def _padded_jet(p: Poly, point: Vec, nvars: int) -> Jet:
@@ -550,18 +538,11 @@ class OracleReport(Value):
 
 
 def seeded_oracle_samples(count: int, seed: int) -> list[OracleSample]:
-    """Seeded chart samples away from the fibre-chart circle, on both sheets."""
+    """Seeded chart samples: each fibre point from `fibre_chart_samples`,
+    then its base point from `random_chart_point`."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        base = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        fibre = (Fraction(rng.randint(-2, 2), rng.randint(2, 4)),
-                 Fraction(rng.randint(-2, 2), rng.randint(2, 4)))
-        if fibre[0] ** 2 + fibre[1] ** 2 == 1:
-            continue
-        out.append(OracleSample(base, fibre, 1 if len(out) % 2 == 0 else -1))
-    return out
+    return [OracleSample(random_chart_point(2, rng).coords, (u, v), sheet)
+            for u, v, sheet in fibre_chart_samples(rng, count)]
 
 
 def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
@@ -578,7 +559,7 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
     The perturb hook, applied to the closed-form value, exists so tests
     can confirm that a deliberately wrong term is detected.
     """
-    charts: dict[int, TwistorChart] = {}
+    charts = {sheet: TwistorChart(conn, sheet) for sheet in (1, -1)}
     probes = coordinate_sections(4)
     one = Poly.constant(2, 1)
     zero = Poly.constant(2, 0)
@@ -589,13 +570,9 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
                  [zero, zero, zero, zero]]
     results = []
     for sample in samples:
-        chart = charts.get(sample.sheet)
-        if chart is None:
-            chart = TwistorChart(conn, sample.sheet)
-            charts[sample.sheet] = chart
+        chart = charts[sample.sheet]
         q = sample.chart_point()
-        at = chart.twistor_point(q)
-        vertical_basis = list(chart.vertical_chart_basis(q))
+        ctx = chart.context(q)
         decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
         # the two bracket identities do not depend on alpha
         lift_ok = all(r == 0 for r in chart_bracket_curvature_check(
@@ -607,8 +584,8 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
             direct_zero = True
             equal = True
             mismatch = None
-            closed_table = nijenhuis_closed_form_table(alpha, conn, at, decomposed,
-                                                       vertical_basis)
+            closed_table = nijenhuis_closed_form_table(alpha, conn, ctx.at, decomposed,
+                                                       ctx.basis)
             for (i, k), direct in nijenhuis_table(chart.field(alpha), probes, q).items():
                 pairs += 1
                 composed = chart.compose(closed_table[(i, k)], q)

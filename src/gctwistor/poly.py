@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactmat import F0, F1, _scaled, fr
 from .value import Value
@@ -333,12 +333,20 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def poly_from_json(nvars: int, data: Iterable[Mapping]) -> Poly:
+def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
+    """The polynomial of a list of terms, each an object with exactly the
+    keys "exponents" and "coeff"; anything else raises ValueError."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"a polynomial is a list of terms, got {data!r}")
     terms = {}
     for t in data:
-        exps = tuple(t["exponents"])
-        if any(type(e) is not int or e < 0 for e in exps):
-            raise ValueError(f"exponents must be integers >= 0, got {list(exps)}")
+        if not isinstance(t, Mapping) or set(t) != {"exponents", "coeff"}:
+            raise ValueError(f"a polynomial term is an object with exactly the keys "
+                             f"exponents and coeff, got {t!r}")
+        exps = t["exponents"]
+        if not isinstance(exps, (list, tuple)) or any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"exponents must be a list of integers >= 0, got {exps!r}")
+        exps = tuple(exps)
         if type(t["coeff"]) not in (str, int):
             raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
                              f"got {t['coeff']!r}")

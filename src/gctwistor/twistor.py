@@ -81,16 +81,17 @@ class Connection(Value):
         seen: dict[tuple[int, int, int], Poly] = {}
         for (k, i, j), p in entries:
             if not (0 <= k < dim and 0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatchError("Christoffel index out of range")
+                raise DimensionMismatchError(f"{_key(k, i, j)} is out of range 1..{dim}")
             if p.nvars != dim:
                 raise DimensionMismatchError("Christoffel entry arity does not match the chart")
             if (k, i, j) in seen:
-                raise InvariantError(f"connection lists Gamma^{k}_{i}{j} twice")
+                raise InvariantError(f"connection lists {_key(k, i, j)} twice")
             seen[(k, i, j)] = p
         for (k, i, j), p in seen.items():
             mirror = seen.get((k, j, i), Poly.constant(dim, 0))
             if not (p - mirror).is_zero():
-                raise InvariantError(f"connection has torsion at Gamma^{k}_{i}{j}")
+                raise InvariantError(f"connection has torsion: {_key(k, i, j)} differs from "
+                                     f"{_key(k, j, i)}")
         self.n = n
         # (k, i, j) -> Gamma^k_ij, nonzero only
         self.entries = tuple(e for e in entries if not e[1].is_zero())
@@ -118,6 +119,11 @@ class Connection(Value):
                     rows[k][l] = poly.evaluate(p.coords)
                 table[(a, b)] = tuple(map(tuple, rows))
         return table
+
+
+def _key(k: int, i: int, j: int) -> str:
+    """Gamma^k_ij by its one-based "k,i,j" key, as a scenario names it."""
+    return f'Christoffel key "{k + 1},{i + 1},{j + 1}"'
 
 
 def _curvature_polys(dim: int, entries) -> dict[tuple[int, int], tuple[tuple[int, int, Poly], ...]]:
@@ -165,7 +171,8 @@ def flat_connection(n: int) -> Connection:
 
 def connection_from_json(n: int, data: Mapping) -> Connection:
     """Read one-based "k,i,j" keys; two keys that name one triple, such as
-    "1,1,2" and "01,1,2", are rejected rather than one replacing the other."""
+    "1,1,2" and "01,1,2", are rejected rather than one replacing the other.
+    A malformed polynomial is rejected with a ValueError naming its key."""
     gamma = {}
     keys: dict[tuple[int, int, int], str] = {}
     for key, terms in data.items():
@@ -174,7 +181,10 @@ def connection_from_json(n: int, data: Mapping) -> Connection:
             raise ValueError(f"Christoffel keys {keys[k, i, j]!r} and {key!r} both name "
                              f"Gamma^{k + 1}_{i + 1}{j + 1}")
         keys[k, i, j] = key
-        gamma[k, i, j] = poly_from_json(2 * n, terms)
+        try:
+            gamma[k, i, j] = poly_from_json(2 * n, terms)
+        except ValueError as exc:
+            raise ValueError(f"Christoffel key {key!r}: {exc}") from None
     return connection(n, gamma)
 
 
@@ -899,6 +909,19 @@ def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
 
 def random_chart_point(dim: int, rng: random.Random) -> ChartPoint:
     return chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
+
+
+def fibre_chart_samples(rng: random.Random, count: int):
+    """Yield count seeded fibre-chart parameters (u, v, sheet): u and v each
+    randint(-2, 2) / randint(2, 4), drawn again on the circle u^2 + v^2 = 1,
+    the sheets alternating from +1.  Draws are made lazily, so a caller may
+    draw from rng between samples."""
+    for made in range(count):
+        while True:
+            u, v = (Fraction(rng.randint(-2, 2), rng.randint(2, 4)) for _ in range(2))
+            if u * u + v * v != 1:
+                break
+        yield u, v, (-1) ** made
 
 
 class AdaptedSample(Value):

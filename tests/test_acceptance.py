@@ -28,7 +28,6 @@ from gctwistor.gclinalg import (
     vertical_space_basis,
 )
 from gctwistor.harness import (
-    _hyperboloid_samples,
     _probe_set,
     emit_report,
     load_scenario,
@@ -39,6 +38,7 @@ from gctwistor.poly import Poly
 from gctwistor.twistor import (
     TwistorPoint,
     connection,
+    fibre_chart_samples,
     flat_connection,
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
@@ -162,7 +162,7 @@ def test_n1_structure1_integrable():
     basis_ref = reference_basis(1)
     ok = True
     sheets = set()
-    for u, v, sheet in _hyperboloid_samples(rng, 50):
+    for u, v, sheet in fibre_chart_samples(rng, 50):
         sheets.add(sheet)
         at = TwistorPoint(random_chart_point(2, rng),
                           hyperboloid_point(u, v, sheet, basis_ref))

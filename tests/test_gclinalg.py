@@ -1134,10 +1134,10 @@ def test_seed_basis_spans_projection(n, kind):
     lambda: interchanging_structure(2),
     lambda: interchanging_structure(3),
     lambda: direct_sum(from_complex(rotation_2()), from_symplectic(standard_symplectic_matrix(1))),
-    lambda: TwistorChart(flat_connection(1), 1).structure_at(
-        chart_point([F(1, 2), F(1, 3), F(1, 4), F(1, 5)])),
-    lambda: TwistorChart(flat_connection(1), -1).structure_at(
-        chart_point([F(0), F(2), F(3, 2), F(-1, 3)])),
+    lambda: TwistorChart(flat_connection(1), 1).context(
+        chart_point([F(1, 2), F(1, 3), F(1, 4), F(1, 5)])).at.structure,
+    lambda: TwistorChart(flat_connection(1), -1).context(
+        chart_point([F(0), F(2), F(3, 2), F(-1, 3)])).at.structure,
 ], ids=["interchanging-2", "interchanging-odd-3", "complex-plus-symplectic", "chart-upper",
         "chart-lower"])
 def test_hand_built_basis_spans_projection(make):

@@ -280,6 +280,18 @@ def with_samples(preset, **samples):
     {"n": 2, "connection": {"gamma": {"1,1,1": [{"exponents": [1, 0, 0, 0], "coeff": "1"}],
                                       " 1,1,1": []}},
      "samples": {"fibre_params": 1}, "checks": ["integrability/flat-structure1-vanishes"]},
+    # Christoffel input: torsion, an index out of range, a term without a
+    # coefficient, a gamma that is an object, a term with an unknown key
+    *[{"n": 1, "connection": {"gamma": gamma}, "checks": ["linalg/pairing-examples"]}
+      for gamma in [{"1,1,2": [{"exponents": [1, 0], "coeff": "1"}],
+                     "1,2,1": [{"exponents": [0, 1], "coeff": "1"}]},
+                    {"0,1,1": [{"exponents": [1, 0], "coeff": "1"}]},
+                    {"1,1,2": [{"exponents": [1, 0]}]},
+                    {"1,1,2": {"exponents": [1, 0], "coeff": "1"}},
+                    {"1,1,2": [{"exponents": [1, 0], "coeff": "1", "extra": 3}]}]],
+    # a sample count no scheduled check reads, and a check scheduled twice
+    {"n": 1, "samples": {"base_points": 2}, "checks": ["oracle/closed-form-equality"]},
+    {"n": 1, "checks": ["linalg/pairing-examples", "linalg/pairing-examples"]},
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -289,6 +301,25 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma, key", [
+    ({"1,1,2": [{"exponents": [1, 0], "coeff": "1"}],
+      "1,2,1": [{"exponents": [0, 1], "coeff": "1"}]}, '"1,1,2" differs from Christoffel key "1,2,1"'),
+    ({"0,1,1": [{"exponents": [1, 0], "coeff": "1"}]}, '"0,1,1"'),
+    ({"1,1,2": [{"exponents": [1, 0]}]}, "'1,1,2'"),
+    ({"1,1,2": {"exponents": [1, 0], "coeff": "1"}}, "'1,1,2'"),
+    ({"1,1,2": [{"exponents": [1, 0], "coeff": "1", "extra": 3}]}, "'1,1,2'"),
+], ids=["torsion", "index-zero", "no-coeff", "object-gamma", "extra-key"])
+def test_cli_christoffel_error_names_the_key(tmp_path, capsys, gamma, key):
+    from gctwistor import cli
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 1, "connection": {"gamma": gamma},
+                                "checks": ["linalg/pairing-examples"]}))
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario: ") and "Christoffel key" in err
+    assert key in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("gamma", ZERO_GAMMAS, ids=["zero-coeff", "no-terms"])
@@ -359,10 +390,36 @@ def test_bad_samples_rejected(samples):
 
 
 def test_valid_samples_accepted():
-    scenario = load_scenario({"n": 1, "seed": 0, "checks": ["linalg/pairing-examples"],
+    # each sample count is read by one of the scheduled checks
+    scenario = load_scenario({"n": 1, "seed": 0,
+                              "checks": ["linalg/dim2-orientation", "oracle/closed-form-equality",
+                                         "integrability/mixed-witness"],
                               "samples": {"base_points": 1, "fibre_params": 2,
                                           "adapted_points": 3}})
     assert scenario.count("base_points", 50) == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 1, "samples": {"base_points": 2}, "checks": ["oracle/closed-form-equality"]},
+     "bad sample base_points=2: the scheduled checks read fibre_params, each an integer >= 1"),
+    ({"n": 1, "samples": {"fibre_params": 2},
+      "checks": ["linalg/pairing-examples", "linalg/projection-nondegeneracy"]},
+     "bad sample fibre_params=2: the scheduled checks read base_points,"),
+    ({"n": 1, "samples": {"adapted_points": 2}, "checks": ["linalg/pairing-examples"]},
+     "bad sample adapted_points=2: the scheduled checks read no sample count,"),
+    ({"n": 1, "checks": ["linalg/pairing-examples", "linalg/pairing-examples"]},
+     r"checks scheduled more than once: \['linalg/pairing-examples'\]"),
+    ({"n": 1, "samples": {"base_points": 2},
+      "checks": ["linalg/dim2-orientation", "linalg/pairing-examples",
+                 "linalg/dim2-orientation"]},
+     r"checks scheduled more than once: \['linalg/dim2-orientation'\]"),
+], ids=["oracle-base-points", "linalg-fibre", "no-reader", "pairing-twice",
+        "orientation-twice"])
+def test_unread_samples_and_repeated_checks_rejected(data, message):
+    # an unread count would be ignored silently, and a repeated check would
+    # run twice under one timing in the text report
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(data)
 
 
 @pytest.mark.parametrize("n", [1, 4], ids=["1", "4"])

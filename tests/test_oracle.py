@@ -17,6 +17,7 @@ from gctwistor.courant import (
 )
 from gctwistor.gclinalg import (
     DegenerateInputError,
+    GCStructure,
     GElement,
     InvariantError,
     fib_pairing,
@@ -65,28 +66,57 @@ def test_chart_structure_matches_constructor():
     chart = TwistorChart(CONN, 1)
     q = q_at()
     expected = hyperboloid_point(F(1, 4), F(1, 5), 1, reference_basis(1))
-    assert chart.structure_at(q).j == expected.j
+    at = chart.context(q).at
+    assert at.structure.j == expected.j and at.point == chart_point([F(1, 2), F(1, 3)])
     negative = TwistorChart(CONN, -1)
     expected_neg = hyperboloid_point(F(1, 4), F(1, 5), -1, reference_basis(1))
-    assert negative.structure_at(q).j == expected_neg.j
+    assert negative.context(q).at.structure.j == expected_neg.j
 
 
 def test_chart_views_memoized_per_point():
     chart = TwistorChart(CONN, 1)
     q, other = q_at(), q_at(u=F(-1, 3), v=F(1, 2))
-    gammas, basis = chart.gamma_values(q), chart.vertical_chart_basis(q)
-    assert chart.gamma_values(q) is gammas and chart.vertical_chart_basis(q) is basis
+    ctx = chart.context(q)
+    assert chart.context(q) is ctx
     # a fresh chart recomputes the same rationals; another point gives other values
-    fresh = TwistorChart(CONN, 1)
-    assert fresh.gamma_values(q) == gammas and fresh.vertical_chart_basis(q) == basis
-    assert chart.gamma_values(other) != gammas
-    assert chart.vertical_chart_basis(other) != basis
+    fresh = TwistorChart(CONN, 1).context(q)
+    assert (fresh.gamma_values, fresh.basis, fresh.at) == (ctx.gamma_values, ctx.basis, ctx.at)
+    moved = chart.context(other)
+    assert moved.gamma_values != ctx.gamma_values and moved.basis != ctx.basis
+
+
+def test_chart_builds_one_structure_per_sample(monkeypatch):
+    # the twistor point, and so its GCStructure, is built once per sample
+    # point and read by the closed form and both bracket identities
+    built = []
+
+    def counted(j):
+        built.append(j)
+        return GCStructure(j)
+
+    monkeypatch.setattr(oracle, "GCStructure", counted)
+    report = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
+    assert report.all_equal and len(built) == 2
+
+
+def test_chart_connection_form_matches_connection_matrix():
+    # the jet connection form, at a polynomial field and a point, has the
+    # values of the closed form's `connection_matrix` at the field's value
+    conn = connection(1, {(0, 1, 1): X1, (1, 0, 1): X2 * X2, (0, 0, 0): X1 * X2})
+    point = (F(1, 2), F(-2, 3))
+    christoffel = [(key, oracle._padded_jet(p, point, 2)) for key, p in conn.entries]
+    for comps in ([ONE, ZERO], [ZERO, ONE], [X2, ONE + X1 * X1]):
+        x = [oracle._padded_jet(p, point, 2) for p in comps]
+        omega = oracle._connection_form(christoffel, x)
+        xv = tuple(p.evaluate(point) for p in comps)
+        expected = oracle.connection_matrix(conn, xv, chart_point(point))
+        assert tuple(tuple(e.value for e in row) for row in omega) == expected.rows
 
 
 def test_chart_rejects_singular_fibre():
     chart = TwistorChart(CONN, 1)
     with pytest.raises(DegenerateInputError):
-        chart.structure_at(chart_point([F(0), F(0), F(3, 5), F(4, 5)]))
+        chart.context(chart_point([F(0), F(0), F(3, 5), F(4, 5)]))
 
 
 def test_fields_are_valid_structures():
@@ -100,8 +130,9 @@ def test_fields_are_valid_structures():
 def test_vertical_chart_basis_is_vertical():
     chart = TwistorChart(CONN, 1)
     q = q_at()
-    j = chart.structure_at(q).j
-    b_u, b_v = chart.vertical_chart_basis(q)
+    ctx = chart.context(q)
+    j = ctx.at.structure.j
+    b_u, b_v = ctx.basis
     assert is_vertical(b_u, j) and is_vertical(b_v, j)
     # uv coordinates invert the basis construction
     assert chart.uv_coordinates(b_u, q) == (1, 0)
@@ -114,7 +145,7 @@ def test_uv_coordinates_rejects_a_non_tangent_endomorphism():
     chart = TwistorChart(CONN, 1)
     for q in (q_at(), q_at(u=F(-1, 2), v=F(1, 3))):
         with pytest.raises(InvariantError):
-            chart.uv_coordinates(chart.structure_at(q).j, q)
+            chart.uv_coordinates(chart.context(q).at.structure.j, q)
 
 
 def test_lift_section_matches_closed_form_lift():
@@ -123,8 +154,7 @@ def test_lift_section_matches_closed_form_lift():
     q = q_at()
     lift = chart.lift_section([ONE, ZERO]).value_at(q)
     assert lift.vec[:2] == (1, 0)
-    at = chart.twistor_point(q)
-    closed = horizontal_lift(CONN, (F(1), F(0)), at)
+    closed = horizontal_lift(CONN, (F(1), F(0)), chart.context(q).at)
     assert chart.uv_coordinates(closed.vertical, q) == lift.vec[2:]
 
 
@@ -150,7 +180,7 @@ def test_decompose_reuses_the_gram_inverse_of_its_point(monkeypatch):
     monkeypatch.setattr(oracle, "fib_pairing", counted)
     chart = TwistorChart(CONN, 1)
     q = q_at()
-    b_u, b_v = chart.vertical_chart_basis(q)
+    b_u, b_v = chart.context(q).basis
     for probe in coordinate_sections(4):
         value = probe.value_at(q)
         coform = chart.decompose(value, q).vertical_coform
@@ -376,6 +406,32 @@ def test_seeded_samples_avoid_singularity():
         assert s.sheet in (1, -1)
 
 
+def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
+    # one fibre-chart sampler feeds the oracle samples, the bundle-chart
+    # point, the n = 1 scan and the hyperboloid-chart check
+    from gctwistor import harness, twistor
+    from gctwistor.harness import PRESETS, run_scenario
+    counts = []
+
+    def spy(rng, count):
+        counts.append(count)
+        yield from twistor.fibre_chart_samples(rng, count)
+
+    rng = random.Random(1)
+    expected = [OracleSample(random_chart_point(2, rng).coords, (u, v), sheet)
+                for u, v, sheet in twistor.fibre_chart_samples(rng, 3)]
+    monkeypatch.setattr(oracle, "fibre_chart_samples", spy)
+    monkeypatch.setattr(harness, "fibre_chart_samples", spy)
+    assert seeded_oracle_samples(3, 1) == expected and counts == [3]
+    for preset, samples, checks in (
+            ("thm1-n1", {"base_points": 2}, ["integrability/n1-structure1-vanishes"]),
+            ("oracle-n1", {"fibre_params": 1}, ["oracle/lift-bracket-identity"]),
+            ("linalg-all", {}, ["linalg/hyperboloid-chart"])):
+        scenario = load_scenario({**PRESETS[preset], "samples": samples, "checks": checks})
+        assert run_scenario(scenario).ok
+    assert counts == [3, 2, 1, 1, 10]
+
+
 def test_horizontal_lift_matches_chart_lift():
     # the closed form's lift takes its vertical part from `connection_matrix`;
     # the chart solves its lift coefficients from its own jet connection form,
@@ -389,10 +445,10 @@ def test_horizontal_lift_matches_chart_lift():
     for sample in samples:
         chart = charts[sample.sheet]
         q = sample.chart_point()
-        at = chart.twistor_point(q)
+        ctx = chart.context(q)
         for a, e_a in enumerate(((F(1), F(0)), (F(0), F(1)))):
-            vertical = horizontal_lift(scenario.conn, e_a, at).vertical
-            assert chart.uv_coordinates(vertical, q) == chart.gamma_values(q)[a]
+            vertical = horizontal_lift(scenario.conn, e_a, ctx.at).vertical
+            assert chart.uv_coordinates(vertical, q) == ctx.gamma_values[a]
 
 
 def test_scan_of_noninteg_structure_field_on_chart():

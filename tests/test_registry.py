@@ -3,7 +3,9 @@ tracer use is a key of `harness.CHECKS`, and a report names each result by
 the key it was scheduled under.  Every method the tracer wraps by name
 exists, every keyword the benchmark's child passes to `load_scenario` is
 one of its parameters, and every preset has the keys the child reads, so
-a change to any of them fails here rather than in a benchmark run.
+a change to any of them fails here rather than in a benchmark run.  The
+registry names the one sample count each check reads, and every preset
+and benchmark workload sets only counts that its checks read.
 
 The benchmark's sources under bench/ are only read, never imported, so
 this test does not depend on what the tracer imports.
@@ -16,7 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from gctwistor.harness import CHECKS, PRESETS, SAMPLE_COUNTS, load_scenario, run_scenario
+from gctwistor import harness
+from gctwistor.harness import (
+    CHECKS,
+    PRESETS,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    run_scenario,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -83,7 +93,52 @@ def test_registered_checks_are_callable():
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_result_names_are_scheduled_names(preset):
-    samples = {key: 1 for key in PRESETS[preset]["samples"] if key in SAMPLE_COUNTS}
+    samples = {key: 1 for key in PRESETS[preset]["samples"]}
     scenario = load_scenario({**PRESETS[preset], "samples": samples}, name=preset)
     report = run_scenario(scenario)
     assert [r.name for r in report.results] == list(scenario.checks)
+
+
+def _workloads() -> dict:
+    """The literal WORKLOADS table of bench/workloads.py."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "WORKLOADS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/workloads.py defines no WORKLOADS")
+
+
+def test_workloads_set_only_sample_counts_their_checks_read():
+    # the child merges each workload's overrides into the preset's samples
+    # and loads the result, which the Scenario constructor would reject
+    workloads = _workloads()
+    assert workloads
+    for scenarios in workloads.values():
+        for preset, overrides in scenarios:
+            load_scenario({**PRESETS[preset],
+                           "samples": {**PRESETS[preset]["samples"], **overrides}})
+
+
+def _runnable(check: str) -> Scenario:
+    """A scenario of the smallest n, flat connection first, that can run the check."""
+    for n in (1, 2, 3):
+        for gamma in ({}, harness._gamma_x1_json(n)):
+            try:
+                return load_scenario({"n": n, "connection": {"gamma": gamma}, "checks": [check]})
+            except ScenarioError:
+                continue
+    raise AssertionError(f"no scenario runs {check}")
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_registry_names_the_sample_count_each_check_reads(monkeypatch, check):
+    read = []
+
+    def count(self, key, default):
+        read.append(key)
+        return 1
+
+    monkeypatch.setattr(Scenario, "count", count)
+    assert run_scenario(_runnable(check)).ok
+    key = harness._REGISTRY[check][2]
+    assert set(read) == ({key} if key else set())

@@ -34,6 +34,7 @@ from gctwistor.twistor import (
     connection_from_json,
     curvature,
     curvature_from_mu,
+    fibre_chart_samples,
     flat_connection,
     horizontal_lift,
     hybrid_nijenhuis_horizontal,
@@ -75,7 +76,7 @@ def test_torsion_free_enforced():
 
 def test_repeated_entry_rejected():
     # the curvature sums would add both entries, the torsion check only the last
-    with pytest.raises(InvariantError, match=r"lists Gamma\^0_11 twice"):
+    with pytest.raises(InvariantError, match='lists Christoffel key "1,2,2" twice'):
         Connection(1, (((0, 1, 1), X1_2), ((0, 1, 1), X1_2)))
 
 
@@ -113,6 +114,30 @@ def test_duplicate_christoffel_key_rejected(second):
     message = f"Christoffel keys '1,2,2' and '{second}' both name Gamma^1_22"
     with pytest.raises(ValueError, match=re.escape(message)):
         connection_from_json(1, {"1,2,2": x1, second: []})
+
+
+X1_JSON = [{"exponents": [1, 0], "coeff": "1"}]
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ({"1,1,2": X1_JSON, "1,2,1": [{"exponents": [0, 1], "coeff": "1"}]},
+     'connection has torsion: Christoffel key "1,1,2" differs from Christoffel key "1,2,1"'),
+    ({"0,1,1": X1_JSON}, 'Christoffel key "0,1,1" is out of range 1..2'),
+    ({"1,1,3": X1_JSON}, 'Christoffel key "1,1,3" is out of range'),
+    ({"1,1,2": [{"exponents": [1, 0]}]},
+     "Christoffel key '1,1,2': a polynomial term is an object with exactly the keys "
+     "exponents and coeff, got {'exponents': [1, 0]}"),
+    ({"1,1,2": {"exponents": [1, 0], "coeff": "1"}},
+     "Christoffel key '1,1,2': a polynomial is a list of terms"),
+    ({"1,1,2": [{"exponents": [1, 0], "coeff": "1", "extra": 3}]},
+     "Christoffel key '1,1,2': a polynomial term is an object with exactly the keys"),
+    ({"1,1,2": [{"exponents": 1, "coeff": "1"}]},
+     "Christoffel key '1,1,2': exponents must be a list of integers >= 0, got 1"),
+], ids=["torsion", "index-zero", "index-past-dim", "no-coeff", "object-gamma", "extra-key",
+        "exponents-int"])
+def test_christoffel_errors_name_the_one_based_key(gamma, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        connection_from_json(1, gamma)
 
 
 def test_mirror_key_is_another_triple():
@@ -221,6 +246,47 @@ def test_extended_curvature_action():
     assert ext.block("cc") == xm.mat_neg(xm.transpose(r.endo_tm))
     zero = xm.zeros(2, 2)
     assert ext.block("vc") == ext.block("cv") == zero
+
+
+class _ScriptedRng:
+    """randint returns the scripted numbers in turn and records each range."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.ranges = []
+
+    def randint(self, a, b):
+        self.ranges.append((a, b))
+        return self.values.pop(0)
+
+
+def test_fibre_chart_samples_skip_the_circle_and_alternate_sheets():
+    # (0/2, 2/2) and (-2/2, 0/3) lie on u^2 + v^2 = 1 and are drawn again
+    rng = _ScriptedRng([0, 2, 2, 2, 1, 2, 1, 3, -2, 2, 0, 3, 2, 4, -1, 4])
+    assert list(fibre_chart_samples(rng, 2)) == [(F(1, 2), F(1, 3), 1), (F(1, 2), F(-1, 4), -1)]
+    assert rng.values == [] and set(rng.ranges) == {(-2, 2), (2, 4)}
+    samples = list(fibre_chart_samples(random.Random(7), 41))
+    assert len(samples) == 41
+    assert all(u * u + v * v != 1 for u, v, _ in samples)
+    assert [sheet for _, _, sheet in samples] == [1, -1] * 20 + [1]
+    assert list(fibre_chart_samples(random.Random(7), 0)) == []
+
+
+def test_fibre_chart_samples_draw_lazily():
+    # each sample draws only its own four numbers, so a caller's own draws
+    # from the same rng may come between samples
+    rng = _ScriptedRng([1, 2, 1, 3, -1, 3, 1, 4])
+    samples = fibre_chart_samples(rng, 2)
+    assert rng.ranges == []
+    assert next(samples) == (F(1, 2), F(1, 3), 1) and len(rng.ranges) == 4
+    assert next(samples) == (F(-1, 3), F(1, 4), -1) and len(rng.ranges) == 8
+    rng = random.Random(3)
+    interleaved = [(u, v, sheet, random_chart_point(2, rng))
+                   for u, v, sheet in fibre_chart_samples(rng, 3)]
+    replay = random.Random(3)
+    for u, v, _, base in interleaved:
+        assert next(fibre_chart_samples(replay, 1))[:2] == (u, v)
+        assert base == random_chart_point(2, replay)
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (4, 1), (6, 2), (8, 3)])
