@@ -29,10 +29,11 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, F1, Mat, Vec
+from .exactmat import F0, Mat, Vec
 from .gclinalg import (
     Endo,
     GElement,
+    coordinate_elements,
     from_coords,
     is_pairing_skew,
 )
@@ -108,12 +109,9 @@ def constant_section(chart_dim: int, values: Sequence) -> JetSection:
 
 
 def coordinate_sections(chart_dim: int) -> list[JetSection]:
-    """The constant frame d/dx_1, ..., d/dx_m, dx_1, ..., dx_m."""
-    out = []
-    for i in range(2 * chart_dim):
-        values = [F1 if k == i else F0 for k in range(2 * chart_dim)]
-        out.append(constant_section(chart_dim, values))
-    return out
+    """The constant frame d/dx_1, ..., d/dx_m, dx_1, ..., dx_m: the
+    coordinate elements of V + V* with V = R^m, m even."""
+    return [constant_section(chart_dim, e.coords) for e in coordinate_elements(chart_dim)]
 
 
 # ---------------------------------------------------------------------------

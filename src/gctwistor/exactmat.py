@@ -13,9 +13,9 @@ Fraction.
 
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
-- `inverse` runs a fraction-free Gauss-Jordan elimination
-  (`_gauss_jordan`) on [N | Id] for an integer matrix N and keeps the
-  inverse as integers over one denominator (`_integer_inverse`).
+- `inverse` is Bareiss-Jordan: `det`'s step on [N | Id], for an integer
+  matrix N, leaves the inverse as integers over |det N|
+  (`_integer_inverse`).
 - `RowReducer` takes integer vectors only, the one exception to the
   Fraction contract, and stores primitive integer rows, as their nonzero
   entries, with their pivots.  `rank` is the length of one fed the rows
@@ -150,37 +150,6 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer rows in reduced echelon form, up to each pivot row's scale,
-    and the pivot columns of the first `ncols` columns.
-
-    A row is cleared in a pivot column by subtracting an integer multiple
-    of the pivot row from an integer multiple of itself and is made
-    primitive again.  The rows are reordered in place.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(nrows):
-            f = rows[i][col]
-            if i != r and f:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                rows[i] = _primitive([pg * x - fg * y for x, y in zip(rows[i], prow)])
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
 class RowReducer:
     """Incremental echelon form for repeated span and independence queries.
 
@@ -242,12 +211,31 @@ def inverse(a: Mat) -> Mat:
 
 
 def _integer_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """An integer matrix N and d > 0 with a^-1 = N / d, for a square
-    invertible integer matrix a, by `_gauss_jordan` on [a | Id]."""
+    """An integer matrix N and d = |det a| with a^-1 = N / d, for a square
+    invertible integer matrix a.
+
+    `det`'s step on every row but the pivot row of [a | Id] is Bareiss's
+    Gauss-Jordan elimination: each division by the previous pivot is exact,
+    and it ends at [D Id | D a^-1], D = +-det a the last pivot.  Columns
+    left of the pivot are not updated, because no later step reads them,
+    and a row is skipped where the step leaves it as it is: a zero in the
+    pivot column and p = prev.
+    """
     k = len(a)
     rows = [list(row) + [1 if c == r else 0 for c in range(k)] for r, row in enumerate(a)]
-    rows, pivots = _gauss_jordan(rows, k)
-    if pivots != list(range(k)):
-        raise SingularMatrixError("matrix is singular")
-    d = lcm(*(row[r] for r, row in enumerate(rows)))
-    return [[x * (d // row[r]) for x in row[k:]] for r, row in enumerate(rows)], d
+    prev = 1
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        prow = rows[col]
+        p = prow[col]
+        tail = prow[col + 1:]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != col and (f or p != prev):
+                row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], tail)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[k:]] for row in rows], sign * prev

@@ -335,7 +335,8 @@ def scalar_from_str(s: str) -> Fraction:
 
 def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
     """The polynomial of a list of terms, each an object with exactly the
-    keys "exponents" and "coeff"; anything else raises ValueError."""
+    keys "exponents" and "coeff"; anything else, and two terms with the
+    same exponents, raises ValueError."""
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"a polynomial is a list of terms, got {data!r}")
     terms = {}
@@ -347,6 +348,8 @@ def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
         if not isinstance(exps, (list, tuple)) or any(type(e) is not int or e < 0 for e in exps):
             raise ValueError(f"exponents must be a list of integers >= 0, got {exps!r}")
         exps = tuple(exps)
+        if exps in terms:
+            raise ValueError(f"two terms have the exponents {list(exps)}")
         if type(t["coeff"]) not in (str, int):
             raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
                              f"got {t['coeff']!r}")

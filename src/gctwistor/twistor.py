@@ -172,11 +172,16 @@ def flat_connection(n: int) -> Connection:
 def connection_from_json(n: int, data: Mapping) -> Connection:
     """Read one-based "k,i,j" keys; two keys that name one triple, such as
     "1,1,2" and "01,1,2", are rejected rather than one replacing the other.
-    A malformed polynomial is rejected with a ValueError naming its key."""
+    A key that is not three integers and a malformed polynomial are
+    rejected with a ValueError naming the key."""
     gamma = {}
     keys: dict[tuple[int, int, int], str] = {}
     for key, terms in data.items():
-        k, i, j = (int(s) - 1 for s in key.split(","))
+        try:
+            k, i, j = (int(s) - 1 for s in key.split(","))
+        except ValueError:
+            raise ValueError(f'Christoffel key {key!r} is not three comma-separated '
+                             f'integers, the one-based "k,i,j"') from None
         if (k, i, j) in keys:
             raise ValueError(f"Christoffel keys {keys[k, i, j]!r} and {key!r} both name "
                              f"Gamma^{k + 1}_{i + 1}{j + 1}")

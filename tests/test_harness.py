@@ -292,6 +292,10 @@ def with_samples(preset, **samples):
     # a sample count no scheduled check reads, and a check scheduled twice
     {"n": 1, "samples": {"base_points": 2}, "checks": ["oracle/closed-form-equality"]},
     {"n": 1, "checks": ["linalg/pairing-examples", "linalg/pairing-examples"]},
+    # two terms with the same exponents, which would load as the last one
+    {"n": 1, "connection": {"gamma": {"1,2,2": [{"exponents": [1, 0], "coeff": "1"},
+                                                {"exponents": [1, 0], "coeff": "2"}]}},
+     "checks": ["linalg/pairing-examples"]},
 ])
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     from gctwistor import cli
@@ -310,7 +314,13 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, data):
     ({"1,1,2": [{"exponents": [1, 0]}]}, "'1,1,2'"),
     ({"1,1,2": {"exponents": [1, 0], "coeff": "1"}}, "'1,1,2'"),
     ({"1,1,2": [{"exponents": [1, 0], "coeff": "1", "extra": 3}]}, "'1,1,2'"),
-], ids=["torsion", "index-zero", "no-coeff", "object-gamma", "extra-key"])
+    ({"1,2,2": [{"exponents": [1, 0], "coeff": "1"}, {"exponents": [1, 0], "coeff": "2"}]},
+     "'1,2,2': two terms have the exponents [1, 0]"),
+    ({"1,2": [{"exponents": [1, 0], "coeff": "1"}]}, "'1,2' is not three"),
+    ({"1,a,2": [{"exponents": [1, 0], "coeff": "1"}]}, "'1,a,2' is not three"),
+    ({"1,2,2,3": [{"exponents": [1, 0], "coeff": "1"}]}, "'1,2,2,3' is not three"),
+], ids=["torsion", "index-zero", "no-coeff", "object-gamma", "extra-key", "repeated-term",
+        "two-indices", "non-integer-index", "four-indices"])
 def test_cli_christoffel_error_names_the_key(tmp_path, capsys, gamma, key):
     from gctwistor import cli
     path = tmp_path / "scenario.json"

@@ -1,19 +1,28 @@
-"""Every module-level function and class in src/gctwistor has a caller.
+"""Every module-level function and class in src/gctwistor has a caller,
+and every method's name is read somewhere in src/gctwistor.
 
 ROADMAP item 5's rule: public code that nothing calls is deleted, except a
 function or class that defines a paper object and serves a test as an
 independent reference.  The scan parses the sources with `ast` and walks
 references by name from `cli.main` and from the module-level statements of
-every module (the check registry and the presets among them), leaving out
-the re-exports of `__init__`.  A class counts as one node: reaching it
-reaches all of its methods' references.  Methods are not checked on their
-own, because their names collide across classes.  Annotations are not
-references, and only module-level imports bind names: a function that
-imports a caller's target inside its body leaves the target unreached, so
-the scan can fail on such an import but never passes because of one.
+every module (the check registry and the presets among them).  A class
+counts as one node: reaching it reaches all of its methods' references.
+Annotations are not references, and only module-level imports bind names:
+a function that imports a caller's target inside its body leaves the
+target unreached, so the scan can fail on such an import but never passes
+because of one.  The package's `__init__` holds only its docstring, so
+every name is imported from the module that defines it.
+
+A method of a module-level class counts as reached when it is a dunder or
+when its name is read as an attribute anywhere in src/.  The scan does not
+know the receiver's class, so it misses a dead method whose name another
+class's method or attribute also uses; a receiver-typed scan would catch
+those and is still open.
 
 A reference on the allow-list keeps the helpers it reaches.  The list
 cannot go stale: each entry must exist and must be unreachable without it.
+Module-level entries are (module, name) and method entries
+(module, "Class.method").
 """
 
 import ast
@@ -35,7 +44,10 @@ ALLOWED = {
     ("exactmat", "mat_mul"): "the Fraction product the tests hold Endo's arithmetic to",
     ("exactmat", "zeros"): "a Fraction-matrix builder the tests use",
     ("exactmat", "mat_scale"): "a Fraction-matrix builder the tests use",
+    ("gclinalg", "Endo.block"): "a structure's blocks: the tests read them, and ROADMAP item 1's type reads vc",
 }
+FUNCTIONS = {entry for entry in ALLOWED if "." not in entry[1]}
+METHODS = set(ALLOWED) - FUNCTIONS
 
 
 class _References(ast.NodeVisitor):
@@ -98,7 +110,7 @@ def _scan():
             key = (module, getattr(node, "name", None))
             if key in defs:
                 edges[key] = refs.found
-            elif module != "__init__" and not isinstance(node, (ast.Import, ast.ImportFrom)):
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= refs.found
     return defs, edges, roots
 
@@ -113,16 +125,49 @@ def _reach(edges, start):
     return seen
 
 
+def _methods():
+    """The (module, "Class.method") of every method of a module-level class,
+    and every attribute name read in src/."""
+    methods, read = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods |= {(path.stem, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return methods, read
+
+
+def _method_reached(entry, read) -> bool:
+    name = entry[1].split(".")[1]
+    return name in read or (name.startswith("__") and name.endswith("__"))
+
+
 def test_every_definition_is_reached_or_allowed():
     defs, edges, roots = _scan()
-    reached = _reach(edges, roots | set(ALLOWED))
+    reached = _reach(edges, roots | FUNCTIONS)
     unreached = sorted(f"{module}.{name}" for module, name in defs if (module, name) not in reached)
     assert unreached == []
 
 
+def test_every_method_is_read_or_allowed():
+    methods, read = _methods()
+    unread = sorted(f"{module}.{name}" for module, name in methods - METHODS
+                    if not _method_reached((module, name), read))
+    assert unread == []
+
+
 def test_allow_list_is_not_stale():
     defs, edges, roots = _scan()
-    assert set(ALLOWED) <= set(defs)
-    stale = [entry for entry in ALLOWED if entry in _reach(edges, roots | (set(ALLOWED) - {entry}))]
+    methods, read = _methods()
+    assert FUNCTIONS <= set(defs) and METHODS <= methods
+    stale = [entry for entry in FUNCTIONS if entry in _reach(edges, roots | (FUNCTIONS - {entry}))]
+    stale += [entry for entry in METHODS if _method_reached(entry, read)]
     assert stale == []
 
+
+def test_package_init_holds_only_its_docstring():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree) is not None

@@ -18,6 +18,8 @@ from gctwistor.gclinalg import (
     gelem,
     hyperboloid_point,
     is_vertical,
+    gl_action,
+    gl_endo,
     neutral_pairing,
     reference_basis,
     vertical_space_basis,
@@ -30,6 +32,7 @@ from gctwistor.twistor import (
     MuForm,
     NotVerticalError,
     TwistorPoint,
+    TwistorTangent,
     connection,
     connection_from_json,
     curvature,
@@ -46,6 +49,7 @@ from gctwistor.twistor import (
     nijenhuis_horizontal,
     nijenhuis_mixed,
     random_chart_point,
+    random_invertible_matrix,
     sample_adapted_point,
     sample_fibre_structure,
     tangent_from_parts,
@@ -705,6 +709,96 @@ def test_closed_form_table_rejects_bad_alpha():
     at = n1_point(F(1, 2), F(0))
     with pytest.raises(ValueError):
         nijenhuis_closed_form_table(3, CONN_N1, at, [])
+
+
+def substitute_linear(poly, m):
+    """poly(m y) as a polynomial in y, for a square rational matrix m."""
+    nvars = poly.nvars
+    xs = [sum((Poly.variable(nvars, c).scale(m[r][c]) for c in range(nvars) if m[r][c]),
+              Poly.constant(nvars, 0)) for r in range(nvars)]
+    out = Poly.constant(nvars, 0)
+    for exps, coeff in poly.terms:
+        term = Poly.constant(nvars, coeff)
+        for x, e in zip(xs, exps):
+            for _ in range(e):
+                term = term * x
+        out = out + term
+    return out
+
+
+def pushed_connection(conn, g, g_inv):
+    """The connection in the coordinates y = g x: Gamma'(y)(u, v) =
+    g Gamma(g^-1 y)(g^-1 u, g^-1 v), a tensor because g is linear."""
+    dim = conn.dim
+    moved = {key: substitute_linear(poly, g_inv) for key, poly in conn.entries}
+    gamma = {}
+    for k in range(dim):
+        for i in range(dim):
+            for j in range(dim):
+                total = Poly.constant(dim, 0)
+                for (a, b, c), poly in moved.items():
+                    coeff = g[k][a] * g_inv[b][i] * g_inv[c][j]
+                    if coeff:
+                        total = total + poly.scale(coeff)
+                gamma[k, i, j] = total
+    return connection(conn.n, gamma)
+
+
+def quadratic_connection(n):
+    """Three quadratic Christoffel entries with cross terms."""
+    x = [Poly.variable(2 * n, i) for i in range(2 * n)]
+    return connection(n, {(0, 1, 1): x[0] * x[1] + x[2],
+                          (1, 0, 2): (x[3] * x[3]).scale(F(2, 3)),
+                          (2, 3, 3): x[0] - (x[1] * x[2]).scale(F(1, 5))})
+
+
+NATURALITY_CASES = [(n, alpha, label, conn)
+                    for n in (2, 3) for alpha in (1, 2)
+                    for label, conn in (("x1", connection(n, {(0, 1, 1): Poly.variable(2 * n, 0)})),
+                                        ("quadratic", quadratic_connection(n)))]
+
+
+@pytest.mark.parametrize("n, alpha, label, conn", NATURALITY_CASES,
+                         ids=[f"n{c[0]}-alpha{c[1]}-{c[2]}" for c in NATURALITY_CASES])
+def test_closed_form_is_natural_under_linear_coordinate_changes(n, alpha, label, conn):
+    """The closed form commutes with a linear change of base coordinates.
+
+    Take y = g x with g invertible, G = gl_endo(g) and the pushed connection
+    Gamma'.  The table at (g x, G j G^-1) on the mapped probes (horizontal
+    parts mapped by G, vertical parts, coform parts and the vertical basis
+    conjugated by G) equals the table at (x, j) mapped the same way.  It
+    catches an index slip in the curvature, such as R(d_a, d_b) transposed.
+    It does not catch ROADMAP's mutants M1, the alpha sign of the twisted
+    coefficient, and M4, dropping the Gamma.Gamma terms of the curvature:
+    both pass, because both formulas stay natural under linear maps.  Only a
+    direct computation with all of the closed form's terms live catches
+    them (ROADMAP item 2).
+    """
+    rng = random.Random(40 + 10 * n + alpha)
+    at = n2_point(rng.randrange(1000), n)
+    g = random_invertible_matrix(2 * n, rng)
+    g_inv = xm.inverse(g)
+    big_g, big_g_inv = gl_endo(g), gl_endo(g_inv)
+
+    def conj(u):
+        return big_g.compose(u).compose(big_g_inv)
+
+    def mapped(t):
+        return TwistorTangent(big_g.apply(t.horizontal), conj(t.vertical),
+                              conj(t.vertical_coform))
+
+    basis = vertical_space_basis(at.structure)
+    probes = _probe_set(n, basis, "full")
+    table = nijenhuis_closed_form_table(alpha, conn, at, probes, basis)
+    moved_at = TwistorPoint(chart_point(xm.mat_vec(g, at.point.coords)),
+                            gl_action(g, at.structure))
+    moved_basis = [conj(u) for u in basis]
+    moved_table = nijenhuis_closed_form_table(alpha, pushed_connection(conn, g, g_inv), moved_at,
+                                              [mapped(t) for t in probes], moved_basis)
+    assert not all(value.is_zero() for value in table.values())
+    for key, value in table.items():
+        moved = moved_table[key]
+        assert moved.is_zero() if value.is_zero() else moved == mapped(value), key
 
 
 # ---------------------------------------------------------------------------
