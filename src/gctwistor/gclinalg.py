@@ -405,9 +405,6 @@ class GCStructure(Value):
     def dim_v(self) -> int:
         return self.j.half
 
-    def apply(self, a: GElement) -> GElement:
-        return self.j.apply(a)
-
     def orientation(self) -> int:
         return structure_orientation(self.j)
 

@@ -546,10 +546,9 @@ def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     count, cases = _adapted_cases(scenario, 13)
     for trial, at, q1, q4, v in cases:
-        for alpha in (1, 2):
-            got = hybrid_nijenhuis_horizontal(alpha, scenario.conn, at, q1, v)
-            if got != q4 or got.is_zero():
-                return _fail("value differs from Q4", {"trial": trial, "alpha": alpha})
+        got = hybrid_nijenhuis_horizontal(at, q1, v)
+        if got != q4 or got.is_zero():
+            return _fail("value differs from Q4", {"trial": trial})
     return _ok({"adapted_points": count}, finding=True)
 
 
@@ -558,31 +557,31 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 def _oracle_cached(scenario: Scenario, hooks: dict):
-    report = hooks.get("_oracle_cache")
-    if report is None:
+    results = hooks.get("_oracle_cache")
+    if results is None:
         samples = seeded_oracle_samples(scenario.count("fibre_params", 10),
                                         scenario.seed + 14)
-        report = oracle_compare_nijenhuis(scenario.conn, samples,
-                                          perturb=hooks.get("perturb_closed_form"))
-        hooks["_oracle_cache"] = report
-    return report
+        results = oracle_compare_nijenhuis(scenario.conn, samples,
+                                           perturb=hooks.get("perturb_closed_form"))
+        hooks["_oracle_cache"] = results
+    return results
 
 
 def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    report = _oracle_cached(scenario, hooks)
-    for r in report.results:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
         if not r.all_equal:
             witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
                        "sheet": r.sample.sheet, "alpha": r.alpha,
                        "probe_pair": list(r.mismatch) if r.mismatch else None}
             return _fail("mismatch", witness)
-    pairs = sum(r.pairs for r in report.results)
-    return _ok({"samples": len(report.results) // 2, "pairs": pairs})
+    pairs = sum(r.pairs for r in results)
+    return _ok({"samples": len(results) // 2, "pairs": pairs})
 
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    report = _oracle_cached(scenario, hooks)
-    for r in report.results:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
         if r.alpha == 1 and not r.direct_all_zero:
             return _fail("nonzero", {"sheet": r.sample.sheet})
         if r.alpha == 2 and r.direct_all_zero:
@@ -591,8 +590,8 @@ def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    report = _oracle_cached(scenario, hooks)
-    for r in report.results:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
         if not r.lift_bracket_ok:
             return _fail("nonzero residual", {"sheet": r.sample.sheet})
     # the same identity on the endomorphism-bundle chart, at one seeded point
@@ -610,8 +609,8 @@ def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResul
 
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    report = _oracle_cached(scenario, hooks)
-    for r in report.results:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
         if not r.vertical_bracket_ok:
             return _fail("nonzero residual", {"sheet": r.sample.sheet})
     return _ok()

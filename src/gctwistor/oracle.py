@@ -7,7 +7,8 @@ four-dimensional chart the twistor structures become honest structure
 fields with rational entries, so their Nijenhuis tensor can be computed
 directly from Courant brackets of coordinate sections -- no part of the
 closed-form machinery enters.  Comparing the two values pairwise, in
-exact arithmetic, is the strongest end-to-end check in the package.
+exact arithmetic, is the strongest end-to-end check in the package;
+`oracle_compare_nijenhuis` returns one result per sample and alpha.
 
 All field evaluation here runs in forward-mode jet arithmetic
 (`poly.Jet`, exact rationals kept as integers over one denominator):
@@ -528,15 +529,6 @@ class OracleSampleResult(Value):
                  "lift_bracket_ok", "vertical_bracket_ok")
 
 
-class OracleReport(Value):
-    __slots__ = ("results",)
-
-    @property
-    def all_equal(self) -> bool:
-        return all(r.all_equal and r.lift_bracket_ok and r.vertical_bracket_ok
-                   for r in self.results)
-
-
 def seeded_oracle_samples(count: int, seed: int) -> list[OracleSample]:
     """Seeded chart samples: each fibre point from `fibre_chart_samples`,
     then its base point from `random_chart_point`."""
@@ -547,7 +539,7 @@ def seeded_oracle_samples(count: int, seed: int) -> list[OracleSample]:
 
 def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
                              perturb: Callable[[GElement], GElement] | None = None,
-                             ) -> OracleReport:
+                             ) -> tuple[OracleSampleResult, ...]:
     """Compare the direct Courant-bracket Nijenhuis tensor of the twistor
     structure fields, alpha = 1 and 2, against the closed-form evaluator,
     sample by sample.
@@ -599,4 +591,4 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
                         mismatch = (i, k)
             results.append(OracleSampleResult(sample, alpha, pairs, direct_zero, equal,
                                               mismatch, lift_ok, vertical_ok))
-    return OracleReport(tuple(results))
+    return tuple(results)

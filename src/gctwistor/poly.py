@@ -18,9 +18,9 @@ common denominator of its coefficients and the point, and builds the
 `Jet` directly.
 
 Rational functions are kept as unreduced numerator/denominator pairs
-and offer only what their callers use: `from_poly`, `+` (the skew check
-of a two-form field), `*`, `evaluate` and `jet`.  Evaluation guards
-against vanishing denominators instead of attempting multivariate gcd.
+and offer `from_poly`, `+` (the skew check of a two-form field), `*` and
+`jet`, plus `evaluate`, which no check runs but the benchmark's tracer
+wraps.  Evaluation guards against vanishing denominators, without a gcd.
 """
 
 from __future__ import annotations
@@ -202,10 +202,6 @@ class Poly(Value):
                 acc[key] = acc.get(key, F0) + c1 * c2
         return Poly(self.nvars, _canonical(self.nvars, acc))
 
-    def scale(self, c) -> "Poly":
-        c = fr(c)
-        return Poly(self.nvars, _canonical(self.nvars, {e: c * k for e, k in self.terms}))
-
     def partial(self, index: int) -> "Poly":
         acc: dict[Monomial, Fraction] = {}
         for exps, coeff in self.terms:
@@ -329,10 +325,6 @@ def scalar_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def scalar_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
     """The polynomial of a list of terms, each an object with exactly the
     keys "exponents" and "coeff"; anything else, and two terms with the
@@ -354,7 +346,7 @@ def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
             raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
                              f"got {t['coeff']!r}")
         try:
-            terms[exps] = scalar_from_str(t["coeff"])
+            terms[exps] = Fraction(t["coeff"])
         except ZeroDivisionError:
             raise ValueError(f"coefficient {t['coeff']!r} has a zero denominator") from None
     return Poly.from_dict(nvars, terms)

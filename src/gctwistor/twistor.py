@@ -5,8 +5,8 @@ compatible complex structure on T_pM + T*_pM inducing the canonical
 orientation.  A linear connection splits the tangent space of the bundle
 into horizontal and vertical parts; this module implements that
 splitting, the two twistor structures (alpha = 1, 2), the closed-form
-Nijenhuis tensor case by case and as a per-point table over probe pairs,
-and the curvature-form machinery used by the integrability verdicts.
+Nijenhuis tensor case by case and as one table over a point's probe
+pairs, the hybrid mixed term and the curvature-form machinery.
 
 Convention notes, fixed here and relied on everywhere:
   * curvature sign: R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y], i.e.
@@ -217,9 +217,6 @@ class CurvatureValue(Value):
         """Curvature of the induced connection on endomorphisms: [R^, a]."""
         return commutator(self.extended(), a)
 
-    def is_zero(self) -> bool:
-        return xm.is_zero(self.endo_tm)
-
 
 def curvature(conn: Connection, x: Vec, y: Vec, p: ChartPoint) -> CurvatureValue:
     """R(X, Y) = nabla_{[X,Y]} - [nabla_X, nabla_Y] for constant X, Y at p,
@@ -304,10 +301,6 @@ class TwistorTangent(Value):
                                      or not self.vertical.is_zero()
                                      or not self.vertical_coform.is_zero())
         return zero
-
-
-def zero_tangent(n: int) -> TwistorTangent:
-    return TwistorTangent(zero_element(2 * n), zero_endo(4 * n), zero_endo(4 * n))
 
 
 def tangent_from_parts(n: int, horizontal: GElement | None = None,
@@ -451,12 +444,12 @@ def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo) -> Twist
         raise ValueError("alpha must be 1 or 2")
     n = at.n
     if v.is_zero():
-        return zero_tangent(n)
+        return tangent_from_parts(n)
     if not is_vertical(v, at.structure.j):
         raise NotVerticalError("V is not a vertical vector at j")
     coef = 1 + (-1) ** alpha
     if coef == 0:
-        return zero_tangent(n)
+        return tangent_from_parts(n)
     value = at.structure.j.compose(v).apply(a).scale(coef)
     return tangent_from_parts(n, horizontal=value)
 
@@ -475,7 +468,7 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
         raise ValueError("alpha must be 1 or 2")
     n = at.n
     if phi.is_zero():
-        return zero_tangent(n)
+        return tangent_from_parts(n)
     j = at.structure.j
     if not is_vertical(phi, j):
         raise NotVerticalError("coform representer is not vertical at j")
@@ -484,7 +477,7 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
     scalars = {key: (fib_pairing(phi, v), fib_pairing(phi, jv))
                for key, (v, jv) in action.items()}
     if not scalars or all(s_v == 0 and s_jv == 0 for s_v, s_jv in scalars.values()):
-        return zero_tangent(n)
+        return tangent_from_parts(n)
 
     def rhs(b: GElement) -> Fraction:
         jb = j.apply(b)
@@ -501,14 +494,6 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
     vec = tuple(2 * rhs(basis_covector(dim_v, k)) for k in range(dim_v))
     cov = tuple(2 * rhs(basis_vector(dim_v, k)) for k in range(dim_v))
     return tangent_from_parts(n, horizontal=GElement(dim_v, vec, cov))
-
-
-def nijenhuis_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
-                          e: TwistorTangent, f: TwistorTangent,
-                          vertical_basis: Sequence[Endo] | None = None) -> TwistorTangent:
-    """The full closed-form Nijenhuis value N_alpha(E, F): the two-probe
-    case of `nijenhuis_closed_form_table`."""
-    return nijenhuis_closed_form_table(alpha, conn, at, (e, f), vertical_basis)[(0, 1)]
 
 
 def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
@@ -630,7 +615,7 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                   (part[3][h:] + part[3][:h], [_mv(m, part[0]) for m in umats])
                   for part in hs]
 
-    zero = zero_tangent(n)
+    zero = tangent_from_parts(n)
     table: dict[tuple[int, int], TwistorTangent] = {}
     for i in range(len(probes)):
         for k in range(i + 1, len(probes)):
@@ -828,22 +813,18 @@ def mu_forced_zero_check(n: int) -> MuSystemReport:
     return MuSystemReport(n, unknowns, rank, unknowns - rank)
 
 
-def hybrid_nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,
-                                a: GElement, v: Endo) -> GElement:
+def hybrid_nijenhuis_horizontal(at: TwistorPoint, a: GElement, v: Endo) -> GElement:
     """H + H* part of the mixed Nijenhuis term for the hybrid structures that
     use the fibre symplectic-type structure on vertical data.
 
     Computed through the horizontal-vertical bracket mechanism, whose
-    only surviving term is (j o V) A -- with coefficient one for both
-    alphas, unlike the pure twistor structures where the second bracket
-    doubles or cancels it.  Requires the fibre two-form to be
-    nondegenerate at the point, since the hybrid structure is only
-    defined there.
+    only surviving term is (j o V) A with coefficient one: unlike the pure
+    twistor structures, where the second bracket doubles or cancels it, it
+    depends on neither alpha nor the connection, so one value serves both
+    hybrid structures.  Requires the fibre two-form to be nondegenerate at
+    the point, since the hybrid structure is only defined there.
     """
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    basis = vertical_space_basis(at.structure)
-    fiber_kahler_structure(at.structure, basis)  # availability check at this point
+    fiber_kahler_structure(at.structure, vertical_space_basis(at.structure))  # raises if degenerate
     if v.is_zero():
         return zero_element(2 * at.n)
     if not is_vertical(v, at.structure.j):

@@ -226,7 +226,7 @@ def field_from_coefficients(chart_dim, entries):
 
 
 def test_field_invariant_violation_reported():
-    bad = field_from_coefficients(1, [[ONE2.scale(0) for _ in range(2)] for _ in range(2)])
+    bad = field_from_coefficients(1, [[Poly.constant(2, 0) for _ in range(2)] for _ in range(2)])
     # zero matrix squares to zero, not -Id
     bad1 = field_from_coefficients(1, [[Poly.constant(1, 0), Poly.constant(1, 0)],
                                        [Poly.constant(1, 0), Poly.constant(1, 0)]])
@@ -423,8 +423,8 @@ def b_transformed_field(m, fill):
     def exp_b(sign):
         e = [[one if r == c else zero for c in range(2 * m)] for r in range(2 * m)]
         for (i, k), val in fill.items():
-            e[m + k][i] = val.scale(sign)
-            e[m + i][k] = val.scale(-sign)
+            e[m + k][i] = val * Poly.constant(m, sign)
+            e[m + i][k] = val * Poly.constant(m, -sign)
         return e
 
     return field_from_coefficients(
@@ -437,15 +437,19 @@ def test_table_matches_reference_with_rational_sections():
     m = 4
     x = [Poly.variable(m, i) for i in range(m)]
     zero, one = Poly.constant(m, 0), Poly.constant(m, 1)
-    field = b_transformed_field(m, {(0, 2): x[1].scale(F(3, 2)), (1, 3): x[0] * x[2]})
-    den = RationalFn(one, one + (x[1] * x[1]).scale(F(1, 3)))
+
+    def k(c):
+        return Poly.constant(m, c)
+
+    field = b_transformed_field(m, {(0, 2): x[1] * k(F(3, 2)), (1, 3): x[0] * x[2]})
+    den = RationalFn(one, one + x[1] * x[1] * k(F(1, 3)))
     probes = [
-        section_from_coefficients(m, [den * RationalFn.from_poly(x[0].scale(F(2, 3)) + one),
-                                      zero, x[3].scale(F(-1, 5)), zero,
-                                      zero, x[2] * x[3], zero, one.scale(F(5, 7))]),
-        section_from_coefficients(m, [zero, x[2].scale(F(1, 4)), zero, one,
-                                      den, zero, x[0].scale(F(-3, 2)), zero]),
-        section_from_coefficients(m, [one, zero, zero, x[1] * x[0].scale(F(7, 3)),
+        section_from_coefficients(m, [den * RationalFn.from_poly(x[0] * k(F(2, 3)) + one),
+                                      zero, x[3] * k(F(-1, 5)), zero,
+                                      zero, x[2] * x[3], zero, k(F(5, 7))]),
+        section_from_coefficients(m, [zero, x[2] * k(F(1, 4)), zero, one,
+                                      den, zero, x[0] * k(F(-3, 2)), zero]),
+        section_from_coefficients(m, [one, zero, zero, x[1] * x[0] * k(F(7, 3)),
                                       zero, zero, zero, zero]),
     ]
     p = chart_point([F(1, 3), F(-2, 5), F(3, 7), F(-1, 2)])
@@ -471,7 +475,7 @@ def test_scan_validates_field_at_every_point():
     # x1 = 0, and its 1-jet at the origin is that of J0, so the origin gives
     # no witness: the scan must go on and reject the field at the second point
     j0 = from_complex(standard_complex_matrix(1)).j
-    field = field_from_coefficients(2, [[(ONE2 + X1 * X1).scale(c) for c in row]
+    field = field_from_coefficients(2, [[(ONE2 + X1 * X1) * Poly.constant(2, c) for c in row]
                                         for row in j0.rows])
     probes = coordinate_sections(2)
     origin, off = chart_point([F(0), F(0)]), chart_point([F(1), F(0)])

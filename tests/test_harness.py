@@ -523,6 +523,24 @@ def test_flat_scan_failure_names_its_chart_point(monkeypatch, preset):
     assert result.witness["point"] == [scalar_to_str(c) for c in point.coords]
 
 
+def test_hybrid_witness_evaluates_each_adapted_point_once(monkeypatch):
+    # the hybrid term depends on neither alpha nor the connection, so one
+    # call per point checks both hybrid structures
+    from gctwistor import harness
+    calls = []
+    hybrid = harness.hybrid_nijenhuis_horizontal
+
+    def spy(*args):
+        calls.append(args)
+        return hybrid(*args)
+
+    monkeypatch.setattr(harness, "hybrid_nijenhuis_horizontal", spy)
+    scenario = load_scenario({**PRESETS["thm1-n1"], "samples": {"adapted_points": 3},
+                              "checks": ["integrability/hybrid-witness"]})
+    assert run_scenario(scenario).results[0].status == "finding"
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])
 def test_bad_n_rejected(n):
     with pytest.raises(ScenarioError, match="n must be an integer >= 1"):

@@ -54,6 +54,12 @@ X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 
 
+def all_equal(results):
+    """Every comparison of the oracle agrees: each sample's Nijenhuis pairs
+    and both bracket identities."""
+    return all(r.all_equal and r.lift_bracket_ok and r.vertical_bracket_ok for r in results)
+
+
 def q_at(x1=F(1, 2), x2=F(1, 3), u=F(1, 4), v=F(1, 5)):
     return chart_point([x1, x2, u, v])
 
@@ -95,8 +101,8 @@ def test_chart_builds_one_structure_per_sample(monkeypatch):
         return GCStructure(j)
 
     monkeypatch.setattr(oracle, "GCStructure", counted)
-    report = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
-    assert report.all_equal and len(built) == 2
+    results = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
+    assert all_equal(results) and len(built) == 2
 
 
 def test_chart_connection_form_matches_connection_matrix():
@@ -203,10 +209,10 @@ def test_bracket_identities_checked_once_per_sample(monkeypatch):
                         counting("lift", chart_bracket_curvature_check))
     monkeypatch.setattr(oracle, "chart_vertical_bracket_check",
                         counting("vertical", chart_vertical_bracket_check))
-    report = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
+    results = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
     assert calls == {"lift": 2, "vertical": 2}
-    assert [r.alpha for r in report.results] == [1, 2, 1, 2]
-    assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in report.results)
+    assert [r.alpha for r in results] == [1, 2, 1, 2]
+    assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in results)
 
 
 def test_decompose_splits_lift_directions():
@@ -360,9 +366,9 @@ def test_bundle_chart_jets_match_reference_under_scaled_curvature(monkeypatch):
 
 def test_oracle_equality_both_alphas():
     samples = seeded_oracle_samples(2, 42)
-    report = oracle_compare_nijenhuis(CONN, samples)
-    assert report.all_equal
-    for r in report.results:
+    results = oracle_compare_nijenhuis(CONN, samples)
+    assert all_equal(results)
+    for r in results:
         assert r.pairs == 28
         assert r.lift_bracket_ok and r.vertical_bracket_ok
         if r.alpha == 1:
@@ -373,9 +379,9 @@ def test_oracle_equality_both_alphas():
 
 def test_oracle_flat_connection():
     samples = [OracleSample((F(0), F(0)), (F(1, 3), F(1, 4)), 1)]
-    report = oracle_compare_nijenhuis(flat_connection(1), samples)
-    assert report.all_equal
-    assert {r.alpha: r.direct_all_zero for r in report.results}[1]
+    results = oracle_compare_nijenhuis(flat_connection(1), samples)
+    assert all_equal(results)
+    assert {r.alpha: r.direct_all_zero for r in results}[1]
 
 
 def test_oracle_detects_perturbed_closed_form():
@@ -384,9 +390,9 @@ def test_oracle_detects_perturbed_closed_form():
     def tamper(g):
         return GElement(g.dim_v, g.vec, tuple(c + 1 for c in g.cov))
 
-    report = oracle_compare_nijenhuis(CONN, samples, perturb=tamper)
-    assert not report.all_equal
-    assert {r.alpha: r.mismatch for r in report.results}[2] is not None
+    results = oracle_compare_nijenhuis(CONN, samples, perturb=tamper)
+    assert not all_equal(results)
+    assert {r.alpha: r.mismatch for r in results}[2] is not None
 
 
 def test_oracle_mixed_probe_nonzero_for_alpha2():
@@ -499,10 +505,10 @@ def test_oracle_with_generic_polynomial_connection():
     })
     samples = [OracleSample((F(1, 2), F(-1, 3)), (F(1, 5), F(1, 2)), 1),
                OracleSample((F(2), F(1)), (F(0), F(1, 3)), -1)]
-    report = oracle_compare_nijenhuis(conn, samples)
-    assert report.all_equal
-    assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in report.results)
-    assert all(r.direct_all_zero for r in report.results if r.alpha == 1)
+    results = oracle_compare_nijenhuis(conn, samples)
+    assert all_equal(results)
+    assert all(r.lift_bracket_ok and r.vertical_bracket_ok for r in results)
+    assert all(r.direct_all_zero for r in results if r.alpha == 1)
 
 
 def test_table_matches_pairwise_nijenhuis_on_chart_fields():

@@ -12,7 +12,6 @@ from gctwistor.poly import (
     RationalFn,
     ZeroDenominatorError,
     poly_from_json,
-    scalar_from_str,
     scalar_to_str,
 )
 
@@ -20,7 +19,7 @@ from gctwistor.poly import (
 def test_poly_arithmetic_and_partials():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
-    p = x * x * y + x.scale(3)  # x^2 y + 3x
+    p = x * x * y + x * Poly.constant(2, 3)  # x^2 y + 3x
     assert p.evaluate((F(2), F(5))) == 4 * 5 + 6
     # d/dx = 2xy + 3, d/dy = x^2, expanded by hand
     assert p.partial(0).evaluate((F(2), F(5))) == 23
@@ -157,7 +156,7 @@ def test_rational_jet_over_one_is_the_quotient_rule(operands):
     assert jet == p.jet(point) / one.jet(point)
     assert all(type(x) is F for x in (jet.value,) + jet.grad)
     # other constant denominators still go through the quotient rule
-    assert RationalFn(p, one.scale(2)).jet(point) == p.jet(point).scale(F(1, 2))
+    assert RationalFn(p, Poly.constant(p.nvars, 2)).jet(point) == p.jet(point).scale(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,6 @@ def test_jet_is_zero_needs_value_and_gradient():
 def test_scalar_strings():
     assert scalar_to_str(F(3, 4)) == "3/4"
     assert scalar_to_str(F(-5)) == "-5"
-    assert scalar_from_str("7/2") == F(7, 2)
 
 
 def test_poly_serialization_roundtrip():

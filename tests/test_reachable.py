@@ -1,5 +1,5 @@
 """Every module-level function and class in src/gctwistor has a caller,
-and every method's name is read somewhere in src/gctwistor.
+and every method of a src/ class runs when the presets do.
 
 ROADMAP item 5's rule: public code that nothing calls is deleted, except a
 function or class that defines a paper object and serves a test as an
@@ -13,19 +13,25 @@ target unreached, so the scan can fail on such an import but never passes
 because of one.  The package's `__init__` holds only its docstring, so
 every name is imported from the module that defines it.
 
-A method of a module-level class counts as reached when it is a dunder or
-when its name is read as an attribute anywhere in src/.  The scan does not
-know the receiver's class, so it misses a dead method whose name another
-class's method or attribute also uses; a receiver-typed scan would catch
-those and is still open.
+Methods are checked by running them.  A fresh interpreter sets
+`sys.setprofile` before it imports gctwistor, runs every preset with each
+sample count set to 1 and emits both report formats.  A method of a
+module-level class is reached when its code object ran; a property's
+getter and a staticmethod's function count the same way, and dunders are
+exempt.  So a dead method is caught also when another class uses its name.
 
 A reference on the allow-list keeps the helpers it reaches.  The list
-cannot go stale: each entry must exist and must be unreachable without it.
-Module-level entries are (module, name) and method entries
-(module, "Class.method").
+cannot go stale: a module-level entry must exist and be unreachable
+without it, and a method entry must exist and must not run.  Module-level
+entries are (module, name) and method entries (module, "Class.method").
 """
 
 import ast
+import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gctwistor
@@ -36,7 +42,6 @@ SRC = Path(gctwistor.__file__).resolve().parent
 ALLOWED = {
     ("twistor", "twistor_J"): "the twistor structures J_1 and J_2 on a tangent",
     ("twistor", "horizontal_lift"): "the horizontal lift, the reference for the oracle chart's",
-    ("twistor", "nijenhuis_closed_form"): "one closed-form pair, the reference for the table",
     ("twistor", "nijenhuis_horizontal"): "the closed form's horizontal-pair case",
     ("twistor", "nijenhuis_coform"): "the closed form's coform-pair case",
     ("twistor", "MuForm"): "the curvature form mu, the input of curvature_from_mu",
@@ -45,6 +50,9 @@ ALLOWED = {
     ("exactmat", "zeros"): "a Fraction-matrix builder the tests use",
     ("exactmat", "mat_scale"): "a Fraction-matrix builder the tests use",
     ("gclinalg", "Endo.block"): "a structure's blocks: the tests read them, and ROADMAP item 1's type reads vc",
+    ("poly", "Jet.grad"): "a jet's gradient as Fractions, which the tests compare",
+    ("twistor", "TwistorTangent.scale"): "tangent subtraction goes through it, and the tests scale tangents",
+    ("poly", "RationalFn.evaluate"): "bench/tracing.py wraps it by name (ROADMAP item 6)",
 }
 FUNCTIONS = {entry for entry in ALLOWED if "." not in entry[1]}
 METHODS = set(ALLOWED) - FUNCTIONS
@@ -125,24 +133,46 @@ def _reach(edges, start):
     return seen
 
 
-def _methods():
-    """The (module, "Class.method") of every method of a module-level class,
-    and every attribute name read in src/."""
-    methods, read = set(), set()
-    for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                methods |= {(path.stem, f"{node.name}.{item.name}") for item in node.body
-                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return methods, read
+# Runs every preset at sample counts of 1 under a profiler that records the
+# code object of every frame, then prints [module, "Class.method", ran] for
+# each non-dunder method of a class defined in a gctwistor module.
+_RUN_PRESETS = """
+import sys
+ran = set()
+sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code))
+from gctwistor import harness
+for name, preset in harness.PRESETS.items():
+    data = dict(preset, samples=dict.fromkeys(preset["samples"], 1))
+    report = harness.run_scenario(harness.load_scenario(data, name=name))
+    for fmt in ("json", "text"):
+        harness.emit_report(report, fmt)
+sys.setprofile(None)
+import importlib, json, pkgutil, gctwistor
+methods = []
+for info in pkgutil.iter_modules(gctwistor.__path__):
+    if info.name == "__main__":
+        continue
+    module = importlib.import_module("gctwistor." + info.name)
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == module.__name__:
+            for name, attr in vars(cls).items():
+                fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if hasattr(fn, "__code__") and not (name.startswith("__") and name.endswith("__")):
+                    methods.append([info.name, cls.__name__ + "." + name, fn.__code__ in ran])
+print(json.dumps(methods))
+"""
 
 
-def _method_reached(entry, read) -> bool:
-    name = entry[1].split(".")[1]
-    return name in read or (name.startswith("__") and name.endswith("__"))
+@functools.cache
+def _method_runs() -> tuple[set, set]:
+    """Every (module, "Class.method") of a src/ class, and those that ran."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _RUN_PRESETS], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    return {(m, name) for m, name, _ in rows}, {(m, name) for m, name, ran in rows if ran}
 
 
 def test_every_definition_is_reached_or_allowed():
@@ -152,19 +182,18 @@ def test_every_definition_is_reached_or_allowed():
     assert unreached == []
 
 
-def test_every_method_is_read_or_allowed():
-    methods, read = _methods()
-    unread = sorted(f"{module}.{name}" for module, name in methods - METHODS
-                    if not _method_reached((module, name), read))
-    assert unread == []
+def test_every_method_runs_or_is_allowed():
+    methods, ran = _method_runs()
+    unreached = sorted(f"{module}.{name}" for module, name in methods - ran - METHODS)
+    assert unreached == []
 
 
 def test_allow_list_is_not_stale():
     defs, edges, roots = _scan()
-    methods, read = _methods()
+    methods, ran = _method_runs()
     assert FUNCTIONS <= set(defs) and METHODS <= methods
     stale = [entry for entry in FUNCTIONS if entry in _reach(edges, roots | (FUNCTIONS - {entry}))]
-    stale += [entry for entry in METHODS if _method_reached(entry, read)]
+    stale += sorted(METHODS & ran)
     assert stale == []
 
 

@@ -7,13 +7,18 @@ a change to any of them fails here rather than in a benchmark run.  The
 registry names the one sample count each check reads, and every preset
 and benchmark workload sets only counts that its checks read.
 
-The benchmark's sources under bench/ are only read, never imported, so
-this test does not depend on what the tracer imports.
+The benchmark's sources under bench/ are read here, and imported only in a
+child interpreter that runs every preset under the installed tracer, so
+this test process does not depend on what the tracer imports.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +102,38 @@ def test_result_names_are_scheduled_names(preset):
     scenario = load_scenario({**PRESETS[preset], "samples": samples}, name=preset)
     report = run_scenario(scenario)
     assert [r.name for r in report.results] == list(scenario.checks)
+
+
+# Installs bench/tracing.py's tracer, runs every preset at sample counts of
+# 1 and prints whether all passed and the value of each of the tracer's metrics.
+_TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.install()
+from gctwistor import harness
+ok = True
+for name, preset in harness.PRESETS.items():
+    data = dict(preset, samples=dict.fromkeys(preset["samples"], 1))
+    ok = harness.run_scenario(harness.load_scenario(data, name=name)).ok and ok
+print(json.dumps({"ok": ok, "metrics": {k: v["value"] for k, v in tracer.metrics().items()}}))
+"""
+
+
+def test_traced_presets_pass_and_time_their_checks():
+    package_root = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(BENCH)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["ok"]
+    # every traced check that a preset schedules was timed under its wrapper
+    scheduled = {check for preset in PRESETS.values() for check in preset["checks"]}
+    untimed = [check for check in _tracing_constant("CHECKS") if check in scheduled
+               and not out["metrics"]["harness.check_s." + check.replace("/", ".")] > 0]
+    assert untimed == []
 
 
 def _workloads() -> dict:
