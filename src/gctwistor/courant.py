@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
@@ -37,7 +37,7 @@ from .gclinalg import (
     from_coords,
     is_pairing_skew,
 )
-from .poly import Coefficient, Jet, JetMat, Poly, RationalFn, as_rational, jmat_mul
+from .poly import ChartPoint, Coefficient, Jet, JetMat, Poly, RationalFn, as_rational, jmat_mul
 from .value import Value
 
 
@@ -51,18 +51,6 @@ class FieldInvariantError(ValueError):
 
 class ProbeSpanError(ValueError):
     """A probe set fails to span TM + T*M at a sampled point."""
-
-
-class ChartPoint(Value):
-    __slots__ = ("coords",)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
-def chart_point(coords: Iterable) -> ChartPoint:
-    return ChartPoint(xm.vec(coords))
 
 
 SectionJet = tuple[Jet, ...]

@@ -14,8 +14,8 @@ Fraction.
 - `det` is Bareiss's fraction-free elimination (E. Bareiss, Math. Comp.
   22, 1968) on the rows scaled to integers; every division in it is exact.
 - `inverse` is Bareiss-Jordan: `det`'s step on [N | Id], for an integer
-  matrix N, leaves the inverse as integers over |det N|
-  (`_integer_inverse`).
+  matrix N, leaves the inverse as integers over |det N|, which one gcd
+  brings to lowest terms (`_integer_inverse`).
 - `RowReducer` takes integer vectors only, the one exception to the
   Fraction contract, and stores primitive integer rows, as their nonzero
   entries, with their pivots.  `rank` is the length of one fed the rows
@@ -211,12 +211,13 @@ def inverse(a: Mat) -> Mat:
 
 
 def _integer_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """An integer matrix N and d = |det a| with a^-1 = N / d, for a square
-    invertible integer matrix a.
+    """An integer matrix N and d > 0 with a^-1 = N / d in lowest terms,
+    gcd(d, *N) == 1, for a square invertible integer matrix a.
 
     `det`'s step on every row but the pivot row of [a | Id] is Bareiss's
     Gauss-Jordan elimination: each division by the previous pivot is exact,
-    and it ends at [D Id | D a^-1], D = +-det a the last pivot.  Columns
+    and it ends at [D Id | D a^-1], D = +-det a the last pivot, whose
+    right half and |D| are then divided by their one gcd.  Columns
     left of the pivot are not updated, because no later step reads them,
     and a row is skipped where the step leaves it as it is: a zero in the
     pivot column and p = prev.
@@ -237,5 +238,6 @@ def _integer_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
             if r != col and (f or p != prev):
                 row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], tail)]
         prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[k:]] for row in rows], sign * prev
+    inv = [row[k:] for row in rows]
+    g = gcd(prev, *(x for row in inv for x in row)) * (1 if prev > 0 else -1)
+    return [[x // g for x in row] for row in inv], prev // g

@@ -17,10 +17,15 @@ witness among them, goes through one per-point Nijenhuis table.  A
 report is a deterministic function of (scenario, seed): two runs emit
 byte-identical JSON.  Wall-clock timings appear in the text rendering
 only, precisely so the JSON stays reproducible.
+
+Each run compiles the sources it imports, so the `courant` and `oracle`
+suites import their layers in their checks' bodies, and a `Scenario` loads
+the layer of each such suite it schedules.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 import time
@@ -29,18 +34,6 @@ from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
-from .courant import (
-    b_automorphism_defect,
-    chart_point,
-    constant_field,
-    courant_bracket,
-    default_probes,
-    integrability_scan,
-    lie_bracket,
-    nijenhuis,
-    section_from_coefficients,
-    two_form_field,
-)
 from .gclinalg import (
     Endo,
     GElement,
@@ -71,12 +64,7 @@ from .gclinalg import (
     vertical_space_basis,
     zero_endo,
 )
-from .oracle import (
-    lift_bracket_curvature_check,
-    oracle_compare_nijenhuis,
-    seeded_oracle_samples,
-)
-from .poly import Poly, scalar_to_str
+from .poly import Poly, chart_point, scalar_to_str
 from .twistor import (
     Connection,
     TwistorPoint,
@@ -108,7 +96,8 @@ class Scenario(Value):
     connection for another n, an empty check list, an unknown check, a
     check scheduled twice, a check whose registry requirements (an n, a
     flat or a curved connection) it does not meet, or a sample count that
-    no scheduled check reads."""
+    no scheduled check reads.  It imports the `courant` and `oracle` layers
+    of the suites it schedules, so their checks' timings hold no import."""
 
     __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
@@ -138,6 +127,9 @@ class Scenario(Value):
             if lacking:
                 raise ScenarioError(f"check {check} needs {lacking}")
         _validate_samples(samples, {_REGISTRY[check][2] for check in checks} - {None})
+        for layer in ("courant", "oracle"):
+            if any(check.startswith(layer + "/") for check in checks):
+                importlib.import_module(f"{__package__}.{layer}")
         self.name = name
         self.n = n
         self.conn = conn
@@ -339,6 +331,7 @@ def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import courant_bracket, lie_bracket, section_from_coefficients
     m = 2
     x1 = Poly.variable(m, 0)
     x2 = Poly.variable(m, 1)
@@ -360,6 +353,7 @@ def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import constant_field, nijenhuis, section_from_coefficients
     rng = random.Random(scenario.seed + 6)
     m = 2
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
@@ -378,6 +372,7 @@ def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckRe
 
 
 def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import constant_field, default_probes, integrability_scan
     rng = random.Random(scenario.seed + 7)
     field = constant_field(from_complex(standard_complex_matrix(1)).j)
     points = [random_chart_point(2, rng) for _ in range(5)]
@@ -389,6 +384,7 @@ def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult
 
 
 def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import b_automorphism_defect, section_from_coefficients, two_form_field
     rng = random.Random(scenario.seed + 8)
     m = 4
     zero = Poly.constant(m, 0)
@@ -559,6 +555,7 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 def _oracle_cached(scenario: Scenario, hooks: dict):
     results = hooks.get("_oracle_cache")
     if results is None:
+        from .oracle import oracle_compare_nijenhuis, seeded_oracle_samples
         samples = seeded_oracle_samples(scenario.count("fibre_params", 10),
                                         scenario.seed + 14)
         results = oracle_compare_nijenhuis(scenario.conn, samples,
@@ -590,6 +587,7 @@ def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .oracle import lift_bracket_curvature_check
     results = _oracle_cached(scenario, hooks)
     for r in results:
         if not r.lift_bracket_ok:

@@ -45,11 +45,9 @@ from typing import Callable, Sequence
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
 from .courant import (
-    ChartPoint,
     GACField,
     JetSection,
     SectionJet,
-    chart_point,
     coordinate_sections,
     lie_bracket,
     nijenhuis_table,
@@ -67,7 +65,7 @@ from .gclinalg import (
     skew_frames,
     zero_element,
 )
-from .poly import Jet, JetMat, Poly, jmat_mul
+from .poly import ChartPoint, Jet, JetMat, Poly, chart_point, jmat_mul
 from .twistor import (
     Connection,
     TwistorPoint,

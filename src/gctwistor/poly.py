@@ -8,7 +8,8 @@ consumes.  `Jet` is the package's one forward-mode scalar; every product,
 quotient and chain rule of a derivative goes through its arithmetic.
 A section's 1-jet is a tuple of `Jet`s and a structure field's a matrix
 of them; `jmat_mul` is the one product of jet matrices, and a field
-applied to a section is that product with a one-column matrix.
+applied to a section is that product with a one-column matrix.  A
+`ChartPoint` holds the coordinates that jets are evaluated at.
 
 A `Jet` takes and returns `Fraction`s, as `exactmat` does, and computes
 in Python ints inside: it stores integer numerators over one positive
@@ -27,12 +28,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exactmat import F0, F1, _scaled, fr
+from .exactmat import F0, F1, _scaled, fr, vec
 from .value import Value
 
 Monomial = tuple[int, ...]
+
+
+class ChartPoint(Value):
+    __slots__ = ("coords",)
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+
+def chart_point(coords: Iterable) -> ChartPoint:
+    return ChartPoint(vec(coords))
 
 
 class ZeroDenominatorError(ZeroDivisionError):

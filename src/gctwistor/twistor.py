@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
-from .courant import ChartPoint, chart_point
 from .gclinalg import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -54,7 +53,7 @@ from .gclinalg import (
     zero_element,
     zero_endo,
 )
-from .poly import Poly, poly_from_json
+from .poly import ChartPoint, Poly, chart_point, poly_from_json
 from .value import Value
 
 
@@ -843,7 +842,7 @@ def random_skew_matrix(dim: int, rng: random.Random) -> Mat:
             c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
             rows[i][j] = c
             rows[j][i] = -c
-    return xm.mat(rows)
+    return tuple(map(tuple, rows))
 
 
 def random_invertible_matrix(dim: int, rng: random.Random) -> Mat:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 
 from gctwistor import exactmat as xm
-from gctwistor.courant import b_automorphism_defect, chart_point, section_from_coefficients, two_form_field
+from gctwistor.courant import b_automorphism_defect, section_from_coefficients, two_form_field
 from gctwistor.gclinalg import (
     Endo,
     coordinate_elements,
@@ -34,7 +34,7 @@ from gctwistor.harness import (
     run_scenario,
 )
 from gctwistor.oracle import oracle_compare_nijenhuis, seeded_oracle_samples
-from gctwistor.poly import Poly
+from gctwistor.poly import Poly, chart_point
 from gctwistor.twistor import (
     TwistorPoint,
     connection,

@@ -13,7 +13,6 @@ from gctwistor.courant import (
     JetSection,
     ProbeSpanError,
     b_automorphism_defect,
-    chart_point,
     constant_field,
     constant_section,
     coordinate_sections,
@@ -27,7 +26,6 @@ from gctwistor.courant import (
     two_form_field,
 )
 from gctwistor.courant import _bracket
-from gctwistor.poly import as_rational
 from gctwistor.gclinalg import (
     GElement,
     from_complex,
@@ -36,7 +34,7 @@ from gctwistor.gclinalg import (
     standard_complex_matrix,
     standard_symplectic_matrix,
 )
-from gctwistor.poly import Jet, Poly, RationalFn
+from gctwistor.poly import Jet, Poly, RationalFn, as_rational, chart_point
 
 ZERO2 = Poly.constant(2, 0)
 ONE2 = Poly.constant(2, 1)

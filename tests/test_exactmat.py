@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -293,7 +293,8 @@ def test_inverse_matches_fraction_elimination(a):
 @settings(max_examples=150, deadline=None)
 @given(_matrix(square=True))
 def test_integer_inverse_matches_fraction_elimination(a):
-    # the inverse of an integer matrix as integers over one positive denominator
+    # the inverse of an integer matrix as integers over one positive denominator,
+    # in lowest terms
     ints = xm._integer_matrix(a)[0] if a else []
     k = len(ints)
     expected = _ref_solve_columns([[F(x) for x in row] for row in ints],
@@ -304,6 +305,7 @@ def test_integer_inverse_matches_fraction_elimination(a):
         return
     num, d = xm._integer_inverse(ints)
     assert d > 0 and all(type(x) is int for row in num for x in row)
+    assert gcd(d, *(x for row in num for x in row)) == 1
     assert tuple(tuple(F(x, d) for x in row) for row in num) == tuple(zip(*expected))
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 from gctwistor import gclinalg as gl
-from gctwistor.courant import chart_point
 from gctwistor.gclinalg import (
     DegenerateInputError,
     Endo,
@@ -51,6 +50,7 @@ from gctwistor.gclinalg import (
     zero_element,
 )
 from gctwistor.oracle import TwistorChart
+from gctwistor.poly import chart_point
 from gctwistor.twistor import (
     flat_connection,
     interchanging_structure,

@@ -176,14 +176,19 @@ def test_scenario_file_loading(tmp_path):
     assert report.ok
 
 
-def run_cli(*args):
-    """`python -m gctwistor verify ...` in a child interpreter that imports the
-    same gctwistor as the tests, also when only pytest's pythonpath has it."""
+def run_child(*args, check=False):
+    """A child interpreter with these arguments that imports the same
+    gctwistor as the tests, also when only pytest's pythonpath has it."""
     package_root = os.path.dirname(os.path.dirname(gctwistor.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gctwistor", "verify", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=check)
+
+
+def run_cli(*args):
+    """`python -m gctwistor verify ...` in a child interpreter."""
+    return run_child("-m", "gctwistor", "verify", *args)
 
 
 def test_cli_pass_and_exit_codes(tmp_path):
@@ -539,6 +544,35 @@ def test_hybrid_witness_evaluates_each_adapted_point_once(monkeypatch):
                               "checks": ["integrability/hybrid-witness"]})
     assert run_scenario(scenario).results[0].status == "finding"
     assert len(calls) == 3
+
+
+# In a fresh interpreter: `run` loads and runs a preset at sample counts of 1,
+# then the steps run, and the courant and oracle layers imported are printed.
+_LAYERS_AFTER = """
+import json, sys
+from gctwistor import harness
+
+def run(name):
+    preset = harness.PRESETS[name]
+    data = dict(preset, samples=dict.fromkeys(preset["samples"], 1))
+    harness.emit_report(harness.run_scenario(harness.load_scenario(data, name=name)), "text")
+
+{steps}
+print(json.dumps([m for m in ("courant", "oracle") if "gctwistor." + m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("steps, layers", [
+    ("run('thm1-n2-flat'); run('thm1-n1'); run('linalg-all')", []),
+    ("harness.load_scenario('examples-courant')", ["courant"]),
+    ("harness.load_scenario('oracle-n1')", ["courant", "oracle"]),
+])
+def test_scenarios_load_only_the_layers_they_schedule(steps, layers):
+    # each run compiles what it imports, so the scan and linalg presets never
+    # load courant or oracle; the suites that run on them load them with the
+    # scenario, before run_scenario times any check
+    result = run_child("-c", _LAYERS_AFTER.format(steps=steps), check=True)
+    assert json.loads(result.stdout) == layers
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gctwistor import exactmat as xm
 from gctwistor import oracle
 from gctwistor.courant import (
-    chart_point,
     coordinate_sections,
     lie_bracket,
     nijenhuis,
@@ -36,7 +35,7 @@ from gctwistor.oracle import (
     oracle_compare_nijenhuis,
     seeded_oracle_samples,
 )
-from gctwistor.poly import Jet, Poly, jmat_mul
+from gctwistor.poly import Jet, Poly, chart_point, jmat_mul
 from gctwistor.twistor import (
     CurvatureValue,
     TwistorPoint,

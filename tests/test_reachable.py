@@ -7,11 +7,12 @@ independent reference.  The scan parses the sources with `ast` and walks
 references by name from `cli.main` and from the module-level statements of
 every module (the check registry and the presets among them).  A class
 counts as one node: reaching it reaches all of its methods' references.
-Annotations are not references, and only module-level imports bind names:
-a function that imports a caller's target inside its body leaves the
-target unreached, so the scan can fail on such an import but never passes
-because of one.  The package's `__init__` holds only its docstring, so
-every name is imported from the module that defines it.
+Annotations are not references.  A module-level import binds names, and a
+name is reached where a definition refers to it.  A relative
+`from .x import y` inside a function body is that function's reference to
+y of module x, because the import runs only when the function does.  The
+package's `__init__` holds only its docstring, so every name is imported
+from the module that defines it.
 
 Methods are checked by running them.  A fresh interpreter sets
 `sys.setprofile` before it imports gctwistor, runs every preset with each
@@ -78,6 +79,11 @@ class _References(ast.NodeVisitor):
 
     def visit_arg(self, node: ast.arg) -> None:
         pass
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        # `_scan` keeps these only inside a definition, not at module level
+        if node.level == 1 and node.module is not None:
+            self.found.update((node.module, alias.name) for alias in node.names)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self.visit(node.target)

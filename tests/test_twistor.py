@@ -7,7 +7,6 @@ import pytest
 
 from gctwistor import exactmat as xm
 from gctwistor import twistor
-from gctwistor.courant import chart_point
 from gctwistor.gclinalg import (
     Endo,
     InvariantError,
@@ -25,7 +24,7 @@ from gctwistor.gclinalg import (
     vertical_space_basis,
 )
 from gctwistor.harness import _probe_set
-from gctwistor.poly import Poly
+from gctwistor.poly import Poly, chart_point
 from gctwistor.twistor import (
     Connection,
     CurvatureValue,

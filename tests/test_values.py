@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctwistor
-from gctwistor.courant import chart_point
 from gctwistor.gclinalg import (
     DimensionMismatchError,
     Endo,
@@ -27,7 +26,7 @@ from gctwistor.gclinalg import (
 )
 from gctwistor.harness import CheckResult
 from gctwistor.oracle import OracleSample
-from gctwistor.poly import Poly, RationalFn
+from gctwistor.poly import Poly, RationalFn, chart_point
 from gctwistor.twistor import (
     CurvatureValue,
     MuForm,
