@@ -450,7 +450,7 @@ def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
     that contains it."""
     basis = vertical_space_basis(at.structure) if spec == "full" else None
     probes = _probe_set(at.n, basis, spec)
-    yield from nijenhuis_closed_form_table(alpha, conn, at, probes, basis).items()
+    yield from nijenhuis_closed_form_table(alpha, conn, at, probes).items()
 
 
 def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
@@ -634,18 +634,18 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
 # reads or None); the `Scenario` constructor rejects a scenario that
 # schedules a check it cannot run, or sets a sample count no check reads
 _REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
-    "linalg/pairing-examples": (_check_pairing_examples, None, None),
-    "linalg/projection-nondegeneracy": (_check_projection, None, "base_points"),
-    "linalg/dim2-orientation": (_check_dim2_orientation, None, "base_points"),
-    "linalg/orientation-parity": (_check_orientation_parity, None, None),
-    "linalg/skew-frame-relations": (_check_skew_frame_relations, None, None),
-    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, None, None),
-    "linalg/transform-isometries": (_check_transform_isometries, None, None),
-    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, None, None),
-    "courant/bracket-examples": (_check_bracket_examples, None, None),
-    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, None, None),
-    "courant/constant-structure-integrable": (_check_constant_structure, None, None),
-    "courant/b-transform-automorphism": (_check_b_automorphism, None, None),
+    "linalg/pairing-examples": (_check_pairing_examples, _needs(n=1), None),
+    "linalg/projection-nondegeneracy": (_check_projection, _needs(n=1), "base_points"),
+    "linalg/dim2-orientation": (_check_dim2_orientation, _needs(n=1), "base_points"),
+    "linalg/orientation-parity": (_check_orientation_parity, _needs(n=1), None),
+    "linalg/skew-frame-relations": (_check_skew_frame_relations, _needs(n=1), None),
+    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, _needs(n=1), None),
+    "linalg/transform-isometries": (_check_transform_isometries, _needs(n=1), None),
+    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, _needs(n=1), None),
+    "courant/bracket-examples": (_check_bracket_examples, _needs(n=1), None),
+    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, _needs(n=1), None),
+    "courant/constant-structure-integrable": (_check_constant_structure, _needs(n=1), None),
+    "courant/b-transform-automorphism": (_check_b_automorphism, _needs(n=1), None),
     "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1), "base_points"),
     "integrability/flat-structure1-vanishes":
         (_check_flat_vanishing, _needs(at_least=2, connection="flat"), "fibre_params"),
@@ -834,7 +834,7 @@ def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> s
         timing = dict(report.timings)
         for r in report.results:
             mark = {"pass": "PASS", "finding": "FIND", "fail": "FAIL"}[r.status]
-            extra = f"  residual {r.residual}" if r.residual is not None else ""
+            extra = "" if r.status == "finding" else f"  residual {r.residual}"
             lines.append(f"[{mark}] {r.name}{extra}  ({timing.get(r.name, 0.0):.2f}s)")
             if r.witness:
                 lines.append(f"       witness: {json.dumps(r.witness, sort_keys=True)}")

@@ -574,8 +574,7 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
             direct_zero = True
             equal = True
             mismatch = None
-            closed_table = nijenhuis_closed_form_table(alpha, conn, ctx.at, decomposed,
-                                                       ctx.basis)
+            closed_table = nijenhuis_closed_form_table(alpha, conn, ctx.at, decomposed)
             for (i, k), direct in nijenhuis_table(chart.field(alpha), probes, q).items():
                 pairs += 1
                 composed = chart.compose(closed_table[(i, k)], q)

@@ -402,8 +402,9 @@ def nijenhuis_horizontal(alpha: int, conn: Connection, at: TwistorPoint,
                          a: GElement, b: GElement,
                          vertical_basis: Sequence[Endo] | None = None) -> TwistorTangent:
     """N_alpha on two horizontal lifts: four curvature terms acting on j,
-    plus (alpha = 2 only) a vertical coform built from the pairing of the
-    arguments; the horizontal part vanishes identically."""
+    plus (alpha = 2 only) a vertical coform, found by a Gram solve over a
+    vertical basis: the independent route that the table's basis-free
+    closed form is tested against.  The horizontal part vanishes."""
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     j = at.structure.j
@@ -497,7 +498,6 @@ def nijenhuis_coform(alpha: int, conn: Connection, at: TwistorPoint,
 
 def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                                 probes: Sequence[TwistorTangent],
-                                vertical_basis: Sequence[Endo] | None = None,
                                 ) -> dict[tuple[int, int], TwistorTangent]:
     """N_alpha(probes[i], probes[k]) for every pair i < k, in (i, k) order.
 
@@ -516,9 +516,9 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     ([R^(d_a, d_b), j], j o [R^(d_a, d_b), j]) over one denominator:
     - H(e, f): the curvature coefficients of a pair are integers over
       E_e E_f, so its vertical part is one integer combination of the
-      action; for alpha = 2 its coform part is one mat-vec with the
-      integer inverse Gram matrix of the vertical basis and one
-      combination of the basis, from the images u h of each probe;
+      action; for alpha = 2 its coform part is -2 (j e ^ f - j f ^ e),
+      which anticommutes with j: one rank-4 integer outer-product
+      combination of e, j e, f and j f, with no vertical basis;
     - M(h, V) = 2 (j o V) h for alpha = 2, one integer mat-vec;
     - C(h, Phi): each horizontal part's coefficients against the 4n
       coordinate duals, contracted with the pairings of Phi with the
@@ -586,33 +586,10 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
 
     # mixed case, alpha = 2 only: M(h, V) = 2 (j o V) h
     jvs = [None if v is None or alpha == 1 else j.compose(v) for v in vs]
-    # horizontal case, alpha = 2: the coform representer of
-    # -2 (<j a, u b> - <j b, u a>), with basis = U / lu, from one inverse
-    # of the Gram matrix of the vertical basis
-    if alpha == 2:
-        if vertical_basis is None:
-            vertical_basis = vertical_space_basis(at.structure)
-        lu = lcm(*(u.den for u in vertical_basis))
-        umats = [[[x * (lu // u.den) for x in row] for row in u.num] for u in vertical_basis]
-        flats = [list(chain.from_iterable(m)) for m in umats]
-        ucols = list(zip(*flats))
-        # the Gram matrix is G / (2 lu^2) with G_rc = -trace(U_r U_c), so its
-        # inverse is 2 lu^2 G^-1; G is symmetric, so one half is filled
-        flats_t = [list(chain.from_iterable(zip(*m))) for m in umats]
-        size = len(umats)
-        gram = [[0] * size for _ in range(size)]
-        for r in range(size):
-            for c in range(r, size):
-                gram[r][c] = gram[c][r] = -sum(map(mul, flats[r], flats_t[c]))
-        try:
-            ginv, gd = xm._integer_inverse(gram)
-        except xm.SingularMatrixError:
-            raise DegenerateInputError("trace pairing is degenerate on the vertical space") from None
-        # per horizontal part: J A with its halves swapped, so that
-        # 2 <x, y> = swapped(x) . y, and the images U H
-        images = [None if part is None else
-                  (part[3][h:] + part[3][:h], [_mv(m, part[0]) for m in umats])
-                  for part in hs]
+    # horizontal case, alpha = 2: the coform representer -2 (j a ^ b - j b ^ a)
+    # of -2 (<j a, w b> - <j b, w a>), with x ^ y = x <y, .> - y <x, .>, from
+    # A and J A with their V and V* halves swapped: 2 <x, y> = swap(x) . y
+    swapped = [part and (part[2][h:] + part[2][:h], part[3][h:] + part[3][:h]) for part in hs]
 
     zero = tangent_from_parts(n)
     table: dict[tuple[int, int], TwistorTangent] = {}
@@ -628,12 +605,11 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                         vertical = _endo(dim, [sum(map(mul, col, c)) for col in vcols],
                                          lv * den)
                 if alpha == 2:
-                    (se, ue), (sf, uf) = images[i], images[k]
-                    w = [sum(map(mul, sf, x)) - sum(map(mul, se, y)) for x, y in zip(ue, uf)]
-                    if any(w):
-                        gw = [sum(map(mul, row, w)) for row in ginv]
-                        coform = _endo(dim, [2 * sum(map(mul, col, gw)) for col in ucols],
-                                       gd * den // jd)
+                    # (r, c): JB_r sA_c - A_r sJB_c - JA_r sB_c + B_r sJA_c
+                    (sa, sja), (sb, sjb) = swapped[i], swapped[k]
+                    coform = _endo(dim, [x * p - y * q - z * s + w * t
+                                         for x, y, z, w in zip(pf[3], pe[2], pe[3], pf[2])
+                                         for p, q, s, t in zip(sa, sjb, sb, sja)], den)
             terms = []
             for part, jv, q, s in ((pe, jvs[k], qs[k], 1), (pf, jvs[i], qs[i], -1)):
                 if part is None:

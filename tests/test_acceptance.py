@@ -148,11 +148,10 @@ def test_bracket_automorphism_iff_closed():
 
 
 def _full_probes(at):
-    basis = vertical_space_basis(at.structure)
-    probes = _probe_set(at.n, basis, "full")
+    probes = _probe_set(at.n, vertical_space_basis(at.structure), "full")
     for t in probes:
         validate_tangent(t, at)
-    return basis, probes
+    return probes
 
 
 def test_n1_structure1_integrable():
@@ -166,8 +165,8 @@ def test_n1_structure1_integrable():
         sheets.add(sheet)
         at = TwistorPoint(random_chart_point(2, rng),
                           hyperboloid_point(u, v, sheet, basis_ref))
-        basis, probes = _full_probes(at)
-        table = nijenhuis_closed_form_table(1, conn, at, probes, basis)
+        probes = _full_probes(at)
+        table = nijenhuis_closed_form_table(1, conn, at, probes)
         ok = ok and all(value.is_zero() for value in table.values())
     elapsed = time.perf_counter() - started
     _report("first structure, dim-2 base, curved connection: 50 points on "
@@ -182,8 +181,8 @@ def test_n2_flat_vanishes_curved_witnessed():
     for trial in range(20):
         structure = sample_fibre_structure(2, rng)
         at = TwistorPoint(random_chart_point(4, rng), structure)
-        basis, probes = _full_probes(at)
-        table = nijenhuis_closed_form_table(1, flat, at, probes, basis)
+        probes = _full_probes(at)
+        table = nijenhuis_closed_form_table(1, flat, at, probes)
         ok = ok and all(value.is_zero() for value in table.values())
     curved = connection(2, {(0, 1, 1): Poly.variable(4, 0)})
     witness = False

@@ -142,7 +142,10 @@ def test_text_report_counts():
     report = run_preset("examples-courant", seed=3)
     text = emit_report(report, "text")
     assert "4/4 checks satisfied; OK" in text
-    assert "[FIND]" in text
+    # a finding is a nonzero witness: its line prints no residual
+    finds = [line for line in text.splitlines() if line.startswith("[FIND]")]
+    assert finds and not any("residual" in line for line in finds)
+    assert "[PASS] courant/bracket-examples  residual 0  (" in text
 
 
 def test_residuals_are_exact():
@@ -593,8 +596,22 @@ def test_cli_rejects_bad_n(tmp_path, n):
                                    "oracle/structure1-direct-zero",
                                    "oracle/lift-bracket-identity",
                                    "oracle/vertical-bracket-identity",
-                                   "integrability/n1-structure1-vanishes"])
+                                   "integrability/n1-structure1-vanishes",
+                                   "linalg/pairing-examples",
+                                   "linalg/projection-nondegeneracy",
+                                   "linalg/dim2-orientation",
+                                   "linalg/orientation-parity",
+                                   "linalg/skew-frame-relations",
+                                   "linalg/frame-decomposition-roundtrip",
+                                   "linalg/transform-isometries",
+                                   "linalg/hyperboloid-chart",
+                                   "courant/bracket-examples",
+                                   "courant/nijenhuis-antisymmetry",
+                                   "courant/constant-structure-integrable",
+                                   "courant/b-transform-automorphism"])
 def test_oracle_checks_need_n1(check):
+    # every check that runs at n = 1 only, the oracle's and the fixed-size
+    # linalg and courant examples alike, rejects any other n
     with pytest.raises(ScenarioError, match=f"check {check} needs n = 1, not 2"):
         load_scenario({"n": 2, "seed": 0, "samples": {"fibre_params": 1}, "checks": [check]})
 

@@ -43,7 +43,7 @@ SRC = Path(gctwistor.__file__).resolve().parent
 ALLOWED = {
     ("twistor", "twistor_J"): "the twistor structures J_1 and J_2 on a tangent",
     ("twistor", "horizontal_lift"): "the horizontal lift, the reference for the oracle chart's",
-    ("twistor", "nijenhuis_horizontal"): "the closed form's horizontal-pair case",
+    ("twistor", "nijenhuis_horizontal"): "the horizontal-pair case, its coform by a Gram solve",
     ("twistor", "nijenhuis_coform"): "the closed form's coform-pair case",
     ("twistor", "MuForm"): "the curvature form mu, the input of curvature_from_mu",
     ("twistor", "curvature_from_mu"): "R_mu, the reference for the mu constraint rows",

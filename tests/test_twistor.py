@@ -511,16 +511,16 @@ def test_vertical_case_zero():
               tangent_from_parts(1, vertical_coform=w),
               tangent_from_parts(1, vertical=w)]
     for alpha in (1, 2):
-        table = nijenhuis_closed_form_table(alpha, CONN_N1, at, probes, basis)
+        table = nijenhuis_closed_form_table(alpha, CONN_N1, at, probes)
         assert len(table) == 6 and all(value.is_zero() for value in table.values())
     with pytest.raises(NotVerticalError):
         nijenhuis_closed_form_table(1, CONN_N1, at,
                                     [probes[0], tangent_from_parts(1, vertical=at.structure.j)])
 
 
-def two_probe(alpha, conn, at, e, f, basis=None):
+def two_probe(alpha, conn, at, e, f):
     """N_alpha(E, F): the closed-form table over the two probes E and F."""
-    return nijenhuis_closed_form_table(alpha, conn, at, (e, f), basis)[(0, 1)]
+    return nijenhuis_closed_form_table(alpha, conn, at, (e, f))[(0, 1)]
 
 
 def test_closed_form_reduces_to_horizontal():
@@ -535,12 +535,11 @@ def test_closed_form_reduces_to_horizontal():
 def test_closed_form_antisymmetry():
     rng = random.Random(8)
     at = n1_point(F(1, 2), F(1, 7))
-    basis = vertical_space_basis(at.structure)
     for alpha in (1, 2):
         e = sample_tangent(at, rng)
         f = sample_tangent(at, rng)
-        lhs = two_probe(alpha, CONN_N1, at, e, f, basis)
-        rhs = two_probe(alpha, CONN_N1, at, f, e, basis)
+        lhs = two_probe(alpha, CONN_N1, at, e, f)
+        rhs = two_probe(alpha, CONN_N1, at, f, e)
         assert (lhs + rhs).is_zero()
 
 
@@ -548,12 +547,11 @@ def test_closed_form_structure1_compatibility_identity():
     # N(J1 E, F) = N(E, J1 F) = -J1 N(E, F) for the integrable case
     rng = random.Random(9)
     at = n1_point(F(1, 3), F(-1, 3))
-    basis = vertical_space_basis(at.structure)
     e = sample_tangent(at, rng)
     f = sample_tangent(at, rng)
-    lhs = two_probe(1, CONN_N1, at, twistor_J(1, e, at), f, basis)
-    mid = two_probe(1, CONN_N1, at, e, twistor_J(1, f, at), basis)
-    rhs = twistor_J(1, two_probe(1, CONN_N1, at, e, f, basis), at).scale(-1)
+    lhs = two_probe(1, CONN_N1, at, twistor_J(1, e, at), f)
+    mid = two_probe(1, CONN_N1, at, e, twistor_J(1, f, at))
+    rhs = twistor_J(1, two_probe(1, CONN_N1, at, e, f), at).scale(-1)
     assert (lhs - mid).is_zero()
     assert (lhs - rhs).is_zero()
 
@@ -562,16 +560,15 @@ def test_closed_form_n2_flat_vanishes_curved_does_not():
     rng = random.Random(10)
     structure = sample_fibre_structure(2, rng)
     at = TwistorPoint(random_chart_point(4, rng), structure)
-    basis = vertical_space_basis(structure)
     probes = [tangent_from_parts(2, horizontal=h) for h in coordinate_elements(4)]
     flat = flat_connection(2)
     for i in range(0, len(probes), 3):
         for k in range(i + 1, len(probes), 3):
-            assert two_probe(1, flat, at, probes[i], probes[k], basis).is_zero()
+            assert two_probe(1, flat, at, probes[i], probes[k]).is_zero()
     found = False
     for i in range(len(probes)):
         for k in range(i + 1, len(probes)):
-            if not two_probe(1, CONN_N2, at, probes[i], probes[k], basis).is_zero():
+            if not two_probe(1, CONN_N2, at, probes[i], probes[k]).is_zero():
                 found = True
     assert found
 
@@ -635,6 +632,8 @@ TABLE_CASES = [
     *[("n2-multikey", multikey_connection(2), lambda: n2_point(23), alpha, spec, stride)
       for alpha in (1, 2) for spec, stride in (("full", 3), ("random", 1))],
     ("n3-multikey", multikey_connection(3), lambda: n2_point(31, n=3), 2, "full", 5),
+    # all 66 horizontal pairs at n = 3
+    ("n3-multikey", multikey_connection(3), lambda: n2_point(31, n=3), 2, "horizontal", 1),
 ]
 
 
@@ -644,7 +643,7 @@ def test_closed_form_table_matches_pairwise_reference(label, conn, point, alpha,
     at = point()
     basis = vertical_space_basis(at.structure)
     probes = table_probes(at, basis, spec, stride)
-    table = nijenhuis_closed_form_table(alpha, conn, at, probes, basis)
+    table = nijenhuis_closed_form_table(alpha, conn, at, probes)
     assert list(table) == [(i, k) for i in range(len(probes))
                            for k in range(i + 1, len(probes))]
     for (i, k), value in table.items():
@@ -685,14 +684,14 @@ def test_closed_form_table_checks_each_part_object_once(monkeypatch):
         return is_vertical(q, j)
 
     monkeypatch.setattr(twistor, "is_vertical", counting_is_vertical)
-    nijenhuis_closed_form_table(2, CONN_N1, at, probes, basis)
+    nijenhuis_closed_form_table(2, CONN_N1, at, probes)
     # the vertical and the coform probe of a basis element share one check
     assert sorted(map(id, checked)) == sorted(map(id, basis))
     # an equal but distinct object is checked on its own
     checked.clear()
     copy = Endo(basis[0].dim, basis[0].rows)
     probes.append(tangent_from_parts(at.n, vertical_coform=copy))
-    nijenhuis_closed_form_table(2, CONN_N1, at, probes, basis)
+    nijenhuis_closed_form_table(2, CONN_N1, at, probes)
     assert len(checked) == len(basis) + 1 and any(q is copy for q in checked)
 
 
@@ -757,12 +756,11 @@ def test_closed_form_is_natural_under_linear_coordinate_changes(n, alpha, label,
 
     Take y = g x with g invertible, G = gl_endo(g) and the pushed connection
     Gamma'.  The table at (g x, G j G^-1) on the mapped probes (horizontal
-    parts mapped by G, vertical parts, coform parts and the vertical basis
-    conjugated by G) equals the table at (x, j) mapped the same way.  It
-    catches an index slip in the curvature, such as R(d_a, d_b) transposed.
-    It does not catch ROADMAP's mutants M1, the alpha sign of the twisted
-    coefficient, and M4, dropping the Gamma.Gamma terms of the curvature:
-    both pass, because both formulas stay natural under linear maps.  Only a
+    parts mapped by G, vertical and coform parts conjugated by G) equals
+    the table at (x, j) mapped the same way.  It catches an index slip in
+    the curvature, such as R(d_a, d_b) transposed.  It does not catch
+    ROADMAP's mutants M1, the alpha sign of the twisted coefficient, and
+    M4, dropping the Gamma.Gamma terms of the curvature: both pass, because both formulas stay natural under linear maps.  Only a
     direct computation with all of the closed form's terms live catches
     them (ROADMAP item 2).
     """
@@ -781,12 +779,11 @@ def test_closed_form_is_natural_under_linear_coordinate_changes(n, alpha, label,
 
     basis = vertical_space_basis(at.structure)
     probes = _probe_set(n, basis, "full")
-    table = nijenhuis_closed_form_table(alpha, conn, at, probes, basis)
+    table = nijenhuis_closed_form_table(alpha, conn, at, probes)
     moved_at = TwistorPoint(chart_point(xm.mat_vec(g, at.point.coords)),
                             gl_action(g, at.structure))
-    moved_basis = [conj(u) for u in basis]
     moved_table = nijenhuis_closed_form_table(alpha, pushed_connection(conn, g, g_inv), moved_at,
-                                              [mapped(t) for t in probes], moved_basis)
+                                              [mapped(t) for t in probes])
     assert not all(value.is_zero() for value in table.values())
     for key, value in table.items():
         moved = moved_table[key]
@@ -932,14 +929,13 @@ def test_constant_commuting_connection_is_flat():
 def test_closed_form_is_bilinear():
     rng = random.Random(12)
     at = n1_point(F(1, 4), F(1, 6))
-    basis = vertical_space_basis(at.structure)
     e = sample_tangent(at, rng)
     e2 = sample_tangent(at, rng)
     f = sample_tangent(at, rng)
     for alpha in (1, 2):
-        scaled = two_probe(alpha, CONN_N1, at, e.scale(F(3, 2)), f, basis)
-        plain = two_probe(alpha, CONN_N1, at, e, f, basis)
+        scaled = two_probe(alpha, CONN_N1, at, e.scale(F(3, 2)), f)
+        plain = two_probe(alpha, CONN_N1, at, e, f)
         assert (scaled - plain.scale(F(3, 2))).is_zero()
-        summed = two_probe(alpha, CONN_N1, at, e + e2, f, basis)
-        other = two_probe(alpha, CONN_N1, at, e2, f, basis)
+        summed = two_probe(alpha, CONN_N1, at, e + e2, f)
+        other = two_probe(alpha, CONN_N1, at, e2, f)
         assert (summed - plain - other).is_zero()
