@@ -8,10 +8,13 @@ The package is organized in four layers:
   complex structures;
 * :mod:`gctwistor.courant` -- sections of TM + T*M over a chart, the
   Courant bracket and the Nijenhuis tensor of structure fields;
-* :mod:`gctwistor.twistor` -- connections, curvature, horizontal lifts,
-  the two twistor structures and the closed-form Nijenhuis evaluator,
-  plus :mod:`gctwistor.oracle`, the direct chart computation it is
-  checked against;
+* :mod:`gctwistor.twistor` -- connections, curvature, the twistor
+  bundle's tangents and the closed-form Nijenhuis evaluator, plus
+  :mod:`gctwistor.oracle`, the direct chart computation it is checked
+  against, and :mod:`gctwistor.reference`, the definitions the tests
+  hold it to;
 * :mod:`gctwistor.harness` -- scenario-driven suites behind the
-  ``gctwistor verify`` command line.
+  ``gctwistor verify`` command line; the checks of the ``linalg/``,
+  ``courant/`` and ``oracle/`` suites are in :mod:`gctwistor.linalg`,
+  :mod:`gctwistor.courant` and :mod:`gctwistor.oracle`.
 """

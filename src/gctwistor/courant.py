@@ -20,13 +20,17 @@ entries gives 2 d^2 times the bracket.  `courant_bracket` and
 J-image jet as the jet product J a (`poly.jmat_mul`), scales every probe
 jet, J-image jet and J once per point, and builds each component of a
 pair's value as one `Fraction`.
+
+The checks of the `courant/` suite sit at the end of this module, which
+`harness` loads only for a scenario that schedules one.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
@@ -34,11 +38,26 @@ from .gclinalg import (
     Endo,
     GElement,
     coordinate_elements,
+    from_complex,
     from_coords,
+    gelem,
     is_pairing_skew,
+    standard_complex_matrix,
 )
-from .poly import ChartPoint, Coefficient, Jet, JetMat, Poly, RationalFn, as_rational, jmat_mul
-from .value import Value
+from .poly import (
+    ChartPoint,
+    Coefficient,
+    Jet,
+    JetMat,
+    Poly,
+    RationalFn,
+    as_rational,
+    chart_point,
+    jmat_mul,
+    random_chart_point,
+    scalar_to_str,
+)
+from .value import CheckResult, Value, _fail, _ok
 
 
 class ChartMismatchError(ValueError):
@@ -384,3 +403,111 @@ def integrability_scan(jf: GACField, points: Sequence[ChartPoint],
             if not value.is_zero():
                 return p, pair
     return None
+
+
+# ---------------------------------------------------------------------------
+# the courant/ suite
+
+
+def _element_witness(g: GElement) -> dict:
+    return {"vec": [scalar_to_str(c) for c in g.vec],
+            "cov": [scalar_to_str(c) for c in g.cov]}
+
+
+def _first_nonzero(g: GElement) -> Fraction:
+    return next((c for c in g.coords if c != 0), Fraction(0))
+
+
+def _check_bracket_examples(scenario, hooks: Mapping) -> CheckResult:
+    m = 2
+    x1 = Poly.variable(m, 0)
+    x2 = Poly.variable(m, 1)
+    one = Poly.constant(m, 1)
+    zero = Poly.constant(m, 0)
+    p = chart_point([Fraction(1, 3), Fraction(2, 7)])
+    xs = section_from_coefficients(m, [x2, zero, zero, zero])
+    ys = section_from_coefficients(m, [zero, one, zero, zero])
+    if lie_bracket(xs, ys, p) != (Fraction(-1), Fraction(0)):
+        return _fail("lie", {"case": "[x2 d1, d2]"})
+    a = section_from_coefficients(m, [zero, zero, zero, x1])
+    b = section_from_coefficients(m, [one, zero, zero, zero])
+    got = courant_bracket(a, b, p)
+    if got != gelem([0, 0], [0, -1]):
+        return _fail("courant", {"case": "(0, x1 dx2) with (d1, 0)"})
+    if not courant_bracket(a, a, p).is_zero():
+        return _fail("courant", {"case": "[A, A]"})
+    return _ok()
+
+
+def _check_nijenhuis_antisymmetry(scenario, hooks: Mapping) -> CheckResult:
+    rng = random.Random(scenario.seed + 6)
+    m = 2
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+
+    def rand_poly():
+        return Poly.from_dict(m, {(rng.randint(0, 2), rng.randint(0, 2)):
+                                  Fraction(rng.randint(-3, 3)) for _ in range(2)})
+
+    for trial in range(5):
+        a = section_from_coefficients(m, [rand_poly() for _ in range(4)])
+        b = section_from_coefficients(m, [rand_poly() for _ in range(4)])
+        p = chart_point([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)])
+        if not (nijenhuis(field, a, b, p) + nijenhuis(field, b, a, p)).is_zero():
+            return _fail("antisymmetry", {"trial": trial})
+    return _ok()
+
+
+def _check_constant_structure(scenario, hooks: Mapping) -> CheckResult:
+    rng = random.Random(scenario.seed + 7)
+    field = constant_field(from_complex(standard_complex_matrix(1)).j)
+    points = [random_chart_point(2, rng) for _ in range(5)]
+    witness = integrability_scan(field, points, default_probes(2))
+    if witness is not None:
+        return _fail("nonzero residual",
+                     {"point": [scalar_to_str(c) for c in witness[0].coords]})
+    return _ok()
+
+
+def _check_b_automorphism(scenario, hooks: Mapping) -> CheckResult:
+    rng = random.Random(scenario.seed + 8)
+    m = 4
+    zero = Poly.constant(m, 0)
+    one = Poly.constant(m, 1)
+    x1 = Poly.variable(m, 0)
+    x2 = Poly.variable(m, 1)
+
+    def skew_entries(fill):
+        entries = [[zero] * m for _ in range(m)]
+        for (i, j), val in fill.items():
+            entries[i][j] = val
+            entries[j][i] = -val
+        return entries
+
+    def rand_section():
+        comps = []
+        for _ in range(2 * m):
+            comps.append(Poly.from_dict(m, {tuple(rng.randint(0, 1) for _ in range(m)):
+                                            Fraction(rng.randint(-3, 3)) for _ in range(2)}))
+        return section_from_coefficients(m, comps)
+
+    points = [chart_point([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
+              for _ in range(10)]
+    closed_fields = [two_form_field(m, skew_entries({(0, 1): one})),
+                     two_form_field(m, skew_entries({(0, 1): x1}))]
+    a, c = rand_section(), rand_section()
+    for idx, bf in enumerate(closed_fields):
+        for p in points:
+            defect = b_automorphism_defect(bf, a, c, p)
+            if not defect.is_zero():
+                return _fail(_first_nonzero(defect),
+                             {"field": idx, "point": [scalar_to_str(x) for x in p.coords]})
+    open_field = two_form_field(m, skew_entries({(0, 2): x2}))
+    for p in points:
+        for _ in range(4):
+            a2, c2 = rand_section(), rand_section()
+            defect = b_automorphism_defect(open_field, a2, c2, p)
+            if not defect.is_zero():
+                witness = {"point": [scalar_to_str(x) for x in p.coords],
+                           "defect": _element_witness(defect)}
+                return _ok(witness, finding=True)
+    return _fail("no witness", {"reason": "non-closed form gave zero defect"})

@@ -18,9 +18,11 @@ constructors of structures and isometries read their input's integer
 numerators over one denominator once, check and assemble in integers and
 end in one `Endo._lowest`.  `Endo.rows` builds the matrix as `Fraction`s
 for the callers that want them.  An `OrthonormalBasis` is stored the same
-way, and its moves, orthonormality check, skew generators and reports
-work on its integers; the adapted structure of a basis is a sum of its
-skew generators.
+way, and its moves, orthonormality check and skew generators work on
+its integers; the adapted structure of a basis is a sum of its skew
+generators.  What only the `linalg/` suite reads, the pairing of two
+elements, the basis reports, e^B, e^beta and the GL(V) action as an
+endomorphism, is in `linalg`.
 """
 
 from __future__ import annotations
@@ -288,13 +290,6 @@ def commutator(a: Endo, b: Endo) -> Endo:
 
 # ---------------------------------------------------------------------------
 # the pairing and derived checks
-
-
-def neutral_pairing(a: GElement, b: GElement) -> Scalar:
-    """<X + xi, Y + eta> = (xi(Y) + eta(X)) / 2, the split-signature pairing."""
-    _same_dim(a, b)
-    return Fraction(1, 2) * (sum(x * y for x, y in zip(a.cov, b.vec))
-                             + sum(x * y for x, y in zip(b.cov, a.vec)))
 
 
 def is_pairing_skew(m: Endo) -> bool:
@@ -568,66 +563,6 @@ def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBa
 
 
 # ---------------------------------------------------------------------------
-# basis reports
-
-
-class ProjectionReport(Value):
-    __slots__ = ("det_p", "ok")
-
-
-def projection_nondegeneracy_check(basis: OrthonormalBasis) -> ProjectionReport:
-    """Determinant of P = [eta_l(e_k)] over the positive half of the basis.
-
-    Writing the positive-sign basis elements as Q_l = e_l + eta_l, the
-    matrix P is invertible with (det P)^2 >= 1; the report carries the
-    exact determinant and that inequality as a boolean.  For the rows
-    N = d Q of the basis, det P = det(d^2 P) / d^(2 dim V) in integers.
-    """
-    h = basis.dim_v
-    num = basis.num[:h]
-    p = [[sum(map(mul, row_l[h:], row_k[:h])) for row_k in num] for row_l in num]
-    d = xm.det(p) / basis.den ** (2 * h)
-    return ProjectionReport(d, d * d >= 1)
-
-
-class Dim2OrientationReport(Value):
-    __slots__ = ("a", "orthogonal", "transition_det", "orientation")
-
-
-def dim2_basis_orientation(basis: OrthonormalBasis) -> Dim2OrientationReport:
-    """Orientation data of an orthonormal basis when dim V = 2.
-
-    With Q_i = e_i + eta_i and signs (+, +, -, -), the vector parts
-    satisfy e_3 = a_11 e_1 + a_12 e_2, e_4 = a_21 e_1 + a_22 e_2 for an
-    orthogonal matrix A, and the transition determinant from the basis
-    {e_1, e_2, alpha_1, alpha_2} (alpha dual to e) equals 4 det A.
-
-    On the rows N = d Q, Cramer's rule gives A = M / D in integers, D the
-    determinant of the vector parts of N_1 and N_2.  The transition matrix
-    scaled to integers has rows D (vector coefficients) and d^2 (eta_i(e_k)).
-    """
-    if basis.dim_v != 2:
-        raise DimensionMismatchError("this report is specific to dim V = 2")
-    e = [row[:2] for row in basis.num]
-    e1, e2 = e[0], e[1]
-    dd = e1[0] * e2[1] - e1[1] * e2[0]
-    if dd == 0:
-        raise DegenerateInputError("inconsistent basis: vector parts e_1, e_2 are dependent")
-    # row k of M solves D e_{2+k} = m_k1 e1 + m_k2 e2
-    m = [(v[0] * e2[1] - v[1] * e2[0], e1[0] * v[1] - e1[1] * v[0]) for v in e[2:]]
-    d2 = dd * dd
-    orthogonal = all(sum(map(mul, m[r], m[c])) == (d2 if r == c else 0)
-                     for r in range(2) for c in range(2))
-    vcoef = [(dd, 0), (0, dd)] + m
-    trans = list(zip(*vcoef)) + [[sum(map(mul, row[2:], e[k])) for row in basis.num]
-                                  for k in range(2)]
-    d = xm.det(trans) / (d2 * basis.den ** 4)
-    a = tuple(tuple(Fraction(x, dd) for x in row) for row in m)
-    det_m = m[0][0] * m[1][1] - m[0][1] * m[1][0]  # D^2 det A
-    return Dim2OrientationReport(a, orthogonal, d, 1 if det_m > 0 else -1)
-
-
-# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -709,16 +644,6 @@ def _unipotent(num: Sequence[Sequence[int]], d: int, sign: int, lower: bool) -> 
     return _int_blocks(ident, c, None, ident, h, d)
 
 
-def exp_two_form(b: Mat) -> Endo:
-    """The orthogonal map e^B : X + xi -> X + xi + i_X B for a skew 2-form B."""
-    return _unipotent(*_skew(b, "B"), 1, True)
-
-
-def exp_two_vector(beta: Mat) -> Endo:
-    """The orthogonal map e^beta : X + xi -> X + i_xi beta + xi for a skew 2-vector."""
-    return _unipotent(*_skew(beta, "beta"), 1, False)
-
-
 def b_transform(j: GCStructure, b: Mat) -> GCStructure:
     """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
     return _conjugate(j, *_skew(b, "B"), True, "e^B")
@@ -760,11 +685,6 @@ def _gl_pair(g: Mat) -> tuple[Endo, Endo]:
                         [[e * x for x in col] for col in zip(*num)], h, den))
 
 
-def gl_endo(g: Mat) -> Endo:
-    """GL(V) acting on V + V* by g on V and (g alpha)(X) = alpha(g^{-1} X) on V*."""
-    return _gl_pair(g)[0]
-
-
 def gl_action(g: Mat, j: GCStructure) -> GCStructure:
     u, u_inv = _gl_pair(g)
     return GCStructure(u.compose(j.j).compose(u_inv))
@@ -800,38 +720,6 @@ def skew_frames(basis: OrthonormalBasis) -> SkewFrames:
 
 
 _FRAME_NORMS = (Fraction(2), Fraction(-2), Fraction(-2))
-
-
-class SkewDecomposition(Value):
-    """Coefficients in the `left` and `right` skew frames; `family` is
-    "left", "right" or None, the frame whose combination is a compatible
-    complex structure when `compatible_complex` holds."""
-
-    __slots__ = ("left", "right", "compatible_complex", "family")
-
-
-def skew_decompose(k: Endo, basis: OrthonormalBasis) -> SkewDecomposition:
-    """Coefficients of a skew endomorphism of neutral 4-space in the two frames.
-
-    The frames are orthogonal for the trace pairing with known norms, so
-    the coefficients come from exact pairings, no linear solve.  The
-    classification records whether the coefficients describe a
-    compatible complex structure (one family on its unit hyperboloid,
-    the other zero).
-    """
-    if k.dim != 4:
-        raise DimensionMismatchError("decomposition is specific to neutral 4-space")
-    if not is_pairing_skew(k):
-        raise InvariantError("input is not skew for the pairing")
-    frames = skew_frames(basis)
-    x = tuple(fib_pairing(k, frames.left[r]) / _FRAME_NORMS[r] for r in range(3))
-    y = tuple(fib_pairing(k, frames.right[r]) / _FRAME_NORMS[r] for r in range(3))
-    if reduce(Endo.__add__, (m.scale(c) for c, m in zip(x + y, frames.all()))) != k:
-        raise InvariantError("skew frame decomposition failed to reconstruct the input")
-    on_left = (x[0] ** 2 - x[1] ** 2 - x[2] ** 2 == 1) and all(c == 0 for c in y)
-    on_right = (y[0] ** 2 - y[1] ** 2 - y[2] ** 2 == 1) and all(c == 0 for c in x)
-    family = "left" if on_left else ("right" if on_right else None)
-    return SkewDecomposition(x, y, on_left or on_right, family)
 
 
 def hyperboloid_chart(u: Scalar, v: Scalar, sheet: int) -> tuple[Scalar, Scalar, Scalar]:

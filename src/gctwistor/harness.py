@@ -18,9 +18,13 @@ report is a deterministic function of (scenario, seed): two runs emit
 byte-identical JSON.  Wall-clock timings appear in the text rendering
 only, precisely so the JSON stays reproducible.
 
-Each run compiles the sources it imports, so the `courant` and `oracle`
-suites import their layers in their checks' bodies, and a `Scenario` loads
-the layer of each such suite it schedules.
+This module holds the engine, the integrability suite, the registry and
+the presets.  Each run compiles the sources it imports, so the checks of
+the `linalg/`, `courant/` and `oracle/` suites live in the module their
+suite is named after; the entry registered here imports its check's body
+when it runs, and a `Scenario` imports the module of each such suite it
+schedules.  A scenario of integrability checks alone compiles none of
+them.
 """
 
 from __future__ import annotations
@@ -29,42 +33,16 @@ import importlib
 import json
 import random
 import time
-from fractions import Fraction
-from functools import reduce
 from typing import Callable, Mapping, Sequence
 
-from . import exactmat as xm
 from .gclinalg import (
     Endo,
-    GElement,
-    b_transform,
-    basis_covector,
-    basis_vector,
-    beta_transform,
     coordinate_elements,
-    dim2_basis_orientation,
-    exp_two_form,
-    exp_two_vector,
-    from_complex,
-    from_symplectic,
-    gelem,
-    gl_action,
-    gl_endo,
-    hyperboloid_chart,
     hyperboloid_point,
-    is_pairing_orthogonal,
-    neutral_pairing,
-    projection_nondegeneracy_check,
-    random_orthonormal_basis,
     reference_basis,
-    skew_decompose,
-    skew_frames,
-    standard_complex_matrix,
-    standard_symplectic_matrix,
     vertical_space_basis,
-    zero_endo,
 )
-from .poly import Poly, chart_point, scalar_to_str
+from .poly import random_chart_point, scalar_to_str
 from .twistor import (
     Connection,
     TwistorPoint,
@@ -75,14 +53,11 @@ from .twistor import (
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
     nijenhuis_mixed,
-    random_chart_point,
-    random_invertible_matrix,
-    random_skew_matrix,
     sample_adapted_point,
     sample_fibre_structure,
     tangent_from_parts,
 )
-from .value import Value
+from .value import CheckResult, Value, _fail, _ok
 
 
 class ScenarioError(ValueError):
@@ -96,8 +71,9 @@ class Scenario(Value):
     connection for another n, an empty check list, an unknown check, a
     check scheduled twice, a check whose registry requirements (an n, a
     flat or a curved connection) it does not meet, or a sample count that
-    no scheduled check reads.  It imports the `courant` and `oracle` layers
-    of the suites it schedules, so their checks' timings hold no import."""
+    no scheduled check reads.  It imports the `linalg`, `courant` and
+    `oracle` modules of the suites it schedules, so their checks' timings
+    hold no import."""
 
     __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
@@ -127,7 +103,7 @@ class Scenario(Value):
             if lacking:
                 raise ScenarioError(f"check {check} needs {lacking}")
         _validate_samples(samples, {_REGISTRY[check][2] for check in checks} - {None})
-        for layer in ("courant", "oracle"):
+        for layer in ("linalg", "courant", "oracle"):
             if any(check.startswith(layer + "/") for check in checks):
                 importlib.import_module(f"{__package__}.{layer}")
         self.name = name
@@ -139,17 +115,6 @@ class Scenario(Value):
 
     def count(self, key: str, default: int) -> int:
         return int(self.samples.get(key, default))
-
-
-class CheckResult(Value):
-    """One check's outcome.  `name` is the CHECKS key, stamped by
-    `run_scenario`; `status` is "pass", "fail" or "finding"."""
-
-    __slots__ = ("name", "status", "residual", "witness")
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "finding")
 
 
 class Report(Value):
@@ -171,262 +136,6 @@ class Report(Value):
                 for r in self.results
             ],
         }
-
-
-def _ok(witness: dict | None = None, finding: bool = False) -> CheckResult:
-    return CheckResult("", "finding" if finding else "pass", "0", witness)
-
-
-def _fail(residual, witness: dict | None = None) -> CheckResult:
-    text = scalar_to_str(residual) if isinstance(residual, Fraction) else str(residual)
-    return CheckResult("", "fail", text, witness)
-
-
-def _element_witness(g: GElement) -> dict:
-    return {"vec": [scalar_to_str(c) for c in g.vec],
-            "cov": [scalar_to_str(c) for c in g.cov]}
-
-
-def _first_nonzero(g: GElement) -> Fraction:
-    return next((c for c in g.coords if c != 0), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# linear-algebra suite
-
-
-def _check_pairing_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    e1 = basis_vector(2, 0)
-    e2 = basis_vector(2, 1)
-    a1 = basis_covector(2, 0)
-    if neutral_pairing(e1, a1) != Fraction(1, 2):
-        return _fail(neutral_pairing(e1, a1), {"case": "<e1, a1>"})
-    if neutral_pairing(e1, e2) != 0:
-        return _fail(neutral_pairing(e1, e2), {"case": "<e1, e2>"})
-    if neutral_pairing(e1 + a1, e1 + a1) != 1:
-        return _fail(neutral_pairing(e1 + a1, e1 + a1), {"case": "<e1+a1, e1+a1>"})
-    return _ok()
-
-
-def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed)
-    for n in (1, 2):
-        for trial in range(scenario.count("base_points", 25)):
-            basis = random_orthonormal_basis(n, rng)
-            report = projection_nondegeneracy_check(basis)
-            if not report.ok or report.det_p == 0:
-                return _fail(report.det_p, {"n": n, "trial": trial})
-    return _ok()
-
-
-def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 1)
-    for trial in range(scenario.count("base_points", 100)):
-        basis = random_orthonormal_basis(1, rng)
-        report = dim2_basis_orientation(basis)
-        if not report.orthogonal:
-            return _fail("A not orthogonal", {"trial": trial})
-        if report.transition_det != 4 * xm.det(report.a):
-            return _fail(report.transition_det, {"trial": trial})
-    return _ok()
-
-
-def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    for n in range(1, 5):
-        if from_complex(standard_complex_matrix(n)).orientation() != 1:
-            return _fail("complex-type orientation", {"n": n})
-        expected = 1 if n % 2 == 0 else -1
-        if from_symplectic(standard_symplectic_matrix(n)).orientation() != expected:
-            return _fail("symplectic-type orientation", {"n": n})
-    return _ok()
-
-
-_IDENTITY_4 = Endo(4, xm.identity(4))
-_FRAME_SQUARES = (-_IDENTITY_4, _IDENTITY_4, _IDENTITY_4)
-
-
-def _frame_relation_table(frames) -> list[tuple[str, Endo, Endo]]:
-    left, right = frames.left, frames.right
-    rel: list[tuple[str, Endo, Endo]] = []
-    for label, triple in (("left", left), ("right", right)):
-        for r in range(3):
-            rel.append((f"{label}{r + 1}^2", triple[r].compose(triple[r]), _FRAME_SQUARES[r]))
-        for r in range(3):
-            for s in range(r + 1, 3):
-                rel.append((f"{label}{r + 1}{label}{s + 1} anticommute",
-                            triple[r].compose(triple[s]) + triple[s].compose(triple[r]),
-                            zero_endo(4)))
-    for r in range(3):
-        for s in range(3):
-            rel.append((f"left{r + 1} right{s + 1} commute",
-                        left[r].compose(right[s]), right[s].compose(left[r])))
-    return rel
-
-
-def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 2)
-    tamper = hooks.get("tamper_frames")
-    for trial in range(10):
-        basis = random_orthonormal_basis(1, rng)
-        frames = skew_frames(basis)
-        if tamper is not None:
-            frames = tamper(frames)
-        relations = _frame_relation_table(frames)
-        if len(relations) != 21:
-            return _fail(len(relations), {"reason": "relation count"})
-        for label, got, expected in relations:
-            if got != expected:
-                return _fail("relation violated", {"trial": trial, "relation": label})
-    return _ok()
-
-
-def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 3)
-    for trial in range(10):
-        basis = random_orthonormal_basis(1, rng)
-        frames = skew_frames(basis)
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
-        k = reduce(Endo.__add__, (m.scale(c) for c, m in zip(coeffs, frames.all())))
-        decomposition = skew_decompose(k, basis)
-        if list(decomposition.left) + list(decomposition.right) != coeffs:
-            return _fail("coefficients differ", {"trial": trial})
-    return _ok()
-
-
-def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 4)
-    probes = coordinate_elements(2)
-    j = from_complex(standard_complex_matrix(1))
-    orientation = j.orientation()
-    for trial in range(10):
-        b = random_skew_matrix(2, rng)
-        beta = random_skew_matrix(2, rng)
-        g = random_invertible_matrix(2, rng)
-        for label, m in (("e^B", exp_two_form(b)), ("e^beta", exp_two_vector(beta)),
-                         ("gl", gl_endo(g))):
-            if not is_pairing_orthogonal(m):
-                return _fail("pairing not preserved", {"map": label})
-        for label, jt in (("b", b_transform(j, b)), ("beta", beta_transform(j, beta)),
-                          ("gl", gl_action(g, j))):
-            if jt.orientation() != orientation:
-                return _fail("orientation flipped", {"map": label})
-    return _ok()
-
-
-def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 5)
-    basis = reference_basis(1)
-    for u, v, sheet in fibre_chart_samples(rng, 10):
-        x1, x2, x3 = hyperboloid_chart(u, v, sheet)
-        if x1 * x1 - x2 * x2 - x3 * x3 != 1:
-            return _fail("chart identity", {"u": scalar_to_str(u)})
-        structure = hyperboloid_point(u, v, sheet, basis)
-        if structure.j.compose(structure.j) != _FRAME_SQUARES[0]:  # -Id
-            return _fail("square", {"u": scalar_to_str(u)})
-    return _ok()
-
-
-# ---------------------------------------------------------------------------
-# courant suite
-
-
-def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import courant_bracket, lie_bracket, section_from_coefficients
-    m = 2
-    x1 = Poly.variable(m, 0)
-    x2 = Poly.variable(m, 1)
-    one = Poly.constant(m, 1)
-    zero = Poly.constant(m, 0)
-    p = chart_point([Fraction(1, 3), Fraction(2, 7)])
-    xs = section_from_coefficients(m, [x2, zero, zero, zero])
-    ys = section_from_coefficients(m, [zero, one, zero, zero])
-    if lie_bracket(xs, ys, p) != (Fraction(-1), Fraction(0)):
-        return _fail("lie", {"case": "[x2 d1, d2]"})
-    a = section_from_coefficients(m, [zero, zero, zero, x1])
-    b = section_from_coefficients(m, [one, zero, zero, zero])
-    got = courant_bracket(a, b, p)
-    if got != gelem([0, 0], [0, -1]):
-        return _fail("courant", {"case": "(0, x1 dx2) with (d1, 0)"})
-    if not courant_bracket(a, a, p).is_zero():
-        return _fail("courant", {"case": "[A, A]"})
-    return _ok()
-
-
-def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import constant_field, nijenhuis, section_from_coefficients
-    rng = random.Random(scenario.seed + 6)
-    m = 2
-    field = constant_field(from_complex(standard_complex_matrix(1)).j)
-
-    def rand_poly():
-        return Poly.from_dict(m, {(rng.randint(0, 2), rng.randint(0, 2)):
-                                  Fraction(rng.randint(-3, 3)) for _ in range(2)})
-
-    for trial in range(5):
-        a = section_from_coefficients(m, [rand_poly() for _ in range(4)])
-        b = section_from_coefficients(m, [rand_poly() for _ in range(4)])
-        p = chart_point([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)])
-        if not (nijenhuis(field, a, b, p) + nijenhuis(field, b, a, p)).is_zero():
-            return _fail("antisymmetry", {"trial": trial})
-    return _ok()
-
-
-def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import constant_field, default_probes, integrability_scan
-    rng = random.Random(scenario.seed + 7)
-    field = constant_field(from_complex(standard_complex_matrix(1)).j)
-    points = [random_chart_point(2, rng) for _ in range(5)]
-    witness = integrability_scan(field, points, default_probes(2))
-    if witness is not None:
-        return _fail("nonzero residual",
-                     {"point": [scalar_to_str(c) for c in witness[0].coords]})
-    return _ok()
-
-
-def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import b_automorphism_defect, section_from_coefficients, two_form_field
-    rng = random.Random(scenario.seed + 8)
-    m = 4
-    zero = Poly.constant(m, 0)
-    one = Poly.constant(m, 1)
-    x1 = Poly.variable(m, 0)
-    x2 = Poly.variable(m, 1)
-
-    def skew_entries(fill):
-        entries = [[zero] * m for _ in range(m)]
-        for (i, j), val in fill.items():
-            entries[i][j] = val
-            entries[j][i] = -val
-        return entries
-
-    def rand_section():
-        comps = []
-        for _ in range(2 * m):
-            comps.append(Poly.from_dict(m, {tuple(rng.randint(0, 1) for _ in range(m)):
-                                            Fraction(rng.randint(-3, 3)) for _ in range(2)}))
-        return section_from_coefficients(m, comps)
-
-    points = [chart_point([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
-              for _ in range(10)]
-    closed_fields = [two_form_field(m, skew_entries({(0, 1): one})),
-                     two_form_field(m, skew_entries({(0, 1): x1}))]
-    a, c = rand_section(), rand_section()
-    for idx, bf in enumerate(closed_fields):
-        for p in points:
-            defect = b_automorphism_defect(bf, a, c, p)
-            if not defect.is_zero():
-                return _fail(_first_nonzero(defect),
-                             {"field": idx, "point": [scalar_to_str(x) for x in p.coords]})
-    open_field = two_form_field(m, skew_entries({(0, 2): x2}))
-    for p in points:
-        for _ in range(4):
-            a2, c2 = rand_section(), rand_section()
-            defect = b_automorphism_defect(open_field, a2, c2, p)
-            if not defect.is_zero():
-                witness = {"point": [scalar_to_str(x) for x in p.coords],
-                           "defect": _element_witness(defect)}
-                return _ok(witness, finding=True)
-    return _fail("no witness", {"reason": "non-closed form gave zero defect"})
 
 
 # ---------------------------------------------------------------------------
@@ -549,69 +258,89 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# oracle suite
+# the linalg, courant and oracle suites: each check's body is in the module
+# named by its suite, which a `Scenario` imports when it schedules the suite,
+# and the entry here imports the body when the check runs
 
 
-def _oracle_cached(scenario: Scenario, hooks: dict):
-    results = hooks.get("_oracle_cache")
-    if results is None:
-        from .oracle import oracle_compare_nijenhuis, seeded_oracle_samples
-        samples = seeded_oracle_samples(scenario.count("fibre_params", 10),
-                                        scenario.seed + 14)
-        results = oracle_compare_nijenhuis(scenario.conn, samples,
-                                           perturb=hooks.get("perturb_closed_form"))
-        hooks["_oracle_cache"] = results
-    return results
+def _check_pairing_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_pairing_examples as check
+    return check(scenario, hooks)
+
+
+def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_projection as check
+    return check(scenario, hooks)
+
+
+def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_dim2_orientation as check
+    return check(scenario, hooks)
+
+
+def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_orientation_parity as check
+    return check(scenario, hooks)
+
+
+def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_skew_frame_relations as check
+    return check(scenario, hooks)
+
+
+def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_frame_roundtrip as check
+    return check(scenario, hooks)
+
+
+def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_transform_isometries as check
+    return check(scenario, hooks)
+
+
+def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .linalg import _check_hyperboloid_chart as check
+    return check(scenario, hooks)
+
+
+def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import _check_bracket_examples as check
+    return check(scenario, hooks)
+
+
+def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import _check_nijenhuis_antisymmetry as check
+    return check(scenario, hooks)
+
+
+def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import _check_constant_structure as check
+    return check(scenario, hooks)
+
+
+def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
+    from .courant import _check_b_automorphism as check
+    return check(scenario, hooks)
 
 
 def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    results = _oracle_cached(scenario, hooks)
-    for r in results:
-        if not r.all_equal:
-            witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
-                       "sheet": r.sample.sheet, "alpha": r.alpha,
-                       "probe_pair": list(r.mismatch) if r.mismatch else None}
-            return _fail("mismatch", witness)
-    pairs = sum(r.pairs for r in results)
-    return _ok({"samples": len(results) // 2, "pairs": pairs})
+    from .oracle import _check_oracle_equality as check
+    return check(scenario, hooks)
 
 
 def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    results = _oracle_cached(scenario, hooks)
-    for r in results:
-        if r.alpha == 1 and not r.direct_all_zero:
-            return _fail("nonzero", {"sheet": r.sample.sheet})
-        if r.alpha == 2 and r.direct_all_zero:
-            return _fail("alpha=2 unexpectedly zero", {"sheet": r.sample.sheet})
-    return _ok()
+    from .oracle import _check_oracle_direct_zero as check
+    return check(scenario, hooks)
 
 
 def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .oracle import lift_bracket_curvature_check
-    results = _oracle_cached(scenario, hooks)
-    for r in results:
-        if not r.lift_bracket_ok:
-            return _fail("nonzero residual", {"sheet": r.sample.sheet})
-    # the same identity on the endomorphism-bundle chart, at one seeded point
-    rng = random.Random(scenario.seed + 15)
-    (u, v, sheet), = fibre_chart_samples(rng, 1)
-    structure = hyperboloid_point(u, v, sheet, reference_basis(1))
-    at = TwistorPoint(random_chart_point(2, rng), structure)
-    one = Poly.constant(2, 1)
-    x1 = Poly.variable(2, 0)
-    residual = lift_bracket_curvature_check(scenario.conn, [one, x1],
-                                            [x1, one + x1 * x1], at)
-    if any(c != 0 for c in residual):
-        return _fail("bundle chart residual")
-    return _ok()
+    from .oracle import _check_oracle_lift_bracket as check
+    return check(scenario, hooks)
 
 
 def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    results = _oracle_cached(scenario, hooks)
-    for r in results:
-        if not r.vertical_bracket_ok:
-            return _fail("nonzero residual", {"sheet": r.sample.sheet})
-    return _ok()
+    from .oracle import _check_oracle_vertical_bracket as check
+    return check(scenario, hooks)
 
 
 def _needs(n: int | None = None, at_least: int = 1, connection: str | None = None):

@@ -34,13 +34,16 @@ identity `lift_bracket_curvature_check` (X a polynomial field).  That
 identity is evaluated the same way, as 1-jets at the point, in
 dim + (2 dim)^2 chart variables (18 at n = 1, 68 at n = 2).  The oracle's
 fibre points come from `twistor.fibre_chart_samples`.
+
+The checks of the `oracle/` suite sit at the end of this module, which
+`harness` loads only for a scenario that schedules one.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
@@ -60,12 +63,22 @@ from .gclinalg import (
     InvariantError,
     _FRAME_NORMS,
     fib_pairing,
+    hyperboloid_point,
     is_pairing_skew,
     reference_basis,
     skew_frames,
     zero_element,
 )
-from .poly import ChartPoint, Jet, JetMat, Poly, chart_point, jmat_mul
+from .poly import (
+    ChartPoint,
+    Jet,
+    JetMat,
+    Poly,
+    chart_point,
+    jmat_mul,
+    random_chart_point,
+    scalar_to_str,
+)
 from .twistor import (
     Connection,
     TwistorPoint,
@@ -74,9 +87,8 @@ from .twistor import (
     curvature,
     fibre_chart_samples,
     nijenhuis_closed_form_table,
-    random_chart_point,
 )
-from .value import Value
+from .value import CheckResult, Value, _fail, _ok
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +601,67 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
             results.append(OracleSampleResult(sample, alpha, pairs, direct_zero, equal,
                                               mismatch, lift_ok, vertical_ok))
     return tuple(results)
+
+
+# ---------------------------------------------------------------------------
+# the oracle/ suite
+
+
+def _oracle_cached(scenario, hooks: dict):
+    results = hooks.get("_oracle_cache")
+    if results is None:
+        samples = seeded_oracle_samples(scenario.count("fibre_params", 10),
+                                        scenario.seed + 14)
+        results = oracle_compare_nijenhuis(scenario.conn, samples,
+                                           perturb=hooks.get("perturb_closed_form"))
+        hooks["_oracle_cache"] = results
+    return results
+
+
+def _check_oracle_equality(scenario, hooks: Mapping) -> CheckResult:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
+        if not r.all_equal:
+            witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
+                       "sheet": r.sample.sheet, "alpha": r.alpha,
+                       "probe_pair": list(r.mismatch) if r.mismatch else None}
+            return _fail("mismatch", witness)
+    pairs = sum(r.pairs for r in results)
+    return _ok({"samples": len(results) // 2, "pairs": pairs})
+
+
+def _check_oracle_direct_zero(scenario, hooks: Mapping) -> CheckResult:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
+        if r.alpha == 1 and not r.direct_all_zero:
+            return _fail("nonzero", {"sheet": r.sample.sheet})
+        if r.alpha == 2 and r.direct_all_zero:
+            return _fail("alpha=2 unexpectedly zero", {"sheet": r.sample.sheet})
+    return _ok()
+
+
+def _check_oracle_lift_bracket(scenario, hooks: Mapping) -> CheckResult:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
+        if not r.lift_bracket_ok:
+            return _fail("nonzero residual", {"sheet": r.sample.sheet})
+    # the same identity on the endomorphism-bundle chart, at one seeded point
+    rng = random.Random(scenario.seed + 15)
+    (u, v, sheet), = fibre_chart_samples(rng, 1)
+    structure = hyperboloid_point(u, v, sheet, reference_basis(1))
+    at = TwistorPoint(random_chart_point(2, rng), structure)
+    one = Poly.constant(2, 1)
+    x1 = Poly.variable(2, 0)
+    residual = lift_bracket_curvature_check(scenario.conn, [one, x1],
+                                            [x1, one + x1 * x1], at)
+    if any(c != 0 for c in residual):
+        return _fail("bundle chart residual")
+    return _ok()
+
+
+def _check_oracle_vertical_bracket(scenario, hooks: Mapping) -> CheckResult:
+    results = _oracle_cached(scenario, hooks)
+    for r in results:
+        if not r.vertical_bracket_ok:
+            return _fail("nonzero residual", {"sheet": r.sample.sheet})
+    return _ok()

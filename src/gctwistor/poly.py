@@ -9,7 +9,8 @@ quotient and chain rule of a derivative goes through its arithmetic.
 A section's 1-jet is a tuple of `Jet`s and a structure field's a matrix
 of them; `jmat_mul` is the one product of jet matrices, and a field
 applied to a section is that product with a one-column matrix.  A
-`ChartPoint` holds the coordinates that jets are evaluated at.
+`ChartPoint` holds the coordinates that jets are evaluated at, and
+`random_chart_point` draws one from a seeded generator.
 
 A `Jet` takes and returns `Fraction`s, as `exactmat` does, and computes
 in Python ints inside: it stores integer numerators over one positive
@@ -26,6 +27,7 @@ wraps.  Evaluation guards against vanishing denominators, without a gcd.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
@@ -46,6 +48,10 @@ class ChartPoint(Value):
 
 def chart_point(coords: Iterable) -> ChartPoint:
     return ChartPoint(vec(coords))
+
+
+def random_chart_point(dim: int, rng: random.Random) -> ChartPoint:
+    return chart_point([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
 
 
 class ZeroDenominatorError(ZeroDivisionError):

@@ -10,6 +10,10 @@ Slots named with a leading underscore hold what is derived from the
 public fields, a cache or a value computed once; they take no part in
 equality, hashing or the repr, and only a class with its own constructor
 has them.
+
+`CheckResult` is the outcome of one named check, and `_ok` and `_fail`
+build it.  It sits here, below every layer, so that the modules holding a
+suite's checks need nothing from `harness`.
 """
 
 
@@ -47,3 +51,24 @@ class Value:
         parts = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__qualname__}({parts})"
+
+
+class CheckResult(Value):
+    """One check's outcome.  `name` is the CHECKS key, stamped by
+    `run_scenario`; `status` is "pass", "fail" or "finding"."""
+
+    __slots__ = ("name", "status", "residual", "witness")
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("pass", "finding")
+
+
+def _ok(witness: dict | None = None, finding: bool = False) -> CheckResult:
+    return CheckResult("", "finding" if finding else "pass", "0", witness)
+
+
+def _fail(residual, witness: dict | None = None) -> CheckResult:
+    """A failed check; the residual is rendered with `str`, which writes an
+    exact rational as p/q, or as p when it is an integer."""
+    return CheckResult("", "fail", str(residual), witness)

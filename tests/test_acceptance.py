@@ -16,7 +16,6 @@ from gctwistor.courant import b_automorphism_defect, section_from_coefficients, 
 from gctwistor.gclinalg import (
     Endo,
     coordinate_elements,
-    dim2_basis_orientation,
     from_complex,
     from_symplectic,
     hyperboloid_point,
@@ -33,8 +32,10 @@ from gctwistor.harness import (
     load_scenario,
     run_scenario,
 )
+from gctwistor.linalg import dim2_basis_orientation
 from gctwistor.oracle import oracle_compare_nijenhuis, seeded_oracle_samples
-from gctwistor.poly import Poly, chart_point
+from gctwistor.poly import Poly, chart_point, random_chart_point
+from gctwistor.reference import nijenhuis_horizontal, validate_tangent
 from gctwistor.twistor import (
     TwistorPoint,
     connection,
@@ -43,12 +44,9 @@ from gctwistor.twistor import (
     hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_horizontal,
     nijenhuis_mixed,
-    random_chart_point,
     sample_adapted_point,
     sample_fibre_structure,
-    validate_tangent,
 )
 
 

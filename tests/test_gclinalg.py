@@ -22,32 +22,34 @@ from gctwistor.gclinalg import (
     basis_vector,
     beta_transform,
     coordinate_elements,
-    dim2_basis_orientation,
-    exp_two_form,
-    exp_two_vector,
     fib_pairing,
     fiber_kahler_structure,
     from_complex,
     from_symplectic,
     gelem,
     gl_action,
-    gl_endo,
     hyperboloid_chart,
     hyperboloid_point,
     is_pairing_orthogonal,
     is_pairing_skew,
     is_vertical,
-    neutral_pairing,
-    projection_nondegeneracy_check,
     random_orthonormal_basis,
     reference_basis,
-    skew_decompose,
     skew_frames,
     standard_complex_matrix,
     standard_symplectic_matrix,
     structure_orientation,
     vertical_space_basis,
     zero_element,
+)
+from gctwistor.linalg import (
+    dim2_basis_orientation,
+    exp_two_form,
+    exp_two_vector,
+    gl_endo,
+    neutral_pairing,
+    projection_nondegeneracy_check,
+    skew_decompose,
 )
 from gctwistor.oracle import TwistorChart
 from gctwistor.poly import chart_point

@@ -9,11 +9,10 @@ import pytest
 
 import gctwistor
 from gctwistor.gclinalg import GElement, SkewFrames
-from gctwistor.poly import scalar_to_str
-from gctwistor.twistor import flat_connection, random_chart_point, sample_fibre_structure
+from gctwistor.poly import random_chart_point, scalar_to_str
+from gctwistor.twistor import flat_connection, sample_fibre_structure
 from gctwistor.harness import (
     PRESETS,
-    CheckResult,
     Report,
     Scenario,
     ScenarioError,
@@ -21,6 +20,7 @@ from gctwistor.harness import (
     load_scenario,
     run_scenario,
 )
+from gctwistor.value import CheckResult
 
 
 def run_preset(name, seed=None, hooks=None):
@@ -149,7 +149,7 @@ def test_text_report_counts():
 
 
 def test_residuals_are_exact():
-    from gctwistor.harness import _fail, _ok
+    from gctwistor.value import _fail, _ok
     assert _fail(F(-3, 4)).residual == "-3/4"
     assert _fail("no witness").residual == "no witness"
     assert _ok().residual == "0"
@@ -550,7 +550,7 @@ def test_hybrid_witness_evaluates_each_adapted_point_once(monkeypatch):
 
 
 # In a fresh interpreter: `run` loads and runs a preset at sample counts of 1,
-# then the steps run, and the courant and oracle layers imported are printed.
+# then the steps run, and the suite modules and references imported are printed.
 _LAYERS_AFTER = """
 import json, sys
 from gctwistor import harness
@@ -561,19 +561,25 @@ def run(name):
     harness.emit_report(harness.run_scenario(harness.load_scenario(data, name=name)), "text")
 
 {steps}
-print(json.dumps([m for m in ("courant", "oracle") if "gctwistor." + m in sys.modules]))
+print(json.dumps([m for m in ("linalg", "courant", "oracle", "reference")
+                  if "gctwistor." + m in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("steps, layers", [
-    ("run('thm1-n2-flat'); run('thm1-n1'); run('linalg-all')", []),
+    ("run('thm1-n2-flat'); run('thm1-n1'); run('thm1-n2-curved')", []),
+    ("harness.load_scenario('linalg-all')", ["linalg"]),
     ("harness.load_scenario('examples-courant')", ["courant"]),
     ("harness.load_scenario('oracle-n1')", ["courant", "oracle"]),
+    ("run('linalg-all')", ["linalg"]),
+    ("run('examples-courant')", ["courant"]),
+    ("for name in harness.PRESETS: run(name)", ["linalg", "courant", "oracle"]),
 ])
 def test_scenarios_load_only_the_layers_they_schedule(steps, layers):
-    # each run compiles what it imports, so the scan and linalg presets never
-    # load courant or oracle; the suites that run on them load them with the
-    # scenario, before run_scenario times any check
+    # each run compiles what it imports, so the integrability presets load no
+    # other suite's module; a suite's module loads with the scenario that
+    # schedules it, before run_scenario times any check, and no preset loads
+    # the tests' references
     result = run_child("-c", _LAYERS_AFTER.format(steps=steps), check=True)
     assert json.loads(result.stdout) == layers
 

@@ -1,10 +1,13 @@
 """The package's modules form layers, and each imports only from below.
 
 From the bottom: exactmat and value (neither imports the other), poly,
-gclinalg, courant, twistor, oracle, harness, cli; the package's
-`__init__` and `__main__` sit on top.  Every relative import in a module,
-at module level or inside a function, must name a module of a lower
-layer, so a helper moved between modules cannot add a back edge.
+gclinalg, courant, twistor, then linalg, oracle and reference (none of
+the three imports another), harness, cli; the package's `__init__` and
+`__main__` sit on top.  Every relative import in a module, at module
+level or inside a function, must name a module of a lower layer, so a
+helper moved between modules cannot add a back edge.  `reference` holds
+the tests' reference definitions, and no module of the package imports
+it.
 """
 
 import ast
@@ -15,7 +18,7 @@ import gctwistor
 SRC = Path(gctwistor.__file__).resolve().parent
 
 LAYERS = (("exactmat", "value"), ("poly",), ("gclinalg",), ("courant",), ("twistor",),
-          ("oracle",), ("harness",), ("cli",), ("__init__", "__main__"))
+          ("linalg", "oracle", "reference"), ("harness",), ("cli",), ("__init__", "__main__"))
 LEVEL = {module: level for level, group in enumerate(LAYERS) for module in group}
 
 
@@ -42,8 +45,14 @@ def test_modules_import_only_from_lower_layers():
     assert back_edges == []
 
 
+def test_no_module_imports_the_references():
+    assert [path.stem for path in SRC.glob("*.py")
+            if "reference" in _relative_imports(path)] == []
+
+
 def test_the_scan_sees_every_import_form():
-    # harness imports oracle by name; oracle uses `from . import exactmat`
-    assert {"oracle", "twistor", "exactmat"} <= _relative_imports(SRC / "harness.py")
+    # harness imports linalg and oracle by name inside functions; oracle
+    # uses `from . import exactmat`
+    assert {"linalg", "oracle", "twistor"} <= _relative_imports(SRC / "harness.py")
     assert "exactmat" in _relative_imports(SRC / "oracle.py")
     assert _relative_imports(SRC / "exactmat.py") == set()

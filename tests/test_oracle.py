@@ -35,14 +35,13 @@ from gctwistor.oracle import (
     oracle_compare_nijenhuis,
     seeded_oracle_samples,
 )
-from gctwistor.poly import Jet, Poly, chart_point, jmat_mul
+from gctwistor.poly import Jet, Poly, chart_point, jmat_mul, random_chart_point
+from gctwistor.reference import horizontal_lift
 from gctwistor.twistor import (
     CurvatureValue,
     TwistorPoint,
     connection,
     flat_connection,
-    horizontal_lift,
-    random_chart_point,
     sample_fibre_structure,
 )
 
@@ -154,7 +153,7 @@ def test_uv_coordinates_rejects_a_non_tangent_endomorphism():
 
 
 def test_lift_section_matches_closed_form_lift():
-    from gctwistor.twistor import horizontal_lift
+    from gctwistor.reference import horizontal_lift
     chart = TwistorChart(CONN, 1)
     q = q_at()
     lift = chart.lift_section([ONE, ZERO]).value_at(q)
@@ -414,7 +413,7 @@ def test_seeded_samples_avoid_singularity():
 def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
     # one fibre-chart sampler feeds the oracle samples, the bundle-chart
     # point, the n = 1 scan and the hyperboloid-chart check
-    from gctwistor import harness, twistor
+    from gctwistor import harness, linalg, twistor
     from gctwistor.harness import PRESETS, run_scenario
     counts = []
 
@@ -427,6 +426,7 @@ def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
                 for u, v, sheet in twistor.fibre_chart_samples(rng, 3)]
     monkeypatch.setattr(oracle, "fibre_chart_samples", spy)
     monkeypatch.setattr(harness, "fibre_chart_samples", spy)
+    monkeypatch.setattr(linalg, "fibre_chart_samples", spy)
     assert seeded_oracle_samples(3, 1) == expected and counts == [3]
     for preset, samples, checks in (
             ("thm1-n1", {"base_points": 2}, ["integrability/n1-structure1-vanishes"]),

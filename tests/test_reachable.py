@@ -41,12 +41,12 @@ SRC = Path(gctwistor.__file__).resolve().parent
 
 # (module, name) -> why it stays without a caller in src/
 ALLOWED = {
-    ("twistor", "twistor_J"): "the twistor structures J_1 and J_2 on a tangent",
-    ("twistor", "horizontal_lift"): "the horizontal lift, the reference for the oracle chart's",
-    ("twistor", "nijenhuis_horizontal"): "the horizontal-pair case, its coform by a Gram solve",
-    ("twistor", "nijenhuis_coform"): "the closed form's coform-pair case",
-    ("twistor", "MuForm"): "the curvature form mu, the input of curvature_from_mu",
-    ("twistor", "curvature_from_mu"): "R_mu, the reference for the mu constraint rows",
+    ("reference", "twistor_J"): "the twistor structures J_1 and J_2 on a tangent",
+    ("reference", "horizontal_lift"): "the horizontal lift, the reference for the oracle chart's",
+    ("reference", "nijenhuis_horizontal"): "the horizontal-pair case, its coform by a Gram solve",
+    ("reference", "nijenhuis_coform"): "the closed form's coform-pair case",
+    ("reference", "MuForm"): "the curvature form mu, the input of curvature_from_mu",
+    ("reference", "curvature_from_mu"): "R_mu, the reference for the mu constraint rows",
     ("exactmat", "mat_mul"): "the Fraction product the tests hold Endo's arithmetic to",
     ("exactmat", "zeros"): "a Fraction-matrix builder the tests use",
     ("exactmat", "mat_scale"): "a Fraction-matrix builder the tests use",

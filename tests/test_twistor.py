@@ -18,41 +18,41 @@ from gctwistor.gclinalg import (
     hyperboloid_point,
     is_vertical,
     gl_action,
-    gl_endo,
-    neutral_pairing,
     reference_basis,
     vertical_space_basis,
 )
 from gctwistor.harness import _probe_set
-from gctwistor.poly import Poly, chart_point
+from gctwistor.linalg import gl_endo, neutral_pairing
+from gctwistor.poly import Poly, chart_point, random_chart_point
+from gctwistor.reference import (
+    MuForm,
+    curvature_from_mu,
+    horizontal_lift,
+    nijenhuis_coform,
+    nijenhuis_horizontal,
+    twistor_J,
+    validate_tangent,
+)
 from gctwistor.twistor import (
     Connection,
     CurvatureValue,
-    MuForm,
     NotVerticalError,
     TwistorPoint,
     TwistorTangent,
     connection,
     connection_from_json,
     curvature,
-    curvature_from_mu,
     fibre_chart_samples,
     flat_connection,
-    horizontal_lift,
     hybrid_nijenhuis_horizontal,
     interchanging_structure,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_coform,
-    nijenhuis_horizontal,
     nijenhuis_mixed,
-    random_chart_point,
     random_invertible_matrix,
     sample_adapted_point,
     sample_fibre_structure,
     tangent_from_parts,
-    twistor_J,
-    validate_tangent,
 )
 from gctwistor.twistor import _mu_constraint_rows
 

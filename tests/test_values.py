@@ -21,23 +21,21 @@ from gctwistor.gclinalg import (
     Endo,
     GElement,
     InvariantError,
-    ProjectionReport,
     random_orthonormal_basis,
 )
-from gctwistor.harness import CheckResult
+from gctwistor.linalg import ProjectionReport
 from gctwistor.oracle import OracleSample
-from gctwistor.poly import Poly, RationalFn, chart_point
+from gctwistor.poly import Poly, RationalFn, chart_point, random_chart_point
+from gctwistor.reference import MuForm
 from gctwistor.twistor import (
     CurvatureValue,
-    MuForm,
     MuSystemReport,
     TwistorPoint,
     TwistorTangent,
     connection,
-    random_chart_point,
     sample_fibre_structure,
 )
-from gctwistor.value import Value
+from gctwistor.value import CheckResult, Value
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
