@@ -21,8 +21,8 @@ J-image jet as the jet product J a (`poly.jmat_mul`), scales every probe
 jet, J-image jet and J once per point, and builds each component of a
 pair's value as one `Fraction`.
 
-The checks of the `courant/` suite sit at the end of this module, which
-`harness` loads only for a scenario that schedules one.
+The checks of the `courant/` suite, keyed by name in `CHECKS`, end this
+module, which `harness` loads only for a scenario that schedules one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
@@ -511,3 +511,12 @@ def _check_b_automorphism(scenario, hooks: Mapping) -> CheckResult:
                            "defect": _element_witness(defect)}
                 return _ok(witness, finding=True)
     return _fail("no witness", {"reason": "non-closed form gave zero defect"})
+
+
+# each check of the suite by its name after "courant/", as harness._SUITES lists it
+CHECKS: dict[str, Callable[..., CheckResult]] = {
+    "bracket-examples": _check_bracket_examples,
+    "nijenhuis-antisymmetry": _check_nijenhuis_antisymmetry,
+    "constant-structure-integrable": _check_constant_structure,
+    "b-transform-automorphism": _check_b_automorphism,
+}

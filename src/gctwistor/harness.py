@@ -21,10 +21,12 @@ only, precisely so the JSON stays reproducible.
 This module holds the engine, the integrability suite, the registry and
 the presets.  Each run compiles the sources it imports, so the checks of
 the `linalg/`, `courant/` and `oracle/` suites live in the module their
-suite is named after; the entry registered here imports its check's body
-when it runs, and a `Scenario` imports the module of each such suite it
-schedules.  A scenario of integrability checks alone compiles none of
-them.
+suite is named after, whose `CHECKS` dict maps each check's name after
+the `/` to its body.  `_SUITES` names those suites, their checks and the
+sample count each reads; a `Scenario` imports the module of each suite it
+schedules, and the check registered here looks its body up in that
+module's `CHECKS` when it runs.  A scenario of integrability checks alone
+compiles none of them.
 """
 
 from __future__ import annotations
@@ -71,9 +73,8 @@ class Scenario(Value):
     connection for another n, an empty check list, an unknown check, a
     check scheduled twice, a check whose registry requirements (an n, a
     flat or a curved connection) it does not meet, or a sample count that
-    no scheduled check reads.  It imports the `linalg`, `courant` and
-    `oracle` modules of the suites it schedules, so their checks' timings
-    hold no import."""
+    no scheduled check reads.  It imports the module of each suite of
+    `_SUITES` that it schedules, so the checks' timings hold no import."""
 
     __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
@@ -103,9 +104,9 @@ class Scenario(Value):
             if lacking:
                 raise ScenarioError(f"check {check} needs {lacking}")
         _validate_samples(samples, {_REGISTRY[check][2] for check in checks} - {None})
-        for layer in ("linalg", "courant", "oracle"):
-            if any(check.startswith(layer + "/") for check in checks):
-                importlib.import_module(f"{__package__}.{layer}")
+        for suite in _SUITES:
+            if any(check.startswith(suite + "/") for check in checks):
+                importlib.import_module(f"{__package__}.{suite}")
         self.name = name
         self.n = n
         self.conn = conn
@@ -257,92 +258,6 @@ def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
     return _ok({"adapted_points": count}, finding=True)
 
 
-# ---------------------------------------------------------------------------
-# the linalg, courant and oracle suites: each check's body is in the module
-# named by its suite, which a `Scenario` imports when it schedules the suite,
-# and the entry here imports the body when the check runs
-
-
-def _check_pairing_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_pairing_examples as check
-    return check(scenario, hooks)
-
-
-def _check_projection(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_projection as check
-    return check(scenario, hooks)
-
-
-def _check_dim2_orientation(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_dim2_orientation as check
-    return check(scenario, hooks)
-
-
-def _check_orientation_parity(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_orientation_parity as check
-    return check(scenario, hooks)
-
-
-def _check_skew_frame_relations(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_skew_frame_relations as check
-    return check(scenario, hooks)
-
-
-def _check_frame_roundtrip(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_frame_roundtrip as check
-    return check(scenario, hooks)
-
-
-def _check_transform_isometries(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_transform_isometries as check
-    return check(scenario, hooks)
-
-
-def _check_hyperboloid_chart(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .linalg import _check_hyperboloid_chart as check
-    return check(scenario, hooks)
-
-
-def _check_bracket_examples(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import _check_bracket_examples as check
-    return check(scenario, hooks)
-
-
-def _check_nijenhuis_antisymmetry(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import _check_nijenhuis_antisymmetry as check
-    return check(scenario, hooks)
-
-
-def _check_constant_structure(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import _check_constant_structure as check
-    return check(scenario, hooks)
-
-
-def _check_b_automorphism(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .courant import _check_b_automorphism as check
-    return check(scenario, hooks)
-
-
-def _check_oracle_equality(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .oracle import _check_oracle_equality as check
-    return check(scenario, hooks)
-
-
-def _check_oracle_direct_zero(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .oracle import _check_oracle_direct_zero as check
-    return check(scenario, hooks)
-
-
-def _check_oracle_lift_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .oracle import _check_oracle_lift_bracket as check
-    return check(scenario, hooks)
-
-
-def _check_oracle_vertical_bracket(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    from .oracle import _check_oracle_vertical_bracket as check
-    return check(scenario, hooks)
-
-
 def _needs(n: int | None = None, at_least: int = 1, connection: str | None = None):
     """What a check asks of its scenario: n equal to `n`, or at least
     `at_least`, and a "flat" or "curved" connection when `connection` says
@@ -363,18 +278,6 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
 # reads or None); the `Scenario` constructor rejects a scenario that
 # schedules a check it cannot run, or sets a sample count no check reads
 _REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
-    "linalg/pairing-examples": (_check_pairing_examples, _needs(n=1), None),
-    "linalg/projection-nondegeneracy": (_check_projection, _needs(n=1), "base_points"),
-    "linalg/dim2-orientation": (_check_dim2_orientation, _needs(n=1), "base_points"),
-    "linalg/orientation-parity": (_check_orientation_parity, _needs(n=1), None),
-    "linalg/skew-frame-relations": (_check_skew_frame_relations, _needs(n=1), None),
-    "linalg/frame-decomposition-roundtrip": (_check_frame_roundtrip, _needs(n=1), None),
-    "linalg/transform-isometries": (_check_transform_isometries, _needs(n=1), None),
-    "linalg/hyperboloid-chart": (_check_hyperboloid_chart, _needs(n=1), None),
-    "courant/bracket-examples": (_check_bracket_examples, _needs(n=1), None),
-    "courant/nijenhuis-antisymmetry": (_check_nijenhuis_antisymmetry, _needs(n=1), None),
-    "courant/constant-structure-integrable": (_check_constant_structure, _needs(n=1), None),
-    "courant/b-transform-automorphism": (_check_b_automorphism, _needs(n=1), None),
     "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1), "base_points"),
     "integrability/flat-structure1-vanishes":
         (_check_flat_vanishing, _needs(at_least=2, connection="flat"), "fibre_params"),
@@ -390,12 +293,32 @@ _REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
     "integrability/curvature-form-kernel": (_check_mu_kernel, _needs(at_least=2), None),
     "integrability/mixed-witness": (_check_mixed_witness, None, "adapted_points"),
     "integrability/hybrid-witness": (_check_hybrid_witness, None, "adapted_points"),
-    "oracle/closed-form-equality": (_check_oracle_equality, _needs(n=1), "fibre_params"),
-    "oracle/structure1-direct-zero": (_check_oracle_direct_zero, _needs(n=1), "fibre_params"),
-    "oracle/lift-bracket-identity": (_check_oracle_lift_bracket, _needs(n=1), "fibre_params"),
-    "oracle/vertical-bracket-identity":
-        (_check_oracle_vertical_bracket, _needs(n=1), "fibre_params"),
 }
+
+# suite -> {check name after "suite/": the sample count it reads or None};
+# the suite module's CHECKS keys each body by that name, and each needs n = 1
+_SUITES: dict[str, dict[str, str | None]] = {
+    "linalg": {"pairing-examples": None, "projection-nondegeneracy": "base_points",
+               "dim2-orientation": "base_points", "orientation-parity": None,
+               "skew-frame-relations": None, "frame-decomposition-roundtrip": None,
+               "transform-isometries": None, "hyperboloid-chart": None},
+    "courant": {"bracket-examples": None, "nijenhuis-antisymmetry": None,
+                "constant-structure-integrable": None, "b-transform-automorphism": None},
+    "oracle": {"closed-form-equality": "fibre_params", "structure1-direct-zero": "fibre_params",
+               "lift-bracket-identity": "fibre_params",
+               "vertical-bracket-identity": "fibre_params"},
+}
+
+
+def _suite_check(suite: str, name: str) -> Callable[[Scenario, dict], CheckResult]:
+    """The check `suite/name`: the body keyed `name` in its suite module's CHECKS."""
+    def check(scenario: Scenario, hooks: Mapping) -> CheckResult:
+        return importlib.import_module(f"{__package__}.{suite}").CHECKS[name](scenario, hooks)
+    return check
+
+
+_REGISTRY.update({f"{suite}/{name}": (_suite_check(suite, name), _needs(n=1), read)
+                  for suite, checks in _SUITES.items() for name, read in checks.items()})
 
 CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
     name: check for name, (check, _, _) in _REGISTRY.items()}
@@ -506,7 +429,7 @@ def load_scenario(source: str | Mapping, name: str | None = None,
             try:
                 with open(source, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
                 raise ScenarioError(f"cannot load scenario {source!r}: {exc}") from exc
             if not isinstance(data, dict):
                 raise ScenarioError(f"malformed scenario: a scenario file holds a JSON object, "

@@ -4,11 +4,11 @@ The suite's checks and the definitions that only they read: the
 split-signature pairing of two elements, the projection and dim-2
 orientation reports of an orthonormal basis, the isometries e^B, e^beta
 and the GL(V) action, and the decomposition of a skew endomorphism of
-neutral 4-space in its two skew frames.  `harness` registers each check
-under its `linalg/` name and imports this module only for a scenario
-that schedules one, since each run compiles the sources it imports.  A
-check takes the harness's scenario and hook state and returns a
-`value.CheckResult`.
+neutral 4-space in its two skew frames.  `CHECKS` keys each check by
+its name after `linalg/`, and `harness` imports this module only for a
+scenario that schedules one, since each run compiles the sources it
+imports.  A check takes the harness's scenario and hook state and
+returns a `value.CheckResult`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import exactmat as xm
 from .exactmat import Mat
@@ -311,3 +311,16 @@ def _check_hyperboloid_chart(scenario, hooks: Mapping) -> CheckResult:
         if structure.j.compose(structure.j) != _FRAME_SQUARES[0]:  # -Id
             return _fail("square", {"u": scalar_to_str(u)})
     return _ok()
+
+
+# each check of the suite by its name after "linalg/", as harness._SUITES lists it
+CHECKS: dict[str, Callable[..., CheckResult]] = {
+    "pairing-examples": _check_pairing_examples,
+    "projection-nondegeneracy": _check_projection,
+    "dim2-orientation": _check_dim2_orientation,
+    "orientation-parity": _check_orientation_parity,
+    "skew-frame-relations": _check_skew_frame_relations,
+    "frame-decomposition-roundtrip": _check_frame_roundtrip,
+    "transform-isometries": _check_transform_isometries,
+    "hyperboloid-chart": _check_hyperboloid_chart,
+}

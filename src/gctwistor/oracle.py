@@ -35,8 +35,8 @@ identity is evaluated the same way, as 1-jets at the point, in
 dim + (2 dim)^2 chart variables (18 at n = 1, 68 at n = 2).  The oracle's
 fibre points come from `twistor.fibre_chart_samples`.
 
-The checks of the `oracle/` suite sit at the end of this module, which
-`harness` loads only for a scenario that schedules one.
+The checks of the `oracle/` suite, keyed by name in `CHECKS`, end this
+module, which `harness` loads only for a scenario that schedules one.
 """
 
 from __future__ import annotations
@@ -665,3 +665,12 @@ def _check_oracle_vertical_bracket(scenario, hooks: Mapping) -> CheckResult:
         if not r.vertical_bracket_ok:
             return _fail("nonzero residual", {"sheet": r.sample.sheet})
     return _ok()
+
+
+# each check of the suite by its name after "oracle/", as harness._SUITES lists it
+CHECKS: dict[str, Callable[..., CheckResult]] = {
+    "closed-form-equality": _check_oracle_equality,
+    "structure1-direct-zero": _check_oracle_direct_zero,
+    "lift-bracket-identity": _check_oracle_lift_bracket,
+    "vertical-bracket-identity": _check_oracle_vertical_bracket,
+}

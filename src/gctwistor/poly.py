@@ -28,6 +28,7 @@ wraps.  Evaluation guards against vanishing denominators, without a gcd.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
@@ -344,10 +345,14 @@ def scalar_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# an integer or a fraction in decimal digits; Fraction("1e999999999") builds the power
+_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
     """The polynomial of a list of terms, each an object with exactly the
-    keys "exponents" and "coeff"; anything else, and two terms with the
-    same exponents, raises ValueError."""
+    keys "exponents" and "coeff", a JSON integer or a string matching
+    `_COEFF`; anything else, and two terms with equal exponents, raises ValueError."""
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"a polynomial is a list of terms, got {data!r}")
     terms = {}
@@ -361,11 +366,12 @@ def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
         exps = tuple(exps)
         if exps in terms:
             raise ValueError(f"two terms have the exponents {list(exps)}")
-        if type(t["coeff"]) not in (str, int):
+        coeff = t["coeff"]
+        if type(coeff) is not int and not (type(coeff) is str and _COEFF.fullmatch(coeff)):
             raise ValueError(f"a coefficient is a rational string such as \"1/3\", "
-                             f"got {t['coeff']!r}")
+                             f"got {coeff!r}")
         try:
-            terms[exps] = Fraction(t["coeff"])
+            terms[exps] = Fraction(coeff)
         except ZeroDivisionError:
-            raise ValueError(f"coefficient {t['coeff']!r} has a zero denominator") from None
+            raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
     return Poly.from_dict(nvars, terms)

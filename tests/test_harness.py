@@ -179,14 +179,14 @@ def test_scenario_file_loading(tmp_path):
     assert report.ok
 
 
-def run_child(*args, check=False):
+def run_child(*args, check=False, timeout=None):
     """A child interpreter with these arguments that imports the same
     gctwistor as the tests, also when only pytest's pythonpath has it."""
     package_root = os.path.dirname(os.path.dirname(gctwistor.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          check=check)
+                          check=check, timeout=timeout)
 
 
 def run_cli(*args):
@@ -370,6 +370,28 @@ def test_cli_reports_the_name_a_scenario_file_gives(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "checks": ["linalg/pairing-examples"]}))
     assert cli.main(["verify", str(path), "--format", "text"]) == 0
     assert capsys.readouterr().out.startswith(f"scenario {path}  seed 0")
+
+
+def test_cli_rejects_an_integer_too_long_to_convert(tmp_path):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more digits than Python converts from a string by default
+    path = tmp_path / "scenario.json"
+    path.write_text('{"n": 1, "seed": ' + "9" * 5000 + ', "checks": ["linalg/pairing-examples"]}')
+    result = run_cli(str(path))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
+def test_cli_rejects_an_exponent_coefficient_without_evaluating_it(tmp_path):
+    # Fraction("1e999999999") would build 10^999999999 before any check ran
+    gamma = {"1,2,2": [{"exponents": [1, 0], "coeff": "1e999999999"}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 1, "connection": {"gamma": gamma},
+                                "checks": ["linalg/pairing-examples"]}))
+    result = run_child("-m", "gctwistor", "verify", str(path), timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert "1e999999999" in result.stderr
 
 
 def test_cli_rejects_zero_oracle_samples(tmp_path):

@@ -255,3 +255,17 @@ def test_poly_serialization_roundtrip():
     data = json.loads('[{"exponents": [1, 0, 2], "coeff": "5/3"},'
                       ' {"exponents": [0, 0, 0], "coeff": "-2"}]')
     assert poly_from_json(3, data) == p
+
+
+@pytest.mark.parametrize("coeff", ["1e400", "1.5", " 1/2"])
+def test_poly_from_json_rejects_coefficients_outside_the_grammar(coeff):
+    # a coefficient string is [+-]digits or [+-]digits/digits and nothing
+    # else, so no exponent is evaluated
+    with pytest.raises(ValueError, match="a coefficient is a rational string"):
+        poly_from_json(1, [{"exponents": [0], "coeff": coeff}])
+
+
+@pytest.mark.parametrize("coeff, value", [("-3/4", F(-3, 4)), ("7", F(7)), ("+2", F(2)),
+                                          (-5, F(-5))])
+def test_poly_from_json_accepts_integers_and_fractions(coeff, value):
+    assert poly_from_json(1, [{"exponents": [0], "coeff": coeff}]) == Poly.constant(1, value)

@@ -5,7 +5,8 @@ exists, every keyword the benchmark's child passes to `load_scenario` is
 one of its parameters, and every preset has the keys the child reads, so
 a change to any of them fails here rather than in a benchmark run.  The
 registry names the one sample count each check reads, and every preset
-and benchmark workload sets only counts that its checks read.
+and benchmark workload sets only counts that its checks read.  Each suite
+module's `CHECKS` keys the checks that `harness._SUITES` lists for it.
 
 The benchmark's sources under bench/ are read here, and imported only in a
 child interpreter that runs every preset under the installed tracer, so
@@ -94,6 +95,14 @@ def test_scheduled_checks_are_registered():
 
 def test_registered_checks_are_callable():
     assert all(callable(check) for check in CHECKS.values())
+
+
+@pytest.mark.parametrize("suite", sorted(harness._SUITES))
+def test_suite_modules_key_the_checks_the_harness_lists(suite):
+    # a body registered on one side only would be unreachable or a KeyError
+    module = importlib.import_module(f"gctwistor.{suite}")
+    assert set(module.CHECKS) == set(harness._SUITES[suite])
+    assert all(callable(body) for body in module.CHECKS.values())
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
