@@ -6,7 +6,7 @@ The package is organized in four layers:
   with its split-signature pairing: structures, transforms, orthonormal
   bases, orientations and the fibre geometry of the space of compatible
   complex structures;
-* :mod:`gctwistor.courant` -- sections of TM + T*M over a chart, the
+* :mod:`gctwistor.bracket` -- sections of TM + T*M over a chart, the
   Courant bracket and the Nijenhuis tensor of structure fields;
 * :mod:`gctwistor.twistor` -- connections, curvature, the twistor
   bundle's tangents and the closed-form Nijenhuis evaluator, plus
@@ -15,6 +15,7 @@ The package is organized in four layers:
   hold it to;
 * :mod:`gctwistor.harness` -- scenario-driven suites behind the
   ``gctwistor verify`` command line; the checks of the ``linalg/``,
-  ``courant/`` and ``oracle/`` suites are in :mod:`gctwistor.linalg`,
-  :mod:`gctwistor.courant` and :mod:`gctwistor.oracle`.
+  ``courant/``, ``integrability/`` and ``oracle/`` suites are in
+  :mod:`gctwistor.linalg`, :mod:`gctwistor.courant`,
+  :mod:`gctwistor.integrability` and :mod:`gctwistor.oracle`.
 """

@@ -1,65 +1,43 @@
 """Scenario-driven verification suites with machine-readable reports.
 
 A scenario bundles a chart dimension, a torsion-free connection, a seed,
-sample counts and a list of named checks.  A check is named once, in a
-registry that pairs it with what it asks of its scenario (an n, a flat
-or a curved connection) and with the sample count it reads; the
+sample counts and a list of named checks.  A check is named once, in the
+`_SUITES` table, which pairs it with what it asks of its scenario (an n,
+a flat or a curved connection) and with the sample count it reads; the
 `Scenario` constructor, and so both `load_scenario` and a scenario built
 directly, rejects a scenario that schedules a check it cannot run or
 twice, or sets a sample count that no scheduled check reads.  `CHECKS`
 maps each name to a plain (scenario, hooks) -> CheckResult function,
 and `run_scenario` stamps every result with the key it ran under.  Each
 integrability claim has one check that reads `scenario.n`; the
-n-specific names that older presets schedule are the same checks,
-registered for their n only.  Every check runs, and reports its
-residual, in exact arithmetic, and every probe-pair scan, the curved
-witness among them, goes through one per-point Nijenhuis table.  A
-report is a deterministic function of (scenario, seed): two runs emit
-byte-identical JSON.  Wall-clock timings appear in the text rendering
-only, precisely so the JSON stays reproducible.
+n-specific names that older presets schedule key the same bodies, and
+their rows ask for their n only.  A report is a deterministic function
+of (scenario, seed): two runs emit byte-identical JSON.  Wall-clock
+timings appear in the text rendering only, precisely so the JSON stays
+reproducible.
 
-This module holds the engine, the integrability suite, the registry and
-the presets.  Each run compiles the sources it imports, so the checks of
-the `linalg/`, `courant/` and `oracle/` suites live in the module their
-suite is named after, whose `CHECKS` dict maps each check's name after
-the `/` to its body.  `_SUITES` names those suites, their checks and the
-sample count each reads; a `Scenario` imports the module of each suite it
-schedules, and the check registered here looks its body up in that
-module's `CHECKS` when it runs.  A scenario of integrability checks alone
-compiles none of them.
+This module holds the engine, the registry and the presets.  Each run
+compiles the sources it imports, so the checks of every suite
+(`linalg/`, `courant/`, `integrability/` and `oracle/`) live in the
+module the suite is named after, whose `CHECKS` dict maps each check's
+name after the `/` to its body.  `_SUITES` names the suites, their
+checks, what each asks of its scenario and the sample count it reads;
+`_REGISTRY` and `CHECKS` are derived from it.  A `Scenario` imports the
+module of each suite it schedules, and each entry of `CHECKS` looks its
+body up in that module's `CHECKS` when it runs.  So a scenario compiles
+no suite it does not schedule: the oracle's compiles `bracket` and
+`oracle`, and neither `courant` nor `integrability`.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import random
 import time
 from typing import Callable, Mapping, Sequence
 
-from .gclinalg import (
-    Endo,
-    coordinate_elements,
-    hyperboloid_point,
-    reference_basis,
-    vertical_space_basis,
-)
-from .poly import random_chart_point, scalar_to_str
-from .twistor import (
-    Connection,
-    TwistorPoint,
-    connection_from_json,
-    fibre_chart_samples,
-    flat_connection,
-    hybrid_nijenhuis_horizontal,
-    mu_forced_zero_check,
-    nijenhuis_closed_form_table,
-    nijenhuis_mixed,
-    sample_adapted_point,
-    sample_fibre_structure,
-    tangent_from_parts,
-)
-from .value import CheckResult, Value, _fail, _ok
+from .twistor import Connection, connection_from_json, flat_connection
+from .value import CheckResult, Value
 
 
 class ScenarioError(ValueError):
@@ -71,10 +49,11 @@ class Scenario(Value):
     """What `run_scenario` runs.  The constructor rejects, with ScenarioError,
     a scenario whose checks cannot run: a bad name, n, seed or samples, a
     connection for another n, an empty check list, an unknown check, a
-    check scheduled twice, a check whose registry requirements (an n, a
-    flat or a curved connection) it does not meet, or a sample count that
-    no scheduled check reads.  It imports the module of each suite of
-    `_SUITES` that it schedules, so the checks' timings hold no import."""
+    check scheduled twice, a check whose row of `_SUITES` asks for an n
+    or a flat or curved connection that it does not have, or a sample
+    count that no scheduled check reads.  It imports the module of each
+    suite of `_SUITES` that it schedules, so the checks' timings hold no
+    import."""
 
     __slots__ = ("name", "n", "conn", "seed", "samples", "checks")
 
@@ -139,125 +118,6 @@ class Report(Value):
         }
 
 
-# ---------------------------------------------------------------------------
-# integrability suite
-
-
-def _probe_set(n: int, basis: Sequence[Endo] | None, spec: str):
-    """'full': horizontal, vertical and coform probes; 'horizontal': the
-    coordinate elements only (they already span H + H*)."""
-    probes = [tangent_from_parts(n, horizontal=h) for h in coordinate_elements(2 * n)]
-    if spec == "full":
-        probes += [tangent_from_parts(n, vertical=u) for u in basis]
-        probes += [tangent_from_parts(n, vertical_coform=u) for u in basis]
-    return probes
-
-
-def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
-                      spec: str = "full"):
-    """Yield (probe pair, value) over the probe set at one twistor point.
-    The vertical basis is built only for the 'full' probe set, the one
-    that contains it."""
-    basis = vertical_space_basis(at.structure) if spec == "full" else None
-    probes = _probe_set(at.n, basis, spec)
-    yield from nijenhuis_closed_form_table(alpha, conn, at, probes).items()
-
-
-def _check_n1_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    rng = random.Random(scenario.seed + 9)
-    count = scenario.count("base_points", 50)
-    basis = reference_basis(1)
-    for u, v, sheet in fibre_chart_samples(rng, count):
-        structure = hyperboloid_point(u, v, sheet, basis)
-        at = TwistorPoint(random_chart_point(2, rng), structure)
-        for (i, k), value in _scan_closed_form(1, scenario.conn, at):
-            if not value.is_zero():
-                witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
-                           "probe_pair": [i, k]}
-                return _fail("nonzero", witness)
-    return _ok({"points": count, "sheets": "both"})
-
-
-def _fibre_points(scenario: Scenario, offset: int):
-    """Yield (trial, twistor point) over `fibre_params` seeded fibre samples
-    at random points of the chart of dimension 2n."""
-    rng = random.Random(scenario.seed + offset)
-    for trial in range(scenario.count("fibre_params", 20)):
-        structure = sample_fibre_structure(scenario.n, rng)
-        yield trial, TwistorPoint(random_chart_point(2 * scenario.n, rng), structure)
-
-
-def _pair_witness(trial: int, pair: tuple[int, int], at: TwistorPoint) -> dict:
-    """Enough to replay one probe pair: the trial, the pair and the chart point."""
-    return {"trial": trial, "probe_pair": list(pair),
-            "point": [scalar_to_str(c) for c in at.point.coords]}
-
-
-def _check_flat_vanishing(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    """Structure 1 has zero closed-form Nijenhuis value on every probe pair
-    at sampled fibre points over a flat chart of dimension 2n >= 4."""
-    for trial, at in _fibre_points(scenario, 10):
-        for pair, value in _scan_closed_form(1, scenario.conn, at):
-            if not value.is_zero():
-                return _fail("nonzero", _pair_witness(trial, pair, at))
-    return _ok({"fibre_samples": scenario.count("fibre_params", 20)})
-
-
-def _check_curved_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    """Structure 1 has a nonzero vertical closed-form Nijenhuis value on a
-    horizontal probe pair over a curved chart of dimension 2n >= 4."""
-    for trial, at in _fibre_points(scenario, 11):
-        for pair, value in _scan_closed_form(1, scenario.conn, at, "horizontal"):
-            if not value.vertical.is_zero():
-                return _ok(_pair_witness(trial, pair, at), finding=True)
-    return _fail("no witness", {"trials": scenario.count("fibre_params", 20)})
-
-
-def _check_mu_kernel(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    report = mu_forced_zero_check(scenario.n)
-    if report.kernel_dim != 0:
-        return _fail(report.kernel_dim, {"rank": report.rank})
-    # the system has one structure, so its kernel is the single-structure one
-    return _ok({"rank": report.rank, "unknowns": report.unknowns,
-                "single_structure_kernel": report.kernel_dim})
-
-
-def _adapted_cases(scenario: Scenario, offset: int):
-    """The adapted-point count and, drawn lazily from the seed plus `offset`,
-    each trial's (trial, twistor point, Q1, Q4, V = S_02 - S_13) of an
-    adapted sample."""
-    rng = random.Random(scenario.seed + offset)
-    count = scenario.count("adapted_points", 10)
-
-    def cases():
-        for trial in range(count):
-            sample = sample_adapted_point(scenario.n, rng)
-            s, q = sample.basis.generator, sample.basis.vectors
-            yield trial, sample.at, q[0], q[3], s(0, 2) - s(1, 3)
-
-    return count, cases()
-
-
-def _check_mixed_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    count, cases = _adapted_cases(scenario, 12)
-    for trial, at, q1, q4, v in cases:
-        got = nijenhuis_mixed(2, at, q1, v)
-        if got.horizontal != q4.scale(2) or got.horizontal.is_zero():
-            return _fail("value differs from 2 Q4", {"trial": trial})
-        if not nijenhuis_mixed(1, at, q1, v).is_zero():
-            return _fail("alpha=1 value nonzero", {"trial": trial})
-    return _ok({"adapted_points": count}, finding=True)
-
-
-def _check_hybrid_witness(scenario: Scenario, hooks: Mapping) -> CheckResult:
-    count, cases = _adapted_cases(scenario, 13)
-    for trial, at, q1, q4, v in cases:
-        got = hybrid_nijenhuis_horizontal(at, q1, v)
-        if got != q4 or got.is_zero():
-            return _fail("value differs from Q4", {"trial": trial})
-    return _ok({"adapted_points": count}, finding=True)
-
-
 def _needs(n: int | None = None, at_least: int = 1, connection: str | None = None):
     """What a check asks of its scenario: n equal to `n`, or at least
     `at_least`, and a "flat" or "curved" connection when `connection` says
@@ -274,39 +134,36 @@ def _needs(n: int | None = None, at_least: int = 1, connection: str | None = Non
     return lacks
 
 
-# name -> (check, what it asks of the scenario or None, the sample count it
-# reads or None); the `Scenario` constructor rejects a scenario that
-# schedules a check it cannot run, or sets a sample count no check reads
-_REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
-    "integrability/n1-structure1-vanishes": (_check_n1_vanishing, _needs(n=1), "base_points"),
-    "integrability/flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(at_least=2, connection="flat"), "fibre_params"),
-    "integrability/curved-witness":
-        (_check_curved_witness, _needs(at_least=2, connection="curved"), "fibre_params"),
-    # names the n = 2 and n = 3 presets schedule, kept so their reports stay the same
-    "integrability/n2-flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(n=2, connection="flat"), "fibre_params"),
-    "integrability/n3-flat-structure1-vanishes":
-        (_check_flat_vanishing, _needs(n=3, connection="flat"), "fibre_params"),
-    "integrability/n2-curved-witness":
-        (_check_curved_witness, _needs(n=2, connection="curved"), "fibre_params"),
-    "integrability/curvature-form-kernel": (_check_mu_kernel, _needs(at_least=2), None),
-    "integrability/mixed-witness": (_check_mixed_witness, None, "adapted_points"),
-    "integrability/hybrid-witness": (_check_hybrid_witness, None, "adapted_points"),
-}
+_N1 = _needs(n=1)
 
-# suite -> {check name after "suite/": the sample count it reads or None};
-# the suite module's CHECKS keys each body by that name, and each needs n = 1
-_SUITES: dict[str, dict[str, str | None]] = {
-    "linalg": {"pairing-examples": None, "projection-nondegeneracy": "base_points",
-               "dim2-orientation": "base_points", "orientation-parity": None,
-               "skew-frame-relations": None, "frame-decomposition-roundtrip": None,
-               "transform-isometries": None, "hyperboloid-chart": None},
-    "courant": {"bracket-examples": None, "nijenhuis-antisymmetry": None,
-                "constant-structure-integrable": None, "b-transform-automorphism": None},
-    "oracle": {"closed-form-equality": "fibre_params", "structure1-direct-zero": "fibre_params",
-               "lift-bracket-identity": "fibre_params",
-               "vertical-bracket-identity": "fibre_params"},
+# suite -> {check name after "suite/": (what it asks of the scenario or None,
+# the sample count it reads or None)}; the suite module's CHECKS keys each
+# body by that name, and the `Scenario` constructor rejects a scenario that
+# schedules a check it cannot run, or sets a sample count no check reads
+_SUITES: dict[str, dict[str, tuple[Callable | None, str | None]]] = {
+    "integrability": {
+        "n1-structure1-vanishes": (_N1, "base_points"),
+        "flat-structure1-vanishes": (_needs(at_least=2, connection="flat"), "fibre_params"),
+        "curved-witness": (_needs(at_least=2, connection="curved"), "fibre_params"),
+        # names the n = 2 and n = 3 presets schedule, kept so their reports stay the same
+        "n2-flat-structure1-vanishes": (_needs(n=2, connection="flat"), "fibre_params"),
+        "n3-flat-structure1-vanishes": (_needs(n=3, connection="flat"), "fibre_params"),
+        "n2-curved-witness": (_needs(n=2, connection="curved"), "fibre_params"),
+        "curvature-form-kernel": (_needs(at_least=2), None),
+        "mixed-witness": (None, "adapted_points"),
+        "hybrid-witness": (None, "adapted_points"),
+    },
+    "linalg": {"pairing-examples": (_N1, None), "projection-nondegeneracy": (_N1, "base_points"),
+               "dim2-orientation": (_N1, "base_points"), "orientation-parity": (_N1, None),
+               "skew-frame-relations": (_N1, None), "frame-decomposition-roundtrip": (_N1, None),
+               "transform-isometries": (_N1, None), "hyperboloid-chart": (_N1, None)},
+    "courant": {"bracket-examples": (_N1, None), "nijenhuis-antisymmetry": (_N1, None),
+                "constant-structure-integrable": (_N1, None),
+                "b-transform-automorphism": (_N1, None)},
+    "oracle": {"closed-form-equality": (_N1, "fibre_params"),
+               "structure1-direct-zero": (_N1, "fibre_params"),
+               "lift-bracket-identity": (_N1, "fibre_params"),
+               "vertical-bracket-identity": (_N1, "fibre_params")},
 }
 
 
@@ -317,8 +174,11 @@ def _suite_check(suite: str, name: str) -> Callable[[Scenario, dict], CheckResul
     return check
 
 
-_REGISTRY.update({f"{suite}/{name}": (_suite_check(suite, name), _needs(n=1), read)
-                  for suite, checks in _SUITES.items() for name, read in checks.items()})
+# "suite/name" -> (check, what it asks of the scenario or None, the sample
+# count it reads or None), one entry per row of `_SUITES`
+_REGISTRY: dict[str, tuple[Callable, Callable | None, str | None]] = {
+    f"{suite}/{name}": (_suite_check(suite, name), needs, read)
+    for suite, checks in _SUITES.items() for name, (needs, read) in checks.items()}
 
 CHECKS: dict[str, Callable[[Scenario, dict], CheckResult]] = {
     name: check for name, (check, _, _) in _REGISTRY.items()}

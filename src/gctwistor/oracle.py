@@ -17,7 +17,7 @@ the first-order data the bracket formulas consume; jets are compared as
 values (`==`), never component by component.  The structure fields
 evaluate to the jet matrices that `_field_matrix` computes, and the
 lift and tilde sections to tuples of the jets of their components, the
-1-jets `courant` reads; a polynomial base component enters as its base
+1-jets `bracket` reads; a polynomial base component enters as its base
 jet with the gradient padded by zeros.  `poly.jmat_mul` skips the zero
 jets of both factors, which are exactly zero terms.  A chart keeps the
 `ChartContext` of the last point it was asked about (the twistor point,
@@ -47,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
-from .courant import (
+from .bracket import (
     GACField,
     JetSection,
     SectionJet,

@@ -348,11 +348,16 @@ def scalar_to_str(x: Fraction) -> str:
 # an integer or a fraction in decimal digits; Fraction("1e999999999") builds the power
 _COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# the largest exponent a term may carry: evaluating x^999999999 at a rational
+# point would build a numerator of about a billion digits
+MAX_EXPONENT = 64
+
 
 def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
     """The polynomial of a list of terms, each an object with exactly the
-    keys "exponents" and "coeff", a JSON integer or a string matching
-    `_COEFF`; anything else, and two terms with equal exponents, raises ValueError."""
+    keys "exponents", a list of integers from 0 to `MAX_EXPONENT` (64), and
+    "coeff", a JSON integer or a string matching `_COEFF`; anything else,
+    and two terms with equal exponents, raises ValueError."""
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"a polynomial is a list of terms, got {data!r}")
     terms = {}
@@ -363,6 +368,8 @@ def poly_from_json(nvars: int, data: Sequence[Mapping]) -> Poly:
         exps = t["exponents"]
         if not isinstance(exps, (list, tuple)) or any(type(e) is not int or e < 0 for e in exps):
             raise ValueError(f"exponents must be a list of integers >= 0, got {exps!r}")
+        if any(e > MAX_EXPONENT for e in exps):
+            raise ValueError(f"an exponent is at most {MAX_EXPONENT}, got {exps!r}")
         exps = tuple(exps)
         if exps in terms:
             raise ValueError(f"two terms have the exponents {list(exps)}")

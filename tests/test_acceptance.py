@@ -12,7 +12,8 @@ import time
 from fractions import Fraction as F
 
 from gctwistor import exactmat as xm
-from gctwistor.courant import b_automorphism_defect, section_from_coefficients, two_form_field
+from gctwistor.bracket import section_from_coefficients
+from gctwistor.courant import b_automorphism_defect, two_form_field
 from gctwistor.gclinalg import (
     Endo,
     coordinate_elements,
@@ -26,12 +27,8 @@ from gctwistor.gclinalg import (
     standard_symplectic_matrix,
     vertical_space_basis,
 )
-from gctwistor.harness import (
-    _probe_set,
-    emit_report,
-    load_scenario,
-    run_scenario,
-)
+from gctwistor.harness import emit_report, load_scenario, run_scenario
+from gctwistor.integrability import _probe_set
 from gctwistor.linalg import dim2_basis_orientation
 from gctwistor.oracle import oracle_compare_nijenhuis, seeded_oracle_samples
 from gctwistor.poly import Poly, chart_point, random_chart_point

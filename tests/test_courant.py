@@ -6,26 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
-from gctwistor.courant import (
+from gctwistor.bracket import (
     ChartMismatchError,
     FieldInvariantError,
     GACField,
     JetSection,
-    ProbeSpanError,
-    b_automorphism_defect,
     constant_field,
     constant_section,
     coordinate_sections,
     courant_bracket,
-    default_probes,
-    integrability_scan,
     lie_bracket,
     nijenhuis,
     nijenhuis_table,
     section_from_coefficients,
+)
+from gctwistor.bracket import _bracket
+from gctwistor.courant import (
+    ProbeSpanError,
+    b_automorphism_defect,
+    default_probes,
+    integrability_scan,
     two_form_field,
 )
-from gctwistor.courant import _bracket
 from gctwistor.gclinalg import (
     GElement,
     from_complex,

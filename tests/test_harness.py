@@ -394,6 +394,19 @@ def test_cli_rejects_an_exponent_coefficient_without_evaluating_it(tmp_path):
     assert "1e999999999" in result.stderr
 
 
+def test_cli_rejects_a_huge_exponent_before_any_check_runs(tmp_path):
+    # the n = 1 scan would evaluate x1^999999999 at rational chart points
+    gamma = {"1,2,2": [{"exponents": [999999999, 0], "coeff": "1"}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 1, "connection": {"gamma": gamma},
+                                "samples": {"base_points": 1},
+                                "checks": ["integrability/n1-structure1-vanishes"]}))
+    result = run_child("-m", "gctwistor", "verify", str(path), timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert "999999999" in result.stderr
+
+
 def test_cli_rejects_zero_oracle_samples(tmp_path):
     result = run_cli_on(tmp_path, with_samples("oracle-n1", fibre_params=0))
     assert result.returncode == 2
@@ -533,14 +546,14 @@ def test_legacy_curved_witness_is_pinned_to_n2():
 
 @pytest.mark.parametrize("preset", ["thm1-n2-flat", "thm1-n4-flat"])
 def test_flat_scan_failure_names_its_chart_point(monkeypatch, preset):
-    from gctwistor import harness
+    from gctwistor import integrability
     from gctwistor.gclinalg import basis_vector
     from gctwistor.twistor import tangent_from_parts
 
     def one_nonzero(alpha, conn, at, probes, basis=None):
         return {(0, 1): tangent_from_parts(at.n, horizontal=basis_vector(2 * at.n, 0))}
 
-    monkeypatch.setattr(harness, "nijenhuis_closed_form_table", one_nonzero)
+    monkeypatch.setattr(integrability, "nijenhuis_closed_form_table", one_nonzero)
     scenario = load_scenario({**PRESETS[preset], "samples": {"fibre_params": 1},
                               "checks": ["integrability/flat-structure1-vanishes"]})
     result = run_scenario(scenario).results[0]
@@ -556,15 +569,15 @@ def test_flat_scan_failure_names_its_chart_point(monkeypatch, preset):
 def test_hybrid_witness_evaluates_each_adapted_point_once(monkeypatch):
     # the hybrid term depends on neither alpha nor the connection, so one
     # call per point checks both hybrid structures
-    from gctwistor import harness
+    from gctwistor import integrability
     calls = []
-    hybrid = harness.hybrid_nijenhuis_horizontal
+    hybrid = integrability.hybrid_nijenhuis_horizontal
 
     def spy(*args):
         calls.append(args)
         return hybrid(*args)
 
-    monkeypatch.setattr(harness, "hybrid_nijenhuis_horizontal", spy)
+    monkeypatch.setattr(integrability, "hybrid_nijenhuis_horizontal", spy)
     scenario = load_scenario({**PRESETS["thm1-n1"], "samples": {"adapted_points": 3},
                               "checks": ["integrability/hybrid-witness"]})
     assert run_scenario(scenario).results[0].status == "finding"
@@ -583,23 +596,26 @@ def run(name):
     harness.emit_report(harness.run_scenario(harness.load_scenario(data, name=name)), "text")
 
 {steps}
-print(json.dumps([m for m in ("linalg", "courant", "oracle", "reference")
+print(json.dumps([m for m in ("linalg", "bracket", "courant", "integrability", "oracle",
+                              "reference")
                   if "gctwistor." + m in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("steps, layers", [
-    ("run('thm1-n2-flat'); run('thm1-n1'); run('thm1-n2-curved')", []),
+    ("run('thm1-n2-flat'); run('thm1-n1'); run('thm1-n2-curved')", ["integrability"]),
     ("harness.load_scenario('linalg-all')", ["linalg"]),
-    ("harness.load_scenario('examples-courant')", ["courant"]),
-    ("harness.load_scenario('oracle-n1')", ["courant", "oracle"]),
+    ("harness.load_scenario('examples-courant')", ["bracket", "courant"]),
+    ("harness.load_scenario('oracle-n1')", ["bracket", "oracle"]),
     ("run('linalg-all')", ["linalg"]),
-    ("run('examples-courant')", ["courant"]),
-    ("for name in harness.PRESETS: run(name)", ["linalg", "courant", "oracle"]),
+    ("run('examples-courant')", ["bracket", "courant"]),
+    ("for name in harness.PRESETS: run(name)",
+     ["linalg", "bracket", "courant", "integrability", "oracle"]),
 ])
 def test_scenarios_load_only_the_layers_they_schedule(steps, layers):
     # each run compiles what it imports, so the integrability presets load no
-    # other suite's module; a suite's module loads with the scenario that
+    # other suite's module, and the oracle's loads the bracket kernel but not
+    # the courant/ suite; a suite's module loads with the scenario that
     # schedules it, before run_scenario times any check, and no preset loads
     # the tests' references
     result = run_child("-c", _LAYERS_AFTER.format(steps=steps), check=True)

@@ -1,11 +1,14 @@
 """The package's modules form layers, and each imports only from below.
 
 From the bottom: exactmat and value (neither imports the other), poly,
-gclinalg, courant, twistor, then linalg, oracle and reference (none of
-the three imports another), harness, cli; the package's `__init__` and
-`__main__` sit on top.  Every relative import in a module, at module
-level or inside a function, must name a module of a lower layer, so a
-helper moved between modules cannot add a back edge.  `reference` holds
+gclinalg, bracket, twistor, then the suite modules linalg, courant,
+integrability and oracle with reference (none of the five imports
+another), harness, cli; the package's `__init__` and `__main__` sit on
+top.  Every relative import in a module, at module level or inside a
+function, must name a module of a lower layer, so a helper moved between
+modules cannot add a back edge.  Harness imports each suite module
+through `importlib`, which the scan does not see, so a test checks that
+every suite of `harness._SUITES` sits below harness.  `reference` holds
 the tests' reference definitions, and no module of the package imports
 it.
 """
@@ -18,8 +21,9 @@ from gctwistor import harness
 
 SRC = Path(gctwistor.__file__).resolve().parent
 
-LAYERS = (("exactmat", "value"), ("poly",), ("gclinalg",), ("courant",), ("twistor",),
-          ("linalg", "oracle", "reference"), ("harness",), ("cli",), ("__init__", "__main__"))
+LAYERS = (("exactmat", "value"), ("poly",), ("gclinalg",), ("bracket",), ("twistor",),
+          ("linalg", "courant", "integrability", "oracle", "reference"), ("harness",), ("cli",),
+          ("__init__", "__main__"))
 LEVEL = {module: level for level, group in enumerate(LAYERS) for module in group}
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 from gctwistor import oracle
-from gctwistor.courant import (
+from gctwistor.bracket import (
     coordinate_sections,
     lie_bracket,
     nijenhuis,
@@ -413,7 +413,7 @@ def test_seeded_samples_avoid_singularity():
 def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
     # one fibre-chart sampler feeds the oracle samples, the bundle-chart
     # point, the n = 1 scan and the hyperboloid-chart check
-    from gctwistor import harness, linalg, twistor
+    from gctwistor import integrability, linalg, twistor
     from gctwistor.harness import PRESETS, run_scenario
     counts = []
 
@@ -425,7 +425,7 @@ def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
     expected = [OracleSample(random_chart_point(2, rng).coords, (u, v), sheet)
                 for u, v, sheet in twistor.fibre_chart_samples(rng, 3)]
     monkeypatch.setattr(oracle, "fibre_chart_samples", spy)
-    monkeypatch.setattr(harness, "fibre_chart_samples", spy)
+    monkeypatch.setattr(integrability, "fibre_chart_samples", spy)
     monkeypatch.setattr(linalg, "fibre_chart_samples", spy)
     assert seeded_oracle_samples(3, 1) == expected and counts == [3]
     for preset, samples, checks in (
@@ -471,7 +471,7 @@ def test_direct_nijenhuis_is_tensorial():
     # the Nijenhuis value depends only on the pointwise values of its
     # arguments: rescaling a probe by a function equal to one at the point
     # (changing its jet, not its value) must not change the output
-    from gctwistor.courant import section_from_coefficients
+    from gctwistor.bracket import section_from_coefficients
     chart = TwistorChart(CONN, 1)
     q = q_at(u=F(1, 3), v=F(1, 2))
     field = chart.field(2)

@@ -10,6 +10,7 @@ from gctwistor.poly import (
     Jet,
     Poly,
     RationalFn,
+    MAX_EXPONENT,
     ZeroDenominatorError,
     poly_from_json,
     scalar_to_str,
@@ -269,3 +270,10 @@ def test_poly_from_json_rejects_coefficients_outside_the_grammar(coeff):
                                           (-5, F(-5))])
 def test_poly_from_json_accepts_integers_and_fractions(coeff, value):
     assert poly_from_json(1, [{"exponents": [0], "coeff": coeff}]) == Poly.constant(1, value)
+
+
+def test_poly_from_json_bounds_the_exponents():
+    top = poly_from_json(2, [{"exponents": [0, MAX_EXPONENT], "coeff": "1"}])
+    assert top == Poly.from_dict(2, {(0, MAX_EXPONENT): F(1)})
+    with pytest.raises(ValueError, match=f"an exponent is at most {MAX_EXPONENT}"):
+        poly_from_json(2, [{"exponents": [MAX_EXPONENT + 1, 0], "coeff": "1"}])

@@ -21,7 +21,7 @@ from gctwistor.gclinalg import (
     reference_basis,
     vertical_space_basis,
 )
-from gctwistor.harness import _probe_set
+from gctwistor.integrability import _probe_set
 from gctwistor.linalg import gl_endo, neutral_pairing
 from gctwistor.poly import Poly, chart_point, random_chart_point
 from gctwistor.reference import (
