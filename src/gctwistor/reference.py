@@ -14,7 +14,9 @@ no module of the package imports this one, so no run compiles it:
     over a vertical basis, a derivation independent of the table's
     closed form;
   * `MuForm` and `curvature_from_mu`, the curvature R_mu of a bilinear
-    form mu, the reference for `twistor._mu_constraint_rows`.
+    form mu, the reference for the rows of [R_mu(e_a, e_b), K] = 0 that
+    `twistor._mu_constraint_rows` writes at the complex-type structure
+    from_complex(K).
 
 The conventions are those of `twistor`.
 """

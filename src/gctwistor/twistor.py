@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Mat, Vec
@@ -93,7 +93,7 @@ class Connection(Value):
         self.n = n
         # (k, i, j) -> Gamma^k_ij, nonzero only
         self.entries = tuple(e for e in entries if not e[1].is_zero())
-        self._curvature = _curvature_polys(dim, self.entries)
+        self._curvature = _curvature_polys(self.entries)
 
     @property
     def dim(self) -> int:
@@ -124,31 +124,38 @@ def _key(k: int, i: int, j: int) -> str:
     return f'Christoffel key "{k + 1},{i + 1},{j + 1}"'
 
 
-def _curvature_polys(dim: int, entries) -> dict[tuple[int, int], tuple[tuple[int, int, Poly], ...]]:
+def _curvature_polys(entries) -> dict[tuple[int, int], tuple[tuple[int, int, Poly], ...]]:
     """R(d/dx_a, d/dx_b) for a < b as polynomials: entry (k, l) is
     d_b Gamma^k_al - d_a Gamma^k_bl plus the sum over m of
-    Gamma^k_bm Gamma^m_al - Gamma^k_am Gamma^m_bl, summed over the nonzero
-    entries alone.  Only the nonzero (k, l, polynomial) entries are kept,
-    and only the pairs a < b that have one."""
-    g: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
-    for (k, i, j), poly in entries:
-        g.setdefault((k, i), []).append((j, poly))
-    zero = Poly.constant(dim, 0)
+    Gamma^k_bm Gamma^m_al - Gamma^k_am Gamma^m_bl, that is T(a, b) - T(b, a)
+    for T(x, y) = d_y Gamma^k_xl + Gamma^k_ym Gamma^m_xl.  T is read off the
+    nonzero entries alone: each entry's partials in the variables it has,
+    and each product of two entries chained through m, so the work follows
+    the entries and a connection with none costs nothing.  Only the nonzero
+    (k, l, polynomial) entries are kept, and only the pairs a < b that have
+    one."""
+    by_k: dict[int, list[tuple[int, int, Poly]]] = {}
+    for (k, i, l), poly in entries:
+        by_k.setdefault(k, []).append((i, l, poly))
+    acc: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
+
+    def add(x: int, y: int, k: int, l: int, term: Poly) -> None:
+        """Add T(x, y)'s term to R(d_x, d_y), kept at a < b as R(d_b, d_a) = -R(d_a, d_b)."""
+        if x != y:
+            key, term = ((x, y), term) if x < y else ((y, x), -term)
+            cell = acc.setdefault(key, {})
+            cell[k, l] = cell[k, l] + term if (k, l) in cell else term
+
+    for (k, x, m), poly in entries:
+        for y in {v for exps, _ in poly.terms for v, e in enumerate(exps) if e}:
+            add(x, y, k, m, poly.partial(y))
+        for y, l, other in by_k.get(m, ()):
+            add(y, x, k, l, poly * other)
     out = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            acc: dict[tuple[int, int], Poly] = {}
-            for k in range(dim):
-                for u, v, sign in ((a, b, -1), (b, a, 1)):
-                    terms = [(l, poly.partial(u)) for l, poly in g.get((k, v), ())]
-                    terms += [(l, x * y) for m, x in g.get((k, u), ())
-                              for l, y in g.get((m, v), ())]
-                    for l, term in terms:
-                        total = acc.get((k, l), zero)
-                        acc[k, l] = total + term if sign > 0 else total - term
-            nonzero = tuple((k, l, poly) for (k, l), poly in acc.items() if not poly.is_zero())
-            if nonzero:
-                out[(a, b)] = nonzero
+    for key, cell in acc.items():
+        nonzero = tuple((k, l, poly) for (k, l), poly in cell.items() if not poly.is_zero())
+        if nonzero:
+            out[key] = nonzero
     return out
 
 
@@ -508,109 +515,66 @@ def _element(dim_v: int, terms: list[tuple[list[int], int]]) -> GElement | None:
 # the curvature form argument
 
 
-def interchanging_structure(n: int) -> GCStructure:
-    """The structure sending each coordinate pair of V to its dual pair:
-    J E_{2k-1} = eta_{2k}, J E_{2k} = -eta_{2k-1} in one-based pair notation,
-    except that for odd n the last pair is a complex pair, J E_{2n-1} = E_{2n}
-    and J eta_{2n-1} = eta_{2n}.
-
-    Used by the curvature-form argument; it lies in the canonical
-    component (orientation +1) at every n.
-    """
-    dim_v = 2 * n
-    rows = [[0] * (2 * dim_v) for _ in range(2 * dim_v)]
-    for m in range(n - n % 2):
-        a, b = 2 * m, 2 * m + 1
-        rows[dim_v + b][a] = 1               # J e_a = alpha_b
-        rows[dim_v + a][b] = -1              # J e_b = -alpha_a
-        rows[a][dim_v + b] = -1              # J alpha_b = -e_a
-        rows[b][dim_v + a] = 1               # J alpha_a = e_b
-    if n % 2:
-        a, b = dim_v - 2, dim_v - 1
-        rows[b][a] = 1                       # J e_a = e_b
-        rows[a][b] = -1
-        rows[dim_v + b][dim_v + a] = 1       # J alpha_a = alpha_b
-        rows[dim_v + a][dim_v + b] = -1
-    return GCStructure(Endo._lowest(2 * dim_v, rows, 1))
-
-
 class MuSystemReport(Value):
     __slots__ = ("n", "unknowns", "rank", "kernel_dim")
 
 
-def _mu_constraint_rows(n: int, structure: GCStructure) -> list[tuple[int, ...]]:
-    """The linear system R_mu(e_a, e_b) j = 0 on the unknowns mu_ij.
+def _mu_constraint_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The linear system R_mu(e_a, e_b) j = 0 on the unknowns mu_ij at
+    j = from_complex(K) = diag(K, -K^T), K = `standard_complex_matrix(n)`.
 
-    One row per pair a < b of coordinate vectors and per entry of the
-    commutator [R^, j] in row-major order, with R^ = diag(R, -R^T); the
+    There [R^, j] = diag([R, K], -[R, K]^T), so the system reads
+    [R(e_a, e_b), K] = 0.  Yielded lazily, pair by pair a < b of coordinate
+    vectors, one row per entry (r, c) of [R, K] in row-major order; the
     row's column i * 2n + j is the coefficient of mu_ij, that is, of
     mu = eta_i (x) eta_j.  For that mu, `curvature_from_mu` gives
     R(e_a, e_b) e_l = (d_ia d_jb - d_ib d_ja) e_l + d_ia d_jl e_b - d_ib d_jl e_a,
     which vanishes unless i is a or b: it is d_jb Id + E_bj for i = a and
-    -(d_ja Id + E_aj) for i = b, E_kj being the matrix unit.  The rows are
-    written down from that closed form and the sparse entries of j; they
-    equal, entry for entry, those of `curvature_from_mu` on each unit form
-    followed by `CurvatureValue.act_on`, times the denominator d of j: they
-    are written in integers from J = d j, and [R^, J] = 0 exactly when
-    [R^, j] = 0.  The interchanging structures have d = 1.
+    -(d_ja Id + E_aj) for i = b, E_pj being the matrix unit.  The Id part
+    commutes with K, and entry (r, c) of [E_pj, K] is
+    d_rp K_jc - K_rp d_jc.  K has integer entries, so the rows are integers.
     """
     dim_v = 2 * n
-    dim = 2 * dim_v
     unknowns = dim_v * dim_v
-    j = structure.j.num
-    j_rows = [[(c, x) for c, x in enumerate(row) if x] for row in j]
-    j_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*j)]
-    rows = []
+    k = xm._integer_matrix(standard_complex_matrix(n))[0]
+    k_rows = [[(c, x) for c, x in enumerate(row) if x] for row in k]
+    k_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*k)]
     for a in range(dim_v):
         for b in range(a + 1, dim_v):
-            block = [[0] * unknowns for _ in range(dim * dim)]
-            for i, k, sign in ((a, b, 1), (b, a, -1)):
+            block = [[0] * unknowns for _ in range(dim_v * dim_v)]
+            for i, p, sign in ((a, b, 1), (b, a, -1)):
                 for jj in range(dim_v):
-                    r_tm = {(k, jj): sign}
-                    if jj == k:
-                        for l in range(dim_v):
-                            r_tm[(l, l)] = r_tm.get((l, l), 0) + sign
-                    extended = list(r_tm.items())
-                    extended += [((dim_v + c, dim_v + r), -x) for (r, c), x in r_tm.items()]
-                    value: dict[tuple[int, int], int] = {}
-                    for (r, m), x in extended:     # R^ J
-                        for c, y in j_rows[m]:
-                            value[(r, c)] = value.get((r, c), 0) + x * y
-                    for (m, c), x in extended:     # - J R^
-                        for r, y in j_cols[m]:
-                            value[(r, c)] = value.get((r, c), 0) - y * x
                     idx = i * dim_v + jj
-                    for (r, c), x in value.items():
-                        block[r * dim + c][idx] = x
-            rows.extend(tuple(row) for row in block)
-    return rows
+                    for c, x in k_rows[jj]:        # E_pj K
+                        block[p * dim_v + c][idx] += sign * x
+                    for r, x in k_cols[p]:         # - K E_pj
+                        block[r * dim_v + jj][idx] -= sign * x
+            yield from map(tuple, block)
 
 
 def mu_forced_zero_check(n: int) -> MuSystemReport:
     """Rank of the linear system on mu forced by R_mu(X, Y) j = 0 for the
-    one structure j = `interchanging_structure(n)`, at any n >= 2.
+    one structure j = from_complex(`standard_complex_matrix(n)`), at any
+    n >= 2.
 
     R_mu(X, Y) Z = mu(X, Y) Z - mu(Y, X) Z + mu(X, Z) Y - mu(Y, Z) X is
     the curvature a connection with integrable first twistor structure
-    would have; the system forces mu = 0 when its kernel is 0.  The
-    structure must have orientation +1 (InvariantError otherwise); n < 2
-    raises DimensionMismatchError.
+    would have; the system forces mu = 0 when its kernel is 0.  j induces
+    the canonical orientation at every n.  n < 2 raises
+    DimensionMismatchError.
 
     The rows are written down in closed form (see `_mu_constraint_rows`)
     and the nonzero ones fed into one `RowReducer`.  Once the rank reaches
     the number of unknowns (2n)^2 the reduced rows span the whole space, so
-    every later row is dependent and skipping its reduction leaves the rank
-    exact.
-    n = 2 to 5 give full rank, so kernel 0.
+    every later row is dependent: the rows are built lazily, and neither
+    building nor reducing them goes on past that rank, which stays exact.
+    n = 2 to 6, 8 and 10 give full rank, so kernel 0.
     """
     if n < 2:
         raise DimensionMismatchError("the curvature-form system needs n >= 2")
-    structure = interchanging_structure(n)
-    if structure.orientation() != 1:
-        raise InvariantError("the structure does not induce the canonical orientation")
     unknowns = (2 * n) ** 2
     reducer = xm.RowReducer()
-    for row in _mu_constraint_rows(n, structure):
+    for row in _mu_constraint_rows(n):
         if len(reducer) == unknowns:
             break
         if any(row):  # most rows are zero and add nothing to the span

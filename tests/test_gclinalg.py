@@ -53,11 +53,7 @@ from gctwistor.linalg import (
 )
 from gctwistor.oracle import TwistorChart
 from gctwistor.poly import chart_point
-from gctwistor.twistor import (
-    flat_connection,
-    interchanging_structure,
-    sample_fibre_structure,
-)
+from gctwistor.twistor import flat_connection, sample_fibre_structure
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -459,6 +455,17 @@ def direct_sum(a, b):
             for k, x in zip(index, row):
                 rows[i][k] = x
     return GCStructure(Endo(2 * dim_v, xm.mat(rows)))
+
+
+def interchanging(n):
+    """J e_{2k-1} = eta_{2k}, J e_{2k} = -eta_{2k-1} (one-based) on each
+    coordinate pair, the structure of the standard symplectic form, except
+    that for odd n the last pair is the complex pair of
+    `standard_complex_matrix(1)`; orientation +1 at every n."""
+    if n % 2 == 0:
+        return from_symplectic(standard_symplectic_matrix(n))
+    last = from_complex(standard_complex_matrix(1))
+    return direct_sum(from_symplectic(standard_symplectic_matrix(n - 1)), last) if n > 1 else last
 
 
 def test_direct_sum_invariants_and_orientation():
@@ -1133,8 +1140,8 @@ def test_seed_basis_spans_projection(n, kind):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: interchanging_structure(2),
-    lambda: interchanging_structure(3),
+    lambda: interchanging(2),
+    lambda: interchanging(3),
     lambda: direct_sum(from_complex(rotation_2()), from_symplectic(standard_symplectic_matrix(1))),
     lambda: TwistorChart(flat_connection(1), 1).context(
         chart_point([F(1, 2), F(1, 3), F(1, 4), F(1, 5)])).at.structure,
@@ -1265,7 +1272,7 @@ def test_integer_orientation_matches_adapted_basis(n):
     rng = random.Random(100 + n)
     seeds = [from_complex(standard_complex_matrix(n)),
              from_symplectic(standard_symplectic_matrix(n)),
-             interchanging_structure(n),
+             interchanging(n),
              adapted_structure(random_orthonormal_basis(n, rng)),
              sample_fibre_structure(n, rng)]
     structures = list(seeds)

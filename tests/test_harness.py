@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -582,6 +583,96 @@ def test_hybrid_witness_evaluates_each_adapted_point_once(monkeypatch):
                               "checks": ["integrability/hybrid-witness"]})
     assert run_scenario(scenario).results[0].status == "finding"
     assert len(calls) == 3
+
+
+def _run_one(preset, check, **samples):
+    """The result of one integrability check on a preset's scenario."""
+    scenario = load_scenario({**PRESETS[preset], "samples": samples, "checks": [check]})
+    return run_scenario(scenario).results[0]
+
+
+def test_n1_scan_failure_names_its_fibre_point(monkeypatch):
+    from gctwistor import integrability
+    from gctwistor.gclinalg import basis_vector
+    from gctwistor.twistor import tangent_from_parts
+
+    def one_nonzero(alpha, conn, at, probes):
+        return {(0, 1): tangent_from_parts(at.n, horizontal=basis_vector(2 * at.n, 0))}
+
+    monkeypatch.setattr(integrability, "nijenhuis_closed_form_table", one_nonzero)
+    result = _run_one("thm1-n1", "integrability/n1-structure1-vanishes", base_points=1)
+    assert (result.status, result.residual) == ("fail", "nonzero")
+    assert result.witness.keys() == {"fibre", "sheet", "probe_pair"}
+    assert (result.witness["sheet"], result.witness["probe_pair"]) == (1, [0, 1])
+
+
+def test_curved_witness_fails_without_a_nonzero_pair(monkeypatch):
+    from gctwistor import integrability
+    from gctwistor.twistor import tangent_from_parts
+
+    def all_zero(alpha, conn, at, probes):
+        return {(0, 1): tangent_from_parts(at.n)}
+
+    monkeypatch.setattr(integrability, "nijenhuis_closed_form_table", all_zero)
+    result = _run_one("thm1-n2-curved", "integrability/curved-witness", fibre_params=2)
+    assert (result.status, result.residual, result.witness) == (
+        "fail", "no witness", {"trials": 2})
+
+
+def test_curvature_form_kernel_fails_on_a_short_system(monkeypatch):
+    # the rows of the pair (0, 1) alone involve only the 4n unknowns mu_0j
+    # and mu_1j, so the rank stays below (2n)^2 and the kernel is nonzero
+    from itertools import islice
+    from gctwistor import twistor
+    rows = twistor._mu_constraint_rows
+    monkeypatch.setattr(twistor, "_mu_constraint_rows", lambda n: islice(rows(n), (2 * n) ** 2))
+    result = _run_one("thm1-n2-curved", "integrability/curvature-form-kernel")
+    assert (result.status, result.residual, result.witness) == ("fail", "12", {"rank": 4})
+
+
+@pytest.mark.parametrize("alpha_used, residual", [
+    (None, "value differs from 2 Q4"), (2, "alpha=1 value nonzero")],
+    ids=["zero-value", "alpha1-nonzero"])
+def test_mixed_witness_failures(monkeypatch, alpha_used, residual):
+    # the term is replaced by zero, or evaluated at alpha = 2 for both alphas
+    from gctwistor import integrability
+    from gctwistor.twistor import tangent_from_parts
+    mixed = integrability.nijenhuis_mixed
+
+    def patched(alpha, at, a, v):
+        return tangent_from_parts(at.n) if alpha_used is None else mixed(alpha_used, at, a, v)
+
+    monkeypatch.setattr(integrability, "nijenhuis_mixed", patched)
+    result = _run_one("thm1-n1", "integrability/mixed-witness", adapted_points=1)
+    assert (result.status, result.residual, result.witness) == ("fail", residual, {"trial": 0})
+
+
+def test_hybrid_witness_fails_on_a_wrong_value(monkeypatch):
+    from gctwistor import integrability
+    from gctwistor.gclinalg import zero_element
+
+    monkeypatch.setattr(integrability, "hybrid_nijenhuis_horizontal",
+                        lambda at, a, v: zero_element(2 * at.n))
+    result = _run_one("thm1-n1", "integrability/hybrid-witness", adapted_points=1)
+    assert (result.status, result.residual, result.witness) == (
+        "fail", "value differs from Q4", {"trial": 0})
+
+
+def test_flat_connection_at_large_n_is_rejected_at_once():
+    # the curvature is built from the Christoffel entries, so a connection
+    # with none costs nothing however large n is
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError, match="needs n = 1, not 1000"):
+        load_scenario({"n": 1000, "checks": ["linalg/pairing-examples"]})
+    assert time.perf_counter() - started < 1
+
+
+def test_cli_rejects_a_large_n_check_outside_its_setting(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 1000, "checks": ["linalg/pairing-examples"]}))
+    result = run_child("-m", "gctwistor", "verify", str(path), timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "needs n = 1, not 1000" in result.stderr
 
 
 # In a fresh interpreter: `run` loads and runs a preset at sample counts of 1,
