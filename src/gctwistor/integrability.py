@@ -41,24 +41,21 @@ from .twistor import (
 from .value import CheckResult, _fail, _ok
 
 
-def _probe_set(n: int, basis: Sequence[Endo] | None, spec: str):
-    """'full': horizontal, vertical and coform probes; 'horizontal': the
-    coordinate elements only (they already span H + H*)."""
+def _probe_set(n: int, basis: Sequence[Endo] | None):
+    """The coordinate elements (they already span H + H*) and, unless the
+    vertical basis is None, its vertical and coform probes."""
     probes = [tangent_from_parts(n, horizontal=h) for h in coordinate_elements(2 * n)]
-    if spec == "full":
+    if basis is not None:
         probes += [tangent_from_parts(n, vertical=u) for u in basis]
         probes += [tangent_from_parts(n, vertical_coform=u) for u in basis]
     return probes
 
 
 def _scan_closed_form(alpha: int, conn: Connection, at: TwistorPoint,
-                      spec: str = "full"):
-    """Yield (probe pair, value) over the probe set at one twistor point.
-    The vertical basis is built only for the 'full' probe set, the one
-    that contains it."""
-    basis = vertical_space_basis(at.structure) if spec == "full" else None
-    probes = _probe_set(at.n, basis, spec)
-    yield from nijenhuis_closed_form_table(alpha, conn, at, probes).items()
+                      basis: Sequence[Endo] | None):
+    """Yield (probe pair, value) over `_probe_set(at.n, basis)` at one
+    twistor point."""
+    yield from nijenhuis_closed_form_table(alpha, conn, at, _probe_set(at.n, basis)).items()
 
 
 def _check_n1_vanishing(scenario, hooks: Mapping) -> CheckResult:
@@ -68,7 +65,8 @@ def _check_n1_vanishing(scenario, hooks: Mapping) -> CheckResult:
     for u, v, sheet in fibre_chart_samples(rng, count):
         structure = hyperboloid_point(u, v, sheet, basis)
         at = TwistorPoint(random_chart_point(2, rng), structure)
-        for (i, k), value in _scan_closed_form(1, scenario.conn, at):
+        for (i, k), value in _scan_closed_form(1, scenario.conn, at,
+                                               vertical_space_basis(structure)):
             if not value.is_zero():
                 witness = {"fibre": [scalar_to_str(u), scalar_to_str(v)], "sheet": sheet,
                            "probe_pair": [i, k]}
@@ -95,7 +93,8 @@ def _check_flat_vanishing(scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has zero closed-form Nijenhuis value on every probe pair
     at sampled fibre points over a flat chart of dimension 2n >= 4."""
     for trial, at in _fibre_points(scenario, 10):
-        for pair, value in _scan_closed_form(1, scenario.conn, at):
+        for pair, value in _scan_closed_form(1, scenario.conn, at,
+                                             vertical_space_basis(at.structure)):
             if not value.is_zero():
                 return _fail("nonzero", _pair_witness(trial, pair, at))
     return _ok({"fibre_samples": scenario.count("fibre_params", 20)})
@@ -105,7 +104,7 @@ def _check_curved_witness(scenario, hooks: Mapping) -> CheckResult:
     """Structure 1 has a nonzero vertical closed-form Nijenhuis value on a
     horizontal probe pair over a curved chart of dimension 2n >= 4."""
     for trial, at in _fibre_points(scenario, 11):
-        for pair, value in _scan_closed_form(1, scenario.conn, at, "horizontal"):
+        for pair, value in _scan_closed_form(1, scenario.conn, at, None):
             if not value.vertical.is_zero():
                 return _ok(_pair_witness(trial, pair, at), finding=True)
     return _fail("no witness", {"trials": scenario.count("fibre_params", 20)})

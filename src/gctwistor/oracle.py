@@ -20,16 +20,19 @@ lift and tilde sections to tuples of the jets of their components, the
 1-jets `bracket` reads; a polynomial base component enters as its base
 jet with the gradient padded by zeros.  `poly.jmat_mul` skips the zero
 jets of both factors, which are exactly zero terms.  A chart keeps the
-`ChartContext` of the last point it was asked about (the twistor point,
-chart jets, base structure, horizontal-lift and fibre-structure
-coefficients, and the numeric views the probe-pair comparison reads):
-every caller works through one sample point at a time.  Chart
-coordinates of a vertical endomorphism are solved from those values in
+`ChartContext` of the last point it was asked about: every caller works
+through one sample point at a time.  The context builds the splitting
+frame T = H + V of the point once, as the frame change P from the
+splitting frame to the coordinate frame and its inverse, in jets and in
+values.  The fields conjugate by P, a lift reads its columns, and
+`decompose` and `compose` are one product by P^-1 or P and the fibre
+maps, which read the fibre basis dJ/du, dJ/dv and its Gram inverse in
 `Fraction`s.
 
 The connection form omega(X) enters in jets through one builder,
 `_connection_form`, from the Christoffel polynomials alone, for the
-chart's lift coefficients (X = d/dx_1, d/dx_2) and for the bundle-chart
+chart's lift coefficients (X = d/dx_1, d/dx_2), for the covariant
+derivative of `chart_vertical_bracket_check` and for the bundle-chart
 identity `lift_bracket_curvature_check` (X a polynomial field).  That
 identity is evaluated the same way, as 1-jets at the point, in
 dim + (2 dim)^2 chart variables (18 at n = 1, 68 at n = 2).  The oracle's
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
@@ -83,7 +87,6 @@ from .twistor import (
     Connection,
     TwistorPoint,
     TwistorTangent,
-    connection_matrix,
     curvature,
     fibre_chart_samples,
     nijenhuis_closed_form_table,
@@ -131,14 +134,15 @@ def jmat_trace_product_const(a: JetMat, m: Mat) -> Jet:
 class ChartContext(Value):
     """What the chart computes once per point: the twistor point `at`, built
     and validated once; in jets, the (u, v) partials `dx` of the chart
-    functions, the fibre structure `j_base`, the lift coefficients `gammas`
-    (gammas[a][w], the (u, v) components of the lift of d/dx_a) and the
-    fibre complex structure `kappa` in (u, v) coordinates; and the values
-    that `decompose` and `compose` read for every probe pair, among them
-    the basis dJ/du, dJ/dv and the inverse of its Gram matrix."""
+    functions, the fibre structure `j_base`, the fibre complex structure
+    `kappa` in (u, v) coordinates and `splitting` = (P, P^-1), the columns
+    of P the splitting frame (lifts h_a, d/du, d/dv, dx_a, coforms thu, thv
+    vanishing on the lifts) in coordinates; P and P^-1 as endomorphisms,
+    `to_chart` and `to_split`; and what the fibre maps read, the basis
+    dJ/du, dJ/dv and the inverse of its Gram matrix."""
 
-    __slots__ = ("at", "dx", "j_base", "gammas", "kappa", "dx_values", "basis",
-                 "gram_inverse", "gamma_values")
+    __slots__ = ("at", "dx", "j_base", "kappa", "splitting", "to_chart", "to_split", "basis",
+                 "gram_inverse")
 
 
 class TwistorChart:
@@ -201,8 +205,8 @@ class TwistorChart:
 
     @staticmethod
     def _solve_uv(coords: Sequence, dx: Sequence[Sequence]) -> tuple:
-        """Solve coords = c_u dx/du + c_v dx/dv for a fibre-tangent vector,
-        in jets or in `Fraction`s alike.
+        """Solve coords = c_u dx/du + c_v dx/dv, in jets, for a
+        fibre-tangent vector.
 
         Rows 2 and 3 of the chart Jacobian are always independent (their
         determinant is 4(1+u^2+v^2)/(1-u^2-v^2)^3); the first row is an
@@ -227,14 +231,19 @@ class TwistorChart:
         x, dx = self._chart_jets(point)
         j_base = jmat_comb(self.frame, x, nv)
 
-        # horizontal lift coefficients: the vertical part -[omega(d/dx_a), J]
-        # of the lift of d/dx_a, in the two base directions
+        # the splitting frame P = Id + N: column a is the lift h_a of d/dx_a,
+        # whose (u, v) components gamma_a solve the vertical part
+        # -[omega(d/dx_a), J], and column 6 + w the coform thw = dw -
+        # sum_a gamma_a[w] dx_a; N^2 = 0, so P^-1 = Id - N
         christoffel = [(key, _padded_jet(p, point, nv)) for key, p in self.conn.entries]
         one, zero = Jet.constant(1, nv), Jet.constant(0, nv)
-        gammas = []
-        for direction in ((one, zero), (zero, one)):
+        p = [[one if i == k else zero for k in range(8)] for i in range(8)]
+        p_inv = [row[:] for row in p]
+        for a, direction in enumerate(((one, zero), (zero, one))):
             w_a = jmat_commutator(j_base, _connection_form(christoffel, direction))
-            gammas.append(self._solve_uv(self._coords_of(w_a), dx))
+            for w, gamma in enumerate(self._solve_uv(self._coords_of(w_a), dx)):
+                p[2 + w][a], p_inv[2 + w][a] = gamma, -gamma
+                p[4 + a][6 + w], p_inv[4 + a][6 + w] = -gamma, gamma
 
         # the fibre complex structure in (u, v) coordinates
         kappa = []
@@ -243,78 +252,58 @@ class TwistorChart:
             jv = jmat_mul(j_base, jmat_comb(self.frame, column, nv))
             kappa.append(self._solve_uv(self._coords_of(jv), dx))
 
-        # the numeric views that decompose and compose read for every probe
-        dx_values = tuple(tuple(e.value for e in row) for row in dx)
+        # the values that decompose and compose read for every probe
         l1, l2, l3 = self.left
-        b_u, b_v = (l1.scale(dx_values[0][w]) + l2.scale(dx_values[1][w])
-                    + l3.scale(dx_values[2][w]) for w in range(2))
+        b_u, b_v = (l1.scale(dx[0][w].value) + l2.scale(dx[1][w].value)
+                    + l3.scale(dx[2][w].value) for w in range(2))
         gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
                 (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
-        structure = GCStructure(Endo(4, xm.mat([[e.value for e in row] for row in j_base])))
+        structure = GCStructure(_values(j_base))
         ctx = ChartContext(TwistorPoint(chart_point(point[:2]), structure), dx, j_base,
-                           gammas, kappa, dx_values, (b_u, b_v), xm.inverse(gram),
-                           tuple(tuple(c.value for c in g) for g in gammas))
+                           kappa, (p, p_inv), _values(p), _values(p_inv), (b_u, b_v),
+                           xm.inverse(gram))
         self._last = (point, ctx)
         return ctx
 
     def uv_coordinates(self, vertical: Endo, q: ChartPoint) -> tuple[Fraction, Fraction]:
-        """Chart coordinates of a vertical endomorphism at the point;
-        InvariantError if it is not tangent to the fibre chart."""
-        coords = [fib_pairing(vertical, f) / norm for f, norm in zip(self.left, _FRAME_NORMS)]
-        return self._solve_uv(coords, self.context(q).dx_values)
+        """Chart coordinates of a vertical endomorphism at the point, solved
+        from its pairings with the fibre basis; InvariantError unless it lies
+        in the span of that basis, the tangent plane of the fibre chart."""
+        ctx = self.context(q)
+        b_u, b_v = ctx.basis
+        c_u, c_v = xm.mat_vec(ctx.gram_inverse,
+                              (fib_pairing(vertical, b_u), fib_pairing(vertical, b_v)))
+        if b_u.scale(c_u) + b_v.scale(c_v) != vertical:
+            raise InvariantError("vector is not tangent to the fibre chart")
+        return c_u, c_v
 
     # -- the structure fields ----------------------------------------------
 
     def field(self, alpha: int) -> GACField:
         if alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
-
-        def evaluate(q: ChartPoint) -> JetMat:
-            return self._field_matrix(alpha, q)
-
-        return GACField(self.NVARS, evaluate)
+        return GACField(self.NVARS, lambda q: self._field_matrix(alpha, q))
 
     def _field_matrix(self, alpha: int, q: ChartPoint) -> JetMat:
-        """The twistor structure at q in the coordinate frame, with gradients.
-
-        Assembled in the splitting frame (lifts h_a, fibre directions,
-        pulled-back dx_a, coforms vanishing on the horizontal space) and
-        conjugated by the frame change, all in jet arithmetic.
-        """
+        """The twistor structure at q in the coordinate frame, with gradients:
+        assembled in the splitting frame and conjugated by the context's
+        frame change P, all in jet arithmetic."""
         ctx = self.context(q)
-        nv = self.NVARS
-        zero = Jet.constant(0, nv)
-        one = Jet.constant(1, nv)
-        j_base, gammas, kappa = ctx.j_base, ctx.gammas, ctx.kappa
-        sign = 1 if alpha == 1 else -1   # (-1)^(alpha+1)
-
-        split = [[zero for _ in range(8)] for _ in range(8)]
-        # order: h1, h2, du, dv | dx1, dx2, thu, thv
-        for a in range(2):
-            for b in range(2):
-                split[a][b] = j_base[a][b]              # V -> V block on lifts
-                split[4 + a][b] = j_base[2 + a][b]      # V -> V* block
-                split[a][4 + b] = j_base[a][2 + b]      # V* -> V block
-                split[4 + a][4 + b] = j_base[2 + a][2 + b]
+        j_base, kappa = ctx.j_base, ctx.kappa
+        sign = Fraction(1 if alpha == 1 else -1)   # (-1)^(alpha+1)
+        split = [[Jet.constant(0, self.NVARS)] * 8 for _ in range(8)]
+        # order: h1, h2, du, dv | dx1, dx2, thu, thv; j_base acts on the
+        # lifts and the dx_a as it does on d/dx_a and dx_a
+        for i, si in enumerate(_BASE_SLOTS):
+            for k, sk in enumerate(_BASE_SLOTS):
+                split[si][sk] = j_base[i][k]
         for w in range(2):
             for w2 in range(2):
                 # fibre block: column d/dw goes to sum kappa[w][w2] d/dw2
-                split[2 + w2][2 + w] = kappa[w][w2].scale(Fraction(sign))
+                split[2 + w2][2 + w] = kappa[w][w2].scale(sign)
                 # coform block: the transpose with the opposite sign
-                split[6 + w2][6 + w] = kappa[w2][w].scale(Fraction(-sign))
-
-        # frame change: columns of P are the splitting frame in coordinates
-        p = [[zero for _ in range(8)] for _ in range(8)]
-        p_inv = [[zero for _ in range(8)] for _ in range(8)]
-        for i in range(8):
-            p[i][i] = one
-            p_inv[i][i] = one
-        for a in range(2):
-            for w in range(2):
-                p[2 + w][a] = gammas[a][w]
-                p_inv[2 + w][a] = -gammas[a][w]
-                p[4 + a][6 + w] = -gammas[a][w]
-                p_inv[4 + a][6 + w] = gammas[a][w]
+                split[6 + w2][6 + w] = kappa[w2][w].scale(-sign)
+        p, p_inv = ctx.splitting
         return jmat_mul(jmat_mul(p, split), p_inv)
 
     # -- sections on the chart ----------------------------------------------
@@ -325,10 +314,12 @@ class TwistorChart:
             raise DegenerateInputError("a base vector field has two components")
 
         def evaluate(q: ChartPoint) -> SectionJet:
-            g = self.context(q).gammas
-            x0, x1 = (_padded_jet(p, q.coords, self.NVARS) for p in x_components)
+            # x0 h_1 + x1 h_2: the lift h_a is column a of P, d/dx_a plus its
+            # d/du, d/dv entries in rows 2 and 3
+            p = self.context(q).splitting[0]
+            x0, x1 = (_padded_jet(c, q.coords, self.NVARS) for c in x_components)
             zero = Jet.constant(0, self.NVARS)
-            return (x0, x1, x0 * g[0][0] + x1 * g[1][0], x0 * g[0][1] + x1 * g[1][1]) + (zero,) * 4
+            return (x0, x1, x0 * p[2][0] + x1 * p[2][1], x0 * p[3][0] + x1 * p[3][1]) + (zero,) * 4
 
         return JetSection(self.NVARS, evaluate)
 
@@ -355,45 +346,37 @@ class TwistorChart:
         if value.dim_v != 4:
             raise DegenerateInputError("chart values have four vector components")
         ctx = self.context(q)
-        g = ctx.gamma_values
+        split = ctx.to_split.apply(value)
         b_u, b_v = ctx.basis
-        x = value.vec
-        theta = value.cov
-        horizontal = GElement(
-            2, (x[0], x[1]),
-            (theta[0] + theta[2] * g[0][0] + theta[3] * g[0][1],
-             theta[1] + theta[2] * g[1][0] + theta[3] * g[1][1]))
-        vert_u = x[2] - x[0] * g[0][0] - x[1] * g[1][0]
-        vert_v = x[3] - x[0] * g[0][1] - x[1] * g[1][1]
-        vertical = b_u.scale(vert_u) + b_v.scale(vert_v)
+        vertical = b_u.scale(split.vec[2]) + b_v.scale(split.vec[3])
         # representer of theta_u thu + theta_v thv on the chart fibre basis
-        lam = xm.mat_vec(ctx.gram_inverse, (theta[2], theta[3]))
+        lam = xm.mat_vec(ctx.gram_inverse, split.cov[2:])
         coform = b_u.scale(lam[0]) + b_v.scale(lam[1])
-        return TwistorTangent(horizontal, vertical, coform)
+        return TwistorTangent(GElement(2, split.vec[:2], split.cov[:2]), vertical, coform)
 
     def compose(self, t: TwistorTangent, q: ChartPoint) -> GElement:
         """Inverse of decompose: express splitting data in chart coordinates."""
         if t.is_zero():
             return _ZERO_VALUE
         ctx = self.context(q)
-        g = ctx.gamma_values
-        b_u, b_v = ctx.basis
         c_u, c_v = (F0, F0)
         if not t.vertical.is_zero():
             c_u, c_v = self.uv_coordinates(t.vertical, q)
-        phi_u = fib_pairing(t.vertical_coform, b_u)
-        phi_v = fib_pairing(t.vertical_coform, b_v)
+        phi_u, phi_v = (fib_pairing(t.vertical_coform, b) for b in ctx.basis)
         h = t.horizontal
-        vec = (h.vec[0], h.vec[1],
-               h.vec[0] * g[0][0] + h.vec[1] * g[1][0] + c_u,
-               h.vec[0] * g[0][1] + h.vec[1] * g[1][1] + c_v)
-        cov = (h.cov[0] - phi_u * g[0][0] - phi_v * g[0][1],
-               h.cov[1] - phi_u * g[1][0] - phi_v * g[1][1],
-               phi_u, phi_v)
-        return GElement(4, vec, cov)
+        return ctx.to_chart.apply(GElement(4, h.vec + (c_u, c_v), h.cov + (phi_u, phi_v)))
 
 
 _ZERO_VALUE = zero_element(4)
+# the slots of d/dx_1, d/dx_2, dx_1, dx_2 in the splitting frame
+_BASE_SLOTS = (0, 1, 4, 5)
+
+
+def _values(m: JetMat) -> Endo:
+    """The values of a jet matrix as an endomorphism: the jets' value
+    numerators over their common denominator."""
+    den = lcm(*(e.den for row in m for e in row))
+    return Endo._lowest(len(m), [[e.num[0] * (den // e.den) for e in row] for row in m], den)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +430,8 @@ def chart_vertical_bracket_check(chart: TwistorChart, x_components: Sequence[Pol
     # directional derivative of the entries plus the connection commutator
     da = [[sum((xv[k] * p.partial(k).evaluate(base) for k in range(2)), F0)
            for p in row] for row in a_entries]
-    omega = connection_matrix(chart.conn, xv, at.point)
+    christoffel = [(key, p.jet(base)) for key, p in chart.conn.entries]
+    omega = _values(_connection_form(christoffel, [p.jet(base) for p in x_components]))
     nabla = Endo(4, xm.mat(da)) + (omega.compose(a_val) - a_val.compose(omega))
     j = at.structure.j
     tilde = nabla + j.compose(nabla).compose(j)

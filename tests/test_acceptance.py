@@ -143,7 +143,7 @@ def test_bracket_automorphism_iff_closed():
 
 
 def _full_probes(at):
-    probes = _probe_set(at.n, vertical_space_basis(at.structure), "full")
+    probes = _probe_set(at.n, vertical_space_basis(at.structure))
     for t in probes:
         validate_tangent(t, at)
     return probes

@@ -124,6 +124,17 @@ def test_scenario_overrides():
     assert scenario.seed == 99
 
 
+def test_missing_scenario_file_is_a_scenario_error(tmp_path):
+    with pytest.raises(ScenarioError, match="cannot load scenario"):
+        load_scenario(str(tmp_path / "absent.json"))
+
+
+def test_unknown_report_format_rejected():
+    report = Report("x", 0, (CheckResult("a", "pass", "0", None),), ())
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        emit_report(report, "xml")
+
+
 def test_report_json_roundtrip(tmp_path):
     report = run_preset("linalg-all", seed=1)
     text = emit_report(report, "json", str(tmp_path / "r.json"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
-from gctwistor import oracle
+from gctwistor import oracle, twistor
 from gctwistor.bracket import (
     coordinate_sections,
     lie_bracket,
@@ -16,6 +16,7 @@ from gctwistor.bracket import (
 )
 from gctwistor.gclinalg import (
     DegenerateInputError,
+    Endo,
     GCStructure,
     GElement,
     InvariantError,
@@ -24,10 +25,12 @@ from gctwistor.gclinalg import (
     hyperboloid_point,
     is_vertical,
     reference_basis,
+    skew_frames,
 )
-from gctwistor.harness import load_scenario
+from gctwistor.harness import PRESETS, load_scenario, run_scenario
 from gctwistor.oracle import (
     OracleSample,
+    OracleSampleResult,
     TwistorChart,
     chart_bracket_curvature_check,
     chart_vertical_bracket_check,
@@ -84,9 +87,26 @@ def test_chart_views_memoized_per_point():
     assert chart.context(q) is ctx
     # a fresh chart recomputes the same rationals; another point gives other values
     fresh = TwistorChart(CONN, 1).context(q)
-    assert (fresh.gamma_values, fresh.basis, fresh.at) == (ctx.gamma_values, ctx.basis, ctx.at)
+    assert (fresh.to_chart, fresh.basis, fresh.at) == (ctx.to_chart, ctx.basis, ctx.at)
     moved = chart.context(other)
-    assert moved.gamma_values != ctx.gamma_values and moved.basis != ctx.basis
+    assert moved.to_chart != ctx.to_chart and moved.basis != ctx.basis
+
+
+def test_splitting_frame_inverse_is_exact():
+    # P = Id + N with N^2 = 0, so the context takes P^-1 = Id - N: the
+    # product is the identity, in values and in jets, at points where the
+    # lift coefficients are nonzero
+    identity = Endo(8, xm.identity(8))
+    one, zero = Jet.constant(1, 4), Jet.constant(0, 4)
+    for sheet in (1, -1):
+        chart = TwistorChart(CONN, sheet)
+        for q in (q_at(), q_at(u=F(2), v=F(0)), q_at(x1=F(-3), u=F(-1, 3), v=F(1, 2))):
+            ctx = chart.context(q)
+            assert ctx.to_chart != identity
+            assert ctx.to_split.compose(ctx.to_chart) == identity
+            p, p_inv = ctx.splitting
+            assert jmat_mul(p_inv, p) == [[one if i == k else zero for k in range(8)]
+                                          for i in range(8)]
 
 
 def test_chart_builds_one_structure_per_sample(monkeypatch):
@@ -113,8 +133,14 @@ def test_chart_connection_form_matches_connection_matrix():
         x = [oracle._padded_jet(p, point, 2) for p in comps]
         omega = oracle._connection_form(christoffel, x)
         xv = tuple(p.evaluate(point) for p in comps)
-        expected = oracle.connection_matrix(conn, xv, chart_point(point))
+        expected = twistor.connection_matrix(conn, xv, chart_point(point))
         assert tuple(tuple(e.value for e in row) for row in omega) == expected.rows
+
+
+def test_oracle_builds_no_closed_form_connection_matrix():
+    # the chart's connection form comes from `_connection_form` alone, so a
+    # slip in the closed form's builder cannot cancel on both sides
+    assert not hasattr(oracle, "connection_matrix")
 
 
 def test_chart_rejects_singular_fibre():
@@ -144,12 +170,16 @@ def test_vertical_chart_basis_is_vertical():
 
 
 def test_uv_coordinates_rejects_a_non_tangent_endomorphism():
-    # j itself is normal to the hyperboloid at j: the (u, v) solve from two
-    # chart rows cannot reproduce the third
+    # j itself is normal to the hyperboloid at j; dJ/du plus a right-frame
+    # element, which pairs to zero with the whole left frame, has the
+    # pairings of dJ/du but leaves the span of the fibre basis
     chart = TwistorChart(CONN, 1)
+    right = skew_frames(reference_basis(1)).right[0]
     for q in (q_at(), q_at(u=F(-1, 2), v=F(1, 3))):
-        with pytest.raises(InvariantError):
-            chart.uv_coordinates(chart.context(q).at.structure.j, q)
+        ctx = chart.context(q)
+        for bad in (ctx.at.structure.j, ctx.basis[0] + right):
+            with pytest.raises(InvariantError):
+                chart.uv_coordinates(bad, q)
 
 
 def test_lift_section_matches_closed_form_lift():
@@ -413,8 +443,7 @@ def test_seeded_samples_avoid_singularity():
 def test_oracle_samples_and_n1_scan_draw_from_the_fibre_sampler(monkeypatch):
     # one fibre-chart sampler feeds the oracle samples, the bundle-chart
     # point, the n = 1 scan and the hyperboloid-chart check
-    from gctwistor import integrability, linalg, twistor
-    from gctwistor.harness import PRESETS, run_scenario
+    from gctwistor import integrability, linalg
     counts = []
 
     def spy(rng, count):
@@ -453,7 +482,8 @@ def test_horizontal_lift_matches_chart_lift():
         ctx = chart.context(q)
         for a, e_a in enumerate(((F(1), F(0)), (F(0), F(1)))):
             vertical = horizontal_lift(scenario.conn, e_a, ctx.at).vertical
-            assert chart.uv_coordinates(vertical, q) == ctx.gamma_values[a]
+            # the lift h_a is column a of the frame change P
+            assert chart.uv_coordinates(vertical, q) == (ctx.to_chart.rows[2][a], ctx.to_chart.rows[3][a])
 
 
 def test_scan_of_noninteg_structure_field_on_chart():
@@ -524,6 +554,79 @@ def test_table_matches_pairwise_nijenhuis_on_chart_fields():
         assert len(table) == 28
         for (i, k), value in table.items():
             assert value == nijenhuis(field, probes[i], probes[k], q)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: TwistorChart(flat_connection(2), 1), DegenerateInputError),
+    (lambda: TwistorChart(CONN, 0), ValueError),
+    (lambda: TwistorChart(CONN, 1).field(3), ValueError),
+    (lambda: TwistorChart(CONN, 1).lift_section([ONE, ZERO, ONE]), DegenerateInputError),
+    (lambda: TwistorChart(CONN, 1).decompose(gelem([1, 0], [0, 1]), q_at()),
+     DegenerateInputError),
+    (lambda: chart_vertical_bracket_check(TwistorChart(CONN, 1), [ONE, ZERO],
+                                          [[ONE if i == k else ZERO for k in range(4)]
+                                           for i in range(4)], q_at()), InvariantError),
+    (lambda: lift_bracket_curvature_check(
+        flat_connection(3), [ONE] * 6, [ZERO] * 6,
+        TwistorPoint(random_chart_point(6, random.Random(1)),
+                     sample_fibre_structure(3, random.Random(2)))), DegenerateInputError),
+], ids=["base-dim", "sheet", "alpha", "lift-arity", "decompose-dim", "non-skew-section",
+        "bundle-chart-n3"])
+def test_chart_input_guards(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def _run_oracle_check(check, fibre_params):
+    scenario = load_scenario({**PRESETS["oracle-n1"], "samples": {"fibre_params": fibre_params},
+                              "checks": [f"oracle/{check}"]})
+    return scenario, run_scenario(scenario).results[0]
+
+
+@pytest.mark.parametrize("check, alpha, changed, residual", [
+    ("structure1-direct-zero", 1, {}, "0"),
+    ("structure1-direct-zero", 1, {"direct_all_zero": False}, "nonzero"),
+    ("structure1-direct-zero", 2, {"direct_all_zero": True}, "alpha=2 unexpectedly zero"),
+    ("lift-bracket-identity", 2, {"lift_bracket_ok": False}, "nonzero residual"),
+    ("vertical-bracket-identity", 1, {"vertical_bracket_ok": False}, "nonzero residual"),
+], ids=["control", "alpha1-nonzero", "alpha2-zero", "lift-chart", "vertical"])
+def test_oracle_checks_fail_on_a_failing_second_sample(monkeypatch, check, alpha, changed,
+                                                       residual):
+    # every sample passes but the second, whose `alpha` result carries `changed`
+    def compare(conn, samples, perturb=None):
+        results = []
+        for index, sample in enumerate(samples):
+            for a in (1, 2):
+                r = {"direct_all_zero": a == 1, "lift_bracket_ok": True,
+                     "vertical_bracket_ok": True}
+                if (index, a) == (1, alpha):
+                    r.update(changed)
+                results.append(OracleSampleResult(sample, a, 28, r["direct_all_zero"], True, None,
+                                                  r["lift_bracket_ok"], r["vertical_bracket_ok"]))
+        return tuple(results)
+
+    monkeypatch.setattr(oracle, "oracle_compare_nijenhuis", compare)
+    scenario, result = _run_oracle_check(check, 2)
+    assert result.residual == residual
+    if changed:
+        second = seeded_oracle_samples(2, scenario.seed + 14)[1]
+        assert result.status == "fail" and result.witness == {"sheet": second.sheet}
+    else:
+        assert result.status == "pass"
+
+
+def test_lift_bracket_identity_fails_on_a_bundle_chart_residual(monkeypatch):
+    calls = []
+
+    def residual(conn, x_components, y_components, at):
+        calls.append(at)
+        return (F(0),) * 17 + (F(1, 3),)
+
+    monkeypatch.setattr(oracle, "lift_bracket_curvature_check", residual)
+    _, result = _run_oracle_check("lift-bracket-identity", 1)
+    assert (result.status, result.residual, result.witness) == (
+        "fail", "bundle chart residual", None)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

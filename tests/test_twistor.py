@@ -678,7 +678,7 @@ def test_closed_form_table_rejects_non_vertical_probe():
 def test_closed_form_table_checks_each_part_object_once(monkeypatch):
     at = n1_point(F(1, 3), F(1, 4))
     basis = vertical_space_basis(at.structure)
-    probes = _probe_set(at.n, basis, "full")
+    probes = _probe_set(at.n, basis)
     checked = []
 
     def counting_is_vertical(q, j):
@@ -780,7 +780,7 @@ def test_closed_form_is_natural_under_linear_coordinate_changes(n, alpha, label,
                               conj(t.vertical_coform))
 
     basis = vertical_space_basis(at.structure)
-    probes = _probe_set(n, basis, "full")
+    probes = _probe_set(n, basis)
     table = nijenhuis_closed_form_table(alpha, conn, at, probes)
     moved_at = TwistorPoint(chart_point(xm.mat_vec(g, at.point.coords)),
                             gl_action(g, at.structure))
@@ -923,6 +923,23 @@ def test_validate_tangent_catches_bad_parts():
     validate_tangent(good, at)
     with pytest.raises(NotVerticalError):
         validate_tangent(tangent_from_parts(1, vertical_coform=at.structure.j), at)
+
+
+def test_point_and_connection_guards():
+    from gctwistor.gclinalg import DimensionMismatchError
+    with pytest.raises(DimensionMismatchError, match="arity"):
+        Connection(1, (((0, 1, 1), Poly.variable(3, 0)),))
+    structure = hyperboloid_point(F(1, 2), F(0), 1, reference_basis(1))
+    with pytest.raises(DimensionMismatchError, match="disagree on dim M"):
+        TwistorPoint(chart_point([F(1), F(2), F(3)]), structure)
+    sample = sample_adapted_point(1, random.Random(11))
+    q1 = sample.basis.vectors[0]
+    v = sample.basis.generator(0, 2) - sample.basis.generator(1, 3)
+    with pytest.raises(ValueError, match="alpha must be 1 or 2"):
+        nijenhuis_mixed(3, sample.at, q1, v)
+    # j itself is not vertical at j: it commutes with j
+    with pytest.raises(NotVerticalError):
+        hybrid_nijenhuis_horizontal(sample.at, q1, sample.at.structure.j)
 
 
 def test_constant_commuting_connection_is_flat():
