@@ -15,15 +15,15 @@ coefficients) return exact rationals.
 
 The bracket has one kernel, in integers: the jets' numerators are scaled
 to the lcm d of their denominators, and one loop over their nonzero
-entries gives 2 d^2 times the bracket.  `courant_bracket` and
-`lie_bracket` scale their two jets.  `nijenhuis_table` forms each
-J-image jet as the jet product J a (`poly.jmat_mul`), scales every probe
-jet, J-image jet and J once per point, and builds each component of a
-pair's value as one `Fraction`.
+entries gives 2 d^2 times the bracket.  `lie_bracket` scales its two
+jets.  `nijenhuis_table` forms each J-image jet as the jet product J a
+(`poly.jmat_mul`), scales every probe jet, J-image jet and J once per
+point, and builds each component of a pair's value as one `Fraction`.
 
-This module holds no check.  The oracle computes N(J) from it directly,
-and the `courant/` suite (`courant`) tests it; each run compiles the
-sources it imports, so a scenario that schedules neither compiles it.
+This module holds no check, and only what the oracle reads.  The oracle
+computes N(J) from it directly, and the `courant/` suite (`courant`)
+tests it with what it builds on it; each run compiles the sources it
+imports, so a scenario that schedules neither compiles it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Sequence
 from . import exactmat as xm
 from .exactmat import F0, Vec
 from .gclinalg import Endo, GElement, coordinate_elements, from_coords, is_pairing_skew
-from .poly import ChartPoint, Coefficient, Jet, JetMat, as_rational, jmat_mul
+from .poly import ChartPoint, Jet, JetMat, jmat_mul
 from .value import Value
 
 
@@ -62,20 +62,6 @@ class JetSection(Value):
 
     def value_at(self, p: ChartPoint) -> GElement:
         return from_coords(tuple(c.value for c in self.at(p)))
-
-
-def section_from_coefficients(chart_dim: int, comps: Sequence[Coefficient]) -> JetSection:
-    """Closed-form section: 2m polynomial or rational components."""
-    if len(comps) != 2 * chart_dim:
-        raise ChartMismatchError("a section needs m vector and m covector components")
-    rationals = tuple(as_rational(c) for c in comps)
-    if any(r.nvars != chart_dim for r in rationals):
-        raise ChartMismatchError("component arity does not match the chart")
-
-    def evaluate(p: ChartPoint) -> SectionJet:
-        return tuple(r.jet(p.coords) for r in rationals)
-
-    return JetSection(chart_dim, evaluate)
 
 
 def constant_section(chart_dim: int, values: Sequence) -> JetSection:
@@ -126,16 +112,6 @@ class GACField(Value):
         if not is_pairing_skew(m):
             raise FieldInvariantError(f"structure field is not pairing skew at {p.coords}")
         return m, jets
-
-
-def constant_field(j: Endo) -> GACField:
-    chart_dim = j.dim // 2
-    jets = tuple(tuple(Jet.constant(x, chart_dim) for x in row) for row in j.rows)
-
-    def evaluate(p: ChartPoint) -> JetMat:
-        return jets
-
-    return GACField(chart_dim, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +204,6 @@ def _bracket(ja: SectionJet, jb: SectionJet, m: int) -> GElement:
     return GElement(m, out[:m], out[m:])
 
 
-def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
-    """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2."""
-    m = p.dim
-    if a.chart_dim != m or b.chart_dim != m:
-        raise ChartMismatchError("sections do not match the chart point")
-    return _bracket(a.at(p), b.at(p), m)
-
-
 def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
                     p: ChartPoint) -> dict[tuple[int, int], GElement]:
     """N(A_i, A_k) = -[A, B] - J[A, JB] - J[JA, B] + [JA, JB] (Courant brackets)
@@ -273,8 +241,3 @@ def _jet_table(jf: GACField, jets: Sequence[SectionJet],
                                   for a, b, row in zip(t1, t4, j_rows)))
             table[(i, k)] = GElement(m, out[:m], out[m:])
     return table
-
-
-def nijenhuis(jf: GACField, a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
-    """N(A, B) at p: the two-probe case of `nijenhuis_table`."""
-    return nijenhuis_table(jf, (a, b), p)[(0, 1)]

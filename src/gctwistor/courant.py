@@ -1,6 +1,8 @@
 """The `courant/` suite: two-form fields, the B-transform defect and the
 probe-pair integrability scan, built on the sections and brackets of
-`bracket`.
+`bracket`, with the sections from coefficients, the constant structure
+fields, the two-section Courant bracket and Nijenhuis value that only
+this suite builds.
 
 A two-form field B acts on sections by e^B (X + xi) = X + xi + i_X B,
 and e^B is an automorphism of the Courant bracket exactly when dB = 0;
@@ -21,9 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
 from .exactmat import Mat
-# GACField and JetSection appear here only in annotations, which are strings,
-# but they stay bound: the benchmark's tracer wraps courant.GACField.jet_at,
-# courant.GACField.validate_at and courant.JetSection.at by name
+# the benchmark's tracer wraps courant.GACField.jet_at, courant.GACField.validate_at
+# and courant.JetSection.at by name, so both classes stay bound here
 from .bracket import (
     ChartMismatchError,
     FieldInvariantError,
@@ -32,17 +33,15 @@ from .bracket import (
     SectionJet,
     _bracket,
     _jet_table,
-    constant_field,
     coordinate_sections,
-    courant_bracket,
     lie_bracket,
-    nijenhuis,
-    section_from_coefficients,
+    nijenhuis_table,
 )
-from .gclinalg import GElement, from_complex, gelem, standard_complex_matrix
+from .gclinalg import Endo, GElement, gelem, standard_complex_matrix
 from .poly import (
     ChartPoint,
     Coefficient,
+    Jet,
     JetMat,
     Poly,
     RationalFn,
@@ -51,11 +50,53 @@ from .poly import (
     random_chart_point,
     scalar_to_str,
 )
+from .structures import from_complex
 from .value import CheckResult, Value, _fail, _ok
 
 
 class ProbeSpanError(ValueError):
     """A probe set fails to span TM + T*M at a sampled point."""
+
+
+# ---------------------------------------------------------------------------
+# sections, fields and brackets that only the suite builds
+
+
+def section_from_coefficients(chart_dim: int, comps: Sequence[Coefficient]) -> JetSection:
+    """Closed-form section: 2m polynomial or rational components."""
+    if len(comps) != 2 * chart_dim:
+        raise ChartMismatchError("a section needs m vector and m covector components")
+    rationals = tuple(as_rational(c) for c in comps)
+    if any(r.nvars != chart_dim for r in rationals):
+        raise ChartMismatchError("component arity does not match the chart")
+
+    def evaluate(p: ChartPoint) -> SectionJet:
+        return tuple(r.jet(p.coords) for r in rationals)
+
+    return JetSection(chart_dim, evaluate)
+
+
+def constant_field(j: Endo) -> GACField:
+    chart_dim = j.dim // 2
+    jets = tuple(tuple(Jet.constant(x, chart_dim) for x in row) for row in j.rows)
+
+    def evaluate(p: ChartPoint) -> JetMat:
+        return jets
+
+    return GACField(chart_dim, evaluate)
+
+
+def courant_bracket(a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
+    """[X + xi, Y + eta] = [X, Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2."""
+    m = p.dim
+    if a.chart_dim != m or b.chart_dim != m:
+        raise ChartMismatchError("sections do not match the chart point")
+    return _bracket(a.at(p), b.at(p), m)
+
+
+def nijenhuis(jf: GACField, a: JetSection, b: JetSection, p: ChartPoint) -> GElement:
+    """N(A, B) at p: the two-probe case of `bracket.nijenhuis_table`."""
+    return nijenhuis_table(jf, (a, b), p)[(0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,21 @@ the V block first, so the canonical orientation is the one of the
 ordered reference basis {e_1, ..., e_2n, a_1, ..., a_2n}.
 
 An endomorphism (`Endo`) is an integer matrix over one positive
-denominator in lowest terms, and its arithmetic, the pairing-skew,
-isometry and anticommutation tests, j^2 = -Id, the fibre pairing, the
-orientation and the vertical basis all work on those integers.  The
-constructors of structures and isometries read their input's integer
-numerators over one denominator once, check and assemble in integers and
-end in one `Endo._lowest`.  `Endo.rows` builds the matrix as `Fraction`s
-for the callers that want them.  An `OrthonormalBasis` is stored the same
-way, and its moves, orthonormality check and skew generators work on
-its integers; the adapted structure of a basis is a sum of its skew
-generators.  What only the `linalg/` suite reads, the pairing of two
-elements, the basis reports, e^B, e^beta and the GL(V) action as an
-endomorphism, is in `linalg`.
+denominator in lowest terms, and its arithmetic, the pairing-skew and
+anticommutation tests, j^2 = -Id, the fibre pairing, the orientation and
+the vertical basis all work on those integers.  `Endo.rows` builds the
+matrix as `Fraction`s for the callers that want them.  An
+`OrthonormalBasis` is stored the same way, and its orthonormality check
+and skew generators work on its integers.  The named and seeded
+structures, the transforms that move them, the isometry test and random
+orthonormal bases are in `structures`; what only the `linalg/` suite
+reads, the pairing of two elements, the basis reports, e^B, e^beta and
+the GL(V) action as an endomorphism, is in `linalg`.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
@@ -309,25 +305,6 @@ def is_pairing_skew(m: Endo) -> bool:
     return True
 
 
-def is_pairing_orthogonal(m: Endo) -> bool:
-    """True iff <mA, mB> = <A, B> for all A, B.
-
-    The Gram matrix of the pairing is S / 2, S the swap of the V and V*
-    halves, so for m = N / d this is N^T S N = d^2 S: entry (r, c) is
-    column r of N, halves swapped, dotted with column c.  It is tested in
-    integers for r <= c up to the first mismatch.
-    """
-    h = m.half
-    cols = list(zip(*m.num))
-    d2 = m.den * m.den
-    for r, col in enumerate(cols):
-        swapped = col[h:] + col[:h]
-        for c in range(r, len(cols)):
-            if sum(map(mul, swapped, cols[c])) != (d2 if c == r + h else 0):
-                return False
-    return True
-
-
 def fib_pairing(a: Endo, b: Endo) -> Scalar:
     """The pairing <a, b> = -Trace(a b) / 2 on skew endomorphisms: one
     integer trace over the nonzero entries of a, over 2 den_a den_b."""
@@ -490,133 +467,6 @@ def _reference_rows(dim_v: int) -> list[list[int]]:
             for sign in (1, -1) for i in range(dim_v)]
 
 
-def _rotation_params(rng: random.Random) -> tuple[int, int, int]:
-    # (c, s) = (a, b) / e on c^2 + s^2 = 1 via a Pythagorean parametrisation
-    while True:
-        p = rng.randint(-3, 3)
-        q = rng.randint(-3, 3)
-        if (p, q) != (0, 0) and q != 0:
-            break
-    return p * p - q * q, 2 * p * q, p * p + q * q
-
-
-def _hyperbolic_params(rng: random.Random) -> tuple[int, int, int]:
-    # (c, s) = (a, b) / e on c^2 - s^2 = 1 from t = r / q away from +-1, e > 0
-    while True:
-        r, q = rng.randint(-2, 2), rng.randint(1, 3)
-        if abs(r) != q:
-            break
-    e = q * q - r * r
-    sign = 1 if e > 0 else -1
-    return sign * (q * q + r * r), sign * 2 * r * q, sign * e
-
-
-_BASIS_WORD_LENGTH = 12
-
-
-def _combine(a: int, b: int, e: int, u: tuple[list[int], int],
-             w: tuple[list[int], int]) -> tuple[list[int], int]:
-    """(a u + b w) / e for e > 0 and vectors kept as (integer coordinates,
-    denominator > 0), in lowest terms."""
-    (nu, du), (nw, dw) = u, w
-    x, y = a * dw, b * du
-    num = [x * p + y * q for p, q in zip(nu, nw)]
-    den = e * du * dw
-    g = gcd(den, *num)
-    return [p // g for p in num], den // g
-
-
-def random_orthonormal_basis(n: int, seed: int | random.Random) -> OrthonormalBasis:
-    """A seeded random orthonormal basis, exact by construction.
-
-    Starting from the reference basis, applies a word of
-    `_BASIS_WORD_LENGTH` elementary special-orthogonal moves: rational
-    circular rotations inside a sign class and rational hyperbolic
-    rotations across the two classes.
-    Every move has determinant one, so the result is positively
-    oriented.  Each element is kept as integer coordinates over its own
-    denominator through the moves; the basis is built from the rows put
-    over their lcm.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    dim_v = 2 * n
-    vectors = [(row, 1) for row in _reference_rows(dim_v)]
-    for _ in range(_BASIS_WORD_LENGTH):
-        kind = rng.choice(("circular+", "circular-", "hyperbolic"))
-        if kind == "circular+":
-            i, k = rng.sample(range(dim_v), 2)
-        elif kind == "circular-":
-            i, k = (dim_v + x for x in rng.sample(range(dim_v), 2))
-        else:
-            i = rng.randrange(dim_v)
-            k = dim_v + rng.randrange(dim_v)
-        vi, vk = vectors[i], vectors[k]
-        if kind == "hyperbolic":
-            a, b, e = _hyperbolic_params(rng)
-            vectors[i] = _combine(a, b, e, vi, vk)
-        else:
-            a, b, e = _rotation_params(rng)
-            vectors[i] = _combine(a, -b, e, vi, vk)
-        vectors[k] = _combine(b, a, e, vi, vk)
-    den = lcm(*(d for _, d in vectors))
-    return OrthonormalBasis._lowest([[x * (den // d) for x in row] for row, d in vectors], den)
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def from_complex(k: Mat) -> GCStructure:
-    """Structure induced by a complex structure K on V: K on V, -K* on V*.
-
-    For K = N / d in integers, K^2 = -Id is tested as N N = -d^2 Id and the
-    structure is diag(N, -N^T) / d.
-    """
-    num, d = xm._integer_matrix(k)
-    if not _squares_to_minus_identity(num, d):
-        raise InvariantError("K^2 is not -Id")
-    return GCStructure(_dual_diag(num, d))
-
-
-def from_symplectic(omega: Mat) -> GCStructure:
-    """Structure induced by a symplectic form: X -> i_X omega, alpha -> -omega^{-1} alpha.
-
-    The result squares to -Id and is pairing skew for any nondegenerate
-    skew omega; it induces the canonical orientation exactly when half
-    the dimension of V is even.
-    """
-    return GCStructure(_symplectic_endo(omega, "omega"))
-
-
-def _skew(m: Mat, what: str) -> tuple[list[list[int]], int]:
-    """The integer matrix N and the least d > 0 with m = N / d, for a skew m;
-    InvariantError unless N[i][j] == -N[j][i] for every entry."""
-    num, d = xm._integer_matrix(m)
-    k = len(num)
-    if any(len(row) != k for row in num) or any(
-            num[i][j] != -num[j][i] for i in range(k) for j in range(i, k)):
-        raise InvariantError(f"{what} is not skew")
-    return num, d
-
-
-def _symplectic_endo(omega: Mat, what: str) -> Endo:
-    """[[0, -omega^-T], [omega^T, 0]] for a nondegenerate skew omega.
-
-    In integers: for omega = N / d and (N^T)^-1 = M / e, omega^-T = d M / e,
-    so the result is [[0, -d^2 M], [e N^T, 0]] / (d e), from one integer
-    inverse.
-    """
-    num, d = _skew(omega, what)
-    iso = list(zip(*num))  # X -> omega(X, .) in coordinates, times d
-    try:
-        inv, e = xm._integer_inverse(iso)
-    except xm.SingularMatrixError:
-        raise DegenerateInputError(f"{what} is degenerate") from None
-    d2 = d * d
-    return _int_blocks(None, [[-d2 * x for x in row] for row in inv],
-                       [[e * x for x in row] for row in iso], None, len(num), d * e)
-
-
 def standard_complex_matrix(n: int) -> Mat:
     """K with K e_{2m-1} = e_{2m}, K e_{2m} = -e_{2m-1} (one-based)."""
     dim_v = 2 * n
@@ -626,68 +476,6 @@ def standard_complex_matrix(n: int) -> Mat:
         rows[2 * m][2 * m + 1] = -F1
     return xm.mat(rows)
 
-
-def standard_symplectic_matrix(n: int) -> Mat:
-    """omega = sum_m eta_{2m-1} ^ eta_{2m} (one-based): the matrix -K of
-    `standard_complex_matrix`."""
-    return xm.mat_neg(standard_complex_matrix(n))
-
-
-def _unipotent(num: Sequence[Sequence[int]], d: int, sign: int, lower: bool) -> Endo:
-    """[[Id, 0], [C, Id]] if lower, else [[Id, C], [0, Id]], for
-    C = sign N^T / d: [[d Id, 0], [sign N^T, d Id]] / d and its mirror."""
-    h = len(num)
-    ident = [[d if r == k else 0 for k in range(h)] for r in range(h)]
-    c = [[sign * x for x in col] for col in zip(*num)]
-    if lower:
-        return _int_blocks(ident, None, c, ident, h, d)
-    return _int_blocks(ident, c, None, ident, h, d)
-
-
-def b_transform(j: GCStructure, b: Mat) -> GCStructure:
-    """Conjugate by e^B; an isometry of the pairing, so the result is again a structure."""
-    return _conjugate(j, *_skew(b, "B"), True, "e^B")
-
-
-def beta_transform(j: GCStructure, beta: Mat) -> GCStructure:
-    """Conjugate by e^beta, the two-vector mirror of the B-transform."""
-    return _conjugate(j, *_skew(beta, "beta"), False, "e^beta")
-
-
-def _conjugate(j: GCStructure, num: Sequence[Sequence[int]], d: int, lower: bool,
-               what: str) -> GCStructure:
-    """e j e^-1 for the e^B (lower) or e^beta of m = num / d, with
-    e^-1 = exp(-m): the same integer blocks with the sign of N^T flipped."""
-    e, e_inv = _unipotent(num, d, 1, lower), _unipotent(num, d, -1, lower)
-    if not is_pairing_orthogonal(e):
-        raise InvariantError(f"{what} failed the isometry check")
-    return GCStructure(e.compose(j.j).compose(e_inv))
-
-
-def _gl_pair(g: Mat) -> tuple[Endo, Endo]:
-    """diag(g, g^-T) and its inverse diag(g^-1, g^T), from one integer inverse.
-
-    For g = N / d and N^-1 = M / e, g^-1 = d M / e, so the pair is
-    diag(e N, d^2 M^T) / (d e) and diag(d^2 M, e N^T) / (d e).
-    """
-    num, d = xm._integer_matrix(g)
-    h = len(num)
-    if any(len(row) != h for row in num):
-        raise DimensionMismatchError("endomorphism matrix is not square of the stated size")
-    try:
-        inv, e = xm._integer_inverse(num)
-    except xm.SingularMatrixError:
-        raise DegenerateInputError("g is singular") from None
-    d2, den = d * d, d * e
-    return (_int_blocks([[e * x for x in row] for row in num], None, None,
-                        [[d2 * x for x in col] for col in zip(*inv)], h, den),
-            _int_blocks([[d2 * x for x in row] for row in inv], None, None,
-                        [[e * x for x in col] for col in zip(*num)], h, den))
-
-
-def gl_action(g: Mat, j: GCStructure) -> GCStructure:
-    u, u_inv = _gl_pair(g)
-    return GCStructure(u.compose(j.j).compose(u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -754,17 +542,6 @@ def hyperboloid_point(u: Scalar, v: Scalar, sheet: int, basis: OrthonormalBasis)
     return structure
 
 
-def adapted_structure(basis: OrthonormalBasis) -> GCStructure:
-    """The structure with j Q_2l = Q_2l+1 and j Q_2l+1 = -Q_2l (zero-based)
-    for an orthonormal basis: the sum over l of eps_2l S_2l,2l+1.  S_ik
-    sends Q_i to eps_i Q_k, Q_k to -eps_k Q_i and the other elements to
-    zero, and both elements of a pair share their sign.  At the reference
-    basis this is `from_complex(standard_complex_matrix(n))`.
-    """
-    return GCStructure(reduce(Endo.__add__, (basis.generator(i, i + 1).scale(basis.signs[i])
-                                             for i in range(0, len(basis.num), 2))))
-
-
 def is_vertical(q: Endo, j: Endo) -> bool:
     """True iff q is pairing skew and anticommutes with j.
 
@@ -829,28 +606,3 @@ def vertical_space_basis(j: GCStructure) -> list[Endo]:
     if len(basis) != expected:
         raise InvariantError(f"vertical space has rank {len(basis)}, expected {expected}")
     return basis
-
-
-class FiberKahlerStructure(Value):
-    """The symplectic-type structure of the vertical space at a point j.
-
-    Built from the two-form Omega(U, W) = <j o U, W> (trace pairing) on a
-    supplied basis of the vertical space, via the same recipe as
-    `from_symplectic`; the matrix acts on vertical coordinates followed
-    by dual coordinates and squares to -Id.
-    """
-
-    __slots__ = ("basis", "omega", "matrix")
-
-
-def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahlerStructure:
-    d = len(basis)
-    for u in basis:
-        if not is_vertical(u, j.j):
-            raise InvariantError("supplied basis element is not vertical at j")
-    omega = tuple(tuple(fib_pairing(j.j.compose(basis[a]), basis[b]) for b in range(d))
-                  for a in range(d))
-    s = _symplectic_endo(omega, "fibre two-form")
-    if not s.squares_to_minus_identity():
-        raise InvariantError("fibre structure does not square to -Id")
-    return FiberKahlerStructure(tuple(basis), omega, s.rows)

@@ -26,7 +26,9 @@ checks, what each asks of its scenario and the sample count it reads;
 module of each suite it schedules, and each entry of `CHECKS` looks its
 body up in that module's `CHECKS` when it runs.  So a scenario compiles
 no suite it does not schedule: the oracle's compiles `bracket` and
-`oracle`, and neither `courant` nor `integrability`.
+`oracle`, and neither `courant` nor `integrability`.  Nor does it compile
+`structures`, the named and seeded structures that the other three
+suites build and the oracle does not.
 """
 
 from __future__ import annotations

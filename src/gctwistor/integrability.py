@@ -7,7 +7,9 @@ schedule (`n2-flat-structure1-vanishes`, `n3-flat-structure1-vanishes`,
 `n2-curved-witness`) key the same bodies, and `harness._SUITES` holds
 what each name asks of its scenario.  Every probe-pair scan goes through
 one per-point `nijenhuis_closed_form_table`, and every check runs, and
-reports its residual, in exact arithmetic.
+reports its residual, in exact arithmetic.  The terms only the witnesses
+evaluate, the mixed term `nijenhuis_mixed`, the hybrid term with the
+fibre's symplectic-type structure and the adapted sampler, are here too.
 
 The checks, keyed by name in `CHECKS`, end this module, which `harness`
 loads only for a scenario that schedules one.
@@ -20,25 +22,117 @@ from typing import Callable, Mapping, Sequence
 
 from .gclinalg import (
     Endo,
+    GCStructure,
+    GElement,
+    InvariantError,
     coordinate_elements,
+    fib_pairing,
     hyperboloid_point,
+    is_vertical,
     reference_basis,
     vertical_space_basis,
+    zero_element,
 )
 from .poly import random_chart_point, scalar_to_str
+from .structures import (
+    _symplectic_endo,
+    adapted_structure,
+    random_orthonormal_basis,
+    sample_fibre_structure,
+)
 from .twistor import (
     Connection,
+    NotVerticalError,
     TwistorPoint,
+    TwistorTangent,
     fibre_chart_samples,
-    hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_mixed,
-    sample_adapted_point,
-    sample_fibre_structure,
     tangent_from_parts,
 )
-from .value import CheckResult, _fail, _ok
+from .value import CheckResult, Value, _fail, _ok
+
+
+# ---------------------------------------------------------------------------
+# the witnesses' terms and adapted samples
+
+
+def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo) -> TwistorTangent:
+    """N_alpha of a horizontal lift against a vertical vector:
+    [1 + (-1)^alpha] ((j o V) A)^h, so zero for alpha = 1."""
+    if alpha not in (1, 2):
+        raise ValueError("alpha must be 1 or 2")
+    n = at.n
+    if v.is_zero():
+        return tangent_from_parts(n)
+    if not is_vertical(v, at.structure.j):
+        raise NotVerticalError("V is not a vertical vector at j")
+    coef = 1 + (-1) ** alpha
+    if coef == 0:
+        return tangent_from_parts(n)
+    value = at.structure.j.compose(v).apply(a).scale(coef)
+    return tangent_from_parts(n, horizontal=value)
+
+
+class FiberKahlerStructure(Value):
+    """The symplectic-type structure of the vertical space at a point j.
+
+    Built from the two-form Omega(U, W) = <j o U, W> (trace pairing) on a
+    supplied basis of the vertical space, via the same recipe as
+    `structures.from_symplectic`; the matrix acts on vertical coordinates
+    followed by dual coordinates and squares to -Id.
+    """
+
+    __slots__ = ("basis", "omega", "matrix")
+
+
+def fiber_kahler_structure(j: GCStructure, basis: Sequence[Endo]) -> FiberKahlerStructure:
+    d = len(basis)
+    for u in basis:
+        if not is_vertical(u, j.j):
+            raise InvariantError("supplied basis element is not vertical at j")
+    omega = tuple(tuple(fib_pairing(j.j.compose(basis[a]), basis[b]) for b in range(d))
+                  for a in range(d))
+    s = _symplectic_endo(omega, "fibre two-form")
+    if not s.squares_to_minus_identity():
+        raise InvariantError("fibre structure does not square to -Id")
+    return FiberKahlerStructure(tuple(basis), omega, s.rows)
+
+
+def hybrid_nijenhuis_horizontal(at: TwistorPoint, a: GElement, v: Endo) -> GElement:
+    """H + H* part of the mixed Nijenhuis term for the hybrid structures that
+    use the fibre symplectic-type structure on vertical data.
+
+    Computed through the horizontal-vertical bracket mechanism, whose
+    only surviving term is (j o V) A with coefficient one: unlike the pure
+    twistor structures, where the second bracket doubles or cancels it, it
+    depends on neither alpha nor the connection, so one value serves both
+    hybrid structures.  Requires the fibre two-form to be nondegenerate at
+    the point, since the hybrid structure is only defined there.
+    """
+    fiber_kahler_structure(at.structure, vertical_space_basis(at.structure))  # raises if degenerate
+    if v.is_zero():
+        return zero_element(2 * at.n)
+    if not is_vertical(v, at.structure.j):
+        raise NotVerticalError("V is not a vertical vector at j")
+    return at.structure.j.compose(v).apply(a)
+
+
+class AdaptedSample(Value):
+    """A twistor point whose structure is adapted to a sampled orthonormal basis."""
+
+    __slots__ = ("at", "basis")
+
+
+def sample_adapted_point(n: int, rng: random.Random) -> AdaptedSample:
+    basis = random_orthonormal_basis(n, rng)
+    structure = adapted_structure(basis)
+    at = TwistorPoint(random_chart_point(2 * n, rng), structure)
+    return AdaptedSample(at, basis)
+
+
+# ---------------------------------------------------------------------------
+# the integrability/ suite
 
 
 def _probe_set(n: int, basis: Sequence[Endo] | None):

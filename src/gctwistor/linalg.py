@@ -29,31 +29,35 @@ from .gclinalg import (
     InvariantError,
     OrthonormalBasis,
     _FRAME_NORMS,
-    _gl_pair,
     _same_dim,
-    _skew,
-    _unipotent,
-    b_transform,
     basis_covector,
     basis_vector,
-    beta_transform,
     fib_pairing,
-    from_complex,
-    from_symplectic,
-    gl_action,
     hyperboloid_chart,
     hyperboloid_point,
-    is_pairing_orthogonal,
     is_pairing_skew,
-    random_orthonormal_basis,
     reference_basis,
     skew_frames,
     standard_complex_matrix,
-    standard_symplectic_matrix,
     zero_endo,
 )
 from .poly import scalar_to_str
-from .twistor import fibre_chart_samples, random_invertible_matrix, random_skew_matrix
+from .structures import (
+    _gl_pair,
+    _skew,
+    _unipotent,
+    b_transform,
+    beta_transform,
+    from_complex,
+    from_symplectic,
+    gl_action,
+    is_pairing_orthogonal,
+    random_invertible_matrix,
+    random_orthonormal_basis,
+    random_skew_matrix,
+    standard_symplectic_matrix,
+)
+from .twistor import fibre_chart_samples
 from .value import CheckResult, Value, _fail, _ok
 
 

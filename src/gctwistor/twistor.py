@@ -5,10 +5,11 @@ compatible complex structure on T_pM + T*_pM inducing the canonical
 orientation.  A linear connection splits the tangent space of the bundle
 into horizontal and vertical parts; this module implements that
 splitting, the closed-form Nijenhuis tensor of the two twistor structures
-(alpha = 1, 2) as one table over a point's probe pairs, its
-horizontal-vertical case, the hybrid mixed term and the curvature-form
-machinery.  The structures themselves, the horizontal lift and the other
-cases of the closed form, in `Fraction` arithmetic, are the tests'
+(alpha = 1, 2) as one table over a point's probe pairs, the
+curvature-form machinery and the sampler of fibre-chart points.  The
+per-case mixed and hybrid terms that only the witnesses evaluate are in
+`integrability`.  The structures themselves, the horizontal lift and the
+other cases of the closed form, in `Fraction` arithmetic, are the tests'
 references in `reference`, which no run imports.
 
 Convention notes, fixed here and relied on everywhere:
@@ -36,23 +37,13 @@ from .gclinalg import (
     GElement,
     InvariantError,
     _dual_diag,
-    adapted_structure,
-    b_transform,
-    beta_transform,
     commutator,
-    fiber_kahler_structure,
-    from_complex,
-    from_symplectic,
-    gl_action,
     is_vertical,
-    random_orthonormal_basis,
     standard_complex_matrix,
-    standard_symplectic_matrix,
-    vertical_space_basis,
     zero_element,
     zero_endo,
 )
-from .poly import ChartPoint, Poly, poly_from_json, random_chart_point
+from .poly import ChartPoint, Poly, poly_from_json
 from .value import Value
 
 
@@ -338,23 +329,6 @@ def curvature_action_on_structure(conn: Connection, at: TwistorPoint) -> dict:
     return out
 
 
-def nijenhuis_mixed(alpha: int, at: TwistorPoint, a: GElement, v: Endo) -> TwistorTangent:
-    """N_alpha of a horizontal lift against a vertical vector:
-    [1 + (-1)^alpha] ((j o V) A)^h, so zero for alpha = 1."""
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    n = at.n
-    if v.is_zero():
-        return tangent_from_parts(n)
-    if not is_vertical(v, at.structure.j):
-        raise NotVerticalError("V is not a vertical vector at j")
-    coef = 1 + (-1) ** alpha
-    if coef == 0:
-        return tangent_from_parts(n)
-    value = at.structure.j.compose(v).apply(a).scale(coef)
-    return tangent_from_parts(n, horizontal=value)
-
-
 def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
                                 probes: Sequence[TwistorTangent],
                                 ) -> dict[tuple[int, int], TwistorTangent]:
@@ -364,8 +338,8 @@ def nijenhuis_closed_form_table(alpha: int, conn: Connection, at: TwistorPoint,
     mixed and coform cases (the vertical-vertical case is zero):
     N(E, F) = H(e, f) + M(e, V_F) - M(f, V_E) + C(e, Phi_F) - C(f, Phi_E)
     for horizontal parts e, f, vertical parts V and coform representers
-    Phi, with H, M and C the values of `nijenhuis_horizontal`,
-    `nijenhuis_mixed` and `nijenhuis_coform`.
+    Phi, with H, M and C the values of `reference.nijenhuis_horizontal`,
+    `integrability.nijenhuis_mixed` and `reference.nijenhuis_coform`.
 
     Each vertical or coform part object is validated once, and every
     per-probe quantity is turned into integers once per point, so a pair
@@ -583,84 +557,8 @@ def mu_forced_zero_check(n: int) -> MuSystemReport:
     return MuSystemReport(n, unknowns, rank, unknowns - rank)
 
 
-def hybrid_nijenhuis_horizontal(at: TwistorPoint, a: GElement, v: Endo) -> GElement:
-    """H + H* part of the mixed Nijenhuis term for the hybrid structures that
-    use the fibre symplectic-type structure on vertical data.
-
-    Computed through the horizontal-vertical bracket mechanism, whose
-    only surviving term is (j o V) A with coefficient one: unlike the pure
-    twistor structures, where the second bracket doubles or cancels it, it
-    depends on neither alpha nor the connection, so one value serves both
-    hybrid structures.  Requires the fibre two-form to be nondegenerate at
-    the point, since the hybrid structure is only defined there.
-    """
-    fiber_kahler_structure(at.structure, vertical_space_basis(at.structure))  # raises if degenerate
-    if v.is_zero():
-        return zero_element(2 * at.n)
-    if not is_vertical(v, at.structure.j):
-        raise NotVerticalError("V is not a vertical vector at j")
-    return at.structure.j.compose(v).apply(a)
-
-
 # ---------------------------------------------------------------------------
 # sampling helpers (exact, seeded)
-
-
-def random_skew_matrix(dim: int, rng: random.Random) -> Mat:
-    rows = [[F0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-            rows[i][j] = c
-            rows[j][i] = -c
-    return tuple(map(tuple, rows))
-
-
-def random_invertible_matrix(dim: int, rng: random.Random) -> Mat:
-    """A product of six seeded rational shears: invertible, determinant one.
-
-    Multiplying by the shear Id + c E_ij on the right adds c times column i
-    to column j.  The product is kept as one integer matrix over one
-    denominator: for c = p / q each shear multiplies the numerators and the
-    denominator by q, then adds p times the old column i to column j.
-    """
-    m = [[int(r == k) for k in range(dim)] for r in range(dim)]
-    den = 1
-    for _ in range(6):
-        i, j = rng.sample(range(dim), 2)
-        p, q = rng.randint(-2, 2), rng.randint(1, 3)
-        for row in m:
-            add = p * row[i]
-            if q != 1:
-                row[:] = [q * x for x in row]
-            row[j] += add
-        den *= q
-    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
-
-
-def sample_fibre_structure(n: int, rng: random.Random) -> GCStructure:
-    """A fibre point generated by a word of three transforms applied to a
-    standard seed.
-
-    Seeds are `from_complex(standard_complex_matrix(n))` (any n) or
-    `from_symplectic(standard_symplectic_matrix(n))` (even n, to stay in
-    the canonical component); every move is an exact isometry of the
-    pairing, so invariants survive by construction.
-    """
-    if n % 2 == 0 and rng.random() < Fraction(1, 2):
-        structure = from_symplectic(standard_symplectic_matrix(n))
-    else:
-        structure = from_complex(standard_complex_matrix(n))
-    dim_v = 2 * n
-    for _ in range(3):
-        move = rng.choice(("b", "beta", "gl"))
-        if move == "b":
-            structure = b_transform(structure, random_skew_matrix(dim_v, rng))
-        elif move == "beta":
-            structure = beta_transform(structure, random_skew_matrix(dim_v, rng))
-        else:
-            structure = gl_action(random_invertible_matrix(dim_v, rng), structure)
-    return structure
 
 
 def fibre_chart_samples(rng: random.Random, count: int):
@@ -674,16 +572,3 @@ def fibre_chart_samples(rng: random.Random, count: int):
             if u * u + v * v != 1:
                 break
         yield u, v, (-1) ** made
-
-
-class AdaptedSample(Value):
-    """A twistor point whose structure is adapted to a sampled orthonormal basis."""
-
-    __slots__ = ("at", "basis")
-
-
-def sample_adapted_point(n: int, rng: random.Random) -> AdaptedSample:
-    basis = random_orthonormal_basis(n, rng)
-    structure = adapted_structure(basis)
-    at = TwistorPoint(random_chart_point(2 * n, rng), structure)
-    return AdaptedSample(at, basis)

@@ -16,6 +16,8 @@ build it.  It sits here, below every layer, so that the modules holding a
 suite's checks need nothing from `harness`.
 """
 
+from operator import attrgetter
+
 
 class Value:
     """Construction, equality, hashing and repr over the slots, in slot order.
@@ -23,10 +25,19 @@ class Value:
     `Value(*fields)` raises TypeError unless it gets exactly one field per
     slot, so no slot is left unset.  Instances are equal only to instances
     of the same class, and compare and hash the tuple of their public
-    fields.
+    fields, which each class reads with the one `operator.attrgetter`
+    that `__init_subclass__` sets; a class has at least one public field.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        public = [name for name in cls.__slots__ if name[0] != "_"]
+        # the tuple of several fields; of one, the bare value, which equals
+        # another exactly when their 1-tuples do and is hashed as its 1-tuple
+        cls._public_fields = attrgetter(*public)
+        cls._one_field = len(public) == 1
 
     def __init__(self, *fields) -> None:
         slots = self.__slots__
@@ -36,16 +47,15 @@ class Value:
         for name, value in zip(slots, fields):
             setattr(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__ if name[0] != "_"])
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._public_fields
+        return fields(self) == fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        fields = self._public_fields(self)
+        return hash((fields,) if self._one_field else fields)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{name}={getattr(self, name)!r}"

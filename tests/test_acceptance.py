@@ -12,38 +12,41 @@ import time
 from fractions import Fraction as F
 
 from gctwistor import exactmat as xm
-from gctwistor.bracket import section_from_coefficients
-from gctwistor.courant import b_automorphism_defect, two_form_field
+from gctwistor.courant import b_automorphism_defect, section_from_coefficients, two_form_field
 from gctwistor.gclinalg import (
     Endo,
     coordinate_elements,
-    from_complex,
-    from_symplectic,
     hyperboloid_point,
-    random_orthonormal_basis,
     reference_basis,
     skew_frames,
     standard_complex_matrix,
-    standard_symplectic_matrix,
     vertical_space_basis,
 )
 from gctwistor.harness import emit_report, load_scenario, run_scenario
-from gctwistor.integrability import _probe_set
+from gctwistor.integrability import (
+    _probe_set,
+    hybrid_nijenhuis_horizontal,
+    nijenhuis_mixed,
+    sample_adapted_point,
+)
 from gctwistor.linalg import dim2_basis_orientation
 from gctwistor.oracle import oracle_compare_nijenhuis, seeded_oracle_samples
 from gctwistor.poly import Poly, chart_point, random_chart_point
 from gctwistor.reference import nijenhuis_horizontal, validate_tangent
+from gctwistor.structures import (
+    from_complex,
+    from_symplectic,
+    random_orthonormal_basis,
+    sample_fibre_structure,
+    standard_symplectic_matrix,
+)
 from gctwistor.twistor import (
     TwistorPoint,
     connection,
     fibre_chart_samples,
     flat_connection,
-    hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_mixed,
-    sample_adapted_point,
-    sample_fibre_structure,
 )
 
 

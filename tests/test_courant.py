@@ -11,31 +11,25 @@ from gctwistor.bracket import (
     FieldInvariantError,
     GACField,
     JetSection,
-    constant_field,
     constant_section,
     coordinate_sections,
-    courant_bracket,
     lie_bracket,
-    nijenhuis,
     nijenhuis_table,
-    section_from_coefficients,
 )
 from gctwistor.bracket import _bracket
 from gctwistor.courant import (
     ProbeSpanError,
     b_automorphism_defect,
+    constant_field,
+    courant_bracket,
     default_probes,
     integrability_scan,
+    nijenhuis,
+    section_from_coefficients,
     two_form_field,
 )
-from gctwistor.gclinalg import (
-    GElement,
-    from_complex,
-    from_symplectic,
-    gelem,
-    standard_complex_matrix,
-    standard_symplectic_matrix,
-)
+from gctwistor.gclinalg import GElement, gelem, standard_complex_matrix
+from gctwistor.structures import from_complex, from_symplectic, standard_symplectic_matrix
 from gctwistor.poly import Jet, Poly, RationalFn, as_rational, chart_point
 
 ZERO2 = Poly.constant(2, 0)

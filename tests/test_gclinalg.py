@@ -10,38 +10,30 @@ from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 from gctwistor import gclinalg as gl
+from gctwistor import structures
 from gctwistor.gclinalg import (
     DegenerateInputError,
     Endo,
     GCStructure,
     InvariantError,
     OrthonormalBasis,
-    adapted_structure,
-    b_transform,
     basis_covector,
     basis_vector,
-    beta_transform,
     coordinate_elements,
     fib_pairing,
-    fiber_kahler_structure,
-    from_complex,
-    from_symplectic,
     gelem,
-    gl_action,
     hyperboloid_chart,
     hyperboloid_point,
-    is_pairing_orthogonal,
     is_pairing_skew,
     is_vertical,
-    random_orthonormal_basis,
     reference_basis,
     skew_frames,
     standard_complex_matrix,
-    standard_symplectic_matrix,
     structure_orientation,
     vertical_space_basis,
     zero_element,
 )
+from gctwistor.integrability import fiber_kahler_structure
 from gctwistor.linalg import (
     dim2_basis_orientation,
     exp_two_form,
@@ -53,7 +45,21 @@ from gctwistor.linalg import (
 )
 from gctwistor.oracle import TwistorChart
 from gctwistor.poly import chart_point
-from gctwistor.twistor import flat_connection, sample_fibre_structure
+from gctwistor.structures import (
+    adapted_structure,
+    b_transform,
+    beta_transform,
+    from_complex,
+    from_symplectic,
+    gl_action,
+    is_pairing_orthogonal,
+    random_invertible_matrix,
+    random_orthonormal_basis,
+    random_skew_matrix,
+    sample_fibre_structure,
+    standard_symplectic_matrix,
+)
+from gctwistor.twistor import flat_connection
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -212,7 +218,7 @@ def _gelement_moves_basis(n, seed):
     rng = random.Random(seed)
     vectors = list(reference_basis(n).vectors)
     dim_v = 2 * n
-    for _ in range(gl._BASIS_WORD_LENGTH):
+    for _ in range(structures._BASIS_WORD_LENGTH):
         kind = rng.choice(("circular+", "circular-", "hyperbolic"))
         if kind == "circular+":
             i, k = rng.sample(range(dim_v), 2)
@@ -221,7 +227,8 @@ def _gelement_moves_basis(n, seed):
         else:
             i, k = rng.randrange(dim_v), dim_v + rng.randrange(dim_v)
         vi, vk = vectors[i], vectors[k]
-        params = gl._hyperbolic_params if kind == "hyperbolic" else gl._rotation_params
+        params = (structures._hyperbolic_params if kind == "hyperbolic"
+                  else structures._rotation_params)
         a, b, e = params(rng)
         c, s = F(a, e), F(b, e)
         if kind == "hyperbolic":
@@ -302,8 +309,8 @@ def _fraction_hyperbolic_params(rng):
 
 
 @pytest.mark.parametrize("integer, fraction", [
-    (gl._rotation_params, _fraction_rotation_params),
-    (gl._hyperbolic_params, _fraction_hyperbolic_params),
+    (structures._rotation_params, _fraction_rotation_params),
+    (structures._hyperbolic_params, _fraction_hyperbolic_params),
 ], ids=["rotation", "hyperbolic"])
 def test_move_params_are_integer_triples(integer, fraction):
     # the same draws give (c, s) = (a, b) / e, with e > 0 as `_combine` requires
@@ -523,7 +530,6 @@ def _orthogonal_by_definition(m):
 
 
 def _orthogonality_cases():
-    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
     rng = random.Random(16)
     out = []
     for dim_v in (2, 4, 6):
@@ -595,7 +601,6 @@ def test_transforms_preserve_pairing_property(b01, a_coords, b_coords):
 
 def test_transforms_preserve_orientation():
     rng = random.Random(9)
-    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
     j = from_complex(standard_complex_matrix(2))
     for _ in range(5):
         b = random_skew_matrix(4, rng)
@@ -614,7 +619,6 @@ def test_gl_action_identity_and_scalar():
 
 def test_gl_endo_preserves_pairing():
     rng = random.Random(4)
-    from gctwistor.twistor import random_invertible_matrix
     for _ in range(5):
         g = random_invertible_matrix(2, rng)
         assert is_pairing_orthogonal(gl_endo(g))
@@ -640,7 +644,6 @@ def _blocks_reference(vv, vc, cv, cc):
 
 def _seeded_matrices(n, seed):
     """A seeded skew matrix and a seeded invertible matrix on V of dim 2n."""
-    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
     rng = random.Random(seed)
     return random_skew_matrix(2 * n, rng), random_invertible_matrix(2 * n, rng)
 
@@ -653,7 +656,7 @@ def test_unipotent_and_gl_constructors_match_fraction_references(n, seed):
     assert exp_two_form(b) == _blocks_reference(ident, zero, xm.transpose(b), ident)
     assert exp_two_vector(b) == _blocks_reference(ident, xm.transpose(b), zero, ident)
     ginv = xm.inverse(g)
-    u, u_inv = gl._gl_pair(g)
+    u, u_inv = structures._gl_pair(g)
     assert gl_endo(g) == u == _blocks_reference(g, zero, zero, xm.transpose(ginv))
     assert u_inv == _blocks_reference(ginv, zero, zero, xm.transpose(g))
     assert u.compose(u_inv) == identity_endo(2 * dim_v) == u_inv.compose(u)
@@ -723,7 +726,7 @@ def test_conjugation_runs_the_isometry_check_on_e(monkeypatch, transform, what):
         tested.append(m)
         return False
 
-    monkeypatch.setattr(gl, "is_pairing_orthogonal", refuse)
+    monkeypatch.setattr(structures, "is_pairing_orthogonal", refuse)
     b = xm.mat([[0, F(2, 3)], [F(-2, 3), 0]])
     with pytest.raises(InvariantError, match=f"^{re.escape(what)} failed the isometry check$"):
         transform(from_complex(rotation_2()), b)
@@ -1268,20 +1271,19 @@ def _adapted_basis_orientation(j):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_integer_orientation_matches_adapted_basis(n):
-    from gctwistor.twistor import random_invertible_matrix, random_skew_matrix
     rng = random.Random(100 + n)
     seeds = [from_complex(standard_complex_matrix(n)),
              from_symplectic(standard_symplectic_matrix(n)),
              interchanging(n),
              adapted_structure(random_orthonormal_basis(n, rng)),
              sample_fibre_structure(n, rng)]
-    structures = list(seeds)
+    family = list(seeds)
     for s in seeds:
-        structures.append(b_transform(s, random_skew_matrix(2 * n, rng)))
-        structures.append(gl_action(random_invertible_matrix(2 * n, rng), s))
-        structures.append(beta_transform(s, random_skew_matrix(2 * n, rng)))
+        family.append(b_transform(s, random_skew_matrix(2 * n, rng)))
+        family.append(gl_action(random_invertible_matrix(2 * n, rng), s))
+        family.append(beta_transform(s, random_skew_matrix(2 * n, rng)))
     signs = set()
-    for s in structures:
+    for s in family:
         got = structure_orientation(s.j)
         assert got == _adapted_basis_orientation(s.j)
         signs.add(got)

@@ -11,7 +11,8 @@ import pytest
 import gctwistor
 from gctwistor.gclinalg import GElement, SkewFrames
 from gctwistor.poly import random_chart_point, scalar_to_str
-from gctwistor.twistor import flat_connection, sample_fibre_structure
+from gctwistor.structures import sample_fibre_structure
+from gctwistor.twistor import flat_connection
 from gctwistor.harness import (
     PRESETS,
     Report,
@@ -698,30 +699,55 @@ def run(name):
     harness.emit_report(harness.run_scenario(harness.load_scenario(data, name=name)), "text")
 
 {steps}
-print(json.dumps([m for m in ("linalg", "bracket", "courant", "integrability", "oracle",
-                              "reference")
+print(json.dumps([m for m in ("linalg", "bracket", "structures", "courant", "integrability",
+                              "oracle", "reference")
                   if "gctwistor." + m in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("steps, layers", [
-    ("run('thm1-n2-flat'); run('thm1-n1'); run('thm1-n2-curved')", ["integrability"]),
-    ("harness.load_scenario('linalg-all')", ["linalg"]),
-    ("harness.load_scenario('examples-courant')", ["bracket", "courant"]),
+    ("run('thm1-n2-flat'); run('thm1-n1'); run('thm1-n2-curved')",
+     ["structures", "integrability"]),
+    ("harness.load_scenario('linalg-all')", ["linalg", "structures"]),
+    ("harness.load_scenario('examples-courant')", ["bracket", "structures", "courant"]),
     ("harness.load_scenario('oracle-n1')", ["bracket", "oracle"]),
-    ("run('linalg-all')", ["linalg"]),
-    ("run('examples-courant')", ["bracket", "courant"]),
+    ("run('linalg-all')", ["linalg", "structures"]),
+    ("run('examples-courant')", ["bracket", "structures", "courant"]),
     ("for name in harness.PRESETS: run(name)",
-     ["linalg", "bracket", "courant", "integrability", "oracle"]),
+     ["linalg", "bracket", "structures", "courant", "integrability", "oracle"]),
+    ("run('oracle-n1')", ["bracket", "oracle"]),
 ])
 def test_scenarios_load_only_the_layers_they_schedule(steps, layers):
     # each run compiles what it imports, so the integrability presets load no
-    # other suite's module, and the oracle's loads the bracket kernel but not
-    # the courant/ suite; a suite's module loads with the scenario that
-    # schedules it, before run_scenario times any check, and no preset loads
-    # the tests' references
+    # other suite's module, and the oracle's loads the bracket kernel but
+    # neither the courant/ suite nor the named and seeded structures; a
+    # suite's module loads with the scenario that schedules it, before
+    # run_scenario times any check, and no preset loads the tests' references
     result = run_child("-c", _LAYERS_AFTER.format(steps=steps), check=True)
     assert json.loads(result.stdout) == layers
+
+
+# In a fresh interpreter that runs oracle-n1 through the command line: the
+# modules of the package it loaded that define one of the names.
+_ORACLE_DEFINES = """
+import json, sys
+from gctwistor import cli
+code = cli.main(["verify", "oracle-n1"])
+names = ("random_orthonormal_basis", "sample_fibre_structure", "nijenhuis_mixed",
+         "courant_bracket")
+print(json.dumps([code, sorted(f"{m}.{name}" for m, module in list(sys.modules.items())
+                               if m.startswith("gctwistor") for name in names
+                               if getattr(module, name, None) is not None
+                               and getattr(module, name).__module__ == m)]))
+"""
+
+
+def test_oracle_compiles_no_structure_sampler_witness_term_or_courant_api():
+    # the oracle never builds a random basis or fibre structure, evaluates the
+    # mixed witness term or brackets two sections one pair at a time, so the
+    # modules that define those are not on its import path
+    result = run_child("-c", _ORACLE_DEFINES, check=True)
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2.7, "2", True])

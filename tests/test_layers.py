@@ -1,9 +1,9 @@
 """The package's modules form layers, and each imports only from below.
 
 From the bottom: exactmat and value (neither imports the other), poly,
-gclinalg, bracket, twistor, then the suite modules linalg, courant,
-integrability and oracle with reference (none of the five imports
-another), harness, cli; the package's `__init__` and `__main__` sit on
+gclinalg, bracket and structures (neither imports the other), twistor,
+then the suite modules linalg, courant, integrability and oracle with
+reference (none of the five imports another), harness, cli; the package's `__init__` and `__main__` sit on
 top.  Every relative import in a module, at module level or inside a
 function, must name a module of a lower layer, so a helper moved between
 modules cannot add a back edge.  Harness imports each suite module
@@ -21,7 +21,7 @@ from gctwistor import harness
 
 SRC = Path(gctwistor.__file__).resolve().parent
 
-LAYERS = (("exactmat", "value"), ("poly",), ("gclinalg",), ("bracket",), ("twistor",),
+LAYERS = (("exactmat", "value"), ("poly",), ("gclinalg",), ("bracket", "structures"), ("twistor",),
           ("linalg", "courant", "integrability", "oracle", "reference"), ("harness",), ("cli",),
           ("__init__", "__main__"))
 LEVEL = {module: level for level, group in enumerate(LAYERS) for module in group}

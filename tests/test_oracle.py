@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 from gctwistor import oracle, twistor
-from gctwistor.bracket import (
-    coordinate_sections,
-    lie_bracket,
-    nijenhuis,
-    nijenhuis_table,
-    section_from_coefficients,
-)
+from gctwistor.bracket import coordinate_sections, lie_bracket, nijenhuis_table
+from gctwistor.courant import nijenhuis, section_from_coefficients
 from gctwistor.gclinalg import (
     DegenerateInputError,
     Endo,
@@ -40,13 +35,8 @@ from gctwistor.oracle import (
 )
 from gctwistor.poly import Jet, Poly, chart_point, jmat_mul, random_chart_point
 from gctwistor.reference import horizontal_lift
-from gctwistor.twistor import (
-    CurvatureValue,
-    TwistorPoint,
-    connection,
-    flat_connection,
-    sample_fibre_structure,
-)
+from gctwistor.structures import sample_fibre_structure
+from gctwistor.twistor import CurvatureValue, TwistorPoint, connection, flat_connection
 
 CONN = connection(1, {(0, 1, 1): Poly.variable(2, 0)})
 ONE = Poly.constant(2, 1)
@@ -501,7 +491,6 @@ def test_direct_nijenhuis_is_tensorial():
     # the Nijenhuis value depends only on the pointwise values of its
     # arguments: rescaling a probe by a function equal to one at the point
     # (changing its jet, not its value) must not change the output
-    from gctwistor.bracket import section_from_coefficients
     chart = TwistorChart(CONN, 1)
     q = q_at(u=F(1, 3), v=F(1, 2))
     field = chart.field(2)

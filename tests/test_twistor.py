@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from gctwistor import exactmat as xm
-from gctwistor import twistor
+from gctwistor import structures, twistor
 from gctwistor.gclinalg import (
     Endo,
     InvariantError,
@@ -15,16 +15,19 @@ from gctwistor.gclinalg import (
     basis_vector,
     coordinate_elements,
     fib_pairing,
-    from_complex,
     gelem,
     hyperboloid_point,
     is_vertical,
-    gl_action,
     reference_basis,
     standard_complex_matrix,
     vertical_space_basis,
 )
-from gctwistor.integrability import _probe_set
+from gctwistor.integrability import (
+    _probe_set,
+    hybrid_nijenhuis_horizontal,
+    nijenhuis_mixed,
+    sample_adapted_point,
+)
 from gctwistor.linalg import gl_endo, neutral_pairing
 from gctwistor.poly import Poly, chart_point, random_chart_point
 from gctwistor.reference import (
@@ -35,6 +38,12 @@ from gctwistor.reference import (
     nijenhuis_horizontal,
     twistor_J,
     validate_tangent,
+)
+from gctwistor.structures import (
+    from_complex,
+    gl_action,
+    random_invertible_matrix,
+    sample_fibre_structure,
 )
 from gctwistor.twistor import (
     Connection,
@@ -47,13 +56,8 @@ from gctwistor.twistor import (
     curvature,
     fibre_chart_samples,
     flat_connection,
-    hybrid_nijenhuis_horizontal,
     mu_forced_zero_check,
     nijenhuis_closed_form_table,
-    nijenhuis_mixed,
-    random_invertible_matrix,
-    sample_adapted_point,
-    sample_fibre_structure,
     tangent_from_parts,
 )
 from gctwistor.twistor import _mu_constraint_rows
@@ -295,7 +299,7 @@ def test_fibre_chart_samples_draw_lazily():
 @pytest.mark.parametrize("dim, seed", [(2, 0), (4, 1), (6, 2), (8, 3)])
 def test_random_invertible_matrix_is_the_product_of_its_shears(dim, seed):
     # the same draws, in the same order, multiplied out as Fraction shears
-    got = twistor.random_invertible_matrix(dim, random.Random(seed))
+    got = structures.random_invertible_matrix(dim, random.Random(seed))
     rng = random.Random(seed)
     expected = xm.identity(dim)
     for _ in range(6):
@@ -390,8 +394,7 @@ def test_twistor_J_rejects_non_vertical_parts():
 
 
 def test_twistor_point_requires_canonical_orientation():
-    from gctwistor.gclinalg import from_symplectic
-    from gctwistor.gclinalg import standard_symplectic_matrix
+    from gctwistor.structures import from_symplectic, standard_symplectic_matrix
     with pytest.raises(InvariantError):
         TwistorPoint(chart_point([F(0), F(0)]),
                      from_symplectic(standard_symplectic_matrix(1)))

@@ -16,24 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctwistor
-from gctwistor.gclinalg import (
-    DimensionMismatchError,
-    Endo,
-    GElement,
-    InvariantError,
-    random_orthonormal_basis,
-)
+from gctwistor.gclinalg import DimensionMismatchError, Endo, GElement, InvariantError
 from gctwistor.linalg import ProjectionReport
 from gctwistor.oracle import OracleSample
 from gctwistor.poly import Poly, RationalFn, chart_point, random_chart_point
 from gctwistor.reference import MuForm
+from gctwistor.structures import random_orthonormal_basis, sample_fibre_structure
 from gctwistor.twistor import (
     CurvatureValue,
     MuSystemReport,
     TwistorPoint,
     TwistorTangent,
     connection,
-    sample_fibre_structure,
 )
 from gctwistor.value import CheckResult, Value
 
