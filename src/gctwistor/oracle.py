@@ -1,42 +1,37 @@
-"""Direct verification of the closed-form Nijenhuis tensor on the dim-2 base.
+"""Direct verification of the closed-form Nijenhuis tensor on a twistor chart.
 
-For a two-dimensional base the twistor bundle carries a global rational
-chart: base coordinates (x1, x2) and fibre coordinates (u, v) running
-over the unit-hyperboloid parametrisation of the fibre.  On that
-four-dimensional chart the twistor structures become honest structure
-fields with rational entries, so their Nijenhuis tensor can be computed
-directly from Courant brackets of coordinate sections -- no part of the
-closed-form machinery enters.  Comparing the two values pairwise, in
-exact arithmetic, is the strongest end-to-end check in the package;
-`oracle_compare_nijenhuis` returns one result per sample and alpha.
+The twistor bundle carries a chart centred at each sample's fibre point
+j0: base coordinates x, and fibre coordinates c in R^k, k = 4n^2 - 2n,
+which move j0 by the Cayley transform along the vertical basis
+(`TwistorChart`).  On it the twistor structures become honest structure
+fields, so their Nijenhuis tensor can be computed directly from Courant
+brackets of coordinate sections -- no part of the closed-form machinery
+enters.  Comparing the two values pairwise, in exact arithmetic, is the
+strongest end-to-end check in the package; `oracle_compare_nijenhuis`
+returns one result per sample and alpha.  The chart is built at any n;
+the `oracle/` checks run at n = 1.
 
-All field evaluation here runs in forward-mode jet arithmetic
-(`poly.Jet`, exact rationals kept as integers over one denominator):
-every quantity carries its value and chart gradient, which is exactly
-the first-order data the bracket formulas consume; jets are compared as
-values (`==`), never component by component.  The structure fields
-evaluate to the jet matrices that `_field_matrix` computes, and the
-lift and tilde sections to tuples of the jets of their components, the
-1-jets `bracket` reads; a polynomial base component enters as its base
-jet with the gradient padded by zeros.  `poly.jmat_mul` skips the zero
-jets of both factors, which are exactly zero terms.  A chart keeps the
-`ChartContext` of the last point it was asked about: every caller works
-through one sample point at a time.  The context builds the splitting
-frame T = H + V of the point once, as the frame change P from the
-splitting frame to the coordinate frame and its inverse, in jets and in
-values.  The fields conjugate by P, a lift reads its columns, and
+All field evaluation runs in forward-mode jet arithmetic (`poly.Jet`,
+exact rationals kept as integers over one denominator), and only 1-jets
+at the centre are read: the value and chart gradient that the bracket
+formulas consume.  Jets are compared as values (`==`).  The chart builds
+the jet of J, the fibre complex structure and the integer functionals
+that read the chart coordinates of a jet of fibre-tangent fields once.
+A chart keeps the `ChartContext` of the last base point it was asked
+about: the splitting frame T = H + V there, as the frame change P from
+the splitting frame to the coordinate frame and its inverse, in jets and
+in values.  The fields conjugate by P, a lift reads its columns, and
 `decompose` and `compose` are one product by P^-1 or P and the fibre
-maps, which read the fibre basis dJ/du, dJ/dv and its Gram inverse in
-`Fraction`s.
+maps, which read the fibre basis and its Gram inverse.
 
 The connection form omega(X) enters in jets through one builder,
 `_connection_form`, from the Christoffel polynomials alone, for the
-chart's lift coefficients (X = d/dx_1, d/dx_2), for the covariant
-derivative of `chart_vertical_bracket_check` and for the bundle-chart
-identity `lift_bracket_curvature_check` (X a polynomial field).  That
-identity is evaluated the same way, as 1-jets at the point, in
-dim + (2 dim)^2 chart variables (18 at n = 1, 68 at n = 2).  The oracle's
-fibre points come from `twistor.fibre_chart_samples`.
+chart's lifts (X = d/dx_a), for the covariant derivative of
+`chart_vertical_bracket_check` and for the bundle-chart identity
+`lift_bracket_curvature_check` (X a polynomial field).  That identity is
+evaluated as 1-jets at the point in dim + (2 dim)^2 chart variables (18
+at n = 1, 68 at n = 2).  The oracle's fibre points are `hyperboloid_point`s
+of parameters drawn by `twistor.fibre_chart_samples`.
 
 The checks of the `oracle/` suite, keyed by name in `CHECKS`, end this
 module, which `harness` loads only for a scenario that schedules one.
@@ -47,10 +42,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
-from .exactmat import F0, Mat, Vec
+from .exactmat import F0, Vec
 from .bracket import (
     GACField,
     JetSection,
@@ -61,17 +57,19 @@ from .bracket import (
 )
 from .gclinalg import (
     DegenerateInputError,
+    DimensionMismatchError,
     Endo,
     GCStructure,
     GElement,
     InvariantError,
-    _FRAME_NORMS,
+    commutator,
     fib_pairing,
     hyperboloid_point,
     is_pairing_skew,
     reference_basis,
-    skew_frames,
+    vertical_space_basis,
     zero_element,
+    zero_endo,
 )
 from .poly import (
     ChartPoint,
@@ -95,18 +93,7 @@ from .value import CheckResult, Value, _fail, _ok
 
 
 # ---------------------------------------------------------------------------
-# matrices of jets
-
-
-def jmat_comb(mats: Sequence[Mat], coeffs: Sequence[Jet], nvars: int) -> JetMat:
-    size = len(mats[0])
-    out = [[Jet.constant(0, nvars) for _ in range(size)] for _ in range(size)]
-    for m, c in zip(mats, coeffs):
-        for i in range(size):
-            for j in range(size):
-                if m[i][j]:
-                    out[i][j] = out[i][j] + c.scale(m[i][j])
-    return out
+# the twistor chart centred at a fibre point
 
 
 def jmat_commutator(a: JetMat, b: JetMat) -> JetMat:
@@ -115,110 +102,116 @@ def jmat_commutator(a: JetMat, b: JetMat) -> JetMat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
-def jmat_trace_product_const(a: JetMat, m: Mat) -> Jet:
-    """trace(a m) for a constant second factor."""
-    size = len(m)
-    acc = None
-    for i in range(size):
-        for j in range(size):
-            if m[j][i]:
-                term = a[i][j].scale(m[j][i])
-                acc = term if acc is None else acc + term
-    return acc if acc is not None else Jet.constant(0, len(a[0][0].num) - 1)
-
-
-# ---------------------------------------------------------------------------
-# the twistor chart over a dim-2 base
-
-
 class ChartContext(Value):
-    """What the chart computes once per point: the twistor point `at`, built
-    and validated once; in jets, the (u, v) partials `dx` of the chart
-    functions, the fibre structure `j_base`, the fibre complex structure
-    `kappa` in (u, v) coordinates and `splitting` = (P, P^-1), the columns
-    of P the splitting frame (lifts h_a, d/du, d/dv, dx_a, coforms thu, thv
+    """What the chart computes once per base point: the twistor point `at`,
+    built and validated once; `splitting` = (P, P^-1) in jets, the columns
+    of P the splitting frame (lifts h_a, d/dc_w, dx_a, coforms th_w
     vanishing on the lifts) in coordinates; P and P^-1 as endomorphisms,
-    `to_chart` and `to_split`; and what the fibre maps read, the basis
-    dJ/du, dJ/dv and the inverse of its Gram matrix."""
+    `to_chart` and `to_split`."""
 
-    __slots__ = ("at", "dx", "j_base", "kappa", "splitting", "to_chart", "to_split", "basis",
-                 "gram_inverse")
+    __slots__ = ("at", "splitting", "to_chart", "to_split")
 
 
 class TwistorChart:
-    """The rational twistor chart (x1, x2, u, v) over a dim-2 base.
+    """The twistor chart (x, c) centred at a fibre point j0, at any n.
 
-    The fibre structure at (u, v) is x1(u,v) L1 + x2(u,v) L2 + x3(u,v) L3
-    in the anticommuting frame of the constant reference basis, with the
-    unit-hyperboloid chart x1 = sheet (1+u^2+v^2)/(1-u^2-v^2),
-    x2 = 2u/(1-u^2-v^2), x3 = 2v/(1-u^2-v^2); the circle u^2+v^2 = 1 is
-    excluded.  All per-point data (structure, splitting, the two twistor
-    structure fields) is computed in jet arithmetic from the point's
-    `ChartContext`, which the chart keeps for the last point only.
+    With B_1..B_k = `vertical_space_basis(j0)`, k = 4n^2 - 2n, the fibre
+    structure at c in R^k is j(c) = C(t)^2 j0 for t = sum c_w B_w / 4 and
+    the Cayley transform C(t) = (1 - t)^-1 (1 + t) (H. Weyl, The Classical
+    Groups, 1939, ch. II): t anticommutes with j0, so C(t)^2 j0 =
+    C(t) j0 C(t)^-1, and C(t) is an isometry.  The chart has m = 2n base
+    and k fibre variables, m^2 in all.  Only 1-jets at c = 0 are read, and
+    a term of order 2 or more in c has a zero 1-jet there, so:
+    - J = j0 + sum c_w B_w j0, the jet of j(c) = (1 + 4t + 8t^2) j0 + ...;
+    - T_w = dj/dc_w = 2[(1 + t)(B_w/4)(1 - t), J] has the value
+      b_w = B_w j0 and the partial (B_v b_w + B_w b_v) / 2 in c_v (the
+      terms of t add (1/8)[[B_v, B_w], j0], which is zero: B_v B_w
+      commutes with j0);
+    - the chart coordinates of a jet W of fibre-tangent fields are the
+      B-coordinates of -(1 - 2t) W (1 + 2t) j0 (`_coordinates`).
+    The chart builds J, the T_w and the fibre complex structure kappa
+    (J T_w = sum_v kappa[w][v] T_v) once, and a base point's splitting in
+    its `ChartContext`, kept for the last point only.  Points off the
+    centre, c != 0, are rejected.
     """
 
-    NVARS = 4
-
-    def __init__(self, conn: Connection, sheet: int):
-        if conn.n != 1:
-            raise DegenerateInputError("the twistor chart needs a dim-2 base")
-        if sheet not in (1, -1):
-            raise ValueError("sheet must be +1 or -1")
+    def __init__(self, conn: Connection, structure: GCStructure):
+        if structure.dim_v != conn.dim:
+            raise DimensionMismatchError("fibre structure and connection disagree on dim M")
         self.conn = conn
-        self.sheet = sheet
-        # the left frame as Endos, and as the rows that jmat_comb reads
-        self.left = skew_frames(reference_basis(1)).left
-        self.frame = [f.rows for f in self.left]
+        self.structure = structure
+        j0 = structure.j
+        generators = vertical_space_basis(structure)
+        m, k = conn.dim, len(generators)
+        self.m, self.k, self.nvars = m, k, m + k
+        # the fibre basis b_w = T_w(0) and the inverse of its Gram matrix,
+        # which is the Gram matrix of B as well
+        self.basis = [g.compose(j0) for g in generators]
+        self.gram_inverse = xm.inverse([[fib_pairing(a, b) for b in self.basis]
+                                        for a in self.basis])
+        # the B-coordinates of -Y j0 are a(Y)_w = <b^w, Y> for the dual basis
+        # b^w = sum_v G^-1[w][v] b_v, and a([Y, B_v])_w / 2 = <[B_v, b^w] / 2, Y>:
+        # each functional as integer coefficients of Y's row-major entries,
+        # <X, Y> = -trace(X Y) / 2, over one denominator
+        duals = [self._combination(row) for row in self.gram_inverse]
+        forms = [[e] + [commutator(g, e).scale(Fraction(1, 2)) for g in generators]
+                 for e in duals]
+        self._den = 2 * lcm(*(f.den for row in forms for f in row))
+        self._functionals = [[[-x * (self._den // (2 * f.den)) for col in zip(*f.num) for x in col]
+                              for f in row] for row in forms]
+        base = [zero_endo(2 * m)] * m
+        self.j = _jets(j0, base + self.basis)
+        self.tangents = [_jets(b, base + [(g.compose(c) + h.compose(b)).scale(Fraction(1, 2))
+                                          for h, c in zip(generators, self.basis)])
+                         for g, b in zip(generators, self.basis)]
+        self.kappa = [self._coordinates(jmat_mul(self.j, t)) for t in self.tangents]
+        self._zero = zero_element(self.nvars)
         self._last: tuple[Vec, ChartContext] | None = None
 
-    # -- chart functions in jet arithmetic --------------------------------
+    def point(self, base: Vec) -> ChartPoint:
+        """The chart point over a base point at the centre, c = 0."""
+        return chart_point(tuple(base) + (F0,) * self.k)
 
-    def _chart_jets(self, point: Vec) -> tuple[list[Jet], list[list[Jet]]]:
-        """x_r and their first partials d x_r / d(u, v), all as jets.
+    # -- fibre coordinates ---------------------------------------------------
 
-        The partials are entered through their own closed forms so that
-        jet arithmetic yields their gradients exactly.
-        """
-        u = Jet.variable(2, point)
-        v = Jet.variable(3, point)
-        one = Jet.constant(1, self.NVARS)
-        two = Jet.constant(2, self.NVARS)
-        four = Jet.constant(4, self.NVARS)
-        uu, vv, uv = u * u, v * v, u * v
-        den = one - uu - vv
-        if den.value == 0:
-            raise DegenerateInputError("chart singularity u^2 + v^2 = 1")
-        den2 = den * den
-        s = Fraction(self.sheet)
-        x = [((one + uu + vv) / den).scale(s), (two * u) / den, (two * v) / den]
-        dx = [
-            [((four * u) / den2).scale(s), ((four * v) / den2).scale(s)],
-            [(two * (one + uu - vv)) / den2, (four * uv) / den2],
-            [(four * uv) / den2, (two * (one + vv - uu)) / den2],
-        ]
-        return x, dx
+    def _coordinates(self, w: JetMat) -> list[Jet]:
+        """The chart coordinates c_1..c_k of a jet W of fields tangent to the
+        fibre along j(c), as jets at c = 0: the B-coordinates of
+        -(1 - 2t) W (1 + 2t) j0, that is a(W) at the value, a(d_x W) in a
+        base variable and a(d_v W) + a([W, B_v]) / 2 in c_v.  Computed in
+        integers over the lcm of W's denominators; InvariantError unless
+        the value lies in the span of the fibre basis."""
+        d = lcm(*(e.den for row in w for e in row))
+        value, *grads = zip(*(e.num if e.den == d else [x * (d // e.den) for x in e.num]
+                              for row in w for e in row))
+        self.fibre_coordinates(_values(w))
+        m = self.m
+        out = []
+        for a, *twists in self._functionals:
+            num = [sum(map(mul, a, value))] + [sum(map(mul, a, g)) for g in grads]
+            for v, t in enumerate(twists):
+                num[1 + m + v] += sum(map(mul, t, value))
+            out.append(Jet._lowest(num, self._den * d))
+        return out
 
-    def _coords_of(self, m: JetMat) -> list[Jet]:
-        """Coefficients of a skew jet matrix in the anticommuting frame."""
-        return [jmat_trace_product_const(m, self.frame[r]).scale(-Fraction(1, 2) / _FRAME_NORMS[r])
-                for r in range(3)]
-
-    @staticmethod
-    def _solve_uv(coords: Sequence, dx: Sequence[Sequence]) -> tuple:
-        """Solve coords = c_u dx/du + c_v dx/dv, in jets, for a
-        fibre-tangent vector.
-
-        Rows 2 and 3 of the chart Jacobian are always independent (their
-        determinant is 4(1+u^2+v^2)/(1-u^2-v^2)^3); the first row is an
-        exact consistency check of tangency.
-        """
-        det = dx[1][0] * dx[2][1] - dx[1][1] * dx[2][0]
-        c_u = (coords[1] * dx[2][1] - coords[2] * dx[1][1]) / det
-        c_v = (dx[1][0] * coords[2] - dx[2][0] * coords[1]) / det
-        probe = dx[0][0] * c_u + dx[0][1] * c_v
-        if probe != coords[0]:
+    def fibre_coordinates(self, vertical: Endo) -> tuple[Fraction, ...]:
+        """Chart coordinates of a vertical endomorphism at j0, read by the
+        chart's functionals; InvariantError unless it lies in the span of
+        the fibre basis, the tangent space of the fibre chart."""
+        flat = [x for row in vertical.num for x in row]
+        den = self._den * vertical.den
+        coords = tuple(Fraction(sum(map(mul, a, flat)), den) for a, *_ in self._functionals)
+        if self._combination(coords) != vertical:
             raise InvariantError("vector is not tangent to the fibre chart")
-        return c_u, c_v
+        return coords
+
+    def _combination(self, coeffs: Sequence[Fraction]) -> Endo:
+        """sum_w coeffs[w] b_w."""
+        out = zero_endo(self.basis[0].dim)
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                out = out + b.scale(c)
+        return out
 
     # -- the per-point context ---------------------------------------------
 
@@ -227,82 +220,55 @@ class TwistorChart:
         if self._last is not None and self._last[0] == q.coords:
             return self._last[1]
         point = q.coords
-        nv = self.NVARS
-        x, dx = self._chart_jets(point)
-        j_base = jmat_comb(self.frame, x, nv)
+        m, nv = self.m, self.nvars
+        if any(point[m:]):
+            raise DegenerateInputError("the chart is read at its centre: fibre coordinates 0")
 
         # the splitting frame P = Id + N: column a is the lift h_a of d/dx_a,
-        # whose (u, v) components gamma_a solve the vertical part
-        # -[omega(d/dx_a), J], and column 6 + w the coform thw = dw -
-        # sum_a gamma_a[w] dx_a; N^2 = 0, so P^-1 = Id - N
+        # whose fibre components gamma_a are the coordinates of its vertical
+        # part -[omega(d/dx_a), J], and column nv + m + w the coform th_w =
+        # dc_w - sum_a gamma_a[w] dx_a; N^2 = 0, so P^-1 = Id - N
         christoffel = [(key, _padded_jet(p, point, nv)) for key, p in self.conn.entries]
         one, zero = Jet.constant(1, nv), Jet.constant(0, nv)
-        p = [[one if i == k else zero for k in range(8)] for i in range(8)]
+        p = [[one if i == c else zero for c in range(2 * nv)] for i in range(2 * nv)]
         p_inv = [row[:] for row in p]
-        for a, direction in enumerate(((one, zero), (zero, one))):
-            w_a = jmat_commutator(j_base, _connection_form(christoffel, direction))
-            for w, gamma in enumerate(self._solve_uv(self._coords_of(w_a), dx)):
-                p[2 + w][a], p_inv[2 + w][a] = gamma, -gamma
-                p[4 + a][6 + w], p_inv[4 + a][6 + w] = -gamma, gamma
-
-        # the fibre complex structure in (u, v) coordinates
-        kappa = []
-        for w in range(2):
-            column = [dx[r][w] for r in range(3)]
-            jv = jmat_mul(j_base, jmat_comb(self.frame, column, nv))
-            kappa.append(self._solve_uv(self._coords_of(jv), dx))
-
-        # the values that decompose and compose read for every probe
-        l1, l2, l3 = self.left
-        b_u, b_v = (l1.scale(dx[0][w].value) + l2.scale(dx[1][w].value)
-                    + l3.scale(dx[2][w].value) for w in range(2))
-        gram = ((fib_pairing(b_u, b_u), fib_pairing(b_u, b_v)),
-                (fib_pairing(b_v, b_u), fib_pairing(b_v, b_v)))
-        structure = GCStructure(_values(j_base))
-        ctx = ChartContext(TwistorPoint(chart_point(point[:2]), structure), dx, j_base,
-                           kappa, (p, p_inv), _values(p), _values(p_inv), (b_u, b_v),
-                           xm.inverse(gram))
+        for a in range(m):
+            omega = _connection_form(christoffel, [one if b == a else zero for b in range(m)])
+            for w, gamma in enumerate(self._coordinates(jmat_commutator(self.j, omega))):
+                p[m + w][a], p_inv[m + w][a] = gamma, -gamma
+                p[nv + a][nv + m + w], p_inv[nv + a][nv + m + w] = -gamma, gamma
+        ctx = ChartContext(TwistorPoint(chart_point(point[:m]), self.structure), (p, p_inv),
+                           _values(p), _values(p_inv))
         self._last = (point, ctx)
         return ctx
-
-    def uv_coordinates(self, vertical: Endo, q: ChartPoint) -> tuple[Fraction, Fraction]:
-        """Chart coordinates of a vertical endomorphism at the point, solved
-        from its pairings with the fibre basis; InvariantError unless it lies
-        in the span of that basis, the tangent plane of the fibre chart."""
-        ctx = self.context(q)
-        b_u, b_v = ctx.basis
-        c_u, c_v = xm.mat_vec(ctx.gram_inverse,
-                              (fib_pairing(vertical, b_u), fib_pairing(vertical, b_v)))
-        if b_u.scale(c_u) + b_v.scale(c_v) != vertical:
-            raise InvariantError("vector is not tangent to the fibre chart")
-        return c_u, c_v
 
     # -- the structure fields ----------------------------------------------
 
     def field(self, alpha: int) -> GACField:
         if alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
-        return GACField(self.NVARS, lambda q: self._field_matrix(alpha, q))
+        return GACField(self.nvars, lambda q: self._field_matrix(alpha, q))
 
     def _field_matrix(self, alpha: int, q: ChartPoint) -> JetMat:
         """The twistor structure at q in the coordinate frame, with gradients:
         assembled in the splitting frame and conjugated by the context's
         frame change P, all in jet arithmetic."""
         ctx = self.context(q)
-        j_base, kappa = ctx.j_base, ctx.kappa
-        sign = Fraction(1 if alpha == 1 else -1)   # (-1)^(alpha+1)
-        split = [[Jet.constant(0, self.NVARS)] * 8 for _ in range(8)]
-        # order: h1, h2, du, dv | dx1, dx2, thu, thv; j_base acts on the
-        # lifts and the dx_a as it does on d/dx_a and dx_a
-        for i, si in enumerate(_BASE_SLOTS):
-            for k, sk in enumerate(_BASE_SLOTS):
-                split[si][sk] = j_base[i][k]
-        for w in range(2):
-            for w2 in range(2):
-                # fibre block: column d/dw goes to sum kappa[w][w2] d/dw2
-                split[2 + w2][2 + w] = kappa[w][w2].scale(sign)
+        m, k, nv = self.m, self.k, self.nvars
+        sign = 1 if alpha == 1 else -1   # (-1)^(alpha+1)
+        split = [[Jet.constant(0, nv)] * (2 * nv) for _ in range(2 * nv)]
+        # order: h_a, d/dc_w | dx_a, th_w; J acts on the lifts and the dx_a
+        # as it does on d/dx_a and dx_a
+        slots = [*range(m), *range(nv, nv + m)]
+        for i, si in enumerate(slots):
+            for c, sc in enumerate(slots):
+                split[si][sc] = self.j[i][c]
+        for w in range(k):
+            for v in range(k):
+                # fibre block: column d/dc_w goes to sum kappa[w][v] d/dc_v
+                split[m + v][m + w] = self.kappa[w][v].scale(sign)
                 # coform block: the transpose with the opposite sign
-                split[6 + w2][6 + w] = kappa[w2][w].scale(-sign)
+                split[nv + m + v][nv + m + w] = self.kappa[v][w].scale(-sign)
         p, p_inv = ctx.splitting
         return jmat_mul(jmat_mul(p, split), p_inv)
 
@@ -310,66 +276,69 @@ class TwistorChart:
 
     def lift_section(self, x_components: Sequence[Poly]) -> JetSection:
         """The horizontal lift of a polynomial base vector field."""
-        if len(x_components) != 2:
-            raise DegenerateInputError("a base vector field has two components")
+        m, nv = self.m, self.nvars
+        if len(x_components) != m:
+            raise DegenerateInputError(f"a base vector field has {m} components")
 
         def evaluate(q: ChartPoint) -> SectionJet:
-            # x0 h_1 + x1 h_2: the lift h_a is column a of P, d/dx_a plus its
-            # d/du, d/dv entries in rows 2 and 3
+            # sum x_a h_a: the lift h_a is column a of P, d/dx_a plus its
+            # d/dc_w entries in rows m + w
             p = self.context(q).splitting[0]
-            x0, x1 = (_padded_jet(c, q.coords, self.NVARS) for c in x_components)
-            zero = Jet.constant(0, self.NVARS)
-            return (x0, x1, x0 * p[2][0] + x1 * p[2][1], x0 * p[3][0] + x1 * p[3][1]) + (zero,) * 4
+            xs = [_padded_jet(c, q.coords, nv) for c in x_components]
+            zero = Jet.constant(0, nv)
+            fibre = [sum((x * p[m + w][a] for a, x in enumerate(xs)), zero)
+                     for w in range(self.k)]
+            return tuple(xs + fibre) + (zero,) * nv
 
-        return JetSection(self.NVARS, evaluate)
+        return JetSection(nv, evaluate)
 
     def tilde_section(self, entries: Sequence[Sequence[Poly]]) -> JetSection:
         """The vertical field J' -> a + J' a J' of a skew section a of the
         endomorphism bundle with polynomial base entries."""
+        nv = self.nvars
 
         def evaluate(q: ChartPoint) -> SectionJet:
-            ctx = self.context(q)
-            a_mat = [[_padded_jet(p, q.coords, self.NVARS) for p in row] for row in entries]
-            jaj = jmat_mul(jmat_mul(ctx.j_base, a_mat), ctx.j_base)
+            self.context(q)
+            a_mat = [[_padded_jet(p, q.coords, nv) for p in row] for row in entries]
+            jaj = jmat_mul(jmat_mul(self.j, a_mat), self.j)
             tilde = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_mat, jaj)]
-            c_u, c_v = self._solve_uv(self._coords_of(tilde), ctx.dx)
-            zero = Jet.constant(0, self.NVARS)
-            return (zero, zero, c_u, c_v) + (zero,) * 4
+            zero = Jet.constant(0, nv)
+            return (zero,) * self.m + tuple(self._coordinates(tilde)) + (zero,) * nv
 
-        return JetSection(self.NVARS, evaluate)
+        return JetSection(nv, evaluate)
 
     # -- conversions between chart values and splitting data -----------------
 
     def decompose(self, value: GElement, q: ChartPoint) -> TwistorTangent:
         """Split a chart tangent-plus-cotangent value at q into horizontal,
         vertical and vertical-coform data for the closed-form evaluator."""
-        if value.dim_v != 4:
-            raise DegenerateInputError("chart values have four vector components")
-        ctx = self.context(q)
-        split = ctx.to_split.apply(value)
-        b_u, b_v = ctx.basis
-        vertical = b_u.scale(split.vec[2]) + b_v.scale(split.vec[3])
-        # representer of theta_u thu + theta_v thv on the chart fibre basis
-        lam = xm.mat_vec(ctx.gram_inverse, split.cov[2:])
-        coform = b_u.scale(lam[0]) + b_v.scale(lam[1])
-        return TwistorTangent(GElement(2, split.vec[:2], split.cov[:2]), vertical, coform)
+        if value.dim_v != self.nvars:
+            raise DegenerateInputError(f"chart values have {self.nvars} vector components")
+        m = self.m
+        split = self.context(q).to_split.apply(value)
+        vertical = self._combination(split.vec[m:])
+        # representer of sum_w theta_w th_w on the chart fibre basis
+        coform = self._combination(xm.mat_vec(self.gram_inverse, split.cov[m:]))
+        return TwistorTangent(GElement(m, split.vec[:m], split.cov[:m]), vertical, coform)
 
     def compose(self, t: TwistorTangent, q: ChartPoint) -> GElement:
         """Inverse of decompose: express splitting data in chart coordinates."""
         if t.is_zero():
-            return _ZERO_VALUE
+            return self._zero
         ctx = self.context(q)
-        c_u, c_v = (F0, F0)
-        if not t.vertical.is_zero():
-            c_u, c_v = self.uv_coordinates(t.vertical, q)
-        phi_u, phi_v = (fib_pairing(t.vertical_coform, b) for b in ctx.basis)
+        c = (F0,) * self.k if t.vertical.is_zero() else self.fibre_coordinates(t.vertical)
+        phi = tuple(fib_pairing(t.vertical_coform, b) for b in self.basis)
         h = t.horizontal
-        return ctx.to_chart.apply(GElement(4, h.vec + (c_u, c_v), h.cov + (phi_u, phi_v)))
+        return ctx.to_chart.apply(GElement(self.nvars, h.vec + c, h.cov + phi))
 
 
-_ZERO_VALUE = zero_element(4)
-# the slots of d/dx_1, d/dx_2, dx_1, dx_2 in the splitting frame
-_BASE_SLOTS = (0, 1, 4, 5)
+def _jets(value: Endo, partials: Sequence[Endo]) -> list[list[Jet]]:
+    """The jet matrix with the given value and partials, each entry over
+    the lcm of their denominators."""
+    d = lcm(*(e.den for e in (value, *partials)))
+    nums = [[[x * (d // e.den) for x in row] for row in e.num] for e in (value, *partials)]
+    return [[Jet._lowest([n[r][c] for n in nums], d) for c in range(value.dim)]
+            for r in range(value.dim)]
 
 
 def _values(m: JetMat) -> Endo:
@@ -403,12 +372,13 @@ def chart_bracket_curvature_check(chart: TwistorChart, x_components: Sequence[Po
     fy = chart.lift_section(y_components)
     lhs = lie_bracket(fx, fy, q)
     xy = _poly_lie_bracket(x_components, y_components)
-    rhs = [c.value for c in chart.lift_section(xy).at(q)[:4]]
+    m = chart.conn.dim
+    rhs = [c.value for c in chart.lift_section(xy).at(q)[:chart.nvars]]
     at = chart.context(q).at
     xv = tuple(p.evaluate(at.point.coords) for p in x_components)
     yv = tuple(p.evaluate(at.point.coords) for p in y_components)
     r_vert = curvature(chart.conn, xv, yv, at.point).act_on(at.structure.j)
-    rhs[2:] = (a + b for a, b in zip(rhs[2:], chart.uv_coordinates(r_vert, q)))
+    rhs[m:] = (a + b for a, b in zip(rhs[m:], chart.fibre_coordinates(r_vert)))
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 
@@ -423,19 +393,20 @@ def chart_vertical_bracket_check(chart: TwistorChart, x_components: Sequence[Pol
     lhs = lie_bracket(chart.lift_section(x_components), chart.tilde_section(a_entries), q)
     at = chart.context(q).at
     base = at.point.coords
+    m = len(base)
     xv = tuple(p.evaluate(base) for p in x_components)
-    a_val = Endo(4, tuple(tuple(p.evaluate(base) for p in row) for row in a_entries))
+    a_val = Endo(2 * m, tuple(tuple(p.evaluate(base) for p in row) for row in a_entries))
     if not is_pairing_skew(a_val):
         raise InvariantError("the section a must be skew for the pairing")
     # directional derivative of the entries plus the connection commutator
-    da = [[sum((xv[k] * p.partial(k).evaluate(base) for k in range(2)), F0)
+    da = [[sum((xv[k] * p.partial(k).evaluate(base) for k in range(m)), F0)
            for p in row] for row in a_entries]
     christoffel = [(key, p.jet(base)) for key, p in chart.conn.entries]
     omega = _values(_connection_form(christoffel, [p.jet(base) for p in x_components]))
-    nabla = Endo(4, xm.mat(da)) + (omega.compose(a_val) - a_val.compose(omega))
+    nabla = Endo(2 * m, xm.mat(da)) + (omega.compose(a_val) - a_val.compose(omega))
     j = at.structure.j
     tilde = nabla + j.compose(nabla).compose(j)
-    return tuple(a - b for a, b in zip(lhs, (F0, F0) + chart.uv_coordinates(tilde, q)))
+    return tuple(a - b for a, b in zip(lhs, (F0,) * m + chart.fibre_coordinates(tilde)))
 
 
 def lift_bracket_curvature_check(conn: Connection, x_components: Sequence[Poly],
@@ -512,14 +483,21 @@ def _padded_jet(p: Poly, point: Vec, nvars: int) -> Jet:
 
 
 class OracleSample(Value):
+    """A base point and the hyperboloid-chart parameters (u, v) and sheet
+    of the fibre point the oracle's chart is centred at."""
+
     __slots__ = ("base", "fibre", "sheet")
 
-    def chart_point(self) -> ChartPoint:
-        return chart_point(self.base + self.fibre)
+    def structure(self) -> GCStructure:
+        u, v = self.fibre
+        return hyperboloid_point(u, v, self.sheet, reference_basis(1))
 
 
 class OracleSampleResult(Value):
-    __slots__ = ("sample", "alpha", "pairs", "direct_all_zero", "all_equal", "mismatch",
+    """One sample's comparison for one alpha; `index` is the sample's
+    position in the list compared."""
+
+    __slots__ = ("index", "sample", "alpha", "pairs", "direct_all_zero", "all_equal", "mismatch",
                  "lift_bracket_ok", "vertical_bracket_ok")
 
 
@@ -543,28 +521,27 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
     side never sees the chart except through the decomposition of the
     probe values at the point.  Exact equality is required pair by pair.
     The perturb hook, applied to the closed-form value, exists so tests
-    can confirm that a deliberately wrong term is detected.
+    can confirm that a deliberately wrong term is detected.  Each sample
+    has its own chart, centred at its fibre point.
     """
-    charts = {sheet: TwistorChart(conn, sheet) for sheet in (1, -1)}
-    probes = coordinate_sections(4)
-    one = Poly.constant(2, 1)
-    zero = Poly.constant(2, 0)
-    x1p = Poly.variable(2, 0)
-    a_entries = [[zero, zero, zero, x1p],
-                 [zero, zero, -x1p, zero],
-                 [zero, zero, zero, zero],
-                 [zero, zero, zero, zero]]
+    m = conn.dim
+    probes = coordinate_sections(m * m)
+    one, zero, x1 = Poly.constant(m, 1), Poly.constant(m, 0), Poly.variable(m, 0)
+    rest = [zero] * (m - 2)
+    # the skew section a = x1 (e_1 e_2^T - e_2 e_1^T) in the V* -> V block
+    a_entries = [[zero] * (2 * m) for _ in range(2 * m)]
+    a_entries[0][m + 1], a_entries[1][m] = x1, -x1
     results = []
-    for sample in samples:
-        chart = charts[sample.sheet]
-        q = sample.chart_point()
+    for index, sample in enumerate(samples):
+        chart = TwistorChart(conn, sample.structure())
+        q = chart.point(sample.base)
         ctx = chart.context(q)
         decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
         # the two bracket identities do not depend on alpha
         lift_ok = all(r == 0 for r in chart_bracket_curvature_check(
-            chart, [one, zero], [zero, x1p + one], q))
+            chart, [one, zero, *rest], [zero, x1 + one, *rest], q))
         vertical_ok = all(r == 0 for r in chart_vertical_bracket_check(
-            chart, [one, x1p], a_entries, q))
+            chart, [one, x1, *rest], a_entries, q))
         for alpha in (1, 2):
             pairs = 0
             direct_zero = True
@@ -582,7 +559,7 @@ def oracle_compare_nijenhuis(conn: Connection, samples: Sequence[OracleSample],
                     equal = False
                     if mismatch is None:
                         mismatch = (i, k)
-            results.append(OracleSampleResult(sample, alpha, pairs, direct_zero, equal,
+            results.append(OracleSampleResult(index, sample, alpha, pairs, direct_zero, equal,
                                               mismatch, lift_ok, vertical_ok))
     return tuple(results)
 
@@ -602,14 +579,19 @@ def _oracle_cached(scenario, hooks: dict):
     return results
 
 
+def _witness(r: OracleSampleResult, **extra) -> dict:
+    """What replays a failing result: the sample's index, base point,
+    (u, v) and sheet, then `extra`."""
+    s = r.sample
+    return {"sample": r.index, "base": [scalar_to_str(c) for c in s.base],
+            "fibre": [scalar_to_str(c) for c in s.fibre], "sheet": s.sheet, **extra}
+
+
 def _check_oracle_equality(scenario, hooks: Mapping) -> CheckResult:
     results = _oracle_cached(scenario, hooks)
     for r in results:
         if not r.all_equal:
-            witness = {"fibre": [scalar_to_str(c) for c in r.sample.fibre],
-                       "sheet": r.sample.sheet, "alpha": r.alpha,
-                       "probe_pair": list(r.mismatch) if r.mismatch else None}
-            return _fail("mismatch", witness)
+            return _fail("mismatch", _witness(r, alpha=r.alpha, probe_pair=list(r.mismatch)))
     pairs = sum(r.pairs for r in results)
     return _ok({"samples": len(results) // 2, "pairs": pairs})
 
@@ -618,9 +600,9 @@ def _check_oracle_direct_zero(scenario, hooks: Mapping) -> CheckResult:
     results = _oracle_cached(scenario, hooks)
     for r in results:
         if r.alpha == 1 and not r.direct_all_zero:
-            return _fail("nonzero", {"sheet": r.sample.sheet})
+            return _fail("nonzero", _witness(r, alpha=1))
         if r.alpha == 2 and r.direct_all_zero:
-            return _fail("alpha=2 unexpectedly zero", {"sheet": r.sample.sheet})
+            return _fail("alpha=2 unexpectedly zero", _witness(r, alpha=2))
     return _ok()
 
 
@@ -628,7 +610,7 @@ def _check_oracle_lift_bracket(scenario, hooks: Mapping) -> CheckResult:
     results = _oracle_cached(scenario, hooks)
     for r in results:
         if not r.lift_bracket_ok:
-            return _fail("nonzero residual", {"sheet": r.sample.sheet})
+            return _fail("nonzero residual", _witness(r))
     # the same identity on the endomorphism-bundle chart, at one seeded point
     rng = random.Random(scenario.seed + 15)
     (u, v, sheet), = fibre_chart_samples(rng, 1)
@@ -647,7 +629,7 @@ def _check_oracle_vertical_bracket(scenario, hooks: Mapping) -> CheckResult:
     results = _oracle_cached(scenario, hooks)
     for r in results:
         if not r.vertical_bracket_ok:
-            return _fail("nonzero residual", {"sheet": r.sample.sheet})
+            return _fail("nonzero residual", _witness(r))
     return _ok()
 
 

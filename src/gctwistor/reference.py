@@ -5,7 +5,8 @@ no module of the package imports this one, so no run compiles it:
   * `twistor_J`, the twistor structures J_1 and J_2 on a tangent, with
     `validate_tangent`, the verticality check of its parts;
   * `horizontal_lift`, the lift of a base vector, the reference for the
-    oracle chart's lift;
+    oracle chart's lift, with `connection_matrix`, the connection form
+    it reads;
   * `nijenhuis_horizontal` and `nijenhuis_coform`, the closed-form
     Nijenhuis tensor on a horizontal pair and on a horizontal lift
     against a vertical coform, case by case in `Fraction` arithmetic,
@@ -32,6 +33,7 @@ from .gclinalg import (
     DegenerateInputError,
     Endo,
     GElement,
+    _dual_diag,
     basis_covector,
     basis_vector,
     commutator,
@@ -40,12 +42,12 @@ from .gclinalg import (
     vertical_space_basis,
     zero_endo,
 )
+from .poly import ChartPoint
 from .twistor import (
     Connection,
     NotVerticalError,
     TwistorPoint,
     TwistorTangent,
-    connection_matrix,
     curvature_action_on_structure,
     tangent_from_parts,
 )
@@ -71,6 +73,17 @@ def twistor_J(alpha: int, t: TwistorTangent, at: TwistorPoint) -> TwistorTangent
     return TwistorTangent(j.apply(t.horizontal),
                           j.compose(t.vertical).scale(sign),
                           t.vertical_coform.compose(j).scale(-sign))
+
+
+def connection_matrix(conn: Connection, x: Vec, p: ChartPoint) -> Endo:
+    """The connection form on TM + T*M in direction x: diag(G(x), -G(x)^T),
+    G(x)[k][j] the sum over a of x_a Gamma^k_aj, summed over the entries."""
+    dim = conn.dim
+    gx = [[F0] * dim for _ in range(dim)]
+    for (k, a, j), poly in conn.entries:
+        if x[a]:
+            gx[k][j] += x[a] * poly.evaluate(p.coords)
+    return _dual_diag(*xm._integer_matrix(gx))
 
 
 def horizontal_lift(conn: Connection, x: Vec, at: TwistorPoint) -> TwistorTangent:

@@ -189,17 +189,6 @@ def connection_from_json(n: int, data: Mapping) -> Connection:
     return connection(n, gamma)
 
 
-def connection_matrix(conn: Connection, x: Vec, p: ChartPoint) -> Endo:
-    """The connection form on TM + T*M in direction x: diag(G(x), -G(x)^T),
-    G(x)[k][j] the sum over a of x_a Gamma^k_aj, summed over the entries."""
-    dim = conn.dim
-    gx = [[F0] * dim for _ in range(dim)]
-    for (k, a, j), poly in conn.entries:
-        if x[a]:
-            gx[k][j] += x[a] * poly.evaluate(p.coords)
-    return _dual_diag(*xm._integer_matrix(gx))
-
-
 class CurvatureValue(Value):
     """R(X, Y) at a point, as an endomorphism of T_pM."""
 

@@ -44,7 +44,6 @@ from gctwistor.linalg import (
     skew_decompose,
 )
 from gctwistor.oracle import TwistorChart
-from gctwistor.poly import chart_point
 from gctwistor.structures import (
     adapted_structure,
     b_transform,
@@ -1142,14 +1141,19 @@ def test_seed_basis_spans_projection(n, kind):
     _assert_basis_spans_reference(structure)
 
 
+def _chart_structure(u, v, sheet, base):
+    """The fibre structure the oracle chart centred at (u, v, sheet) reports
+    at a base point."""
+    chart = TwistorChart(flat_connection(1), hyperboloid_point(u, v, sheet, reference_basis(1)))
+    return chart.context(chart.point(base)).at.structure
+
+
 @pytest.mark.parametrize("make", [
     lambda: interchanging(2),
     lambda: interchanging(3),
     lambda: direct_sum(from_complex(rotation_2()), from_symplectic(standard_symplectic_matrix(1))),
-    lambda: TwistorChart(flat_connection(1), 1).context(
-        chart_point([F(1, 2), F(1, 3), F(1, 4), F(1, 5)])).at.structure,
-    lambda: TwistorChart(flat_connection(1), -1).context(
-        chart_point([F(0), F(2), F(3, 2), F(-1, 3)])).at.structure,
+    lambda: _chart_structure(F(1, 4), F(1, 5), 1, (F(1, 2), F(1, 3))),
+    lambda: _chart_structure(F(3, 2), F(-1, 3), -1, (F(0), F(2))),
 ], ids=["interchanging-2", "interchanging-odd-3", "complex-plus-symplectic", "chart-upper",
         "chart-lower"])
 def test_hand_built_basis_spans_projection(make):

@@ -11,8 +11,8 @@ from gctwistor.bracket import coordinate_sections, lie_bracket, nijenhuis_table
 from gctwistor.courant import nijenhuis, section_from_coefficients
 from gctwistor.gclinalg import (
     DegenerateInputError,
+    DimensionMismatchError,
     Endo,
-    GCStructure,
     GElement,
     InvariantError,
     fib_pairing,
@@ -33,10 +33,16 @@ from gctwistor.oracle import (
     oracle_compare_nijenhuis,
     seeded_oracle_samples,
 )
-from gctwistor.poly import Jet, Poly, chart_point, jmat_mul, random_chart_point
-from gctwistor.reference import horizontal_lift
+from gctwistor.poly import Jet, Poly, chart_point, jmat_mul, random_chart_point, scalar_to_str
+from gctwistor.reference import connection_matrix, horizontal_lift
 from gctwistor.structures import sample_fibre_structure
-from gctwistor.twistor import CurvatureValue, TwistorPoint, connection, flat_connection
+from gctwistor.twistor import (
+    CurvatureValue,
+    TwistorPoint,
+    connection,
+    flat_connection,
+    nijenhuis_closed_form_table,
+)
 
 CONN = connection(1, {(0, 1, 1): Poly.variable(2, 0)})
 ONE = Poly.constant(2, 1)
@@ -51,35 +57,104 @@ def all_equal(results):
     return all(r.all_equal and r.lift_bracket_ok and r.vertical_bracket_ok for r in results)
 
 
-def q_at(x1=F(1, 2), x2=F(1, 3), u=F(1, 4), v=F(1, 5)):
-    return chart_point([x1, x2, u, v])
+def chart_at(u=F(1, 4), v=F(1, 5), sheet=1, conn=CONN):
+    """The oracle chart centred at the hyperboloid point (u, v, sheet)."""
+    return TwistorChart(conn, hyperboloid_point(u, v, sheet, reference_basis(1)))
+
+
+def q_at(chart, x1=F(1, 2), x2=F(1, 3)):
+    return chart.point((x1, x2))
+
+
+# the mixed connection at n = 2, one-based {"1,2,2": x1, "2,1,2": 3 x2,
+# "1,1,1": 1/2, "3,4,1": -2 x1 x3}: both d(Gamma) and Gamma.Gamma curvature terms
+_Y = [Poly.variable(4, i) for i in range(4)]
+CONN_N2 = connection(2, {(0, 1, 1): _Y[0], (1, 0, 1): Poly.constant(4, 3) * _Y[1],
+                         (0, 0, 0): Poly.constant(4, F(1, 2)),
+                         (2, 3, 0): Poly.constant(4, -2) * _Y[0] * _Y[2]})
+
+
+def _centred(n):
+    """A chart and a point at its centre: at n = 1 the default `chart_at`,
+    at n = 2 on CONN_N2 with rng Random(4) drawing the fibre, then the base."""
+    if n == 1:
+        chart = chart_at()
+        return chart, q_at(chart)
+    rng = random.Random(4)
+    chart = TwistorChart(CONN_N2, sample_fibre_structure(2, rng))
+    return chart, chart.point(random_chart_point(4, rng).coords)
 
 
 # ---------------------------------------------------------------------------
 # the chart
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_chart_identities_at_the_centre(n):
+    # as 1-jets at c = 0: the chart coordinates of each T_v are the constant
+    # unit jet e_v, J^2 = -Id and P P^-1 = Id; a point off the centre raises
+    chart, q = _centred(n)
+    nv, k = chart.nvars, chart.k
+    assert (nv, k) == ((2 * n) ** 2, 4 * n * n - 2 * n)
+    one, zero = Jet.constant(1, nv), Jet.constant(0, nv)
+    for v, tangent in enumerate(chart.tangents):
+        assert chart._coordinates(tangent) == [one if w == v else zero for w in range(k)]
+    size = 4 * n
+    assert jmat_mul(chart.j, chart.j) == [[-one if i == c else zero for c in range(size)]
+                                          for i in range(size)]
+    p, p_inv = chart.context(q).splitting
+    assert any(not p[2 * n + w][a].is_zero() for w in range(k) for a in range(2 * n))
+    assert jmat_mul(p, p_inv) == [[one if i == c else zero for c in range(2 * nv)]
+                                  for i in range(2 * nv)]
+    off = list(q.coords)
+    off[-1] = F(1, 7)
+    with pytest.raises(DegenerateInputError):
+        chart.context(chart_point(off))
+
+
+def test_direct_equals_closed_form_at_n2():
+    # the direct Courant-bracket tensor on the n = 2 chart against the closed
+    # form, pair by pair, on a connection where both alphas are nonzero
+    chart, q = _centred(2)
+    ctx = chart.context(q)
+    probes = coordinate_sections(16)
+    decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
+    for alpha in (1, 2):
+        direct = nijenhuis_table(chart.field(alpha), probes, q)
+        closed = nijenhuis_closed_form_table(alpha, CONN_N2, ctx.at, decomposed)
+        assert len(direct) == 496
+        assert [key for key, value in direct.items()
+                if value != chart.compose(closed[key], q)] == []
+        assert any(not value.is_zero() for value in direct.values())
+    one, zero = Poly.constant(4, 1), Poly.constant(4, 0)
+    x1 = _Y[0]
+    a_entries = [[zero] * 8 for _ in range(8)]
+    a_entries[0][5], a_entries[1][4] = x1, -x1
+    assert not any(chart_bracket_curvature_check(chart, [one, zero, x1, zero],
+                                                 [zero, x1 + one, zero, _Y[3]], q))
+    assert not any(chart_vertical_bracket_check(chart, [one, x1, zero, _Y[2]], a_entries, q))
+
+
 def test_chart_structure_matches_constructor():
-    chart = TwistorChart(CONN, 1)
-    q = q_at()
-    expected = hyperboloid_point(F(1, 4), F(1, 5), 1, reference_basis(1))
-    at = chart.context(q).at
-    assert at.structure.j == expected.j and at.point == chart_point([F(1, 2), F(1, 3)])
-    negative = TwistorChart(CONN, -1)
-    expected_neg = hyperboloid_point(F(1, 4), F(1, 5), -1, reference_basis(1))
-    assert negative.context(q).at.structure.j == expected_neg.j
+    for sheet in (1, -1):
+        chart = chart_at(sheet=sheet)
+        expected = hyperboloid_point(F(1, 4), F(1, 5), sheet, reference_basis(1))
+        at = chart.context(q_at(chart)).at
+        assert at.structure.j == expected.j and at.point == chart_point([F(1, 2), F(1, 3)])
+        assert oracle._values(chart.j) == expected.j
 
 
 def test_chart_views_memoized_per_point():
-    chart = TwistorChart(CONN, 1)
-    q, other = q_at(), q_at(u=F(-1, 3), v=F(1, 2))
+    chart = chart_at()
+    q, other = q_at(chart), q_at(chart, x1=F(-3))
     ctx = chart.context(q)
     assert chart.context(q) is ctx
     # a fresh chart recomputes the same rationals; another point gives other values
-    fresh = TwistorChart(CONN, 1).context(q)
-    assert (fresh.to_chart, fresh.basis, fresh.at) == (ctx.to_chart, ctx.basis, ctx.at)
-    moved = chart.context(other)
-    assert moved.to_chart != ctx.to_chart and moved.basis != ctx.basis
+    fresh = chart_at()
+    assert (fresh.context(q).to_chart, fresh.basis, fresh.context(q).at) == (
+        ctx.to_chart, chart.basis, ctx.at)
+    assert chart.context(other).to_chart != ctx.to_chart
+    assert chart_at(u=F(-1, 3), v=F(1, 2)).basis != chart.basis
 
 
 def test_splitting_frame_inverse_is_exact():
@@ -89,9 +164,10 @@ def test_splitting_frame_inverse_is_exact():
     identity = Endo(8, xm.identity(8))
     one, zero = Jet.constant(1, 4), Jet.constant(0, 4)
     for sheet in (1, -1):
-        chart = TwistorChart(CONN, sheet)
-        for q in (q_at(), q_at(u=F(2), v=F(0)), q_at(x1=F(-3), u=F(-1, 3), v=F(1, 2))):
-            ctx = chart.context(q)
+        for u, v, x1 in ((F(1, 4), F(1, 5), F(1, 2)), (F(2), F(0), F(1, 2)),
+                         (F(-1, 3), F(1, 2), F(-3))):
+            chart = chart_at(u, v, sheet)
+            ctx = chart.context(q_at(chart, x1))
             assert ctx.to_chart != identity
             assert ctx.to_split.compose(ctx.to_chart) == identity
             p, p_inv = ctx.splitting
@@ -100,22 +176,22 @@ def test_splitting_frame_inverse_is_exact():
 
 
 def test_chart_builds_one_structure_per_sample(monkeypatch):
-    # the twistor point, and so its GCStructure, is built once per sample
-    # point and read by the closed form and both bracket identities
+    # the twistor point is built once per sample point and read by the
+    # closed form and both bracket identities
     built = []
 
-    def counted(j):
-        built.append(j)
-        return GCStructure(j)
+    def counted(point, structure):
+        built.append(structure)
+        return TwistorPoint(point, structure)
 
-    monkeypatch.setattr(oracle, "GCStructure", counted)
+    monkeypatch.setattr(oracle, "TwistorPoint", counted)
     results = oracle_compare_nijenhuis(CONN, seeded_oracle_samples(2, 3))
     assert all_equal(results) and len(built) == 2
 
 
 def test_chart_connection_form_matches_connection_matrix():
     # the jet connection form, at a polynomial field and a point, has the
-    # values of the closed form's `connection_matrix` at the field's value
+    # values of the reference's `connection_matrix` at the field's value
     conn = connection(1, {(0, 1, 1): X1, (1, 0, 1): X2 * X2, (0, 0, 0): X1 * X2})
     point = (F(1, 2), F(-2, 3))
     christoffel = [(key, oracle._padded_jet(p, point, 2)) for key, p in conn.entries]
@@ -123,7 +199,7 @@ def test_chart_connection_form_matches_connection_matrix():
         x = [oracle._padded_jet(p, point, 2) for p in comps]
         omega = oracle._connection_form(christoffel, x)
         xv = tuple(p.evaluate(point) for p in comps)
-        expected = twistor.connection_matrix(conn, xv, chart_point(point))
+        expected = connection_matrix(conn, xv, chart_point(point))
         assert tuple(tuple(e.value for e in row) for row in omega) == expected.rows
 
 
@@ -134,57 +210,53 @@ def test_oracle_builds_no_closed_form_connection_matrix():
 
 
 def test_chart_rejects_singular_fibre():
-    chart = TwistorChart(CONN, 1)
+    # the circle u^2 + v^2 = 1, where the hyperboloid chart is singular, is
+    # rejected where a sample's fibre point is built
     with pytest.raises(DegenerateInputError):
-        chart.context(chart_point([F(0), F(0), F(3, 5), F(4, 5)]))
+        OracleSample((F(0), F(0)), (F(3, 5), F(4, 5)), 1).structure()
 
 
 def test_fields_are_valid_structures():
-    chart = TwistorChart(CONN, 1)
-    for alpha in (1, 2):
-        field = chart.field(alpha)
-        for q in (q_at(), q_at(u=F(2), v=F(0)), q_at(x1=F(-3))):
-            field.validate_at(q)
+    for chart in (chart_at(), chart_at(u=F(2), v=F(0))):
+        for alpha in (1, 2):
+            field = chart.field(alpha)
+            for q in (q_at(chart), q_at(chart, x1=F(-3))):
+                field.validate_at(q)
 
 
 def test_vertical_chart_basis_is_vertical():
-    chart = TwistorChart(CONN, 1)
-    q = q_at()
-    ctx = chart.context(q)
-    j = ctx.at.structure.j
-    b_u, b_v = ctx.basis
+    chart = chart_at()
+    j = chart.context(q_at(chart)).at.structure.j
+    b_u, b_v = chart.basis
     assert is_vertical(b_u, j) and is_vertical(b_v, j)
-    # uv coordinates invert the basis construction
-    assert chart.uv_coordinates(b_u, q) == (1, 0)
-    assert chart.uv_coordinates(b_v.scale(F(3, 2)), q) == (0, F(3, 2))
+    # fibre coordinates invert the basis construction
+    assert chart.fibre_coordinates(b_u) == (1, 0)
+    assert chart.fibre_coordinates(b_v.scale(F(3, 2))) == (0, F(3, 2))
 
 
-def test_uv_coordinates_rejects_a_non_tangent_endomorphism():
-    # j itself is normal to the hyperboloid at j; dJ/du plus a right-frame
+def test_fibre_coordinates_rejects_a_non_tangent_endomorphism():
+    # j itself is normal to the hyperboloid at j; b_1 plus a right-frame
     # element, which pairs to zero with the whole left frame, has the
-    # pairings of dJ/du but leaves the span of the fibre basis
-    chart = TwistorChart(CONN, 1)
+    # pairings of b_1 but leaves the span of the fibre basis
     right = skew_frames(reference_basis(1)).right[0]
-    for q in (q_at(), q_at(u=F(-1, 2), v=F(1, 3))):
-        ctx = chart.context(q)
-        for bad in (ctx.at.structure.j, ctx.basis[0] + right):
+    for chart in (chart_at(), chart_at(u=F(-1, 2), v=F(1, 3))):
+        for bad in (chart.structure.j, chart.basis[0] + right):
             with pytest.raises(InvariantError):
-                chart.uv_coordinates(bad, q)
+                chart.fibre_coordinates(bad)
 
 
 def test_lift_section_matches_closed_form_lift():
-    from gctwistor.reference import horizontal_lift
-    chart = TwistorChart(CONN, 1)
-    q = q_at()
+    chart = chart_at()
+    q = q_at(chart)
     lift = chart.lift_section([ONE, ZERO]).value_at(q)
     assert lift.vec[:2] == (1, 0)
     closed = horizontal_lift(CONN, (F(1), F(0)), chart.context(q).at)
-    assert chart.uv_coordinates(closed.vertical, q) == lift.vec[2:]
+    assert chart.fibre_coordinates(closed.vertical) == lift.vec[2:]
 
 
 def test_decompose_compose_roundtrip():
-    chart = TwistorChart(CONN, 1)
-    q = q_at(u=F(1, 3), v=F(0))
+    chart = chart_at(u=F(1, 3), v=F(0))
+    q = q_at(chart)
     rng = random.Random(5)
     for _ in range(6):
         value = gelem([F(rng.randint(-3, 3), 2) for _ in range(4)],
@@ -194,7 +266,6 @@ def test_decompose_compose_roundtrip():
 
 
 def test_decompose_reuses_the_gram_inverse_of_its_point(monkeypatch):
-    from gctwistor import oracle
     calls = []
 
     def counted(a, b):
@@ -202,19 +273,18 @@ def test_decompose_reuses_the_gram_inverse_of_its_point(monkeypatch):
         return fib_pairing(a, b)
 
     monkeypatch.setattr(oracle, "fib_pairing", counted)
-    chart = TwistorChart(CONN, 1)
-    q = q_at()
-    b_u, b_v = chart.context(q).basis
+    chart = chart_at()
+    q = q_at(chart)
+    b_u, b_v = chart.basis
     for probe in coordinate_sections(4):
         value = probe.value_at(q)
         coform = chart.decompose(value, q).vertical_coform
-        # the coform's representer pairs with the chart fibre basis to theta_u, theta_v
+        # the coform's representer pairs with the chart fibre basis to theta_1, theta_2
         assert (fib_pairing(coform, b_u), fib_pairing(coform, b_v)) == value.cov[2:]
-    assert len(calls) == 4  # one 2 x 2 Gram matrix for the point, not one per probe
+    assert len(calls) == 4  # one 2 x 2 Gram matrix for the chart, not one per probe
 
 
 def test_bracket_identities_checked_once_per_sample(monkeypatch):
-    from gctwistor import oracle
     calls = {"lift": 0, "vertical": 0}
 
     def counting(key, check):
@@ -234,8 +304,8 @@ def test_bracket_identities_checked_once_per_sample(monkeypatch):
 
 
 def test_decompose_splits_lift_directions():
-    chart = TwistorChart(CONN, 1)
-    q = q_at()
+    chart = chart_at()
+    q = q_at(chart)
     t = chart.decompose(chart.lift_section([ONE, ZERO]).value_at(q), q)
     # a lift decomposes into a purely horizontal tangent
     assert t.vertical.is_zero() and t.vertical_coform.is_zero()
@@ -247,8 +317,10 @@ def test_decompose_splits_lift_directions():
 
 
 def test_bracket_curvature_identity_on_chart():
-    chart = TwistorChart(CONN, 1)
-    for q in (q_at(), q_at(u=F(1, 2), v=F(1, 2)), q_at(x1=F(2), u=F(0), v=F(2))):
+    for u, v, x1 in ((F(1, 4), F(1, 5), F(1, 2)), (F(1, 2), F(1, 2), F(1, 2)),
+                     (F(0), F(2), F(2))):
+        chart = chart_at(u, v)
+        q = q_at(chart, x1)
         res = chart_bracket_curvature_check(chart, [ONE, ZERO], [ZERO, ONE], q)
         assert all(r == 0 for r in res)
         res = chart_bracket_curvature_check(chart, [X2, X1], [X1 * X1, ONE + X2], q)
@@ -256,19 +328,18 @@ def test_bracket_curvature_identity_on_chart():
 
 
 def test_bracket_curvature_identity_flat():
-    chart = TwistorChart(flat_connection(1), 1)
-    res = chart_bracket_curvature_check(chart, [ONE, ZERO], [ZERO, ONE], q_at())
+    chart = chart_at(conn=flat_connection(1))
+    res = chart_bracket_curvature_check(chart, [ONE, ZERO], [ZERO, ONE], q_at(chart))
     assert all(r == 0 for r in res)
 
 
 def test_vertical_bracket_identity_on_chart():
-    chart = TwistorChart(CONN, 1)
     a_entries = [[ZERO, ZERO, ZERO, X1],
                  [ZERO, ZERO, -X1, ZERO],
                  [ZERO, ZERO, ZERO, ZERO],
                  [ZERO, ZERO, ZERO, ZERO]]
-    for q in (q_at(), q_at(u=F(2), v=F(1, 2))):
-        res = chart_vertical_bracket_check(chart, [ONE, X2], a_entries, q)
+    for chart in (chart_at(), chart_at(u=F(2), v=F(1, 2))):
+        res = chart_vertical_bracket_check(chart, [ONE, X2], a_entries, q_at(chart))
         assert all(r == 0 for r in res)
 
 
@@ -416,11 +487,11 @@ def test_oracle_detects_perturbed_closed_form():
 def test_oracle_mixed_probe_nonzero_for_alpha2():
     # a mixed horizontal and vertical probe pair where both sides agree and
     # the common value is nonzero
-    chart = TwistorChart(CONN, 1)
-    q = q_at(u=F(1, 2), v=F(0))
+    chart = chart_at(u=F(1, 2), v=F(0))
+    q = q_at(chart)
     probes = coordinate_sections(4)
     field = chart.field(2)
-    direct = nijenhuis(field, probes[0], probes[2], q)  # d/dx1 against d/du
+    direct = nijenhuis(field, probes[0], probes[2], q)  # d/dx1 against d/dc1
     assert not direct.is_zero()
 
 
@@ -465,23 +536,22 @@ def test_horizontal_lift_matches_chart_lift():
     scenario = load_scenario("oracle-n1")
     samples = seeded_oracle_samples(6, scenario.seed + 14)
     assert {s.sheet for s in samples} == {1, -1}
-    charts = {sheet: TwistorChart(scenario.conn, sheet) for sheet in (1, -1)}
     for sample in samples:
-        chart = charts[sample.sheet]
-        q = sample.chart_point()
-        ctx = chart.context(q)
+        chart = TwistorChart(scenario.conn, sample.structure())
+        ctx = chart.context(chart.point(sample.base))
         for a, e_a in enumerate(((F(1), F(0)), (F(0), F(1)))):
             vertical = horizontal_lift(scenario.conn, e_a, ctx.at).vertical
             # the lift h_a is column a of the frame change P
-            assert chart.uv_coordinates(vertical, q) == (ctx.to_chart.rows[2][a], ctx.to_chart.rows[3][a])
+            assert chart.fibre_coordinates(vertical) == (ctx.to_chart.rows[2][a],
+                                                         ctx.to_chart.rows[3][a])
 
 
 def test_scan_of_noninteg_structure_field_on_chart():
     # the second twistor structure realized on the chart is never
     # integrable: the generic scan machinery finds a witness
     from gctwistor.courant import integrability_scan
-    chart = TwistorChart(CONN, 1)
-    points = [q_at(), q_at(u=F(1, 2), v=F(0))]
+    chart = chart_at(u=F(1, 2), v=F(0))
+    points = [q_at(chart), q_at(chart, x1=F(-2), x2=F(3, 2))]
     assert integrability_scan(chart.field(2), points, coordinate_sections(4)) is not None
     # while the first structure scans all-zero on the same points
     assert integrability_scan(chart.field(1), points, coordinate_sections(4)) is None
@@ -491,8 +561,8 @@ def test_direct_nijenhuis_is_tensorial():
     # the Nijenhuis value depends only on the pointwise values of its
     # arguments: rescaling a probe by a function equal to one at the point
     # (changing its jet, not its value) must not change the output
-    chart = TwistorChart(CONN, 1)
-    q = q_at(u=F(1, 3), v=F(1, 2))
+    chart = chart_at(u=F(1, 3), v=F(1, 2))
+    q = q_at(chart)
     field = chart.field(2)
     probes = coordinate_sections(4)
     m = 4
@@ -533,8 +603,8 @@ def test_table_matches_pairwise_nijenhuis_on_chart_fields():
     # the twistor structure fields vary over the chart, so every J-image
     # jet carries a nonzero product-rule term
     sample = seeded_oracle_samples(1, 5)[0]
-    q = sample.chart_point()
-    chart = TwistorChart(CONN, sample.sheet)
+    chart = TwistorChart(CONN, sample.structure())
+    q = chart.point(sample.base)
     probes = coordinate_sections(4)
     for alpha in (1, 2):
         field = chart.field(alpha)
@@ -546,15 +616,16 @@ def test_table_matches_pairwise_nijenhuis_on_chart_fields():
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: TwistorChart(flat_connection(2), 1), DegenerateInputError),
-    (lambda: TwistorChart(CONN, 0), ValueError),
-    (lambda: TwistorChart(CONN, 1).field(3), ValueError),
-    (lambda: TwistorChart(CONN, 1).lift_section([ONE, ZERO, ONE]), DegenerateInputError),
-    (lambda: TwistorChart(CONN, 1).decompose(gelem([1, 0], [0, 1]), q_at()),
+    (lambda: chart_at(conn=flat_connection(2)), DimensionMismatchError),
+    (lambda: OracleSample((F(0), F(0)), (F(1, 4), F(1, 5)), 0).structure(), ValueError),
+    (lambda: chart_at().field(3), ValueError),
+    (lambda: chart_at().lift_section([ONE, ZERO, ONE]), DegenerateInputError),
+    (lambda: chart_at().decompose(gelem([1, 0], [0, 1]), q_at(chart_at())),
      DegenerateInputError),
-    (lambda: chart_vertical_bracket_check(TwistorChart(CONN, 1), [ONE, ZERO],
+    (lambda: chart_vertical_bracket_check(chart_at(), [ONE, ZERO],
                                           [[ONE if i == k else ZERO for k in range(4)]
-                                           for i in range(4)], q_at()), InvariantError),
+                                           for i in range(4)], q_at(chart_at())),
+     InvariantError),
     (lambda: lift_bracket_curvature_check(
         flat_connection(3), [ONE] * 6, [ZERO] * 6,
         TwistorPoint(random_chart_point(6, random.Random(1)),
@@ -572,25 +643,30 @@ def _run_oracle_check(check, fibre_params):
     return scenario, run_scenario(scenario).results[0]
 
 
-@pytest.mark.parametrize("check, alpha, changed, residual", [
-    ("structure1-direct-zero", 1, {}, "0"),
-    ("structure1-direct-zero", 1, {"direct_all_zero": False}, "nonzero"),
-    ("structure1-direct-zero", 2, {"direct_all_zero": True}, "alpha=2 unexpectedly zero"),
-    ("lift-bracket-identity", 2, {"lift_bracket_ok": False}, "nonzero residual"),
-    ("vertical-bracket-identity", 1, {"vertical_bracket_ok": False}, "nonzero residual"),
-], ids=["control", "alpha1-nonzero", "alpha2-zero", "lift-chart", "vertical"])
+@pytest.mark.parametrize("check, alpha, changed, residual, extra", [
+    ("structure1-direct-zero", 1, {}, "0", None),
+    ("structure1-direct-zero", 1, {"direct_all_zero": False}, "nonzero", {"alpha": 1}),
+    ("structure1-direct-zero", 2, {"direct_all_zero": True}, "alpha=2 unexpectedly zero",
+     {"alpha": 2}),
+    ("lift-bracket-identity", 2, {"lift_bracket_ok": False}, "nonzero residual", {}),
+    ("vertical-bracket-identity", 1, {"vertical_bracket_ok": False}, "nonzero residual", {}),
+    ("closed-form-equality", 2, {"all_equal": False, "mismatch": (3, 5)}, "mismatch",
+     {"alpha": 2, "probe_pair": [3, 5]}),
+], ids=["control", "alpha1-nonzero", "alpha2-zero", "lift-chart", "vertical", "equality"])
 def test_oracle_checks_fail_on_a_failing_second_sample(monkeypatch, check, alpha, changed,
-                                                       residual):
-    # every sample passes but the second, whose `alpha` result carries `changed`
+                                                       residual, extra):
+    # every sample passes but the second, whose `alpha` result carries
+    # `changed`; the witness replays that sample
     def compare(conn, samples, perturb=None):
         results = []
         for index, sample in enumerate(samples):
             for a in (1, 2):
-                r = {"direct_all_zero": a == 1, "lift_bracket_ok": True,
-                     "vertical_bracket_ok": True}
+                r = {"direct_all_zero": a == 1, "all_equal": True, "mismatch": None,
+                     "lift_bracket_ok": True, "vertical_bracket_ok": True}
                 if (index, a) == (1, alpha):
                     r.update(changed)
-                results.append(OracleSampleResult(sample, a, 28, r["direct_all_zero"], True, None,
+                results.append(OracleSampleResult(index, sample, a, 28, r["direct_all_zero"],
+                                                  r["all_equal"], r["mismatch"],
                                                   r["lift_bracket_ok"], r["vertical_bracket_ok"]))
         return tuple(results)
 
@@ -599,7 +675,9 @@ def test_oracle_checks_fail_on_a_failing_second_sample(monkeypatch, check, alpha
     assert result.residual == residual
     if changed:
         second = seeded_oracle_samples(2, scenario.seed + 14)[1]
-        assert result.status == "fail" and result.witness == {"sheet": second.sheet}
+        assert result.status == "fail" and result.witness == {
+            "sample": 1, "base": [scalar_to_str(c) for c in second.base],
+            "fibre": [scalar_to_str(c) for c in second.fibre], "sheet": second.sheet, **extra}
     else:
         assert result.status == "pass"
 

@@ -32,6 +32,7 @@ from gctwistor.linalg import gl_endo, neutral_pairing
 from gctwistor.poly import Poly, chart_point, random_chart_point
 from gctwistor.reference import (
     MuForm,
+    connection_matrix,
     curvature_from_mu,
     horizontal_lift,
     nijenhuis_coform,
@@ -241,7 +242,7 @@ def test_connection_matrix_matches_dense_christoffel_sums():
             expected = Endo(2 * dim, tuple(gx[k] + zero[k] for k in range(dim))
                             + tuple(zero[k] + tuple(-gx[j][k] for j in range(dim))
                                     for k in range(dim)))
-            assert twistor.connection_matrix(conn, direction, p) == expected
+            assert connection_matrix(conn, direction, p) == expected
 
 
 def test_extended_curvature_action():
