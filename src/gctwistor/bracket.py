@@ -16,9 +16,11 @@ coefficients) return exact rationals.
 The bracket has one kernel, in integers: the jets' numerators are scaled
 to the lcm d of their denominators, and one loop over their nonzero
 entries gives 2 d^2 times the bracket.  `lie_bracket` scales its two
-jets.  `nijenhuis_table` forms each J-image jet as the jet product J a
-(`poly.jmat_mul`), scales every probe jet, J-image jet and J once per
-point, and builds each component of a pair's value as one `Fraction`.
+jets.  `nijenhuis_table` forms every J-image jet in one jet product
+(`poly.jmat_mul`), J times the matrix whose columns are the probe jets,
+scales every probe jet, J-image jet and J once per point, and builds each
+component of a pair's value as one `Fraction`.  A field's value is read
+from its jets' integer numerators (`jet_values`).
 
 This module holds no check, and only what the oracle reads.  The oracle
 computes N(J) from it directly, and the `courant/` suite (`courant`)
@@ -34,7 +36,14 @@ from typing import Sequence
 
 from . import exactmat as xm
 from .exactmat import F0, Vec
-from .gclinalg import Endo, GElement, coordinate_elements, from_coords, is_pairing_skew
+from .gclinalg import (
+    DimensionMismatchError,
+    Endo,
+    GElement,
+    coordinate_elements,
+    from_coords,
+    is_pairing_skew,
+)
 from .poly import ChartPoint, Jet, JetMat, jmat_mul
 from .value import Value
 
@@ -106,12 +115,22 @@ class GACField(Value):
         """The structure's value at p, checked, with the jet matrix it was
         read from; FieldInvariantError if the value fails."""
         jets = self.jet_at(p)
-        m = Endo(2 * self.chart_dim, tuple(tuple(e.value for e in row) for row in jets))
+        size = 2 * self.chart_dim
+        if len(jets) != size or any(len(row) != size for row in jets):
+            raise DimensionMismatchError("endomorphism matrix is not square of the stated size")
+        m = jet_values(jets)
         if not m.squares_to_minus_identity():
             raise FieldInvariantError(f"structure field does not square to -Id at {p.coords}")
         if not is_pairing_skew(m):
             raise FieldInvariantError(f"structure field is not pairing skew at {p.coords}")
         return m, jets
+
+
+def jet_values(m: JetMat) -> Endo:
+    """The values of a square jet matrix as an endomorphism: the jets'
+    value numerators over their common denominator."""
+    den = lcm(*(e.den for row in m for e in row))
+    return Endo._lowest(len(m), [[e.num[0] * (den // e.den) for e in row] for row in m], den)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +233,9 @@ def nijenhuis_table(jf: GACField, probes: Sequence[JetSection],
 def _jet_table(jf: GACField, jets: Sequence[SectionJet],
                p: ChartPoint) -> dict[tuple[int, int], GElement]:
     """`nijenhuis_table` from the probes' jets at p.  The field's jet matrix
-    is read and validated at p once, and each probe's J-image jet is built
-    once, as the jet product of that matrix with the probe's jet as a column.
+    is read and validated at p once, and the probes' J-image jets are built
+    in one jet product: that matrix times the matrix whose columns are the
+    probes' jets.
 
     All the jets are scaled to integers over one denominator d and J over
     its own d_J, once per point; each pair is assembled as 2 d^2 d_J N in
@@ -223,7 +243,7 @@ def _jet_table(jf: GACField, jets: Sequence[SectionJet],
     """
     j, fj = jf.validate_at(p)
     m = p.dim
-    images = [tuple(row[0] for row in jmat_mul(fj, [(c,) for c in aj])) for aj in jets]
+    images = list(zip(*jmat_mul(fj, list(zip(*jets)))))
     ints, d = _integer_jets([*jets, *images], m)
     plain, imaged = ints[:len(jets)], ints[len(jets):]
     dj = j.den

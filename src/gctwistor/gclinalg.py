@@ -358,13 +358,14 @@ class GCStructure(Value):
     """A complex structure on V + V* compatible with the pairing.
 
     Construction checks j^2 = -Id and pairing skewness exactly.  The
-    orientation is not part of the invariant; use `structure_orientation`
-    (it is +1 exactly when the structure belongs to the canonical
-    component G(V)).  The structure is its matrix alone: however it was
+    orientation is not part of the invariant; `orientation` reads
+    `structure_orientation` (it is +1 exactly when the structure belongs to
+    the canonical component G(V)), computed on the first call and kept in
+    `_orientation`.  The structure is its matrix alone: however it was
     made, `vertical_space_basis` computes from j.
     """
 
-    __slots__ = ("j",)
+    __slots__ = ("j", "_orientation")
 
     def __init__(self, j: Endo):
         if not j.squares_to_minus_identity():
@@ -372,13 +373,16 @@ class GCStructure(Value):
         if not is_pairing_skew(j):
             raise InvariantError("j is not skew for the neutral pairing")
         self.j = j
+        self._orientation: int | None = None
 
     @property
     def dim_v(self) -> int:
         return self.j.half
 
     def orientation(self) -> int:
-        return structure_orientation(self.j)
+        if self._orientation is None:
+            self._orientation = structure_orientation(self.j)
+        return self._orientation
 
 
 class OrthonormalBasis(Value):

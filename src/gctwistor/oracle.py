@@ -20,9 +20,12 @@ that read the chart coordinates of a jet of fibre-tangent fields once.
 A chart keeps the `ChartContext` of the last base point it was asked
 about: the splitting frame T = H + V there, as the frame change P from
 the splitting frame to the coordinate frame and its inverse, in jets and
-in values.  The fields conjugate by P, a lift reads its columns, and
-`decompose` and `compose` are one product by P^-1 or P and the fibre
-maps, which read the fibre basis and its Gram inverse.
+in values.  Both structure fields share one conjugation by P per point:
+in the splitting frame J_alpha = S_h + s S_f with s = +1 for alpha 1 and
+-1 for alpha 2, and the chart keeps P S_h P^-1 and P S_f P^-1 beside
+the last context.  A lift reads P's columns, and `decompose` and
+`compose` are one product by P^-1 or P and the fibre maps, which read
+the fibre basis and its Gram inverse.
 
 The connection form omega(X) enters in jets through one builder,
 `_connection_form`, from the Christoffel polynomials alone, for the
@@ -41,8 +44,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence
 
 from . import exactmat as xm
@@ -52,6 +56,7 @@ from .bracket import (
     JetSection,
     SectionJet,
     coordinate_sections,
+    jet_values,
     lie_bracket,
     nijenhuis_table,
 )
@@ -131,8 +136,9 @@ class TwistorChart:
       B-coordinates of -(1 - 2t) W (1 + 2t) j0 (`_coordinates`).
     The chart builds J, the T_w and the fibre complex structure kappa
     (J T_w = sum_v kappa[w][v] T_v) once, and a base point's splitting in
-    its `ChartContext`, kept for the last point only.  Points off the
-    centre, c != 0, are rejected.
+    its `ChartContext`, and the two conjugated parts of the structure
+    fields there, kept for the last point only.  Points off the centre,
+    c != 0, are rejected.
     """
 
     def __init__(self, conn: Connection, structure: GCStructure):
@@ -167,6 +173,7 @@ class TwistorChart:
         self.kappa = [self._coordinates(jmat_mul(self.j, t)) for t in self.tangents]
         self._zero = zero_element(self.nvars)
         self._last: tuple[Vec, ChartContext] | None = None
+        self._conjugates: tuple[ChartContext, tuple[JetMat, JetMat]] | None = None
 
     def point(self, base: Vec) -> ChartPoint:
         """The chart point over a base point at the centre, c = 0."""
@@ -184,7 +191,7 @@ class TwistorChart:
         d = lcm(*(e.den for row in w for e in row))
         value, *grads = zip(*(e.num if e.den == d else [x * (d // e.den) for x in e.num]
                               for row in w for e in row))
-        self.fibre_coordinates(_values(w))
+        self.fibre_coordinates(jet_values(w))
         m = self.m
         out = []
         for a, *twists in self._functionals:
@@ -206,12 +213,17 @@ class TwistorChart:
         return coords
 
     def _combination(self, coeffs: Sequence[Fraction]) -> Endo:
-        """sum_w coeffs[w] b_w."""
-        out = zero_endo(self.basis[0].dim)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        """sum_w coeffs[w] b_w, summed in integers over one denominator."""
+        terms = [(c, b) for c, b in zip(coeffs, self.basis) if c]
+        d = lcm(*(c.denominator * b.den for c, b in terms))
+        dim = self.basis[0].dim
+        acc = [0] * (dim * dim)
+        for c, b in terms:
+            f = c.numerator * (d // (c.denominator * b.den))
+            for i, x in enumerate(chain.from_iterable(b.num)):
+                if x:
+                    acc[i] += f * x
+        return Endo._lowest(dim, [acc[r:r + dim] for r in range(0, dim * dim, dim)], d)
 
     # -- the per-point context ---------------------------------------------
 
@@ -238,7 +250,7 @@ class TwistorChart:
                 p[m + w][a], p_inv[m + w][a] = gamma, -gamma
                 p[nv + a][nv + m + w], p_inv[nv + a][nv + m + w] = -gamma, gamma
         ctx = ChartContext(TwistorPoint(chart_point(point[:m]), self.structure), (p, p_inv),
-                           _values(p), _values(p_inv))
+                           jet_values(p), jet_values(p_inv))
         self._last = (point, ctx)
         return ctx
 
@@ -251,26 +263,40 @@ class TwistorChart:
 
     def _field_matrix(self, alpha: int, q: ChartPoint) -> JetMat:
         """The twistor structure at q in the coordinate frame, with gradients:
-        assembled in the splitting frame and conjugated by the context's
-        frame change P, all in jet arithmetic."""
+        P S_h P^-1 + s P S_f P^-1, s = (-1)^(alpha+1), from the point's
+        conjugated parts (`_conjugated`)."""
+        h, f = self._conjugated(q)
+        combine = add if alpha == 1 else sub
+        return [list(map(combine, rh, rf)) for rh, rf in zip(h, f)]
+
+    def _conjugated(self, q: ChartPoint) -> tuple[JetMat, JetMat]:
+        """P S_h P^-1 and P S_f P^-1 at q, built once for the last point.
+
+        In the splitting frame (h_a, d/dc_w | dx_a, th_w) the structure is
+        S_h + s S_f: S_h acts by J on the lifts and the dx_a as it does on
+        d/dx_a and dx_a, and S_f holds the fibre block, column d/dc_w to
+        sum_v kappa[w][v] d/dc_v, and the coform block, its transpose with
+        the opposite sign.  Both are conjugated by the context's P in jet
+        arithmetic."""
         ctx = self.context(q)
+        if self._conjugates is not None and self._conjugates[0] is ctx:
+            return self._conjugates[1]
         m, k, nv = self.m, self.k, self.nvars
-        sign = 1 if alpha == 1 else -1   # (-1)^(alpha+1)
-        split = [[Jet.constant(0, nv)] * (2 * nv) for _ in range(2 * nv)]
-        # order: h_a, d/dc_w | dx_a, th_w; J acts on the lifts and the dx_a
-        # as it does on d/dx_a and dx_a
+        zero = Jet.constant(0, nv)
+        s_h = [[zero] * (2 * nv) for _ in range(2 * nv)]
+        s_f = [[zero] * (2 * nv) for _ in range(2 * nv)]
         slots = [*range(m), *range(nv, nv + m)]
         for i, si in enumerate(slots):
             for c, sc in enumerate(slots):
-                split[si][sc] = self.j[i][c]
+                s_h[si][sc] = self.j[i][c]
         for w in range(k):
             for v in range(k):
-                # fibre block: column d/dc_w goes to sum kappa[w][v] d/dc_v
-                split[m + v][m + w] = self.kappa[w][v].scale(sign)
-                # coform block: the transpose with the opposite sign
-                split[nv + m + v][nv + m + w] = self.kappa[v][w].scale(-sign)
+                s_f[m + v][m + w] = self.kappa[w][v]
+                s_f[nv + m + v][nv + m + w] = -self.kappa[v][w]
         p, p_inv = ctx.splitting
-        return jmat_mul(jmat_mul(p, split), p_inv)
+        conjugates = (jmat_mul(jmat_mul(p, s_h), p_inv), jmat_mul(jmat_mul(p, s_f), p_inv))
+        self._conjugates = (ctx, conjugates)
+        return conjugates
 
     # -- sections on the chart ----------------------------------------------
 
@@ -341,13 +367,6 @@ def _jets(value: Endo, partials: Sequence[Endo]) -> list[list[Jet]]:
             for r in range(value.dim)]
 
 
-def _values(m: JetMat) -> Endo:
-    """The values of a jet matrix as an endomorphism: the jets' value
-    numerators over their common denominator."""
-    den = lcm(*(e.den for row in m for e in row))
-    return Endo._lowest(len(m), [[e.num[0] * (den // e.den) for e in row] for row in m], den)
-
-
 # ---------------------------------------------------------------------------
 # checks on the chart
 
@@ -402,7 +421,7 @@ def chart_vertical_bracket_check(chart: TwistorChart, x_components: Sequence[Pol
     da = [[sum((xv[k] * p.partial(k).evaluate(base) for k in range(m)), F0)
            for p in row] for row in a_entries]
     christoffel = [(key, p.jet(base)) for key, p in chart.conn.entries]
-    omega = _values(_connection_form(christoffel, [p.jet(base) for p in x_components]))
+    omega = jet_values(_connection_form(christoffel, [p.jet(base) for p in x_components]))
     nabla = Endo(2 * m, xm.mat(da)) + (omega.compose(a_val) - a_val.compose(omega))
     j = at.structure.j
     tilde = nabla + j.compose(nabla).compose(j)

@@ -8,16 +8,17 @@ consumes.  `Jet` is the package's one forward-mode scalar; every product,
 quotient and chain rule of a derivative goes through its arithmetic.
 A section's 1-jet is a tuple of `Jet`s and a structure field's a matrix
 of them; `jmat_mul` is the one product of jet matrices, and a field
-applied to a section is that product with a one-column matrix.  A
-`ChartPoint` holds the coordinates that jets are evaluated at, and
-`random_chart_point` draws one from a seeded generator.
+applied to sections is that product with the matrix whose columns are
+the sections' jets.  A `ChartPoint` holds the coordinates that jets
+are evaluated at, and `random_chart_point` draws one from a seeded
+generator.
 
 A `Jet` takes and returns `Fraction`s, as `exactmat` does, and computes
 in Python ints inside: it stores integer numerators over one positive
-denominator in lowest terms, and each result of `+ - * /`, `neg` and
-`scale` is normalised by one gcd.  `Poly.jet` works in integers over a
-common denominator of its coefficients and the point, and builds the
-`Jet` directly.
+denominator in lowest terms, and each result of `+ - * /` and `neg` is
+normalised by one gcd.  `Poly.jet` works in integers over a common
+denominator of its coefficients and the point, and builds the `Jet`
+directly.
 
 Rational functions are kept as unreduced numerator/denominator pairs
 and offer `from_poly`, `+` (the skew check of a two-form field), `*` and
@@ -142,10 +143,6 @@ class Jet:
         return Jet._lowest([a0 * b0 * db] + [(a * b0 - a0 * b) * db
                                              for a, b in zip(self.num[1:], other.num[1:])],
                            self.den * b0 * b0)
-
-    def scale(self, c) -> "Jet":
-        p, q = c.numerator, c.denominator
-        return Jet._lowest([p * a for a in self.num], self.den * q)
 
     def is_zero(self) -> bool:
         """True for the zero jet: zero value and an all-zero gradient."""

@@ -160,8 +160,8 @@ def _bracket_operands(draw):
 
     def jet():
         values, partials = _zero_pattern(draw), _zero_pattern(draw)
-        return tuple(Jet(draw(values), [draw(partials) for _ in range(m)]).scale(
-                     F(1, draw(st.integers(1, 12)))) for _ in range(2 * m))
+        return tuple(Jet(draw(values), [draw(partials) for _ in range(m)])
+                     * Jet.constant(F(1, draw(st.integers(1, 12))), m) for _ in range(2 * m))
 
     return jet(), jet(), m
 

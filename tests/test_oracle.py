@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gctwistor import exactmat as xm
 from gctwistor import oracle, twistor
-from gctwistor.bracket import coordinate_sections, lie_bracket, nijenhuis_table
+from gctwistor.bracket import coordinate_sections, jet_values, lie_bracket, nijenhuis_table
 from gctwistor.courant import nijenhuis, section_from_coefficients
 from gctwistor.gclinalg import (
     DegenerateInputError,
@@ -135,13 +135,81 @@ def test_direct_equals_closed_form_at_n2():
     assert not any(chart_vertical_bracket_check(chart, [one, x1, zero, _Y[2]], a_entries, q))
 
 
+def test_direct_equals_closed_form_at_n3():
+    # the mixed connection lifted to n = 3, one sample: the fibre from
+    # sample_fibre_structure(3, Random(4)), then the base
+    y = [Poly.variable(6, i) for i in range(6)]
+    conn = connection(3, {(0, 1, 1): y[0], (1, 0, 1): Poly.constant(6, 3) * y[1],
+                          (0, 0, 0): Poly.constant(6, F(1, 2)),
+                          (2, 3, 0): Poly.constant(6, -2) * y[0] * y[2]})
+    rng = random.Random(4)
+    chart = TwistorChart(conn, sample_fibre_structure(3, rng))
+    q = chart.point(random_chart_point(6, rng).coords)
+    ctx = chart.context(q)
+    probes = coordinate_sections(36)
+    decomposed = [chart.decompose(p.value_at(q), q) for p in probes]
+    nonzero = {}
+    for alpha in (1, 2):
+        direct = nijenhuis_table(chart.field(alpha), probes, q)
+        closed = nijenhuis_closed_form_table(alpha, conn, ctx.at, decomposed)
+        assert len(direct) == 2556
+        assert [key for key, value in direct.items()
+                if value != chart.compose(closed[key], q)] == []
+        nonzero[alpha] = sum(not value.is_zero() for value in direct.values())
+    assert nonzero == {1: 134, 2: 1107}
+
+
+def test_both_fields_share_one_conjugation_per_point(monkeypatch):
+    # the chart conjugates the two parts of the structure once per point:
+    # after field(1) at q, field(2) at q takes no jet product, and another
+    # point replaces the cached parts
+    chart, q = _centred(1)
+    other = q_at(chart, x1=F(-3))
+    calls = []
+    real = oracle.jmat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    j1 = chart.field(1).validate_at(q)[1]
+    monkeypatch.setattr(oracle, "jmat_mul", counted)
+    j2 = chart.field(2).validate_at(q)[1]
+    assert calls == [] and j1 != j2
+    # J_1 + J_2 = 2 P S_h P^-1
+    h, _ = chart._conjugated(q)
+    assert [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(j1, j2)] == \
+        [[x + x for x in row] for row in h]
+    chart.field(2).validate_at(other)
+    assert calls and chart._conjugates[0] is chart.context(other)
+    assert chart.field(1).jet_at(other) != j1
+
+
+def test_nijenhuis_table_forms_all_images_in_one_product(monkeypatch):
+    # every probe's J-image jet comes from one product of jet matrices
+    from gctwistor import bracket
+    chart, q = _centred(1)
+    field = chart.field(2)
+    expected = nijenhuis_table(field, coordinate_sections(4), q)
+    calls = []
+    real = bracket.jmat_mul
+
+    def counted(a, b):
+        calls.append(len(b[0]))
+        return real(a, b)
+
+    monkeypatch.setattr(bracket, "jmat_mul", counted)
+    assert nijenhuis_table(field, coordinate_sections(4), q) == expected
+    assert calls == [8]
+
+
 def test_chart_structure_matches_constructor():
     for sheet in (1, -1):
         chart = chart_at(sheet=sheet)
         expected = hyperboloid_point(F(1, 4), F(1, 5), sheet, reference_basis(1))
         at = chart.context(q_at(chart)).at
         assert at.structure.j == expected.j and at.point == chart_point([F(1, 2), F(1, 3)])
-        assert oracle._values(chart.j) == expected.j
+        assert jet_values(chart.j) == expected.j
 
 
 def test_chart_views_memoized_per_point():

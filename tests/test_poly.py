@@ -157,7 +157,8 @@ def test_rational_jet_over_one_is_the_quotient_rule(operands):
     assert jet == p.jet(point) / one.jet(point)
     assert all(type(x) is F for x in (jet.value,) + jet.grad)
     # other constant denominators still go through the quotient rule
-    assert RationalFn(p, Poly.constant(p.nvars, 2)).jet(point) == p.jet(point).scale(F(1, 2))
+    half = Jet.constant(F(1, 2), p.nvars)
+    assert RationalFn(p, Poly.constant(p.nvars, 2)).jet(point) == p.jet(point) * half
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_jet_matches_fraction_formulae(operands):
     assert _rationals_of(ja - jb) == _ref_add(a, _ref_scale(F(-1), b))
     assert _rationals_of(-ja) == _ref_scale(F(-1), a)
     assert _rationals_of(ja * jb) == _ref_mul(a, b)
-    assert _rationals_of(ja.scale(c)) == _ref_scale(c, a)
+    assert _rationals_of(ja * Jet.constant(c, len(a[1]))) == _ref_scale(c, a)
     assert ja.is_zero() == (a[0] == 0 and not any(a[1]))
     if b[0] == 0:
         with pytest.raises(ZeroDenominatorError):
@@ -235,7 +236,7 @@ def test_jet_equality_and_hash_are_by_value():
     assert hash(Jet(F(2, 4), (F(1),))) == hash(Jet(F(1, 2), (F(1),)))
     x = Jet.variable(0, (F(2, 3), F(5)))
     # (x + x) / 2 and x reach the same rationals along different denominators
-    assert (x + x).scale(F(1, 2)) == x
+    assert (x + x) * Jet.constant(F(1, 2), 2) == x
     assert len({x, (x * x) / x, Jet(F(2, 3), (F(1), F(0)))}) == 1
     assert Jet.constant(F(-3, 6), 2) == Jet(F(-1, 2), (F(0), F(0)))
 

@@ -401,6 +401,23 @@ def test_twistor_point_requires_canonical_orientation():
                      from_symplectic(standard_symplectic_matrix(1)))
 
 
+def test_twistor_point_reuses_the_orientation_of_its_structure(monkeypatch):
+    # hyperboloid_point checks the orientation and the structure keeps it, so
+    # the point's own check takes no second determinant
+    from gctwistor import gclinalg
+    calls = []
+    real = gclinalg.structure_orientation
+
+    def counted(j):
+        calls.append(j)
+        return real(j)
+
+    monkeypatch.setattr(gclinalg, "structure_orientation", counted)
+    at = TwistorPoint(chart_point([F(1, 2), F(1, 3)]),
+                      hyperboloid_point(F(1, 4), F(1, 5), -1, reference_basis(1)))
+    assert at.structure.orientation() == 1 and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the closed-form cases
 
